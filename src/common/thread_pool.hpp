@@ -55,49 +55,61 @@ class ThreadPool {
       for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
+    Job job(fn, n);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      assert(pending_.load(std::memory_order_relaxed) == 0 && "reentrant parallel_for");
-      job_fn_ = &fn;
-      job_n_ = n;
-      next_.store(0, std::memory_order_relaxed);
-      pending_.store(n, std::memory_order_relaxed);
+      assert(job_ == nullptr && "reentrant parallel_for");
+      job_ = &job;
       ++generation_;
     }
     wake_cv_.notify_all();
-    drain(&fn, n);
+    drain(job);
+    // Retire the job in the same critical section that sees it finished
+    // and unjoined, so no late worker can pick up a dead record.
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0 && busy_workers_ == 0;
+    done_cv_.wait(lock, [&job] {
+      return job.pending.load(std::memory_order_acquire) == 0 && job.workers == 0;
     });
+    job_ = nullptr;
   }
 
  private:
+  /// One parallel_for call. Lives on the caller's stack; published in
+  /// job_ only while live, and workers join it (workers++) only under
+  /// the lock while it is published.
+  struct Job {
+    Job(const std::function<void(std::size_t)>& f, std::size_t count)
+        : fn(f), n(count), pending(count) {}
+    const std::function<void(std::size_t)>& fn;
+    const std::size_t n;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> pending;
+    std::size_t workers = 0;  ///< guarded by mutex_
+  };
+
   void worker_loop() {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-      wake_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      wake_cv_.wait(lock, [&] { return stop_ || (job_ != nullptr && generation_ != seen); });
       if (stop_) return;
       seen = generation_;
-      const std::function<void(std::size_t)>* fn = job_fn_;
-      const std::size_t n = job_n_;
-      ++busy_workers_;
+      Job& job = *job_;
+      ++job.workers;
       lock.unlock();
-      drain(fn, n);
+      drain(job);
       lock.lock();
-      --busy_workers_;
       // parallel_for may be blocked on the last worker leaving the job.
-      if (busy_workers_ == 0) done_cv_.notify_all();
+      if (--job.workers == 0) done_cv_.notify_all();
     }
   }
 
-  void drain(const std::function<void(std::size_t)>* fn, std::size_t n) {
+  void drain(Job& job) {
     while (true) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      (*fn)(i);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= job.n) return;
+      job.fn(i);
+      if (job.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         const std::lock_guard<std::mutex> lock(mutex_);
         done_cv_.notify_all();
       }
@@ -110,11 +122,7 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   bool stop_ = false;
   std::uint64_t generation_ = 0;
-  std::size_t busy_workers_ = 0;  // workers currently inside drain()
-  const std::function<void(std::size_t)>* job_fn_ = nullptr;
-  std::size_t job_n_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> pending_{0};
+  Job* job_ = nullptr;  ///< the live job, or null between jobs
 };
 
 }  // namespace slices

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+
 #include <set>
 #include <sstream>
 #include <thread>
@@ -12,6 +18,7 @@
 #include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace slices {
@@ -367,6 +374,45 @@ TEST(Result, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> extracted = std::move(r).value();
   EXPECT_EQ(*extracted, 5);
+}
+
+// Back-to-back short jobs are where a worker that wakes late could join
+// a finished job: every index of every job must run exactly once, with
+// that job's own function, and no index past the job's size may run.
+TEST(ThreadPool, BackToBackShortJobsRunEachIndexOnceWithTheirOwnFunction) {
+  ThreadPool pool(4);
+  constexpr std::size_t kMaxN = 8;
+  std::size_t mismatches = 0;
+  // A stale worker can also corrupt a job's pending count and leave the
+  // caller waiting forever: turn that hang into a prompt failure.
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&finished] {
+    for (int tick = 0; tick < 600 && !finished.load(); ++tick) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (!finished.load()) {
+      std::fprintf(stderr, "ThreadPool stress: parallel_for hung\n");
+      std::_Exit(1);
+    }
+  });
+  for (std::uint32_t round = 1; round <= 20000; ++round) {
+    const std::size_t n = 2 + round % 4;
+    std::array<std::atomic<std::uint32_t>, kMaxN> hits{};
+    std::array<std::atomic<std::uint32_t>, kMaxN> owner{};
+    pool.parallel_for(n, [&hits, &owner, round](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      owner[i].store(round, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kMaxN; ++i) {
+      const bool in_job = i < n;
+      if (hits[i].load() != (in_job ? 1u : 0u) || owner[i].load() != (in_job ? round : 0u)) {
+        ++mismatches;
+      }
+    }
+  }
+  finished.store(true);
+  watchdog.join();
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Errc, AllCodesHaveNames) {
