@@ -2,6 +2,35 @@
 
 namespace slices::core {
 
+void wire_testbed(Testbed& tb, transport::Topology topology, std::uint64_t seed,
+                  const OrchestratorConfig& config, NodeId ran_gateway,
+                  std::map<DatacenterId, NodeId> dc_gateways) {
+  tb.cloud.finalize(cloud::PlacementPolicy::first_fit);
+  tb.transport = std::make_unique<transport::TransportController>(
+      std::move(topology), Rng(seed ^ 0x7261696eULL), &tb.registry);
+  tb.epc = std::make_unique<epc::EpcManager>(&tb.cloud);
+
+  // --- Epoch worker pool ---------------------------------------------------
+  if (config.epoch_threads > 1) {
+    tb.pool = std::make_unique<ThreadPool>(config.epoch_threads);
+    tb.ran.set_thread_pool(tb.pool.get());
+    tb.transport->set_thread_pool(tb.pool.get());
+  }
+
+  // --- REST bus: controllers feed the orchestrator over HTTP --------------
+  tb.bus.register_service("ran", tb.ran.make_router());
+  tb.bus.register_service("transport", tb.transport->make_router());
+  tb.bus.register_service("cloud", tb.cloud.make_router());
+
+  // --- The orchestrator on top --------------------------------------------
+  tb.orchestrator = std::make_unique<Orchestrator>(&tb.simulator, &tb.ran, tb.transport.get(),
+                                                   &tb.cloud, tb.epc.get(), &tb.bus,
+                                                   &tb.registry, config);
+  tb.orchestrator->set_attachment_points(ran_gateway, std::move(dc_gateways));
+  tb.bus.register_service("orchestrator", tb.orchestrator->make_router());
+  tb.orchestrator->start();
+}
+
 std::unique_ptr<Testbed> make_testbed(std::uint64_t seed, OrchestratorConfig config) {
   auto tb = std::make_unique<Testbed>();
 
@@ -44,9 +73,6 @@ std::unique_ptr<Testbed> make_testbed(std::uint64_t seed, OrchestratorConfig con
                          transport::LinkTechnology::fiber, DataRate::mbps(10000.0),
                          Duration::millis(3.5));
 
-  tb->transport = std::make_unique<transport::TransportController>(
-      std::move(topo), Rng(seed ^ 0x7261696eULL), &tb->registry);
-
   // --- Cloud: scarce edge DC + roomy core DC ------------------------------
   tb->edge_dc = tb->cloud.add_datacenter("edge-dc", cloud::DatacenterKind::edge,
                                          /*cpu_allocation_ratio=*/1.0);
@@ -59,32 +85,13 @@ std::unique_ptr<Testbed> make_testbed(std::uint64_t seed, OrchestratorConfig con
     tb->cloud.add_host(tb->core_dc, "core-host-" + std::to_string(i),
                        ComputeCapacity{64.0, 262144.0, 4000.0});
   }
-  tb->cloud.finalize(cloud::PlacementPolicy::first_fit);
 
-  tb->epc = std::make_unique<epc::EpcManager>(&tb->cloud);
+  tb->cell_names = {{"a", tb->cell_a}, {"b", tb->cell_b}};
+  tb->dc_names = {{"edge", tb->edge_dc}, {"core", tb->core_dc}};
+  tb->link_names = {{"mmwave", tb->mmwave_uplink}, {"uwave", tb->uwave_uplink}};
 
-  // --- Epoch worker pool ---------------------------------------------------
-  if (config.epoch_threads > 1) {
-    tb->pool = std::make_unique<ThreadPool>(config.epoch_threads);
-    tb->ran.set_thread_pool(tb->pool.get());
-    tb->transport->set_thread_pool(tb->pool.get());
-  }
-
-  // --- REST bus: controllers feed the orchestrator over HTTP --------------
-  tb->bus.register_service("ran", tb->ran.make_router());
-  tb->bus.register_service("transport", tb->transport->make_router());
-  tb->bus.register_service("cloud", tb->cloud.make_router());
-
-  // --- The orchestrator on top --------------------------------------------
-  tb->orchestrator = std::make_unique<Orchestrator>(
-      &tb->simulator, &tb->ran, tb->transport.get(), &tb->cloud, tb->epc.get(), &tb->bus,
-      &tb->registry, config);
-  tb->orchestrator->set_attachment_points(
-      tb->ran_gateway,
-      {{tb->edge_dc, tb->edge_gateway}, {tb->core_dc, tb->core_gateway}});
-  tb->bus.register_service("orchestrator", tb->orchestrator->make_router());
-  tb->orchestrator->start();
-
+  wire_testbed(*tb, std::move(topo), seed, config, tb->ran_gateway,
+               {{tb->edge_dc, tb->edge_gateway}, {tb->core_dc, tb->core_gateway}});
   return tb;
 }
 

@@ -1,10 +1,8 @@
 #include "federation/edge.hpp"
 
-#include <cstdlib>
 #include <optional>
+#include <type_traits>
 
-#include "common/rng.hpp"
-#include "traffic/verticals.hpp"
 #include "transport/generators.hpp"
 
 namespace slices::federation {
@@ -15,14 +13,49 @@ using json::Value;
 
 Error bad(std::string why) { return make_error(Errc::invalid_argument, std::move(why)); }
 
-/// "edge<k>" -> k; nullopt when the name is not of that shape.
-std::optional<std::size_t> edge_dc_index(const std::string& target, std::size_t limit) {
-  if (target.size() <= 4 || target.substr(0, 4) != "edge") return std::nullopt;
-  const std::string digits = target.substr(4);
-  if (digits.find_first_not_of("0123456789") != std::string::npos) return std::nullopt;
-  const std::size_t k = static_cast<std::size_t>(std::strtoull(digits.c_str(), nullptr, 10));
-  if (k >= limit) return std::nullopt;
-  return k;
+/// A metro region's layout at the plan's scale: pooled 20 MHz cells
+/// "c<k>" behind an aggregation tree, one core DC "core" and
+/// `plan.edge_dcs` edge DCs "edge<k>", finished by the shared wiring.
+std::unique_ptr<core::Testbed> make_region_testbed(const RegionPlan& plan,
+                                                   const core::OrchestratorConfig& config) {
+  auto tb = std::make_unique<core::Testbed>();
+  for (std::size_t c = 0; c < plan.cells; ++c) {
+    const CellId id{c + 1};
+    tb->ran.add_cell(ran::Cell(id, plan.name + "-c" + std::to_string(c), ran::Bandwidth::mhz20,
+                               ran::SharingPolicy::pooled));
+    tb->cell_names.emplace_back("c" + std::to_string(c), id);
+  }
+
+  transport::GeneratedTopology tree = transport::make_aggregation_tree(
+      /*leaves=*/std::max<std::size_t>(plan.cells / 4, 1), /*leaves_per_switch=*/4);
+
+  std::map<DatacenterId, NodeId> dc_gateways;
+  const DatacenterId core_dc = tb->cloud.add_datacenter("core", cloud::DatacenterKind::core,
+                                                        /*cpu_allocation_ratio=*/2.0);
+  for (std::size_t h = 0; h < plan.hosts_per_dc; ++h) {
+    tb->cloud.add_host(core_dc, "core-host-" + std::to_string(h),
+                       ComputeCapacity{64.0, 262144.0, 4000.0});
+  }
+  dc_gateways.emplace(core_dc, tree.core_gateway);
+  tb->dc_names.emplace_back("core", core_dc);
+  for (std::size_t k = 0; k < plan.edge_dcs; ++k) {
+    const std::string name = "edge" + std::to_string(k);
+    const DatacenterId dc = tb->cloud.add_datacenter(name, cloud::DatacenterKind::edge,
+                                                     /*cpu_allocation_ratio=*/1.0);
+    for (std::size_t h = 0; h < plan.hosts_per_dc; ++h) {
+      tb->cloud.add_host(dc, name + "-host-" + std::to_string(h),
+                         ComputeCapacity{32.0, 131072.0, 1000.0});
+    }
+    dc_gateways.emplace(dc, tree.edge_gateways[k % tree.edge_gateways.size()]);
+    tb->dc_names.emplace_back(name, dc);
+  }
+
+  // The region's own seed keys its fading stream, so regions fade
+  // independently.
+  const NodeId ran_gateway = tree.ran_gateways.front();
+  core::wire_testbed(*tb, std::move(tree.topology), plan.seed, config, ran_gateway,
+                     std::move(dc_gateways));
+  return tb;
 }
 
 }  // namespace
@@ -36,157 +69,50 @@ EdgeNode::EdgeNode(const RegionPlan& plan, const scenario::Scenario& scenario,
   telemetry::trace::ComponentScope trace_component(component_);
   core::OrchestratorConfig config = scenario.orchestrator;
   config.epoch_threads = epoch_threads == 0 ? 1 : epoch_threads;
-  if (config.epoch_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config.epoch_threads);
-    ran_.set_thread_pool(pool_.get());
+  region_ = std::make_unique<scenario::Region>(
+      make_region_testbed(plan_, config), scenario,
+      scenario::RegionIdentity{plan_.name, plan_.index, scenario.federation.regions, plan_.seed});
+
+  if (region_->field() != nullptr) {
+    // Registered after orchestrator start: at shared timestamps the
+    // epoch periodic runs first (FIFO), so UEs move over the epoch's
+    // result — the same order the fig2 runner's sampler uses.
+    const Duration period = scenario.orchestrator.monitoring_period;
+    simulator().add_periodic(
+        period,
+        [this](SimTime now) {
+          telemetry::trace::ComponentScope step_component(component_);
+          region_->step_mobility(now);
+        },
+        period);
   }
-
-  for (std::size_t c = 0; c < plan_.cells; ++c) {
-    const CellId id{c + 1};
-    cells_.push_back(id);
-    ran_.add_cell(ran::Cell(id, plan_.name + "-c" + std::to_string(c), ran::Bandwidth::mhz20,
-                            ran::SharingPolicy::pooled));
-  }
-
-  transport::GeneratedTopology tree = transport::make_aggregation_tree(
-      /*leaves=*/std::max<std::size_t>(plan_.cells / 4, 1), /*leaves_per_switch=*/4);
-  const NodeId ran_gateway = tree.ran_gateways.front();
-  const NodeId core_gateway = tree.core_gateway;
-  const std::vector<NodeId> edge_gateways = tree.edge_gateways;
-  // Same fading-stream salt as core::make_testbed, keyed by the
-  // region's own seed so regions fade independently.
-  transport_ = std::make_unique<transport::TransportController>(
-      std::move(tree.topology), Rng(plan_.seed ^ 0x7261696eULL), &registry_);
-  if (pool_ != nullptr) transport_->set_thread_pool(pool_.get());
-
-  std::map<DatacenterId, NodeId> dc_gateways;
-  core_dc_ = cloud_.add_datacenter("core", cloud::DatacenterKind::core,
-                                   /*cpu_allocation_ratio=*/2.0);
-  for (std::size_t h = 0; h < plan_.hosts_per_dc; ++h) {
-    cloud_.add_host(core_dc_, "core-host-" + std::to_string(h),
-                    ComputeCapacity{64.0, 262144.0, 4000.0});
-  }
-  dc_gateways.emplace(core_dc_, core_gateway);
-  for (std::size_t k = 0; k < plan_.edge_dcs; ++k) {
-    const DatacenterId dc = cloud_.add_datacenter("edge" + std::to_string(k),
-                                                  cloud::DatacenterKind::edge,
-                                                  /*cpu_allocation_ratio=*/1.0);
-    for (std::size_t h = 0; h < plan_.hosts_per_dc; ++h) {
-      cloud_.add_host(dc, "edge" + std::to_string(k) + "-host-" + std::to_string(h),
-                      ComputeCapacity{32.0, 131072.0, 1000.0});
-    }
-    dc_gateways.emplace(dc, edge_gateways[k % edge_gateways.size()]);
-    edge_dcs_.push_back(dc);
-    edge_dc_up_.push_back(true);
-  }
-  cloud_.finalize(cloud::PlacementPolicy::first_fit);
-  epc_ = std::make_unique<epc::EpcManager>(&cloud_);
-
-  bus_.register_service("ran", ran_.make_router());
-  bus_.register_service("transport", transport_->make_router());
-  bus_.register_service("cloud", cloud_.make_router());
-
-  orchestrator_ = std::make_unique<core::Orchestrator>(&simulator_, &ran_, transport_.get(),
-                                                       &cloud_, epc_.get(), &bus_, &registry_,
-                                                       config);
-  orchestrator_->set_attachment_points(ran_gateway, std::move(dc_gateways));
-  bus_.register_service("orchestrator", orchestrator_->make_router());
-  orchestrator_->start();
-
-  std::vector<traffic::PiecewiseEnvelope::Segment> segments;
-  for (const scenario::Phase& phase : scenario.phases) {
-    if (phase.demand_scale != 1.0) {
-      segments.push_back({SimTime::origin() + phase.start, SimTime::origin() + phase.end,
-                          phase.demand_scale});
-    }
-  }
-  if (!segments.empty()) {
-    envelope_ = std::make_shared<const traffic::PiecewiseEnvelope>(std::move(segments));
-  }
-
-  if (scenario.mobility.enabled) build_mobility(scenario);
-}
-
-void EdgeNode::build_mobility(const scenario::Scenario& scenario) {
-  mobility_spec_ = scenario.mobility;
-  mobility::FieldConfig config;
-  config.cell_spacing_m = mobility_spec_.cell_spacing_m;
-  config.default_speed_mps = mobility_spec_.default_speed_mps;
-  config.ues_per_slice = mobility_spec_.ues_per_slice;
-  config.cqi_min = mobility_spec_.cqi_min;
-  config.cqi_max = mobility_spec_.cqi_max;
-  config.seed = plan_.seed;
-  config.region_index = plan_.index;
-  config.region_count = scenario.federation.regions;
-  config.region = plan_.name;
-  field_ = std::make_unique<mobility::Field>(config, &ran_, pool_.get());
-
-  for (const scenario::MobilityStorm& storm : mobility_spec_.storms) {
-    if (!storm.region.empty() && storm.region != plan_.name) continue;
-    // "c<k>" names grid cell k; empty focuses the region's first cell.
-    std::size_t cell = 0;
-    if (storm.cell.size() > 1 && storm.cell[0] == 'c') {
-      cell = static_cast<std::size_t>(std::strtoull(storm.cell.c_str() + 1, nullptr, 10));
-    }
-    field_->add_storm(storm.kind, SimTime::origin() + storm.at,
-                      SimTime::origin() + storm.at + storm.duration, storm.fraction, cell);
-  }
-
-  // Registered after orchestrator start: at shared timestamps the epoch
-  // periodic runs first (FIFO), so UEs move over the epoch's result —
-  // the same order the fig2 runner uses.
-  const Duration period = scenario.orchestrator.monitoring_period;
-  simulator_.add_periodic(period, [this](SimTime now) { step_mobility(now); }, period);
-}
-
-void EdgeNode::step_mobility(SimTime now) {
-  telemetry::trace::ComponentScope trace_component(component_);
-  std::vector<PlmnId> live;
-  std::vector<traffic::Vertical> verticals;
-  for (const core::SliceRecord* record : orchestrator_->all_slices()) {
-    if (record->state != core::SliceState::active) continue;
-    live.push_back(record->embedding.plmn);
-    verticals.push_back(record->spec.vertical);
-  }
-  const auto speed_of = [&](PlmnId plmn) -> double {
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (live[i] != plmn) continue;
-      for (const auto& [vertical, speed] : mobility_spec_.speed_classes) {
-        if (vertical == verticals[i]) return speed;
-      }
-      break;
-    }
-    return 0.0;  // take the configured default
-  };
-  field_->sync_population(live, speed_of);
-  field_->step(now);
-  (void)field_->apply(now);
 }
 
 json::Value EdgeNode::mobility_json() const {
   Object out;
   out.emplace("region", plan_.name);
-  if (field_ == nullptr) {
+  const mobility::Field* field = region_->field();
+  if (field == nullptr) {
     out.emplace("enabled", false);
     return Value(std::move(out));
   }
-  const ran::HandoverStats& handovers = ran_.handover_totals();
+  const ran::HandoverStats& handovers = region_->testbed().ran.handover_totals();
   out.emplace("enabled", true);
-  out.emplace("population", static_cast<double>(field_->population()));
+  out.emplace("population", static_cast<double>(field->population()));
   out.emplace("handover_attempts", static_cast<double>(handovers.attempts));
   out.emplace("handover_successes", static_cast<double>(handovers.successes));
   out.emplace("handover_drops", static_cast<double>(handovers.drops));
-  out.emplace("exits", static_cast<double>(field_->exits_total()));
-  out.emplace("roamers_admitted", static_cast<double>(field_->roamers_admitted()));
-  out.emplace("roamers_dropped", static_cast<double>(field_->roamers_dropped()));
+  out.emplace("exits", static_cast<double>(field->exits_total()));
+  out.emplace("roamers_admitted", static_cast<double>(field->roamers_admitted()));
+  out.emplace("roamers_dropped", static_cast<double>(field->roamers_dropped()));
   return Value(std::move(out));
 }
 
 json::Value EdgeNode::drain_roamers_json() {
   json::Array exits;
-  if (field_ != nullptr) {
+  if (mobility::Field* field = region_->field(); field != nullptr) {
     std::vector<mobility::RoamingExit> drained;
-    field_->drain_exits(drained);
+    field->drain_exits(drained);
     for (const mobility::RoamingExit& exit : drained) {
       Object entry;
       entry.emplace("plmn", static_cast<double>(exit.plmn));
@@ -203,63 +129,63 @@ json::Value EdgeNode::drain_roamers_json() {
 }
 
 Result<json::Value> EdgeNode::admit_roamers(const json::Value& body) {
-  if (field_ == nullptr) {
+  mobility::Field* field = region_->field();
+  if (field == nullptr) {
     return make_error(Errc::unavailable, "region " + plan_.name + " has no mobility field");
   }
   const json::Value* roamers = body.find("roamers");
   if (roamers == nullptr || !roamers->is_array()) {
     return bad("ingress body needs a roamers array");
   }
-  std::uint64_t admitted = 0;
-  std::uint64_t dropped = 0;
+  // Decode every entry before admitting any, so a malformed body changes
+  // nothing. Absent fields keep their defaults; present ones must fit.
+  std::vector<mobility::RoamingExit> exits;
+  exits.reserve(roamers->as_array().size());
   for (const json::Value& entry : roamers->as_array()) {
     mobility::RoamingExit exit;
-    if (const json::Value* v = entry.find("plmn"); v != nullptr && v->is_number()) {
-      exit.plmn = static_cast<std::uint64_t>(v->as_number());
-    }
-    if (const json::Value* v = entry.find("cqi"); v != nullptr && v->is_number()) {
-      exit.cqi = static_cast<int>(v->as_number());
-    }
-    if (const json::Value* v = entry.find("y_mm"); v != nullptr && v->is_number()) {
-      exit.y_mm = static_cast<std::int64_t>(v->as_number());
+    const auto decode = [&entry](std::string_view key, auto& out) {
+      const json::Value* v = entry.find(key);
+      if (v == nullptr || !v->is_number()) return true;
+      const auto decoded = json::to_integer<std::remove_reference_t<decltype(out)>>(v);
+      if (decoded) out = *decoded;
+      return decoded.has_value();
+    };
+    if (!decode("plmn", exit.plmn) || !decode("cqi", exit.cqi) || !decode("y_mm", exit.y_mm)) {
+      return bad("roamer plmn/cqi/y_mm out of range");
     }
     if (const json::Value* v = entry.find("side"); v != nullptr && v->is_number()) {
       exit.side = v->as_number() < 0.0 ? -1 : 1;
     }
-    if (field_->admit_roamer(exit)) {
-      ++admitted;
-    } else {
-      ++dropped;
-    }
+    exits.push_back(exit);
   }
+  std::uint64_t admitted = 0;
+  for (const mobility::RoamingExit& exit : exits) admitted += field->admit_roamer(exit) ? 1 : 0;
   Object out;
   out.emplace("region", plan_.name);
   out.emplace("admitted", static_cast<double>(admitted));
-  out.emplace("dropped", static_cast<double>(dropped));
+  out.emplace("dropped", static_cast<double>(exits.size() - admitted));
   return Value(std::move(out));
 }
 
 void EdgeNode::advance_to(std::int64_t t_us) {
-  if (t_us > simulator_.now().as_micros()) {
-    (void)simulator_.run_until(SimTime::from_micros(t_us));
+  if (t_us > simulator().now().as_micros()) {
+    (void)simulator().run_until(SimTime::from_micros(t_us));
   }
 }
 
 Result<json::Value> EdgeNode::submit(const json::Value& body) {
-  if (orchestrator_->suspended()) {
+  core::Orchestrator& orch = orchestrator();
+  if (orch.suspended()) {
     return make_error(Errc::unavailable,
                       "region " + plan_.name + " is restarting; defer admission");
   }
   Result<scenario::ScenarioRequest> request = scenario::request_from_json(body);
   if (!request.ok()) return request.error();
 
-  std::unique_ptr<traffic::TrafficModel> workload =
-      traffic::make_traffic(request.value().spec.vertical, Rng(request.value().workload_seed));
-  if (envelope_) {
-    workload = std::make_unique<traffic::ModulatedTraffic>(std::move(workload), envelope_);
-  }
-  const RequestId id = orchestrator_->submit(request.value().spec, std::move(workload));
-  const core::SliceRecord* record = orchestrator_->find_by_request(id);
+  const scenario::ScenarioRequest& req = request.value();
+  const RequestId id =
+      orch.submit(req.spec, region_->make_workload(req.spec.vertical, req.workload_seed));
+  const core::SliceRecord* record = orch.find_by_request(id);
 
   Object out;
   out.emplace("region", plan_.name);
@@ -268,57 +194,6 @@ Result<json::Value> EdgeNode::submit(const json::Value& body) {
   out.emplace("state",
               record == nullptr ? "pending" : std::string(core::to_string(record->state)));
   return Value(std::move(out));
-}
-
-Result<void> EdgeNode::apply_dc_fault(const std::string& target, bool up) {
-  DatacenterId dc;
-  if (target == "core") {
-    dc = core_dc_;
-    core_dc_up_ = up;
-  } else if (const std::optional<std::size_t> k = edge_dc_index(target, edge_dcs_.size()); k) {
-    dc = edge_dcs_[*k];
-    edge_dc_up_[*k] = up;
-  } else {
-    return bad("unknown dc '" + target + "' in region " + plan_.name);
-  }
-  (void)cloud_.set_datacenter_available(dc, up);
-  if (!up) {
-    // A failed site loses its VNFs: live slices embedded there are torn
-    // down (same semantics as the fig2 runner's dc_down).
-    for (const core::SliceRecord* record : orchestrator_->all_slices()) {
-      if (record->is_live() && record->embedding.datacenter == dc) {
-        (void)orchestrator_->terminate(record->id);
-      }
-    }
-  }
-  orchestrator_->note_fault("dc." + target, !up,
-                            up ? "datacenter recovered" : "datacenter failed",
-                            {{"dc", Value(target)}, {"region", Value(plan_.name)}});
-  return {};
-}
-
-Result<void> EdgeNode::apply_cell_fault(const std::string& target, bool up) {
-  if (target.size() <= 1 || target[0] != 'c' ||
-      target.find_first_not_of("0123456789", 1) != std::string::npos) {
-    return bad("unknown cell '" + target + "' in region " + plan_.name);
-  }
-  const std::size_t index =
-      static_cast<std::size_t>(std::strtoull(target.c_str() + 1, nullptr, 10));
-  if (index >= cells_.size())
-    return bad("unknown cell '" + target + "' in region " + plan_.name);
-  (void)ran_.set_cell_active(cells_[index], up);
-  orchestrator_->note_fault("cell." + target, !up, up ? "cell reactivated" : "cell outage",
-                            {{"cell", Value(target)}, {"region", Value(plan_.name)}});
-  return {};
-}
-
-void EdgeNode::apply_restart(Duration duration) {
-  orchestrator_->set_suspended(true);
-  orchestrator_->note_fault("controller", true, "control plane restarting");
-  simulator_.schedule_after(duration, [this] {
-    orchestrator_->set_suspended(false);
-    orchestrator_->note_fault("controller", false, "control plane back");
-  });
 }
 
 Result<void> EdgeNode::apply_fault(const json::Value& body) {
@@ -331,30 +206,28 @@ Result<void> EdgeNode::apply_fault(const json::Value& body) {
   const std::string kind = field("kind");
   const std::string target = field("target");
   Duration duration;
-  if (const auto it = obj.find("duration_us"); it != obj.end() && it->second.is_number()) {
-    duration = Duration::micros(static_cast<std::int64_t>(it->second.as_number()));
+  if (const json::Value* v = body.find("duration_us"); v != nullptr && v->is_number()) {
+    const std::optional<std::int64_t> us = json::to_integer<std::int64_t>(v, 0, json::kMaxExactInteger);
+    if (!us) return bad("duration_us must be in [0, 2^53]");
+    duration = Duration::micros(*us);
   }
 
-  if (kind == "dc_down" || kind == "dc_up") {
-    const bool up = kind == "dc_up";
-    if (Result<void> r = apply_dc_fault(target, up); !r.ok()) return r;
+  using Toggle = Result<void> (scenario::Region::*)(const std::string&, bool);
+  Toggle toggle = nullptr;
+  if (kind == "dc_down" || kind == "dc_up") toggle = &scenario::Region::set_dc_up;
+  if (kind == "cell_down" || kind == "cell_up") toggle = &scenario::Region::set_cell_up;
+  if (toggle != nullptr) {
+    const bool up = kind.ends_with("_up");
+    if (Result<void> r = (*region_.*toggle)(target, up); !r.ok()) return r;
     if (!up && duration > Duration::zero()) {
-      simulator_.schedule_after(duration, [this, target] { (void)apply_dc_fault(target, true); });
-    }
-    return {};
-  }
-  if (kind == "cell_down" || kind == "cell_up") {
-    const bool up = kind == "cell_up";
-    if (Result<void> r = apply_cell_fault(target, up); !r.ok()) return r;
-    if (!up && duration > Duration::zero()) {
-      simulator_.schedule_after(duration,
-                                [this, target] { (void)apply_cell_fault(target, true); });
+      simulator().schedule_after(duration,
+                                 [this, toggle, target] { (void)(*region_.*toggle)(target, true); });
     }
     return {};
   }
   if (kind == "controller_restart") {
     if (duration <= Duration::zero()) return bad("controller_restart needs duration_us > 0");
-    apply_restart(duration);
+    region_->restart(duration);
     return {};
   }
   return bad("unknown fault kind '" + kind + "'");
@@ -371,17 +244,26 @@ json::Value EdgeNode::info_json() const {
 }
 
 json::Value EdgeNode::headroom_json() const {
-  const core::OrchestratorSummary summary = orchestrator_->summary();
+  const core::Testbed& tb = region_->testbed();
+  const core::OrchestratorSummary summary = tb.orchestrator->summary();
+  bool core_dc_up = true;
   std::size_t edge_dcs_up = 0;
-  for (const bool up : edge_dc_up_) edge_dcs_up += up ? 1 : 0;
+  for (const auto& [name, dc] : tb.dc_names) {
+    const bool up = tb.cloud.datacenter_available(dc);
+    if (name == "core") {
+      core_dc_up = up;
+    } else {
+      edge_dcs_up += up ? 1 : 0;
+    }
+  }
 
   Object out;
   out.emplace("region", plan_.name);
-  out.emplace("t_us", static_cast<double>(simulator_.now().as_micros()));
-  out.emplace("headroom_mbps", orchestrator_->sellable_capacity().as_mbps());
+  out.emplace("t_us", static_cast<double>(tb.simulator.now().as_micros()));
+  out.emplace("headroom_mbps", tb.orchestrator->sellable_capacity().as_mbps());
   out.emplace("price_factor", plan_.price_factor);
-  out.emplace("suspended", orchestrator_->suspended());
-  out.emplace("core_dc_up", core_dc_up_);
+  out.emplace("suspended", tb.orchestrator->suspended());
+  out.emplace("core_dc_up", core_dc_up);
   out.emplace("edge_dcs_up", static_cast<double>(edge_dcs_up));
   out.emplace("active", static_cast<double>(summary.active_slices));
   out.emplace("installing", static_cast<double>(summary.installing_slices));
@@ -391,37 +273,22 @@ json::Value EdgeNode::headroom_json() const {
 }
 
 json::Value EdgeNode::summary_json() const {
-  const core::OrchestratorSummary summary = orchestrator_->summary();
-  std::uint64_t served = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t active_at_end = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t terminated = 0;
-  for (const core::SliceRecord* record : orchestrator_->all_slices()) {
-    served += record->served_epochs;
-    violations += record->violation_epochs;
-    switch (record->state) {
-      case core::SliceState::installing:
-      case core::SliceState::active: ++active_at_end; break;
-      case core::SliceState::expired: ++expired; break;
-      case core::SliceState::terminated: ++terminated; break;
-      case core::SliceState::pending:
-      case core::SliceState::rejected: break;
-    }
-  }
+  const core::Testbed& tb = region_->testbed();
+  const core::OrchestratorSummary summary = tb.orchestrator->summary();
+  const scenario::SliceCensus census = region_->census();
 
   Object out;
   out.emplace("region", plan_.name);
-  out.emplace("t_us", static_cast<double>(simulator_.now().as_micros()));
+  out.emplace("t_us", static_cast<double>(tb.simulator.now().as_micros()));
   out.emplace("cells", static_cast<double>(plan_.cells));
-  out.emplace("suspended", orchestrator_->suspended());
+  out.emplace("suspended", tb.orchestrator->suspended());
   out.emplace("admitted", static_cast<double>(summary.admitted_total));
   out.emplace("rejected", static_cast<double>(summary.rejected_total));
-  out.emplace("active_at_end", static_cast<double>(active_at_end));
-  out.emplace("expired", static_cast<double>(expired));
-  out.emplace("terminated", static_cast<double>(terminated));
-  out.emplace("served_epochs", static_cast<double>(served));
-  out.emplace("violation_epochs", static_cast<double>(violations));
+  out.emplace("active_at_end", static_cast<double>(census.active_at_end));
+  out.emplace("expired", static_cast<double>(census.expired));
+  out.emplace("terminated", static_cast<double>(census.terminated));
+  out.emplace("served_epochs", static_cast<double>(census.served_epochs));
+  out.emplace("violation_epochs", static_cast<double>(census.violation_epochs));
   out.emplace("earned_cents", static_cast<double>(summary.earned.as_cents()));
   out.emplace("penalty_cents", static_cast<double>(summary.penalties.as_cents()));
   out.emplace("net_cents", static_cast<double>(summary.net.as_cents()));
@@ -435,7 +302,7 @@ json::Value EdgeNode::summary_json() const {
 std::string EdgeNode::metrics_body() const {
   std::string body = "{\"metrics\":";
   std::string registry_body;
-  registry_.metrics_body(registry_body);
+  region_->testbed().registry.metrics_body(registry_body);
   body += registry_body;
   body += ",\"trace\":";
   body += json::serialize(telemetry::trace::Tracer::instance().status_json());
@@ -446,7 +313,7 @@ std::string EdgeNode::metrics_body() const {
 std::string EdgeNode::federation_metrics_body() const {
   Object out;
   out.emplace("region", plan_.name);
-  out.emplace("metrics", registry_.export_json());
+  out.emplace("metrics", region_->testbed().registry.export_json());
   return json::serialize(Value(std::move(out)));
 }
 
@@ -466,100 +333,58 @@ std::string EdgeNode::federation_trace_body() const {
 
 std::shared_ptr<net::Router> EdgeNode::make_router() {
   auto router = std::make_shared<net::Router>();
-  const auto ok_json = [](const json::Value& doc) {
-    return net::Response::json(net::Status::ok, json::serialize(doc));
-  };
   // Every northbound handler runs under the region's trace component, so
   // spans it triggers — orchestrator admission, epoch phases, domain
   // installs — are id-keyed by region regardless of the hosting process.
-  const auto traced = [this](net::Handler handler) -> net::Handler {
-    return [this, handler = std::move(handler)](const net::RouteContext& ctx) {
+  // `reply` routes answer with body_of() and ignore the request body;
+  // `post` routes parse it and answer with handle(body)'s document.
+  const auto reply = [&](net::Method method, const char* path, auto body_of) {
+    router->add(method, path, [this, body_of](const net::RouteContext&) {
       telemetry::trace::ComponentScope trace_component(component_);
-      return handler(ctx);
-    };
+      return net::Response::json(net::Status::ok, body_of());
+    });
+  };
+  const auto post = [&](const char* path, auto handle) {
+    router->add(net::Method::post, path, [this, handle](const net::RouteContext& ctx) {
+      telemetry::trace::ComponentScope trace_component(component_);
+      Result<json::Value> body = json::parse(ctx.request->body);
+      if (!body.ok()) return net::Response::from_error(body.error());
+      Result<json::Value> outcome = handle(body.value());
+      if (!outcome.ok()) return net::Response::from_error(outcome.error());
+      return net::Response::json(net::Status::ok, json::serialize(outcome.value()));
+    });
+  };
+  const auto region_doc = [this](std::string_view key, Value value) {
+    Object out;
+    out.emplace("region", plan_.name);
+    out.emplace(std::string(key), std::move(value));
+    return Value(std::move(out));
   };
 
-  router->add(net::Method::get, "/federation/info",
-              traced([this, ok_json](const net::RouteContext&) { return ok_json(info_json()); }));
-  router->add(net::Method::get, "/federation/headroom",
-              traced([this, ok_json](const net::RouteContext&) {
-                return ok_json(headroom_json());
-              }));
-  router->add(net::Method::get, "/federation/summary",
-              traced([this, ok_json](const net::RouteContext&) {
-                return ok_json(summary_json());
-              }));
-  router->add(net::Method::get, "/federation/healthz",
-              traced([this, ok_json](const net::RouteContext&) {
-                return ok_json(orchestrator_->health_json());
-              }));
-  router->add(net::Method::get, "/metrics", traced([this](const net::RouteContext&) {
-                return net::Response::json(net::Status::ok, metrics_body());
-              }));
-  router->add(net::Method::get, "/federation/metrics",
-              traced([this](const net::RouteContext&) {
-                return net::Response::json(net::Status::ok, federation_metrics_body());
-              }));
-  router->add(net::Method::get, "/federation/trace",
-              traced([this](const net::RouteContext&) {
-                return net::Response::json(net::Status::ok, federation_trace_body());
-              }));
+  const net::Method get = net::Method::get;
+  reply(get, "/federation/info", [this] { return json::serialize(info_json()); });
+  reply(get, "/federation/headroom", [this] { return json::serialize(headroom_json()); });
+  reply(get, "/federation/summary", [this] { return json::serialize(summary_json()); });
+  reply(get, "/federation/healthz", [this] { return json::serialize(orchestrator().health_json()); });
+  reply(get, "/metrics", [this] { return metrics_body(); });
+  reply(get, "/federation/metrics", [this] { return federation_metrics_body(); });
+  reply(get, "/federation/trace", [this] { return federation_trace_body(); });
+  reply(get, "/federation/mobility", [this] { return json::serialize(mobility_json()); });
+  reply(net::Method::post, "/federation/mobility/drain",
+        [this] { return json::serialize(drain_roamers_json()); });
 
-  router->add(net::Method::post, "/federation/advance",
-              traced([this, ok_json](const net::RouteContext& ctx) {
-                Result<json::Value> body = json::parse(ctx.request->body);
-                if (!body.ok()) return net::Response::from_error(body.error());
-                if (!body.value().is_object() ||
-                    !body.value().as_object().contains("t_us") ||
-                    !body.value().as_object().at("t_us").is_number()) {
-                  return net::Response::from_error(bad("advance body needs numeric t_us"));
-                }
-                advance_to(
-                    static_cast<std::int64_t>(body.value().as_object().at("t_us").as_number()));
-                Object out;
-                out.emplace("region", plan_.name);
-                out.emplace("t_us", static_cast<double>(simulator_.now().as_micros()));
-                return ok_json(Value(std::move(out)));
-              }));
-
-  router->add(net::Method::post, "/federation/slices",
-              traced([this, ok_json](const net::RouteContext& ctx) {
-                Result<json::Value> body = json::parse(ctx.request->body);
-                if (!body.ok()) return net::Response::from_error(body.error());
-                Result<json::Value> outcome = submit(body.value());
-                if (!outcome.ok()) return net::Response::from_error(outcome.error());
-                return ok_json(outcome.value());
-              }));
-
-  router->add(net::Method::get, "/federation/mobility",
-              traced([this, ok_json](const net::RouteContext&) {
-                return ok_json(mobility_json());
-              }));
-  router->add(net::Method::post, "/federation/mobility/drain",
-              traced([this, ok_json](const net::RouteContext&) {
-                return ok_json(drain_roamers_json());
-              }));
-  router->add(net::Method::post, "/federation/mobility/ingress",
-              traced([this, ok_json](const net::RouteContext& ctx) {
-                Result<json::Value> body = json::parse(ctx.request->body);
-                if (!body.ok()) return net::Response::from_error(body.error());
-                Result<json::Value> outcome = admit_roamers(body.value());
-                if (!outcome.ok()) return net::Response::from_error(outcome.error());
-                return ok_json(outcome.value());
-              }));
-
-  router->add(net::Method::post, "/federation/fault",
-              traced([this, ok_json](const net::RouteContext& ctx) {
-                Result<json::Value> body = json::parse(ctx.request->body);
-                if (!body.ok()) return net::Response::from_error(body.error());
-                if (Result<void> r = apply_fault(body.value()); !r.ok()) {
-                  return net::Response::from_error(r.error());
-                }
-                Object out;
-                out.emplace("region", plan_.name);
-                out.emplace("applied", true);
-                return ok_json(Value(std::move(out)));
-              }));
+  post("/federation/advance", [this, region_doc](const Value& body) -> Result<Value> {
+    const std::optional<std::int64_t> t_us = json::to_integer<std::int64_t>(body.find("t_us"));
+    if (!t_us) return bad("advance body needs integer t_us");
+    advance_to(*t_us);
+    return region_doc("t_us", static_cast<double>(simulator().now().as_micros()));
+  });
+  post("/federation/slices", [this](const Value& body) { return submit(body); });
+  post("/federation/mobility/ingress", [this](const Value& body) { return admit_roamers(body); });
+  post("/federation/fault", [this, region_doc](const Value& body) -> Result<Value> {
+    if (Result<void> r = apply_fault(body); !r.ok()) return r.error();
+    return region_doc("applied", true);
+  });
   return router;
 }
 

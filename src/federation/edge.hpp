@@ -29,31 +29,25 @@
 #include <string>
 #include <vector>
 
-#include "cloud/controller.hpp"
-#include "common/ids.hpp"
 #include "common/result.hpp"
-#include "common/thread_pool.hpp"
 #include "core/orchestrator.hpp"
-#include "epc/epc.hpp"
 #include "federation/fabric.hpp"
 #include "json/value.hpp"
 #include "mobility/field.hpp"
-#include "net/rest_bus.hpp"
 #include "net/router.hpp"
 #include "ran/controller.hpp"
+#include "scenario/region.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
-#include "traffic/model.hpp"
-#include "transport/controller.hpp"
 
 namespace slices::federation {
 
-/// One region's full stack. Construction mirrors core::make_testbed at
-/// the plan's scale: cells behind an aggregation tree, one core DC and
-/// `plan.edge_dcs` edge DCs, the orchestrator started on the region's
-/// own simulator.
+/// One region's full stack: a core::Testbed in the metro layout (cells
+/// behind an aggregation tree, one core DC and `plan.edge_dcs` edge DCs)
+/// finished by the same core::wire_testbed as the Fig. 2 testbed, inside
+/// the scenario::Region layer the fig2 runner uses too. The orchestrator
+/// runs on the region's own simulator.
 class EdgeNode {
  public:
   /// `scenario` supplies the orchestrator config and demand-surge
@@ -63,9 +57,9 @@ class EdgeNode {
 
   [[nodiscard]] const std::string& name() const noexcept { return plan_.name; }
   [[nodiscard]] const RegionPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] core::Orchestrator& orchestrator() noexcept { return *orchestrator_; }
-  [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
-  [[nodiscard]] ran::RanController& ran() noexcept { return ran_; }
+  [[nodiscard]] core::Orchestrator& orchestrator() noexcept { return region_->orchestrator(); }
+  [[nodiscard]] sim::Simulator& simulator() noexcept { return region_->testbed().simulator; }
+  [[nodiscard]] ran::RanController& ran() noexcept { return region_->testbed().ran; }
 
   /// Run the region's clock forward to absolute time `t_us` (µs since
   /// origin). Monotonic: earlier times are a no-op.
@@ -90,7 +84,7 @@ class EdgeNode {
 
   /// Mobility engine; null unless the scenario has an enabled mobility
   /// block. Valid for the node's lifetime.
-  [[nodiscard]] mobility::Field* field() noexcept { return field_.get(); }
+  [[nodiscard]] mobility::Field* field() noexcept { return region_->field(); }
 
   /// GET /federation/mobility: population + handover/roaming counters.
   [[nodiscard]] json::Value mobility_json() const;
@@ -120,33 +114,9 @@ class EdgeNode {
   [[nodiscard]] std::shared_ptr<net::Router> make_router();
 
  private:
-  [[nodiscard]] Result<void> apply_dc_fault(const std::string& target, bool up);
-  [[nodiscard]] Result<void> apply_cell_fault(const std::string& target, bool up);
-  void apply_restart(Duration duration);
-  void build_mobility(const scenario::Scenario& scenario);
-  void step_mobility(SimTime now);
-
   RegionPlan plan_;
   telemetry::trace::ComponentRef component_;  ///< "edge.<region>" trace identity
-  sim::Simulator simulator_;
-  telemetry::MonitorRegistry registry_;
-  std::unique_ptr<ThreadPool> pool_;
-  net::RestBus bus_;  ///< intra-region: controllers <-> orchestrator
-  ran::RanController ran_{&registry_};
-  cloud::CloudController cloud_{&registry_};
-  std::unique_ptr<transport::TransportController> transport_;
-  std::unique_ptr<epc::EpcManager> epc_;
-  std::unique_ptr<core::Orchestrator> orchestrator_;
-  std::shared_ptr<const traffic::PiecewiseEnvelope> envelope_;
-  /// Declared after ran_ so it is destroyed first (it holds &ran_).
-  std::unique_ptr<mobility::Field> field_;
-  scenario::MobilitySpec mobility_spec_;
-
-  std::vector<CellId> cells_;
-  DatacenterId core_dc_;
-  std::vector<DatacenterId> edge_dcs_;
-  bool core_dc_up_ = true;
-  std::vector<bool> edge_dc_up_;
+  std::unique_ptr<scenario::Region> region_;
 };
 
 }  // namespace slices::federation

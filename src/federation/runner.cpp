@@ -1,36 +1,24 @@
 #include "federation/runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "core/request_generator.hpp"
+#include "scenario/region.hpp"
 
 namespace slices::federation {
 namespace {
 
-// Same workload salt as the fig2 runner: a metro scenario draws the
-// same request stream a fig2 scenario with this seed would.
-constexpr std::uint64_t kWorkloadSalt = 0x9e3779b97f4a7c15ull;
 // Home-region assignment for requests that do not pin one.
 constexpr std::uint64_t kHomeSalt = 0x94d049bb133111ebull;
 
-std::string format_rate(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.4f", v);
-  return buffer;
-}
-
-std::uint64_t u64_field(const json::Value& doc, std::string_view key) {
-  const json::Value* v = doc.find(key);
-  return (v != nullptr && v->is_number()) ? static_cast<std::uint64_t>(v->as_number()) : 0;
-}
-
-std::int64_t i64_field(const json::Value& doc, std::string_view key) {
-  const json::Value* v = doc.find(key);
-  return (v != nullptr && v->is_number()) ? static_cast<std::int64_t>(v->as_number()) : 0;
+/// An integer field of an edge's response body; 0 when absent or out of
+/// the type's range (the body crossed a socket and is untrusted).
+template <typename Int>
+Int int_field(const json::Value& doc, std::string_view key) {
+  return json::to_integer<Int>(doc.find(key)).value_or(0);
 }
 
 double double_field(const json::Value& doc, std::string_view key, double fallback = 0.0) {
@@ -149,6 +137,12 @@ FederatedRunner::~FederatedRunner() {
   }
 }
 
+void FederatedRunner::serve(std::unique_ptr<net::HttpServer> server) {
+  net::HttpServer* raw = server.get();
+  servers_.push_back(std::move(server));
+  server_threads_.emplace_back([raw] { raw->run(); });
+}
+
 EdgeNode* FederatedRunner::edge(const std::string& region) noexcept {
   for (auto& e : edges_) {
     if (e->name() == region) return e.get();
@@ -167,9 +161,7 @@ Result<void> FederatedRunner::build_edges() {
       Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(node->make_router());
       if (!server.ok()) return server.error();
       bus_.register_remote(Broker::service_name(plan.name), server.value()->port());
-      net::HttpServer* raw = server.value().get();
-      servers_.push_back(std::move(server.value()));
-      server_threads_.emplace_back([raw] { raw->run(); });
+      serve(std::move(server.value()));
     } else {
       bus_.register_service(Broker::service_name(plan.name), node->make_router());
     }
@@ -182,24 +174,6 @@ Result<void> FederatedRunner::build_edges() {
     }
   }
   return {};
-}
-
-std::vector<core::RatePoint> FederatedRunner::build_rate_schedule() const {
-  // Identical compilation to ScenarioRunner::build_rate_schedule so a
-  // metro workload with phases draws the same arrival process.
-  const double base = scenario_.workload.arrivals_per_hour;
-  std::vector<const scenario::Phase*> rated;
-  for (const scenario::Phase& phase : scenario_.phases) {
-    if (phase.arrivals_per_hour >= 0.0) rated.push_back(&phase);
-  }
-  std::vector<core::RatePoint> schedule;
-  for (std::size_t i = 0; i < rated.size(); ++i) {
-    schedule.push_back({rated[i]->start, rated[i]->arrivals_per_hour});
-    if (i + 1 == rated.size() || rated[i + 1]->start > rated[i]->end) {
-      schedule.push_back({rated[i]->end, base});
-    }
-  }
-  return schedule;
 }
 
 void FederatedRunner::inject_event(const scenario::ScenarioEvent& event) {
@@ -267,18 +241,11 @@ Result<FederatedScorecard> FederatedRunner::run() {
   // The facade's /federation/metrics|trace bodies require bus pulls the
   // run loop must perform; only pay for them when the facade is up.
   broker_->set_facade_enabled(options_.broker_port != 0);
-
-  std::unique_ptr<net::HttpServer> facade;
-  std::thread facade_thread;
-  std::shared_ptr<net::Router> facade_router;
   if (options_.broker_port != 0) {
-    facade_router = broker_->make_router();
     Result<std::unique_ptr<net::HttpServer>> server =
-        net::HttpServer::bind(facade_router, options_.broker_port);
+        net::HttpServer::bind(broker_->make_router(), options_.broker_port);
     if (!server.ok()) return server.error();
-    facade = std::move(server.value());
-    net::HttpServer* raw = facade.get();
-    facade_thread = std::thread([raw] { raw->run(); });
+    serve(std::move(server.value()));
   }
 
   // --- The lock-step timeline -------------------------------------
@@ -303,17 +270,12 @@ Result<FederatedScorecard> FederatedRunner::run() {
   const std::int64_t period_us = scenario_.orchestrator.monitoring_period.as_micros();
   std::int64_t next_tick_us = period_us > 0 ? period_us : kNever;
 
-  std::unique_ptr<core::RequestGenerator> generator;
+  const std::unique_ptr<core::RequestGenerator> generator =
+      scenario::make_request_generator(scenario_);
   std::int64_t next_arrival_us = kNever;
-  if (scenario_.generate_arrivals) {
-    core::RequestGeneratorConfig workload = scenario_.workload;
-    workload.rate_schedule = build_rate_schedule();
-    if (workload.arrivals_per_hour > 0.0 || !workload.rate_schedule.empty()) {
-      generator = std::make_unique<core::RequestGenerator>(std::move(workload),
-                                                           Rng(scenario_.seed ^ kWorkloadSalt));
-      const SimTime first = SimTime::origin() + generator->next_interarrival(SimTime::origin());
-      next_arrival_us = first.as_micros();
-    }
+  if (generator) {
+    next_arrival_us =
+        (SimTime::origin() + generator->next_interarrival(SimTime::origin())).as_micros();
   }
   Rng home_rng(scenario_.seed ^ kHomeSalt);
   const auto draw_home = [&]() -> std::string {
@@ -374,17 +336,12 @@ Result<FederatedScorecard> FederatedRunner::run() {
   broker_->advance_all(end_us);
 
   FederatedScorecard card = finalize();
-  evaluate_targets(card);
+  scenario::evaluate_targets(scenario_.targets, card);
 
   if (recorder_) {
     if (Result<void> r = recorder_->finish(SimTime::from_micros(end_us)); !r.ok()) {
       return r.error();
     }
-  }
-
-  if (facade != nullptr) {
-    facade->stop();
-    facade_thread.join();
   }
   return card;
 }
@@ -411,17 +368,17 @@ FederatedScorecard FederatedRunner::finalize() {
     Result<json::Value> doc = bus_.get_json(Broker::service_name(region), "/federation/summary");
     if (doc.ok()) {
       const json::Value& s = doc.value();
-      score.admitted = u64_field(s, "admitted");
-      score.rejected = u64_field(s, "rejected");
-      score.active_at_end = u64_field(s, "active_at_end");
-      score.expired = u64_field(s, "expired");
-      score.terminated = u64_field(s, "terminated");
-      score.served_epochs = u64_field(s, "served_epochs");
-      score.violation_epochs = u64_field(s, "violation_epochs");
-      score.earned_cents = i64_field(s, "earned_cents");
-      score.penalty_cents = i64_field(s, "penalty_cents");
-      score.net_cents = i64_field(s, "net_cents");
-      score.reconfigurations = u64_field(s, "reconfigurations");
+      score.admitted = int_field<std::uint64_t>(s, "admitted");
+      score.rejected = int_field<std::uint64_t>(s, "rejected");
+      score.active_at_end = int_field<std::uint64_t>(s, "active_at_end");
+      score.expired = int_field<std::uint64_t>(s, "expired");
+      score.terminated = int_field<std::uint64_t>(s, "terminated");
+      score.served_epochs = int_field<std::uint64_t>(s, "served_epochs");
+      score.violation_epochs = int_field<std::uint64_t>(s, "violation_epochs");
+      score.earned_cents = int_field<std::int64_t>(s, "earned_cents");
+      score.penalty_cents = int_field<std::int64_t>(s, "penalty_cents");
+      score.net_cents = int_field<std::int64_t>(s, "net_cents");
+      score.reconfigurations = int_field<std::uint64_t>(s, "reconfigurations");
       score.contracted_mbps = double_field(s, "contracted_mbps");
       score.reserved_mbps = double_field(s, "reserved_mbps");
       score.multiplexing_gain = double_field(s, "multiplexing_gain", 1.0);
@@ -443,10 +400,10 @@ FederatedScorecard FederatedRunner::finalize() {
           bus_.get_json(Broker::service_name(region), "/federation/mobility");
       if (!doc.ok()) continue;
       const json::Value& m = doc.value();
-      card.handover_attempts += u64_field(m, "handover_attempts");
-      card.handover_successes += u64_field(m, "handover_successes");
-      card.handover_drops += u64_field(m, "handover_drops");
-      card.mobile_population += u64_field(m, "population");
+      card.handover_attempts += int_field<std::uint64_t>(m, "handover_attempts");
+      card.handover_successes += int_field<std::uint64_t>(m, "handover_successes");
+      card.handover_drops += int_field<std::uint64_t>(m, "handover_drops");
+      card.mobile_population += int_field<std::uint64_t>(m, "population");
     }
   }
 
@@ -481,32 +438,6 @@ FederatedScorecard FederatedRunner::finalize() {
   card.epochs = epochs_;
   card.events_injected = events_injected_;
   return card;
-}
-
-void FederatedRunner::evaluate_targets(FederatedScorecard& card) const {
-  const scenario::ScenarioTargets& targets = scenario_.targets;
-  const auto fail = [&card](std::string why) {
-    card.targets_met = false;
-    card.target_failures.push_back(std::move(why));
-  };
-  if (targets.min_admission_rate && card.admission_rate < *targets.min_admission_rate) {
-    fail("admission rate " + format_rate(card.admission_rate) + " < target " +
-         format_rate(*targets.min_admission_rate));
-  }
-  if (targets.max_violation_rate && card.violation_rate > *targets.max_violation_rate) {
-    fail("violation rate " + format_rate(card.violation_rate) + " > target " +
-         format_rate(*targets.max_violation_rate));
-  }
-  if (targets.min_net_revenue &&
-      static_cast<double>(card.net_cents) / 100.0 < *targets.min_net_revenue) {
-    fail("net revenue " + format_rate(static_cast<double>(card.net_cents) / 100.0) +
-         " < target " + format_rate(*targets.min_net_revenue));
-  }
-  if (targets.min_multiplexing_gain &&
-      card.multiplexing_gain_mean < *targets.min_multiplexing_gain) {
-    fail("multiplexing gain " + format_rate(card.multiplexing_gain_mean) + " < target " +
-         format_rate(*targets.min_multiplexing_gain));
-  }
 }
 
 }  // namespace slices::federation

@@ -166,18 +166,20 @@ class FederatedRunner {
 
  private:
   [[nodiscard]] Result<void> build_edges();
-  [[nodiscard]] std::vector<core::RatePoint> build_rate_schedule() const;
+  /// Run `server` on its own thread until the runner is destroyed.
+  void serve(std::unique_ptr<net::HttpServer> server);
   void inject_event(const scenario::ScenarioEvent& event);
   void submit_scenario_request(const scenario::ScenarioRequest& request, std::int64_t t_us);
   void sample_gain();
   [[nodiscard]] FederatedScorecard finalize();
-  void evaluate_targets(FederatedScorecard& card) const;
 
   scenario::Scenario scenario_;
   FederatedRunOptions options_;
   MetroFabric fabric_;
   net::RestBus bus_;  ///< broker <-> edges (direct, socket or remote)
   std::vector<std::unique_ptr<EdgeNode>> edges_;  ///< local regions only
+  /// Socket-served edges and the broker facade; stopped and joined by
+  /// the destructor, whichever way run() returns.
   std::vector<std::unique_ptr<net::HttpServer>> servers_;
   std::vector<std::thread> server_threads_;
   std::unique_ptr<Broker> broker_;

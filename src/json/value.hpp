@@ -7,9 +7,12 @@
 // returns Result<Value> (wire data is untrusted); accessors on a Value a
 // caller has already validated assert instead.
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -115,6 +118,31 @@ class Value {
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
+
+/// Largest integer a JSON number (an IEEE double) carries exactly.
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/// Range-checked integer decoding of an untrusted number: `*v`
+/// truncated toward zero, when `v` is a finite number whose truncation
+/// lies in [lo, hi]; nullopt otherwise (absent, not a number, NaN/inf,
+/// or out of range). A bare static_cast of a wire double is undefined
+/// behaviour outside the target type's range — decode through this.
+template <typename Int>
+[[nodiscard]] std::optional<Int> to_integer(const Value* v,
+                                            Int lo = std::numeric_limits<Int>::min(),
+                                            Int hi = std::numeric_limits<Int>::max()) noexcept {
+  static_assert(std::numeric_limits<Int>::is_integer);
+  if (v == nullptr || !v->is_number()) return std::nullopt;
+  const double t = std::trunc(v->as_number());
+  // Every Int lies in [min, 2^digits), and both bounds are exact doubles.
+  const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (!(t >= static_cast<double>(std::numeric_limits<Int>::min()) && t < limit)) {
+    return std::nullopt;
+  }
+  const Int out = static_cast<Int>(t);
+  if (out < lo || out > hi) return std::nullopt;
+  return out;
+}
 
 /// Serialize to compact JSON (no whitespace). Deterministic: object
 /// members emit in key order.

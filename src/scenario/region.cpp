@@ -1,0 +1,186 @@
+#include "scenario/region.hpp"
+
+#include <cstdio>
+#include <utility>
+
+#include "common/rng.hpp"
+#include "traffic/verticals.hpp"
+
+namespace slices::scenario {
+
+Region::Region(std::unique_ptr<core::Testbed> testbed, const Scenario& scenario,
+               RegionIdentity identity)
+    : testbed_(std::move(testbed)), name_(std::move(identity.name)) {
+  std::vector<traffic::PiecewiseEnvelope::Segment> segments;
+  for (const Phase& phase : scenario.phases) {
+    if (phase.demand_scale != 1.0) {
+      segments.push_back({SimTime::origin() + phase.start, SimTime::origin() + phase.end,
+                          phase.demand_scale});
+    }
+  }
+  if (!segments.empty()) {
+    envelope_ = std::make_shared<const traffic::PiecewiseEnvelope>(std::move(segments));
+  }
+
+  if (!scenario.mobility.enabled) return;
+  const MobilitySpec& mob = scenario.mobility;
+  speed_classes_ = mob.speed_classes;
+  mobility::FieldConfig config;
+  config.cell_spacing_m = mob.cell_spacing_m;
+  config.default_speed_mps = mob.default_speed_mps;
+  config.ues_per_slice = mob.ues_per_slice;
+  config.cqi_min = mob.cqi_min;
+  config.cqi_max = mob.cqi_max;
+  config.seed = identity.seed;
+  config.region_index = static_cast<std::uint32_t>(identity.index);
+  config.region_count = static_cast<std::uint32_t>(identity.count);
+  config.region = name_;
+  field_ = std::make_unique<mobility::Field>(config, &testbed_->ran, testbed_->pool.get());
+  for (const MobilityStorm& storm : mob.storms) {
+    if (!storm.region.empty() && storm.region != name_) continue;
+    // The focus cell by layout name; an empty name is the first cell.
+    const std::size_t cell = core::find_name(testbed_->cell_names, storm.cell).value_or(0);
+    field_->add_storm(storm.kind, SimTime::origin() + storm.at,
+                      SimTime::origin() + storm.at + storm.duration, storm.fraction, cell);
+  }
+}
+
+std::unique_ptr<traffic::TrafficModel> Region::make_workload(traffic::Vertical vertical,
+                                                             std::uint64_t workload_seed) const {
+  std::unique_ptr<traffic::TrafficModel> workload =
+      traffic::make_traffic(vertical, Rng(workload_seed));
+  if (envelope_) {
+    workload = std::make_unique<traffic::ModulatedTraffic>(std::move(workload), envelope_);
+  }
+  return workload;
+}
+
+Error Region::unknown(std::string_view what, const std::string& name) const {
+  std::string why = "unknown " + std::string(what) + " '" + name + "'";
+  if (!name_.empty()) why += " in region " + name_;
+  return make_error(Errc::invalid_argument, std::move(why));
+}
+
+void Region::note_fault(const std::string& component, bool active, std::string detail,
+                        std::string_view key, const std::string& name) {
+  json::Object fields;
+  fields.emplace(std::string(key), json::Value(name));
+  if (!name_.empty()) fields.emplace("region", json::Value(name_));
+  orchestrator().note_fault(component, active, std::move(detail), std::move(fields));
+}
+
+Result<void> Region::set_link_up(const std::string& name, bool up) {
+  const std::optional<std::size_t> i = core::find_name(testbed_->link_names, name);
+  if (!i) return unknown("link", name);
+  (void)testbed_->transport->set_link_up(testbed_->link_names[*i].second, up);
+  note_fault("link." + name, !up, up ? "link restored" : "link down", "link", name);
+  return {};
+}
+
+Result<void> Region::set_cell_up(const std::string& name, bool up) {
+  const std::optional<std::size_t> i = core::find_name(testbed_->cell_names, name);
+  if (!i) return unknown("cell", name);
+  (void)testbed_->ran.set_cell_active(testbed_->cell_names[*i].second, up);
+  note_fault("cell." + name, !up, up ? "cell reactivated" : "cell outage", "cell", name);
+  return {};
+}
+
+Result<void> Region::set_dc_up(const std::string& name, bool up) {
+  const std::optional<std::size_t> i = core::find_name(testbed_->dc_names, name);
+  if (!i) return unknown("dc", name);
+  const DatacenterId dc = testbed_->dc_names[*i].second;
+  (void)testbed_->cloud.set_datacenter_available(dc, up);
+  if (!up) {
+    for (const core::SliceRecord* record : orchestrator().all_slices()) {
+      if (record->is_live() && record->embedding.datacenter == dc) {
+        (void)orchestrator().terminate(record->id);
+      }
+    }
+  }
+  note_fault("dc." + name, !up, up ? "datacenter recovered" : "datacenter failed", "dc", name);
+  return {};
+}
+
+void Region::restart(Duration duration, std::function<void()> on_resume) {
+  orchestrator().set_suspended(true);
+  orchestrator().note_fault("controller", true, "control plane restarting");
+  testbed_->simulator.schedule_after(duration, [this, on_resume = std::move(on_resume)] {
+    orchestrator().set_suspended(false);
+    orchestrator().note_fault("controller", false, "control plane back");
+    if (on_resume) on_resume();
+  });
+}
+
+void Region::step_mobility(SimTime now) {
+  std::vector<PlmnId> live;
+  std::vector<traffic::Vertical> verticals;
+  for (const core::SliceRecord* record : orchestrator().all_slices()) {
+    if (record->state != core::SliceState::active) continue;
+    live.push_back(record->embedding.plmn);
+    verticals.push_back(record->spec.vertical);
+  }
+  const auto speed_of = [&](PlmnId plmn) -> double {
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i] != plmn) continue;
+      for (const auto& [vertical, speed] : speed_classes_) {
+        if (vertical == verticals[i]) return speed;
+      }
+      break;
+    }
+    return 0.0;  // take the configured default
+  };
+  field_->sync_population(live, speed_of);
+  field_->step(now);
+  (void)field_->apply(now);
+}
+
+SliceCensus Region::census() const {
+  SliceCensus census;
+  for (const core::SliceRecord* record : orchestrator().all_slices()) {
+    census.served_epochs += record->served_epochs;
+    census.violation_epochs += record->violation_epochs;
+    switch (record->state) {
+      case core::SliceState::installing:
+      case core::SliceState::active: ++census.active_at_end; break;
+      case core::SliceState::expired: ++census.expired; break;
+      case core::SliceState::terminated: ++census.terminated; break;
+      case core::SliceState::pending:
+      case core::SliceState::rejected: break;
+    }
+  }
+  return census;
+}
+
+std::vector<core::RatePoint> build_rate_schedule(const Scenario& scenario) {
+  const double base = scenario.workload.arrivals_per_hour;
+  std::vector<const Phase*> rated;
+  for (const Phase& phase : scenario.phases) {
+    if (phase.arrivals_per_hour >= 0.0) rated.push_back(&phase);
+  }
+  std::vector<core::RatePoint> schedule;
+  for (std::size_t i = 0; i < rated.size(); ++i) {
+    schedule.push_back({rated[i]->start, rated[i]->arrivals_per_hour});
+    // Phases are sorted and disjoint.
+    if (i + 1 == rated.size() || rated[i + 1]->start > rated[i]->end) {
+      schedule.push_back({rated[i]->end, base});
+    }
+  }
+  return schedule;
+}
+
+std::unique_ptr<core::RequestGenerator> make_request_generator(const Scenario& scenario) {
+  if (!scenario.generate_arrivals) return nullptr;
+  core::RequestGeneratorConfig workload = scenario.workload;
+  workload.rate_schedule = build_rate_schedule(scenario);
+  if (workload.arrivals_per_hour <= 0.0 && workload.rate_schedule.empty()) return nullptr;
+  return std::make_unique<core::RequestGenerator>(std::move(workload),
+                                                  Rng(scenario.seed ^ kWorkloadSalt));
+}
+
+std::string format_rate(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.4f", v);
+  return buffer;
+}
+
+}  // namespace slices::scenario

@@ -1,49 +1,30 @@
 #include "scenario/runner.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "telemetry/trace.hpp"
-#include "traffic/verticals.hpp"
 
 namespace slices::scenario {
 namespace {
 
-// Decouples the request-generator stream from the testbed's fading
-// stream (both derive from the scenario seed).
-constexpr std::uint64_t kWorkloadSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kStormSalt = 0xbf58476d1ce4e5b9ull;
 
-std::string format_rate(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.4f", v);
-  return buffer;
+/// The restoring counterpart of a down event.
+EventKind up_kind(EventKind down) {
+  switch (down) {
+    case EventKind::link_down: return EventKind::link_up;
+    case EventKind::cell_down: return EventKind::cell_up;
+    case EventKind::dc_down: return EventKind::dc_up;
+    default: return down;
+  }
 }
 
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(Scenario scenario, RunOptions options)
     : scenario_(std::move(scenario)), options_(std::move(options)) {}
-
-std::vector<core::RatePoint> ScenarioRunner::build_rate_schedule() const {
-  const double base = scenario_.workload.arrivals_per_hour;
-  std::vector<const Phase*> rated;
-  for (const Phase& phase : scenario_.phases) {
-    if (phase.arrivals_per_hour >= 0.0) rated.push_back(&phase);
-  }
-  std::vector<core::RatePoint> schedule;
-  for (std::size_t i = 0; i < rated.size(); ++i) {
-    schedule.push_back({rated[i]->start, rated[i]->arrivals_per_hour});
-    // Reset to the base rate at the phase end unless the next rated
-    // phase begins exactly there (phases are sorted and disjoint).
-    if (i + 1 == rated.size() || rated[i + 1]->start > rated[i]->end) {
-      schedule.push_back({rated[i]->end, base});
-    }
-  }
-  return schedule;
-}
 
 Result<Scorecard> ScenarioRunner::run() {
   if (ran_) return make_error(Errc::conflict, "scenario runner is single-use");
@@ -59,20 +40,10 @@ Result<Scorecard> ScenarioRunner::run() {
   const bool previous_wall = telemetry::trace::wall_clock();
   if (options_.wall_profile) telemetry::trace::set_wall_clock(true);
 
-  testbed_ = core::make_testbed(scenario_.seed, config);
+  region_ = std::make_unique<Region>(core::make_testbed(scenario_.seed, config), scenario_,
+                                     RegionIdentity{.seed = scenario_.seed});
+  sim::Simulator& simulator = region_->testbed().simulator;
   end_ = SimTime::origin() + scenario_.duration;
-  if (scenario_.mobility.enabled) build_mobility();
-
-  std::vector<traffic::PiecewiseEnvelope::Segment> segments;
-  for (const Phase& phase : scenario_.phases) {
-    if (phase.demand_scale != 1.0) {
-      segments.push_back({SimTime::origin() + phase.start, SimTime::origin() + phase.end,
-                          phase.demand_scale});
-    }
-  }
-  if (!segments.empty()) {
-    envelope_ = std::make_shared<const traffic::PiecewiseEnvelope>(std::move(segments));
-  }
 
   if (!options_.record_path.empty()) {
     Result<std::unique_ptr<ScenarioRecorder>> recorder =
@@ -81,16 +52,8 @@ Result<Scorecard> ScenarioRunner::run() {
     recorder_ = std::move(recorder.value());
   }
 
-  if (scenario_.generate_arrivals) {
-    core::RequestGeneratorConfig workload = scenario_.workload;
-    workload.rate_schedule = build_rate_schedule();
-    const bool has_rate = workload.arrivals_per_hour > 0.0 || !workload.rate_schedule.empty();
-    if (has_rate) {
-      generator_ = std::make_unique<core::RequestGenerator>(std::move(workload),
-                                                            Rng(scenario_.seed ^ kWorkloadSalt));
-      schedule_arrival();
-    }
-  }
+  generator_ = make_request_generator(scenario_);
+  if (generator_) schedule_arrival();
 
   // Events before requests: in a live run every arrival is scheduled
   // dynamically (after the pre-scheduled injections), so a replayed
@@ -99,7 +62,7 @@ Result<Scorecard> ScenarioRunner::run() {
   for (const ScenarioEvent& event : scenario_.events) schedule_event(event);
 
   for (const ScenarioRequest& request : scenario_.requests) {
-    testbed_->simulator.schedule_at(SimTime::origin() + request.at, [this, &request] {
+    simulator.schedule_at(SimTime::origin() + request.at, [this, &request] {
       submit_request(request.spec, request.workload_seed);
     });
   }
@@ -108,19 +71,19 @@ Result<Scorecard> ScenarioRunner::run() {
   // periodic with the same period and offset, so at every shared
   // timestamp the epoch runs first and this sampler observes its
   // result (FIFO tiebreak among same-time events).
-  testbed_->simulator.add_periodic(
+  simulator.add_periodic(
       config.monitoring_period, [this](SimTime now) { sample(now); },
       config.monitoring_period);
 
-  testbed_->simulator.run_until(end_);
+  simulator.run_until(end_);
 
   stop_storms();
   Scorecard card = finalize();
-  evaluate_targets(card);
+  evaluate_targets(scenario_.targets, card);
 
   if (options_.wall_profile) {
     if (const telemetry::Histogram* wall =
-            testbed_->registry.find_histogram("orchestrator.epoch_us");
+            region_->testbed().registry.find_histogram("orchestrator.epoch_us");
         wall != nullptr && !wall->empty()) {
       card.epoch_wall_us = Percentiles::of(*wall);
     }
@@ -134,11 +97,12 @@ Result<Scorecard> ScenarioRunner::run() {
 }
 
 void ScenarioRunner::schedule_arrival() {
-  const SimTime now = testbed_->simulator.now();
+  sim::Simulator& simulator = region_->testbed().simulator;
+  const SimTime now = simulator.now();
   const Duration gap = generator_->next_interarrival(now);
   const SimTime at = now + gap;
   if (at > end_) return;
-  testbed_->simulator.schedule_at(at, [this] {
+  simulator.schedule_at(at, [this] {
     core::GeneratedRequest request = generator_->next_request();
     submit_request(request.spec, request.workload_seed);
     schedule_arrival();
@@ -146,23 +110,18 @@ void ScenarioRunner::schedule_arrival() {
 }
 
 void ScenarioRunner::submit_request(const core::SliceSpec& spec, std::uint64_t workload_seed) {
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
-  if (orchestrator->suspended()) {
+  core::Orchestrator& orchestrator = region_->orchestrator();
+  if (orchestrator.suspended()) {
     // Control plane down: the request queues at the northbound API and
     // lands the moment the loop resumes.
     deferred_.push_back({spec, workload_seed});
     return;
   }
   if (recorder_) {
-    (void)recorder_->record_request(testbed_->simulator.now(), spec, workload_seed);
-  }
-  std::unique_ptr<traffic::TrafficModel> workload =
-      traffic::make_traffic(spec.vertical, Rng(workload_seed));
-  if (envelope_) {
-    workload = std::make_unique<traffic::ModulatedTraffic>(std::move(workload), envelope_);
+    (void)recorder_->record_request(region_->testbed().simulator.now(), spec, workload_seed);
   }
   ++submitted_;
-  orchestrator->submit(spec, std::move(workload));
+  orchestrator.submit(spec, region_->make_workload(spec.vertical, workload_seed));
 }
 
 void ScenarioRunner::flush_deferred() {
@@ -177,46 +136,29 @@ void ScenarioRunner::record_action(const ScenarioEvent& event) {
 }
 
 void ScenarioRunner::schedule_event(const ScenarioEvent& event) {
-  sim::Simulator& sim = testbed_->simulator;
+  sim::Simulator& sim = region_->testbed().simulator;
   const SimTime base = SimTime::origin() + event.at;
+  const auto toggle_at = [&](SimTime at, EventKind kind) {
+    sim.schedule_at(at, [this, kind, target = event.target] { apply_toggle(kind, target); });
+  };
   switch (event.kind) {
     case EventKind::link_down:
-      sim.schedule_at(base, [this, target = event.target] { apply_link(target, false); });
-      if (event.duration > Duration::zero()) {
-        sim.schedule_at(base + event.duration,
-                        [this, target = event.target] { apply_link(target, true); });
-      }
+    case EventKind::cell_down:
+    case EventKind::dc_down:
+      toggle_at(base, event.kind);
+      if (event.duration > Duration::zero()) toggle_at(base + event.duration, up_kind(event.kind));
       break;
     case EventKind::link_up:
-      sim.schedule_at(base, [this, target = event.target] { apply_link(target, true); });
+    case EventKind::cell_up:
+    case EventKind::dc_up:
+      toggle_at(base, event.kind);
       break;
     case EventKind::link_flap:
       for (int k = 0; k < event.flap_count; ++k) {
         const SimTime down_at = base + event.flap_period * static_cast<double>(k);
-        sim.schedule_at(down_at, [this, target = event.target] { apply_link(target, false); });
-        sim.schedule_at(down_at + event.flap_down,
-                        [this, target = event.target] { apply_link(target, true); });
+        toggle_at(down_at, EventKind::link_down);
+        toggle_at(down_at + event.flap_down, EventKind::link_up);
       }
-      break;
-    case EventKind::cell_down:
-      sim.schedule_at(base, [this, target = event.target] { apply_cell(target, false); });
-      if (event.duration > Duration::zero()) {
-        sim.schedule_at(base + event.duration,
-                        [this, target = event.target] { apply_cell(target, true); });
-      }
-      break;
-    case EventKind::cell_up:
-      sim.schedule_at(base, [this, target = event.target] { apply_cell(target, true); });
-      break;
-    case EventKind::dc_down:
-      sim.schedule_at(base, [this, target = event.target] { apply_dc(target, false); });
-      if (event.duration > Duration::zero()) {
-        sim.schedule_at(base + event.duration,
-                        [this, target = event.target] { apply_dc(target, true); });
-      }
-      break;
-    case EventKind::dc_up:
-      sim.schedule_at(base, [this, target = event.target] { apply_dc(target, true); });
       break;
     case EventKind::controller_restart:
       sim.schedule_at(base, [this, duration = event.duration] { apply_restart(duration); });
@@ -228,92 +170,54 @@ void ScenarioRunner::schedule_event(const ScenarioEvent& event) {
   }
 }
 
-void ScenarioRunner::apply_link(const std::string& name, bool up) {
-  const LinkId link = name == "mmwave" ? testbed_->mmwave_uplink : testbed_->uwave_uplink;
-  (void)testbed_->transport->set_link_up(link, up);
-  testbed_->orchestrator->note_fault("link." + name, !up,
-                                     up ? "link restored" : "link down",
-                                     {{"link", json::Value(name)}});
-  ScenarioEvent action;
-  action.at = testbed_->simulator.now() - SimTime::origin();
-  action.kind = up ? EventKind::link_up : EventKind::link_down;
-  action.target = name;
-  record_action(action);
-}
-
-void ScenarioRunner::apply_cell(const std::string& name, bool up) {
-  const CellId cell = name == "a" ? testbed_->cell_a : testbed_->cell_b;
-  (void)testbed_->ran.set_cell_active(cell, up);
-  testbed_->orchestrator->note_fault("cell." + name, !up,
-                                     up ? "cell reactivated" : "cell outage",
-                                     {{"cell", json::Value(name)}});
-  ScenarioEvent action;
-  action.at = testbed_->simulator.now() - SimTime::origin();
-  action.kind = up ? EventKind::cell_up : EventKind::cell_down;
-  action.target = name;
-  record_action(action);
-}
-
-void ScenarioRunner::apply_dc(const std::string& name, bool up) {
-  const DatacenterId dc = name == "edge" ? testbed_->edge_dc : testbed_->core_dc;
-  (void)testbed_->cloud.set_datacenter_available(dc, up);
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
-  if (!up) {
-    // A failed site loses its VNFs: every live slice embedded there is
-    // torn down (tenants must re-request; the broker keeps the revenue
-    // already accrued).
-    for (const core::SliceRecord* record : orchestrator->all_slices()) {
-      if (record->is_live() && record->embedding.datacenter == dc) {
-        (void)orchestrator->terminate(record->id);
-      }
-    }
+void ScenarioRunner::apply_toggle(EventKind kind, const std::string& target) {
+  // Targets were validated against the fig2 names at parse time.
+  switch (kind) {
+    case EventKind::link_down:
+    case EventKind::link_up: (void)region_->set_link_up(target, kind == EventKind::link_up); break;
+    case EventKind::cell_down:
+    case EventKind::cell_up: (void)region_->set_cell_up(target, kind == EventKind::cell_up); break;
+    case EventKind::dc_down:
+    case EventKind::dc_up: (void)region_->set_dc_up(target, kind == EventKind::dc_up); break;
+    default: return;
   }
-  orchestrator->note_fault("dc." + name, !up, up ? "datacenter recovered" : "datacenter failed",
-                           {{"dc", json::Value(name)}});
   ScenarioEvent action;
-  action.at = testbed_->simulator.now() - SimTime::origin();
-  action.kind = up ? EventKind::dc_up : EventKind::dc_down;
-  action.target = name;
+  action.at = region_->testbed().simulator.now() - SimTime::origin();
+  action.kind = kind;
+  action.target = target;
   record_action(action);
 }
 
 void ScenarioRunner::apply_restart(Duration duration) {
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
-  orchestrator->set_suspended(true);
-  orchestrator->note_fault("controller", true, "control plane restarting");
+  region_->restart(duration, [this] { flush_deferred(); });
   ScenarioEvent action;
-  action.at = testbed_->simulator.now() - SimTime::origin();
+  action.at = region_->testbed().simulator.now() - SimTime::origin();
   action.kind = EventKind::controller_restart;
   action.duration = duration;
   record_action(action);
-  testbed_->simulator.schedule_after(duration, [this] {
-    testbed_->orchestrator->set_suspended(false);
-    testbed_->orchestrator->note_fault("controller", false, "control plane back");
-    flush_deferred();
-  });
 }
 
 void ScenarioRunner::start_storm(const ScenarioEvent& event) {
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
+  core::Testbed& testbed = region_->testbed();
   core::UePopulationConfig config;
   config.arrivals_per_hour = event.storm_ues_per_hour;
   config.mean_holding = event.storm_mean_holding;
   ++storm_seq_;
-  for (const core::SliceRecord* record : orchestrator->all_slices()) {
+  for (const core::SliceRecord* record : testbed.orchestrator->all_slices()) {
     if (record->state != core::SliceState::active) continue;
     const std::uint64_t seed =
         scenario_.seed ^ (kWorkloadSalt * storm_seq_) ^ (kStormSalt * record->id.value());
     auto population = std::make_unique<core::UePopulation>(
-        &testbed_->simulator, &testbed_->ran, testbed_->epc.get(), record->id,
+        &testbed.simulator, &testbed.ran, testbed.epc.get(), record->id,
         record->embedding.plmn, config, Rng(seed));
     population->start();
     storm_populations_.push_back(std::move(population));
   }
-  orchestrator->note_fault("churn", true,
-                           "UE churn storm (" + format_rate(event.storm_ues_per_hour) +
-                               " UEs/h per slice)");
+  testbed.orchestrator->note_fault(
+      "churn", true,
+      "UE churn storm (" + format_rate(event.storm_ues_per_hour) + " UEs/h per slice)");
   ScenarioEvent action = event;
-  action.at = testbed_->simulator.now() - SimTime::origin();
+  action.at = testbed.simulator.now() - SimTime::origin();
   record_action(action);
 }
 
@@ -325,58 +229,15 @@ void ScenarioRunner::stop_storms() {
     ue_blocked_ += population->total_blocked();
   }
   storm_populations_.clear();
-  testbed_->orchestrator->note_fault("churn", false, "storm over");
-}
-
-void ScenarioRunner::build_mobility() {
-  const MobilitySpec& mob = scenario_.mobility;
-  mobility::FieldConfig config;
-  config.cell_spacing_m = mob.cell_spacing_m;
-  config.default_speed_mps = mob.default_speed_mps;
-  config.ues_per_slice = mob.ues_per_slice;
-  config.cqi_min = mob.cqi_min;
-  config.cqi_max = mob.cqi_max;
-  config.seed = scenario_.seed;
-  field_ = std::make_unique<mobility::Field>(config, &testbed_->ran, testbed_->pool.get());
-  for (const MobilityStorm& storm : scenario_.mobility.storms) {
-    // Fig. 2 has exactly the two MOCN cells: "a" is grid cell 0, "b" is 1.
-    const std::size_t cell = storm.cell == "b" ? 1 : 0;
-    field_->add_storm(storm.kind, SimTime::origin() + storm.at,
-                      SimTime::origin() + storm.at + storm.duration, storm.fraction, cell);
-  }
-}
-
-void ScenarioRunner::step_mobility(SimTime now) {
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
-  std::vector<PlmnId> live;
-  std::vector<traffic::Vertical> verticals;
-  for (const core::SliceRecord* record : orchestrator->all_slices()) {
-    if (record->state != core::SliceState::active) continue;
-    live.push_back(record->embedding.plmn);
-    verticals.push_back(record->spec.vertical);
-  }
-  const MobilitySpec& mob = scenario_.mobility;
-  const auto speed_of = [&](PlmnId plmn) -> double {
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (live[i] != plmn) continue;
-      for (const auto& [vertical, speed] : mob.speed_classes) {
-        if (vertical == verticals[i]) return speed;
-      }
-      break;
-    }
-    return 0.0;  // take the configured default
-  };
-  field_->sync_population(live, speed_of);
-  field_->step(now);
-  (void)field_->apply(now);
+  region_->orchestrator().note_fault("churn", false, "storm over");
 }
 
 void ScenarioRunner::sample(SimTime now) {
   // UEs keep moving (and handing over, RAN-side) even while the
   // orchestration loop is restarting — mobility precedes the early-out.
-  if (field_) step_mobility(now);
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
-  for (const core::Event& event : orchestrator->events().since(last_event_seq_)) {
+  if (region_->field() != nullptr) region_->step_mobility(now);
+  const core::Orchestrator& orchestrator = region_->orchestrator();
+  for (const core::Event& event : orchestrator.events().since(last_event_seq_)) {
     last_event_seq_ = event.sequence;
     if (event.kind == core::EventKind::slice_admitted) {
       const auto it = event.fields.find("install_s");
@@ -386,9 +247,9 @@ void ScenarioRunner::sample(SimTime now) {
       }
     }
   }
-  if (orchestrator->suspended()) return;  // no epoch ran at this tick
+  if (orchestrator.suspended()) return;  // no epoch ran at this tick
   ++epochs_;
-  const core::OrchestratorSummary summary = orchestrator->summary();
+  const core::OrchestratorSummary summary = orchestrator.summary();
   active_hist_.record(summary.active_slices);
   const double reserved = summary.reserved_total.as_mbps();
   reserved_hist_.record(
@@ -404,8 +265,7 @@ Scorecard ScenarioRunner::finalize() {
   card.seed = scenario_.seed;
   card.duration_hours = scenario_.duration.as_hours();
 
-  core::Orchestrator* orchestrator = testbed_->orchestrator.get();
-  const core::OrchestratorSummary summary = orchestrator->summary();
+  const core::OrchestratorSummary summary = region_->orchestrator().summary();
   card.submitted = submitted_;
   card.admitted = summary.admitted_total;
   card.rejected = summary.rejected_total;
@@ -413,18 +273,12 @@ Scorecard ScenarioRunner::finalize() {
   card.admission_rate =
       decided == 0 ? 0.0 : static_cast<double>(card.admitted) / static_cast<double>(decided);
 
-  for (const core::SliceRecord* record : orchestrator->all_slices()) {
-    card.served_epochs += record->served_epochs;
-    card.violation_epochs += record->violation_epochs;
-    switch (record->state) {
-      case core::SliceState::installing:
-      case core::SliceState::active: ++card.active_at_end; break;
-      case core::SliceState::expired: ++card.expired; break;
-      case core::SliceState::terminated: ++card.terminated; break;
-      case core::SliceState::pending:
-      case core::SliceState::rejected: break;
-    }
-  }
+  const SliceCensus census = region_->census();
+  card.served_epochs = census.served_epochs;
+  card.violation_epochs = census.violation_epochs;
+  card.active_at_end = census.active_at_end;
+  card.expired = census.expired;
+  card.terminated = census.terminated;
   card.violation_rate = card.served_epochs == 0
                             ? 0.0
                             : static_cast<double>(card.violation_epochs) /
@@ -448,44 +302,18 @@ Scorecard ScenarioRunner::finalize() {
   card.active_slices = Percentiles::of(active_hist_);
   card.reserved_mbps = Percentiles::of(reserved_hist_);
 
-  if (field_) {
+  if (const mobility::Field* field = region_->field(); field != nullptr) {
     card.mobility_enabled = true;
-    const ran::HandoverStats& handovers = testbed_->ran.handover_totals();
+    const ran::HandoverStats& handovers = region_->testbed().ran.handover_totals();
     card.handover_attempts = handovers.attempts;
     card.handover_successes = handovers.successes;
     card.handover_drops = handovers.drops;
-    card.mobility_exits = field_->exits_total();
-    card.roamers_admitted = field_->roamers_admitted();
-    card.roamers_dropped = field_->roamers_dropped();
-    card.mobile_ues_at_end = field_->population();
+    card.mobility_exits = field->exits_total();
+    card.roamers_admitted = field->roamers_admitted();
+    card.roamers_dropped = field->roamers_dropped();
+    card.mobile_ues_at_end = field->population();
   }
   return card;
-}
-
-void ScenarioRunner::evaluate_targets(Scorecard& card) const {
-  const ScenarioTargets& targets = scenario_.targets;
-  const auto fail = [&card](std::string why) {
-    card.targets_met = false;
-    card.target_failures.push_back(std::move(why));
-  };
-  if (targets.min_admission_rate && card.admission_rate < *targets.min_admission_rate) {
-    fail("admission rate " + format_rate(card.admission_rate) + " < target " +
-         format_rate(*targets.min_admission_rate));
-  }
-  if (targets.max_violation_rate && card.violation_rate > *targets.max_violation_rate) {
-    fail("violation rate " + format_rate(card.violation_rate) + " > target " +
-         format_rate(*targets.max_violation_rate));
-  }
-  if (targets.min_net_revenue &&
-      static_cast<double>(card.net_cents) / 100.0 < *targets.min_net_revenue) {
-    fail("net revenue " + format_rate(static_cast<double>(card.net_cents) / 100.0) +
-         " < target " + format_rate(*targets.min_net_revenue));
-  }
-  if (targets.min_multiplexing_gain &&
-      card.multiplexing_gain_mean < *targets.min_multiplexing_gain) {
-    fail("multiplexing gain " + format_rate(card.multiplexing_gain_mean) + " < target " +
-         format_rate(*targets.min_multiplexing_gain));
-  }
 }
 
 }  // namespace slices::scenario

@@ -20,12 +20,11 @@
 #include "core/request_generator.hpp"
 #include "core/testbed.hpp"
 #include "core/ue_population.hpp"
-#include "mobility/field.hpp"
 #include "scenario/recorder.hpp"
+#include "scenario/region.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/scorecard.hpp"
 #include "telemetry/histogram.hpp"
-#include "traffic/model.hpp"
 
 namespace slices::scenario {
 
@@ -56,44 +55,36 @@ class ScenarioRunner {
   [[nodiscard]] Result<Scorecard> run();
 
   /// The live deployment (valid after run(), for tests/inspection).
-  [[nodiscard]] const core::Testbed* testbed() const noexcept { return testbed_.get(); }
+  [[nodiscard]] const core::Testbed* testbed() const noexcept {
+    return region_ ? &region_->testbed() : nullptr;
+  }
 
   [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
 
  private:
-  /// Compile phases into the generator's piecewise rate schedule.
-  [[nodiscard]] std::vector<core::RatePoint> build_rate_schedule() const;
-
   void schedule_arrival();
   void submit_request(const core::SliceSpec& spec, std::uint64_t workload_seed);
   void flush_deferred();
 
   void schedule_event(const ScenarioEvent& event);
-  void apply_link(const std::string& name, bool up);
-  void apply_cell(const std::string& name, bool up);
-  void apply_dc(const std::string& name, bool up);
+  /// Apply a link/cell/dc up or down event now and record the action.
+  void apply_toggle(EventKind kind, const std::string& target);
   void apply_restart(Duration duration);
   void start_storm(const ScenarioEvent& event);
   void stop_storms();
   void record_action(const ScenarioEvent& event);
 
-  void build_mobility();
-  void step_mobility(SimTime now);
   void sample(SimTime now);
   [[nodiscard]] Scorecard finalize();
-  void evaluate_targets(Scorecard& card) const;
 
   Scenario scenario_;
   RunOptions options_;
   // Declared before every member that schedules into it or holds
   // controller pointers (storm populations), so teardown is safe.
-  std::unique_ptr<core::Testbed> testbed_;
+  std::unique_ptr<Region> region_;
   std::unique_ptr<core::RequestGenerator> generator_;
-  std::shared_ptr<const traffic::PiecewiseEnvelope> envelope_;
   std::unique_ptr<ScenarioRecorder> recorder_;
   std::vector<std::unique_ptr<core::UePopulation>> storm_populations_;
-  /// Moving-UE engine; null unless scenario.mobility.enabled.
-  std::unique_ptr<mobility::Field> field_;
   SimTime end_;
   bool ran_ = false;
 

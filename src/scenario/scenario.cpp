@@ -198,12 +198,11 @@ Result<ScenarioEvent> metro_event_from_json_at(const Object& obj, const std::str
       allowed.insert("cell");
       const Result<std::string> cell = string_in(obj, path, "cell", "");
       if (!cell.ok()) return cell.error();
-      if (Result<std::size_t> index =
-              indexed_name(path, "cell", cell.value(), "c", fed.cells_per_region);
-          !index.ok()) {
-        return index.error();
-      }
-      event.target = cell.value();
+      const Result<std::size_t> index =
+          indexed_name(path, "cell", cell.value(), "c", fed.cells_per_region);
+      if (!index.ok()) return index.error();
+      // Canonical form ("c07" -> "c7"): regions resolve names exactly.
+      event.target = "c" + std::to_string(index.value());
       break;
     }
     case EventKind::dc_down:
@@ -211,15 +210,16 @@ Result<ScenarioEvent> metro_event_from_json_at(const Object& obj, const std::str
       allowed.insert("dc");
       const Result<std::string> dc = string_in(obj, path, "dc", "");
       if (!dc.ok()) return dc.error();
+      event.target = dc.value();
       if (dc.value() != "core") {
-        if (Result<std::size_t> index =
-                indexed_name(path, "dc", dc.value(), "edge", fed.edge_dcs_per_region);
-            !index.ok()) {
+        const Result<std::size_t> index =
+            indexed_name(path, "dc", dc.value(), "edge", fed.edge_dcs_per_region);
+        if (!index.ok()) {
           return bad(path_key(path, "dc") + ": expected \"core\" or \"edge<k>\", got '" +
                      dc.value() + "'");
         }
+        event.target = "edge" + std::to_string(index.value());
       }
-      event.target = dc.value();
       break;
     }
     case EventKind::controller_restart:
@@ -657,17 +657,16 @@ Result<void> parse_mobility(const Object& obj, const Scenario& scenario, bool me
         const Result<std::string> cell = string_in(storm_obj, storm_path, "cell", "");
         if (!cell.ok()) return cell.error();
         if (!cell.value().empty()) {
+          storm.cell = cell.value();
           if (metro) {
-            if (Result<std::size_t> k = indexed_name(storm_path, "cell", cell.value(), "c",
-                                                     scenario.federation.cells_per_region);
-                !k.ok()) {
-              return k.error();
-            }
+            const Result<std::size_t> k = indexed_name(storm_path, "cell", cell.value(), "c",
+                                                       scenario.federation.cells_per_region);
+            if (!k.ok()) return k.error();
+            storm.cell = "c" + std::to_string(k.value());
           } else if (cell.value() != "a" && cell.value() != "b") {
             return bad(path_key(storm_path, "cell") +
                        ": unknown name '" + cell.value() + "' (expected one of a, b)");
           }
-          storm.cell = cell.value();
         }
       }
 

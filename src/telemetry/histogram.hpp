@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "json/value.hpp"
@@ -32,6 +33,8 @@ class Histogram {
   /// Sub-buckets per octave; power of two. Relative error <= 1/SubBuckets.
   static constexpr std::uint64_t kSubBucketBits = 4;
   static constexpr std::uint64_t kSubBuckets = 1u << kSubBucketBits;
+  /// Index of the bucket holding UINT64_MAX, the last one record() can fill.
+  static constexpr std::size_t kMaxBucket = (64 - kSubBucketBits + 1) * kSubBuckets - 1;
 
   void record(std::uint64_t value) noexcept {
     const std::size_t i = bucket_index(value);
@@ -79,36 +82,36 @@ class Histogram {
   }
 
   /// Elementwise-add a to_json() document into this histogram, exactly
-  /// like merge(). Malformed documents are ignored.
+  /// like merge(). The document comes off the wire (a remote edge's
+  /// /federation/metrics), so every number is range-checked: malformed
+  /// documents are ignored, and malformed bucket pairs (including an
+  /// index past the last bucket a uint64 can reach) are skipped.
   void merge_json(const json::Value& doc) {
     if (!doc.is_object()) return;
-    const json::Value* count = doc.find("count");
-    const json::Value* sum = doc.find("sum");
-    const json::Value* min = doc.find("min");
-    const json::Value* max = doc.find("max");
+    const std::optional<std::uint64_t> other_count = json::to_integer<std::uint64_t>(doc.find("count"));
+    const std::optional<std::uint64_t> other_sum = json::to_integer<std::uint64_t>(doc.find("sum"));
+    const std::optional<std::uint64_t> other_min = json::to_integer<std::uint64_t>(doc.find("min"));
+    const std::optional<std::uint64_t> other_max = json::to_integer<std::uint64_t>(doc.find("max"));
     const json::Value* buckets = doc.find("buckets");
-    if (count == nullptr || !count->is_number() || sum == nullptr || !sum->is_number() ||
-        min == nullptr || !min->is_number() || max == nullptr || !max->is_number() ||
-        buckets == nullptr || !buckets->is_array()) {
+    if (!other_count || !other_sum || !other_min || !other_max || buckets == nullptr ||
+        !buckets->is_array()) {
       return;
     }
-    const auto other_count = static_cast<std::uint64_t>(count->as_number());
-    if (other_count == 0) return;
-    const auto other_min = static_cast<std::uint64_t>(min->as_number());
-    const auto other_max = static_cast<std::uint64_t>(max->as_number());
+    if (*other_count == 0) return;
     for (const json::Value& pair : buckets->as_array()) {
       if (!pair.is_array() || pair.as_array().size() != 2) continue;
-      const json::Value& index = pair.as_array()[0];
-      const json::Value& bucket_count = pair.as_array()[1];
-      if (!index.is_number() || !bucket_count.is_number()) continue;
-      const auto i = static_cast<std::size_t>(index.as_number());
-      if (i >= buckets_.size()) buckets_.resize(i + 1, 0);
-      buckets_[i] += static_cast<std::uint64_t>(bucket_count.as_number());
+      const std::optional<std::size_t> i =
+          json::to_integer<std::size_t>(&pair.as_array()[0], 0, kMaxBucket);
+      const std::optional<std::uint64_t> bucket_count =
+          json::to_integer<std::uint64_t>(&pair.as_array()[1]);
+      if (!i || !bucket_count) continue;
+      if (*i >= buckets_.size()) buckets_.resize(*i + 1, 0);
+      buckets_[*i] += *bucket_count;
     }
-    min_ = count_ == 0 ? other_min : (other_min < min_ ? other_min : min_);
-    max_ = count_ == 0 ? other_max : (other_max > max_ ? other_max : max_);
-    count_ += other_count;
-    sum_ += static_cast<std::uint64_t>(sum->as_number());
+    min_ = count_ == 0 ? *other_min : (*other_min < min_ ? *other_min : min_);
+    max_ = count_ == 0 ? *other_max : (*other_max > max_ ? *other_max : max_);
+    count_ += *other_count;
+    sum_ += *other_sum;
   }
 
   void reset() noexcept {
@@ -150,7 +153,7 @@ class Histogram {
 
   /// Bucket index for `value`: identity below kSubBuckets, then
   /// (octave, sub-bucket) with kSubBuckets linear steps per octave.
-  [[nodiscard]] static std::size_t bucket_index(std::uint64_t value) noexcept {
+  [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t value) noexcept {
     if (value < kSubBuckets) return static_cast<std::size_t>(value);
     const auto exponent = static_cast<std::uint64_t>(std::bit_width(value) - 1);
     const std::uint64_t shift = exponent - kSubBucketBits;
@@ -177,5 +180,7 @@ class Histogram {
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;
 };
+
+static_assert(Histogram::bucket_index(~std::uint64_t{0}) == Histogram::kMaxBucket);
 
 }  // namespace slices::telemetry

@@ -190,8 +190,8 @@ void MonitorRegistry::merge_from(const json::Value& doc) {
   if (const json::Value* counters = doc.find("counters");
       counters != nullptr && counters->is_object()) {
     for (const auto& [name, value] : counters->as_object()) {
-      if (!value.is_number()) continue;
-      counter(name).increment(static_cast<std::uint64_t>(value.as_number()));
+      // Wire data: an out-of-range count is skipped, not cast.
+      if (const auto n = json::to_integer<std::uint64_t>(&value)) counter(name).increment(*n);
     }
   }
   if (const json::Value* gauges = doc.find("gauges"); gauges != nullptr && gauges->is_object()) {

@@ -1,17 +1,33 @@
 // Robustness property tests: the wire-facing parsers (JSON, HTTP
 // request/response, URL targets, trace CSV) must never crash and must
 // return a typed error — not garbage — for arbitrary byte soup and for
-// truncated/mutated valid documents.
+// truncated/mutated valid documents. The federation bodies an edge or
+// broker decodes from another process (fault, roamer ingress, advance,
+// metrics merge, region summary) must reject or skip numbers outside
+// their integer range instead of casting them.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "federation/edge.hpp"
+#include "federation/fabric.hpp"
+#include "federation/runner.hpp"
 #include "json/value.hpp"
 #include "net/http.hpp"
+#include "net/http_server.hpp"
+#include "net/rest_bus.hpp"
 #include "net/url.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/histogram.hpp"
+#include "telemetry/registry.hpp"
 #include "traffic/trace.hpp"
 
 namespace slices {
@@ -194,6 +210,237 @@ TEST_P(ParserFuzz, MobilityStormSerializationRoundTrips) {
   }
   EXPECT_EQ(b.speed_classes, a.speed_classes);
   EXPECT_EQ(b.ues_per_slice, a.ues_per_slice);
+}
+
+// ------------------------------------------------- wire integer decoding
+
+/// Numbers no 64-bit integer field can hold, as they arrive on the wire.
+constexpr const char* kHostileNumbers[] = {"1e300", "-1e300", "1e20", "-1e20",
+                                           "1.8446744073709552e19"};
+
+json::Value parse_ok(const std::string& text) {
+  const Result<json::Value> doc = json::parse(text);
+  EXPECT_TRUE(doc.ok()) << text;
+  return doc.ok() ? doc.value() : json::Value();
+}
+
+TEST(WireIntegers, ToIntegerChecksTypeAndRange) {
+  const auto u64 = [](const std::string& text) {
+    const json::Value v = parse_ok(text);
+    return json::to_integer<std::uint64_t>(&v);
+  };
+  const auto i64 = [](const std::string& text) {
+    const json::Value v = parse_ok(text);
+    return json::to_integer<std::int64_t>(&v);
+  };
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_EQ(u64("42.9"), 42u);  // truncates toward zero, like a cast
+  EXPECT_EQ(u64("9007199254740992"), std::uint64_t{1} << 53);
+  EXPECT_EQ(u64("18446744073709549568"), 18446744073709549568ull);  // largest double < 2^64
+  EXPECT_FALSE(u64("18446744073709551616"));                          // 2^64
+  EXPECT_FALSE(u64("-1"));
+  EXPECT_FALSE(u64("1e300"));
+  EXPECT_FALSE(u64("\"7\""));
+  EXPECT_FALSE(json::to_integer<std::uint64_t>(nullptr));
+  EXPECT_EQ(i64("-9223372036854775808"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(i64("9223372036854775808"));  // 2^63
+  EXPECT_FALSE(i64("-1e300"));
+  const json::Value five = parse_ok("5");
+  EXPECT_EQ(json::to_integer<int>(&five, 0, 15), 5);
+  const json::Value big = parse_ok("16");
+  EXPECT_FALSE(json::to_integer<int>(&big, 0, 15));
+}
+
+TEST(WireIntegers, HistogramMergeSkipsHostileBuckets) {
+  telemetry::Histogram source;
+  for (const std::uint64_t v : {std::uint64_t{1}, std::uint64_t{17}, std::uint64_t{900},
+                                std::uint64_t{65536}, std::uint64_t{1} << 40}) {
+    source.record(v);
+  }
+  // A valid export merges bit for bit.
+  telemetry::Histogram copy;
+  copy.merge_json(source.to_json());
+  EXPECT_EQ(json::serialize(copy.to_json()), json::serialize(source.to_json()));
+
+  const auto buckets_of = [](const telemetry::Histogram& h) {
+    const json::Value doc = h.to_json();
+    return json::serialize(*doc.find("buckets"));
+  };
+  const std::string top = std::to_string(telemetry::Histogram::kMaxBucket);
+  std::vector<std::string> bad_indices(std::begin(kHostileNumbers), std::end(kHostileNumbers));
+  bad_indices.push_back(std::to_string(telemetry::Histogram::kMaxBucket + 1));
+  for (const std::string& bad : bad_indices) {
+    telemetry::Histogram h;
+    h.merge_json(parse_ok(R"({"count":2,"sum":5,"min":1,"max":4,"buckets":[[)" + bad +
+                          ",1],[" + top + ",1],[5,1]]}"));
+    // The hostile pair is skipped (no multi-GB resize); the valid ones land.
+    EXPECT_EQ(h.count(), 2u) << bad;
+    EXPECT_EQ(buckets_of(h), "[[5,1],[" + top + ",1]]") << bad;
+  }
+  // A scalar outside uint64 makes the whole document malformed: ignored.
+  for (const char* bad : {"1e300", "-1e300", "-1", "1.8446744073709552e19"}) {
+    for (const char* key : {"count", "sum", "min", "max"}) {
+      json::Value doc = parse_ok(R"({"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]})");
+      doc[key] = parse_ok(bad);
+      telemetry::Histogram h;
+      h.merge_json(doc);
+      EXPECT_TRUE(h.empty()) << key << "=" << bad;
+    }
+  }
+}
+
+TEST_P(ParserFuzz, MutatedMetricsBodiesMergeSafely) {
+  telemetry::MonitorRegistry source;
+  source.counter("bus.calls").increment(12);
+  source.gauge("edge.headroom").set(3.5);
+  for (std::uint64_t v = 1; v < 5000; v += 37) source.histogram("epoch_us").record(v * v);
+  const std::string base = json::serialize(source.export_json());
+  Rng rng(GetParam() * 131 + 5);
+  for (int i = 0; i < 1000; ++i) {
+    std::string mutated = base;
+    const std::size_t pos =
+        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(base.size() - 1)));
+    mutated[pos] = "0123456789e-+."[rng.uniform_int(0, 13)];
+    const Result<json::Value> doc = json::parse(mutated);
+    if (!doc.ok()) continue;
+    telemetry::MonitorRegistry sink;
+    sink.merge_from(doc.value());
+    if (const telemetry::Histogram* h = sink.find_histogram("epoch_us"); h != nullptr) {
+      const json::Value exported = h->to_json();
+      for (const json::Value& pair : exported.find("buckets")->as_array()) {
+        EXPECT_LE(pair.as_array()[0].as_number(),
+                  static_cast<double>(telemetry::Histogram::kMaxBucket));
+      }
+    }
+  }
+}
+
+constexpr const char* kMobileMetro = R"({
+  "name": "wire_fuzz", "seed": 3, "duration_hours": 2, "topology": "metro",
+  "federation": {"regions": 2, "cells_per_region": 4, "hosts_per_dc": 1},
+  "workload": {"arrivals_per_hour": 4},
+  "mobility": {"ues_per_slice": 10}
+})";
+
+/// Region r0 of kMobileMetro with a slice admitted (so roamers have a
+/// PLMN to attach under), served on an in-process bus.
+struct WireEdge {
+  scenario::Scenario scenario = [] {
+    const Result<scenario::Scenario> s = scenario::parse_scenario(kMobileMetro);
+    EXPECT_TRUE(s.ok());
+    return s.value();
+  }();
+  federation::MetroFabric fabric = federation::make_metro_fabric(scenario.federation, 3).value();
+  federation::EdgeNode node{fabric.regions[0], scenario, 1};
+  net::RestBus bus;
+
+  WireEdge() {
+    bus.register_service("edge", node.make_router());
+    scenario::ScenarioRequest request;
+    request.spec = core::SliceSpec::from_profile(
+        traffic::profile_for(traffic::Vertical::automotive), Duration::hours(2.0));
+    request.workload_seed = 7;
+    EXPECT_TRUE(node.submit(scenario::request_to_json(request)).ok());
+    node.advance_to(Duration::minutes(20.0).as_micros());
+  }
+
+  Result<json::Value> post(const std::string& path, const std::string& body) {
+    Result<json::Value> doc = json::parse(body);
+    if (!doc.ok()) return doc.error();
+    return bus.call_json("edge", net::Method::post, path, doc.value());
+  }
+};
+
+TEST(WireIntegers, EdgeFaultAndAdvanceBodiesAreRangeChecked) {
+  WireEdge edge;
+  EXPECT_TRUE(edge.post("/federation/fault",
+                        R"({"kind":"dc_down","target":"edge0","duration_us":600000000})")
+                  .ok());
+  EXPECT_TRUE(edge.post("/federation/fault", R"({"kind":"cell_down","target":"c3"})").ok());
+  EXPECT_FALSE(edge.post("/federation/fault", R"({"kind":"cell_down","target":"c9"})").ok());
+  std::vector<std::string> bad_durations(std::begin(kHostileNumbers), std::end(kHostileNumbers));
+  bad_durations.insert(bad_durations.end(), {"-1", "1e16"});  // negative; past 2^53
+  for (const std::string& bad : bad_durations) {
+    const Result<json::Value> fault = edge.post(
+        "/federation/fault",
+        std::string(R"({"kind":"controller_restart","target":"","duration_us":)") + bad + "}");
+    EXPECT_FALSE(fault.ok()) << bad;
+    EXPECT_FALSE(edge.node.orchestrator().suspended()) << bad;
+  }
+  for (const char* bad : kHostileNumbers) {
+    EXPECT_FALSE(edge.post("/federation/advance", std::string(R"({"t_us":)") + bad + "}").ok())
+        << bad;
+  }
+  EXPECT_TRUE(edge.post("/federation/advance", R"({"t_us":1800000000})").ok());
+  EXPECT_EQ(edge.node.simulator().now().as_micros(), 1800000000);
+}
+
+TEST(WireIntegers, RoamerIngressRejectsOutOfRangeFieldsAtomically) {
+  WireEdge edge;
+  ASSERT_NE(edge.node.field(), nullptr);
+  const Result<json::Value> ok = edge.post(
+      "/federation/mobility/ingress",
+      R"({"roamers":[{"plmn":1,"cqi":9,"y_mm":250000,"side":1},{"cqi":99,"side":-1}]})");
+  ASSERT_TRUE(ok.ok()) << ok.error().message;
+  EXPECT_EQ(ok.value().find("admitted")->as_number(), 2.0);
+  const std::uint64_t admitted = edge.node.field()->roamers_admitted();
+  const std::pair<const char*, std::vector<const char*>> hostile[] = {
+      {"plmn", {"-1", "1e20", "1e300", "-1e300"}},
+      {"cqi", {"4294967296", "1e10", "1e300", "-1e300"}},
+      {"y_mm", {"9.3e18", "-9.3e18", "1e300", "-1e300"}},
+  };
+  for (const auto& [field, values] : hostile) {
+    for (const char* bad : values) {
+      const std::string body =
+          std::string(R"({"roamers":[{"cqi":9},{")") + field + "\":" + bad + "}]}";
+      EXPECT_FALSE(edge.post("/federation/mobility/ingress", body).ok()) << body;
+    }
+  }
+  // Rejected bodies admitted nobody, not even their valid first entry.
+  EXPECT_EQ(edge.node.field()->roamers_admitted(), admitted);
+}
+
+TEST(WireIntegers, HostileRemoteSummaryScoresAsZero) {
+  // A remote "edge" whose every number is out of range: the broker-side
+  // scorecard must come out bounded (zeros), not from undefined casts.
+  auto router = std::make_shared<net::Router>();
+  const std::string hostile =
+      R"({"admitted":1e300,"rejected":-1,"active_at_end":1e20,"expired":-1e300,)"
+      R"("terminated":1e300,"served_epochs":-5,"violation_epochs":1e300,)"
+      R"("earned_cents":1e300,"penalty_cents":-1e300,"net_cents":9.3e18,)"
+      R"("reconfigurations":-1,"contracted_mbps":1,"reserved_mbps":1,"multiplexing_gain":1})";
+  const auto reply = [](std::string body) {
+    return [body](const net::RouteContext&) {
+      return net::Response::json(net::Status::ok, body);
+    };
+  };
+  router->add(net::Method::get, "/federation/summary", reply(hostile));
+  router->add(net::Method::get, "/federation/headroom", reply(R"({"headroom_mbps":0})"));
+  router->add(net::Method::post, "/federation/advance", reply("{}"));
+  Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(router);
+  ASSERT_TRUE(server.ok());
+  std::thread serving([raw = server.value().get()] { raw->run(); });
+
+  scenario::Scenario s = scenario::parse_scenario(kMobileMetro).value();
+  s.mobility = {};
+  s.duration = Duration::hours(0.5);
+  federation::FederatedRunOptions options;
+  options.remote_edges = {{"r1", server.value()->port()}};
+  const Result<federation::FederatedScorecard> card =
+      federation::FederatedRunner(s, options).run();
+  server.value()->stop();
+  serving.join();
+
+  ASSERT_TRUE(card.ok()) << card.error().message;
+  const federation::RegionScore& r1 = card.value().regions.at(1);
+  EXPECT_EQ(r1.name, "r1");
+  EXPECT_EQ(r1.admitted, 0u);
+  EXPECT_EQ(r1.rejected, 0u);
+  EXPECT_EQ(r1.active_at_end, 0u);
+  EXPECT_EQ(r1.served_epochs, 0u);
+  EXPECT_EQ(r1.earned_cents, 0);
+  EXPECT_EQ(r1.penalty_cents, 0);
+  EXPECT_EQ(r1.net_cents, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(1, 2, 3));
