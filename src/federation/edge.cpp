@@ -207,7 +207,8 @@ Result<void> EdgeNode::apply_fault(const json::Value& body) {
   const std::string target = field("target");
   Duration duration;
   if (const json::Value* v = body.find("duration_us"); v != nullptr && v->is_number()) {
-    const std::optional<std::int64_t> us = json::to_integer<std::int64_t>(v, 0, json::kMaxExactInteger);
+    const std::optional<std::int64_t> us =
+        json::to_integer<std::int64_t>(v, 0, json::kMaxExactInteger);
     if (!us) return bad("duration_us must be in [0, 2^53]");
     duration = Duration::micros(*us);
   }
@@ -220,8 +221,8 @@ Result<void> EdgeNode::apply_fault(const json::Value& body) {
     const bool up = kind.ends_with("_up");
     if (Result<void> r = (*region_.*toggle)(target, up); !r.ok()) return r;
     if (!up && duration > Duration::zero()) {
-      simulator().schedule_after(duration,
-                                 [this, toggle, target] { (void)(*region_.*toggle)(target, true); });
+      simulator().schedule_after(
+          duration, [this, toggle, target] { (void)(*region_.*toggle)(target, true); });
     }
     return {};
   }
@@ -365,7 +366,8 @@ std::shared_ptr<net::Router> EdgeNode::make_router() {
   reply(get, "/federation/info", [this] { return json::serialize(info_json()); });
   reply(get, "/federation/headroom", [this] { return json::serialize(headroom_json()); });
   reply(get, "/federation/summary", [this] { return json::serialize(summary_json()); });
-  reply(get, "/federation/healthz", [this] { return json::serialize(orchestrator().health_json()); });
+  reply(get, "/federation/healthz",
+        [this] { return json::serialize(orchestrator().health_json()); });
   reply(get, "/metrics", [this] { return metrics_body(); });
   reply(get, "/federation/metrics", [this] { return federation_metrics_body(); });
   reply(get, "/federation/trace", [this] { return federation_trace_body(); });

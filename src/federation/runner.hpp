@@ -10,10 +10,13 @@
 // epoch_threads setting and over any transport (in-process dispatch,
 // loopback sockets in this process, or edges in other OS processes).
 //
-// Note the determinism contract is the runner's own total order, not
-// the fig2 runner's event interleaving: a federated run advances every
-// region to `t` before injecting the work of `t`, where the fig2
-// runner interleaves on one simulator heap.
+// Each region is an EdgeNode over the shared scenario::Region layer (the
+// same stack, faults, mobility and census code the fig2 runner uses);
+// only the timeline is this runner's own. The two orders, both pinned by
+// golden scorecards: fig2 pre-schedules events on one simulator heap
+// ahead of the re-armed epoch periodic, so an event at an epoch boundary
+// runs before that epoch; here advance_all(t) runs every region's epoch
+// at t first and the event is injected after it.
 
 #include <cstdint>
 #include <map>

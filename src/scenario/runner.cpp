@@ -40,8 +40,9 @@ Result<Scorecard> ScenarioRunner::run() {
   const bool previous_wall = telemetry::trace::wall_clock();
   if (options_.wall_profile) telemetry::trace::set_wall_clock(true);
 
-  region_ = std::make_unique<Region>(core::make_testbed(scenario_.seed, config), scenario_,
-                                     RegionIdentity{.seed = scenario_.seed});
+  RegionIdentity fig2;  // the one unnamed region of a one-region city
+  fig2.seed = scenario_.seed;
+  region_ = std::make_unique<Region>(core::make_testbed(scenario_.seed, config), scenario_, fig2);
   sim::Simulator& simulator = region_->testbed().simulator;
   end_ = SimTime::origin() + scenario_.duration;
 

@@ -1,14 +1,18 @@
 #pragma once
 // Scenario runner (docs/scenarios.md).
 //
-// Drives one Scenario end-to-end on the Fig. 2 testbed: builds the
-// deployment, compiles phases into the request generator's rate
-// schedule and the demand-surge envelope, schedules explicit requests
-// and the failure timeline on the simulation clock, samples the
-// orchestrator after every monitoring epoch, and distills the run into
-// a Scorecard. Runs are deterministic: the same scenario + seed yields
-// a byte-identical scorecard at any epoch_threads setting, and a
-// recorded run replays to the same scorecard (scenario_test pins both).
+// Drives one Scenario end-to-end on the Fig. 2 testbed, a one-region
+// city: the deployment, demand envelope, faults, mobility and census
+// come from the shared scenario::Region layer (the metro EdgeNode uses
+// the same one). This runner owns the timeline: it schedules arrivals,
+// explicit requests and the failure timeline on the one simulator heap,
+// samples the orchestrator after every monitoring epoch, and distills
+// the run into a Scorecard. Events are pre-scheduled ahead of the
+// re-armed epoch periodic, so an event at an epoch boundary runs before
+// that epoch; the metro runner instead injects it after the epoch (see
+// federation/runner.hpp). Runs are deterministic: the same scenario +
+// seed yields a byte-identical scorecard at any epoch_threads setting,
+// and a recorded run replays to the same scorecard.
 
 #include <cstdint>
 #include <memory>

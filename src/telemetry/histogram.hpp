@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "json/value.hpp"
@@ -88,10 +89,13 @@ class Histogram {
   /// index past the last bucket a uint64 can reach) are skipped.
   void merge_json(const json::Value& doc) {
     if (!doc.is_object()) return;
-    const std::optional<std::uint64_t> other_count = json::to_integer<std::uint64_t>(doc.find("count"));
-    const std::optional<std::uint64_t> other_sum = json::to_integer<std::uint64_t>(doc.find("sum"));
-    const std::optional<std::uint64_t> other_min = json::to_integer<std::uint64_t>(doc.find("min"));
-    const std::optional<std::uint64_t> other_max = json::to_integer<std::uint64_t>(doc.find("max"));
+    const auto field = [&doc](std::string_view key) {
+      return json::to_integer<std::uint64_t>(doc.find(key));
+    };
+    const std::optional<std::uint64_t> other_count = field("count");
+    const std::optional<std::uint64_t> other_sum = field("sum");
+    const std::optional<std::uint64_t> other_min = field("min");
+    const std::optional<std::uint64_t> other_max = field("max");
     const json::Value* buckets = doc.find("buckets");
     if (!other_count || !other_sum || !other_min || !other_max || buckets == nullptr ||
         !buckets->is_array()) {
