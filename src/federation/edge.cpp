@@ -1,7 +1,10 @@
 #include "federation/edge.hpp"
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <type_traits>
+#include <vector>
 
 #include "transport/generators.hpp"
 

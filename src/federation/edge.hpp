@@ -27,7 +27,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.hpp"
 #include "core/orchestrator.hpp"

@@ -54,14 +54,12 @@ class Region {
          RegionIdentity identity);
 
   [[nodiscard]] core::Testbed& testbed() noexcept { return *testbed_; }
-  [[nodiscard]] const core::Testbed& testbed() const noexcept { return *testbed_; }
   [[nodiscard]] core::Orchestrator& orchestrator() noexcept { return *testbed_->orchestrator; }
   [[nodiscard]] const core::Orchestrator& orchestrator() const noexcept {
     return *testbed_->orchestrator;
   }
   /// Mobility engine; null unless the scenario enables mobility.
   [[nodiscard]] mobility::Field* field() noexcept { return field_.get(); }
-  [[nodiscard]] const mobility::Field* field() const noexcept { return field_.get(); }
 
   /// Traffic model of a submitted slice: the vertical's model seeded
   /// with `workload_seed`, modulated by the scenario's demand surges.
