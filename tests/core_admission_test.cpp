@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "core/admission.hpp"
@@ -104,6 +105,10 @@ struct PolicyCase {
   const char* label;
   std::unique_ptr<AdmissionPolicy> (*make)();
 };
+
+// Print the label, not the raw bytes: gtest puts GetParam() into the test
+// name, and pointer bytes would make that name change from run to run.
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.label; }
 
 class AllPolicies : public ::testing::TestWithParam<PolicyCase> {};
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -170,6 +171,10 @@ struct ModelCase {
   const char* label;
   std::unique_ptr<Forecaster> (*make)();
 };
+
+// Print the label, not the raw bytes: gtest puts GetParam() into the test
+// name, and pointer bytes would make that name change from run to run.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.label; }
 
 class AllModels : public ::testing::TestWithParam<ModelCase> {};
 
