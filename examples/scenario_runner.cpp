@@ -21,6 +21,10 @@
 //       (prints "PORT <n>" once listening). A broker process started
 //       with `run <file> --edge rX=PORT ...` drives it over loopback.
 //
+// Numeric flags must be whole decimals in range: --threads in [1, 256],
+// ports in [0, 65535] (an --edge port in [1, 65535]); anything else
+// exits 2 with a message.
+//
 // A "metro" scenario (topology: "metro") is dispatched to the
 // federation runner; --transport socket serves every region over a
 // loopback socket in-process, and --edge rX=PORT connects region rX to
@@ -42,15 +46,16 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "federation/runner.hpp"
 #include "scenario/recorder.hpp"
 #include "scenario/runner.hpp"
@@ -116,10 +121,19 @@ bool parse_run_flags(int argc, char** argv, int first, RunFlags& flags) {
       }
       return argv[++i];
     };
+    const auto number = [&](std::string_view flag, const char* v, std::uint64_t lo,
+                            std::uint64_t hi) -> std::optional<std::uint64_t> {
+      std::string error;
+      const std::optional<std::uint64_t> n = cli::parse_flag(flag, v, lo, hi, error);
+      if (!n) fail(error);
+      return n;
+    };
     if (arg == "--threads") {
       const char* v = value("count");
       if (v == nullptr) return false;
-      flags.options.epoch_threads = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+      const std::optional<std::uint64_t> n = number(arg, v, 1, cli::kMaxThreads);
+      if (!n) return false;
+      flags.options.epoch_threads = static_cast<std::size_t>(*n);
       flags.federated.epoch_threads = flags.options.epoch_threads;
     } else if (arg == "--transport") {
       const char* v = value("kind (inproc|socket)");
@@ -139,16 +153,21 @@ bool parse_run_flags(int argc, char** argv, int first, RunFlags& flags) {
         fail("--edge wants rX=PORT, got '" + mapping + "'");
         return false;
       }
-      flags.federated.remote_edges[mapping.substr(0, eq)] =
-          static_cast<std::uint16_t>(std::strtoul(mapping.c_str() + eq + 1, nullptr, 10));
+      const std::optional<std::uint64_t> port =
+          number("--edge port", mapping.c_str() + eq + 1, 1, cli::kMaxPort);
+      if (!port) return false;
+      flags.federated.remote_edges[mapping.substr(0, eq)] = static_cast<std::uint16_t>(*port);
     } else if (arg == "--broker-port") {
       const char* v = value("port");
       if (v == nullptr) return false;
-      flags.federated.broker_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      const std::optional<std::uint64_t> port = number(arg, v, 0, cli::kMaxPort);
+      if (!port) return false;
+      flags.federated.broker_port = static_cast<std::uint16_t>(*port);
     } else if (arg == "--seed") {
       const char* v = value("seed");
       if (v == nullptr) return false;
-      flags.seed_override = std::strtoull(v, nullptr, 10);
+      flags.seed_override = number(arg, v, 0, UINT64_MAX);
+      if (!flags.seed_override) return false;
     } else if (arg == "--record") {
       const char* v = value("path");
       if (v == nullptr) return false;
@@ -339,11 +358,17 @@ int cmd_edge(int argc, char** argv) {
     } else if (arg == "--port") {
       const char* v = value();
       if (v == nullptr) return 2;
-      port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      std::string error;
+      const std::optional<std::uint64_t> n = cli::parse_flag(arg, v, 0, cli::kMaxPort, error);
+      if (!n) return fail(error);
+      port = static_cast<std::uint16_t>(*n);
     } else if (arg == "--threads") {
       const char* v = value();
       if (v == nullptr) return 2;
-      threads = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+      std::string error;
+      const std::optional<std::uint64_t> n = cli::parse_flag(arg, v, 1, cli::kMaxThreads, error);
+      if (!n) return fail(error);
+      threads = static_cast<std::size_t>(*n);
     } else if (arg == "--trace") {
       trace = true;
     } else {

@@ -40,7 +40,7 @@
 // Offline (no server required):
 //
 //   slicectl scenario validate <file>...
-//   slicectl scenario run <file> [--threads N]
+//   slicectl scenario run <file> [--threads N]     (N in [1, 256]; else exit 2)
 //
 // (a thin front for the full scenario_runner tool — see
 // examples/scenario_runner.cpp for record/replay and flags).
@@ -49,11 +49,15 @@
 // an embedded testbed + HTTP server, then walks through request/list/
 // resize/delete like an operator at the demo booth.
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "core/testbed.hpp"
 #include "dashboard/dashboard.hpp"
 #include "federation/runner.hpp"
@@ -272,8 +276,16 @@ int scenario_command(int argc, char** argv) {
   }
   if (sub == "run") {
     scenario::RunOptions options;
-    if (argc >= 6 && std::strcmp(argv[4], "--threads") == 0)
-      options.epoch_threads = static_cast<std::size_t>(std::atoi(argv[5]));
+    if (argc >= 6 && std::strcmp(argv[4], "--threads") == 0) {
+      std::string error;
+      const std::optional<std::uint64_t> threads =
+          cli::parse_flag("--threads", argv[5], 1, cli::kMaxThreads, error);
+      if (!threads) {
+        fail(error);
+        return 2;
+      }
+      options.epoch_threads = static_cast<std::size_t>(*threads);
+    }
     Result<scenario::Scenario> loaded = scenario::load_scenario_file(argv[3]);
     if (!loaded.ok()) return fail(loaded.error().message);
     if (loaded.value().topology == "metro") {

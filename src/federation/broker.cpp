@@ -390,7 +390,7 @@ json::Value Broker::regions_json() {
   return json::Value(std::move(out));
 }
 
-void Broker::refresh_snapshot(std::int64_t t_us) {
+const json::Value& Broker::refresh_snapshot(std::int64_t t_us) {
   json::Value snapshot = regions_json();
   snapshot.as_object().emplace("t_us", static_cast<double>(t_us));
 
@@ -442,10 +442,11 @@ void Broker::refresh_snapshot(std::int64_t t_us) {
     regions_snapshot_ = std::move(snapshot);
     metrics_snapshot_ = std::move(metrics);
     trace_snapshot_ = std::move(trace);
-    return;
+    return regions_snapshot_;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   regions_snapshot_ = std::move(snapshot);
+  return regions_snapshot_;
 }
 
 json::Value Broker::federation_metrics_json(std::int64_t t_us) {

@@ -101,7 +101,10 @@ class Broker {
   /// threaded with the run loop; the REST facade serves the snapshot
   /// taken by the latest refresh_snapshot() instead.
   [[nodiscard]] json::Value regions_json();
-  void refresh_snapshot(std::int64_t t_us);
+  /// Take the tick's snapshot (one headroom poll per region) and return
+  /// it. The reference stays valid until the next refresh; the run loop
+  /// is the snapshot's only writer, so it may read it without the lock.
+  const json::Value& refresh_snapshot(std::int64_t t_us);
 
   [[nodiscard]] json::Value placements_json() const;
   [[nodiscard]] const BrokerCounters& counters() const noexcept { return counters_; }

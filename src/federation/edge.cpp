@@ -278,28 +278,12 @@ json::Value EdgeNode::headroom_json() const {
 
 json::Value EdgeNode::summary_json() const {
   const core::Testbed& tb = region_->testbed();
-  const core::OrchestratorSummary summary = tb.orchestrator->summary();
-  const scenario::SliceCensus census = region_->census();
-
   Object out;
+  region_->tally().write(out);
   out.emplace("region", plan_.name);
   out.emplace("t_us", static_cast<double>(tb.simulator.now().as_micros()));
   out.emplace("cells", static_cast<double>(plan_.cells));
   out.emplace("suspended", tb.orchestrator->suspended());
-  out.emplace("admitted", static_cast<double>(summary.admitted_total));
-  out.emplace("rejected", static_cast<double>(summary.rejected_total));
-  out.emplace("active_at_end", static_cast<double>(census.active_at_end));
-  out.emplace("expired", static_cast<double>(census.expired));
-  out.emplace("terminated", static_cast<double>(census.terminated));
-  out.emplace("served_epochs", static_cast<double>(census.served_epochs));
-  out.emplace("violation_epochs", static_cast<double>(census.violation_epochs));
-  out.emplace("earned_cents", static_cast<double>(summary.earned.as_cents()));
-  out.emplace("penalty_cents", static_cast<double>(summary.penalties.as_cents()));
-  out.emplace("net_cents", static_cast<double>(summary.net.as_cents()));
-  out.emplace("reconfigurations", static_cast<double>(summary.reconfigurations));
-  out.emplace("contracted_mbps", summary.contracted_total.as_mbps());
-  out.emplace("reserved_mbps", summary.reserved_total.as_mbps());
-  out.emplace("multiplexing_gain", summary.multiplexing_gain);
   return Value(std::move(out));
 }
 

@@ -8,7 +8,7 @@
 //
 //   GET  /federation/info      static region facts (cells, DCs, price)
 //   GET  /federation/headroom  forecast headroom + placement gates
-//   GET  /federation/summary   full census for the federated scorecard
+//   GET  /federation/summary   the region tally (scenario::RegionTally)
 //   GET  /federation/healthz   the orchestrator's health document
 //   GET  /federation/metrics   full-fidelity registry export (mergeable)
 //   GET  /federation/trace     this region's spans (transport-invariant)

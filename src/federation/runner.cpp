@@ -14,48 +14,42 @@ namespace {
 // Home-region assignment for requests that do not pin one.
 constexpr std::uint64_t kHomeSalt = 0x94d049bb133111ebull;
 
-/// An integer field of an edge's response body; 0 when absent or out of
-/// the type's range (the body crossed a socket and is untrusted).
-template <typename Int>
-Int int_field(const json::Value& doc, std::string_view key) {
-  return json::to_integer<Int>(doc.find(key)).value_or(0);
+double double_field(const json::Value& doc, std::string_view key) {
+  const json::Value* v = doc.find(key);
+  return (v != nullptr && v->is_number()) ? v->as_number() : 0.0;
 }
 
-double double_field(const json::Value& doc, std::string_view key, double fallback = 0.0) {
-  const json::Value* v = doc.find(key);
-  return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
+/// The city's multiplexing gain at a tick: contracted over reserved
+/// rate, summed in region order over the snapshot's reachable regions
+/// that are not suspended; 1 while nothing is reserved.
+double city_gain(const json::Value& snapshot) {
+  double contracted = 0.0;
+  double reserved = 0.0;
+  if (const json::Value* list = snapshot.find("regions"); list != nullptr && list->is_array()) {
+    for (const json::Value& region : list->as_array()) {
+      const json::Value* suspended = region.find("suspended");
+      if (suspended != nullptr && suspended->is_bool() && suspended->as_bool()) continue;
+      contracted += double_field(region, "contracted_mbps");
+      reserved += double_field(region, "reserved_mbps");
+    }
+  }
+  return reserved > 0.0 ? contracted / reserved : 1.0;
 }
 
 }  // namespace
 
 json::Value RegionScore::to_json() const {
   json::Object out;
+  write(out);
   out.emplace("name", name);
   out.emplace("cells", static_cast<double>(cells));
   out.emplace("price_factor", price_factor);
-  out.emplace("admitted", static_cast<double>(admitted));
-  out.emplace("rejected", static_cast<double>(rejected));
-  out.emplace("active_at_end", static_cast<double>(active_at_end));
-  out.emplace("expired", static_cast<double>(expired));
-  out.emplace("terminated", static_cast<double>(terminated));
-  out.emplace("served_epochs", static_cast<double>(served_epochs));
-  out.emplace("violation_epochs", static_cast<double>(violation_epochs));
-  out.emplace("earned_cents", static_cast<double>(earned_cents));
-  out.emplace("penalty_cents", static_cast<double>(penalty_cents));
-  out.emplace("net_cents", static_cast<double>(net_cents));
-  out.emplace("reconfigurations", static_cast<double>(reconfigurations));
-  out.emplace("contracted_mbps", contracted_mbps);
-  out.emplace("reserved_mbps", reserved_mbps);
-  out.emplace("multiplexing_gain", multiplexing_gain);
   return json::Value(std::move(out));
 }
 
 json::Value FederatedScorecard::to_json() const {
-  json::Object admission;
-  admission.emplace("submitted", static_cast<double>(submitted));
-  admission.emplace("admitted", static_cast<double>(admitted));
-  admission.emplace("rejected", static_cast<double>(rejected));
-  admission.emplace("rate", admission_rate);
+  json::Object out = shared_json();
+  out.emplace("total_cells", static_cast<double>(total_cells));
 
   json::Object placement;
   placement.emplace("local", static_cast<double>(placed_local));
@@ -66,60 +60,18 @@ json::Value FederatedScorecard::to_json() const {
   placement.emplace("deferred_unplaced", static_cast<double>(deferred_unplaced));
   placement.emplace("backbone_reservations", static_cast<double>(backbone_reservations));
   placement.emplace("backbone_reserved_mbps_peak", backbone_reserved_mbps_peak);
+  out.emplace("placement", std::move(placement));
 
-  json::Object sla;
-  sla.emplace("served_epochs", static_cast<double>(served_epochs));
-  sla.emplace("violation_epochs", static_cast<double>(violation_epochs));
-  sla.emplace("violation_rate", violation_rate);
-
-  json::Object revenue;
-  revenue.emplace("earned_cents", static_cast<double>(earned_cents));
-  revenue.emplace("penalty_cents", static_cast<double>(penalty_cents));
-  revenue.emplace("net_cents", static_cast<double>(net_cents));
-
-  json::Object overbooking;
-  overbooking.emplace("multiplexing_gain_mean", multiplexing_gain_mean);
-  overbooking.emplace("multiplexing_gain_peak", multiplexing_gain_peak);
-  overbooking.emplace("reconfigurations", static_cast<double>(reconfigurations));
-
-  json::Object ops;
-  ops.emplace("epochs", static_cast<double>(epochs));
-  ops.emplace("events_injected", static_cast<double>(events_injected));
-
-  json::Object mobility;
   if (mobility_enabled) {
-    mobility.emplace("handover_attempts", static_cast<double>(handover_attempts));
-    mobility.emplace("handover_successes", static_cast<double>(handover_successes));
-    mobility.emplace("handover_drops", static_cast<double>(handover_drops));
+    json::Object& mobility = out.at("mobility").as_object();
     mobility.emplace("roam_attempts", static_cast<double>(roam_attempts));
     mobility.emplace("roam_admitted", static_cast<double>(roam_admitted));
     mobility.emplace("roam_dropped", static_cast<double>(roam_dropped));
-    mobility.emplace("population_at_end", static_cast<double>(mobile_population));
   }
 
   json::Array region_list;
   for (const RegionScore& r : regions) region_list.push_back(r.to_json());
-
-  json::Object targets;
-  targets.emplace("met", targets_met);
-  json::Array failures;
-  for (const std::string& f : target_failures) failures.push_back(json::Value(f));
-  targets.emplace("failures", std::move(failures));
-
-  json::Object out;
-  out.emplace("scenario", scenario);
-  out.emplace("seed", static_cast<double>(seed));
-  out.emplace("duration_hours", duration_hours);
-  out.emplace("total_cells", static_cast<double>(total_cells));
-  out.emplace("admission", std::move(admission));
-  out.emplace("placement", std::move(placement));
-  out.emplace("sla", std::move(sla));
-  out.emplace("revenue", std::move(revenue));
-  out.emplace("overbooking", std::move(overbooking));
-  out.emplace("ops", std::move(ops));
-  if (mobility_enabled) out.emplace("mobility", std::move(mobility));
   out.emplace("regions", std::move(region_list));
-  out.emplace("targets", std::move(targets));
   return json::Value(std::move(out));
 }
 
@@ -177,7 +129,7 @@ Result<void> FederatedRunner::build_edges() {
 }
 
 void FederatedRunner::inject_event(const scenario::ScenarioEvent& event) {
-  if (recorder_) (void)recorder_->record_event(event);
+  (void)recorder_.record_event(event);
   json::Object body;
   body.emplace("kind", std::string(scenario::to_string(event.kind)));
   body.emplace("target", event.target);
@@ -192,29 +144,9 @@ void FederatedRunner::submit_scenario_request(const scenario::ScenarioRequest& r
                                               std::int64_t t_us) {
   // Recorded post-draw: replays carry the concrete home region, so the
   // broker's home RNG never has to re-draw (and cannot diverge).
-  if (recorder_) {
-    (void)recorder_->record_request(SimTime::from_micros(t_us), request.spec,
-                                    request.workload_seed, request.region);
-  }
+  (void)recorder_.record_request(SimTime::from_micros(t_us), request.spec,
+                                 request.workload_seed, request.region);
   (void)broker_->submit(scenario::request_to_json(request), request.region, t_us);
-}
-
-void FederatedRunner::sample_gain() {
-  double contracted = 0.0;
-  double reserved = 0.0;
-  for (const std::string& region : broker_->regions()) {
-    Result<json::Value> doc =
-        bus_.get_json(Broker::service_name(region), "/federation/headroom");
-    if (!doc.ok()) continue;
-    const json::Value* suspended = doc.value().find("suspended");
-    if (suspended != nullptr && suspended->is_bool() && suspended->as_bool()) continue;
-    contracted += double_field(doc.value(), "contracted_mbps");
-    reserved += double_field(doc.value(), "reserved_mbps");
-  }
-  const double gain = reserved > 0.0 ? contracted / reserved : 1.0;
-  gain_sum_ += gain;
-  ++gain_samples_;
-  gain_peak_ = std::max(gain_peak_, gain);
 }
 
 Result<FederatedScorecard> FederatedRunner::run() {
@@ -232,12 +164,7 @@ Result<FederatedScorecard> FederatedRunner::run() {
 
   if (Result<void> built = build_edges(); !built.ok()) return built.error();
   broker_ = std::make_unique<Broker>(&bus_, fabric_);
-  if (!options_.record_path.empty()) {
-    Result<std::unique_ptr<scenario::ScenarioRecorder>> recorder =
-        scenario::ScenarioRecorder::create(options_.record_path, scenario_);
-    if (!recorder.ok()) return recorder.error();
-    recorder_ = std::move(recorder.value());
-  }
+  if (Result<void> r = recorder_.open(options_.record_path, scenario_); !r.ok()) return r.error();
   // The facade's /federation/metrics|trace bodies require bus pulls the
   // run loop must perform; only pay for them when the facade is up.
   broker_->set_facade_enabled(options_.broker_port != 0);
@@ -250,7 +177,8 @@ Result<FederatedScorecard> FederatedRunner::run() {
 
   // --- The lock-step timeline -------------------------------------
   // At every timestamp t, in this order: advance every region to t,
-  // epoch-tick bookkeeping (deferred retries, gain sample, snapshot),
+  // epoch-tick bookkeeping (deferred retries, roaming, the snapshot and
+  // the gain sample read from it),
   // failure events, explicit requests, generated arrivals. Regions in
   // sorted-name order throughout. This total order — not wall clocks,
   // not transport latency — is what makes the scorecard byte-identical
@@ -309,8 +237,7 @@ Result<FederatedScorecard> FederatedRunner::run() {
       // advance_all(t) already ran every region's mobility periodic for
       // this window, so the exit queues are complete when we route them.
       if (scenario_.mobility.enabled) (void)broker_->route_roamers(t);
-      sample_gain();
-      broker_->refresh_snapshot(t);
+      gain_.record(city_gain(broker_->refresh_snapshot(t)));
       ++epochs_;
       next_tick_us += period_us;
     }
@@ -338,11 +265,7 @@ Result<FederatedScorecard> FederatedRunner::run() {
   FederatedScorecard card = finalize();
   scenario::evaluate_targets(scenario_.targets, card);
 
-  if (recorder_) {
-    if (Result<void> r = recorder_->finish(SimTime::from_micros(end_us)); !r.ok()) {
-      return r.error();
-    }
-  }
+  if (Result<void> r = recorder_.finish(SimTime::from_micros(end_us)); !r.ok()) return r.error();
   return card;
 }
 
@@ -353,43 +276,17 @@ FederatedScorecard FederatedRunner::finalize() {
   card.duration_hours = scenario_.duration.as_micros() / 3.6e9;
   card.total_cells = fabric_.total_cells();
 
-  std::map<std::string, double> price;
-  std::map<std::string, std::size_t> cells;
-  for (const RegionPlan& plan : fabric_.regions) {
-    price.emplace(plan.name, plan.price_factor);
-    cells.emplace(plan.name, plan.cells);
-  }
+  std::map<std::string, const RegionPlan*> plans;
+  for (const RegionPlan& plan : fabric_.regions) plans.emplace(plan.name, &plan);
 
   for (const std::string& region : broker_->regions()) {
     RegionScore score;
     score.name = region;
-    score.cells = cells.at(region);
-    score.price_factor = price.at(region);
+    score.cells = plans.at(region)->cells;
+    score.price_factor = plans.at(region)->price_factor;
     Result<json::Value> doc = bus_.get_json(Broker::service_name(region), "/federation/summary");
-    if (doc.ok()) {
-      const json::Value& s = doc.value();
-      score.admitted = int_field<std::uint64_t>(s, "admitted");
-      score.rejected = int_field<std::uint64_t>(s, "rejected");
-      score.active_at_end = int_field<std::uint64_t>(s, "active_at_end");
-      score.expired = int_field<std::uint64_t>(s, "expired");
-      score.terminated = int_field<std::uint64_t>(s, "terminated");
-      score.served_epochs = int_field<std::uint64_t>(s, "served_epochs");
-      score.violation_epochs = int_field<std::uint64_t>(s, "violation_epochs");
-      score.earned_cents = int_field<std::int64_t>(s, "earned_cents");
-      score.penalty_cents = int_field<std::int64_t>(s, "penalty_cents");
-      score.net_cents = int_field<std::int64_t>(s, "net_cents");
-      score.reconfigurations = int_field<std::uint64_t>(s, "reconfigurations");
-      score.contracted_mbps = double_field(s, "contracted_mbps");
-      score.reserved_mbps = double_field(s, "reserved_mbps");
-      score.multiplexing_gain = double_field(s, "multiplexing_gain", 1.0);
-    }
-    card.admitted += score.admitted;
-    card.served_epochs += score.served_epochs;
-    card.violation_epochs += score.violation_epochs;
-    card.earned_cents += score.earned_cents;
-    card.penalty_cents += score.penalty_cents;
-    card.net_cents += score.net_cents;
-    card.reconfigurations += score.reconfigurations;
+    if (doc.ok()) score.read(doc.value());
+    card.add_region(score);
     card.regions.push_back(std::move(score));
   }
 
@@ -400,10 +297,13 @@ FederatedScorecard FederatedRunner::finalize() {
           bus_.get_json(Broker::service_name(region), "/federation/mobility");
       if (!doc.ok()) continue;
       const json::Value& m = doc.value();
-      card.handover_attempts += int_field<std::uint64_t>(m, "handover_attempts");
-      card.handover_successes += int_field<std::uint64_t>(m, "handover_successes");
-      card.handover_drops += int_field<std::uint64_t>(m, "handover_drops");
-      card.mobile_population += int_field<std::uint64_t>(m, "population");
+      const auto count = [&m](std::string_view key) {
+        return json::to_integer<std::uint64_t>(m.find(key)).value_or(0);
+      };
+      card.handover_attempts += count("handover_attempts");
+      card.handover_successes += count("handover_successes");
+      card.handover_drops += count("handover_drops");
+      card.mobile_population += count("population");
     }
   }
 
@@ -425,18 +325,9 @@ FederatedScorecard FederatedRunner::finalize() {
   // orchestrator refusals: shopping a request to a second region after
   // the first says no must not count it twice.
   card.rejected = counters.edge_rejected + counters.rejected_no_region;
-  const std::uint64_t decided = card.admitted + card.rejected;
-  card.admission_rate =
-      decided == 0 ? 0.0 : static_cast<double>(card.admitted) / static_cast<double>(decided);
-  card.violation_rate = card.served_epochs == 0
-                            ? 0.0
-                            : static_cast<double>(card.violation_epochs) /
-                                  static_cast<double>(card.served_epochs);
-  card.multiplexing_gain_mean =
-      gain_samples_ == 0 ? 1.0 : gain_sum_ / static_cast<double>(gain_samples_);
-  card.multiplexing_gain_peak = gain_peak_;
   card.epochs = epochs_;
   card.events_injected = events_injected_;
+  card.derive(gain_);
   return card;
 }
 

@@ -11,8 +11,10 @@
 // loopback sockets in this process, or edges in other OS processes).
 //
 // Each region is an EdgeNode over the shared scenario::Region layer (the
-// same stack, faults, mobility and census code the fig2 runner uses);
-// only the timeline is this runner's own. The two orders, both pinned by
+// same stack, faults, mobility and tally code the fig2 runner uses), and
+// the scorecard is built on the same score layer (scenario/scorecard.hpp:
+// ledger sections, gain samples, recorder open/finish); only the
+// timeline is this runner's own. The two orders, both pinned by
 // golden scorecards: fig2 pre-schedules events on one simulator heap
 // ahead of the re-armed epoch periodic, so an event at an epoch boundary
 // runs before that epoch; here advance_all(t) runs every region's epoch
@@ -35,6 +37,7 @@
 #include "net/rest_bus.hpp"
 #include "scenario/recorder.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/scorecard.hpp"
 
 namespace slices::federation {
 
@@ -58,46 +61,25 @@ struct FederatedRunOptions {
   std::string record_path;
 };
 
-/// Per-region slice of the federated scorecard (from the region's
-/// /federation/summary at the end of the run).
-struct RegionScore {
+/// Per-region slice of the federated scorecard: the region's
+/// /federation/summary tally plus its plan facts.
+struct RegionScore : scenario::RegionTally {
   std::string name;
   std::size_t cells = 0;
   double price_factor = 1.0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t active_at_end = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t terminated = 0;
-  std::uint64_t served_epochs = 0;
-  std::uint64_t violation_epochs = 0;
-  std::int64_t earned_cents = 0;
-  std::int64_t penalty_cents = 0;
-  std::int64_t net_cents = 0;
-  std::uint64_t reconfigurations = 0;
-  double contracted_mbps = 0.0;
-  double reserved_mbps = 0.0;
-  double multiplexing_gain = 1.0;
 
   [[nodiscard]] json::Value to_json() const;
 };
 
-/// The scored outcome of one federated run. Deterministic: derived
-/// only from response bodies that crossed the bus, never from wall
-/// clocks or transport byte counters.
-struct FederatedScorecard {
-  std::string scenario;
-  std::uint64_t seed = 0;
-  double duration_hours = 0.0;
+/// The scored outcome of one federated run: the shared ledger summed
+/// over regions, plus the broker's placement and roaming sections.
+/// Deterministic: derived only from response bodies that crossed the
+/// bus, never from wall clocks or transport byte counters.
+struct FederatedScorecard : scenario::ScorecardCore {
   std::size_t total_cells = 0;
 
-  // Global admission funnel (broker view + region verdicts).
-  std::uint64_t submitted = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;  ///< region rejections + broker no_region
-  double admission_rate = 0.0;
-
-  // Broker placement breakdown.
+  // Broker placement breakdown ("rejected" in the shared funnel is
+  // edge_rejected + rejected_no_region).
   std::uint64_t placed_local = 0;
   std::uint64_t placed_remote = 0;
   std::uint64_t edge_rejected = 0;
@@ -107,40 +89,12 @@ struct FederatedScorecard {
   std::uint64_t backbone_reservations = 0;
   double backbone_reserved_mbps_peak = 0.0;
 
-  // Global SLA ledger and revenue (sums over regions).
-  std::uint64_t served_epochs = 0;
-  std::uint64_t violation_epochs = 0;
-  double violation_rate = 0.0;
-  std::int64_t earned_cents = 0;
-  std::int64_t penalty_cents = 0;
-  std::int64_t net_cents = 0;
-
-  // Overbooking, sampled across regions at every epoch tick.
-  double multiplexing_gain_mean = 1.0;
-  double multiplexing_gain_peak = 1.0;
-  std::uint64_t reconfigurations = 0;
-
-  // Operations.
-  std::uint64_t epochs = 0;           ///< broker epoch ticks
-  std::uint64_t events_injected = 0;  ///< region faults delivered
-
-  // Mobility & handover (summed over regions + broker roam counters);
-  // serialized only when the scenario enables the subsystem, so
-  // static-UE scorecards keep their exact byte layout.
-  bool mobility_enabled = false;
-  std::uint64_t handover_attempts = 0;   ///< intra-region, RAN-side
-  std::uint64_t handover_successes = 0;
-  std::uint64_t handover_drops = 0;
-  std::uint64_t roam_attempts = 0;       ///< inter-region, broker-routed
+  // Inter-region roaming, broker-routed (mobility section).
+  std::uint64_t roam_attempts = 0;
   std::uint64_t roam_admitted = 0;
   std::uint64_t roam_dropped = 0;
-  std::uint64_t mobile_population = 0;   ///< live mobile UEs at the horizon
 
   std::vector<RegionScore> regions;
-
-  // Target evaluation (scenario targets against the global numbers).
-  bool targets_met = true;
-  std::vector<std::string> target_failures;
 
   [[nodiscard]] json::Value to_json() const;
   /// Pretty JSON with a trailing newline (byte-comparable).
@@ -173,7 +127,6 @@ class FederatedRunner {
   void serve(std::unique_ptr<net::HttpServer> server);
   void inject_event(const scenario::ScenarioEvent& event);
   void submit_scenario_request(const scenario::ScenarioRequest& request, std::int64_t t_us);
-  void sample_gain();
   [[nodiscard]] FederatedScorecard finalize();
 
   scenario::Scenario scenario_;
@@ -186,13 +139,11 @@ class FederatedRunner {
   std::vector<std::unique_ptr<net::HttpServer>> servers_;
   std::vector<std::thread> server_threads_;
   std::unique_ptr<Broker> broker_;
-  std::unique_ptr<scenario::ScenarioRecorder> recorder_;
+  scenario::ScenarioRecorder recorder_;
   bool ran_ = false;
 
-  // Sampled at epoch ticks (from headroom bodies — deterministic).
-  double gain_sum_ = 0.0;
-  std::uint64_t gain_samples_ = 0;
-  double gain_peak_ = 1.0;
+  // Sampled at epoch ticks (from the broker's snapshot — deterministic).
+  scenario::GainAccumulator gain_;
   std::uint64_t epochs_ = 0;
   std::uint64_t events_injected_ = 0;
 };

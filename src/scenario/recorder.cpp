@@ -16,10 +16,9 @@ constexpr const char* kEndRecord = "end";
 
 }  // namespace
 
-Result<std::unique_ptr<ScenarioRecorder>> ScenarioRecorder::create(const std::string& path,
-                                                                   const Scenario& scenario) {
-  auto recorder = std::unique_ptr<ScenarioRecorder>(new ScenarioRecorder());
-  if (Result<void> r = recorder->journal_.open(path, 0); !r.ok()) return r.error();
+Result<void> ScenarioRecorder::open(const std::string& path, const Scenario& scenario) {
+  if (path.empty()) return {};
+  if (Result<void> r = journal_.open(path, 0); !r.ok()) return r;
 
   Scenario header = scenario;
   header.generate_arrivals = false;
@@ -28,8 +27,7 @@ Result<std::unique_ptr<ScenarioRecorder>> ScenarioRecorder::create(const std::st
   json::Object record;
   record.emplace("kind", kScenarioRecord);
   record.emplace("doc", scenario_to_json(header));
-  if (Result<void> r = recorder->append(std::move(record)); !r.ok()) return r.error();
-  return recorder;
+  return append(std::move(record));
 }
 
 Result<void> ScenarioRecorder::append(json::Object record) {
@@ -43,6 +41,7 @@ Result<void> ScenarioRecorder::append(json::Object record) {
 Result<void> ScenarioRecorder::record_request(SimTime at, const core::SliceSpec& spec,
                                               std::uint64_t workload_seed,
                                               const std::string& region) {
+  if (!journal_.is_open()) return {};
   ScenarioRequest request;
   request.at = at - SimTime::origin();
   request.spec = spec;
@@ -55,6 +54,7 @@ Result<void> ScenarioRecorder::record_request(SimTime at, const core::SliceSpec&
 }
 
 Result<void> ScenarioRecorder::record_event(const ScenarioEvent& event) {
+  if (!journal_.is_open()) return {};
   json::Object record;
   record.emplace("kind", kEventRecord);
   record.emplace("doc", event_to_json(event));
@@ -62,6 +62,7 @@ Result<void> ScenarioRecorder::record_event(const ScenarioEvent& event) {
 }
 
 Result<void> ScenarioRecorder::finish(SimTime end) {
+  if (!journal_.is_open()) return {};
   json::Object record;
   record.emplace("kind", kEndRecord);
   record.emplace("t_us", static_cast<double>(end.as_micros()));

@@ -11,7 +11,6 @@
 // decision follows deterministically.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/result.hpp"
@@ -23,19 +22,21 @@
 
 namespace slices::scenario {
 
-/// Writing side. One recorder per run; records must be appended in
+/// Writing side, one per run: both drivers hold one and feed it the
+/// same way whether or not the run records. Records must be appended in
 /// simulation order (the runner's event callbacks guarantee it).
 class ScenarioRecorder {
  public:
-  /// Create/truncate the journal at `path` and write the scenario
-  /// header (the scenario stripped of its generated stream: requests
-  /// and events cleared, generate_arrivals forced off).
-  [[nodiscard]] static Result<std::unique_ptr<ScenarioRecorder>> create(
-      const std::string& path, const Scenario& scenario);
-
+  ScenarioRecorder() = default;
   ~ScenarioRecorder() { close(); }
   ScenarioRecorder(const ScenarioRecorder&) = delete;
   ScenarioRecorder& operator=(const ScenarioRecorder&) = delete;
+
+  /// Create/truncate the journal at `path` and write the scenario
+  /// header (the scenario stripped of its generated stream: requests
+  /// and events cleared, generate_arrivals forced off). An empty path
+  /// records nothing: the record calls and finish() are then no-ops.
+  [[nodiscard]] Result<void> open(const std::string& path, const Scenario& scenario);
 
   /// Append one submitted request at its submission time. `region` is
   /// the tenant's home region on metro runs ("" on fig2) — replays
@@ -60,8 +61,6 @@ class ScenarioRecorder {
   void close() { journal_.close(); }
 
  private:
-  ScenarioRecorder() = default;
-
   [[nodiscard]] Result<void> append(json::Object record);
 
   store::Journal journal_;

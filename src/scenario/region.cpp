@@ -1,6 +1,5 @@
 #include "scenario/region.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -134,21 +133,31 @@ void Region::step_mobility(SimTime now) {
   (void)field_->apply(now);
 }
 
-SliceCensus Region::census() const {
-  SliceCensus census;
+RegionTally Region::tally() const {
+  const core::OrchestratorSummary summary = orchestrator().summary();
+  RegionTally tally;
+  tally.admitted = summary.admitted_total;
+  tally.rejected = summary.rejected_total;
   for (const core::SliceRecord* record : orchestrator().all_slices()) {
-    census.served_epochs += record->served_epochs;
-    census.violation_epochs += record->violation_epochs;
+    tally.served_epochs += record->served_epochs;
+    tally.violation_epochs += record->violation_epochs;
     switch (record->state) {
       case core::SliceState::installing:
-      case core::SliceState::active: ++census.active_at_end; break;
-      case core::SliceState::expired: ++census.expired; break;
-      case core::SliceState::terminated: ++census.terminated; break;
+      case core::SliceState::active: ++tally.active_at_end; break;
+      case core::SliceState::expired: ++tally.expired; break;
+      case core::SliceState::terminated: ++tally.terminated; break;
       case core::SliceState::pending:
       case core::SliceState::rejected: break;
     }
   }
-  return census;
+  tally.earned_cents = summary.earned.as_cents();
+  tally.penalty_cents = summary.penalties.as_cents();
+  tally.net_cents = summary.net.as_cents();
+  tally.reconfigurations = summary.reconfigurations;
+  tally.contracted_mbps = summary.contracted_total.as_mbps();
+  tally.reserved_mbps = summary.reserved_total.as_mbps();
+  tally.multiplexing_gain = summary.multiplexing_gain;
+  return tally;
 }
 
 std::vector<core::RatePoint> build_rate_schedule(const Scenario& scenario) {
@@ -175,12 +184,6 @@ std::unique_ptr<core::RequestGenerator> make_request_generator(const Scenario& s
   if (workload.arrivals_per_hour <= 0.0 && workload.rate_schedule.empty()) return nullptr;
   return std::make_unique<core::RequestGenerator>(std::move(workload),
                                                   Rng(scenario.seed ^ kWorkloadSalt));
-}
-
-std::string format_rate(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.4f", v);
-  return buffer;
 }
 
 }  // namespace slices::scenario

@@ -7,9 +7,9 @@
 // EdgeNode. What concerns one region lives here, once: the demand-surge
 // envelope, faults by layout name (with dc-down slice teardown and
 // restart suspend/resume), the mobility field and its step, and the
-// slice census; plus the scoring helpers both drivers share. Region
-// applies work but never schedules it: each driver keeps its own
-// timeline (see the runner headers for why the two stay apart).
+// end-of-run tally the shared score layer (scenario/scorecard.hpp)
+// reads. Region applies work but never schedules it: each driver keeps
+// its own timeline (see the runner headers for why the two stay apart).
 
 #include <cstdint>
 #include <functional>
@@ -24,18 +24,10 @@
 #include "json/value.hpp"
 #include "mobility/field.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/scorecard.hpp"
 #include "traffic/model.hpp"
 
 namespace slices::scenario {
-
-/// End-of-run tallies over every slice a region ever held.
-struct SliceCensus {
-  std::uint64_t served_epochs = 0;
-  std::uint64_t violation_epochs = 0;
-  std::uint64_t active_at_end = 0;  ///< installing or active at the horizon
-  std::uint64_t expired = 0;
-  std::uint64_t terminated = 0;
-};
 
 /// Where a region sits in its scenario; fig2 is the one unnamed region.
 struct RegionIdentity {
@@ -82,7 +74,9 @@ class Region {
   /// by vertical), move, and apply handovers. Requires field().
   void step_mobility(SimTime now);
 
-  [[nodiscard]] SliceCensus census() const;
+  /// The region's end-of-run numbers (fig2 scorecard, metro
+  /// /federation/summary).
+  [[nodiscard]] RegionTally tally() const;
 
  private:
   [[nodiscard]] Error unknown(std::string_view what, const std::string& name) const;
@@ -111,36 +105,5 @@ inline constexpr std::uint64_t kWorkloadSalt = 0x9e3779b97f4a7c15ull;
 /// testbed's fading stream, identically on fig2 and metro.
 [[nodiscard]] std::unique_ptr<core::RequestGenerator> make_request_generator(
     const Scenario& scenario);
-
-/// Fixed four-decimal rendering used in target and fault messages.
-[[nodiscard]] std::string format_rate(double v);
-
-/// Check the scenario's targets against a scorecard's headline numbers
-/// (fig2 Scorecard or metro FederatedScorecard): one failure message per
-/// missed target, in declaration order.
-template <typename Card>
-void evaluate_targets(const ScenarioTargets& targets, Card& card) {
-  const auto fail = [&card](std::string why) {
-    card.targets_met = false;
-    card.target_failures.push_back(std::move(why));
-  };
-  if (targets.min_admission_rate && card.admission_rate < *targets.min_admission_rate) {
-    fail("admission rate " + format_rate(card.admission_rate) + " < target " +
-         format_rate(*targets.min_admission_rate));
-  }
-  if (targets.max_violation_rate && card.violation_rate > *targets.max_violation_rate) {
-    fail("violation rate " + format_rate(card.violation_rate) + " > target " +
-         format_rate(*targets.max_violation_rate));
-  }
-  const double net = static_cast<double>(card.net_cents) / 100.0;
-  if (targets.min_net_revenue && net < *targets.min_net_revenue) {
-    fail("net revenue " + format_rate(net) + " < target " + format_rate(*targets.min_net_revenue));
-  }
-  if (targets.min_multiplexing_gain &&
-      card.multiplexing_gain_mean < *targets.min_multiplexing_gain) {
-    fail("multiplexing gain " + format_rate(card.multiplexing_gain_mean) + " < target " +
-         format_rate(*targets.min_multiplexing_gain));
-  }
-}
 
 }  // namespace slices::scenario

@@ -46,12 +46,7 @@ Result<Scorecard> ScenarioRunner::run() {
   sim::Simulator& simulator = region_->testbed().simulator;
   end_ = SimTime::origin() + scenario_.duration;
 
-  if (!options_.record_path.empty()) {
-    Result<std::unique_ptr<ScenarioRecorder>> recorder =
-        ScenarioRecorder::create(options_.record_path, scenario_);
-    if (!recorder.ok()) return recorder.error();
-    recorder_ = std::move(recorder.value());
-  }
+  if (Result<void> r = recorder_.open(options_.record_path, scenario_); !r.ok()) return r.error();
 
   generator_ = make_request_generator(scenario_);
   if (generator_) schedule_arrival();
@@ -91,9 +86,7 @@ Result<Scorecard> ScenarioRunner::run() {
   }
   telemetry::trace::set_wall_clock(previous_wall);
 
-  if (recorder_) {
-    if (Result<void> r = recorder_->finish(end_); !r.ok()) return r.error();
-  }
+  if (Result<void> r = recorder_.finish(end_); !r.ok()) return r.error();
   return card;
 }
 
@@ -118,9 +111,7 @@ void ScenarioRunner::submit_request(const core::SliceSpec& spec, std::uint64_t w
     deferred_.push_back({spec, workload_seed});
     return;
   }
-  if (recorder_) {
-    (void)recorder_->record_request(region_->testbed().simulator.now(), spec, workload_seed);
-  }
+  (void)recorder_.record_request(region_->testbed().simulator.now(), spec, workload_seed);
   ++submitted_;
   orchestrator.submit(spec, region_->make_workload(spec.vertical, workload_seed));
 }
@@ -133,7 +124,7 @@ void ScenarioRunner::flush_deferred() {
 
 void ScenarioRunner::record_action(const ScenarioEvent& event) {
   ++events_injected_;
-  if (recorder_) (void)recorder_->record_event(event);
+  (void)recorder_.record_event(event);
 }
 
 void ScenarioRunner::schedule_event(const ScenarioEvent& event) {
@@ -255,9 +246,7 @@ void ScenarioRunner::sample(SimTime now) {
   const double reserved = summary.reserved_total.as_mbps();
   reserved_hist_.record(
       static_cast<std::uint64_t>(std::llround(reserved < 0.0 ? 0.0 : reserved)));
-  gain_sum_ += summary.multiplexing_gain;
-  ++gain_samples_;
-  if (summary.multiplexing_gain > gain_peak_) gain_peak_ = summary.multiplexing_gain;
+  gain_.record(summary.multiplexing_gain);
 }
 
 Scorecard ScenarioRunner::finalize() {
@@ -265,34 +254,14 @@ Scorecard ScenarioRunner::finalize() {
   card.scenario = scenario_.name;
   card.seed = scenario_.seed;
   card.duration_hours = scenario_.duration.as_hours();
-
-  const core::OrchestratorSummary summary = region_->orchestrator().summary();
   card.submitted = submitted_;
-  card.admitted = summary.admitted_total;
-  card.rejected = summary.rejected_total;
-  const std::uint64_t decided = card.admitted + card.rejected;
-  card.admission_rate =
-      decided == 0 ? 0.0 : static_cast<double>(card.admitted) / static_cast<double>(decided);
 
-  const SliceCensus census = region_->census();
-  card.served_epochs = census.served_epochs;
-  card.violation_epochs = census.violation_epochs;
-  card.active_at_end = census.active_at_end;
-  card.expired = census.expired;
-  card.terminated = census.terminated;
-  card.violation_rate = card.served_epochs == 0
-                            ? 0.0
-                            : static_cast<double>(card.violation_epochs) /
-                                  static_cast<double>(card.served_epochs);
-
-  card.earned_cents = summary.earned.as_cents();
-  card.penalty_cents = summary.penalties.as_cents();
-  card.net_cents = summary.net.as_cents();
-
-  card.multiplexing_gain_mean =
-      gain_samples_ == 0 ? 1.0 : gain_sum_ / static_cast<double>(gain_samples_);
-  card.multiplexing_gain_peak = gain_peak_;
-  card.reconfigurations = summary.reconfigurations;
+  const RegionTally tally = region_->tally();
+  card.add_region(tally);
+  card.rejected = tally.rejected;
+  card.active_at_end = tally.active_at_end;
+  card.expired = tally.expired;
+  card.terminated = tally.terminated;
 
   card.epochs = epochs_;
   card.events_injected = events_injected_;
@@ -309,11 +278,12 @@ Scorecard ScenarioRunner::finalize() {
     card.handover_attempts = handovers.attempts;
     card.handover_successes = handovers.successes;
     card.handover_drops = handovers.drops;
+    card.mobile_population = field->population();
     card.mobility_exits = field->exits_total();
     card.roamers_admitted = field->roamers_admitted();
     card.roamers_dropped = field->roamers_dropped();
-    card.mobile_ues_at_end = field->population();
   }
+  card.derive(gain_);
   return card;
 }
 

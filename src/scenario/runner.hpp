@@ -2,15 +2,17 @@
 // Scenario runner (docs/scenarios.md).
 //
 // Drives one Scenario end-to-end on the Fig. 2 testbed, a one-region
-// city: the deployment, demand envelope, faults, mobility and census
-// come from the shared scenario::Region layer (the metro EdgeNode uses
-// the same one). This runner owns the timeline: it schedules arrivals,
-// explicit requests and the failure timeline on the one simulator heap,
-// samples the orchestrator after every monitoring epoch, and distills
-// the run into a Scorecard. Events are pre-scheduled ahead of the
-// re-armed epoch periodic, so an event at an epoch boundary runs before
-// that epoch; the metro runner instead injects it after the epoch (see
-// federation/runner.hpp). Runs are deterministic: the same scenario +
+// city: the deployment, demand envelope, faults, mobility and end-of-run
+// tally come from the shared scenario::Region layer (the metro EdgeNode
+// uses the same one), and the Scorecard is built on the score layer
+// both drivers share (scenario/scorecard.hpp: ledger sections, gain
+// samples; the recorder opens and finishes the same way too). This
+// runner owns the timeline: it schedules arrivals, explicit requests
+// and the failure timeline on the one simulator heap, and samples the
+// orchestrator after every monitoring epoch. Events are pre-scheduled
+// ahead of the re-armed epoch periodic, so an event at an epoch
+// boundary runs before that epoch; the metro runner instead injects it
+// after the epoch (see federation/runner.hpp). Runs are deterministic: the same scenario +
 // seed yields a byte-identical scorecard at any epoch_threads setting,
 // and a recorded run replays to the same scorecard.
 
@@ -87,7 +89,7 @@ class ScenarioRunner {
   // controller pointers (storm populations), so teardown is safe.
   std::unique_ptr<Region> region_;
   std::unique_ptr<core::RequestGenerator> generator_;
-  std::unique_ptr<ScenarioRecorder> recorder_;
+  ScenarioRecorder recorder_;
   std::vector<std::unique_ptr<core::UePopulation>> storm_populations_;
   SimTime end_;
   bool ran_ = false;
@@ -108,9 +110,7 @@ class ScenarioRunner {
   std::uint64_t storm_seq_ = 0;
   std::uint64_t ue_arrivals_ = 0;
   std::uint64_t ue_blocked_ = 0;
-  double gain_sum_ = 0.0;
-  std::uint64_t gain_samples_ = 0;
-  double gain_peak_ = 1.0;
+  GainAccumulator gain_;
   telemetry::Histogram install_hist_;   ///< install latency, µs (sim)
   telemetry::Histogram active_hist_;    ///< per-epoch active slices
   telemetry::Histogram reserved_hist_;  ///< per-epoch reserved Mb/s

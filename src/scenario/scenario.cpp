@@ -181,79 +181,75 @@ Result<std::string> region_in(const Object& obj, const std::string& path,
   return name.value();
 }
 
-/// Metro variant of an event: region-scoped cell/dc faults and
-/// controller restarts. Link and churn events have no metro mapping
-/// (the fabric generator names no individual backbone links) and are
-/// rejected at parse time.
-Result<ScenarioEvent> metro_event_from_json_at(const Object& obj, const std::string& path,
-                                               ScenarioEvent event, const FederationSpec& fed) {
-  std::set<std::string_view> allowed = {"kind", "at_hours", "region"};
-  const Result<std::string> region = region_in(obj, path, fed, /*required=*/true);
-  if (!region.ok()) return region.error();
-  event.region = region.value();
+/// A cell name in the topology's grammar: "a"|"b" on fig2; "c<k>" on a
+/// metro, canonicalized ("c07" -> "c7") so regions resolve it exactly.
+Result<std::string> cell_in(const Object& obj, const std::string& path,
+                            const FederationSpec* fed) {
+  if (fed == nullptr) return target_in(obj, path, "cell", {"a", "b"});
+  const Result<std::string> cell = string_in(obj, path, "cell", "");
+  if (!cell.ok()) return cell.error();
+  const Result<std::size_t> index =
+      indexed_name(path, "cell", cell.value(), "c", fed->cells_per_region);
+  if (!index.ok()) return index.error();
+  return "c" + std::to_string(index.value());
+}
 
+/// The target an event names: the one part of the event grammar that
+/// depends on the topology. A metro has no named backbone links and no
+/// churn storms, so those kinds are rejected there.
+Result<void> event_target_in(const Object& obj, const std::string& path,
+                             const FederationSpec* fed, ScenarioEvent& event,
+                             std::set<std::string_view>& allowed) {
   switch (event.kind) {
+    case EventKind::link_down:
+    case EventKind::link_up:
+    case EventKind::link_flap: {
+      if (fed != nullptr) break;
+      allowed.insert("link");
+      const Result<std::string> link = target_in(obj, path, "link", {"mmwave", "uwave"});
+      if (!link.ok()) return link.error();
+      event.target = link.value();
+      return {};
+    }
     case EventKind::cell_down:
     case EventKind::cell_up: {
       allowed.insert("cell");
-      const Result<std::string> cell = string_in(obj, path, "cell", "");
+      const Result<std::string> cell = cell_in(obj, path, fed);
       if (!cell.ok()) return cell.error();
-      const Result<std::size_t> index =
-          indexed_name(path, "cell", cell.value(), "c", fed.cells_per_region);
-      if (!index.ok()) return index.error();
-      // Canonical form ("c07" -> "c7"): regions resolve names exactly.
-      event.target = "c" + std::to_string(index.value());
-      break;
+      event.target = cell.value();
+      return {};
     }
     case EventKind::dc_down:
     case EventKind::dc_up: {
       allowed.insert("dc");
+      if (fed == nullptr) {
+        const Result<std::string> dc = target_in(obj, path, "dc", {"edge", "core"});
+        if (!dc.ok()) return dc.error();
+        event.target = dc.value();
+        return {};
+      }
       const Result<std::string> dc = string_in(obj, path, "dc", "");
       if (!dc.ok()) return dc.error();
       event.target = dc.value();
-      if (dc.value() != "core") {
-        const Result<std::size_t> index =
-            indexed_name(path, "dc", dc.value(), "edge", fed.edge_dcs_per_region);
-        if (!index.ok()) {
-          return bad(path_key(path, "dc") + ": expected \"core\" or \"edge<k>\", got '" +
-                     dc.value() + "'");
-        }
-        event.target = "edge" + std::to_string(index.value());
+      if (dc.value() == "core") return {};
+      const Result<std::size_t> index =
+          indexed_name(path, "dc", dc.value(), "edge", fed->edge_dcs_per_region);
+      if (!index.ok()) {
+        return bad(path_key(path, "dc") + ": expected \"core\" or \"edge<k>\", got '" +
+                   dc.value() + "'");
       }
-      break;
+      event.target = "edge" + std::to_string(index.value());
+      return {};
     }
     case EventKind::controller_restart:
-      break;
-    default:
-      return bad(path_key(path, "kind") + ": '" + std::string(to_string(event.kind)) +
-                 "' is not supported on the metro topology (cell_*, dc_* and "
-                 "controller_restart only)");
-  }
-
-  switch (event.kind) {
-    case EventKind::cell_down:
-    case EventKind::dc_down: {
-      allowed.insert("duration_hours");
-      const Result<double> d = number_in(obj, path, "duration_hours", 0.0, 0.0,
-                                         kMaxDurationHours, "in [0, 8784] hours");
-      if (!d.ok()) return d.error();
-      event.duration = hours_dur(d.value());
-      break;
-    }
-    case EventKind::controller_restart: {
-      allowed.insert("duration_minutes");
-      const Result<double> d = require_number(obj, path, "duration_minutes", 1.0e-3, 1.0e6,
-                                              "> 0 minutes");
-      if (!d.ok()) return d.error();
-      event.duration = minutes_dur(d.value());
-      break;
-    }
-    default:
+      return {};
+    case EventKind::churn_storm:
+      if (fed == nullptr) return {};
       break;
   }
-
-  if (Result<void> r = check_keys(obj, path, allowed); !r.ok()) return r.error();
-  return event;
+  return bad(path_key(path, "kind") + ": '" + std::string(to_string(event.kind)) +
+             "' is not supported on the metro topology (cell_*, dc_* and "
+             "controller_restart only)");
 }
 
 Result<void> parse_federation(const Object& obj, FederationSpec& fed) {
@@ -306,8 +302,9 @@ Result<void> parse_federation(const Object& obj, FederationSpec& fed) {
   return {};
 }
 
-/// `fed` != nullptr parses with metro semantics (region-scoped faults);
-/// nullptr keeps the fig2 single-region grammar untouched.
+/// One grammar for both topologies: `fed` != nullptr parses with metro
+/// semantics (a required region, region-scoped targets); only the
+/// target check differs.
 Result<ScenarioEvent> event_from_json_at(const Value& doc, const std::string& path,
                                          const FederationSpec* fed) {
   if (!doc.is_object()) return bad(path + ": must be an object");
@@ -330,38 +327,15 @@ Result<ScenarioEvent> event_from_json_at(const Value& doc, const std::string& pa
   if (!at.ok()) return at.error();
   event.at = hours_dur(at.value());
 
-  if (fed != nullptr) return metro_event_from_json_at(obj, path, event, *fed);
-
   std::set<std::string_view> allowed = {"kind", "at_hours"};
-  switch (event.kind) {
-    case EventKind::link_down:
-    case EventKind::link_up:
-    case EventKind::link_flap: {
-      allowed.insert("link");
-      const Result<std::string> link = target_in(obj, path, "link", {"mmwave", "uwave"});
-      if (!link.ok()) return link.error();
-      event.target = link.value();
-      break;
-    }
-    case EventKind::cell_down:
-    case EventKind::cell_up: {
-      allowed.insert("cell");
-      const Result<std::string> cell = target_in(obj, path, "cell", {"a", "b"});
-      if (!cell.ok()) return cell.error();
-      event.target = cell.value();
-      break;
-    }
-    case EventKind::dc_down:
-    case EventKind::dc_up: {
-      allowed.insert("dc");
-      const Result<std::string> dc = target_in(obj, path, "dc", {"edge", "core"});
-      if (!dc.ok()) return dc.error();
-      event.target = dc.value();
-      break;
-    }
-    case EventKind::controller_restart:
-    case EventKind::churn_storm:
-      break;
+  if (fed != nullptr) {
+    allowed.insert("region");
+    const Result<std::string> region = region_in(obj, path, *fed, /*required=*/true);
+    if (!region.ok()) return region.error();
+    event.region = region.value();
+  }
+  if (Result<void> r = event_target_in(obj, path, fed, event, allowed); !r.ok()) {
+    return r.error();
   }
 
   switch (event.kind) {
@@ -656,17 +630,11 @@ Result<void> parse_mobility(const Object& obj, const Scenario& scenario, bool me
       if (stadium) {
         const Result<std::string> cell = string_in(storm_obj, storm_path, "cell", "");
         if (!cell.ok()) return cell.error();
-        if (!cell.value().empty()) {
-          storm.cell = cell.value();
-          if (metro) {
-            const Result<std::size_t> k = indexed_name(storm_path, "cell", cell.value(), "c",
-                                                       scenario.federation.cells_per_region);
-            if (!k.ok()) return k.error();
-            storm.cell = "c" + std::to_string(k.value());
-          } else if (cell.value() != "a" && cell.value() != "b") {
-            return bad(path_key(storm_path, "cell") +
-                       ": unknown name '" + cell.value() + "' (expected one of a, b)");
-          }
+        if (!cell.value().empty()) {  // empty: the region's first cell
+          const Result<std::string> named =
+              cell_in(storm_obj, storm_path, metro ? &scenario.federation : nullptr);
+          if (!named.ok()) return named.error();
+          storm.cell = named.value();
         }
       }
 

@@ -51,7 +51,9 @@ enum class EventKind {
 struct ScenarioEvent {
   Duration at;                       ///< injection time from scenario start
   EventKind kind = EventKind::link_down;
-  std::string target;                ///< link ("mmwave"/"uwave"), cell ("a"/"b") or dc ("edge"/"core")
+  /// fig2: link "mmwave"/"uwave", cell "a"/"b" or dc "edge"/"core";
+  /// metro: cell "c<k>" or dc "core"/"edge<k>".
+  std::string target;
   Duration duration;                 ///< auto-restore delay / restart & storm length; zero = none
   int flap_count = 0;                ///< link_flap: number of down/up cycles
   Duration flap_period;              ///< link_flap: cycle period

@@ -2,9 +2,9 @@
 // has grown a controller's arena and scratch vectors to their
 // high-water marks, the steady-state serve loop — RAN wander_cqis +
 // serve_epoch_into, and transport serve_epoch_into — must perform ZERO
-// heap allocations, at any pool size. This is the hook the ISSUE's
-// acceptance criterion names: the global operator new/delete overrides
-// below count every allocation on every thread, so a single malloc
+// heap allocations, at any pool size. The global operator new/delete
+// replacements in counting_new.hpp count every allocation on every
+// thread, in every form of new, so a single malloc
 // sneaking back into a hot path fails the test instead of quietly
 // costing a syscall per epoch at 1M UEs / 100k paths.
 //
@@ -14,10 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -27,45 +24,10 @@
 #include "ran/controller.hpp"
 #include "transport/controller.hpp"
 #include "transport/topology.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace slices::ran {
 namespace {
-
-/// RAII window during which global allocations are counted.
-class AllocationCounter {
- public:
-  AllocationCounter() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationCounter() { g_counting.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
 
 struct Fixture {
   std::unique_ptr<ThreadPool> pool;

@@ -437,10 +437,73 @@ TEST(WireIntegers, HostileRemoteSummaryScoresAsZero) {
   EXPECT_EQ(r1.admitted, 0u);
   EXPECT_EQ(r1.rejected, 0u);
   EXPECT_EQ(r1.active_at_end, 0u);
+  EXPECT_EQ(r1.expired, 0u);
+  EXPECT_EQ(r1.terminated, 0u);
   EXPECT_EQ(r1.served_epochs, 0u);
+  EXPECT_EQ(r1.violation_epochs, 0u);
   EXPECT_EQ(r1.earned_cents, 0);
   EXPECT_EQ(r1.penalty_cents, 0);
   EXPECT_EQ(r1.net_cents, 0);
+  EXPECT_EQ(r1.reconfigurations, 0u);
+  EXPECT_EQ(r1.contracted_mbps, 1.0);
+  EXPECT_EQ(r1.reserved_mbps, 1.0);
+  EXPECT_EQ(r1.multiplexing_gain, 1.0);
+}
+
+TEST(WireIntegers, HonestRemoteSummaryDecodesToTheEdgeTally) {
+  // A real EdgeNode served over a socket as region r1: the broker-side
+  // RegionScore must carry exactly the numbers the edge itself holds.
+  scenario::Scenario s = scenario::parse_scenario(kMobileMetro).value();
+  s.mobility = {};
+  s.duration = Duration::hours(12.0);
+  const federation::MetroFabric fabric =
+      federation::make_metro_fabric(s.federation, s.seed).value();
+  federation::EdgeNode node(fabric.regions.at(1), s, 1);
+  Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(node.make_router());
+  ASSERT_TRUE(server.ok());
+  std::thread serving([raw = server.value().get()] { raw->run(); });
+
+  federation::FederatedRunOptions options;
+  options.remote_edges = {{"r1", server.value()->port()}};
+  const Result<federation::FederatedScorecard> card =
+      federation::FederatedRunner(s, options).run();
+  server.value()->stop();
+  serving.join();
+  ASSERT_TRUE(card.ok()) << card.error().message;
+
+  // The oracle: the edge's own orchestrator, read in this process.
+  const core::OrchestratorSummary summary = node.orchestrator().summary();
+  std::uint64_t served = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t live = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t terminated = 0;
+  for (const core::SliceRecord* record : node.orchestrator().all_slices()) {
+    served += record->served_epochs;
+    violations += record->violation_epochs;
+    live += record->state == core::SliceState::installing ||
+            record->state == core::SliceState::active;
+    expired += record->state == core::SliceState::expired;
+    terminated += record->state == core::SliceState::terminated;
+  }
+  const federation::RegionScore& r1 = card.value().regions.at(1);
+  EXPECT_EQ(r1.name, "r1");
+  EXPECT_GT(r1.admitted, 0u);
+  EXPECT_GT(r1.served_epochs, 0u);
+  EXPECT_EQ(r1.admitted, summary.admitted_total);
+  EXPECT_EQ(r1.rejected, summary.rejected_total);
+  EXPECT_EQ(r1.active_at_end, live);
+  EXPECT_EQ(r1.expired, expired);
+  EXPECT_EQ(r1.terminated, terminated);
+  EXPECT_EQ(r1.served_epochs, served);
+  EXPECT_EQ(r1.violation_epochs, violations);
+  EXPECT_EQ(r1.earned_cents, summary.earned.as_cents());
+  EXPECT_EQ(r1.penalty_cents, summary.penalties.as_cents());
+  EXPECT_EQ(r1.net_cents, summary.net.as_cents());
+  EXPECT_EQ(r1.reconfigurations, summary.reconfigurations);
+  EXPECT_EQ(r1.contracted_mbps, summary.contracted_total.as_mbps());
+  EXPECT_EQ(r1.reserved_mbps, summary.reserved_total.as_mbps());
+  EXPECT_EQ(r1.multiplexing_gain, summary.multiplexing_gain);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(1, 2, 3));

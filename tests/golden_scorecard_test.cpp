@@ -1,7 +1,9 @@
 // Golden scorecards: every scenarios/*.json, run at epoch_threads 1 and
-// 4, must serialize byte-for-byte to its checked-in tests/golden/ file.
-// These pin the scored behaviour of both scenario drivers (fig2 and
-// metro) so refactors of the shared region code cannot drift silently.
+// 4, must serialize byte-for-byte to its checked-in tests/golden/ file,
+// and so must the replay of a recording of its 1-thread run. These pin
+// the scored behaviour of both scenario drivers (fig2 and metro) and
+// their shared recorder path, so refactors of the shared region and
+// score code cannot drift silently.
 // A golden changes only with a deliberate behaviour change: regenerate
 // it with `scenario_runner run scenarios/<name>.json --threads 1 --quiet
 // --out tests/golden/<name>.json`.
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "federation/runner.hpp"
+#include "scenario/recorder.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 
@@ -41,10 +44,12 @@ std::string read_file(const std::filesystem::path& path) {
   return out.str();
 }
 
-std::string run_scorecard(const scenario::Scenario& loaded, std::size_t threads) {
+std::string run_scorecard(const scenario::Scenario& loaded, std::size_t threads,
+                          const std::string& record_path = {}) {
   if (loaded.topology == "metro") {
     federation::FederatedRunOptions options;
     options.epoch_threads = threads;
+    options.record_path = record_path;
     federation::FederatedRunner runner(loaded, options);
     const Result<federation::FederatedScorecard> card = runner.run();
     EXPECT_TRUE(card.ok()) << (card.ok() ? "" : card.error().message);
@@ -52,10 +57,19 @@ std::string run_scorecard(const scenario::Scenario& loaded, std::size_t threads)
   }
   scenario::RunOptions options;
   options.epoch_threads = threads;
+  options.record_path = record_path;
   scenario::ScenarioRunner runner(loaded, options);
   const Result<scenario::Scorecard> card = runner.run();
   EXPECT_TRUE(card.ok()) << (card.ok() ? "" : card.error().message);
   return card.ok() ? card.value().serialize() : std::string();
+}
+
+Result<scenario::Scenario> load_scenario(const std::string& name) {
+  return scenario::load_scenario_file((kSourceDir / "scenarios" / (name + ".json")).string());
+}
+
+std::filesystem::path golden_path(const std::string& name) {
+  return kSourceDir / "tests" / "golden" / (name + ".json");
 }
 
 class GoldenScorecard
@@ -63,12 +77,28 @@ class GoldenScorecard
 
 TEST_P(GoldenScorecard, MatchesCheckedInFile) {
   const auto& [name, threads] = GetParam();
-  const Result<scenario::Scenario> loaded =
-      scenario::load_scenario_file((kSourceDir / "scenarios" / (name + ".json")).string());
+  const Result<scenario::Scenario> loaded = load_scenario(name);
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  const std::filesystem::path golden = kSourceDir / "tests" / "golden" / (name + ".json");
-  ASSERT_TRUE(std::filesystem::exists(golden)) << "no golden scorecard " << golden;
-  EXPECT_EQ(run_scorecard(loaded.value(), threads), read_file(golden));
+  ASSERT_TRUE(std::filesystem::exists(golden_path(name))) << "no golden scorecard " << name;
+  EXPECT_EQ(run_scorecard(loaded.value(), threads), read_file(golden_path(name)));
+}
+
+class GoldenReplay : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenReplay, RecordedRunReplaysToCheckedInFile) {
+  const std::string& name = GetParam();
+  const Result<scenario::Scenario> loaded = load_scenario(name);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  const std::string golden = read_file(golden_path(name));
+  const std::string journal = ::testing::TempDir() + "/golden_" + name + ".journal";
+  std::filesystem::remove(journal);
+
+  EXPECT_EQ(run_scorecard(loaded.value(), 1, journal), golden) << "recording run";
+  const Result<scenario::Scenario> replay = scenario::load_recording(journal);
+  ASSERT_TRUE(replay.ok()) << replay.error().message;
+  EXPECT_FALSE(replay.value().generate_arrivals);
+  EXPECT_EQ(run_scorecard(replay.value(), 1), golden) << "replay";
+  std::filesystem::remove(journal);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -78,6 +108,11 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenScorecard::ParamType>& info) {
       return std::get<0>(info.param) + "_threads" + std::to_string(std::get<1>(info.param));
     });
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenReplay, ::testing::ValuesIn(scenario_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace slices

@@ -4,16 +4,13 @@
 // through the federation), and the zero-allocation contract of the
 // steady-state step+apply loop.
 //
-// Like epoch_alloc_test, this binary overrides global operator
-// new/delete to count allocations on every thread — it must stay its
-// own test executable.
+// Like epoch_alloc_test, this binary replaces global operator new and
+// delete (counting_new.hpp) to count allocations on every thread — it
+// must stay its own test executable.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,45 +22,10 @@
 #include "scenario/recorder.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace slices {
 namespace {
-
-/// RAII window during which global allocations are counted.
-class AllocationCounter {
- public:
-  AllocationCounter() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~AllocationCounter() { g_counting.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
 
 /// A small RAN + Field pair: 16 cells, `plmns` installed, population
 /// spawned through one sync_population call.
