@@ -55,6 +55,9 @@ double id_num(std::uint64_t value, bool valid) {
   return valid ? static_cast<double>(value) : -1.0;
 }
 
+/// "slice.<id>." — the dot keeps slice 1's prefix off slice 10.
+std::string slice_prefix(SliceId slice) { return "slice." + std::to_string(slice.value()) + "."; }
+
 json::Value spec_to_json(const SliceSpec& spec) {
   json::Object out;
   out.emplace("tenant", spec.tenant_name);
@@ -268,7 +271,6 @@ RequestId Orchestrator::submit(const SliceSpec& spec,
   record.id = slice;
   record.request = request;
   record.spec = spec;
-  record.state = SliceState::pending;
   record.submitted_at = simulator_->now();
 
   by_request_.emplace(request, slice);
@@ -277,6 +279,7 @@ RequestId Orchestrator::submit(const SliceSpec& spec,
   }
   auto [it, inserted] = records_.emplace(slice, std::move(record));
   assert(inserted);
+  set_state(it->second, SliceState::pending);
   events_.record(simulator_->now(), EventKind::request_submitted, slice,
                  spec.tenant_name + " requests " +
                      std::to_string(spec.expected_throughput.as_mbps()) + " Mb/s for " +
@@ -321,9 +324,9 @@ void Orchestrator::note_fault(const std::string& component, bool active, std::st
 
 DataRate Orchestrator::sellable_capacity() const {
   DataRate capacity = ran_->available_capacity(config_.planning_cqi);
-  for (const auto& [slice, other] : records_) {
-    if (other.state == SliceState::active) {
-      capacity += engine_.reclaimable(slice, other.spec.expected_throughput);
+  for (const auto& [slice, other] : open_) {
+    if (other->state == SliceState::active) {
+      capacity += engine_.reclaimable(slice, other->spec.expected_throughput);
     }
   }
   return capacity;
@@ -335,7 +338,7 @@ bool Orchestrator::try_admit(SliceRecord& record) {
   apply_overbooking(simulator_->now());
   Result<InstallTimeline> timeline = embed(record);
   if (timeline.ok()) {
-    record.state = SliceState::installing;
+    set_state(record, SliceState::installing);
     last_timeline_ = timeline.value();
     ++admitted_total_;
     const SliceId slice = record.id;
@@ -371,7 +374,7 @@ bool Orchestrator::try_admit(SliceRecord& record) {
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                  timeline.error().message, std::move(audit));
   log_.info("embedding failed: " + timeline.error().message);
-  record.state = SliceState::rejected;
+  set_state(record, SliceState::rejected);
   ++rejected_total_;
   json::Object op;
   op.emplace("slice", static_cast<double>(record.id.value()));
@@ -406,7 +409,7 @@ void Orchestrator::decide(SliceRecord& record) {
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                  "declined by " + std::string(policy_->name()) + " policy",
                  std::move(audit));
-  record.state = SliceState::rejected;
+  set_state(record, SliceState::rejected);
   ++rejected_total_;
   json::Object op;
   op.emplace("slice", static_cast<double>(record.id.value()));
@@ -418,9 +421,9 @@ void Orchestrator::decide_pending_batch() {
   TRACE_SCOPE("orch.admit.batch");
   WallPhaseTimer timer(hist_.admission_us);
   std::vector<CandidateRequest> candidates;
-  for (const auto& [slice, record] : records_) {
-    if (record.state == SliceState::pending) {
-      candidates.push_back(CandidateRequest{record.request, record.spec});
+  for (const auto& [slice, record] : open_) {
+    if (record->state == SliceState::pending) {
+      candidates.push_back(CandidateRequest{record->request, record->spec});
     }
   }
   if (candidates.empty()) return;
@@ -430,7 +433,10 @@ void Orchestrator::decide_pending_batch() {
   const std::vector<RequestId> selected = policy_->select(candidates, sellable);
   const std::set<RequestId> chosen(selected.begin(), selected.end());
 
-  for (auto& [slice, record] : records_) {
+  // Deciding closes rejected records, which erases them from open_:
+  // step past each one before deciding it.
+  for (auto it = open_.begin(); it != open_.end();) {
+    SliceRecord& record = *(it++)->second;
     if (record.state != SliceState::pending) continue;
     if (chosen.contains(record.request)) {
       try_admit(record);
@@ -448,7 +454,7 @@ void Orchestrator::decide_pending_batch() {
       events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                      "lost the " + std::string(policy_->name()) + " batch auction",
                      std::move(audit));
-      record.state = SliceState::rejected;
+      set_state(record, SliceState::rejected);
       ++rejected_total_;
       json::Object op;
       op.emplace("slice", static_cast<double>(record.id.value()));
@@ -601,6 +607,20 @@ void Orchestrator::tear_down(SliceRecord& record) {
   }
   engine_.untrack(record.id);
   record.reserved = DataRate::zero();
+  // Nothing reads an ended slice's instruments: its totals live on in
+  // the orchestrator.slo.* counters and the orchestrator.* series.
+  slice_handles_.erase(record.id);
+  if (registry_ != nullptr) registry_->erase_prefix(slice_prefix(record.id));
+}
+
+void Orchestrator::set_state(SliceRecord& record, SliceState state) {
+  record.state = state;
+  if (state == SliceState::pending || record.is_live()) {
+    open_.insert_or_assign(record.id, &record);
+  } else {
+    open_.erase(record.id);
+    workloads_.erase(record.id);
+  }
 }
 
 void Orchestrator::activate(SliceId slice) {
@@ -612,7 +632,7 @@ void Orchestrator::activate(SliceId slice) {
   const Result<void> r = epc_->activate(slice);
   assert(r.ok());
   (void)r;
-  record.state = SliceState::active;
+  set_state(record, SliceState::active);
   record.active_at = simulator_->now();
   record.ends_at = record.active_at + record.spec.duration;
   engine_.track(slice);
@@ -633,7 +653,7 @@ void Orchestrator::expire(SliceId slice) {
   SliceRecord& record = it->second;
   if (record.state != SliceState::active) return;
   tear_down(record);
-  record.state = SliceState::expired;
+  set_state(record, SliceState::expired);
   events_.record(simulator_->now(), EventKind::slice_expired, slice,
                  std::to_string(record.violation_epochs) + " violation epochs over its life");
   log_.info("slice " + std::to_string(slice.value()) + " expired");
@@ -693,7 +713,8 @@ Result<void> Orchestrator::resize_slice(SliceId slice, DataRate new_contract) {
 Result<void> Orchestrator::attach_workload(SliceId slice,
                                            std::unique_ptr<traffic::TrafficModel> workload) {
   if (!records_.contains(slice)) return make_error(Errc::not_found, "unknown slice");
-  workloads_.insert_or_assign(slice, Workload{std::move(workload)});
+  // An ended slice is never sampled again, so its workload is not kept.
+  if (open_.contains(slice)) workloads_.insert_or_assign(slice, Workload{std::move(workload)});
   return {};
 }
 
@@ -703,7 +724,7 @@ Result<void> Orchestrator::terminate(SliceId slice) {
   SliceRecord& record = it->second;
   if (!record.is_live()) return make_error(Errc::conflict, "slice is not live");
   tear_down(record);
-  record.state = SliceState::terminated;
+  set_state(record, SliceState::terminated);
   events_.record(simulator_->now(), EventKind::slice_terminated, slice,
                  "operator-initiated teardown");
   json::Object op;
@@ -730,12 +751,20 @@ std::vector<const SliceRecord*> Orchestrator::all_slices() const {
   return out;
 }
 
+std::vector<const SliceRecord*> Orchestrator::open_slices() const {
+  std::vector<const SliceRecord*> out;
+  out.reserve(open_.size());
+  for (const auto& [slice, record] : open_) out.push_back(record);
+  return out;
+}
+
 DataRate Orchestrator::apply_overbooking(SimTime now) {
   (void)now;
   DataRate reclaimed = DataRate::zero();
   if (!config_.overbooking.enabled) return reclaimed;
 
-  for (auto& [slice, record] : records_) {
+  for (const auto& [slice, open] : open_) {
+    SliceRecord& record = *open;
     if (record.state != SliceState::active) continue;
     const DataRate contracted = record.spec.expected_throughput;
     const DataRate target = engine_.target_reservation(slice, contracted);
@@ -792,15 +821,15 @@ void Orchestrator::run_epoch(SimTime now) {
   std::map<SliceId, DataRate> demand_of;
   {
     TRACE_SCOPE("orch.epoch.sample_demand");
-    for (auto& [slice, record] : records_) {
-      if (record.state != SliceState::active) continue;
+    for (const auto& [slice, record] : open_) {
+      if (record->state != SliceState::active) continue;
       DataRate demand = DataRate::zero();
       const auto wl = workloads_.find(slice);
       if (wl != workloads_.end()) {
         demand = DataRate::mbps(std::max(0.0, wl->second.model->sample(now)));
       }
       demand_of.emplace(slice, demand);
-      ran_demands.emplace_back(record.embedding.plmn, demand);
+      ran_demands.emplace_back(record->embedding.plmn, demand);
     }
   }
 
@@ -818,12 +847,12 @@ void Orchestrator::run_epoch(SimTime now) {
   // epoch kernel over reused buffers; see transport/controller.hpp).
   std::vector<std::pair<PathId, DataRate>>& path_demands = epoch_path_demands_;
   path_demands.clear();
-  for (auto& [slice, record] : records_) {
-    if (record.state != SliceState::active || record.embedding.paths.empty()) continue;
-    const auto served = radio_served.find(record.embedding.plmn);
+  for (const auto& [slice, record] : open_) {
+    if (record->state != SliceState::active || record->embedding.paths.empty()) continue;
+    const auto served = radio_served.find(record->embedding.plmn);
     const DataRate offered =
         served == radio_served.end() ? DataRate::zero() : min(demand_of[slice], served->second);
-    path_demands.emplace_back(record.embedding.paths.front(), offered);
+    path_demands.emplace_back(record->embedding.paths.front(), offered);
   }
   std::vector<transport::PathServeReport>& path_reports = epoch_path_reports_;
   {
@@ -845,10 +874,14 @@ void Orchestrator::run_epoch(SimTime now) {
   std::optional<telemetry::trace::Scope> reduce_scope;
   reduce_scope.emplace("orch.epoch.reduce");
   WallPhaseTimer reduce_timer(hist_.reduce_us);
-  json::Array epoch_entries;  // journaled so replay re-applies exact accruals
+  // Journaled so replay re-applies exact accruals; built only when a
+  // store is open to take them.
+  const bool journaled = journaling();
+  json::Array epoch_entries;
   double epoch_demand_mbps = 0.0;    // realized demand across active slices
   double epoch_reserved_mbps = 0.0;  // forecast-driven reservations held
-  for (auto& [slice, record] : records_) {
+  for (const auto& [slice, open] : open_) {
+    SliceRecord& record = *open;
     if (record.state != SliceState::active) continue;
     const DataRate demand = demand_of[slice];
     const auto pr = path_by_slice.find(slice);
@@ -862,19 +895,21 @@ void Orchestrator::run_epoch(SimTime now) {
         entitled > DataRate::zero();
 
     const bool violated = throughput_violated || delay_violated;
-    json::Object epoch_entry;
-    epoch_entry.emplace("slice", static_cast<double>(slice.value()));
-    // Same Money expression ledger_.accrue uses — replay re-applies the
-    // exact cents instead of re-deriving price x hours.
-    epoch_entry.emplace("accrued_cents",
-                        static_cast<double>((record.spec.price_per_hour *
-                                             config_.monitoring_period.as_hours())
-                                                .as_cents()));
-    epoch_entry.emplace("violation", violated);
-    epoch_entry.emplace("penalty_cents",
-                        static_cast<double>(record.spec.penalty_per_violation.as_cents()));
-    epoch_entry.emplace("demand_mbps", demand.as_mbps());
-    epoch_entries.push_back(std::move(epoch_entry));
+    if (journaled) {
+      json::Object epoch_entry;
+      epoch_entry.emplace("slice", static_cast<double>(slice.value()));
+      // Same Money expression ledger_.accrue uses — replay re-applies the
+      // exact cents instead of re-deriving price x hours.
+      epoch_entry.emplace("accrued_cents",
+                          static_cast<double>((record.spec.price_per_hour *
+                                               config_.monitoring_period.as_hours())
+                                                  .as_cents()));
+      epoch_entry.emplace("violation", violated);
+      epoch_entry.emplace("penalty_cents",
+                          static_cast<double>(record.spec.penalty_per_violation.as_cents()));
+      epoch_entry.emplace("demand_mbps", demand.as_mbps());
+      epoch_entries.push_back(std::move(epoch_entry));
+    }
 
     ledger_.accrue(slice, record.spec.price_per_hour, config_.monitoring_period);
     ++record.served_epochs;
@@ -901,12 +936,12 @@ void Orchestrator::run_epoch(SimTime now) {
     if (registry_ != nullptr) {
       auto handle_it = slice_handles_.find(slice);
       if (handle_it == slice_handles_.end()) {
-        const std::string prefix = "slice." + std::to_string(slice.value());
+        const std::string prefix = slice_prefix(slice);
         handle_it = slice_handles_
-                        .emplace(slice, SliceHandles{registry_->handle(prefix + ".demand_mbps"),
-                                                     registry_->handle(prefix + ".achieved_mbps"),
-                                                     registry_->handle(prefix + ".reserved_mbps"),
-                                                     &registry_->counter(prefix + ".violations")})
+                        .emplace(slice, SliceHandles{registry_->handle(prefix + "demand_mbps"),
+                                                     registry_->handle(prefix + "achieved_mbps"),
+                                                     registry_->handle(prefix + "reserved_mbps"),
+                                                     &registry_->counter(prefix + "violations")})
                         .first;
       }
       handle_it->second.demand.observe(now, demand.as_mbps());
@@ -982,12 +1017,12 @@ void Orchestrator::poll_domain_metrics() {
 
 OrchestratorSummary Orchestrator::summary() const {
   OrchestratorSummary s;
-  for (const auto& [slice, record] : records_) {
-    if (record.state == SliceState::active) {
+  for (const auto& [slice, record] : open_) {
+    if (record->state == SliceState::active) {
       ++s.active_slices;
-      s.contracted_total += record.spec.expected_throughput;
-      s.reserved_total += record.reserved;
-    } else if (record.state == SliceState::installing) {
+      s.contracted_total += record->spec.expected_throughput;
+      s.reserved_total += record->reserved;
+    } else if (record->state == SliceState::installing) {
       ++s.installing_slices;
     }
   }
@@ -1026,7 +1061,7 @@ void Orchestrator::publish_summary(SimTime now) {
 // --- Durability (docs/persistence.md) ---------------------------------------
 
 void Orchestrator::journal_op(const char* op, json::Object fields) {
-  if (store_ == nullptr || !store_->is_open()) return;
+  if (!journaling()) return;
   fields.emplace("op", std::string(op));
   fields.emplace("t_us", static_cast<double>(simulator_->now().as_micros()));
   if (const Result<std::uint64_t> seq = store_->append(std::move(fields)); !seq.ok()) {
@@ -1079,7 +1114,9 @@ void Orchestrator::load_state(const json::Value& state) {
       if (!record.id.valid()) continue;
       if (record.state == SliceState::active) engine_.track(record.id);
       by_request_.insert_or_assign(record.request, record.id);
-      records_.insert_or_assign(record.id, std::move(record));
+      const SliceState loaded = record.state;
+      const SliceId id = record.id;
+      set_state(records_.insert_or_assign(id, std::move(record)).first->second, loaded);
     }
   }
   if (const json::Value* ledger = state.find("ledger");
@@ -1130,10 +1167,10 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
     record.id = slice;
     record.request = field_id<RequestTag>(op, "request");
     if (const json::Value* spec = op.find("spec")) record.spec = spec_from_json(*spec);
-    record.state = SliceState::pending;
     record.submitted_at = SimTime::from_micros(field_i64(op, "t_us"));
     by_request_.insert_or_assign(record.request, slice);
-    records_.insert_or_assign(slice, std::move(record));
+    set_state(records_.insert_or_assign(slice, std::move(record)).first->second,
+              SliceState::pending);
     return;
   }
 
@@ -1142,18 +1179,18 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
   SliceRecord& record = it->second;
 
   if (kind == "admit") {
-    record.state = SliceState::installing;
+    set_state(record, SliceState::installing);
     record.reserved = DataRate::bps(field_num(op, "reserved_bps"));
     record.activates_at = SimTime::from_micros(field_i64(op, "activates_at_us"));
     if (const json::Value* e = op.find("embedding")) record.embedding = embedding_from_json(*e);
     ++admitted_total_;
     next_plmn_ = std::max(next_plmn_, field_u64(op, "next_plmn"));
   } else if (kind == "reject") {
-    record.state = SliceState::rejected;
+    set_state(record, SliceState::rejected);
     ++rejected_total_;
     next_plmn_ = std::max(next_plmn_, field_u64(op, "next_plmn"));
   } else if (kind == "activate") {
-    record.state = SliceState::active;
+    set_state(record, SliceState::active);
     record.active_at = SimTime::from_micros(field_i64(op, "at_us"));
     record.ends_at = SimTime::from_micros(field_i64(op, "ends_at_us"));
     engine_.track(slice);
@@ -1172,7 +1209,7 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
     record.embedding.plmn = PlmnId::invalid();
     record.reserved = DataRate::zero();
     engine_.untrack(slice);
-    record.state = kind == "expire" ? SliceState::expired : SliceState::terminated;
+    set_state(record, kind == "expire" ? SliceState::expired : SliceState::terminated);
   } else {
     log_.warn("replay skipped unknown journal op '" + kind + "'");
   }
@@ -1187,9 +1224,12 @@ void Orchestrator::reinstall_recovered(RecoveryStats& stats) {
     return std::nullopt;
   }();
 
-  for (auto& [slice, record] : records_) {
+  // A record the substrate cannot re-fit closes, which erases it from
+  // open_: step past each one before reinstalling it.
+  for (auto it = open_.begin(); it != open_.end();) {
+    SliceRecord& record = *(it++)->second;
     if (!record.is_live()) continue;
-    const SliceId id = slice;
+    const SliceId id = record.id;
     const bool ok = [&]() -> bool {
       const Embedding& e = record.embedding;
       if (!e.plmn.valid() || !e.datacenter.valid()) return false;
@@ -1236,7 +1276,7 @@ void Orchestrator::reinstall_recovered(RecoveryStats& stats) {
     // (capacity moved while we were down, or the record was damaged).
     ++stats.reinstall_failures;
     tear_down(record);
-    record.state = SliceState::terminated;
+    set_state(record, SliceState::terminated);
     events_.record(simulator_->now(), EventKind::slice_terminated, id,
                    "substrate could not re-fit the slice on recovery");
     log_.warn("recovery could not reinstall slice " + std::to_string(id.value()));

@@ -190,6 +190,10 @@ class Orchestrator {
   [[nodiscard]] const SliceRecord* find_by_request(RequestId request) const noexcept;
   [[nodiscard]] const SliceRecord* find_slice(SliceId slice) const noexcept;
   [[nodiscard]] std::vector<const SliceRecord*> all_slices() const;
+  /// The pending, installing and active records, in SliceId order: what
+  /// all_slices() holds minus the ended ones, at a cost that does not
+  /// grow with the run's history.
+  [[nodiscard]] std::vector<const SliceRecord*> open_slices() const;
 
   [[nodiscard]] const RevenueLedger& ledger() const noexcept { return ledger_; }
   [[nodiscard]] const EventLog& events() const noexcept { return events_; }
@@ -318,8 +322,13 @@ class Orchestrator {
   [[nodiscard]] Result<InstallTimeline> embed(SliceRecord& record);
 
   /// Release every domain resource the record holds (best effort,
-  /// idempotent) and untrack it from the overbooking engine.
+  /// idempotent), untrack it from the overbooking engine and erase its
+  /// "slice.<id>.*" instruments.
   void tear_down(SliceRecord& record);
+
+  /// Move `record` to `state` and keep open_ in step. A record that
+  /// closes (rejected, expired, terminated) also drops its workload.
+  void set_state(SliceRecord& record, SliceState state);
 
   void activate(SliceId slice);
   void expire(SliceId slice);
@@ -346,6 +355,11 @@ class Orchestrator {
   /// the store's cadence asks for one). No-op without an open store;
   /// journal I/O failures are logged, never fatal to the control plane.
   void journal_op(const char* op, json::Object fields);
+
+  /// Whether journal_op() would write: a store is attached and open.
+  [[nodiscard]] bool journaling() const noexcept {
+    return store_ != nullptr && store_->is_open();
+  }
 
   /// Replay one journaled operation onto in-memory state (no domain
   /// side effects — reinstall happens once, after replay).
@@ -442,6 +456,11 @@ class Orchestrator {
   bool epoch_ran_ = false;
 
   std::map<SliceId, SliceRecord> records_;
+  // The pending, installing and active records, in SliceId order like
+  // records_, whose nodes never move. Every per-epoch and per-decision
+  // loop walks this index, so its cost follows the open slices, not
+  // every slice the run has seen. Only set_state() changes it.
+  std::map<SliceId, SliceRecord*> open_;
   std::map<RequestId, SliceId> by_request_;
   std::map<SliceId, Workload> workloads_;
   IdAllocator<SliceTag> slice_ids_;

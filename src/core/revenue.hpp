@@ -22,12 +22,14 @@ struct SliceLedgerEntry {
   [[nodiscard]] Money net() const noexcept { return earned - penalties; }
 };
 
-/// The operator's books.
+/// The operator's books. The totals are kept as the entries change, so
+/// reading them does not walk every slice the books have ever held
+/// (cents add exactly, in any order).
 class RevenueLedger {
  public:
   /// Accrue income for `active_time` of slice runtime at `price_per_hour`.
   void accrue(SliceId slice, Money price_per_hour, Duration active_time) {
-    entries_[slice].earned += price_per_hour * active_time.as_hours();
+    add_earned(slice, price_per_hour * active_time.as_hours());
   }
 
   /// Charge one violation epoch at the slice's declared penalty.
@@ -35,16 +37,25 @@ class RevenueLedger {
     SliceLedgerEntry& entry = entries_[slice];
     entry.penalties += penalty;
     ++entry.violation_epochs;
+    totals_.penalties += penalty;
+    ++totals_.violation_epochs;
   }
 
   /// Crash-recovery replay: re-apply an exact earned amount journaled at
   /// the original accrual (avoids re-deriving price x hours, which could
   /// round differently).
-  void add_earned(SliceId slice, Money amount) { entries_[slice].earned += amount; }
+  void add_earned(SliceId slice, Money amount) {
+    entries_[slice].earned += amount;
+    totals_.earned += amount;
+  }
 
   /// Crash-recovery snapshot load: install a slice's books wholesale.
   void restore(SliceId slice, SliceLedgerEntry entry) {
-    entries_.insert_or_assign(slice, entry);
+    SliceLedgerEntry& stored = entries_[slice];
+    totals_.earned += entry.earned - stored.earned;
+    totals_.penalties += entry.penalties - stored.penalties;
+    totals_.violation_epochs += entry.violation_epochs - stored.violation_epochs;
+    stored = entry;
   }
 
   [[nodiscard]] const SliceLedgerEntry* find(SliceId slice) const noexcept {
@@ -52,23 +63,11 @@ class RevenueLedger {
     return it == entries_.end() ? nullptr : &it->second;
   }
 
-  [[nodiscard]] Money total_earned() const noexcept {
-    Money sum;
-    for (const auto& [slice, entry] : entries_) sum += entry.earned;
-    return sum;
-  }
-  [[nodiscard]] Money total_penalties() const noexcept {
-    Money sum;
-    for (const auto& [slice, entry] : entries_) sum += entry.penalties;
-    return sum;
-  }
-  [[nodiscard]] Money net_revenue() const noexcept {
-    return total_earned() - total_penalties();
-  }
+  [[nodiscard]] Money total_earned() const noexcept { return totals_.earned; }
+  [[nodiscard]] Money total_penalties() const noexcept { return totals_.penalties; }
+  [[nodiscard]] Money net_revenue() const noexcept { return totals_.net(); }
   [[nodiscard]] std::uint64_t total_violation_epochs() const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& [slice, entry] : entries_) sum += entry.violation_epochs;
-    return sum;
+    return totals_.violation_epochs;
   }
 
   [[nodiscard]] const std::map<SliceId, SliceLedgerEntry>& entries() const noexcept {
@@ -77,6 +76,7 @@ class RevenueLedger {
 
  private:
   std::map<SliceId, SliceLedgerEntry> entries_;
+  SliceLedgerEntry totals_;
 };
 
 }  // namespace slices::core

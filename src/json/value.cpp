@@ -39,15 +39,18 @@ void escape_into(std::string& out, std::string_view s) {
 
 void number_into(std::string& out, double d) {
   // Integers within the exactly-representable range print without a
-  // fractional part so ids round-trip textually.
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::abs(d) < 9.0e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
-    return;
-  }
+  // fractional part so ids round-trip textually. Everything else prints
+  // as printf's "%.17g", which is what to_chars' general format with a
+  // precision is defined to produce — without the locale or the buffer
+  // bookkeeping.
   char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", d);
-  out.append(buf, static_cast<std::size_t>(n));
+  std::to_chars_result r;
+  if (std::abs(d) < 9.0e15 && d == static_cast<double>(static_cast<std::int64_t>(d))) {
+    r = std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d));
+  } else {
+    r = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17);
+  }
+  out.append(buf, r.ptr);
 }
 
 void serialize_into(std::string& out, const Value& v, int indent, int depth) {

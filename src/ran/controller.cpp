@@ -10,6 +10,13 @@
 
 namespace slices::ran {
 
+namespace {
+
+/// "ran.plmn.<id>." — the dot keeps PLMN 1's prefix off PLMN 10.
+std::string plmn_prefix(PlmnId plmn) { return "ran.plmn." + std::to_string(plmn.value()) + "."; }
+
+}  // namespace
+
 void RanController::add_cell(Cell cell) {
   assert(find_cell(cell.id()) == nullptr && "duplicate cell id");
   // Already-installed PLMNs must appear on new cells too.
@@ -59,6 +66,10 @@ Result<void> RanController::remove_plmn(PlmnId plmn) {
   }
   attached_by_plmn_.erase(plmn);
   installed_.erase(plmn);
+  // The PLMN's instruments go with it, handles first (they point into
+  // the registry), so /metrics carries live PLMNs only.
+  plmn_handles_.erase(plmn);
+  if (registry_ != nullptr) registry_->erase_prefix(plmn_prefix(plmn));
   return {};
 }
 
@@ -644,19 +655,7 @@ void RanController::serve_epoch_batched(
   out.reserve(n_demands);
   for (std::size_t k = 0; k < n_demands; ++k) {
     const RanServeReport& report = totals[order[k]];
-    if (registry_ != nullptr) {
-      PlmnHandles* handles = plmn_handles_.find(report.plmn);
-      if (handles == nullptr) {
-        const std::string prefix = "ran.plmn." + std::to_string(report.plmn.value());
-        handles = &plmn_handles_.insert_or_assign(
-            report.plmn, PlmnHandles{registry_->handle(prefix + ".demand_mbps"),
-                                     registry_->handle(prefix + ".served_mbps"),
-                                     registry_->handle(prefix + ".unserved_mbps")});
-      }
-      handles->demand.observe(now, report.demand.as_mbps());
-      handles->served.observe(now, report.served.as_mbps());
-      handles->unserved.observe(now, report.unserved.as_mbps());
-    }
+    if (registry_ != nullptr) publish_plmn_telemetry(report, now);
     out.push_back(report);
   }
 }
@@ -775,21 +774,23 @@ void RanController::serve_epoch_legacy(
   out.clear();
   out.reserve(totals.size());
   for (const auto& [plmn, report] : totals) {
-    if (registry_ != nullptr) {
-      PlmnHandles* handles = plmn_handles_.find(plmn);
-      if (handles == nullptr) {
-        const std::string prefix = "ran.plmn." + std::to_string(plmn.value());
-        handles = &plmn_handles_.insert_or_assign(
-            plmn, PlmnHandles{registry_->handle(prefix + ".demand_mbps"),
-                              registry_->handle(prefix + ".served_mbps"),
-                              registry_->handle(prefix + ".unserved_mbps")});
-      }
-      handles->demand.observe(now, report.demand.as_mbps());
-      handles->served.observe(now, report.served.as_mbps());
-      handles->unserved.observe(now, report.unserved.as_mbps());
-    }
+    if (registry_ != nullptr) publish_plmn_telemetry(report, now);
     out.push_back(report);
   }
+}
+
+void RanController::publish_plmn_telemetry(const RanServeReport& report, SimTime now) {
+  PlmnHandles* handles = plmn_handles_.find(report.plmn);
+  if (handles == nullptr) {
+    const std::string prefix = plmn_prefix(report.plmn);
+    handles = &plmn_handles_.insert_or_assign(
+        report.plmn, PlmnHandles{registry_->handle(prefix + "demand_mbps"),
+                                 registry_->handle(prefix + "served_mbps"),
+                                 registry_->handle(prefix + "unserved_mbps")});
+  }
+  handles->demand.observe(now, report.demand.as_mbps());
+  handles->served.observe(now, report.served.as_mbps());
+  handles->unserved.observe(now, report.unserved.as_mbps());
 }
 
 std::shared_ptr<net::Router> RanController::make_router() {

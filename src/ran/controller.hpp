@@ -93,8 +93,9 @@ class RanController {
   /// broadcast list is full — nothing is left half-installed).
   [[nodiscard]] Result<void> install_plmn(PlmnId plmn);
 
-  /// Remove `plmn` everywhere. Errors: not_found; conflict while an
-  /// allocation or attached UEs exist.
+  /// Remove `plmn` everywhere, its "ran.plmn.<id>.*" instruments
+  /// included. Errors: not_found; conflict while an allocation or
+  /// attached UEs exist.
   [[nodiscard]] Result<void> remove_plmn(PlmnId plmn);
 
   [[nodiscard]] bool plmn_installed(PlmnId plmn) const noexcept {
@@ -259,6 +260,9 @@ class RanController {
                           std::vector<RanServeReport>& out);
   void observe_cell_telemetry(std::size_t cell_index, SimTime now, PrbCount used,
                               bool active);
+  /// Observe one PLMN's serve report into its "ran.plmn.<id>.*" series,
+  /// interning the handles on first use (remove_plmn drops them).
+  void publish_plmn_telemetry(const RanServeReport& report, SimTime now);
 
   // Telemetry handles interned on first use so the epoch loop never
   // rebuilds "ran.cell.N.*" / "ran.plmn.N.*" key strings.

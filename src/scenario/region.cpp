@@ -90,7 +90,7 @@ Result<void> Region::set_dc_up(const std::string& name, bool up) {
   const DatacenterId dc = testbed_->dc_names[*i].second;
   (void)testbed_->cloud.set_datacenter_available(dc, up);
   if (!up) {
-    for (const core::SliceRecord* record : orchestrator().all_slices()) {
+    for (const core::SliceRecord* record : orchestrator().open_slices()) {
       if (record->is_live() && record->embedding.datacenter == dc) {
         (void)orchestrator().terminate(record->id);
       }
@@ -113,7 +113,7 @@ void Region::restart(Duration duration, std::function<void()> on_resume) {
 void Region::step_mobility(SimTime now) {
   std::vector<PlmnId> live;
   std::vector<traffic::Vertical> verticals;
-  for (const core::SliceRecord* record : orchestrator().all_slices()) {
+  for (const core::SliceRecord* record : orchestrator().open_slices()) {
     if (record->state != core::SliceState::active) continue;
     live.push_back(record->embedding.plmn);
     verticals.push_back(record->spec.vertical);

@@ -195,7 +195,7 @@ void ScenarioRunner::start_storm(const ScenarioEvent& event) {
   config.arrivals_per_hour = event.storm_ues_per_hour;
   config.mean_holding = event.storm_mean_holding;
   ++storm_seq_;
-  for (const core::SliceRecord* record : testbed.orchestrator->all_slices()) {
+  for (const core::SliceRecord* record : testbed.orchestrator->open_slices()) {
     if (record->state != core::SliceState::active) continue;
     const std::uint64_t seed =
         scenario_.seed ^ (kWorkloadSalt * storm_seq_) ^ (kStormSalt * record->id.value());

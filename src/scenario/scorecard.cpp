@@ -1,6 +1,7 @@
 #include "scenario/scorecard.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -24,6 +25,24 @@ void for_each_field(Tally& t, Visit&& visit) {
   visit("contracted_mbps", t.contracted_mbps);
   visit("reserved_mbps", t.reserved_mbps);
   visit("multiplexing_gain", t.multiplexing_gain);
+}
+
+/// `sum += add`, pinned at the type's limits instead of overflowing: a
+/// remote region's tally is wire data, and two in-range ones near the
+/// limit must not push the city sum past it.
+template <typename T>
+void add_saturating(T& sum, T add) {
+  if (add > 0 && sum > std::numeric_limits<T>::max() - add) {
+    sum = std::numeric_limits<T>::max();
+    return;
+  }
+  if constexpr (std::is_signed_v<T>) {
+    if (add < 0 && sum < std::numeric_limits<T>::min() - add) {
+      sum = std::numeric_limits<T>::min();
+      return;
+    }
+  }
+  sum += add;
 }
 
 }  // namespace
@@ -73,13 +92,13 @@ void RegionTally::read(const json::Value& doc) {
 }
 
 void ScorecardCore::add_region(const RegionTally& region) {
-  admitted += region.admitted;
-  served_epochs += region.served_epochs;
-  violation_epochs += region.violation_epochs;
-  earned_cents += region.earned_cents;
-  penalty_cents += region.penalty_cents;
-  net_cents += region.net_cents;
-  reconfigurations += region.reconfigurations;
+  add_saturating(admitted, region.admitted);
+  add_saturating(served_epochs, region.served_epochs);
+  add_saturating(violation_epochs, region.violation_epochs);
+  add_saturating(earned_cents, region.earned_cents);
+  add_saturating(penalty_cents, region.penalty_cents);
+  add_saturating(net_cents, region.net_cents);
+  add_saturating(reconfigurations, region.reconfigurations);
 }
 
 void ScorecardCore::derive(const GainAccumulator& gain) {

@@ -127,8 +127,9 @@ struct ScorecardCore {
   std::vector<std::string> target_failures;
 
   /// Add one region's admissions, SLA epochs, revenue and
-  /// reconfigurations. Rejections are the caller's to set: fig2 takes
-  /// its region's, a metro the broker's.
+  /// reconfigurations, saturating at each field's limits. Rejections
+  /// are the caller's to set: fig2 takes its region's, a metro the
+  /// broker's.
   void add_region(const RegionTally& region);
   /// Derive admission_rate, violation_rate and the gain mean and peak.
   void derive(const GainAccumulator& gain);

@@ -15,7 +15,22 @@ bool in_prefix(std::string_view name, std::string_view prefix) {
   return prefix.empty() || name.starts_with(prefix);
 }
 
+template <typename Map>
+std::size_t erase_range(Map& map, std::string_view prefix) {
+  const auto first = prefix_begin(map, prefix);
+  auto last = first;
+  std::size_t n = 0;
+  for (; last != map.end() && in_prefix(last->first, prefix); ++last) ++n;
+  map.erase(first, last);
+  return n;
+}
+
 }  // namespace
+
+std::size_t MonitorRegistry::erase_prefix(std::string_view prefix) {
+  return erase_range(counters_, prefix) + erase_range(gauges_, prefix) +
+         erase_range(histograms_, prefix) + erase_range(series_, prefix);
+}
 
 json::Value MonitorRegistry::snapshot(std::string_view prefix) const {
   json::Object counters;

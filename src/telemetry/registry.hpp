@@ -120,6 +120,13 @@ class MonitorRegistry {
     return SeriesHandle{&series(name), &gauge(name)};
   }
 
+  /// Erase every counter, gauge, histogram and series whose name starts
+  /// with `prefix` (all of them when empty); returns how many went. End
+  /// the prefix with '.' so that "slice.1." leaves "slice.10.*" alone.
+  /// Pointers and handles into the erased instruments dangle: drop them
+  /// before calling this.
+  std::size_t erase_prefix(std::string_view prefix);
+
   /// Snapshot every instrument whose name starts with `prefix` (all of
   /// them when empty) into a JSON object:
   /// { "counters": {...}, "gauges": {...}, "histograms": {...},

@@ -62,16 +62,6 @@ class TimeSeries {
     return empty() ? fallback : back().value;
   }
 
-  /// Copy out the most recent `n` values (oldest first). Fewer when the
-  /// series is shorter.
-  [[nodiscard]] std::vector<double> last_values(std::size_t n) const {
-    const std::size_t count = n < size() ? n : size();
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t i = size() - count; i < size(); ++i) out.push_back(at(i).value);
-    return out;
-  }
-
   /// Copy out all samples with time >= since (oldest first).
   [[nodiscard]] std::vector<Sample> since(SimTime since_time) const {
     std::vector<Sample> out;
@@ -81,21 +71,23 @@ class TimeSeries {
     return out;
   }
 
-  /// Mean of the most recent `n` values; nullopt when empty.
+  /// Mean of the most recent `n` values (summed oldest first); nullopt
+  /// when empty. Walks the ring in place: /metrics calls this for every
+  /// series on every poll.
   [[nodiscard]] std::optional<double> mean_last(std::size_t n) const {
     if (empty()) return std::nullopt;
-    const std::vector<double> v = last_values(n);
+    const std::size_t count = n < size() ? n : size();
     double sum = 0.0;
-    for (const double x : v) sum += x;
-    return sum / static_cast<double>(v.size());
+    for (std::size_t i = size() - count; i < size(); ++i) sum += at(i).value;
+    return sum / static_cast<double>(count);
   }
 
   /// Maximum of the most recent `n` values; nullopt when empty.
   [[nodiscard]] std::optional<double> max_last(std::size_t n) const {
     if (empty()) return std::nullopt;
-    const std::vector<double> v = last_values(n);
-    double m = v.front();
-    for (const double x : v) m = x > m ? x : m;
+    const std::size_t count = n < size() ? n : size();
+    double m = at(size() - count).value;
+    for (std::size_t i = size() - count; i < size(); ++i) m = at(i).value > m ? at(i).value : m;
     return m;
   }
 

@@ -10,6 +10,15 @@
 
 namespace slices::transport {
 
+namespace {
+
+/// "transport.path.<id>." — the dot keeps path 1's prefix off path 10.
+std::string path_prefix(PathId path) {
+  return "transport.path." + std::to_string(path.value()) + ".";
+}
+
+}  // namespace
+
 TransportController::TransportController(Topology topology, Rng rng,
                                          telemetry::MonitorRegistry* registry)
     : topology_(std::move(topology)), fading_(topology_, rng), registry_(registry) {
@@ -313,6 +322,10 @@ Result<void> TransportController::release_path(PathId path) {
       }
     }
   }
+  // The path's instruments go with it, handles first (they point into
+  // the registry), so /metrics carries live paths only.
+  path_handles_.erase(path);
+  if (registry_ != nullptr) registry_->erase_prefix(path_prefix(path));
   return {};
 }
 
@@ -379,10 +392,10 @@ std::vector<PathServeReport> TransportController::serve_epoch(
 void TransportController::publish_path_telemetry(const PathServeReport& report, SimTime now) {
   PathHandles* handles = path_handles_.find(report.path);
   if (handles == nullptr) {
-    const std::string prefix = "transport.path." + std::to_string(report.path.value());
+    const std::string prefix = path_prefix(report.path);
     handles = path_handles_.insert(
-        report.path, PathHandles{registry_->handle(prefix + ".served_mbps"),
-                                 registry_->handle(prefix + ".delay_ms")});
+        report.path, PathHandles{registry_->handle(prefix + "served_mbps"),
+                                 registry_->handle(prefix + "delay_ms")});
   }
   handles->served.observe(now, report.served.as_mbps());
   handles->delay.observe(now, report.experienced_delay.as_millis());

@@ -97,7 +97,8 @@ class TransportController {
   /// the current route; it does not reroute). Shrink always succeeds.
   [[nodiscard]] Result<void> resize_path(PathId path, DataRate new_rate);
 
-  /// Tear down a path: release bandwidth + remove flow rules.
+  /// Tear down a path: release bandwidth, remove flow rules and erase
+  /// its "transport.path.<id>.*" instruments.
   [[nodiscard]] Result<void> release_path(PathId path);
 
   [[nodiscard]] const PathReservation* find_path(PathId path) const noexcept;

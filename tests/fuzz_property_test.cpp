@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -400,36 +401,60 @@ TEST(WireIntegers, RoamerIngressRejectsOutOfRangeFieldsAtomically) {
   EXPECT_EQ(edge.node.field()->roamers_admitted(), admitted);
 }
 
-TEST(WireIntegers, HostileRemoteSummaryScoresAsZero) {
-  // A remote "edge" whose every number is out of range: the broker-side
-  // scorecard must come out bounded (zeros), not from undefined casts.
-  auto router = std::make_shared<net::Router>();
-  const std::string hostile =
-      R"({"admitted":1e300,"rejected":-1,"active_at_end":1e20,"expired":-1e300,)"
-      R"("terminated":1e300,"served_epochs":-5,"violation_epochs":1e300,)"
-      R"("earned_cents":1e300,"penalty_cents":-1e300,"net_cents":9.3e18,)"
-      R"("reconfigurations":-1,"contracted_mbps":1,"reserved_mbps":1,"multiplexing_gain":1})";
-  const auto reply = [](std::string body) {
-    return [body](const net::RouteContext&) {
-      return net::Response::json(net::Status::ok, body);
+/// A remote "edge" on a loopback socket that answers the broker with
+/// canned bodies: `summary` at /federation/summary, no headroom, and an
+/// empty ack to every advance.
+class ScriptedEdge {
+ public:
+  explicit ScriptedEdge(const std::string& summary) {
+    auto router = std::make_shared<net::Router>();
+    const auto reply = [](std::string body) {
+      return [body](const net::RouteContext&) {
+        return net::Response::json(net::Status::ok, body);
+      };
     };
-  };
-  router->add(net::Method::get, "/federation/summary", reply(hostile));
-  router->add(net::Method::get, "/federation/headroom", reply(R"({"headroom_mbps":0})"));
-  router->add(net::Method::post, "/federation/advance", reply("{}"));
-  Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(router);
-  ASSERT_TRUE(server.ok());
-  std::thread serving([raw = server.value().get()] { raw->run(); });
+    router->add(net::Method::get, "/federation/summary", reply(summary));
+    router->add(net::Method::get, "/federation/headroom", reply(R"({"headroom_mbps":0})"));
+    router->add(net::Method::post, "/federation/advance", reply("{}"));
+    Result<std::unique_ptr<net::HttpServer>> bound = net::HttpServer::bind(router);
+    EXPECT_TRUE(bound.ok());
+    server_ = std::move(bound).value();
+    serving_ = std::thread([raw = server_.get()] { raw->run(); });
+  }
+  ScriptedEdge(const ScriptedEdge&) = delete;
+  ScriptedEdge& operator=(const ScriptedEdge&) = delete;
+  ~ScriptedEdge() {
+    server_->stop();
+    serving_.join();
+  }
 
+  [[nodiscard]] std::uint16_t port() const { return server_->port(); }
+
+ private:
+  std::unique_ptr<net::HttpServer> server_;
+  std::thread serving_;
+};
+
+/// kMobileMetro without UEs, for half an hour, with the given remote edges.
+Result<federation::FederatedScorecard> run_metro_with(
+    std::map<std::string, std::uint16_t> remote_edges) {
   scenario::Scenario s = scenario::parse_scenario(kMobileMetro).value();
   s.mobility = {};
   s.duration = Duration::hours(0.5);
   federation::FederatedRunOptions options;
-  options.remote_edges = {{"r1", server.value()->port()}};
-  const Result<federation::FederatedScorecard> card =
-      federation::FederatedRunner(s, options).run();
-  server.value()->stop();
-  serving.join();
+  options.remote_edges = std::move(remote_edges);
+  return federation::FederatedRunner(s, options).run();
+}
+
+TEST(WireIntegers, HostileRemoteSummaryScoresAsZero) {
+  // A remote "edge" whose every number is out of range: the broker-side
+  // scorecard must come out bounded (zeros), not from undefined casts.
+  const ScriptedEdge edge(
+      R"({"admitted":1e300,"rejected":-1,"active_at_end":1e20,"expired":-1e300,)"
+      R"("terminated":1e300,"served_epochs":-5,"violation_epochs":1e300,)"
+      R"("earned_cents":1e300,"penalty_cents":-1e300,"net_cents":9.3e18,)"
+      R"("reconfigurations":-1,"contracted_mbps":1,"reserved_mbps":1,"multiplexing_gain":1})");
+  const Result<federation::FederatedScorecard> card = run_metro_with({{"r1", edge.port()}});
 
   ASSERT_TRUE(card.ok()) << card.error().message;
   const federation::RegionScore& r1 = card.value().regions.at(1);
@@ -448,6 +473,34 @@ TEST(WireIntegers, HostileRemoteSummaryScoresAsZero) {
   EXPECT_EQ(r1.contracted_mbps, 1.0);
   EXPECT_EQ(r1.reserved_mbps, 1.0);
   EXPECT_EQ(r1.multiplexing_gain, 1.0);
+}
+
+TEST(WireIntegers, TwoRegionsNearTheLimitSaturateTheCitySums) {
+  // Each region's numbers are in range on their own; their sum is not.
+  // The city card saturates instead of overflowing (undefined for the
+  // signed cents).
+  const std::string near_limit =
+      R"({"admitted":1.8e19,"rejected":0,"active_at_end":0,"expired":0,"terminated":0,)"
+      R"("served_epochs":1.8e19,"violation_epochs":1.8e19,)"
+      R"("earned_cents":9.2e18,"penalty_cents":-9.2e18,"net_cents":9.2e18,)"
+      R"("reconfigurations":1.8e19,"contracted_mbps":1,"reserved_mbps":1,"multiplexing_gain":1})";
+  const ScriptedEdge r0(near_limit);
+  const ScriptedEdge r1(near_limit);
+  const Result<federation::FederatedScorecard> card =
+      run_metro_with({{"r0", r0.port()}, {"r1", r1.port()}});
+
+  ASSERT_TRUE(card.ok()) << card.error().message;
+  const federation::FederatedScorecard& c = card.value();
+  ASSERT_EQ(c.regions.size(), 2u);
+  EXPECT_EQ(c.regions.at(0).earned_cents, 9'200'000'000'000'000'000);
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(c.admitted, kMaxCount);
+  EXPECT_EQ(c.served_epochs, kMaxCount);
+  EXPECT_EQ(c.violation_epochs, kMaxCount);
+  EXPECT_EQ(c.reconfigurations, kMaxCount);
+  EXPECT_EQ(c.earned_cents, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(c.penalty_cents, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(c.net_cents, std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(WireIntegers, HonestRemoteSummaryDecodesToTheEdgeTally) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "json/value.hpp"
 
@@ -58,6 +64,45 @@ TEST(JsonSerialize, Scalars) {
 TEST(JsonSerialize, IntegersPrintWithoutFraction) {
   EXPECT_EQ(serialize(Value(1000000.0)), "1000000");
   EXPECT_EQ(serialize(Value(-7.0)), "-7");
+}
+
+TEST(JsonSerialize, AppendNumberPrintsLikePrintf) {
+  // The oracle is the printf formatting the serializer is specified by:
+  // integers below 9e15 in magnitude as %lld, everything else as %.17g.
+  const auto printf_form = [](double d) {
+    char buf[64];
+    if (std::abs(d) < 9.0e15 && d == std::trunc(d)) {
+      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+    } else {
+      std::snprintf(buf, sizeof buf, "%.17g", d);
+    }
+    return std::string(buf);
+  };
+  std::vector<double> corpus = {
+      0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 41.830000000000005, 1e-7, 123.456, 0.5,
+      std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0, 2.2250738585072009e-308,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 1e21, -1e21, 1e22, 9e15, -9e15,
+      8999999999999999.0, -8999999999999999.0, 9007199254740993.0, -9.2e18, -1e18,
+      -9223372036854775808.0, 9223372036854775808.0, 1.8446744073709552e19, -1e300, 1e300};
+  // Plus random values: bit patterns over the whole finite range, and
+  // signed fractions scaled to the magnitudes metrics carry.
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 20000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const double bits = std::bit_cast<double>(x);
+    if (std::isfinite(bits)) corpus.push_back(bits);
+    const double unit = static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5;
+    corpus.push_back(unit * std::pow(10.0, static_cast<int>(x % 40) - 12));
+  }
+  for (const double d : corpus) {
+    std::string out = "x";
+    append_number(out, d);
+    EXPECT_EQ(out, "x" + printf_form(d)) << printf_form(d);
+  }
 }
 
 TEST(JsonSerialize, EscapesControlAndQuotes) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/testbed.hpp"
 #include "traffic/verticals.hpp"
 
@@ -374,6 +377,83 @@ TEST(Orchestrator, MonitoringPollsDomainsOverRest) {
     EXPECT_GE(it->second.requests, 4u) << domain;
     EXPECT_EQ(it->second.responses_error, 0u) << domain;
   }
+}
+
+/// Every instrument name in a domain's /metrics document.
+std::set<std::string> metric_keys(Testbed& tb, const char* domain) {
+  const Result<json::Value> doc = tb.bus.get_json(domain, "/metrics");
+  EXPECT_TRUE(doc.ok()) << domain;
+  std::set<std::string> keys;
+  if (!doc.ok()) return keys;
+  for (const char* kind : {"counters", "gauges", "histograms", "series"}) {
+    const json::Value* section = doc.value().find(kind);
+    if (section == nullptr || !section->is_object()) continue;
+    for (const auto& [name, unused] : section->as_object()) keys.insert(name);
+  }
+  return keys;
+}
+
+bool has_key_with_prefix(const telemetry::MonitorRegistry& registry, const std::string& prefix) {
+  const json::Value snap = registry.snapshot(prefix);
+  for (const auto& [kind, section] : snap.as_object()) {
+    if (!section.as_object().empty()) return true;
+  }
+  return false;
+}
+
+TEST(Orchestrator, EndedSlicesLeaveNoInstrumentsBehind) {
+  auto tb = make_testbed(22);
+  // One empty epoch registers the domain-wide instruments.
+  tb->simulator.run_for(Duration::minutes(20.0));
+  const std::set<std::string> ran_before = metric_keys(*tb, "ran");
+  const std::set<std::string> transport_before = metric_keys(*tb, "transport");
+
+  struct Admitted {
+    const SliceRecord* record;
+    std::string slice_prefix;
+    std::string plmn_prefix;
+    std::vector<std::string> path_prefixes;
+  };
+  std::vector<Admitted> admitted;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    SliceSpec spec = spec_for(traffic::Vertical::embb_video, 1.0);
+    spec.expected_throughput = DataRate::mbps(10.0);
+    const RequestId request = tb->orchestrator->submit(
+        spec, workload_for(traffic::Vertical::embb_video, 40 + i));
+    const SliceRecord* record = tb->orchestrator->find_by_request(request);
+    ASSERT_EQ(record->state, SliceState::installing);
+    Admitted a{record, "slice." + std::to_string(record->id.value()) + ".",
+               "ran.plmn." + std::to_string(record->embedding.plmn.value()) + ".", {}};
+    for (const PathId path : record->embedding.paths) {
+      a.path_prefixes.push_back("transport.path." + std::to_string(path.value()) + ".");
+    }
+    admitted.push_back(std::move(a));
+  }
+
+  // While the slices serve, every one of them is instrumented.
+  tb->simulator.run_for(Duration::minutes(40.0));
+  for (const Admitted& a : admitted) {
+    ASSERT_EQ(a.record->state, SliceState::active);
+    EXPECT_TRUE(has_key_with_prefix(tb->registry, a.slice_prefix)) << a.slice_prefix;
+    EXPECT_TRUE(has_key_with_prefix(tb->registry, a.plmn_prefix)) << a.plmn_prefix;
+    for (const std::string& p : a.path_prefixes) {
+      EXPECT_TRUE(has_key_with_prefix(tb->registry, p)) << p;
+    }
+  }
+
+  tb->simulator.run_for(Duration::hours(2.0));
+  for (const Admitted& a : admitted) {
+    ASSERT_EQ(a.record->state, SliceState::expired);
+    EXPECT_FALSE(has_key_with_prefix(tb->registry, a.slice_prefix)) << a.slice_prefix;
+    EXPECT_FALSE(has_key_with_prefix(tb->registry, a.plmn_prefix)) << a.plmn_prefix;
+    for (const std::string& p : a.path_prefixes) {
+      EXPECT_FALSE(has_key_with_prefix(tb->registry, p)) << p;
+    }
+  }
+  EXPECT_EQ(metric_keys(*tb, "ran"), ran_before);
+  EXPECT_EQ(metric_keys(*tb, "transport"), transport_before);
+  // The totals outlive the slices.
+  EXPECT_GT(tb->orchestrator->summary().earned, Money{});
 }
 
 TEST(Orchestrator, BatchedAdmissionAuctionsPendingRequests) {

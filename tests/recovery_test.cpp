@@ -65,9 +65,10 @@ struct StoredTestbed {
 };
 
 StoredTestbed make_stored_testbed(std::uint64_t seed, const std::string& directory,
-                                  std::size_t snapshot_every = 0) {
+                                  std::size_t snapshot_every = 0,
+                                  const core::OrchestratorConfig& config = {}) {
   StoredTestbed out;
-  out.tb = core::make_testbed(seed);
+  out.tb = core::make_testbed(seed, config);
   out.store = std::make_unique<store::StateStore>(
       store::StoreConfig{.directory = directory, .snapshot_every_records = snapshot_every},
       &out.tb->registry);
@@ -315,6 +316,59 @@ TEST(Recovery, RestRestoreRebuildsStateOnFreshTestbed) {
   ASSERT_NE(status.value().find("last_recovery"), nullptr);
   EXPECT_DOUBLE_EQ(
       status.value().find("last_recovery")->find("reinstall_failures")->as_number(), 0.0);
+}
+
+TEST(Recovery, EveryLifecycleStateRecoversToTheLiveSummaryAndCapacity) {
+  // Batched admission, so a request submitted between auctions is still
+  // pending when the process dies.
+  core::OrchestratorConfig config;
+  config.admission_window = Duration::minutes(30.0);
+  const fs::path dir = fresh_dir("every_state");
+  core::OrchestratorSummary live_summary;
+  DataRate live_capacity;
+  {
+    StoredTestbed live = make_stored_testbed(82, dir.string(), 0, config);
+    core::Orchestrator& orch = *live.tb->orchestrator;
+    const RequestId active = orch.submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0),
+                                         std::make_unique<traffic::ConstantTraffic>(12.0));
+    const RequestId expired = orch.submit(spec_for(traffic::Vertical::automotive, 1.0, 10.0),
+                                          std::make_unique<traffic::ConstantTraffic>(9.0));
+    const RequestId terminated = orch.submit(spec_for(traffic::Vertical::iot_metering, 6.0, 5.0),
+                                             std::make_unique<traffic::ConstantTraffic>(2.0));
+    const RequestId rejected = orch.submit(spec_for(traffic::Vertical::embb_video, 1.0, 1e6));
+    live.tb->simulator.run_for(Duration::minutes(40.0));  // one auction
+    ASSERT_TRUE(orch.terminate(orch.find_by_request(terminated)->id).ok());
+    live.tb->simulator.run_for(Duration::hours(3.0));  // 3h40: between auctions
+    const RequestId pending = orch.submit(spec_for(traffic::Vertical::automotive, 2.0, 10.0));
+
+    ASSERT_EQ(orch.find_by_request(active)->state, core::SliceState::active);
+    ASSERT_EQ(orch.find_by_request(expired)->state, core::SliceState::expired);
+    ASSERT_EQ(orch.find_by_request(terminated)->state, core::SliceState::terminated);
+    ASSERT_EQ(orch.find_by_request(rejected)->state, core::SliceState::rejected);
+    ASSERT_EQ(orch.find_by_request(pending)->state, core::SliceState::pending);
+    live_summary = orch.summary();
+    live_capacity = orch.sellable_capacity();
+  }
+
+  StoredTestbed revived = make_stored_testbed(82, dir.string(), 0, config);
+  const Result<core::RecoveryStats> stats = revived.tb->orchestrator->recover_from_store();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().records_recovered, 5u);
+  EXPECT_EQ(stats.value().reinstall_failures, 0u);
+  const core::OrchestratorSummary s = revived.tb->orchestrator->summary();
+  EXPECT_EQ(s.active_slices, live_summary.active_slices);
+  EXPECT_EQ(s.installing_slices, live_summary.installing_slices);
+  EXPECT_EQ(s.admitted_total, live_summary.admitted_total);
+  EXPECT_EQ(s.rejected_total, live_summary.rejected_total);
+  EXPECT_EQ(s.contracted_total, live_summary.contracted_total);
+  EXPECT_EQ(s.reserved_total, live_summary.reserved_total);
+  EXPECT_EQ(s.multiplexing_gain, live_summary.multiplexing_gain);
+  EXPECT_EQ(s.earned, live_summary.earned);
+  EXPECT_EQ(s.penalties, live_summary.penalties);
+  EXPECT_EQ(s.net, live_summary.net);
+  EXPECT_EQ(s.violation_epochs, live_summary.violation_epochs);
+  EXPECT_EQ(s.reconfigurations, live_summary.reconfigurations);
+  EXPECT_EQ(revived.tb->orchestrator->sellable_capacity(), live_capacity);
 }
 
 TEST(Recovery, WithoutStoreAttachedRecoveryIsUnavailable) {

@@ -58,10 +58,11 @@ TEST(TimeSeries, WrapAroundKeepsChronologicalOrder) {
 TEST(TimeSeries, LastValuesAndWindows) {
   TimeSeries ts(16);
   for (int i = 1; i <= 10; ++i) ts.append(at(i), static_cast<double>(i));
-  EXPECT_EQ(ts.last_values(3), (std::vector<double>{8.0, 9.0, 10.0}));
-  EXPECT_EQ(ts.last_values(100).size(), 10u);
+  EXPECT_DOUBLE_EQ(*ts.mean_last(3), 9.0);
   EXPECT_DOUBLE_EQ(*ts.mean_last(4), 8.5);
+  EXPECT_DOUBLE_EQ(*ts.mean_last(100), 5.5);  // fewer samples than asked for
   EXPECT_DOUBLE_EQ(*ts.max_last(5), 10.0);
+  EXPECT_DOUBLE_EQ(*ts.max_last(100), 10.0);
   EXPECT_FALSE(TimeSeries(4).mean_last(3).has_value());
 }
 
@@ -368,6 +369,48 @@ TEST(MonitorRegistry, MetricsBodyMatchesDomSerialization) {
   const std::string once = direct;
   reg.metrics_body(direct, "ran.");
   EXPECT_EQ(direct, once);
+}
+
+TEST(MonitorRegistry, ErasePrefixRetiresOneSliceAndNothingElse) {
+  // Slice 10's instruments, and everything else, are in both
+  // registries; only `retired` ever held slice 1's.
+  const auto fill_survivors = [](MonitorRegistry& reg) {
+    reg.counter("slice.10.violations").increment(2);
+    reg.gauge("slice.10.load").set(0.25);
+    reg.histogram("slice.10.delay_us").record(300);
+    reg.observe("slice.10.demand_mbps", at(1.0), 12.5);
+    reg.observe("slice.demand_mbps", at(1.0), 4.0);
+    reg.counter("slice1.violations").increment(1);
+    reg.observe("orchestrator.active_slices", at(1.0), 2.0);
+  };
+  MonitorRegistry retired;
+  fill_survivors(retired);
+  retired.counter("slice.1.violations").increment(3);
+  retired.gauge("slice.1.load").set(0.5);
+  retired.histogram("slice.1.delay_us").record(200);
+  retired.observe("slice.1.demand_mbps", at(1.0), 8.0);
+  retired.observe("slice.1.demand_mbps", at(2.0), 9.0);
+  MonitorRegistry never;
+  fill_survivors(never);
+
+  // Four instruments, plus the gauge that mirrors the series.
+  EXPECT_EQ(retired.erase_prefix("slice.1."), 5u);
+  EXPECT_EQ(retired.find_counter("slice.1.violations"), nullptr);
+  EXPECT_EQ(retired.find_gauge("slice.1.load"), nullptr);
+  EXPECT_EQ(retired.find_histogram("slice.1.delay_us"), nullptr);
+  EXPECT_EQ(retired.find_series("slice.1.demand_mbps"), nullptr);
+  EXPECT_EQ(retired.find_gauge("slice.1.demand_mbps"), nullptr);
+  ASSERT_NE(retired.find_counter("slice.10.violations"), nullptr);
+  EXPECT_EQ(retired.find_counter("slice.10.violations")->value(), 2u);
+
+  std::string after;
+  std::string oracle;
+  for (const std::string prefix : {"", "slice.", "slice.10."}) {
+    retired.metrics_body(after, prefix);
+    never.metrics_body(oracle, prefix);
+    EXPECT_EQ(after, oracle) << "prefix=" << prefix;
+  }
+  EXPECT_EQ(retired.erase_prefix("slice.1."), 0u);
 }
 
 TEST(MonitorRegistry, HistogramSnapshotShape) {
