@@ -74,7 +74,11 @@ class KnapsackRevenuePolicy final : public AdmissionPolicy {
   int max_capacity_mbps_;
 };
 
-/// Factory by name ("fcfs" | "greedy_revenue" | "knapsack_revenue").
+/// The names make_policy() accepts.
+inline constexpr std::string_view kPolicyNames[] = {"fcfs", "greedy_revenue",
+                                                    "knapsack_revenue"};
+
+/// Factory by name (one of kPolicyNames); nullptr for any other name.
 [[nodiscard]] std::unique_ptr<AdmissionPolicy> make_policy(std::string_view name);
 
 }  // namespace slices::core

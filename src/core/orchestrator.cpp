@@ -374,13 +374,17 @@ bool Orchestrator::try_admit(SliceRecord& record) {
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                  timeline.error().message, std::move(audit));
   log_.info("embedding failed: " + timeline.error().message);
+  reject(record);
+  return false;
+}
+
+void Orchestrator::reject(SliceRecord& record) {
   set_state(record, SliceState::rejected);
   ++rejected_total_;
   json::Object op;
   op.emplace("slice", static_cast<double>(record.id.value()));
   op.emplace("next_plmn", static_cast<double>(next_plmn_));
   journal_op("reject", std::move(op));
-  return false;
 }
 
 void Orchestrator::record_admission_headroom(DataRate sellable) {
@@ -409,12 +413,7 @@ void Orchestrator::decide(SliceRecord& record) {
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                  "declined by " + std::string(policy_->name()) + " policy",
                  std::move(audit));
-  set_state(record, SliceState::rejected);
-  ++rejected_total_;
-  json::Object op;
-  op.emplace("slice", static_cast<double>(record.id.value()));
-  op.emplace("next_plmn", static_cast<double>(next_plmn_));
-  journal_op("reject", std::move(op));
+  reject(record);
 }
 
 void Orchestrator::decide_pending_batch() {
@@ -454,12 +453,7 @@ void Orchestrator::decide_pending_batch() {
       events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                      "lost the " + std::string(policy_->name()) + " batch auction",
                      std::move(audit));
-      set_state(record, SliceState::rejected);
-      ++rejected_total_;
-      json::Object op;
-      op.emplace("slice", static_cast<double>(record.id.value()));
-      op.emplace("next_plmn", static_cast<double>(next_plmn_));
-      journal_op("reject", std::move(op));
+      reject(record);
     }
   }
 }

@@ -318,6 +318,10 @@ class Orchestrator {
   /// Returns false (and rejects) on embedding failure.
   bool try_admit(SliceRecord& record);
 
+  /// Close a pending `record` as rejected and journal it. Callers record
+  /// their own audit event first.
+  void reject(SliceRecord& record);
+
   /// Embed across all domains; rolls back on failure.
   [[nodiscard]] Result<InstallTimeline> embed(SliceRecord& record);
 

@@ -376,60 +376,6 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
   return stats;
 }
 
-Result<void> RanController::handover_ue(UeId ue, CellId target) {
-  UeRecord* record = ues_.find(ue);
-  if (record == nullptr) return make_error(Errc::not_found, "unknown UE");
-  if (record->cell == target) return make_error(Errc::conflict, "UE already on that cell");
-  if (!cell_active(target)) return make_error(Errc::conflict, "target cell is inactive");
-
-  const std::uint32_t* destination_index = cell_index_.find(target);
-  if (destination_index == nullptr) return make_error(Errc::not_found, "unknown target cell");
-  Cell& destination = cells_[*destination_index];
-  const std::uint32_t* source_index = cell_index_.find(record->cell);
-  assert(source_index != nullptr);
-  Cell& source = cells_[*source_index];
-
-  const std::optional<Cqi> cqi = source.ue_cqi(ue);
-  assert(cqi.has_value());
-  // Attach on the target first so a failure leaves the UE where it was.
-  if (Result<void> r = destination.attach_ue(ue, record->plmn, *cqi); !r.ok()) {
-    return r;
-  }
-  const Result<void> detached = source.detach_ue(ue);
-  assert(detached.ok());
-  (void)detached;
-  record->cell = target;
-  return {};
-}
-
-std::size_t RanController::rebalance_ues() {
-  std::size_t handovers = 0;
-  while (true) {
-    Cell* most = nullptr;
-    Cell* least = nullptr;
-    for (Cell& cell : cells_) {
-      if (!cell_active(cell.id())) continue;
-      if (most == nullptr || cell.attached_total() > most->attached_total()) most = &cell;
-      if (least == nullptr || cell.attached_total() < least->attached_total()) least = &cell;
-    }
-    if (most == nullptr || least == nullptr ||
-        most->attached_total() <= least->attached_total() + 1) {
-      return handovers;
-    }
-    // Find any UE on the overloaded cell and move it.
-    UeId candidate = UeId::invalid();
-    for (const auto& [ue, rec] : ues_) {
-      if (rec.cell == most->id()) {
-        candidate = ue;
-        break;
-      }
-    }
-    if (!candidate.valid()) return handovers;
-    if (!handover_ue(candidate, least->id()).ok()) return handovers;
-    ++handovers;
-  }
-}
-
 Result<void> RanController::set_cell_active(CellId cell, bool active) {
   if (find_cell(cell) == nullptr) return make_error(Errc::not_found, "unknown cell");
   if (active) {

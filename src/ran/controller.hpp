@@ -154,11 +154,6 @@ class RanController {
   /// conflict (cell inactive).
   [[nodiscard]] Result<UeId> attach_ue_at(CellId cell, PlmnId plmn, Cqi cqi);
 
-  /// X2-style handover: move `ue` to `target`, preserving its PLMN and
-  /// reported CQI. Errors: not_found (unknown UE/cell), conflict (UE
-  /// already on the target, or target inactive).
-  [[nodiscard]] Result<void> handover_ue(UeId ue, CellId target);
-
   /// Apply one epoch's batch of mobility handovers, sequentially in
   /// batch order. Each success migrates the UE's share of its PLMN's
   /// source-cell PRB reservation to the target cell (clamped to the
@@ -194,11 +189,6 @@ class RanController {
   }
   /// Installed PLMNs in deterministic slot (install) order.
   [[nodiscard]] std::vector<PlmnId> installed_plmns() const;
-
-  /// Load-balancing pass: hand UEs over from the most- to the
-  /// least-loaded active cell until attach counts differ by at most 1.
-  /// Returns the number of handovers performed.
-  std::size_t rebalance_ues();
 
   // --- Failure injection -----------------------------------------------------
 

@@ -164,11 +164,11 @@ std::vector<core::RatePoint> build_rate_schedule(const Scenario& scenario) {
   const double base = scenario.workload.arrivals_per_hour;
   std::vector<const Phase*> rated;
   for (const Phase& phase : scenario.phases) {
-    if (phase.arrivals_per_hour >= 0.0) rated.push_back(&phase);
+    if (phase.arrivals_per_hour) rated.push_back(&phase);
   }
   std::vector<core::RatePoint> schedule;
   for (std::size_t i = 0; i < rated.size(); ++i) {
-    schedule.push_back({rated[i]->start, rated[i]->arrivals_per_hour});
+    schedule.push_back({rated[i]->start, *rated[i]->arrivals_per_hour});
     // Phases are sorted and disjoint.
     if (i + 1 == rated.size() || rated[i + 1]->start > rated[i]->end) {
       schedule.push_back({rated[i]->end, base});

@@ -72,8 +72,8 @@ struct Phase {
   std::string name;
   Duration start;
   Duration end;
-  /// Arrival rate inside the window; < 0 inherits the workload base rate.
-  double arrivals_per_hour = -1.0;
+  /// Arrival rate inside the window; unset inherits the workload base rate.
+  std::optional<double> arrivals_per_hour;
   /// Multiplier on every slice's offered demand inside the window.
   double demand_scale = 1.0;
 };

@@ -8,24 +8,11 @@
 #include <chrono>
 #include <cstring>
 
-#include "store/crc32.hpp"
+#include "store/frame.hpp"
 
 namespace slices::store {
 
 namespace {
-
-void put_u32le(unsigned char* out, std::uint32_t v) noexcept {
-  out[0] = static_cast<unsigned char>(v & 0xFFu);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xFFu);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xFFu);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xFFu);
-}
-
-std::uint32_t get_u32le(const unsigned char* in) noexcept {
-  return static_cast<std::uint32_t>(in[0]) | (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
 
 Result<void> write_all(int fd, const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -55,7 +42,7 @@ Result<JournalScan> scan_journal(const std::string& path) {
   if (::fstat(fd, &st) == 0) scan.file_bytes = static_cast<std::uint64_t>(st.st_size);
 
   std::string payload;
-  unsigned char header[8];
+  unsigned char header[kFrameHeaderBytes];
   for (;;) {
     const ssize_t got = ::read(fd, header, sizeof header);
     if (got == 0) break;  // clean end
@@ -68,8 +55,8 @@ Result<JournalScan> scan_journal(const std::string& path) {
       scan.corruption = "truncated record header";
       break;
     }
-    const std::uint32_t len = get_u32le(header);
-    const std::uint32_t crc = get_u32le(header + 4);
+    const FrameHeader frame = decode_frame_header(header);
+    const std::uint32_t len = frame.length;
     if (len == 0 || len > kMaxRecordBytes) {
       scan.corruption = "implausible record length " + std::to_string(len);
       break;
@@ -90,7 +77,7 @@ Result<JournalScan> scan_journal(const std::string& path) {
       scan.corruption = "truncated record payload";
       break;
     }
-    if (crc32(payload) != crc) {
+    if (!frame_matches(frame, payload)) {
       scan.corruption = "CRC mismatch";
       break;
     }
@@ -144,12 +131,7 @@ Result<std::uint64_t> Journal::append(const std::string& payload, bool fsync) {
   }
   // One buffer, one write(): a torn write can only leave a partial tail
   // record, which the scanner drops — never an interleaved mess.
-  std::string frame;
-  frame.resize(8 + payload.size());
-  put_u32le(reinterpret_cast<unsigned char*>(frame.data()),
-            static_cast<std::uint32_t>(payload.size()));
-  put_u32le(reinterpret_cast<unsigned char*>(frame.data()) + 4, crc32(payload));
-  std::memcpy(frame.data() + 8, payload.data(), payload.size());
+  const std::string frame = encode_frame(payload);
   if (Result<void> w = write_all(fd_, frame.data(), frame.size()); !w.ok()) return w.error();
   bytes_ += frame.size();
   if (fsync) {

@@ -8,7 +8,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "store/crc32.hpp"
+#include "store/frame.hpp"
 #include "store/journal.hpp"
 
 namespace slices::store {
@@ -38,24 +38,12 @@ std::optional<std::uint64_t> seq_of(const std::string& filename) {
   return seq;
 }
 
-void put_u32le(unsigned char* out, std::uint32_t v) noexcept {
-  out[0] = static_cast<unsigned char>(v & 0xFFu);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xFFu);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xFFu);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xFFu);
-}
-
-std::uint32_t get_u32le(const unsigned char* in) noexcept {
-  return static_cast<std::uint32_t>(in[0]) | (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
 /// Read + verify one snapshot file; nullopt when damaged.
 std::optional<LoadedSnapshot> try_load(const fs::path& path) {
   std::error_code ec;
   const std::uintmax_t size = fs::file_size(path, ec);
-  if (ec || size < 8 || size > kMaxRecordBytes + 8) return std::nullopt;
+  if (ec || size < kFrameHeaderBytes || size > kMaxRecordBytes + kFrameHeaderBytes)
+    return std::nullopt;
 
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return std::nullopt;
@@ -70,12 +58,8 @@ std::optional<LoadedSnapshot> try_load(const fs::path& path) {
   ::close(fd);
   if (filled != raw.size()) return std::nullopt;
 
-  const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
-  const std::uint32_t len = get_u32le(bytes);
-  const std::uint32_t crc = get_u32le(bytes + 4);
-  if (len != raw.size() - 8) return std::nullopt;
-  const std::string_view payload(raw.data() + 8, len);
-  if (crc32(payload) != crc) return std::nullopt;
+  const std::string_view payload = std::string_view(raw).substr(kFrameHeaderBytes);
+  if (!frame_matches(decode_frame_header(raw.data()), payload)) return std::nullopt;
 
   Result<json::Value> doc = json::parse(payload);
   if (!doc.ok()) return std::nullopt;
@@ -113,12 +97,7 @@ Result<std::string> write_snapshot(const std::string& directory, std::uint64_t s
     return make_error(Errc::internal,
                       "cannot create snapshot temp file: " + std::string(std::strerror(errno)));
   }
-  std::string frame;
-  frame.resize(8 + payload.size());
-  put_u32le(reinterpret_cast<unsigned char*>(frame.data()),
-            static_cast<std::uint32_t>(payload.size()));
-  put_u32le(reinterpret_cast<unsigned char*>(frame.data()) + 4, crc32(payload));
-  std::memcpy(frame.data() + 8, payload.data(), payload.size());
+  const std::string frame = encode_frame(payload);
 
   std::size_t written = 0;
   while (written < frame.size()) {

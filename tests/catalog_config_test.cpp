@@ -1,10 +1,10 @@
-// Tests for the slice-template catalog and JSON config loading.
+// Tests for the slice-template catalog and the scenario orchestrator block.
 
 #include <gtest/gtest.h>
 
 #include "core/catalog.hpp"
 #include "core/testbed.hpp"
-#include "core/config_io.hpp"
+#include "scenario/scenario.hpp"
 
 namespace slices::core {
 namespace {
@@ -131,10 +131,18 @@ TEST(SliceCatalog, TemplateSubmissionOverRest) {
   EXPECT_FALSE(tb->bus.call_json("orchestrator", net::Method::post, "/slices", bad).ok());
 }
 
-// --- config_from_json --------------------------------------------------------
+// --- the scenario "orchestrator" block ---------------------------------------
+
+/// Parses `block` as the orchestrator block of a minimal scenario.
+Result<OrchestratorConfig> orchestrator_block(const std::string& block) {
+  const Result<scenario::Scenario> parsed =
+      scenario::parse_scenario(R"({"name": "config", "orchestrator": )" + block + "}");
+  if (!parsed.ok()) return parsed.error();
+  return parsed.value().orchestrator;
+}
 
 TEST(ConfigIo, EmptyObjectGivesDefaults) {
-  const Result<OrchestratorConfig> config = config_from_json("{}");
+  const Result<OrchestratorConfig> config = orchestrator_block("{}");
   ASSERT_TRUE(config.ok());
   const OrchestratorConfig defaults;
   EXPECT_EQ(config.value().monitoring_period, defaults.monitoring_period);
@@ -155,7 +163,7 @@ TEST(ConfigIo, FullDocumentRoundTrips) {
       "warmup_observations": 16, "season_length": 288,
       "estimator": "holt_winters"
     }})";
-  const Result<OrchestratorConfig> config = config_from_json(doc);
+  const Result<OrchestratorConfig> config = orchestrator_block(doc);
   ASSERT_TRUE(config.ok()) << config.error().message;
   EXPECT_EQ(config.value().monitoring_period, Duration::minutes(5.0));
   EXPECT_EQ(config.value().admission_policy, "greedy_revenue");
@@ -166,13 +174,30 @@ TEST(ConfigIo, FullDocumentRoundTrips) {
   EXPECT_EQ(config.value().overbooking.horizon, 8u);
   EXPECT_EQ(config.value().overbooking.season_length, 288u);
   EXPECT_EQ(config.value().overbooking.estimator, EstimatorKind::holt_winters);
+
+  // The canonical form carries the block through unchanged.
+  scenario::Scenario s;
+  s.name = "config";
+  s.orchestrator = config.value();
+  const Result<scenario::Scenario> again =
+      scenario::parse_scenario(scenario::serialize_scenario(s));
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(again.value().orchestrator.monitoring_period, config.value().monitoring_period);
+  EXPECT_EQ(again.value().orchestrator.admission_window, config.value().admission_window);
+  EXPECT_EQ(again.value().orchestrator.overbooking.warmup_observations, 16u);
+  EXPECT_EQ(again.value().orchestrator.overbooking.estimator, EstimatorKind::holt_winters);
 }
 
 class ConfigIoRejects : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ConfigIoRejects, BadDocuments) {
-  const Result<OrchestratorConfig> config = config_from_json(GetParam());
+  const Result<OrchestratorConfig> config = orchestrator_block(GetParam());
   ASSERT_FALSE(config.ok()) << "accepted: " << GetParam();
+  // Field errors name the block; malformed JSON names a line and column.
+  const std::string& message = config.error().message;
+  EXPECT_TRUE(message.find("orchestrator") != std::string::npos ||
+              message.find("line ") != std::string::npos)
+      << message;
 }
 
 INSTANTIATE_TEST_SUITE_P(

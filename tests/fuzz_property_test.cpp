@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -125,13 +126,21 @@ TEST_P(ParserFuzz, ScenarioParserNeverCrashes) {
   }
 }
 
-TEST_P(ParserFuzz, MutatedValidScenarioErrorsAreActionable) {
-  Rng rng(GetParam() * 211 + 5);
-  const std::string base = R"({"name":"fuzz","seed":4,"duration_hours":6,
+/// A valid fig2 scenario; its orchestrator block sets every key.
+constexpr const char* kFig2Scenario = R"({"name":"fuzz","seed":4,"duration_hours":6,
+    "orchestrator":{"monitoring_period_minutes":5,"admission_policy":"greedy_revenue",
+      "admission_window_hours":1,"admission_patience_hours":2,"sla_tolerance":0.1,
+      "reconfigure_threshold":0.05,"edge_breakout_fraction":0.5,
+      "overbooking":{"enabled":true,"risk_quantile":0.9,"horizon":8,"floor_fraction":0.2,
+        "headroom":1.1,"warmup_observations":16,"season_length":288,"estimator":"ewma"}},
     "workload":{"arrivals_per_hour":2.0},
     "phases":[{"start_hours":0,"end_hours":3,"arrivals_per_hour":4.0}],
     "events":[{"kind":"link_down","at_hours":1,"link":"mmwave","duration_hours":1}],
     "targets":{"min_admission_rate":0.1}})";
+
+TEST_P(ParserFuzz, MutatedValidScenarioErrorsAreActionable) {
+  Rng rng(GetParam() * 211 + 5);
+  const std::string base = kFig2Scenario;
   ASSERT_TRUE(scenario::parse_scenario(base).ok());
   for (int i = 0; i < 1000; ++i) {
     std::string mutated = base;
@@ -223,6 +232,94 @@ json::Value parse_ok(const std::string& text) {
   const Result<json::Value> doc = json::parse(text);
   EXPECT_TRUE(doc.ok()) << text;
   return doc.ok() ? doc.value() : json::Value();
+}
+
+// ---------------------------------------------- scenario field lists
+
+/// With kFig2Scenario, these reach every key of every scenario field
+/// list: each event kind's keys, requests, storms on both topologies,
+/// all targets and the metro federation block.
+constexpr const char* kEveryFig2Field = R"({"name":"fields","seed":"18446744073709551615",
+    "duration_hours":12,
+    "workload":{"verticals":["automotive","ehealth"]},
+    "mobility":{"storms":[{"kind":"stadium_ingress","at_hours":1,"duration_minutes":30,
+      "cell":"a"}]},
+    "events":[
+      {"kind":"link_flap","at_hours":1,"link":"uwave","count":3,"period_minutes":20,
+       "down_minutes":5},
+      {"kind":"cell_down","at_hours":2,"cell":"b","duration_hours":1},
+      {"kind":"dc_down","at_hours":3,"dc":"core","duration_hours":1},
+      {"kind":"controller_restart","at_hours":4,"duration_minutes":10},
+      {"kind":"churn_storm","at_hours":5,"duration_minutes":30,"ues_per_hour":120,
+       "mean_holding_minutes":4}],
+    "requests":[{"at_hours":1,"vertical":"cloud_gaming","tenant":"arcade",
+      "duration_hours":4,"workload_seed":"9"}],
+    "targets":{"min_admission_rate":0.1,"max_violation_rate":0.9,"min_net_revenue":-5,
+      "min_multiplexing_gain":1.2}})";
+
+constexpr const char* kEveryMetroField = R"({"name":"metro_fields","seed":9,
+    "duration_hours":8,"topology":"metro","federation":{"regions":2,"cells_per_region":4},
+    "mobility":{"speed_classes":{"automotive":14},
+      "storms":[
+        {"kind":"commuter_wave","at_hours":2,"duration_minutes":90,"fraction":0.5},
+        {"kind":"stadium_ingress","at_hours":4,"duration_minutes":60,"cell":"c2",
+         "region":"r1"}]},
+    "events":[
+      {"kind":"cell_down","at_hours":1,"region":"r0","cell":"c2","duration_hours":1},
+      {"kind":"dc_down","at_hours":2,"region":"r1","dc":"edge0"}],
+    "requests":[{"at_hours":1,"vertical":"automotive","duration_hours":2,"region":"r1"}]})";
+
+/// Calls `visit(leaf, path)` for every scalar of `doc`, with the path
+/// the scenario parser reports ("events[0].at_hours").
+template <class Visit>
+void for_each_leaf(json::Value& doc, const std::string& path, Visit& visit) {
+  if (doc.is_object()) {
+    for (auto& [key, child] : doc.as_object())
+      for_each_leaf(child, path.empty() ? key : path + "." + key, visit);
+  } else if (doc.is_array()) {
+    for (std::size_t i = 0; i < doc.as_array().size(); ++i)
+      for_each_leaf(doc.as_array()[i], path + "[" + std::to_string(i) + "]", visit);
+  } else {
+    visit(doc, path);
+  }
+}
+
+TEST(ScenarioFieldLists, HostileValuesAreRejectedByPath) {
+  std::vector<json::Value> hostile = {json::Value("hostile"), json::Value(true),
+                                      json::Value(-1.0)};
+  for (const char* number : kHostileNumbers) hostile.push_back(parse_ok(number));
+  const std::set<std::string> free_text = {"name", "description", "tenant"};
+
+  for (const char* base : {kFig2Scenario, kEveryFig2Field, kEveryMetroField}) {
+    const Result<scenario::Scenario> parsed = scenario::parse_scenario(base);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    // The canonical form spells out every key the field lists write.
+    json::Value doc = scenario::scenario_to_json(parsed.value());
+    std::size_t leaves = 0;
+    auto visit = [&](json::Value& leaf, const std::string& path) {
+      ++leaves;
+      const std::string key = path.substr(path.find_last_of('.') + 1);
+      const json::Value original = leaf;
+      for (const json::Value& bad : hostile) {
+        // A value of the field's own type is only hostile where the
+        // domain excludes it.
+        if (bad.type() == original.type() && (bad.is_bool() || free_text.contains(key)))
+          continue;
+        if (key == "min_net_revenue" && bad == json::Value(-1.0)) continue;
+        leaf = bad;
+        const Result<scenario::Scenario> r = scenario::parse_scenario(json::serialize(doc));
+        if (r.ok()) {
+          ADD_FAILURE() << path << " accepted " << json::serialize(bad);
+        } else {
+          EXPECT_NE(r.error().message.find(path), std::string::npos)
+              << path << " = " << json::serialize(bad) << ": " << r.error().message;
+        }
+      }
+      leaf = original;
+    };
+    for_each_leaf(doc, "", visit);
+    EXPECT_GT(leaves, 30u) << base;
+  }
 }
 
 TEST(WireIntegers, ToIntegerChecksTypeAndRange) {

@@ -119,6 +119,8 @@ TEST(RanHandover, BatchMovesUesAndCountsOutcomes) {
   ran::RanController ran;
   ran.add_cell(ran::Cell(CellId{1}, "a", ran::Bandwidth::mhz20, ran::SharingPolicy::pooled));
   ran.add_cell(ran::Cell(CellId{2}, "b", ran::Bandwidth::mhz20, ran::SharingPolicy::pooled));
+  ran.add_cell(ran::Cell(CellId{3}, "c", ran::Bandwidth::mhz20, ran::SharingPolicy::pooled));
+  ASSERT_TRUE(ran.set_cell_active(CellId{3}, false).ok());
   const PlmnId plmn{1};
   ASSERT_TRUE(ran.install_plmn(plmn).ok());
   const Result<UeId> ue = ran.attach_ue_at(CellId{1}, plmn, ran::Cqi{10});
@@ -129,19 +131,23 @@ TEST(RanHandover, BatchMovesUesAndCountsOutcomes) {
       {ue.value(), CellId{2}},   // already there after the first -> drop
       {UeId{999}, CellId{2}},    // unknown UE -> drop
       {ue.value(), CellId{77}},  // unknown cell -> drop
+      {ue.value(), CellId{3}},   // cell 3 is down -> drop
   };
   std::vector<std::uint8_t> outcomes(batch.size(), 0xff);
   const ran::HandoverStats stats =
       ran.apply_handovers(batch, SimTime::from_micros(1), outcomes);
-  EXPECT_EQ(stats.attempts, 4u);
+  EXPECT_EQ(stats.attempts, 5u);
   EXPECT_EQ(stats.successes, 1u);
-  EXPECT_EQ(stats.drops, 3u);
+  EXPECT_EQ(stats.drops, 4u);
   EXPECT_EQ(outcomes[0], 1u);
   EXPECT_EQ(outcomes[1], 0u);
   EXPECT_EQ(outcomes[2], 0u);
   EXPECT_EQ(outcomes[3], 0u);
+  EXPECT_EQ(outcomes[4], 0u);
   EXPECT_EQ(ran.ue_cell(ue.value()), CellId{2});
-  EXPECT_EQ(ran.handover_totals().attempts, 4u);
+  // The UE keeps its reported CQI across the move.
+  EXPECT_EQ(ran.ue_cqi(ue.value()), ran::Cqi{10});
+  EXPECT_EQ(ran.handover_totals().attempts, 5u);
 }
 
 // ------------------------------------------------ zero-alloc contract

@@ -500,58 +500,6 @@ TEST(RanController, UesBalanceAcrossCells) {
   EXPECT_EQ(controller.find_cell(CellId{2})->attached_total(), 5u);
 }
 
-TEST(RanController, HandoverMovesUePreservingState) {
-  RanController controller = make_controller();
-  ASSERT_TRUE(controller.install_plmn(PlmnId{5}).ok());
-  const Result<UeId> ue = controller.attach_ue(PlmnId{5}, Cqi{12});
-  ASSERT_TRUE(ue.ok());
-  // Least-loaded attach put it on cell 1.
-  ASSERT_EQ(controller.find_cell(CellId{1})->attached_total(), 1u);
-
-  ASSERT_TRUE(controller.handover_ue(ue.value(), CellId{2}).ok());
-  EXPECT_EQ(controller.find_cell(CellId{1})->attached_total(), 0u);
-  EXPECT_EQ(controller.find_cell(CellId{2})->attached_total(), 1u);
-  EXPECT_EQ(controller.find_cell(CellId{2})->ue_cqi(ue.value()), Cqi{12});
-  EXPECT_EQ(controller.attached_ues(PlmnId{5}), 1u);
-
-  // Errors: same cell, unknown ue/cell, inactive target.
-  EXPECT_EQ(controller.handover_ue(ue.value(), CellId{2}).error().code, Errc::conflict);
-  EXPECT_EQ(controller.handover_ue(UeId{999}, CellId{1}).error().code, Errc::not_found);
-  EXPECT_EQ(controller.handover_ue(ue.value(), CellId{9}).error().code, Errc::not_found);
-  ASSERT_TRUE(controller.set_cell_active(CellId{1}, false).ok());
-  EXPECT_EQ(controller.handover_ue(ue.value(), CellId{1}).error().code, Errc::conflict);
-}
-
-TEST(RanController, RebalanceEvensOutLoad) {
-  RanController controller = make_controller();
-  ASSERT_TRUE(controller.install_plmn(PlmnId{5}).ok());
-  // Pile 6 UEs onto cell 1 by deactivating cell 2 during attach.
-  ASSERT_TRUE(controller.set_cell_active(CellId{2}, false).ok());
-  std::vector<UeId> ues;
-  for (int i = 0; i < 6; ++i) {
-    // attach_ue load-balances over all cells incl. inactive; pin to
-    // cell 1 via handover after reactivation instead.
-    const Result<UeId> ue = controller.attach_ue(PlmnId{5}, Cqi{10});
-    ASSERT_TRUE(ue.ok());
-    ues.push_back(ue.value());
-  }
-  ASSERT_TRUE(controller.set_cell_active(CellId{2}, true).ok());
-  // Force the imbalance deterministically.
-  for (const UeId ue : ues) {
-    (void)controller.handover_ue(ue, CellId{1});
-  }
-  ASSERT_EQ(controller.find_cell(CellId{1})->attached_total(), 6u);
-
-  const std::size_t moves = controller.rebalance_ues();
-  EXPECT_GE(moves, 2u);
-  const std::size_t a = controller.find_cell(CellId{1})->attached_total();
-  const std::size_t b = controller.find_cell(CellId{2})->attached_total();
-  EXPECT_LE(a > b ? a - b : b - a, 1u);
-  EXPECT_EQ(a + b, 6u);
-  // Idempotent once balanced.
-  EXPECT_EQ(controller.rebalance_ues(), 0u);
-}
-
 TEST(RanController, ServeEpochAggregatesAndPublishesTelemetry) {
   telemetry::MonitorRegistry registry;
   RanController controller = make_controller(&registry);

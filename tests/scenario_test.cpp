@@ -77,7 +77,7 @@ TEST(ScenarioDsl, RoundTripIsCanonical) {
   EXPECT_EQ(first.seed, 18446744073709551615ull);
   EXPECT_DOUBLE_EQ(first.duration.as_hours(), 12.0);
   ASSERT_EQ(first.phases.size(), 2u);
-  EXPECT_DOUBLE_EQ(first.phases[1].arrivals_per_hour, 5.0);
+  EXPECT_DOUBLE_EQ(first.phases[1].arrivals_per_hour.value_or(-1.0), 5.0);
   EXPECT_DOUBLE_EQ(first.phases[1].demand_scale, 1.5);
   ASSERT_EQ(first.events.size(), 6u);
   EXPECT_EQ(first.events[1].flap_count, 3);
@@ -137,9 +137,9 @@ TEST(ScenarioDsl, ErrorsNameTheField) {
   EXPECT_NE(parse_error(R"({"name": "x", "topology": "full_mesh"})").find("topology"),
             std::string::npos);
   EXPECT_NE(parse_error(R"({"description": "nameless"})").find("name"), std::string::npos);
-  // Orchestrator-section errors are prefixed so they are attributable.
+  // Orchestrator-block errors carry the field path like every other block.
   EXPECT_NE(parse_error(R"({"name": "x", "orchestrator": {"sla_tolerance": 2}})")
-                .find("orchestrator:"),
+                .find("orchestrator.sla_tolerance"),
             std::string::npos);
 }
 
@@ -294,6 +294,30 @@ TEST(ScenarioRecorderTest, ReplayReproducesTheScorecardExactly) {
   Result<Scorecard> threaded_card = threaded.run();
   ASSERT_TRUE(threaded_card.ok());
   EXPECT_EQ(threaded_card.value().serialize(), original);
+  std::remove(path.c_str());
+}
+
+TEST(ScenarioRecorderTest, FractionalMonitoringPeriodReplaysExactly) {
+  // 0.067 min is not a whole number of microseconds in binary: the
+  // document and its canonical re-serialization must still read to the
+  // same period, or the replay ticks its epochs elsewhere.
+  constexpr const char* kDrift = R"({"name":"drift","seed":7,"duration_hours":6,
+    "orchestrator":{"monitoring_period_minutes":0.067,"overbooking":{"enabled":true}},
+    "workload":{"arrivals_per_hour":8,"min_duration_hours":1,"max_duration_hours":3}})";
+  const std::string canonical = serialize_scenario(parse_ok(kDrift));
+  EXPECT_EQ(serialize_scenario(parse_ok(canonical)), canonical);
+
+  const std::string path = testing::TempDir() + "/scenario_drift.journal";
+  std::remove(path.c_str());
+  RunOptions recording;
+  recording.record_path = path;
+  const std::string original = run_scorecard(kDrift, recording).serialize();
+  Result<Scenario> replayed = load_recording(path);
+  ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+  ScenarioRunner replay_runner(std::move(replayed.value()));
+  Result<Scorecard> replay = replay_runner.run();
+  ASSERT_TRUE(replay.ok()) << replay.error().message;
+  EXPECT_EQ(replay.value().serialize(), original);
   std::remove(path.c_str());
 }
 
