@@ -22,6 +22,15 @@
 //                        migration included). items/s = handovers per
 //                        second; this is the worst case where every UE
 //                        in a cell crosses at once (stadium storm).
+// BM_HandoverApplyMetro/<batch>
+//                      — apply_handovers in the shape metro_commuter_100k
+//                        applies: 4 cells, 3 PLMNs holding reservations,
+//                        `batch` UEs whose targets come from a seeded
+//                        draw over all cells (never the serving one, as
+//                        the Field only requests real crossings). Every
+//                        UE moves every iteration along a precomputed
+//                        closed tour, so every request succeeds.
+//                        items/s = handovers per second.
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +41,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "mobility/field.hpp"
@@ -89,7 +99,7 @@ void print_experiment() {
   std::printf("\nS3: mobility & handover scalability — moving-UE data plane\n");
   std::printf("(128-cell grid, 6 PLMNs; waypoint walk at one-minute epochs)\n");
   std::printf("see the google-benchmark tables: BM_MobilityStep/<ues>/<threads>,\n"
-              "BM_HandoverApply/<batch>\n");
+              "BM_HandoverApply/<batch>, BM_HandoverApplyMetro/<batch>\n");
   std::printf("expected shape: the move phase is linear in UEs and shards across the\n"
               "pool; the transition scan and handover apply stay sequential but touch\n"
               "only the crossing UEs, so step cost is dominated by the walk. The apply\n"
@@ -163,6 +173,68 @@ void BM_HandoverApply(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_HandoverApply)->Arg(1'000)->Arg(10'000)->Arg(100'000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_HandoverApplyMetro(benchmark::State& state) {
+  constexpr std::size_t kMetroCells = 4;
+  constexpr std::size_t kMetroPlmns = 3;
+  constexpr std::size_t kTourLength = 8;  // batches per closed tour
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  ran::RanController ran;
+  for (std::size_t c = 0; c < kMetroCells; ++c) {
+    ran.add_cell(ran::Cell(CellId{c + 1}, "c" + std::to_string(c), ran::Bandwidth::mhz20,
+                           ran::SharingPolicy::pooled));
+  }
+  for (std::size_t p = 0; p < kMetroPlmns; ++p) {
+    const PlmnId plmn{p + 1};
+    if (!ran.install_plmn(plmn)) std::abort();
+    // 3 x 20 Mb/s fills about half of the four cells' PRBs, so the
+    // migration has room on every target.
+    if (!ran.set_allocation(plmn, DataRate::mbps(20.0))) std::abort();
+  }
+
+  // batches[r] moves every UE to its r-th stop; the last stop is the
+  // UE's start, so the batches cycle. Each stop leaves the current cell
+  // for one of the other three, and the last one lands on the start.
+  Rng rng(0x5E3Du);
+  const auto draw_cell = [&](std::size_t not_a, std::size_t not_b) {
+    std::size_t c;
+    do {
+      c = static_cast<std::size_t>(rng.uniform_int(0, kMetroCells - 1));
+    } while (c == not_a || c == not_b);
+    return c;
+  };
+  std::vector<std::vector<ran::HandoverRequest>> batches(kTourLength);
+  for (auto& requests : batches) requests.reserve(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    const std::size_t start = static_cast<std::size_t>(rng.uniform_int(0, kMetroCells - 1));
+    const PlmnId plmn{1 + i % kMetroPlmns};
+    Result<UeId> ue = ran.attach_ue_at(CellId{start + 1}, plmn, ran::Cqi{10});
+    if (!ue) std::abort();
+    std::size_t at = start;
+    for (std::size_t r = 0; r + 1 < kTourLength; ++r) {
+      at = r + 2 == kTourLength ? draw_cell(at, start) : draw_cell(at, at);
+      batches[r].push_back(ran::HandoverRequest{ue.value(), CellId{at + 1}});
+    }
+    batches[kTourLength - 1].push_back(ran::HandoverRequest{ue.value(), CellId{start + 1}});
+  }
+
+  std::int64_t now_us = 0;
+  // Warm one full tour: sizes the internal outcome scratch.
+  for (const auto& requests : batches) {
+    (void)ran.apply_handovers(requests, SimTime::from_micros(now_us += 1000));
+  }
+  std::size_t r = 0;
+  for (auto _ : state) {
+    const ran::HandoverStats stats =
+        ran.apply_handovers(batches[r], SimTime::from_micros(now_us += 1000));
+    if (stats.successes != batch) std::abort();
+    r = (r + 1) % kTourLength;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_HandoverApplyMetro)->Arg(1'000)->Arg(10'000)->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

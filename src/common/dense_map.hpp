@@ -149,10 +149,12 @@ class DenseIdMap {
     return emplace_new(key, std::move(value));
   }
 
-  /// Erase; returns false when the key was absent. The freed slot is
-  /// pushed on a LIFO free list and reused by the next insert, so slot
-  /// assignment stays a pure function of the operation history.
-  bool erase(Key key) {
+  /// Erase; returns false when the key was absent. When `taken` is
+  /// non-null the erased value is moved into it, so a lookup-then-erase
+  /// costs one probe. The freed slot is pushed on a LIFO free list and
+  /// reused by the next insert, so slot assignment stays a pure
+  /// function of the operation history.
+  bool erase(Key key, T* taken = nullptr) {
     const std::size_t mask = index_.empty() ? 0 : index_.size() - 1;
     if (index_.empty()) return false;
     std::size_t pos = Traits::hash(key) & mask;
@@ -161,6 +163,7 @@ class DenseIdMap {
       if (slot == kNoSlot) return false;
       if (slots_[slot].key == key) {
         slots_[slot].key = Traits::invalid();
+        if (taken != nullptr) *taken = std::move(slots_[slot].value);
         slots_[slot].value = T{};  // release payload resources now
         free_.push_back(slot);
         index_backward_shift_erase(pos);

@@ -305,11 +305,7 @@ void Field::drain_exits(std::vector<RoamingExit>& out) {
 bool Field::admit_roamer(const RoamingExit& exit) {
   // National-roaming fallback: the home slice lives in the source
   // region, so attach under the lowest PLMN on the air here.
-  const std::vector<PlmnId> installed = ran_->installed_plmns();
-  PlmnId plmn = PlmnId::invalid();
-  for (const PlmnId candidate : installed) {
-    if (!plmn.valid() || candidate.value() < plmn.value()) plmn = candidate;
-  }
+  const PlmnId plmn = ran_->lowest_installed_plmn();
   if (!plmn.valid()) {
     ++roamers_dropped_;
     return false;

@@ -193,37 +193,29 @@ PrbCount Cell::reservation_of(PlmnId plmn) const noexcept {
   return prbs == nullptr ? PrbCount{0} : *prbs;
 }
 
-Result<void> Cell::attach_ue(UeId ue, PlmnId plmn, Cqi cqi) {
+Result<std::uint32_t> Cell::attach(UeId ue, PlmnId plmn, Cqi cqi) {
   const std::size_t i = plmn_index(plmn);
   if (i == broadcast_.size())
     return make_error(Errc::not_found,
                       "PLMN not on the air on cell " + name_ + "; UE cannot attach");
-  if (ues_.insert(ue, static_cast<std::uint8_t>(i), cqi) == UeSoa::kNoRow)
-    return make_error(Errc::conflict, "UE already attached");
   ++plmn_stats_[i].count;
   plmn_stats_[i].cqi_sum += cqi.index();
-  return {};
+  return ues_.insert(ue, static_cast<std::uint8_t>(i), cqi);
 }
 
-Result<void> Cell::update_ue_cqi(UeId ue, Cqi cqi) {
-  const std::uint32_t row = ues_.row_of(ue);
-  if (row == UeSoa::kNoRow) return make_error(Errc::not_found, "UE not attached");
+void Cell::detach(std::uint32_t row) noexcept {
+  PlmnUeStats& stats = plmn_stats_[ues_.plmn_index_at(row)];
+  assert(stats.count > 0);
+  --stats.count;
+  stats.cqi_sum -= ues_.cqi_at(row).index();
+  ues_.erase(row);
+}
+
+void Cell::update_cqi(std::uint32_t row, Cqi cqi) noexcept {
+  assert(ues_.live(row));
   PlmnUeStats& stats = plmn_stats_[ues_.plmn_index_at(row)];
   stats.cqi_sum += cqi.index() - ues_.cqi_at(row).index();
   ues_.set_cqi(row, cqi);
-  return {};
-}
-
-std::optional<Cqi> Cell::ue_cqi(UeId ue) const noexcept {
-  const std::uint32_t row = ues_.row_of(ue);
-  if (row == UeSoa::kNoRow) return std::nullopt;
-  return ues_.cqi_at(row);
-}
-
-std::optional<PlmnId> Cell::ue_plmn(UeId ue) const noexcept {
-  const std::uint32_t row = ues_.row_of(ue);
-  if (row == UeSoa::kNoRow) return std::nullopt;
-  return broadcast_[ues_.plmn_index_at(row)];
 }
 
 void Cell::wander_cqis(Rng& rng, double step_probability) {
@@ -257,17 +249,6 @@ void Cell::wander_cqis_legacy(Rng& rng, double step_probability) {
     cqi[row] = static_cast<std::uint8_t>(clamped);
   }
   for (std::size_t i = 0; i < broadcast_.size(); ++i) plmn_stats_[i].cqi_sum += delta[i];
-}
-
-Result<void> Cell::detach_ue(UeId ue) {
-  const std::uint32_t row = ues_.row_of(ue);
-  if (row == UeSoa::kNoRow) return make_error(Errc::not_found, "UE not attached");
-  PlmnUeStats& stats = plmn_stats_[ues_.plmn_index_at(row)];
-  assert(stats.count > 0);
-  --stats.count;
-  stats.cqi_sum -= ues_.cqi_at(row).index();
-  ues_.erase(ue);
-  return {};
 }
 
 std::size_t Cell::attached_count(PlmnId plmn) const noexcept {

@@ -10,15 +10,17 @@
 //
 // UE state is a structure-of-arrays column store (ran/ue_soa.hpp): the
 // id / PLMN-index / CQI attributes live in parallel dense columns with
-// O(1) attach/detach and deterministic row-order iteration (row
-// discipline bit-compatible with the old DenseIdMap slots), so the
-// per-epoch CQI walk streams a byte column instead of chasing 32-byte
-// AoS slots. Each broadcast PLMN keeps a running (count, cqi_sum)
-// aggregate, so attached_count / mean_cqi — the per-epoch scheduling
-// inputs — stay O(1).
+// O(1) attach/detach and deterministic row-order iteration, so the
+// per-epoch CQI walk streams a byte column. The UE API is row-addressed:
+// attach returns the UE's row and every later read, CQI update and
+// detach names that row. The cell keeps no UE-id index — RanController
+// owns the only one (UE id -> {plmn, cell, row}) and allocates every
+// id, so a handover costs one controller lookup plus row-addressed work
+// on the two cells. Each broadcast PLMN keeps a running (count,
+// cqi_sum) aggregate, so attached_count / mean_cqi — the per-epoch
+// scheduling inputs — stay O(1).
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -37,14 +39,6 @@ namespace slices::ran {
 
 /// Maximum PLMN ids one cell may broadcast (SIB1 PLMN-IdentityList).
 inline constexpr std::size_t kMaxBroadcastPlmns = 6;
-
-/// A UE attached to a cell under some PLMN (lookup-result view; the
-/// stored representation is columnar).
-struct AttachedUe {
-  UeId ue;
-  PlmnId plmn;
-  Cqi cqi;
-};
 
 /// One eNB cell.
 class Cell {
@@ -104,23 +98,23 @@ class Cell {
 
   // --- UE population -----------------------------------------------------
 
-  /// Attach a UE under `plmn`. Errors: not_found (PLMN not broadcast —
-  /// the demo's gating: devices connect only once their slice's PLMN is
-  /// on the air), conflict (duplicate UE id).
-  [[nodiscard]] Result<void> attach_ue(UeId ue, PlmnId plmn, Cqi cqi);
+  /// Attach a UE under `plmn` and return its row. Errors: not_found
+  /// (PLMN not broadcast — the demo's gating: devices connect only once
+  /// their slice's PLMN is on the air). The caller owns id uniqueness.
+  [[nodiscard]] Result<std::uint32_t> attach(UeId ue, PlmnId plmn, Cqi cqi);
 
-  /// Detach a UE. Errors: not_found.
-  [[nodiscard]] Result<void> detach_ue(UeId ue);
+  /// Detach the UE at live row `row`; the row is reused LIFO.
+  void detach(std::uint32_t row) noexcept;
 
-  /// Update a UE's reported channel quality (CQI feedback). Errors:
-  /// not_found.
-  [[nodiscard]] Result<void> update_ue_cqi(UeId ue, Cqi cqi);
+  /// Reported CQI of the UE at live row `row`.
+  [[nodiscard]] Cqi cqi_at(std::uint32_t row) const noexcept { return ues_.cqi_at(row); }
 
-  /// Current reported CQI of a UE; nullopt when not attached here.
-  [[nodiscard]] std::optional<Cqi> ue_cqi(UeId ue) const noexcept;
+  /// Update the reported channel quality (CQI feedback) of the UE at
+  /// live row `row`.
+  void update_cqi(std::uint32_t row, Cqi cqi) noexcept;
 
-  /// PLMN a UE is attached under; nullopt when not attached here.
-  [[nodiscard]] std::optional<PlmnId> ue_plmn(UeId ue) const noexcept;
+  /// UE at `row`; invalid() for a detached row.
+  [[nodiscard]] UeId ue_at(std::uint32_t row) const noexcept { return ues_.ue_at(row); }
 
   /// Random-walk every attached UE's CQI by ±1 (clamped to [1,15]) with
   /// probability `step_probability` each. Batched branchless kernel over

@@ -164,14 +164,18 @@ Result<UeId> RanController::attach_ue(PlmnId plmn, Cqi cqi) {
     return make_error(Errc::not_found, "PLMN not on the air; UE cannot attach");
   if (cells_.empty()) return make_error(Errc::unavailable, "no cells");
 
-  Cell* least = &cells_.front();
-  for (Cell& cell : cells_) {
-    if (cell.attached_total() < least->attached_total()) least = &cell;
+  std::uint32_t least = 0;
+  for (std::uint32_t i = 1; i < cells_.size(); ++i) {
+    if (cells_[i].attached_total() < cells_[least].attached_total()) least = i;
   }
+  return attach_at(least, plmn, cqi);
+}
+
+Result<UeId> RanController::attach_at(std::uint32_t index, PlmnId plmn, Cqi cqi) {
   const UeId ue = ue_ids_.next();
-  const Result<void> r = least->attach_ue(ue, plmn, cqi);
-  if (!r.ok()) return r.error();
-  ues_.insert(ue, UeRecord{least->id(), plmn});
+  const Result<std::uint32_t> row = cells_[index].attach(ue, plmn, cqi);
+  if (!row.ok()) return row.error();
+  ues_.insert(ue, UeRecord{plmn, index, row.value()});
   if (std::size_t* count = attached_by_plmn_.find(plmn)) {
     ++*count;
   } else {
@@ -181,18 +185,13 @@ Result<UeId> RanController::attach_ue(PlmnId plmn, Cqi cqi) {
 }
 
 Result<void> RanController::detach_ue(UeId ue) {
-  const UeRecord* record = ues_.find(ue);
-  if (record == nullptr) return make_error(Errc::not_found, "unknown UE");
-  if (const std::uint32_t* index = cell_index_.find(record->cell)) {
-    const Result<void> r = cells_[*index].detach_ue(ue);
-    assert(r.ok());
-    (void)r;
-  }
-  if (std::size_t* count = attached_by_plmn_.find(record->plmn)) {
+  UeRecord record;
+  if (!ues_.erase(ue, &record)) return make_error(Errc::not_found, "unknown UE");
+  cells_[record.cell].detach(record.row);
+  if (std::size_t* count = attached_by_plmn_.find(record.plmn)) {
     assert(*count > 0);
     --*count;
   }
-  ues_.erase(ue);
   return {};
 }
 
@@ -230,33 +229,21 @@ Result<UeId> RanController::attach_ue_at(CellId cell, PlmnId plmn, Cqi cqi) {
   const std::uint32_t* index = cell_index_.find(cell);
   if (index == nullptr) return make_error(Errc::not_found, "unknown cell");
   if (!cell_active(cell)) return make_error(Errc::conflict, "cell is inactive");
-
-  const UeId ue = ue_ids_.next();
-  if (Result<void> r = cells_[*index].attach_ue(ue, plmn, cqi); !r.ok()) {
-    return r.error();
-  }
-  ues_.insert(ue, UeRecord{cell, plmn});
-  if (std::size_t* count = attached_by_plmn_.find(plmn)) {
-    ++*count;
-  } else {
-    attached_by_plmn_.insert(plmn, 1);
-  }
-  return ue;
+  return attach_at(*index, plmn, cqi);
 }
 
 std::optional<Cqi> RanController::ue_cqi(UeId ue) const noexcept {
   const UeRecord* record = ues_.find(ue);
   if (record == nullptr) return std::nullopt;
-  const std::uint32_t* index = cell_index_.find(record->cell);
-  if (index == nullptr) return std::nullopt;
-  return cells_[*index].ue_cqi(ue);
+  return cells_[record->cell].cqi_at(record->row);
 }
 
-std::vector<PlmnId> RanController::installed_plmns() const {
-  std::vector<PlmnId> out;
-  out.reserve(installed_.size());
-  for (const auto& [plmn, unused] : installed_) out.push_back(plmn);
-  return out;
+PlmnId RanController::lowest_installed_plmn() const noexcept {
+  PlmnId lowest = PlmnId::invalid();
+  for (const auto& [plmn, unused] : installed_) {
+    if (!lowest.valid() || plmn.value() < lowest.value()) lowest = plmn;
+  }
+  return lowest;
 }
 
 HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> batch,
@@ -283,18 +270,17 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
     ++stats.attempts;
     bool ok = false;
 
+    // The controller's record is the only UE index: it names the
+    // source cell and row, so the move below is row-addressed on both
+    // cells and costs no further id lookup.
     UeRecord* record = ues_.find(req.ue);
     const std::uint32_t* dst_index =
         record == nullptr ? nullptr : cell_index_.find(req.target);
-    if (record != nullptr && dst_index != nullptr && record->cell != req.target &&
+    if (record != nullptr && dst_index != nullptr && *dst_index != record->cell &&
         cell_active(req.target)) {
+      Cell& source = cells_[record->cell];
       Cell& destination = cells_[*dst_index];
-      const std::uint32_t* src_index = cell_index_.find(record->cell);
-      assert(src_index != nullptr);
-      Cell& source = cells_[*src_index];
 
-      const std::optional<Cqi> cqi = source.ue_cqi(req.ue);
-      assert(cqi.has_value());
       // PRB migration plan, decided before the row move so the counts
       // reflect the pre-handover population: the leaving UE takes its
       // per-UE share of the source reservation along, clamped to what
@@ -311,10 +297,10 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
         if (moved > target_free) moved = target_free;
       }
       // Attach on the target first so a failure leaves the UE in place.
-      if (destination.attach_ue(req.ue, plmn, *cqi).ok()) {
-        const Result<void> detached = source.detach_ue(req.ue);
-        assert(detached.ok());
-        (void)detached;
+      const Result<std::uint32_t> row =
+          destination.attach(req.ue, plmn, source.cqi_at(record->row));
+      if (row.ok()) {
+        source.detach(record->row);
         if (moved > 0) {
           const int src_after = source.reservation_of(plmn).value - moved;
           const int dst_after = destination.reservation_of(plmn).value + moved;
@@ -324,9 +310,10 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
           (void)shrink;
           (void)grow;
         }
-        record->cell = req.target;
-        ++handover_departures_[*src_index];
+        ++handover_departures_[record->cell];
         ++handover_arrivals_[*dst_index];
+        record->cell = *dst_index;
+        record->row = row.value();
         ok = true;
       }
     }

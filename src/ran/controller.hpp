@@ -179,7 +179,7 @@ class RanController {
   /// Serving cell of `ue` (invalid id when unknown).
   [[nodiscard]] CellId ue_cell(UeId ue) const noexcept {
     const UeRecord* record = ues_.find(ue);
-    return record == nullptr ? CellId::invalid() : record->cell;
+    return record == nullptr ? CellId::invalid() : cells_[record->cell].id();
   }
   /// Reported CQI of `ue` on its serving cell.
   [[nodiscard]] std::optional<Cqi> ue_cqi(UeId ue) const noexcept;
@@ -187,8 +187,8 @@ class RanController {
   [[nodiscard]] const Cell& cell_at(std::size_t index) const noexcept {
     return cells_[index];
   }
-  /// Installed PLMNs in deterministic slot (install) order.
-  [[nodiscard]] std::vector<PlmnId> installed_plmns() const;
+  /// Lowest installed PLMN id (invalid when none is installed).
+  [[nodiscard]] PlmnId lowest_installed_plmn() const noexcept;
 
   // --- Failure injection -----------------------------------------------------
 
@@ -239,11 +239,16 @@ class RanController {
   [[nodiscard]] std::shared_ptr<net::Router> make_router();
 
  private:
+  /// The only UE index in the RAN: the serving cell (cells_ index) and
+  /// the UE's row in that cell's column store.
   struct UeRecord {
-    CellId cell;
     PlmnId plmn;
+    std::uint32_t cell = 0;
+    std::uint32_t row = 0;
   };
 
+  /// Attach a new UE on cells_[index] and record it in the UE index.
+  [[nodiscard]] Result<UeId> attach_at(std::uint32_t index, PlmnId plmn, Cqi cqi);
   void serve_epoch_batched(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
                            std::vector<RanServeReport>& out);
   void serve_epoch_legacy(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,

@@ -3,25 +3,24 @@
 //
 // The epoch hot loops touch exactly three UE attributes — identity,
 // broadcast-PLMN membership and reported CQI — and they touch them for
-// every attached UE, every epoch (the CQI random walk). The AoS layout
-// (`AttachedUe` structs inside a DenseIdMap arena) pulls 32+ bytes per
-// UE through the cache for a 2-byte working set; this store keeps each
-// attribute in its own contiguous column instead, so the wander loop
-// streams a byte array and the batched serve loops index dense rows.
+// every attached UE, every epoch (the CQI random walk). Each attribute
+// lives in its own contiguous column, so the wander loop streams a byte
+// array and the batched serve loops index dense rows.
 //
-// Row discipline is bit-compatible with DenseIdMap's slot discipline:
-// rows are assigned in insertion order with erased rows reused LIFO,
-// and iteration is ascending row order skipping holes. A given
-// attach/detach history therefore yields the *same* visit order as the
-// legacy AoS map — the property that keeps RNG consumption (and with it
-// every scorecard) byte-identical between the SoA and legacy paths
-// (pinned by the parity suite in determinism_test and the randomized
-// diff test in dense_map_test).
+// The store is row-addressed and keeps no id index of its own: insert
+// hands back the row, and the owner (RanController, whose UE record
+// holds {plmn, cell, row}) addresses every later read, update and erase
+// by that row. Row discipline is bit-compatible with DenseIdMap's slot
+// discipline: rows are assigned in insertion order with erased rows
+// reused LIFO, and iteration is ascending row order skipping holes. A
+// given attach/detach history therefore yields the same visit order —
+// and so the same wander RNG consumption — as an AoS DenseIdMap would
+// (pinned by the randomized diff test in dense_map_test).
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
-#include "common/dense_map.hpp"
 #include "common/ids.hpp"
 #include "ran/phy.hpp"
 
@@ -29,26 +28,15 @@ namespace slices::ran {
 
 class UeSoa {
  public:
-  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// Total rows (live + holes); the bound for row iteration.
   [[nodiscard]] std::size_t row_count() const noexcept { return ue_.size(); }
 
-  /// Row of `ue`, or kNoRow.
-  [[nodiscard]] std::uint32_t row_of(UeId ue) const noexcept {
-    const std::uint32_t* row = index_.find(ue);
-    return row == nullptr ? kNoRow : *row;
-  }
-
-  [[nodiscard]] bool contains(UeId ue) const noexcept { return index_.contains(ue); }
-
-  /// Insert a row; returns kNoRow when the UE is already present.
-  /// `plmn_index` is the position of the UE's PLMN in the cell's
-  /// broadcast list (kept index-coded so serve loops never hash).
+  /// Insert a row and return it. `plmn_index` is the position of the
+  /// UE's PLMN in the cell's broadcast list (kept index-coded so serve
+  /// loops never hash). The caller owns id uniqueness.
   std::uint32_t insert(UeId ue, std::uint8_t plmn_index, Cqi cqi) {
-    if (index_.contains(ue)) return kNoRow;
     std::uint32_t row;
     if (!free_.empty()) {
       row = free_.back();
@@ -64,22 +52,18 @@ class UeSoa {
     plmn_[row] = plmn_index;
     cqi_[row] = static_cast<std::uint8_t>(cqi.index());
     live_[row] = 1;
-    index_.insert(ue, row);
     ++size_;
     return row;
   }
 
-  /// Erase; returns false when absent. The freed row goes on a LIFO
-  /// free list (same reuse order as DenseIdMap slots).
-  bool erase(UeId ue) {
-    const std::uint32_t* row = index_.find(ue);
-    if (row == nullptr) return false;
-    ue_[*row] = UeId::invalid();
-    live_[*row] = 0;
-    free_.push_back(*row);
-    index_.erase(ue);
+  /// Erase a live row. The freed row goes on a LIFO free list (same
+  /// reuse order as DenseIdMap slots).
+  void erase(std::uint32_t row) noexcept {
+    assert(live(row));
+    ue_[row] = UeId::invalid();
+    live_[row] = 0;
+    free_.push_back(row);
     --size_;
-    return true;
   }
 
   void clear() noexcept {
@@ -88,17 +72,15 @@ class UeSoa {
     cqi_.clear();
     live_.clear();
     free_.clear();
-    index_.clear();
     size_ = 0;
   }
 
-  /// Pre-size columns and index for `n` UEs.
+  /// Pre-size the columns for `n` UEs.
   void reserve(std::size_t n) {
     ue_.reserve(n);
     plmn_.reserve(n);
     cqi_.reserve(n);
     live_.reserve(n);
-    index_.reserve(n);
   }
 
   // --- Column access (row validity: live(row) / ue_at(row).valid()) -------
@@ -135,7 +117,6 @@ class UeSoa {
   std::vector<std::uint8_t> cqi_;   ///< row -> CQI index 1..15
   std::vector<std::uint8_t> live_;  ///< row -> 1 when live (mask column)
   std::vector<std::uint32_t> free_; ///< LIFO reusable rows
-  DenseIdMap<UeId, std::uint32_t> index_;
   std::size_t size_ = 0;
 };
 

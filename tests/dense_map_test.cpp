@@ -237,6 +237,18 @@ TEST(DenseIdMap, RandomizedDifferentialAgainstStdMap) {
   }
 }
 
+TEST(DenseIdMap, EraseCanMoveTheValueOut) {
+  DenseIdMap<UeId, std::string> map;
+  map.insert(UeId{3}, "three");
+  std::string taken;
+  EXPECT_FALSE(map.erase(UeId{4}, &taken));
+  EXPECT_TRUE(taken.empty());
+  EXPECT_TRUE(map.erase(UeId{3}, &taken));
+  EXPECT_EQ(taken, "three");
+  EXPECT_EQ(map.find(UeId{3}), nullptr);
+  EXPECT_TRUE(map.empty());
+}
+
 TEST(DenseIdMap, ClearResetsEverything) {
   DenseIdMap<UeId, int> map;
   for (std::uint64_t i = 1; i <= 100; ++i) map.insert(UeId{i}, 1);
@@ -251,10 +263,11 @@ TEST(DenseIdMap, ClearResetsEverything) {
 // --- UeSoa column store -----------------------------------------------------
 //
 // The epoch kernel's column store must keep the same contents AND the
-// same iteration order as the legacy AoS layout (an AttachedUe record
-// per DenseIdMap slot) under any attach/detach/CQI-wander history —
-// iteration order is what fixes RNG consumption in the CQI walk, so an
-// order divergence would silently fork every downstream scorecard.
+// same iteration order as an AoS layout (one record per DenseIdMap
+// slot) under any attach/detach/CQI-wander history — iteration order is
+// what fixes RNG consumption in the CQI walk, so an order divergence
+// would silently fork every downstream scorecard. The store keeps no id
+// index; like RanController, the tests own the id -> row map.
 
 TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
   struct LegacyUe {
@@ -263,6 +276,7 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
   };
   ran::UeSoa soa;
   DenseIdMap<UeId, LegacyUe> legacy;
+  DenseIdMap<UeId, std::uint32_t> rows;  // the owner's id -> row index
 
   Rng rng(0xD1FFu);
   for (int op = 0; op < 20000; ++op) {
@@ -272,25 +286,33 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
       case 1: {  // attach (biased: populations grow)
         const auto plmn = static_cast<std::uint8_t>(rng.uniform_int(0, 5));
         const auto cqi_value = static_cast<int>(rng.uniform_int(1, 15));
-        const std::uint32_t row = soa.insert(ue, plmn, ran::Cqi{cqi_value});
         const bool legacy_inserted =
             legacy.insert(ue, LegacyUe{plmn, static_cast<std::uint8_t>(cqi_value)}) !=
             nullptr;
-        ASSERT_EQ(row != ran::UeSoa::kNoRow, legacy_inserted);
+        ASSERT_EQ(!rows.contains(ue), legacy_inserted);
+        if (!legacy_inserted) break;  // the owner never re-inserts a live id
+        const std::uint32_t row = soa.insert(ue, plmn, ran::Cqi{cqi_value});
+        // Row assignment is DenseIdMap slot assignment.
+        ASSERT_EQ(row, legacy.slot_of(ue));
+        rows.insert(ue, row);
         break;
       }
       case 2: {  // detach
-        ASSERT_EQ(soa.erase(ue), legacy.erase(ue));
+        std::uint32_t row = 0;
+        const bool present = rows.erase(ue, &row);
+        ASSERT_EQ(present, legacy.erase(ue));
+        if (present) soa.erase(row);
         break;
       }
       default: {  // CQI wander step on one UE
-        const std::uint32_t row = soa.row_of(ue);
+        const std::uint32_t* row = rows.find(ue);
         LegacyUe* ref = legacy.find(ue);
-        ASSERT_EQ(row != ran::UeSoa::kNoRow, ref != nullptr);
+        ASSERT_EQ(row != nullptr, ref != nullptr);
         if (ref == nullptr) break;
+        ASSERT_EQ(soa.ue_at(*row), ue);
         const int next = std::min(15, std::max(1, static_cast<int>(ref->cqi) +
                                                       (rng.bernoulli(0.5) ? 1 : -1)));
-        soa.set_cqi(row, ran::Cqi{next});
+        soa.set_cqi(*row, ran::Cqi{next});
         ref->cqi = static_cast<std::uint8_t>(next);
         break;
       }
@@ -305,6 +327,7 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
         if (!soa.live(row)) continue;
         const UeId seen = soa.ue_at(row);
         soa_order.push_back(seen);
+        ASSERT_EQ(row, legacy.slot_of(seen));
         const LegacyUe* ref = legacy.find(seen);
         ASSERT_NE(ref, nullptr);
         ASSERT_EQ(soa.plmn_index_at(row), ref->plmn_index);
@@ -322,10 +345,11 @@ TEST(UeSoa, RowsReusedLifoAndColumnsStayAligned) {
   for (std::uint64_t i = 1; i <= 6; ++i) {
     EXPECT_EQ(soa.insert(UeId{i}, 0, ran::Cqi{7}), i - 1);
   }
-  EXPECT_TRUE(soa.erase(UeId{2}));
-  EXPECT_TRUE(soa.erase(UeId{5}));
+  soa.erase(1);  // UE 2
+  soa.erase(4);  // UE 5
   EXPECT_FALSE(soa.live(1));
   EXPECT_FALSE(soa.live(4));
+  EXPECT_FALSE(soa.ue_at(4).valid());
   // LIFO: the most recently freed row (4) is handed out first.
   EXPECT_EQ(soa.insert(UeId{7}, 3, ran::Cqi{12}), 4u);
   EXPECT_EQ(soa.insert(UeId{8}, 1, ran::Cqi{3}), 1u);
@@ -334,9 +358,14 @@ TEST(UeSoa, RowsReusedLifoAndColumnsStayAligned) {
   EXPECT_EQ(soa.plmn_index_at(4), 3);
   EXPECT_EQ(soa.cqi_at(1).index(), 3);
   EXPECT_EQ(soa.size(), 7u);
-  // Duplicate insert is rejected without disturbing the row.
-  EXPECT_EQ(soa.insert(UeId{7}, 0, ran::Cqi{1}), ran::UeSoa::kNoRow);
-  EXPECT_EQ(soa.cqi_at(4).index(), 12);
+  EXPECT_EQ(soa.row_count(), 7u);
+  // A reused row takes the new UE's attributes in every column.
+  soa.erase(4);
+  EXPECT_EQ(soa.insert(UeId{10}, 5, ran::Cqi{2}), 4u);
+  EXPECT_EQ(soa.ue_at(4), UeId{10});
+  EXPECT_EQ(soa.plmn_index_at(4), 5);
+  EXPECT_EQ(soa.cqi_at(4).index(), 2);
+  EXPECT_EQ(soa.live_column()[4], 1);
 }
 
 }  // namespace

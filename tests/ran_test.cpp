@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "net/rest_bus.hpp"
 #include "ran/cell.hpp"
@@ -241,18 +244,21 @@ TEST(Cell, WithdrawBlockedByReservationAndUes) {
   ASSERT_TRUE(cell.set_reservation(PlmnId{1}, PrbCount{10}).ok());
   EXPECT_EQ(cell.withdraw_plmn(PlmnId{1}).error().code, Errc::conflict);
   cell.clear_reservation(PlmnId{1});
-  ASSERT_TRUE(cell.attach_ue(UeId{5}, PlmnId{1}, Cqi{9}).ok());
+  const Result<std::uint32_t> row = cell.attach(UeId{5}, PlmnId{1}, Cqi{9});
+  ASSERT_TRUE(row.ok());
   EXPECT_EQ(cell.withdraw_plmn(PlmnId{1}).error().code, Errc::conflict);
-  ASSERT_TRUE(cell.detach_ue(UeId{5}).ok());
+  cell.detach(row.value());
   EXPECT_TRUE(cell.withdraw_plmn(PlmnId{1}).ok());
 }
 
 TEST(Cell, UeAttachRequiresBroadcast) {
   Cell cell = make_cell();
-  EXPECT_EQ(cell.attach_ue(UeId{1}, PlmnId{7}, Cqi{10}).error().code, Errc::not_found);
+  EXPECT_EQ(cell.attach(UeId{1}, PlmnId{7}, Cqi{10}).error().code, Errc::not_found);
+  EXPECT_EQ(cell.attached_total(), 0u);
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{7}).ok());
-  EXPECT_TRUE(cell.attach_ue(UeId{1}, PlmnId{7}, Cqi{10}).ok());
-  EXPECT_EQ(cell.attach_ue(UeId{1}, PlmnId{7}, Cqi{10}).error().code, Errc::conflict);
+  const Result<std::uint32_t> row = cell.attach(UeId{1}, PlmnId{7}, Cqi{10});
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ(cell.ue_at(row.value()), UeId{1});
   EXPECT_EQ(cell.attached_count(PlmnId{7}), 1u);
 }
 
@@ -260,37 +266,43 @@ TEST(Cell, MeanCqiAveragesAttachedUes) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{9}), Cqi{9});  // fallback
-  ASSERT_TRUE(cell.attach_ue(UeId{1}, PlmnId{1}, Cqi{6}).ok());
-  ASSERT_TRUE(cell.attach_ue(UeId{2}, PlmnId{1}, Cqi{12}).ok());
+  ASSERT_TRUE(cell.attach(UeId{1}, PlmnId{1}, Cqi{6}).ok());
+  ASSERT_TRUE(cell.attach(UeId{2}, PlmnId{1}, Cqi{12}).ok());
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{9}), Cqi{9});  // (6+12)/2
 }
 
 TEST(Cell, UeCqiUpdateAndQuery) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  ASSERT_TRUE(cell.attach_ue(UeId{1}, PlmnId{1}, Cqi{7}).ok());
-  EXPECT_EQ(cell.ue_cqi(UeId{1}), Cqi{7});
-  EXPECT_TRUE(cell.update_ue_cqi(UeId{1}, Cqi{12}).ok());
-  EXPECT_EQ(cell.ue_cqi(UeId{1}), Cqi{12});
-  EXPECT_EQ(cell.update_ue_cqi(UeId{9}, Cqi{5}).error().code, Errc::not_found);
-  EXPECT_EQ(cell.ue_cqi(UeId{9}), std::nullopt);
+  const std::uint32_t row = cell.attach(UeId{1}, PlmnId{1}, Cqi{7}).value();
+  const std::uint32_t other = cell.attach(UeId{2}, PlmnId{1}, Cqi{9}).value();
+  EXPECT_EQ(cell.cqi_at(row), Cqi{7});
+  cell.update_cqi(row, Cqi{12});
+  EXPECT_EQ(cell.cqi_at(row), Cqi{12});
+  // The update touches its own row only and feeds the PLMN aggregate.
+  EXPECT_EQ(cell.cqi_at(other), Cqi{9});
+  EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{1}), Cqi{10});  // (12+9)/2
+  // A detached row no longer names a UE.
+  cell.detach(other);
+  EXPECT_FALSE(cell.ue_at(other).valid());
+  EXPECT_EQ(cell.ue_at(row), UeId{1});
 }
 
 TEST(Cell, CqiWanderStaysInRange) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  ASSERT_TRUE(cell.attach_ue(UeId{1}, PlmnId{1}, Cqi{1}).ok());
-  ASSERT_TRUE(cell.attach_ue(UeId{2}, PlmnId{1}, Cqi{15}).ok());
+  const std::uint32_t low = cell.attach(UeId{1}, PlmnId{1}, Cqi{1}).value();
+  const std::uint32_t high = cell.attach(UeId{2}, PlmnId{1}, Cqi{15}).value();
   Rng rng(3);
   bool moved = false;
   for (int i = 0; i < 500; ++i) {
     cell.wander_cqis(rng, 0.5);
-    for (const UeId ue : {UeId{1}, UeId{2}}) {
-      const std::optional<Cqi> cqi = cell.ue_cqi(ue);
-      ASSERT_TRUE(cqi.has_value());
-      EXPECT_GE(cqi->index(), 1);
-      EXPECT_LE(cqi->index(), 15);
-      if (*cqi != Cqi{1} && *cqi != Cqi{15}) moved = true;
+    for (const std::uint32_t row : {low, high}) {
+      ASSERT_TRUE(cell.ue_at(row).valid());
+      const Cqi cqi = cell.cqi_at(row);
+      EXPECT_GE(cqi.index(), 1);
+      EXPECT_LE(cqi.index(), 15);
+      if (cqi != Cqi{1} && cqi != Cqi{15}) moved = true;
     }
   }
   EXPECT_TRUE(moved);
@@ -307,25 +319,25 @@ TEST(Cell, WanderStepRateMatchesLegacyDistribution) {
   const auto step_rate = [&](bool legacy) {
     Cell cell = make_cell();
     EXPECT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-    std::vector<UeId> ues;
+    std::vector<std::uint32_t> rows;
     for (std::size_t i = 0; i < kUes; ++i) {
-      const UeId ue{i + 1};
-      EXPECT_TRUE(cell.attach_ue(ue, PlmnId{1}, Cqi{8}).ok());
-      ues.push_back(ue);
+      const Result<std::uint32_t> row = cell.attach(UeId{i + 1}, PlmnId{1}, Cqi{8});
+      EXPECT_TRUE(row.ok());
+      rows.push_back(row.value());
     }
     Rng rng(19);
     std::vector<int> before(kUes);
     std::int64_t moved = 0;
     std::int64_t trials = 0;
     for (int round = 0; round < kRounds; ++round) {
-      for (std::size_t i = 0; i < kUes; ++i) before[i] = cell.ue_cqi(ues[i])->index();
+      for (std::size_t i = 0; i < kUes; ++i) before[i] = cell.cqi_at(rows[i]).index();
       if (legacy) {
         cell.wander_cqis_legacy(rng, kP);
       } else {
         cell.wander_cqis(rng, kP);
       }
       for (std::size_t i = 0; i < kUes; ++i) {
-        const int after = cell.ue_cqi(ues[i])->index();
+        const int after = cell.cqi_at(rows[i]).index();
         EXPECT_GE(after, 1);
         EXPECT_LE(after, 15);
         if (after != before[i]) ++moved;
@@ -350,17 +362,20 @@ TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{2}).ok());
-  std::vector<UeId> live;
+  // Row of UE i + 1 (attached in order, so row i).
+  std::vector<std::uint32_t> live;
   for (std::size_t i = 0; i < 64; ++i) {
-    const UeId ue{i + 1};
     const PlmnId plmn{1 + i % 2};
-    ASSERT_TRUE(cell.attach_ue(ue, plmn, Cqi{static_cast<int>(1 + i % 15)}).ok());
-    live.push_back(ue);
+    const Result<std::uint32_t> row =
+        cell.attach(UeId{i + 1}, plmn, Cqi{static_cast<int>(1 + i % 15)});
+    ASSERT_TRUE(row.ok());
+    ASSERT_EQ(row.value(), i);
+    live.push_back(row.value());
   }
   // Punch holes in the middle of the columns.
-  for (std::size_t i = 0; i < 64; i += 3) {
-    ASSERT_TRUE(cell.detach_ue(UeId{i + 1}).ok());
-    live.erase(std::find(live.begin(), live.end(), UeId{i + 1}));
+  for (std::uint32_t row = 0; row < 64; row += 3) {
+    cell.detach(row);
+    live.erase(std::find(live.begin(), live.end(), row));
   }
   Rng rng(23);
   for (int round = 0; round < 50; ++round) cell.wander_cqis(rng, 0.5);
@@ -368,12 +383,11 @@ TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
   for (const PlmnId plmn : {PlmnId{1}, PlmnId{2}}) {
     std::int64_t sum = 0;
     std::int64_t count = 0;
-    for (const UeId ue : live) {
-      // ue_cqi is hole-aware; only UEs of this PLMN contribute.
-      if ((ue.value() - 1) % 2 != plmn.value() - 1) continue;
-      const std::optional<Cqi> cqi = cell.ue_cqi(ue);
-      ASSERT_TRUE(cqi.has_value());
-      sum += cqi->index();
+    for (const std::uint32_t row : live) {
+      // Only UEs of this PLMN contribute.
+      if (row % 2 != plmn.value() - 1) continue;
+      ASSERT_EQ(cell.ue_at(row), UeId{row + 1u});
+      sum += cell.cqi_at(row).index();
       ++count;
     }
     ASSERT_GT(count, 0);
@@ -382,7 +396,7 @@ TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
     EXPECT_EQ(cell.mean_cqi(plmn, Cqi{7}).index(), expected_mean) << "plmn " << plmn.value();
   }
   // Detached rows stay detached.
-  EXPECT_EQ(cell.ue_cqi(UeId{1}), std::nullopt);
+  EXPECT_FALSE(cell.ue_at(0).valid());
 }
 
 TEST(Cell, ServeEpochUsesReservations) {
@@ -498,6 +512,209 @@ TEST(RanController, UesBalanceAcrossCells) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(controller.attach_ue(PlmnId{5}, Cqi{10}).ok());
   EXPECT_EQ(controller.find_cell(CellId{1})->attached_total(), 5u);
   EXPECT_EQ(controller.find_cell(CellId{2})->attached_total(), 5u);
+}
+
+// The controller is the only UE index ({plmn, cell, row} per UE), so
+// every UE operation must keep it, the cells' row stores and the
+// per-PLMN aggregates in step. A seeded mix of attaches, detaches,
+// handover batches (with unknown-UE, unknown-cell, same-cell and
+// inactive-target drops), outages and CQI walks runs against a shadow
+// model; every step re-checks the whole observable UE state.
+TEST(RanController, RandomizedUeOpsMatchShadowModel) {
+  const std::vector<CellId> cell_ids = {CellId{11}, CellId{12}, CellId{13}, CellId{14}};
+  const std::vector<PlmnId> plmns = {PlmnId{10}, PlmnId{20}, PlmnId{30}};
+  const PlmnId not_installed{40};
+  const CellId unknown_cell{99};
+  RanController controller;
+  for (const CellId id : cell_ids) {
+    controller.add_cell(Cell(id, "c" + std::to_string(id.value()), Bandwidth::mhz20,
+                             SharingPolicy::pooled));
+  }
+  for (const PlmnId plmn : plmns) {
+    ASSERT_TRUE(controller.install_plmn(plmn).ok());
+    ASSERT_TRUE(controller.set_allocation(plmn, DataRate::mbps(40.0)).ok());
+  }
+
+  struct ShadowUe {
+    std::size_t cell;
+    PlmnId plmn;
+    int cqi;
+  };
+  std::map<std::uint64_t, ShadowUe> shadow;
+  std::vector<UeId> live;  // shadow keys, for uniform picks
+  std::vector<bool> active(cell_ids.size(), true);
+  std::uint64_t next_unknown = 1'000'000;
+
+  const auto forget = [&](UeId ue) {
+    shadow.erase(ue.value());
+    const auto it = std::find(live.begin(), live.end(), ue);
+    ASSERT_NE(it, live.end());
+    *it = live.back();
+    live.pop_back();
+  };
+  const auto reserved_by_plmn = [&] {
+    std::vector<int> sums;
+    for (const PlmnId plmn : plmns) {
+      int sum = 0;
+      for (const CellId id : cell_ids) sum += controller.find_cell(id)->reservation_of(plmn).value;
+      sums.push_back(sum);
+    }
+    return sums;
+  };
+  const auto check = [&](int op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    for (const auto& [id, ue] : shadow) {
+      ASSERT_TRUE(controller.ue_attached(UeId{id}));
+      ASSERT_EQ(controller.ue_cell(UeId{id}), cell_ids[ue.cell]) << "ue " << id;
+      ASSERT_EQ(controller.ue_cqi(UeId{id}), Cqi{ue.cqi}) << "ue " << id;
+    }
+    const UeId stranger{next_unknown};
+    EXPECT_FALSE(controller.ue_attached(stranger));
+    EXPECT_FALSE(controller.ue_cell(stranger).valid());
+    EXPECT_EQ(controller.ue_cqi(stranger), std::nullopt);
+    for (std::size_t c = 0; c < cell_ids.size(); ++c) {
+      const Cell& cell = *controller.find_cell(cell_ids[c]);
+      std::size_t total = 0;
+      for (const PlmnId plmn : plmns) {
+        std::size_t count = 0;
+        std::int64_t cqi_sum = 0;
+        for (const auto& [id, ue] : shadow) {
+          if (ue.cell != c || ue.plmn != plmn) continue;
+          ++count;
+          cqi_sum += ue.cqi;
+        }
+        ASSERT_EQ(cell.attached_count(plmn), count) << "cell " << c;
+        const Cqi mean = count == 0 ? Cqi{3}
+                                    : Cqi{std::clamp(static_cast<int>(
+                                                         cqi_sum / static_cast<std::int64_t>(count)),
+                                                     1, 15)};
+        ASSERT_EQ(cell.mean_cqi(plmn, Cqi{3}), mean) << "cell " << c;
+        total += count;
+      }
+      ASSERT_EQ(cell.attached_total(), total) << "cell " << c;
+    }
+    for (const PlmnId plmn : plmns) {
+      std::size_t count = 0;
+      for (const auto& [id, ue] : shadow) count += ue.plmn == plmn ? 1 : 0;
+      ASSERT_EQ(controller.attached_ues(plmn), count);
+    }
+  };
+
+  Rng rng(0x5EEDu);
+  std::uint64_t handovers = 0;
+  std::uint64_t drops = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const auto pick_plmn = [&] {
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      return k == plmns.size() ? not_installed : plmns[k];
+    };
+    const int cqi = static_cast<int>(rng.uniform_int(1, 15));
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+      case 1: {  // least-loaded attach
+        const PlmnId plmn = pick_plmn();
+        const Result<UeId> ue = controller.attach_ue(plmn, Cqi{cqi});
+        if (plmn == not_installed) {
+          ASSERT_EQ(ue.error().code, Errc::not_found);
+          break;
+        }
+        ASSERT_TRUE(ue.ok());
+        std::vector<std::size_t> load(cell_ids.size(), 0);
+        for (const auto& [id, s] : shadow) ++load[s.cell];
+        const std::size_t least = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        shadow.emplace(ue.value().value(), ShadowUe{least, plmn, cqi});
+        live.push_back(ue.value());
+        break;
+      }
+      case 2:
+      case 3: {  // placed attach, incl. unknown and inactive cells
+        const PlmnId plmn = pick_plmn();
+        const auto c = static_cast<std::size_t>(rng.uniform_int(0, 4));
+        const CellId target = c == cell_ids.size() ? unknown_cell : cell_ids[c];
+        const Result<UeId> ue = controller.attach_ue_at(target, plmn, Cqi{cqi});
+        if (plmn == not_installed || target == unknown_cell) {
+          ASSERT_EQ(ue.error().code, Errc::not_found);
+        } else if (!active[c]) {
+          ASSERT_EQ(ue.error().code, Errc::conflict);
+        } else {
+          ASSERT_TRUE(ue.ok());
+          shadow.emplace(ue.value().value(), ShadowUe{c, plmn, cqi});
+          live.push_back(ue.value());
+        }
+        break;
+      }
+      case 4: {  // detach, sometimes of an unknown UE
+        if (live.empty() || rng.bernoulli(0.2)) {
+          ASSERT_EQ(controller.detach_ue(UeId{next_unknown}).error().code, Errc::not_found);
+          break;
+        }
+        const UeId ue = live[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+        ASSERT_TRUE(controller.detach_ue(ue).ok());
+        forget(ue);
+        break;
+      }
+      case 5:
+      case 6:
+      case 7: {  // handover batch
+        const auto n = static_cast<std::size_t>(rng.uniform_int(1, 40));
+        std::vector<HandoverRequest> batch;
+        std::vector<std::uint8_t> expected;
+        for (std::size_t k = 0; k < n; ++k) {
+          const bool known = !live.empty() && !rng.bernoulli(0.15);
+          const UeId ue = known ? live[static_cast<std::size_t>(rng.uniform_int(
+                                      0, static_cast<std::int64_t>(live.size()) - 1))]
+                                : UeId{next_unknown};
+          const auto c = static_cast<std::size_t>(rng.uniform_int(0, 4));
+          const CellId target = c == cell_ids.size() ? unknown_cell : cell_ids[c];
+          batch.push_back(HandoverRequest{ue, target});
+          // Requests apply in batch order, so a UE named twice moves from
+          // wherever the earlier request left it.
+          bool ok = false;
+          if (known && target != unknown_cell && active[c]) {
+            ShadowUe& s = shadow.at(ue.value());
+            ok = s.cell != c;
+            if (ok) s.cell = c;
+          }
+          expected.push_back(ok ? 1 : 0);
+        }
+        const std::vector<int> reserved_before = reserved_by_plmn();
+        std::vector<std::uint8_t> outcomes(n, 0xff);
+        const HandoverStats stats = controller.apply_handovers(
+            batch, SimTime::from_micros(1000 * (op + 1)), outcomes);
+        ASSERT_EQ(outcomes, expected);
+        const auto successes =
+            static_cast<std::uint64_t>(std::count(expected.begin(), expected.end(), 1));
+        ASSERT_EQ(stats.attempts, n);
+        ASSERT_EQ(stats.successes, successes);
+        ASSERT_EQ(stats.drops, n - successes);
+        // Reservations migrate with the UEs; none are created or lost.
+        ASSERT_EQ(reserved_by_plmn(), reserved_before);
+        handovers += successes;
+        drops += n - successes;
+        break;
+      }
+      case 8: {  // eNB outage / recovery
+        const auto c = static_cast<std::size_t>(rng.uniform_int(0, 3));
+        active[c] = !active[c];
+        ASSERT_TRUE(controller.set_cell_active(cell_ids[c], active[c]).ok());
+        break;
+      }
+      default: {  // CQI walk over rows reshuffled by handovers
+        controller.wander_cqis(rng, 0.5);
+        for (auto& [id, ue] : shadow) ue.cqi = controller.ue_cqi(UeId{id})->index();
+        break;
+      }
+    }
+    ++next_unknown;
+    check(op);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(shadow.size(), 50u) << "the mix must build a real population";
+  EXPECT_GT(handovers, 1000u);
+  EXPECT_GT(drops, 500u);
+  EXPECT_EQ(controller.handover_totals().successes, handovers);
 }
 
 TEST(RanController, ServeEpochAggregatesAndPublishesTelemetry) {
