@@ -7,7 +7,9 @@
 // Prints the paper-style overhead table from a manual interleaved
 // timing loop, then runs google-benchmark timings of the kernels:
 // epoch serve (tracing off / on / on+wall), span record, histogram
-// record, and the Chrome-trace export.
+// record, the Chrome-trace export, the /metrics body, and one REST bus
+// call over a kept-alive loopback connection (the socket transport's
+// per-call cost).
 //
 // With SLICES_TRACE_OUT=<path> the measured run's trace is exported as
 // Chrome trace-event JSON (Perfetto-loadable); CI uploads it as an
@@ -20,10 +22,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
+#include "net/http_server.hpp"
+#include "net/rest_bus.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
@@ -225,6 +231,39 @@ void BM_MetricsBody(benchmark::State& state) {
                           static_cast<std::int64_t>(out.size()));
 }
 BENCHMARK(BM_MetricsBody)->Unit(benchmark::kMicrosecond);
+
+void BM_BusCallLoopback(benchmark::State& state) {
+  // One broker -> edge REST exchange over sockets: a RestBus GET on its
+  // kept-alive loopback connection to an HttpServer thread, with a
+  // body the size of a /federation/headroom answer.
+  auto router = std::make_shared<net::Router>();
+  router->add(net::Method::get, "/federation/headroom", [](const net::RouteContext&) {
+    return net::Response::json(net::Status::ok,
+                               R"({"region":"r0","headroom_mbps":1234.5,"suspended":false})");
+  });
+  telemetry::trace::set_enabled(false);  // the transport alone
+  Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(router);
+  if (!server.ok()) {
+    state.SkipWithError(server.error().message.c_str());
+    return;
+  }
+  std::thread serving([raw = server.value().get()] { raw->run(); });
+  net::RestBus bus;
+  bus.register_remote("r0", server.value()->port());
+  for (auto _ : state) {
+    Result<json::Value> doc = bus.get_json("r0", "/federation/headroom");
+    if (!doc.ok()) {
+      state.SkipWithError(doc.error().message.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(doc.value());
+  }
+  bus.close_connections();
+  server.value()->stop();
+  serving.join();
+  state.counters["connections"] = static_cast<double>(server.value()->connections_served());
+}
+BENCHMARK(BM_BusCallLoopback)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -83,6 +83,7 @@ FederatedRunner::FederatedRunner(scenario::Scenario scenario, FederatedRunOption
     : scenario_(std::move(scenario)), options_(std::move(options)) {}
 
 FederatedRunner::~FederatedRunner() {
+  bus_.close_connections();  // no server is left holding an idle peer
   for (auto& server : servers_) server->stop();
   for (std::thread& t : server_threads_) {
     if (t.joinable()) t.join();

@@ -120,6 +120,8 @@ class FederatedRunner {
   /// Valid after run(); nullptr before. Locally-built edges only.
   [[nodiscard]] EdgeNode* edge(const std::string& region) noexcept;
   [[nodiscard]] Broker* broker() noexcept { return broker_.get(); }
+  /// The broker <-> edges bus (its per-region traffic counters).
+  [[nodiscard]] const net::RestBus& bus() const noexcept { return bus_; }
 
  private:
   [[nodiscard]] Result<void> build_edges();

@@ -23,6 +23,15 @@ Error protocol_error(std::string why) {
   return make_error(Errc::protocol_error, "http: " + std::move(why));
 }
 
+/// A Content-Length value: a whole decimal, nothing else.
+Result<std::size_t> parse_length(std::string_view value) {
+  std::size_t length = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), length);
+  if (ec != std::errc{} || ptr != value.data() + value.size())
+    return protocol_error("bad Content-Length");
+  return length;
+}
+
 /// Shared head parsing: splits start line + header fields + body, checks
 /// Content-Length. Returns the start line; fills headers/body.
 Result<std::string_view> split_message(std::string_view wire, Headers& headers,
@@ -52,12 +61,9 @@ Result<std::string_view> split_message(std::string_view wire, Headers& headers,
 
   const auto it = headers.find("Content-Length");
   if (it != headers.end()) {
-    std::size_t length = 0;
-    const std::string& v = it->second;
-    const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), length);
-    if (ec != std::errc{} || ptr != v.data() + v.size())
-      return protocol_error("bad Content-Length");
-    if (rest.size() != length) return protocol_error("body length mismatch");
+    const Result<std::size_t> length = parse_length(it->second);
+    if (!length.ok()) return length.error();
+    if (rest.size() != length.value()) return protocol_error("body length mismatch");
     body.assign(rest);
   } else if (!rest.empty()) {
     return protocol_error("body without Content-Length");
@@ -106,6 +112,27 @@ std::size_t encoded_head_size(const Headers& headers, std::size_t body_size) noe
 }
 
 }  // namespace
+
+Result<std::size_t> content_length(std::string_view head) {
+  constexpr std::string_view kField = "content-length";
+  std::size_t length = 0;
+  std::size_t line_end = head.find(kCrlf);  // skip the start line
+  while (line_end != std::string_view::npos) {
+    head.remove_prefix(line_end + 2);
+    line_end = head.find(kCrlf);
+    const std::string_view line = head.substr(0, line_end);
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos) continue;  // parse_* rejects it
+    const std::string_view name = trim(line.substr(0, colon));
+    if (!std::equal(name.begin(), name.end(), kField.begin(), kField.end(),
+                    [](char a, char b) { return ascii_lower(a) == b; }))
+      continue;
+    const Result<std::size_t> value = parse_length(trim(line.substr(colon + 1)));
+    if (!value.ok()) return value.error();
+    length = value.value();  // the last field wins, as in the parsed Headers
+  }
+  return length;
+}
 
 std::optional<Method> parse_method(std::string_view token) noexcept {
   if (token == "GET") return Method::get;

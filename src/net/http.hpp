@@ -94,6 +94,13 @@ struct Response {
   [[nodiscard]] static Response from_error(const Error& e);
 };
 
+/// The body length a message head announces: its Content-Length field
+/// (name matched case-insensitively; the last one wins, as in the parsed
+/// Headers), 0 when it has none. `head` is the message up to, not
+/// including, the blank line. Errors: protocol_error (a value that is
+/// not a whole decimal).
+[[nodiscard]] Result<std::size_t> content_length(std::string_view head);
+
 /// Parse one complete request from wire bytes. Requires the full message
 /// to be present (the bus delivers whole messages); enforces
 /// Content-Length consistency and rejects malformed start lines.

@@ -1,52 +1,32 @@
 #include "net/http_server.hpp"
 
-#include <charconv>
+#include <poll.h>
+
+#include <cerrno>
+#include <string_view>
+#include <vector>
 
 #include "telemetry/trace.hpp"
 
 namespace slices::net {
 namespace {
 
-/// Read from `conn` until a complete HTTP message (terminated head +
-/// Content-Length-satisfied body) or EOF/limit. Returns the raw bytes.
-Result<std::string> read_message(TcpConnection& conn) {
-  std::string wire;
-  std::size_t expected_total = 0;  // 0 = head not complete yet
-  while (wire.size() < kMaxRequestBytes) {
-    if (expected_total == 0) {
-      const std::size_t head_end = wire.find("\r\n\r\n");
-      if (head_end != std::string::npos) {
-        std::size_t content_length = 0;
-        // Scan header block for Content-Length (case-insensitive match
-        // is done by the full parser; a simple scan suffices to size
-        // the read because we re-parse afterwards anyway).
-        const std::string head = wire.substr(0, head_end);
-        for (const char* name : {"Content-Length:", "content-length:", "Content-length:"}) {
-          const std::size_t pos = head.find(name);
-          if (pos == std::string::npos) continue;
-          const char* first = head.data() + pos + std::string_view(name).size();
-          while (first < head.data() + head.size() && *first == ' ') ++first;
-          std::from_chars(first, head.data() + head.size(), content_length);
-          break;
-        }
-        expected_total = head_end + 4 + content_length;
-      }
-    }
-    if (expected_total > 0 && wire.size() >= expected_total) {
-      return wire.substr(0, expected_total);
-    }
-    Result<std::string> chunk = conn.receive_some();
-    if (!chunk.ok()) return chunk.error();
-    if (chunk.value().empty()) {
-      // EOF: deliver what we have (the parser will reject partials).
-      return wire;
-    }
-    wire += chunk.value();
-  }
-  return make_error(Errc::protocol_error, "request exceeds size limit");
+/// HTTP/1.0, or `Connection: close`: answer, then close.
+bool wants_close(const Request& request, std::string_view wire) {
+  const std::string_view start_line = wire.substr(0, wire.find("\r\n"));
+  if (start_line.ends_with(" HTTP/1.0")) return true;
+  const auto it = request.headers.find("Connection");
+  if (it == request.headers.end()) return false;
+  const CaseInsensitiveLess less;
+  return !less(it->second, "close") && !less("close", it->second);
 }
 
 }  // namespace
+
+struct HttpServer::Client {
+  TcpConnection conn;
+  HttpFramer framer;
+};
 
 Result<std::unique_ptr<HttpServer>> HttpServer::bind(std::shared_ptr<Router> router,
                                                      std::uint16_t port) {
@@ -56,65 +36,104 @@ Result<std::unique_ptr<HttpServer>> HttpServer::bind(std::shared_ptr<Router> rou
       new HttpServer(std::move(router), std::move(listener).value()));
 }
 
-Result<void> HttpServer::serve_one() {
-  Result<TcpConnection> accepted = listener_.accept_one();
-  if (!accepted.ok()) return accepted.error();
-  TcpConnection conn = std::move(accepted).value();
-
-  Response response;
-  const Result<std::string> wire = read_message(conn);
-  if (!wire.ok()) {
-    response = Response::from_error(wire.error());
-  } else {
-    const Result<Request> request = parse_request(wire.value());
-    if (!request.ok()) {
-      response = Response::from_error(request.error());
-    } else {
-      // Adopt a carried trace context (if any) so spans opened by the
-      // handler parent the caller's span exactly like a direct dispatch
-      // would. Invalid/absent headers make this a no-op.
-      telemetry::trace::Context ctx;
-      const auto trace_header =
-          request.value().headers.find(telemetry::trace::kContextHeader);
-      if (trace_header != request.value().headers.end()) {
-        ctx = telemetry::trace::parse_context(trace_header->second);
-      }
-      telemetry::trace::ContextScope trace_scope(ctx);
-      response = router_->dispatch(request.value());
-    }
-  }
-  response.headers.insert_or_assign("Connection", "close");
-  (void)conn.send_all(response.encode());
-  conn.shutdown_write();
-  ++served_;
-  return {};
+void HttpServer::stop() noexcept {
+  const int saved_errno = errno;  // a signal handler must leave errno alone
+  stopping_.store(true, std::memory_order_relaxed);
+  // shutdown(2) of the listener wakes run()'s poll (POLLHUP on the
+  // listener) and refuses new connects.
+  listener_.close();
+  errno = saved_errno;
 }
 
 std::uint64_t HttpServer::run() {
-  std::uint64_t handled = 0;
+  std::vector<Client> clients;
+  std::vector<pollfd> fds;
+  std::uint64_t accepted = 0;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    if (!serve_one().ok()) break;  // listener closed (stop) or fatal
-    ++handled;
+    fds.clear();
+    fds.push_back({listener_.fd(), POLLIN, 0});
+    for (const Client& client : clients) fds.push_back({client.conn.fd(), POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (stopping_.load(std::memory_order_relaxed)) break;
+
+    // Ready connections in accept order; closed ones drop out.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      if (fds[i + 1].revents != 0 && !serve_ready(clients[i])) continue;
+      if (kept != i) clients[kept] = std::move(clients[i]);
+      ++kept;
+    }
+    clients.resize(kept);
+
+    if (fds[0].revents != 0) {
+      Result<TcpConnection> conn = listener_.accept_one();
+      if (!conn.ok()) break;  // listener shut down (stop) or failed
+      clients.push_back({std::move(conn).value(), HttpFramer{}});
+      ++accepted;
+      served_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  return handled;
+  return accepted;
+}
+
+bool HttpServer::serve_ready(Client& client) {
+  const Result<bool> filled = client.framer.fill(client.conn);
+  if (!filled.ok()) return false;  // reset: nobody to answer
+  while (true) {
+    wire_.clear();
+    const Result<bool> framed = client.framer.next(wire_);
+    if (!framed.ok()) return answer(client.conn, framed.error());
+    if (!framed.value()) break;
+    if (!answer(client.conn, parse_request(wire_))) return false;
+  }
+  if (filled.value()) return true;
+  // EOF. A peer that closed inside a request still learns why.
+  if (!client.framer.empty()) {
+    (void)answer(client.conn,
+                 make_error(Errc::protocol_error, "http: connection closed mid-message"));
+  }
+  return false;
+}
+
+bool HttpServer::answer(TcpConnection& conn, const Result<Request>& request) {
+  Response response;
+  bool close = true;
+  if (!request.ok()) {
+    response = Response::from_error(request.error());
+  } else {
+    close = wants_close(request.value(), wire_);
+    // Adopt a carried trace context (if any) so spans opened by the
+    // handler parent the caller's span exactly like a direct dispatch
+    // would. Invalid/absent headers make this a no-op.
+    telemetry::trace::Context ctx;
+    const auto trace_header = request.value().headers.find(telemetry::trace::kContextHeader);
+    if (trace_header != request.value().headers.end()) {
+      ctx = telemetry::trace::parse_context(trace_header->second);
+    }
+    telemetry::trace::ContextScope trace_scope(ctx);
+    response = router_->dispatch(request.value());
+  }
+  if (close) response.headers.insert_or_assign("Connection", "close");
+  return conn.send_all(response.encode()).ok() && !close;
+}
+
+Result<Response> exchange(TcpConnection& conn, HttpFramer& framer, const Request& request) {
+  if (Result<void> sent = conn.send_all(request.encode()); !sent.ok()) return sent.error();
+  std::string wire;
+  if (Result<void> read = framer.read(conn, wire); !read.ok()) return read.error();
+  return parse_response(wire);
 }
 
 Result<Response> http_request(std::uint16_t port, const Request& request) {
   Result<TcpConnection> connected = connect_loopback(port);
   if (!connected.ok()) return connected.error();
-  TcpConnection conn = std::move(connected).value();
-
-  if (Result<void> sent = conn.send_all(request.encode()); !sent.ok()) return sent.error();
-  conn.shutdown_write();
-
-  std::string wire;
-  while (wire.size() < kMaxRequestBytes) {
-    Result<std::string> chunk = conn.receive_some();
-    if (!chunk.ok()) return chunk.error();
-    if (chunk.value().empty()) break;  // server closed: full response in hand
-    wire += chunk.value();
-  }
-  return parse_response(wire);
+  Request closing = request;
+  closing.headers.insert_or_assign("Connection", "close");
+  HttpFramer framer;
+  return exchange(connected.value(), framer, closing);
 }
 
 }  // namespace slices::net

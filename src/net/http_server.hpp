@@ -1,26 +1,31 @@
 #pragma once
-// Blocking HTTP/1.1 server over real sockets.
+// Blocking HTTP/1.1 server over real sockets, with kept-alive
+// connections.
 //
 // Exposes any Router (the same ones the RestBus serves in-process) on a
-// loopback TCP port: accept -> read one full request (header-delimited,
-// Content-Length-bounded body) -> dispatch -> write response -> close.
-// One connection at a time, one request per connection — the demo
-// dashboard's query pattern. `serve_one()` processes a single
-// connection; `run()` loops until `stop()` closes the listener from
-// another thread.
+// loopback TCP port. run() is one poll(2) loop on one thread over the
+// listener and every open connection. A readable connection's bytes go
+// through its HttpFramer; each whole request is parsed, dispatched and
+// answered before the next one, so handlers run in arrival order and
+// never concurrently. A connection stays open across requests (HTTP/1.1
+// keep-alive) until the peer closes it, or until a request says
+// `Connection: close`, is HTTP/1.0, or fails to frame or parse; a
+// request that fails gets a 400 first. Only a closing response carries
+// a `Connection` header. stop() shuts the listener down, which wakes
+// the loop from any thread or a signal handler, also while clients sit
+// idle on open connections.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 
+#include "net/framer.hpp"
 #include "net/http.hpp"
 #include "net/router.hpp"
 #include "net/tcp.hpp"
 
 namespace slices::net {
-
-/// Hard cap on one request's wire size (headers + body).
-inline constexpr std::size_t kMaxRequestBytes = 4 * 1024 * 1024;
 
 class HttpServer {
  public:
@@ -34,35 +39,47 @@ class HttpServer {
   /// The bound port.
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
-  /// Accept and fully serve exactly one connection. Malformed requests
-  /// get a 400; oversized ones a 400 after a bounded read. Returns an
-  /// error only when the listener itself failed (e.g. stopped).
-  [[nodiscard]] Result<void> serve_one();
-
-  /// Serve until stop(); returns the number of connections handled.
+  /// Serve until stop(), then close every open connection; returns the
+  /// number of connections accepted.
   std::uint64_t run();
 
-  /// Unblock run()/serve_one() by closing the listener (thread-safe to
-  /// call from another thread).
-  void stop() noexcept {
-    stopping_.store(true, std::memory_order_relaxed);
-    listener_.close();
-  }
+  /// Make run() return and refuse new connections. Thread-safe and
+  /// async-signal-safe (`scenario_runner edge` calls it from SIGTERM);
+  /// a stop() before run() makes run() return at once.
+  void stop() noexcept;
 
-  [[nodiscard]] std::uint64_t connections_served() const noexcept { return served_; }
+  /// Connections accepted so far (one per kept-alive client).
+  [[nodiscard]] std::uint64_t connections_served() const noexcept {
+    return served_.load(std::memory_order_relaxed);
+  }
 
  private:
   HttpServer(std::shared_ptr<Router> router, TcpListener listener) noexcept
       : router_(std::move(router)), listener_(std::move(listener)) {}
 
+  struct Client;
+  /// Read what `client` sent and answer every whole request in it.
+  /// False once the connection is to be closed.
+  bool serve_ready(Client& client);
+  /// Answer the request framed in wire_ (or the framing error). False
+  /// when the connection must close.
+  bool answer(TcpConnection& conn, const Result<Request>& request);
+
   std::shared_ptr<Router> router_;
   TcpListener listener_;
   std::atomic<bool> stopping_{false};
-  std::uint64_t served_ = 0;
+  std::atomic<std::uint64_t> served_{0};
+  std::string wire_;  ///< the request being answered (reused)
 };
 
-/// Blocking HTTP client for tests/tools: one request over a fresh
-/// loopback connection.
+/// Send `request` on `conn` and read the response through `framer`.
+/// Errors: unavailable (send/receive failure, peer closed), or
+/// protocol_error (framing/parse). After an error `conn` is unusable.
+[[nodiscard]] Result<Response> exchange(TcpConnection& conn, HttpFramer& framer,
+                                        const Request& request);
+
+/// One-shot blocking client for tools and tests: one request with
+/// `Connection: close` over a fresh loopback connection.
 [[nodiscard]] Result<Response> http_request(std::uint16_t port, const Request& request);
 
 }  // namespace slices::net

@@ -9,12 +9,14 @@ void RestBus::register_service(std::string name, std::shared_ptr<Router> router)
   ServiceEntry& entry = services_[std::move(name)];
   entry.router = std::move(router);
   entry.remote_port = 0;
+  entry.disconnect();
 }
 
 void RestBus::register_remote(std::string name, std::uint16_t port) {
   ServiceEntry& entry = services_[std::move(name)];
   entry.router = nullptr;
   entry.remote_port = port;
+  entry.disconnect();
 }
 
 void RestBus::unregister_service(const std::string& name) {
@@ -22,7 +24,24 @@ void RestBus::unregister_service(const std::string& name) {
   if (it != services_.end()) {
     it->second.router = nullptr;
     it->second.remote_port = 0;
+    it->second.disconnect();
   }
+}
+
+void RestBus::close_connections() noexcept {
+  for (auto& [name, entry] : services_) entry.disconnect();
+}
+
+Result<Response> RestBus::call_remote(ServiceEntry& entry, const Request& request) {
+  if (!entry.conn.valid()) {
+    Result<TcpConnection> connected = connect_loopback(entry.remote_port);
+    if (!connected.ok()) return connected.error();
+    entry.conn = std::move(connected).value();
+  }
+  Result<Response> resp = exchange(entry.conn, entry.framer, request);
+  // HttpServer names the Connection only when it is about to close it.
+  if (!resp.ok() || resp.value().headers.contains("Connection")) entry.disconnect();
+  return resp;
 }
 
 bool RestBus::has_service(const std::string& name) const noexcept {
@@ -64,7 +83,7 @@ Result<Response> RestBus::call(const std::string& name, const Request& request) 
   // wire codec by construction.
   if (it->second.router == nullptr) {
     stats.bytes_tx += req->encoded_size();
-    Result<Response> resp = http_request(it->second.remote_port, *req);
+    Result<Response> resp = call_remote(it->second, *req);
     if (!resp.ok()) {
       ++stats.responses_error;
       return resp;

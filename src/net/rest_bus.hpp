@@ -20,8 +20,10 @@
 #include <string>
 
 #include "json/value.hpp"
+#include "net/framer.hpp"
 #include "net/http.hpp"
 #include "net/router.hpp"
+#include "net/tcp.hpp"
 
 namespace slices::net {
 
@@ -47,15 +49,25 @@ class RestBus {
 
   /// Register a remote service reachable over a real loopback socket
   /// (an HttpServer in another thread or another OS process). Calls to
-  /// `name` issue one blocking HTTP/1.1 request per exchange; byte
-  /// counters stay exact. Replaces any in-process router under `name`
+  /// `name` are blocking HTTP/1.1 exchanges over one kept-alive
+  /// connection, opened by the first call. Any send, receive or framing
+  /// error closes it; that call fails (unavailable, or protocol_error)
+  /// and is not retried — a POST need not be idempotent — and the next
+  /// call connects afresh. Byte counters stay exact and equal to an
+  /// in-process run's. Replaces any in-process router under `name`
   /// (and vice versa — register_service switches the entry back to
-  /// direct dispatch).
+  /// direct dispatch); either way the entry's connection is closed.
   void register_remote(std::string name, std::uint16_t port);
 
-  /// Remove a service (subsequent calls see Errc::unavailable). Its
-  /// traffic counters remain visible in stats().
+  /// Remove a service (subsequent calls see Errc::unavailable) and
+  /// close its connection. Its traffic counters remain visible in
+  /// stats().
   void unregister_service(const std::string& name);
+
+  /// Close every remote service's connection (the services stay
+  /// registered; the next call reconnects). Call before stopping the
+  /// servers, so none is left serving an idle peer.
+  void close_connections() noexcept;
 
   [[nodiscard]] bool has_service(const std::string& name) const noexcept;
 
@@ -94,8 +106,18 @@ class RestBus {
   struct ServiceEntry {
     std::shared_ptr<Router> router;  ///< nullptr once unregistered/remote
     std::uint16_t remote_port = 0;   ///< != 0: reach over a loopback socket
+    TcpConnection conn;              ///< remote: kept alive between calls
+    HttpFramer framer;               ///< remote: frames conn's responses
     BusStats stats;
+
+    void disconnect() noexcept {
+      conn.close();
+      framer.clear();
+    }
   };
+
+  /// One exchange with a remote entry over its kept-alive connection.
+  [[nodiscard]] static Result<Response> call_remote(ServiceEntry& entry, const Request& request);
 
   std::map<std::string, ServiceEntry> services_;
   std::uint64_t wire_check_interval_ = kDefaultWireCheckInterval;

@@ -39,16 +39,11 @@ Result<void> TcpConnection::send_all(std::string_view data) {
   return {};
 }
 
-Result<std::string> TcpConnection::receive_some(std::size_t max_bytes) {
-  std::string buffer(max_bytes, '\0');
+Result<std::size_t> TcpConnection::receive(char* buffer, std::size_t size) {
   while (true) {
-    const ssize_t n = ::recv(fd_.get(), buffer.data(), buffer.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return sys_error("recv");
-    }
-    buffer.resize(static_cast<std::size_t>(n));
-    return buffer;
+    const ssize_t n = ::recv(fd_.get(), buffer, size, 0);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno != EINTR) return sys_error("recv");
   }
 }
 

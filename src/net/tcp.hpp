@@ -3,9 +3,10 @@
 //
 // The in-process RestBus covers simulation runs; HttpServer (built on
 // these primitives) exposes the very same routers over real sockets so
-// the dashboard can be driven by external tools. Blocking I/O,
-// IPv4 loopback-oriented, single-threaded accept loop — deliberately
-// simple and fully owned (no external dependencies).
+// the dashboard, remote edges and external tools can drive them.
+// Blocking I/O, IPv4 loopback-oriented — deliberately simple and fully
+// owned (no external dependencies). HttpFramer (framer.hpp) cuts the
+// byte stream into messages.
 
 #include <cstdint>
 #include <string>
@@ -50,21 +51,27 @@ class FdHandle {
   int fd_ = -1;
 };
 
-/// A connected TCP stream with send-all / bounded-receive helpers.
+/// A connected TCP stream (default-constructed: not connected).
 class TcpConnection {
  public:
+  TcpConnection() noexcept = default;
   explicit TcpConnection(FdHandle fd) noexcept : fd_(std::move(fd)) {}
 
   [[nodiscard]] bool valid() const noexcept { return fd_.valid(); }
+  [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
   /// Write the whole buffer; Errc::unavailable on peer reset.
   [[nodiscard]] Result<void> send_all(std::string_view data);
 
-  /// Read up to `max_bytes` (returns what arrived; empty = EOF).
-  [[nodiscard]] Result<std::string> receive_some(std::size_t max_bytes = 64 * 1024);
+  /// One recv() of at most `size` bytes into `buffer`: the byte count,
+  /// 0 at EOF. Errors: unavailable.
+  [[nodiscard]] Result<std::size_t> receive(char* buffer, std::size_t size);
 
-  /// Half-close the write side (signals end of request to the peer).
+  /// Half-close the write side (the peer reads EOF after our bytes).
   void shutdown_write() noexcept;
+
+  /// Close now (idempotent); the connection is invalid afterwards.
+  void close() noexcept { fd_.reset(); }
 
  private:
   FdHandle fd_;
@@ -80,8 +87,9 @@ class TcpListener {
   /// The actually bound port (useful after binding port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Accept one connection (blocking). Errors: unavailable when the
-  /// listener was closed from another thread (clean shutdown path).
+  /// Accept one connection (blocking unless poll(2) reported it
+  /// ready). Errors: unavailable when the listener was closed from
+  /// another thread (clean shutdown path).
   [[nodiscard]] Result<TcpConnection> accept_one();
 
   /// Stop accepting: a blocked accept_one() (possibly in another
@@ -89,9 +97,11 @@ class TcpListener {
   /// Implemented as shutdown() — merely closing the fd does NOT unblock
   /// a pending accept on Linux, and freeing the descriptor number under
   /// a racing thread is unsafe; the destructor releases the fd.
+  /// Async-signal-safe.
   void close() noexcept;
 
   [[nodiscard]] bool valid() const noexcept { return fd_.valid(); }
+  [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
  private:
   TcpListener(FdHandle fd, std::uint16_t port) noexcept : fd_(std::move(fd)), port_(port) {}

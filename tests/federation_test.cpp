@@ -244,6 +244,31 @@ TEST(FederationDeterminism, SocketTransportMatchesInProcessDispatch) {
   EXPECT_EQ(run_federated(inproc), run_federated(socket));
 }
 
+TEST(FederationDeterminism, BusCountersMatchAcrossTransports) {
+  // The broker's bus accounts the same requests and wire bytes whether
+  // the edges are routers or kept-alive loopback servers.
+  const auto bus_stats = [](bool socket) {
+    FederatedRunOptions options;
+    options.socket_transport = socket;
+    FederatedRunner runner(metro_scenario(), options);
+    EXPECT_TRUE(runner.run().ok());
+    return runner.bus().stats();
+  };
+  const std::map<std::string, net::BusStats> inproc = bus_stats(false);
+  const std::map<std::string, net::BusStats> socket = bus_stats(true);
+  ASSERT_EQ(inproc.size(), socket.size());
+  for (const auto& [service, stats] : inproc) {
+    ASSERT_TRUE(socket.contains(service)) << service;
+    const net::BusStats& other = socket.at(service);
+    EXPECT_GT(stats.requests, 0u) << service;
+    EXPECT_EQ(stats.requests, other.requests) << service;
+    EXPECT_EQ(stats.responses_ok, other.responses_ok) << service;
+    EXPECT_EQ(stats.responses_error, other.responses_error) << service;
+    EXPECT_EQ(stats.bytes_tx, other.bytes_tx) << service;
+    EXPECT_EQ(stats.bytes_rx, other.bytes_rx) << service;
+  }
+}
+
 TEST(FederationDeterminism, RepeatedRunIsBitStable) {
   EXPECT_EQ(run_federated({}), run_federated({}));
 }

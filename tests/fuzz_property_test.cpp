@@ -1,13 +1,15 @@
 // Robustness property tests: the wire-facing parsers (JSON, HTTP
-// request/response, URL targets, trace CSV) must never crash and must
-// return a typed error — not garbage — for arbitrary byte soup and for
-// truncated/mutated valid documents. The federation bodies an edge or
+// request/response and the socket framer, URL targets, trace CSV) must
+// never crash and must return a typed error — not garbage — for
+// arbitrary byte soup and for truncated/mutated valid documents. The federation bodies an edge or
 // broker decodes from another process (fault, roamer ingress, advance,
 // metrics merge, region summary) must reject or skip numbers outside
 // their integer range instead of casting them.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -23,6 +25,7 @@
 #include "federation/fabric.hpp"
 #include "federation/runner.hpp"
 #include "json/value.hpp"
+#include "net/framer.hpp"
 #include "net/http.hpp"
 #include "net/http_server.hpp"
 #include "net/rest_bus.hpp"
@@ -92,6 +95,144 @@ TEST_P(ParserFuzz, TruncatedValidRequestsAlwaysError) {
     EXPECT_FALSE(r.ok()) << "accepted a " << len << "-byte prefix";
   }
   EXPECT_TRUE(net::parse_request(wire).ok());
+}
+
+/// Two connected stream sockets, as TcpConnections.
+std::pair<net::TcpConnection, net::TcpConnection> socket_pair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {net::TcpConnection(net::FdHandle(fds[0])), net::TcpConnection(net::FdHandle(fds[1]))};
+}
+
+/// A valid request with random method, target, headers and body; the
+/// Content-Length field name in a random letter case.
+std::string random_request(Rng& rng) {
+  static constexpr net::Method kMethods[] = {net::Method::get, net::Method::post,
+                                             net::Method::put, net::Method::del,
+                                             net::Method::patch};
+  net::Request req;
+  req.method = kMethods[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+  req.target = "/r/" + std::to_string(rng.uniform_int(0, 1 << 20));
+  for (std::int64_t h = rng.uniform_int(0, 3); h > 0; --h) {
+    req.headers.insert_or_assign("X-H" + std::to_string(h), std::to_string(rng.uniform_int(0, 99)));
+  }
+  req.body = random_bytes(rng, rng.uniform_int(0, 9) == 0 ? 40000 : 300);
+  std::string wire = req.encode();
+  const std::size_t name = wire.find("Content-Length:");
+  for (std::size_t i = name; i < name + 14; ++i) {
+    if (wire[i] != '-' && rng.uniform_int(0, 1) == 1) wire[i] = static_cast<char>(wire[i] ^ 0x20);
+  }
+  return wire;
+}
+
+/// Feed `stream` to a framer in random chunks, one recv() per chunk;
+/// the messages it frames, then the error that stopped it (if any).
+std::pair<std::vector<std::string>, Result<void>> frame_in_chunks(Rng& rng,
+                                                                  const std::string& stream) {
+  auto [writer, reader] = socket_pair();
+  net::HttpFramer framer;
+  std::vector<std::string> messages;
+  std::size_t sent = 0;
+  while (true) {
+    if (sent < stream.size()) {
+      const std::size_t chunk = std::min<std::size_t>(
+          stream.size() - sent, static_cast<std::size_t>(rng.uniform_int(1, 3000)));
+      EXPECT_TRUE(writer.send_all(std::string_view(stream).substr(sent, chunk)).ok());
+      sent += chunk;
+    } else {
+      writer.shutdown_write();
+    }
+    const Result<bool> filled = framer.fill(reader);
+    if (!filled.ok()) return {messages, filled.error()};
+    while (true) {
+      std::string wire;
+      const Result<bool> framed = framer.next(wire);
+      if (!framed.ok()) return {messages, framed.error()};
+      if (!framed.value()) break;
+      EXPECT_LE(wire.size(), net::kMaxRequestBytes);
+      messages.push_back(std::move(wire));
+    }
+    if (!filled.value()) {
+      if (!framer.empty()) return {messages, make_error(Errc::protocol_error, "truncated")};
+      return {messages, Result<void>()};
+    }
+  }
+}
+
+TEST_P(ParserFuzz, FramerYieldsTheSameRequestsAtAnyChunking) {
+  Rng rng(GetParam() * 613 + 29);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::string> sent;
+    std::string stream;
+    for (std::int64_t n = rng.uniform_int(1, 12); n > 0; --n) {
+      sent.push_back(random_request(rng));
+      stream += sent.back();
+    }
+    const auto [framed, end] = frame_in_chunks(rng, stream);
+    ASSERT_TRUE(end.ok()) << end.error().message;
+    ASSERT_EQ(framed, sent);
+    for (const std::string& wire : framed) {
+      const Result<net::Request> req = net::parse_request(wire);
+      ASSERT_TRUE(req.ok()) << req.error().message;
+      EXPECT_EQ(req.value().encode().size(), wire.size());
+    }
+  }
+}
+
+TEST_P(ParserFuzz, FramerOnRandomBytesErrsOrFramesWithinTheCap) {
+  Rng rng(GetParam() * 419 + 13);
+  for (int round = 0; round < 200; ++round) {
+    std::string stream;
+    for (std::int64_t n = rng.uniform_int(1, 6); n > 0; --n) {
+      if (rng.uniform_int(0, 1) == 1) {
+        stream += "POST / HTTP/1.1\r\ncontent-length: ";
+        stream += rng.uniform_int(0, 1) == 1 ? std::to_string(rng.uniform_int(0, 64))
+                                             : random_printable(rng, 8);
+        stream += rng.uniform_int(0, 1) == 1 ? "\r\n\r\n" : "\r\n";
+      }
+      stream += random_bytes(rng, 200);
+    }
+    const auto [framed, end] = frame_in_chunks(rng, stream);
+    std::size_t consumed = 0;
+    for (const std::string& wire : framed) {
+      EXPECT_NE(wire.find("\r\n\r\n"), std::string::npos);
+      EXPECT_EQ(stream.compare(consumed, wire.size(), wire), 0);  // in order, unaltered
+      consumed += wire.size();
+      (void)net::parse_request(wire);
+    }
+    if (end.ok()) EXPECT_EQ(consumed, stream.size());
+  }
+}
+
+TEST(FramerLimits, NeverReadsPastTheCap) {
+  // A head that never ends, then one whose length is past the cap; the
+  // framer refuses each having read at most kMaxRequestBytes of it.
+  const std::string endless(net::kMaxRequestBytes + 64 * 1024, 'a');
+  const std::string huge = "POST / HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(net::kMaxRequestBytes) + "\r\n\r\n" +
+                           std::string(net::kMaxRequestBytes, 'b');
+  for (const std::string* stream : {&endless, &huge}) {
+    auto [writer, reader] = socket_pair();
+    std::thread feed([&writer, stream] {
+      (void)writer.send_all(*stream);
+      writer.shutdown_write();
+    });
+    net::HttpFramer framer;
+    std::string wire;
+    const Result<void> read = framer.read(reader, wire);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.error().code, Errc::protocol_error);
+    EXPECT_TRUE(wire.empty());
+    std::size_t left = 0;  // what the framer left unread
+    char buffer[65536];
+    while (true) {
+      const Result<std::size_t> n = reader.receive(buffer, sizeof buffer);
+      if (!n.ok() || n.value() == 0) break;
+      left += n.value();
+    }
+    feed.join();
+    EXPECT_LE(stream->size() - left, net::kMaxRequestBytes);
+  }
 }
 
 TEST_P(ParserFuzz, MutatedValidJsonNeverCrashes) {

@@ -51,6 +51,24 @@ TEST(HttpRequest, HeadersAreCaseInsensitive) {
   EXPECT_EQ(parsed.value().headers.find("X-THING")->second, "v");
 }
 
+TEST(HttpContentLength, ReadsTheFieldAsTheParserDoes) {
+  // The framer sizes a message with content_length(); it must agree
+  // with the Headers the parser builds: any letter case, padding
+  // trimmed, the last field winning, 0 when absent.
+  EXPECT_EQ(content_length("POST / HTTP/1.1\r\nCONTENT-LENGTH: 5").value(), 5u);
+  EXPECT_EQ(content_length("POST / HTTP/1.1\r\nX: 1\r\ncontent-Length:\t 12 ").value(), 12u);
+  EXPECT_EQ(content_length("POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-length: 4").value(),
+            4u);
+  EXPECT_EQ(content_length("GET / HTTP/1.1\r\nContent-Type: a").value(), 0u);
+  EXPECT_EQ(content_length("Content-Length: 9").value(), 0u);  // a start line, not a field
+  for (const char* bad : {"", "x", "-1", "1 2", "0x10", "99999999999999999999999"}) {
+    const Result<std::size_t> length =
+        content_length(std::string("PUT / HTTP/1.1\r\nContent-Length: ") + bad);
+    ASSERT_FALSE(length.ok()) << bad;
+    EXPECT_EQ(length.error().code, Errc::protocol_error);
+  }
+}
+
 TEST(HttpRequest, EmptyBodyWithoutContentLength) {
   const Result<Request> parsed = parse_request("GET /x HTTP/1.1\r\n\r\n");
   ASSERT_TRUE(parsed.ok());

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <pthread.h>
+
+#include <csignal>
 #include <thread>
 
 #include "core/testbed.hpp"
 #include "json/value.hpp"
 #include "net/http_server.hpp"
+#include "net/rest_bus.hpp"
 #include "telemetry/trace.hpp"
 
 namespace slices::net {
@@ -26,18 +31,14 @@ std::shared_ptr<Router> demo_router() {
   return router;
 }
 
-/// Serves exactly `n` connections on a background thread.
+/// Serves `router` on a background thread until destroyed.
 struct ServerFixture {
-  explicit ServerFixture(int n) {
-    Result<std::unique_ptr<HttpServer>> bound = HttpServer::bind(demo_router(), 0);
+  explicit ServerFixture(std::shared_ptr<Router> router = demo_router()) {
+    Result<std::unique_ptr<HttpServer>> bound = HttpServer::bind(std::move(router), 0);
     EXPECT_TRUE(bound.ok()) << bound.error().message;
     server = std::move(bound).value();
     port = server->port();
-    thread = std::thread([this, n] {
-      for (int i = 0; i < n; ++i) {
-        if (!server->serve_one().ok()) break;
-      }
-    });
+    thread = std::thread([this] { server->run(); });
   }
   ~ServerFixture() {
     server->stop();
@@ -48,6 +49,17 @@ struct ServerFixture {
   std::uint16_t port = 0;
   std::thread thread;
 };
+
+/// Everything the server sends until it closes the connection.
+std::string read_to_eof(TcpConnection& conn) {
+  std::string wire;
+  char buffer[4096];
+  while (true) {
+    const Result<std::size_t> n = conn.receive(buffer, sizeof buffer);
+    if (!n.ok() || n.value() == 0) return wire;
+    wire.append(buffer, n.value());
+  }
+}
 
 Request get(std::string target) {
   Request req;
@@ -63,7 +75,7 @@ TEST(HttpServer, BindsEphemeralPort) {
 }
 
 TEST(HttpServer, GetRoundTripOverRealSockets) {
-  ServerFixture fixture(1);
+  ServerFixture fixture;
   const Result<Response> resp = http_request(fixture.port, get("/ping"));
   ASSERT_TRUE(resp.ok()) << resp.error().message;
   EXPECT_EQ(resp.value().status, Status::ok);
@@ -72,7 +84,7 @@ TEST(HttpServer, GetRoundTripOverRealSockets) {
 }
 
 TEST(HttpServer, PostBodyRoundTrip) {
-  ServerFixture fixture(1);
+  ServerFixture fixture;
   Request req;
   req.method = Method::post;
   req.target = "/echo";
@@ -83,7 +95,7 @@ TEST(HttpServer, PostBodyRoundTrip) {
 }
 
 TEST(HttpServer, LargeBodyRoundTrip) {
-  ServerFixture fixture(1);
+  ServerFixture fixture;
   Request req;
   req.method = Method::post;
   req.target = "/echo";
@@ -94,39 +106,33 @@ TEST(HttpServer, LargeBodyRoundTrip) {
 }
 
 TEST(HttpServer, PathParamsWorkOverTheWire) {
-  ServerFixture fixture(1);
+  ServerFixture fixture;
   const Result<Response> resp = http_request(fixture.port, get("/things/42"));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().body, "\"thing-42\"");
 }
 
 TEST(HttpServer, UnknownRouteIs404) {
-  ServerFixture fixture(1);
+  ServerFixture fixture;
   const Result<Response> resp = http_request(fixture.port, get("/nope"));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().status, Status::not_found);
 }
 
 TEST(HttpServer, MalformedRequestGets400) {
-  ServerFixture fixture(1);
+  ServerFixture fixture;
   Result<TcpConnection> conn = connect_loopback(fixture.port);
   ASSERT_TRUE(conn.ok());
   ASSERT_TRUE(conn.value().send_all("NONSENSE\r\n\r\n").ok());
-  conn.value().shutdown_write();
-  std::string wire;
-  while (true) {
-    Result<std::string> chunk = conn.value().receive_some();
-    ASSERT_TRUE(chunk.ok());
-    if (chunk.value().empty()) break;
-    wire += chunk.value();
-  }
-  const Result<Response> resp = parse_response(wire);
+  // No half-close: the server answers and closes on its own.
+  const Result<Response> resp = parse_response(read_to_eof(conn.value()));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().status, Status::bad_request);
+  EXPECT_EQ(resp.value().headers.at("Connection"), "close");
 }
 
 TEST(HttpServer, SequentialConnections) {
-  ServerFixture fixture(5);
+  ServerFixture fixture;
   for (int i = 0; i < 5; ++i) {
     const Result<Response> resp = http_request(fixture.port, get("/ping"));
     ASSERT_TRUE(resp.ok()) << "iteration " << i << ": " << resp.error().message;
@@ -148,34 +154,281 @@ TEST(HttpServer, StopUnblocksRun) {
   EXPECT_GE(server.connections_served(), 1u);
 }
 
+// --- framing on kept-alive connections --------------------------------------------
+
+/// A raw client connection that reads responses through the framer.
+struct RawClient {
+  explicit RawClient(std::uint16_t port) {
+    Result<TcpConnection> connected = connect_loopback(port);
+    EXPECT_TRUE(connected.ok());
+    if (connected.ok()) conn = std::move(connected).value();
+  }
+  Result<Response> read() {
+    std::string wire;
+    if (Result<void> got = framer.read(conn, wire); !got.ok()) return got.error();
+    return parse_response(wire);
+  }
+
+  TcpConnection conn;
+  HttpFramer framer;
+};
+
+TEST(HttpServerKeepAlive, OddCaseContentLengthFramesOnAnOpenConnection) {
+  ServerFixture fixture;
+  RawClient client(fixture.port);
+  // The body is read by its length, not to EOF: the connection stays
+  // open, so reading to EOF would hang.
+  ASSERT_TRUE(client.conn.send_all("POST /echo HTTP/1.1\r\nCONTENT-LENGTH: 5\r\n\r\nhello").ok());
+  const Result<Response> first = client.read();
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  EXPECT_EQ(first.value().status, Status::ok);
+  EXPECT_EQ(first.value().body, "hello");
+  EXPECT_FALSE(first.value().headers.contains("Connection"));
+
+  ASSERT_TRUE(client.conn.send_all("POST /echo HTTP/1.1\r\ncontent-LENGTH:  2 \r\n\r\nhi").ok());
+  const Result<Response> second = client.read();
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  EXPECT_EQ(second.value().body, "hi");
+  EXPECT_EQ(fixture.server->connections_served(), 1u);
+}
+
+TEST(HttpServerKeepAlive, PipelinedRequestsInOneSendAreAnsweredInOrder) {
+  ServerFixture fixture;
+  RawClient client(fixture.port);
+  Request echo;
+  echo.method = Method::post;
+  echo.target = "/echo";
+  echo.body = "\"first\"";
+  std::string both = echo.encode();
+  both += get("/things/7").encode();
+  ASSERT_TRUE(client.conn.send_all(both).ok());
+
+  const Result<Response> first = client.read();
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  EXPECT_EQ(first.value().body, "\"first\"");
+  const Result<Response> second = client.read();
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  EXPECT_EQ(second.value().body, "\"thing-7\"");
+}
+
+TEST(HttpServerKeepAlive, OversizedBodyGets400AndClose) {
+  ServerFixture fixture;
+  Result<TcpConnection> conn = connect_loopback(fixture.port);
+  ASSERT_TRUE(conn.ok());
+  // Refused from the head alone: no body byte is sent or read.
+  ASSERT_TRUE(conn.value()
+                  .send_all("POST /echo HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(kMaxRequestBytes) + "\r\n\r\n")
+                  .ok());
+  const Result<Response> resp = parse_response(read_to_eof(conn.value()));
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp.value().status, Status::bad_request);
+  EXPECT_EQ(resp.value().headers.at("Connection"), "close");
+}
+
+TEST(HttpServerKeepAlive, BadContentLengthGets400AndClose) {
+  ServerFixture fixture;
+  for (const char* length : {"abc", "-1", "5x", "99999999999999999999999"}) {
+    Result<TcpConnection> conn = connect_loopback(fixture.port);
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.value()
+                    .send_all(std::string("POST /echo HTTP/1.1\r\nContent-Length: ") + length +
+                              "\r\n\r\n")
+                    .ok());
+    const Result<Response> resp = parse_response(read_to_eof(conn.value()));
+    ASSERT_TRUE(resp.ok()) << length;
+    EXPECT_EQ(resp.value().status, Status::bad_request) << length;
+  }
+}
+
+TEST(HttpServerKeepAlive, Http10AndConnectionCloseCloseAfterTheAnswer) {
+  ServerFixture fixture;
+  for (const char* request : {"GET /ping HTTP/1.0\r\n\r\n",
+                              "GET /ping HTTP/1.1\r\nconnection: Close\r\n\r\n"}) {
+    Result<TcpConnection> conn = connect_loopback(fixture.port);
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.value().send_all(request).ok());
+    const Result<Response> resp = parse_response(read_to_eof(conn.value()));
+    ASSERT_TRUE(resp.ok()) << request;
+    EXPECT_EQ(resp.value().body, "\"pong\"");
+    EXPECT_EQ(resp.value().headers.at("Connection"), "close");
+  }
+}
+
+TEST(HttpServerKeepAlive, PeerClosingMidRequestGets400) {
+  ServerFixture fixture;
+  Result<TcpConnection> conn = connect_loopback(fixture.port);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.value().send_all("POST /echo HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").ok());
+  conn.value().shutdown_write();
+  const Result<Response> resp = parse_response(read_to_eof(conn.value()));
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp.value().status, Status::bad_request);
+}
+
+HttpServer* g_signalled_server = nullptr;
+void stop_signalled_server(int) { g_signalled_server->stop(); }
+
+TEST(HttpServerKeepAlive, StopFromASignalHandlerEndsRun) {
+  // The `scenario_runner edge` shutdown path: SIGTERM's handler calls
+  // stop() on the thread that sits in run().
+  Result<std::unique_ptr<HttpServer>> bound = HttpServer::bind(demo_router(), 0);
+  ASSERT_TRUE(bound.ok());
+  HttpServer& server = *bound.value();
+  g_signalled_server = &server;
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = stop_signalled_server;
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  RawClient idle(server.port());  // an idle kept-alive peer
+  const pthread_t serving_thread = ::pthread_self();
+  std::thread signaller([&server, serving_thread] {
+    while (server.connections_served() < 1) std::this_thread::yield();
+    ::pthread_kill(serving_thread, SIGUSR1);
+  });
+  EXPECT_EQ(server.run(), 1u);
+  signaller.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  g_signalled_server = nullptr;
+}
+
+// --- the RestBus over kept-alive connections --------------------------------------
+
+TEST(RestBusKeepAlive, ManyCallsCostOneConnection) {
+  ServerFixture fixture;
+  RestBus bus;
+  bus.register_remote("demo", fixture.port);
+  for (int i = 0; i < 20; ++i) {
+    const Result<json::Value> doc = bus.get_json("demo", "/ping");
+    ASSERT_TRUE(doc.ok()) << "call " << i << ": " << doc.error().message;
+    EXPECT_EQ(doc.value().as_string(), "pong");
+  }
+  EXPECT_EQ(fixture.server->connections_served(), 1u);
+  EXPECT_EQ(bus.stats().at("demo").responses_ok, 20u);
+}
+
+TEST(RestBusKeepAlive, StopReturnsWhileAClientHoldsAnIdleConnection) {
+  Result<std::unique_ptr<HttpServer>> bound = HttpServer::bind(demo_router(), 0);
+  ASSERT_TRUE(bound.ok());
+  HttpServer& server = *bound.value();
+  std::thread serving([&server] { server.run(); });
+
+  RestBus bus;
+  bus.register_remote("demo", server.port());
+  ASSERT_TRUE(bus.get_json("demo", "/ping").ok());
+  RawClient idle(server.port());  // connected, never sends
+  while (server.connections_served() < 2) std::this_thread::yield();  // accepted
+  // The bus connection is open and idle too; stop() must not wait for
+  // either peer.
+  server.stop();
+  serving.join();
+  EXPECT_EQ(server.connections_served(), 2u);
+
+  // The server closed both connections on its way out.
+  const Result<Response> closed = idle.read();
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.error().code, Errc::unavailable);
+}
+
+TEST(RestBusKeepAlive, ServerRestartFailsOneCallThenReconnects) {
+  Result<std::unique_ptr<HttpServer>> first = HttpServer::bind(demo_router(), 0);
+  ASSERT_TRUE(first.ok());
+  const std::uint16_t port = first.value()->port();
+  std::thread serving_first([&first] { first.value()->run(); });
+
+  RestBus bus;
+  bus.register_remote("demo", port);
+  ASSERT_TRUE(bus.get_json("demo", "/ping").ok());
+
+  first.value()->stop();
+  serving_first.join();
+  first.value().reset();
+
+  Result<std::unique_ptr<HttpServer>> second = HttpServer::bind(demo_router(), port);
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  std::thread serving_second([&second] { second.value()->run(); });
+
+  // The kept connection died with the first server: this call fails as
+  // unavailable and is not retried.
+  const Result<json::Value> stale = bus.get_json("demo", "/ping");
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.error().code, Errc::unavailable);
+  // The next call connects to the new server.
+  const Result<json::Value> fresh = bus.get_json("demo", "/ping");
+  ASSERT_TRUE(fresh.ok()) << fresh.error().message;
+  EXPECT_EQ(second.value()->connections_served(), 1u);
+  const BusStats stats = bus.stats().at("demo");
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.responses_ok, 2u);
+  EXPECT_EQ(stats.responses_error, 1u);
+
+  second.value()->stop();
+  serving_second.join();
+}
+
+TEST(RestBusKeepAlive, TwoClientsInterleavingAreBothServed) {
+  ServerFixture fixture;
+  RestBus a;
+  RestBus b;
+  a.register_remote("demo", fixture.port);
+  b.register_remote("demo", fixture.port);
+  for (int i = 0; i < 10; ++i) {
+    const Result<json::Value> from_a = a.get_json("demo", "/things/" + std::to_string(i));
+    ASSERT_TRUE(from_a.ok()) << from_a.error().message;
+    EXPECT_EQ(from_a.value().as_string(), "thing-" + std::to_string(i));
+    const Result<json::Value> from_b = b.get_json("demo", "/ping");
+    ASSERT_TRUE(from_b.ok()) << from_b.error().message;
+  }
+  EXPECT_EQ(fixture.server->connections_served(), 2u);
+}
+
+TEST(RestBusKeepAlive, UnregisterServiceClosesTheConnection) {
+  // A hand-driven server side, so the test can watch the socket itself.
+  Result<TcpListener> listener = TcpListener::bind_loopback(0);
+  ASSERT_TRUE(listener.ok());
+  TcpConnection accepted;
+  std::thread answer([&] {
+    Result<TcpConnection> conn = listener.value().accept_one();
+    if (!conn.ok()) return;
+    accepted = std::move(conn).value();
+    HttpFramer framer;
+    std::string wire;
+    if (framer.read(accepted, wire).ok()) {
+      (void)accepted.send_all(Response::json(Status::ok, "\"pong\"").encode());
+    }
+  });
+
+  RestBus bus;
+  bus.register_remote("demo", listener.value().port());
+  const bool answered = bus.get_json("demo", "/ping").ok();
+  answer.join();
+  ASSERT_TRUE(answered);
+  ASSERT_TRUE(accepted.valid());
+
+  bus.unregister_service("demo");
+  pollfd watch{accepted.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&watch, 1, 5000), 1) << "the bus kept the connection open";
+  char byte = 0;
+  const Result<std::size_t> n = accepted.receive(&byte, 1);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0u);  // EOF: the bus closed its end
+}
+
 // --- orchestrator observability endpoints over real sockets ----------------------
 
-/// Orchestrator testbed served over loopback for `n` connections.
+/// Orchestrator testbed served over loopback.
 struct OrchestratorServerFixture {
-  explicit OrchestratorServerFixture(int n) : tb(core::make_testbed(11)) {
-    Result<std::unique_ptr<HttpServer>> bound = HttpServer::bind(tb->orchestrator->make_router(), 0);
-    EXPECT_TRUE(bound.ok()) << bound.error().message;
-    server = std::move(bound).value();
-    port = server->port();
-    thread = std::thread([this, n] {
-      for (int i = 0; i < n; ++i) {
-        if (!server->serve_one().ok()) break;
-      }
-    });
-  }
-  ~OrchestratorServerFixture() {
-    server->stop();
-    if (thread.joinable()) thread.join();
-  }
+  OrchestratorServerFixture()
+      : tb(core::make_testbed(11)), serving(tb->orchestrator->make_router()) {}
 
   std::unique_ptr<core::Testbed> tb;
-  std::unique_ptr<HttpServer> server;
-  std::uint16_t port = 0;
-  std::thread thread;
+  ServerFixture serving;
+  std::uint16_t port = serving.port;
 };
 
 TEST(HttpServer, HealthzReportsLivenessOverTheWire) {
-  OrchestratorServerFixture fixture(1);
+  OrchestratorServerFixture fixture;
   fixture.tb->simulator.run_for(Duration::seconds(30.0));
   const Result<Response> resp = http_request(fixture.port, get("/healthz"));
   ASSERT_TRUE(resp.ok()) << resp.error().message;
@@ -198,7 +451,7 @@ TEST(HttpServer, TraceDumpAndClearOverTheWire) {
   telemetry::trace::set_wall_clock(false);
   telemetry::trace::clear();
 
-  OrchestratorServerFixture fixture(3);
+  OrchestratorServerFixture fixture;
   // Run past a couple of 15-minute monitoring periods so the control
   // thread records epoch spans.
   fixture.tb->simulator.run_for(Duration::minutes(35.0));
