@@ -150,7 +150,7 @@ std::unique_ptr<FederatedCity> make_city(std::size_t regions, std::size_t cells_
 
   // Activate + warm the estimators, then load the data plane.
   city->now_us = 4 * 3'600'000'000ll;
-  city->broker->advance_all(city->now_us);
+  city->broker->tick_all(city->now_us);
   Rng cqi_rng(7);
   for (auto& edge : city->edges) {
     std::vector<PlmnId> plmns;
@@ -172,7 +172,7 @@ void BM_FederatedEpochAtScale(benchmark::State& state) {
                         static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     city->now_us += kEpochUs;
-    city->broker->advance_all(city->now_us);
+    city->broker->tick_all(city->now_us);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["cells"] = static_cast<double>(city->fabric.total_cells());
@@ -216,7 +216,7 @@ void print_federated_table() {
       for (std::size_t r = 0; r < regions.size(); ++r) {
         const auto start = std::chrono::steady_clock::now();
         (void)city->bus.call_json(federation::Broker::service_name(regions[r]),
-                                  net::Method::post, "/federation/advance", tick);
+                                  net::Method::post, "/federation/tick", tick);
         const std::chrono::duration<double, std::milli> took =
             std::chrono::steady_clock::now() - start;
         total_ms += took.count();

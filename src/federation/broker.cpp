@@ -108,9 +108,11 @@ Broker::Broker(net::RestBus* bus, const MetroFabric& fabric)
   for (std::size_t i = 0; i < fabric.regions.size(); ++i) {
     border_nodes_[region_index_.at(fabric.regions[i].name)] = fabric.border_nodes[i];
   }
+  links_.resize(regions_.size());
+  for (std::size_t i = 0; i < regions_.size(); ++i) links_[i].service = service_name(regions_[i]);
 }
 
-void Broker::advance_all(std::int64_t t_us) {
+void Broker::tick_all(std::int64_t t_us) {
   // Release due backbone leases before the epoch work at t.
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (it->release_us <= t_us) {
@@ -123,17 +125,54 @@ void Broker::advance_all(std::int64_t t_us) {
   json::Object body;
   body.emplace("t_us", static_cast<double>(t_us));
   const json::Value doc{std::move(body)};
-  for (const std::string& region : regions_) {
+  for (RegionLink& link : links_) {
     // In-process edges advance on the *shared* tracer clock and leave it
     // wherever their epoch loop last published; re-pin it to t before
     // each call so broker-side spans timestamp identically when edges
     // are remote processes with clocks of their own.
     telemetry::trace::set_sim_now(t_us);
-    // A dead edge is the edge process's problem; the run loop treats
-    // advance as best-effort and admission-level calls surface errors.
-    (void)bus_->call_json(service_name(region), net::Method::post, "/federation/advance", doc);
+    link.headroom = nullptr;
+    // A dead edge is the edge process's problem: its headroom stays
+    // stale (readers re-poll it) and admission-level calls surface
+    // errors.
+    Result<json::Value> reply = bus_->call_json(link.service, net::Method::post,
+                                                "/federation/tick", doc);
+    if (!reply.ok() || !reply.value().is_object()) continue;
+    json::Object& fields = reply.value().as_object();
+    if (auto it = fields.find("headroom"); it != fields.end()) {
+      link.headroom = std::move(it->second);
+    }
+    if (auto it = fields.find("roamers"); it != fields.end() && it->second.is_object()) {
+      link.roamers.push_back(std::move(it->second));
+    }
   }
   telemetry::trace::set_sim_now(t_us);
+}
+
+const json::Value* Broker::headroom(std::size_t region) {
+  RegionLink& link = links_[region];
+  if (link.headroom.is_null()) {
+    Result<json::Value> doc = bus_->get_json(link.service, "/federation/headroom");
+    if (!doc.ok()) return nullptr;
+    link.headroom = std::move(doc).value();
+  }
+  return &link.headroom;
+}
+
+const json::Value* Broker::cached_headroom(const std::string& region) const {
+  const auto it = region_index_.find(region);
+  if (it == region_index_.end() || links_[it->second].headroom.is_null()) return nullptr;
+  return &links_[it->second].headroom;
+}
+
+Result<json::Value> Broker::inject_fault(const std::string& region, const json::Value& body) {
+  const auto it = region_index_.find(region);
+  if (it == region_index_.end()) {
+    return make_error(Errc::not_found, "no region '" + region + "'");
+  }
+  RegionLink& link = links_[it->second];
+  link.headroom = nullptr;
+  return bus_->call_json(link.service, net::Method::post, "/federation/fault", body);
 }
 
 std::vector<Broker::Candidate> Broker::collect_candidates(double throughput_mbps,
@@ -141,10 +180,10 @@ std::vector<Broker::Candidate> Broker::collect_candidates(double throughput_mbps
                                                           bool* any_suspended) {
   std::vector<Candidate> out;
   *any_suspended = false;
-  for (const std::string& region : regions_) {
-    Result<json::Value> doc = bus_->get_json(service_name(region), "/federation/headroom");
-    if (!doc.ok()) continue;  // unreachable edge == not a candidate
-    const json::Value& h = doc.value();
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const json::Value* doc = headroom(i);
+    if (doc == nullptr) continue;  // unreachable edge == not a candidate
+    const json::Value& h = *doc;
     if (bool_or(h, "suspended", false)) {
       *any_suspended = true;
       continue;
@@ -153,14 +192,14 @@ std::vector<Broker::Candidate> Broker::collect_candidates(double throughput_mbps
     const double edge_up = number_or(h, "edge_dcs_up", 0.0);
     const bool placeable = needs_edge ? edge_up > 0.0 : (core_up || edge_up > 0.0);
     if (!placeable) continue;
-    const double headroom = number_or(h, "headroom_mbps", 0.0);
-    if (headroom < throughput_mbps) continue;
+    const double headroom_mbps = number_or(h, "headroom_mbps", 0.0);
+    if (headroom_mbps < throughput_mbps) continue;
     Candidate c;
-    c.region = region;
-    c.headroom_mbps = headroom;
-    c.price = region_price_.at(region);
-    c.score = headroom / c.price;
-    out.push_back(std::move(c));
+    c.index = i;
+    c.headroom_mbps = headroom_mbps;
+    c.price = region_price_.at(regions_[i]);
+    c.score = headroom_mbps / c.price;
+    out.push_back(c);
   }
   return out;
 }
@@ -216,22 +255,24 @@ PlacementDecision Broker::submit(const json::Value& body, const std::string& hom
 
   bool any_edge_rejected = false;
   for (const Candidate& c : candidates) {
-    const bool cross_region = c.region != home_region;
+    const std::string& region = regions_[c.index];
+    const bool cross_region = region != home_region;
     if (cross_region) {
       const std::int64_t release_us =
           now_us + static_cast<std::int64_t>(duration_hours * 3'600'000'000.0) + kLeaseMarginUs;
-      if (!reserve_backbone(home_region, c.region, DataRate::mbps(decision.throughput_mbps),
+      if (!reserve_backbone(home_region, region, DataRate::mbps(decision.throughput_mbps),
                             release_us)) {
         continue;  // no backbone capacity towards this region
       }
     }
+    RegionLink& link = links_[c.index];
+    link.headroom = nullptr;  // an admission attempt mutates the region
     Result<json::Value> placed =
-        bus_->call_json(service_name(c.region), net::Method::post, "/federation/slices",
-                        edge_body);
+        bus_->call_json(link.service, net::Method::post, "/federation/slices", edge_body);
     const bool accepted =
         placed.ok() && string_or(placed.value(), "state", "rejected") != "rejected";
     if (accepted) {
-      decision.placed_region = c.region;
+      decision.placed_region = region;
       decision.outcome = cross_region ? "remote" : "local";
       decision.score = c.score;
       decision.request = static_cast<std::uint64_t>(number_or(placed.value(), "request", 0.0));
@@ -299,69 +340,59 @@ std::size_t Broker::retry_deferred(std::int64_t now_us) {
 
 std::size_t Broker::route_roamers(std::int64_t now_us) {
   std::size_t admitted_total = 0;
-  const json::Value empty_body{json::Object{}};
-  for (const std::string& region : regions_) {
-    Result<json::Value> drained = bus_->call_json(
-        service_name(region), net::Method::post, "/federation/mobility/drain", empty_body);
-    if (!drained.ok()) continue;  // unreachable edge: exits stay queued there
-    const json::Value* exits = drained.value().find("exits");
-    if (exits == nullptr || !exits->is_array() || exits->as_array().empty()) continue;
-
-    // One batch per border: region i's east border faces region i+1.
-    json::Array east;
-    json::Array west;
-    for (const json::Value& exit : exits->as_array()) {
-      const json::Value* side = exit.find("side");
-      const bool goes_west = side != nullptr && side->is_number() && side->as_number() < 0.0;
-      (goes_west ? west : east).push_back(exit);
+  for (std::size_t src = 0; src < regions_.size(); ++src) {
+    const std::vector<json::Value> handed_over = std::exchange(links_[src].roamers, {});
+    for (const json::Value& roamers : handed_over) {
+      // One batch per border: region i's east border faces region i+1;
+      // west of r0 wraps to SIZE_MAX, off the metro line.
+      const std::pair<const char*, std::size_t> borders[] = {{"east", src + 1},
+                                                             {"west", src - 1}};
+      for (const auto& [side, dst_index] : borders) {
+        const json::Value* batch = roamers.find(side);
+        const json::Value* plmn = batch == nullptr ? nullptr : batch->find("plmn");
+        if (plmn == nullptr || !plmn->is_array() || plmn->as_array().empty()) continue;
+        const std::uint64_t count = plmn->as_array().size();
+        counters_.roam_attempts += count;
+        if (dst_index >= regions_.size()) {  // walked off the end of the metro line
+          counters_.roam_dropped += count;
+          continue;
+        }
+        // Signalling lease on the border leg: 0.1 Mb/s per roamer for an
+        // hour, best effort — a saturated backbone degrades the roamers'
+        // traffic, it must not strand them between regions.
+        (void)reserve_backbone(regions_[src], regions_[dst_index],
+                               DataRate::mbps(0.1 * static_cast<double>(count)),
+                               now_us + 3'600'000'000);
+        RegionLink& dst = links_[dst_index];
+        dst.headroom = nullptr;  // attaching roamers mutates the region
+        Result<json::Value> outcome = bus_->call_json(dst.service, net::Method::post,
+                                                      "/federation/mobility/ingress", *batch);
+        if (!outcome.ok()) {
+          counters_.roam_dropped += count;
+          continue;
+        }
+        const std::uint64_t admitted =
+            static_cast<std::uint64_t>(number_or(outcome.value(), "admitted", 0.0));
+        counters_.roam_admitted += admitted;
+        counters_.roam_dropped +=
+            static_cast<std::uint64_t>(number_or(outcome.value(), "dropped", 0.0));
+        admitted_total += admitted;
+      }
     }
-
-    const std::size_t src = region_index_.at(region);
-    const auto deliver = [&](json::Array&& batch, std::size_t dst_index) {
-      if (batch.empty()) return;
-      const std::uint64_t count = batch.size();
-      counters_.roam_attempts += count;
-      if (dst_index >= regions_.size()) {  // walked off the end of the metro line
-        counters_.roam_dropped += count;
-        return;
-      }
-      const std::string& dst = regions_[dst_index];
-      // Signalling lease on the border leg: 0.1 Mb/s per roamer for an
-      // hour, best effort — a saturated backbone degrades the roamers'
-      // traffic, it must not strand them between regions.
-      (void)reserve_backbone(region, dst, DataRate::mbps(0.1 * static_cast<double>(count)),
-                             now_us + 3'600'000'000);
-      json::Object body;
-      body.emplace("roamers", std::move(batch));
-      Result<json::Value> outcome =
-          bus_->call_json(service_name(dst), net::Method::post,
-                          "/federation/mobility/ingress", json::Value(std::move(body)));
-      if (!outcome.ok()) {
-        counters_.roam_dropped += count;
-        return;
-      }
-      const std::uint64_t admitted =
-          static_cast<std::uint64_t>(number_or(outcome.value(), "admitted", 0.0));
-      counters_.roam_admitted += admitted;
-      counters_.roam_dropped +=
-          static_cast<std::uint64_t>(number_or(outcome.value(), "dropped", 0.0));
-      admitted_total += admitted;
-    };
-    deliver(std::move(east), src + 1);
-    deliver(std::move(west), src - 1);  // wraps to SIZE_MAX at r0 -> dropped
   }
   return admitted_total;
 }
 
 json::Value Broker::regions_json() {
   json::Array list;
-  for (const std::string& region : regions_) {
-    Result<json::Value> doc = bus_->get_json(service_name(region), "/federation/headroom");
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const std::string& region = regions_[i];
+    const json::Value* doc = headroom(i);
     json::Object entry;
     entry.emplace("region", region);
     entry.emplace("price_factor", region_price_.at(region));
-    if (doc.ok() && doc.value().is_object()) {
-      for (const auto& [key, value] : doc.value().as_object()) {
+    if (doc != nullptr && doc->is_object()) {
+      for (const auto& [key, value] : doc->as_object()) {
         if (key != "region") entry.insert_or_assign(key, value);
       }
       entry.emplace("reachable", true);
@@ -395,8 +426,8 @@ const json::Value& Broker::refresh_snapshot(std::int64_t t_us) {
   snapshot.as_object().emplace("t_us", static_cast<double>(t_us));
 
   // Broker-side SLO instruments, sampled on sim time each tick. All
-  // inputs are sim-derived (deferred lane, lease table, the freshly
-  // polled headroom document), so the registry contents are identical
+  // inputs are sim-derived (deferred lane, lease table, the current
+  // headroom documents), so the registry contents are identical
   // across in-process / socket / multi-process edges.
   const SimTime t = SimTime::from_micros(t_us);
   registry_.observe("federation.deferred_depth", t, static_cast<double>(deferred_.size()));
@@ -452,8 +483,9 @@ const json::Value& Broker::refresh_snapshot(std::int64_t t_us) {
 json::Value Broker::federation_metrics_json(std::int64_t t_us) {
   json::Object regions;
   telemetry::MonitorRegistry merged;
-  for (const std::string& region : regions_) {
-    Result<json::Value> doc = bus_->get_json(service_name(region), "/federation/metrics");
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const std::string& region = regions_[i];
+    Result<json::Value> doc = bus_->get_json(links_[i].service, "/federation/metrics");
     const json::Value* metrics =
         doc.ok() ? doc.value().find("metrics") : nullptr;
     if (metrics == nullptr || !metrics->is_object()) {
@@ -477,7 +509,7 @@ void Broker::export_federated_trace(std::string& out) {
   // transport, keeping in-process and multi-process exports identical.
   std::vector<json::Value> region_spans(regions_.size(), json::Value(nullptr));
   for (std::size_t i = 0; i < regions_.size(); ++i) {
-    Result<json::Value> doc = bus_->get_json(service_name(regions_[i]), "/federation/trace");
+    Result<json::Value> doc = bus_->get_json(links_[i].service, "/federation/trace");
     if (!doc.ok()) continue;
     if (const json::Value* spans = doc.value().find("spans");
         spans != nullptr && spans->is_array()) {
@@ -496,7 +528,7 @@ void Broker::export_federated_trace(std::string& out) {
   bool first = true;
   append_thread_name(out, 0, "broker", first);
   for (std::size_t i = 0; i < regions_.size(); ++i) {
-    append_thread_name(out, static_cast<int>(1 + i), service_name(regions_[i]), first);
+    append_thread_name(out, static_cast<int>(1 + i), links_[i].service, first);
   }
   if (own_spans.is_array()) {
     for (const json::Value& span : own_spans.as_array()) {

@@ -1,18 +1,21 @@
 #pragma once
 // Global federation broker (docs/federation.md).
 //
-// The top tier of the hierarchy: receives every slice request, polls
-// each region's forecast headroom over the RestBus, and places the
-// slice in the region with the best headroom/price score. A slice
-// placed away from its tenant's home region additionally reserves
-// transport on the inter-region backbone (CSPF over the metro ring or
-// mesh, with broker-held residual accounting); requests no region can
-// take while an edge is restarting queue in the deferred-admission
-// lane and are retried at the next epoch tick.
+// The top tier of the hierarchy: receives every slice request, reads
+// each region's forecast headroom (cached from the region's latest
+// tick reply), and places the slice in the region with the best
+// headroom/price score. A slice placed away from its tenant's home
+// region additionally reserves transport on the inter-region backbone
+// (CSPF over the metro ring or mesh, with broker-held residual
+// accounting); requests no region can take while an edge is restarting
+// queue in the deferred-admission lane and are retried at the next
+// epoch tick.
 //
 // Every edge interaction goes through the bus, so the broker computes
 // identically whether the edges are routers in this process, HTTP
-// servers in other threads, or other OS processes.
+// servers in other threads, or other OS processes. The broker makes
+// every call that mutates a region, so it knows when a cached headroom
+// document goes stale.
 
 #include <cstdint>
 #include <map>
@@ -76,9 +79,11 @@ class Broker {
     return "edge." + region;
   }
 
-  /// Drive every region's clock to `t_us` (sorted region order) and
-  /// release backbone reservations whose slices have expired.
-  void advance_all(std::int64_t t_us);
+  /// One POST /federation/tick per region (sorted region order): drive
+  /// every region's clock to `t_us`, cache each reply's headroom and
+  /// keep its roaming exits for route_roamers(). Releases backbone
+  /// reservations whose slices have expired first.
+  void tick_all(std::int64_t t_us);
 
   /// Place one request. `body` is the scenario request JSON (the
   /// "region" key, if present, is stripped before the edge sees it).
@@ -89,22 +94,33 @@ class Broker {
   /// Retry the deferred lane (epoch ticks); returns how many placed.
   std::size_t retry_deferred(std::int64_t now_us);
 
-  /// Inter-region handover: drain every region's roaming-exit queue
-  /// (sorted region order) and re-attach each batch in the neighbour
-  /// region the UE walked into (+1 = east, -1 = west on the metro
-  /// line). Each non-empty batch takes a best-effort signalling lease
-  /// on the backbone leg. Returns how many roamers were re-admitted.
-  /// Call once per epoch tick, after advance_all().
+  /// Inter-region handover: forward every roaming-exit batch the ticks
+  /// handed over (sorted region order, east before west) to the
+  /// neighbour region the UEs walked into (+1 = east, -1 = west on the
+  /// metro line), unchanged, as its ingress body. Each batch takes a
+  /// best-effort signalling lease on the backbone leg. Returns how many
+  /// roamers were re-admitted. Call once per epoch tick, after
+  /// tick_all().
   std::size_t route_roamers(std::int64_t now_us);
 
-  /// Live per-region roll-up (headroom poll over the bus). Single-
-  /// threaded with the run loop; the REST facade serves the snapshot
-  /// taken by the latest refresh_snapshot() instead.
+  /// Region-scoped fault (POST /federation/fault with `body`). Clears
+  /// the region's cached headroom. Errors: not_found (unknown region),
+  /// or the edge's.
+  Result<json::Value> inject_fault(const std::string& region, const json::Value& body);
+
+  /// Live per-region roll-up from the cached headroom documents.
+  /// Single-threaded with the run loop (a stale region is re-read over
+  /// the bus); the REST facade serves the snapshot taken by the latest
+  /// refresh_snapshot() instead.
   [[nodiscard]] json::Value regions_json();
-  /// Take the tick's snapshot (one headroom poll per region) and return
-  /// it. The reference stays valid until the next refresh; the run loop
-  /// is the snapshot's only writer, so it may read it without the lock.
+  /// Take the tick's snapshot (regions_json()) and return it. The
+  /// reference stays valid until the next refresh; the run loop is the
+  /// snapshot's only writer, so it may read it without the lock.
   const json::Value& refresh_snapshot(std::int64_t t_us);
+
+  /// The region's cached headroom document, or nullptr while it is
+  /// stale (no successful tick since the last call that mutated it).
+  [[nodiscard]] const json::Value* cached_headroom(const std::string& region) const;
 
   [[nodiscard]] json::Value placements_json() const;
   [[nodiscard]] const BrokerCounters& counters() const noexcept { return counters_; }
@@ -151,13 +167,13 @@ class Broker {
 
  private:
   struct Candidate {
-    std::string region;
+    std::size_t index = 0;  ///< into regions_
     double headroom_mbps = 0.0;
     double price = 1.0;
     double score = 0.0;
   };
 
-  /// Poll headroom of every region and keep those that can take the
+  /// Read every region's headroom and keep those that can take the
   /// request (not suspended, DC gate, enough headroom). Sorted by
   /// region name; `any_suspended` reports whether a region was skipped
   /// for being suspended (the deferral trigger).
@@ -170,8 +186,26 @@ class Broker {
   bool reserve_backbone(const std::string& home, const std::string& placed,
                         DataRate demand, std::int64_t release_us);
 
+  /// The region's headroom document: the cached one, or (when stale)
+  /// a GET /federation/headroom whose answer is cached in turn. nullptr
+  /// when the edge is unreachable.
+  [[nodiscard]] const json::Value* headroom(std::size_t region);
+
   net::RestBus* bus_;
   std::vector<std::string> regions_;             ///< sorted names
+  /// Per-region protocol state, index-aligned with regions_.
+  struct RegionLink {
+    std::string service;  ///< bus service name, service_name(region)
+    /// Headroom as of the latest tick or fallback GET; null once a call
+    /// that mutates the region (slices, fault, ingress, a failed tick)
+    /// makes it stale. A region's headroom is a pure function of its
+    /// state, so a cached document equals a fresh GET.
+    json::Value headroom{nullptr};
+    /// Exit batches ({"east"|"west": batch}) handed over by ticks and
+    /// not yet routed. A tick hands its exits over once.
+    std::vector<json::Value> roamers;
+  };
+  std::vector<RegionLink> links_;
   std::map<std::string, std::size_t> region_index_;
   std::map<std::string, double> region_price_;
   transport::Topology backbone_;

@@ -111,55 +111,39 @@ json::Value EdgeNode::mobility_json() const {
   return Value(std::move(out));
 }
 
-json::Value EdgeNode::drain_roamers_json() {
-  json::Array exits;
-  if (mobility::Field* field = region_->field(); field != nullptr) {
-    std::vector<mobility::RoamingExit> drained;
-    field->drain_exits(drained);
-    for (const mobility::RoamingExit& exit : drained) {
-      Object entry;
-      entry.emplace("plmn", static_cast<double>(exit.plmn));
-      entry.emplace("cqi", static_cast<double>(exit.cqi));
-      entry.emplace("y_mm", static_cast<double>(exit.y_mm));
-      entry.emplace("side", static_cast<double>(exit.side));
-      exits.push_back(Value(std::move(entry)));
-    }
-  }
-  Object out;
-  out.emplace("region", plan_.name);
-  out.emplace("exits", std::move(exits));
-  return Value(std::move(out));
-}
-
 Result<json::Value> EdgeNode::admit_roamers(const json::Value& body) {
   mobility::Field* field = region_->field();
   if (field == nullptr) {
     return make_error(Errc::unavailable, "region " + plan_.name + " has no mobility field");
   }
-  const json::Value* roamers = body.find("roamers");
-  if (roamers == nullptr || !roamers->is_array()) {
-    return bad("ingress body needs a roamers array");
+  const std::optional<int> side = json::to_integer<int>(body.find("side"), -1, 1);
+  if (!side || *side == 0) return bad("ingress side must be 1 (east) or -1 (west)");
+  const json::Value* plmn = body.find("plmn");
+  const json::Value* cqi = body.find("cqi");
+  const json::Value* y_mm = body.find("y_mm");
+  if (plmn == nullptr || !plmn->is_array() || cqi == nullptr || !cqi->is_array() ||
+      y_mm == nullptr || !y_mm->is_array()) {
+    return bad("ingress body needs plmn, cqi and y_mm arrays");
   }
-  // Decode every entry before admitting any, so a malformed body changes
-  // nothing. Absent fields keep their defaults; present ones must fit.
-  std::vector<mobility::RoamingExit> exits;
-  exits.reserve(roamers->as_array().size());
-  for (const json::Value& entry : roamers->as_array()) {
-    mobility::RoamingExit exit;
-    const auto decode = [&entry](std::string_view key, auto& out) {
-      const json::Value* v = entry.find(key);
-      if (v == nullptr || !v->is_number()) return true;
-      const auto decoded = json::to_integer<std::remove_reference_t<decltype(out)>>(v);
+  const std::size_t n = plmn->as_array().size();
+  if (cqi->as_array().size() != n || y_mm->as_array().size() != n) {
+    return bad("ingress columns plmn, cqi and y_mm differ in length");
+  }
+  // Decode every roamer before admitting any, so a malformed body
+  // changes nothing.
+  std::vector<mobility::RoamingExit> exits(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    mobility::RoamingExit& exit = exits[i];
+    const auto decode = [i](const json::Value* column, auto& out) {
+      const auto decoded =
+          json::to_integer<std::remove_reference_t<decltype(out)>>(&column->as_array()[i]);
       if (decoded) out = *decoded;
       return decoded.has_value();
     };
-    if (!decode("plmn", exit.plmn) || !decode("cqi", exit.cqi) || !decode("y_mm", exit.y_mm)) {
+    if (!decode(plmn, exit.plmn) || !decode(cqi, exit.cqi) || !decode(y_mm, exit.y_mm)) {
       return bad("roamer plmn/cqi/y_mm out of range");
     }
-    if (const json::Value* v = entry.find("side"); v != nullptr && v->is_number()) {
-      exit.side = v->as_number() < 0.0 ? -1 : 1;
-    }
-    exits.push_back(exit);
+    exit.side = *side;
   }
   std::uint64_t admitted = 0;
   for (const mobility::RoamingExit& exit : exits) admitted += field->admit_roamer(exit) ? 1 : 0;
@@ -174,6 +158,53 @@ void EdgeNode::advance_to(std::int64_t t_us) {
   if (t_us > simulator().now().as_micros()) {
     (void)simulator().run_until(SimTime::from_micros(t_us));
   }
+}
+
+std::string EdgeNode::tick(std::int64_t t_us) {
+  advance_to(t_us);
+  // Written straight into the body, keys in json::serialize's sorted
+  // order, so no json::Value is built per roamer.
+  std::string body = "{\"headroom\":";
+  body += json::serialize(headroom_json());
+  body += ",\"region\":";
+  json::append_escaped(body, plan_.name);
+  std::vector<mobility::RoamingExit> exits;
+  if (mobility::Field* field = region_->field(); field != nullptr) field->drain_exits(exits);
+  if (!exits.empty()) {
+    body += ",\"roamers\":{";
+    bool first_side = true;
+    for (const int side : {1, -1}) {
+      if (std::none_of(exits.begin(), exits.end(),
+                       [side](const mobility::RoamingExit& e) { return e.side == side; })) {
+        continue;
+      }
+      if (!first_side) body.push_back(',');
+      first_side = false;
+      const auto column = [&](const char* key, auto member) {
+        body += key;
+        bool first = true;
+        for (const mobility::RoamingExit& exit : exits) {
+          if (exit.side != side) continue;
+          if (!first) body.push_back(',');
+          first = false;
+          json::append_number(body, static_cast<double>(exit.*member));
+        }
+        body.push_back(']');
+      };
+      body += side > 0 ? "\"east\":{" : "\"west\":{";
+      column("\"cqi\":[", &mobility::RoamingExit::cqi);
+      column(",\"plmn\":[", &mobility::RoamingExit::plmn);
+      body += ",\"side\":";
+      json::append_number(body, static_cast<double>(side));
+      column(",\"y_mm\":[", &mobility::RoamingExit::y_mm);
+      body.push_back('}');
+    }
+    body.push_back('}');
+  }
+  body += ",\"t_us\":";
+  json::append_number(body, static_cast<double>(simulator().now().as_micros()));
+  body.push_back('}');
+  return body;
 }
 
 Result<json::Value> EdgeNode::submit(const json::Value& body) {
@@ -325,7 +356,8 @@ std::shared_ptr<net::Router> EdgeNode::make_router() {
   // spans it triggers — orchestrator admission, epoch phases, domain
   // installs — are id-keyed by region regardless of the hosting process.
   // `reply` routes answer with body_of() and ignore the request body;
-  // `post` routes parse it and answer with handle(body)'s document.
+  // `post` routes parse it and answer with handle(body)'s document;
+  // /federation/tick writes its reply body itself (EdgeNode::tick).
   const auto reply = [&](net::Method method, const char* path, auto body_of) {
     router->add(method, path, [this, body_of](const net::RouteContext&) {
       telemetry::trace::ComponentScope trace_component(component_);
@@ -342,12 +374,6 @@ std::shared_ptr<net::Router> EdgeNode::make_router() {
       return net::Response::json(net::Status::ok, json::serialize(outcome.value()));
     });
   };
-  const auto region_doc = [this](std::string_view key, Value value) {
-    Object out;
-    out.emplace("region", plan_.name);
-    out.emplace(std::string(key), std::move(value));
-    return Value(std::move(out));
-  };
 
   const net::Method get = net::Method::get;
   reply(get, "/federation/info", [this] { return json::serialize(info_json()); });
@@ -359,20 +385,24 @@ std::shared_ptr<net::Router> EdgeNode::make_router() {
   reply(get, "/federation/metrics", [this] { return federation_metrics_body(); });
   reply(get, "/federation/trace", [this] { return federation_trace_body(); });
   reply(get, "/federation/mobility", [this] { return json::serialize(mobility_json()); });
-  reply(net::Method::post, "/federation/mobility/drain",
-        [this] { return json::serialize(drain_roamers_json()); });
 
-  post("/federation/advance", [this, region_doc](const Value& body) -> Result<Value> {
-    const std::optional<std::int64_t> t_us = json::to_integer<std::int64_t>(body.find("t_us"));
-    if (!t_us) return bad("advance body needs integer t_us");
-    advance_to(*t_us);
-    return region_doc("t_us", static_cast<double>(simulator().now().as_micros()));
+  router->add(net::Method::post, "/federation/tick", [this](const net::RouteContext& ctx) {
+    telemetry::trace::ComponentScope trace_component(component_);
+    Result<json::Value> body = json::parse(ctx.request->body);
+    if (!body.ok()) return net::Response::from_error(body.error());
+    const std::optional<std::int64_t> t_us =
+        json::to_integer<std::int64_t>(body.value().find("t_us"));
+    if (!t_us) return net::Response::from_error(bad("tick body needs integer t_us"));
+    return net::Response::json(net::Status::ok, tick(*t_us));
   });
   post("/federation/slices", [this](const Value& body) { return submit(body); });
   post("/federation/mobility/ingress", [this](const Value& body) { return admit_roamers(body); });
-  post("/federation/fault", [this, region_doc](const Value& body) -> Result<Value> {
+  post("/federation/fault", [this](const Value& body) -> Result<Value> {
     if (Result<void> r = apply_fault(body); !r.ok()) return r.error();
-    return region_doc("applied", true);
+    Object out;
+    out.emplace("region", plan_.name);
+    out.emplace("applied", true);
+    return Value(std::move(out));
   });
   return router;
 }

@@ -12,10 +12,13 @@
 //   GET  /federation/healthz   the orchestrator's health document
 //   GET  /federation/metrics   full-fidelity registry export (mergeable)
 //   GET  /federation/trace     this region's spans (transport-invariant)
+//   GET  /federation/mobility  population + handover/roaming counters
 //   GET  /metrics              registry snapshot + tracer drop counters
-//   POST /federation/advance   lock-step clock: run_until(t_us)
+//   POST /federation/tick      lock-step clock: run_until(t_us), reply
+//                              with headroom + drained roaming exits
 //   POST /federation/slices    delegated admission (503 while suspended)
 //   POST /federation/fault     region-scoped fault injection
+//   POST /federation/mobility/ingress  admit a neighbour's roamers
 //
 // Because every interaction crosses this router, an EdgeNode behaves
 // identically whether the router is dispatched in-process, over a
@@ -64,6 +67,14 @@ class EdgeNode {
   /// origin). Monotonic: earlier times are a no-op.
   void advance_to(std::int64_t t_us);
 
+  /// POST /federation/tick: advance_to(t_us), then drain the roaming
+  /// exits. Returns the reply body {"region", "t_us", "headroom":
+  /// headroom_json(), "roamers": {"east"|"west": batch}}, where a batch
+  /// is one side's exits as columns, {"side", "plmn": [...], "cqi":
+  /// [...], "y_mm": [...]} — the neighbour's ingress body as is.
+  /// "roamers" and empty sides are omitted.
+  [[nodiscard]] std::string tick(std::int64_t t_us);
+
   /// Delegated admission. Body: the scenario request JSON shape
   /// (vertical, throughput_mbps, workload_seed, ...). Errors:
   /// unavailable (suspended — the deferred-admission path),
@@ -87,13 +98,12 @@ class EdgeNode {
 
   /// GET /federation/mobility: population + handover/roaming counters.
   [[nodiscard]] json::Value mobility_json() const;
-  /// POST /federation/mobility/drain: this epoch's roaming exits, as
-  /// {"region", "exits": [{"plmn","cqi","y_mm","side"}...]}; clears the
-  /// queue. The broker calls this once per epoch tick.
-  [[nodiscard]] json::Value drain_roamers_json();
   /// POST /federation/mobility/ingress: admit roamers arriving from a
-  /// neighbour region. Body {"roamers": [exit...]}; returns
-  /// {"region", "admitted", "dropped"}.
+  /// neighbour region. Body: one batch of a tick reply, {"side": 1|-1,
+  /// "plmn": [...], "cqi": [...], "y_mm": [...]}, columns of equal
+  /// length. Returns {"region", "admitted", "dropped"}. A body with a
+  /// bad side, a missing or ragged column or an out-of-range value is
+  /// invalid_argument and admits nobody.
   [[nodiscard]] Result<json::Value> admit_roamers(const json::Value& body);
 
   /// GET /metrics body: the region registry snapshot plus the tracer's

@@ -135,10 +135,9 @@ void FederatedRunner::inject_event(const scenario::ScenarioEvent& event) {
   body.emplace("kind", std::string(scenario::to_string(event.kind)));
   body.emplace("target", event.target);
   body.emplace("duration_us", static_cast<double>(event.duration.as_micros()));
-  Result<json::Value> applied =
-      bus_.call_json(Broker::service_name(event.region), net::Method::post,
-                     "/federation/fault", json::Value(std::move(body)));
-  if (applied.ok()) ++events_injected_;
+  if (broker_->inject_fault(event.region, json::Value(std::move(body))).ok()) {
+    ++events_injected_;
+  }
 }
 
 void FederatedRunner::submit_scenario_request(const scenario::ScenarioRequest& request,
@@ -177,13 +176,14 @@ Result<FederatedScorecard> FederatedRunner::run() {
   }
 
   // --- The lock-step timeline -------------------------------------
-  // At every timestamp t, in this order: advance every region to t,
+  // At every timestamp t, in this order: tick every region to t (one
+  // call each, which also hands over its headroom and roaming exits),
   // epoch-tick bookkeeping (deferred retries, roaming, the snapshot and
-  // the gain sample read from it),
-  // failure events, explicit requests, generated arrivals. Regions in
-  // sorted-name order throughout. This total order — not wall clocks,
-  // not transport latency — is what makes the scorecard byte-identical
-  // across thread counts and transports.
+  // the gain sample read from it), failure events, explicit requests,
+  // generated arrivals. Regions in sorted-name order throughout. This
+  // total order — not wall clocks, not transport latency — is what
+  // makes the scorecard byte-identical across thread counts and
+  // transports.
   const std::int64_t end_us = (SimTime::origin() + scenario_.duration).as_micros();
   constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
@@ -231,12 +231,13 @@ Result<FederatedScorecard> FederatedRunner::run() {
     if (next_arrival_us <= end_us) t = std::min(t, next_arrival_us);
     if (t == kNever) break;
 
-    broker_->advance_all(t);
+    broker_->tick_all(t);
 
     if (t == next_tick_us) {
       (void)broker_->retry_deferred(t);
-      // advance_all(t) already ran every region's mobility periodic for
-      // this window, so the exit queues are complete when we route them.
+      // tick_all(t) already ran every region's mobility periodic for this
+      // window, so the exits it handed over are complete when we route
+      // them.
       if (scenario_.mobility.enabled) (void)broker_->route_roamers(t);
       gain_.record(city_gain(broker_->refresh_snapshot(t)));
       ++epochs_;
@@ -261,7 +262,7 @@ Result<FederatedScorecard> FederatedRunner::run() {
       next_arrival_us = next.as_micros();
     }
   }
-  broker_->advance_all(end_us);
+  broker_->tick_all(end_us);
 
   FederatedScorecard card = finalize();
   scenario::evaluate_targets(scenario_.targets, card);

@@ -4,7 +4,7 @@
 // Drives one "metro" scenario across the whole hierarchy: generates
 // the fabric, instantiates (or connects to) one EdgeNode per region,
 // and runs the broker's lock-step timeline — at every timestamp the
-// order is fixed (advance clocks, epoch-tick bookkeeping, failure
+// order is fixed (tick every region, epoch-tick bookkeeping, failure
 // events, explicit requests, generated arrivals), so the same scenario
 // + seed yields a byte-identical FederatedScorecard at any
 // epoch_threads setting and over any transport (in-process dispatch,
@@ -17,8 +17,8 @@
 // timeline is this runner's own. The two orders, both pinned by
 // golden scorecards: fig2 pre-schedules events on one simulator heap
 // ahead of the re-armed epoch periodic, so an event at an epoch boundary
-// runs before that epoch; here advance_all(t) runs every region's epoch
-// at t first and the event is injected after it.
+// runs before that epoch; here tick_all(t) runs every region's epoch at
+// t first and the event is injected after it.
 
 #include <cstdint>
 #include <map>

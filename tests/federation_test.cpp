@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "federation/broker.hpp"
 #include "federation/edge.hpp"
@@ -20,6 +24,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/trace.hpp"
+#include "traffic/verticals.hpp"
 
 namespace slices {
 namespace {
@@ -335,6 +340,274 @@ TEST(BrokerFailover, RestartingLoneRegionDefersAdmissionUntilResume) {
   EXPECT_EQ(card.value().deferred_unplaced, 0u) << "deferred request never landed";
   EXPECT_EQ(card.value().admitted, 1u);
   EXPECT_EQ(card.value().placed_local, 1u);
+}
+
+// ------------------------------------------------------------- protocol
+
+/// One region's EdgeNode served over a loopback socket behind a proxy
+/// router that counts every call by route before dispatching it to the
+/// node's own router.
+class CountedEdge {
+ public:
+  CountedEdge(const federation::RegionPlan& plan, const scenario::Scenario& scenario)
+      : node_(plan, scenario, 1), inner_(node_.make_router()) {
+    auto proxy = std::make_shared<net::Router>();
+    for (const auto& [method, path] : kRoutes) {
+      std::atomic<std::uint64_t>& count = counts_[path];
+      proxy->add(method, path, [this, &count](const net::RouteContext& ctx) {
+        count.fetch_add(1, std::memory_order_relaxed);
+        return inner_->dispatch(*ctx.request);
+      });
+    }
+    Result<std::unique_ptr<net::HttpServer>> bound = net::HttpServer::bind(proxy);
+    EXPECT_TRUE(bound.ok());
+    server_ = std::move(bound).value();
+    serving_ = std::thread([raw = server_.get()] { raw->run(); });
+  }
+  CountedEdge(const CountedEdge&) = delete;
+  CountedEdge& operator=(const CountedEdge&) = delete;
+  ~CountedEdge() {
+    server_->stop();
+    serving_.join();
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return server_->port(); }
+  [[nodiscard]] std::uint64_t calls(const std::string& path) const {
+    return counts_.at(path).load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t total_calls() const {
+    std::uint64_t total = 0;
+    for (const auto& [path, count] : counts_) total += count.load(std::memory_order_relaxed);
+    return total;
+  }
+
+ private:
+  static constexpr std::pair<net::Method, const char*> kRoutes[] = {
+      {net::Method::post, "/federation/tick"},
+      {net::Method::post, "/federation/slices"},
+      {net::Method::post, "/federation/fault"},
+      {net::Method::post, "/federation/mobility/ingress"},
+      {net::Method::get, "/federation/headroom"},
+      {net::Method::get, "/federation/summary"},
+      {net::Method::get, "/federation/mobility"},
+      {net::Method::get, "/federation/info"},
+      {net::Method::get, "/federation/metrics"},
+      {net::Method::get, "/federation/trace"},
+  };
+
+  federation::EdgeNode node_;
+  std::shared_ptr<net::Router> inner_;
+  std::map<std::string, std::atomic<std::uint64_t>> counts_;
+  std::unique_ptr<net::HttpServer> server_;
+  std::thread serving_;
+};
+
+// The region_outage shape, shortened: r1 loses both datacenters for
+// three hours and r2's controller restarts. The request at the outage
+// reads r1's headroom after the fault staled it.
+constexpr const char* kOutageDoc = R"({
+  "name": "outage_mini",
+  "seed": 23,
+  "duration_hours": 12,
+  "topology": "metro",
+  "federation": {"regions": 3, "cells_per_region": 4, "edge_dcs_per_region": 1,
+                 "hosts_per_dc": 2, "backbone": "ring", "backbone_gbps": 40},
+  "orchestrator": {"monitoring_period_minutes": 5, "overbooking": {"enabled": true}},
+  "workload": {"arrivals_per_hour": 6, "min_duration_hours": 2, "max_duration_hours": 8},
+  "events": [
+    {"kind": "dc_down", "at_hours": 4, "region": "r1", "dc": "core", "duration_hours": 3},
+    {"kind": "dc_down", "at_hours": 4, "region": "r1", "dc": "edge0", "duration_hours": 3},
+    {"kind": "controller_restart", "at_hours": 5, "region": "r2", "duration_minutes": 15}
+  ],
+  "requests": [{"at_hours": 4, "vertical": "automotive", "duration_hours": 1, "region": "r1"}]
+})";
+
+TEST(BrokerProtocol, OneTickPerRegionPerTimestampPlusMutationsAndFallbacks) {
+  const scenario::Scenario s = scenario::parse_scenario(kOutageDoc).value();
+  const MetroFabric fabric = make_metro_fabric(s.federation, s.seed).value();
+  std::vector<std::unique_ptr<CountedEdge>> edges;
+  FederatedRunOptions options;
+  for (const federation::RegionPlan& plan : fabric.regions) {
+    edges.push_back(std::make_unique<CountedEdge>(plan, s));
+    options.remote_edges.emplace(plan.name, edges.back()->port());
+  }
+  FederatedRunner runner(s, options);
+  const Result<FederatedScorecard> card = runner.run();
+  ASSERT_TRUE(card.ok()) << card.error().message;
+
+  // Every timestamp of the run: epoch ticks, faults and submissions
+  // (deferred retries fall on epoch ticks).
+  const std::int64_t origin = SimTime::origin().as_micros();
+  const std::int64_t period = s.orchestrator.monitoring_period.as_micros();
+  const std::int64_t end = origin + s.duration.as_micros();
+  std::set<std::int64_t> timestamps;
+  for (std::int64_t t = origin + period; t <= end; t += period) timestamps.insert(t);
+  std::map<std::string, std::uint64_t> faults;
+  for (const scenario::ScenarioEvent& event : s.events) {
+    timestamps.insert(origin + event.at.as_micros());
+    ++faults[event.region];
+  }
+  const json::Value placements = runner.broker()->placements_json();
+  ASSERT_FALSE(placements.find("placements")->as_array().empty());
+  for (const json::Value& p : placements.find("placements")->as_array()) {
+    timestamps.insert(static_cast<std::int64_t>(p.find("t_us")->as_number()));
+  }
+
+  const std::map<std::string, net::BusStats> stats = runner.bus().stats();
+  std::uint64_t fallbacks = 0;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::string& region = fabric.regions[i].name;
+    const CountedEdge& edge = *edges[i];
+    SCOPED_TRACE(region);
+    // One tick per timestamp, plus the closing tick at the horizon.
+    EXPECT_EQ(edge.calls("/federation/tick"), timestamps.size() + 1);
+    EXPECT_EQ(edge.calls("/federation/fault"), faults[region]);
+    // Each mutating call stales the cached headroom at most once; the
+    // fallback GET re-fills it.
+    const std::uint64_t mutations = edge.calls("/federation/slices") + faults[region];
+    EXPECT_LE(edge.calls("/federation/headroom"), mutations);
+    fallbacks += edge.calls("/federation/headroom");
+    EXPECT_EQ(edge.calls("/federation/summary"), 1u);  // finalize
+    EXPECT_EQ(edge.calls("/federation/mobility/ingress"), 0u);
+    EXPECT_EQ(edge.calls("/federation/mobility"), 0u);
+    EXPECT_EQ(stats.at(federation::Broker::service_name(region)).requests,
+              edge.calls("/federation/tick") + edge.calls("/federation/slices") +
+                  edge.calls("/federation/fault") + edge.calls("/federation/headroom") +
+                  edge.calls("/federation/summary"));
+    EXPECT_EQ(edge.total_calls(), stats.at(federation::Broker::service_name(region)).requests)
+        << "the broker called a route outside the protocol";
+  }
+  EXPECT_GT(fallbacks, 0u) << "the outage must exercise the stale-headroom fallback";
+}
+
+constexpr const char* kRoamingDoc = R"({
+  "name": "roaming_mini",
+  "seed": 17,
+  "duration_hours": 3,
+  "topology": "metro",
+  "federation": {"regions": 2, "cells_per_region": 4, "edge_dcs_per_region": 1,
+                 "hosts_per_dc": 2, "backbone": "ring", "backbone_gbps": 40},
+  "orchestrator": {"monitoring_period_minutes": 5},
+  "workload": {"arrivals_per_hour": 0, "min_duration_hours": 1, "max_duration_hours": 2},
+  "mobility": {
+    "cell_spacing_m": 400,
+    "ues_per_slice": 40,
+    "speed_classes": {"automotive": 14},
+    "storms": [{"kind": "commuter_wave", "at_hours": 0.5, "duration_minutes": 90,
+                "fraction": 0.6}]
+  }
+})";
+
+/// A broker over in-process edges, driven step by step. Each edge's
+/// router is kept so a test can GET it directly, bypassing the broker.
+struct BrokerHarness {
+  scenario::Scenario scenario;
+  MetroFabric fabric;
+  std::vector<std::unique_ptr<federation::EdgeNode>> edges;
+  std::vector<std::shared_ptr<net::Router>> routers;
+  net::RestBus bus;
+  std::unique_ptr<federation::Broker> broker;
+  std::int64_t now_us = 0;
+  std::uint64_t next_workload_seed = 1;
+
+  explicit BrokerHarness(const char* doc)
+      : scenario(scenario::parse_scenario(doc).value()),
+        fabric(make_metro_fabric(scenario.federation, scenario.seed).value()) {
+    for (const federation::RegionPlan& plan : fabric.regions) {
+      edges.push_back(std::make_unique<federation::EdgeNode>(plan, scenario, 1));
+      routers.push_back(edges.back()->make_router());
+      bus.register_service(federation::Broker::service_name(plan.name), routers.back());
+    }
+    broker = std::make_unique<federation::Broker>(&bus, fabric);
+  }
+
+  void tick() {
+    now_us += scenario.orchestrator.monitoring_period.as_micros();
+    broker->tick_all(now_us);
+  }
+
+  federation::PlacementDecision submit(const std::string& home) {
+    scenario::ScenarioRequest request;
+    request.spec = core::SliceSpec::from_profile(
+        traffic::profile_for(traffic::Vertical::automotive), Duration::hours(2.0));
+    request.workload_seed = next_workload_seed++;
+    return broker->submit(scenario::request_to_json(request), home, now_us);
+  }
+
+  /// Fault `region` over the broker (which stales its headroom).
+  void fault(const std::string& region, const std::string& kind, const std::string& target,
+             Duration duration) {
+    json::Object body;
+    body.emplace("kind", kind);
+    body.emplace("target", target);
+    body.emplace("duration_us", static_cast<double>(duration.as_micros()));
+    ASSERT_TRUE(broker->inject_fault(region, json::Value(std::move(body))).ok());
+  }
+
+  /// Every cached headroom document equals a direct GET on its edge's
+  /// router; returns how many regions had one cached.
+  std::size_t expect_cache_coherent(const char* after) {
+    std::size_t cached = 0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const json::Value* doc = broker->cached_headroom(edges[i]->name());
+      if (doc == nullptr) continue;
+      ++cached;
+      net::Request get;
+      get.method = net::Method::get;
+      get.target = "/federation/headroom";
+      const net::Response fresh = routers[i]->dispatch(get);
+      EXPECT_EQ(json::serialize(*doc), fresh.body) << edges[i]->name() << " after " << after;
+    }
+    return cached;
+  }
+};
+
+TEST(BrokerProtocol, CachedHeadroomEqualsAFreshGet) {
+  BrokerHarness city(kRoamingDoc);
+  for (int k = 0; k < 4; ++k) {
+    city.submit("r0");
+    city.submit("r1");
+  }
+  std::size_t compared = 0;
+  compared += city.expect_cache_coherent("submit");
+  const std::int64_t end_us = city.scenario.duration.as_micros();
+  while (city.now_us < end_us) {
+    city.tick();
+    compared += city.expect_cache_coherent("tick");
+    if (city.now_us == Duration::hours(1.0).as_micros()) {
+      // Both regions restart: the next request has no candidate and
+      // waits in the deferred lane until they resume.
+      city.fault("r0", "controller_restart", "", Duration::minutes(10.0));
+      city.fault("r1", "controller_restart", "", Duration::minutes(10.0));
+      EXPECT_EQ(city.submit("r0").outcome, "deferred");
+      compared += city.expect_cache_coherent("deferred submit");
+    }
+    (void)city.broker->retry_deferred(city.now_us);
+    compared += city.expect_cache_coherent("retry_deferred");
+    (void)city.broker->route_roamers(city.now_us);
+    compared += city.expect_cache_coherent("route_roamers");
+  }
+  const federation::BrokerCounters& counters = city.broker->counters();
+  EXPECT_GT(counters.placed_local + counters.placed_remote, 4u);
+  EXPECT_EQ(city.broker->deferred_pending(), 0u) << "the deferred request never landed";
+  EXPECT_GT(counters.roam_admitted, 0u) << "the commuter wave must cross the border";
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(BrokerProtocol, InjectedFaultShowsInTheNextRegionsJsonWithoutATick) {
+  BrokerHarness city(kRoamingDoc);
+  city.tick();
+  const auto edge_dcs_up = [&city](std::size_t region) {
+    const json::Value doc = city.broker->regions_json();
+    return doc.find("regions")->as_array().at(region).find("edge_dcs_up")->as_number();
+  };
+  ASSERT_NE(city.broker->cached_headroom("r0"), nullptr);
+  EXPECT_EQ(edge_dcs_up(0), 1.0);
+  city.fault("r0", "dc_down", "edge0", Duration::zero());
+  EXPECT_EQ(city.broker->cached_headroom("r0"), nullptr);
+  EXPECT_EQ(edge_dcs_up(0), 0.0);
+  EXPECT_EQ(edge_dcs_up(1), 1.0);
+  EXPECT_FALSE(city.broker->inject_fault("r9", json::Value(json::Object{})).ok());
 }
 
 // ------------------------------------------------------- observability

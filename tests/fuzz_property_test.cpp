@@ -607,11 +607,16 @@ TEST(WireIntegers, EdgeFaultAndAdvanceBodiesAreRangeChecked) {
     EXPECT_FALSE(edge.node.orchestrator().suspended()) << bad;
   }
   for (const char* bad : kHostileNumbers) {
-    EXPECT_FALSE(edge.post("/federation/advance", std::string(R"({"t_us":)") + bad + "}").ok())
+    EXPECT_FALSE(edge.post("/federation/tick", std::string(R"({"t_us":)") + bad + "}").ok())
         << bad;
   }
-  EXPECT_TRUE(edge.post("/federation/advance", R"({"t_us":1800000000})").ok());
+  EXPECT_FALSE(edge.post("/federation/tick", "{}").ok());
+  EXPECT_FALSE(edge.post("/federation/tick", R"({"t_us":"1800000000"})").ok());
+  const Result<json::Value> tick = edge.post("/federation/tick", R"({"t_us":1800000000})");
+  ASSERT_TRUE(tick.ok()) << tick.error().message;
   EXPECT_EQ(edge.node.simulator().now().as_micros(), 1800000000);
+  EXPECT_EQ(tick.value().find("t_us")->as_number(), 1800000000.0);
+  EXPECT_EQ(*tick.value().find("headroom"), edge.node.headroom_json());
 }
 
 TEST(WireIntegers, RoamerIngressRejectsOutOfRangeFieldsAtomically) {
@@ -619,29 +624,62 @@ TEST(WireIntegers, RoamerIngressRejectsOutOfRangeFieldsAtomically) {
   ASSERT_NE(edge.node.field(), nullptr);
   const Result<json::Value> ok = edge.post(
       "/federation/mobility/ingress",
-      R"({"roamers":[{"plmn":1,"cqi":9,"y_mm":250000,"side":1},{"cqi":99,"side":-1}]})");
+      R"({"side":1,"plmn":[1,0],"cqi":[9,99],"y_mm":[250000,-5]})");
   ASSERT_TRUE(ok.ok()) << ok.error().message;
   EXPECT_EQ(ok.value().find("admitted")->as_number(), 2.0);
   const std::uint64_t admitted = edge.node.field()->roamers_admitted();
-  const std::pair<const char*, std::vector<const char*>> hostile[] = {
-      {"plmn", {"-1", "1e20", "1e300", "-1e300"}},
-      {"cqi", {"4294967296", "1e10", "1e300", "-1e300"}},
-      {"y_mm", {"9.3e18", "-9.3e18", "1e300", "-1e300"}},
+
+  // Each body's first roamer is valid; the second is not, or the body's
+  // shape is broken. None may admit anyone.
+  const auto columns = [](const std::string& plmn, const std::string& cqi,
+                          const std::string& y_mm, const std::string& side) {
+    return R"({"side":)" + side + R"(,"plmn":)" + plmn + R"(,"cqi":)" + cqi +
+           R"(,"y_mm":)" + y_mm + "}";
   };
-  for (const auto& [field, values] : hostile) {
+  std::vector<std::string> bodies;
+  const std::pair<int, std::vector<const char*>> hostile[] = {
+      {0, {"-1", "1e20", "1e300", "-1e300", "\"1\"", "null"}},
+      {1, {"4294967296", "1e10", "1e300", "-1e300", "true", "[9]"}},
+      {2, {"9.3e18", "-9.3e18", "1e300", "-1e300", "{}", "\"0\""}},
+  };
+  for (const auto& [column, values] : hostile) {
     for (const char* bad : values) {
-      const std::string body =
-          std::string(R"({"roamers":[{"cqi":9},{")") + field + "\":" + bad + "}]}";
-      EXPECT_FALSE(edge.post("/federation/mobility/ingress", body).ok()) << body;
+      std::string cols[3] = {"[1,1]", "[9,9]", "[0,0]"};
+      cols[column] = cols[column].substr(0, 3) + bad + "]";
+      bodies.push_back(columns(cols[0], cols[1], cols[2], "1"));
     }
+  }
+  // Ragged columns, missing or non-array columns.
+  bodies.push_back(columns("[1,1]", "[9]", "[0,0]", "1"));
+  bodies.push_back(columns("[1]", "[9,9]", "[0,0]", "-1"));
+  bodies.push_back(columns("[1,1]", "[9,9]", "[0,0,0]", "1"));
+  bodies.push_back(columns("[1,1]", "9", "[0,0]", "1"));
+  bodies.push_back(columns("{}", "[9,9]", "[0,0]", "1"));
+  bodies.push_back(columns("[1,1]", "[9,9]", "null", "1"));
+  bodies.push_back(R"({"side":1,"cqi":[9],"y_mm":[0]})");
+  bodies.push_back(R"({"side":1,"plmn":[1],"y_mm":[0]})");
+  bodies.push_back(R"({"side":1,"plmn":[1],"cqi":[9]})");
+  bodies.push_back(R"({"roamers":[{"plmn":1,"cqi":9,"y_mm":0,"side":1}]})");
+  bodies.push_back("[]");
+  // Hostile sides.
+  for (const char* side : {"0", "2", "-2", "1e300", "-1e300", "\"east\"", "null", "[1]"}) {
+    bodies.push_back(columns("[1,1]", "[9,9]", "[0,0]", side));
+  }
+  bodies.push_back(R"({"plmn":[1],"cqi":[9],"y_mm":[0]})");
+  for (const std::string& body : bodies) {
+    const Result<json::Value> rejected = edge.post("/federation/mobility/ingress", body);
+    ASSERT_FALSE(rejected.ok()) << body;
+    EXPECT_NE(rejected.error().message.find(" -> 4"), std::string::npos)
+        << body << ": " << rejected.error().message;
   }
   // Rejected bodies admitted nobody, not even their valid first entry.
   EXPECT_EQ(edge.node.field()->roamers_admitted(), admitted);
 }
 
 /// A remote "edge" on a loopback socket that answers the broker with
-/// canned bodies: `summary` at /federation/summary, no headroom, and an
-/// empty ack to every advance.
+/// canned bodies: `summary` at /federation/summary, zero headroom, and
+/// an empty ack to every tick (so the broker falls back to GET
+/// /federation/headroom).
 class ScriptedEdge {
  public:
   explicit ScriptedEdge(const std::string& summary) {
@@ -653,7 +691,7 @@ class ScriptedEdge {
     };
     router->add(net::Method::get, "/federation/summary", reply(summary));
     router->add(net::Method::get, "/federation/headroom", reply(R"({"headroom_mbps":0})"));
-    router->add(net::Method::post, "/federation/advance", reply("{}"));
+    router->add(net::Method::post, "/federation/tick", reply("{}"));
     Result<std::unique_ptr<net::HttpServer>> bound = net::HttpServer::bind(router);
     EXPECT_TRUE(bound.ok());
     server_ = std::move(bound).value();

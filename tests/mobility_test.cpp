@@ -297,6 +297,33 @@ TEST(MobilityFederation, CommuterWaveRoamsAcrossRegionsDeterministically) {
   EXPECT_EQ(run_metro(four).serialize(), card.serialize());
 }
 
+TEST(MobilityFederation, SocketTransportMatchesInProcess) {
+  // Roamers cross the bus as columnar tick replies and ingress bodies;
+  // a loopback socket must carry them byte for byte.
+  const auto run = [](bool socket) {
+    federation::FederatedRunOptions options;
+    options.socket_transport = socket;
+    federation::FederatedRunner runner(parse_metro(), options);
+    Result<federation::FederatedScorecard> card = runner.run();
+    EXPECT_TRUE(card.ok()) << (card.ok() ? "" : card.error().message);
+    return std::pair{card.ok() ? card.value().serialize() : std::string(), runner.bus().stats()};
+  };
+  const auto [inproc_card, inproc_stats] = run(false);
+  const auto [socket_card, socket_stats] = run(true);
+  EXPECT_NE(inproc_card.find("\"roam_admitted\""), std::string::npos);
+  EXPECT_EQ(inproc_card, socket_card);
+  ASSERT_EQ(inproc_stats.size(), socket_stats.size());
+  for (const auto& [service, stats] : inproc_stats) {
+    ASSERT_TRUE(socket_stats.contains(service)) << service;
+    const net::BusStats& other = socket_stats.at(service);
+    EXPECT_EQ(stats.requests, other.requests) << service;
+    EXPECT_EQ(stats.responses_ok, other.responses_ok) << service;
+    EXPECT_EQ(stats.responses_error, other.responses_error) << service;
+    EXPECT_EQ(stats.bytes_tx, other.bytes_tx) << service;
+    EXPECT_EQ(stats.bytes_rx, other.bytes_rx) << service;
+  }
+}
+
 TEST(MobilityFederation, RecordedMetroRunReplaysToTheSameScorecard) {
   const std::string path = testing::TempDir() + "/mobility_metro_replay.journal";
   federation::FederatedRunOptions recording;
