@@ -2,9 +2,9 @@
 // closed loop (real-time monitoring -> data analysis and feature
 // extraction -> resource allocation optimization -> automatic network
 // reconfiguration). Runs the loop over two simulated days with three
-// live slices and reports what each cycle did: telemetry pulled over
-// REST, estimators updated, reconfiguration actions issued; then times
-// one loop cycle.
+// live slices and reports what each cycle did: estimators updated,
+// reconfiguration actions issued; then times one loop cycle and one
+// operator read of every domain's /metrics over REST.
 
 #include <benchmark/benchmark.h>
 
@@ -37,29 +37,19 @@ void print_experiment() {
   const std::uint64_t cycles = 48 * 4;
 
   const core::OrchestratorSummary summary = tb->orchestrator->summary();
-  std::uint64_t rest_calls = 0;
-  std::uint64_t rest_bytes = 0;
-  for (const auto& [name, stats] : tb->bus.stats()) {
-    rest_calls += stats.requests;
-    rest_bytes += stats.bytes_tx + stats.bytes_rx;
-  }
 
   rule(72);
   std::printf("%-44s %20llu\n", "monitoring cycles executed",
               static_cast<unsigned long long>(cycles));
   std::printf("%-44s %20llu\n", "simulator events processed",
               static_cast<unsigned long long>(tb->simulator.executed_events() - events_before));
-  std::printf("%-44s %20llu\n", "REST monitoring/config calls",
-              static_cast<unsigned long long>(rest_calls));
-  std::printf("%-44s %20llu\n", "REST bytes on the wire",
-              static_cast<unsigned long long>(rest_bytes));
   std::printf("%-44s %20llu\n", "reconfiguration actions (reservation moves)",
               static_cast<unsigned long long>(summary.reconfigurations));
   std::printf("%-44s %20.3f\n", "closing multiplexing gain", summary.multiplexing_gain);
   std::printf("%-44s %20llu\n", "SLA violation epochs",
               static_cast<unsigned long long>(summary.violation_epochs));
   rule(72);
-  std::printf("expected shape: every cycle polls all three domain controllers over REST;\n"
+  std::printf("expected shape: each cycle reads the domains' serve reports in-process;\n"
               "reconfigurations track the diurnal demand (dozens over 48 h); the loop\n"
               "keeps the gain above 1 while violations stay rare.\n\n");
 }

@@ -25,8 +25,7 @@
 // BM_Wander/<ues>        — the CQI wander alone, through the batched
 //                          branchless kernel (one RNG word per four
 //                          rows, a 16-bit lane each; mask-and-clamp
-//                          apply over the SoA byte columns; AVX2 when
-//                          built with SLICES_ENABLE_SIMD).
+//                          apply over the SoA byte columns).
 // BM_WanderLegacy/<ues>  — the retained per-row bernoulli walk, for the
 //                          wander speedup column.
 

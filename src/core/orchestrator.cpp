@@ -336,7 +336,8 @@ bool Orchestrator::try_admit(SliceRecord& record) {
   TRACE_SCOPE("orch.admit.try");
   // Materialize the reclaim the capacity estimate assumed, then embed.
   apply_overbooking(simulator_->now());
-  Result<InstallTimeline> timeline = embed(record);
+  EmbedStage failed = EmbedStage::plmn_install;
+  Result<InstallTimeline> timeline = embed(record, failed);
   if (timeline.ok()) {
     set_state(record, SliceState::installing);
     last_timeline_ = timeline.value();
@@ -370,7 +371,7 @@ bool Orchestrator::try_admit(SliceRecord& record) {
   }
   json::Object audit;
   audit.emplace("reason", timeline.error().message);
-  audit.emplace("stage", std::string("embedding"));
+  audit.emplace("stage", std::string(to_string(failed)));
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
                  timeline.error().message, std::move(audit));
   log_.info("embedding failed: " + timeline.error().message);
@@ -458,112 +459,137 @@ void Orchestrator::decide_pending_batch() {
   }
 }
 
-Result<InstallTimeline> Orchestrator::embed(SliceRecord& record) {
+std::optional<NodeId> Orchestrator::core_gateway() const {
+  for (const auto& [dc_id, node] : dc_gateways_) {
+    const cloud::Datacenter* candidate = cloud_->find_datacenter(dc_id);
+    if (candidate != nullptr && candidate->kind() == cloud::DatacenterKind::core) return node;
+  }
+  return std::nullopt;
+}
+
+Result<void> Orchestrator::install_leg(std::size_t leg, SliceId slice, NodeId src, NodeId dst,
+                                       DataRate rate, Duration bound, Embedding& e) {
+  if (leg < e.paths.size()) {
+    return transport_->restore_path(e.paths[leg], slice, src, dst, leg_rate(leg, rate), bound);
+  }
+  Result<PathId> path = transport_->allocate_path(slice, src, dst, leg_rate(leg, rate), bound);
+  if (!path.ok()) return path.error();
+  e.paths.push_back(path.value());
+  return {};
+}
+
+Result<void> Orchestrator::install_stage(EmbedStage stage, SliceId slice, const SliceSpec& spec,
+                                         DataRate rate, Embedding& e, Duration& epc_time) {
+  switch (stage) {
+    case EmbedStage::plmn_install:
+      // A fresh slice draws the next PLMN code (consumed even if the
+      // embedding fails); a recovered one keeps its own.
+      if (!e.plmn.valid()) e.plmn = PlmnId{next_plmn_++};
+      return ran_->install_plmn(e.plmn);
+    case EmbedStage::prb_allocation: {
+      const Result<ran::RanAllocation> r = ran_->set_allocation(e.plmn, rate, config_.planning_cqi);
+      if (!r.ok()) return r.error();
+      return {};
+    }
+    case EmbedStage::placement:
+      if (!e.datacenter.valid()) {
+        const ComputeCapacity footprint =
+            epc::epc_stack_template(slice, spec.expected_throughput).footprint() +
+            spec.edge_compute;
+        const std::optional<DatacenterId> dc =
+            cloud_->choose_datacenter(footprint, spec.needs_edge);
+        if (!dc) {
+          return make_error(Errc::insufficient_capacity,
+                            spec.needs_edge ? "no edge datacenter fits the slice"
+                                            : "no datacenter fits the slice");
+        }
+        e.datacenter = *dc;
+      }
+      if (!dc_gateways_.contains(e.datacenter)) {
+        return make_error(Errc::internal, "datacenter has no transport gateway configured");
+      }
+      return {};
+    case EmbedStage::access_leg:
+      // Delay/capacity-constrained dedicated path to the datacenter.
+      return install_leg(0, slice, ran_gateway_, dc_gateways_.at(e.datacenter), rate,
+                         spec.max_latency, e);
+    case EmbedStage::breakout_leg: {
+      // Edge placements also get a breakout leg toward the core cloud
+      // (centralized services / internet), at a fraction of the contract.
+      const NodeId gw = dc_gateways_.at(e.datacenter);
+      const std::optional<NodeId> core_gw = core_gateway();
+      if (e.paths.size() < 2) {
+        const cloud::Datacenter* placed = cloud_->find_datacenter(e.datacenter);
+        if (config_.edge_breakout_fraction <= 0.0 || placed == nullptr ||
+            placed->kind() != cloud::DatacenterKind::edge || !core_gw || *core_gw == gw) {
+          return {};
+        }
+      }
+      if (!core_gw) return make_error(Errc::internal, "no core datacenter gateway configured");
+      return install_leg(1, slice, gw, *core_gw, rate, config_.breakout_delay_bound, e);
+    }
+    case EmbedStage::epc_deploy: {
+      const Result<Duration> deployed = epc_->deploy(slice, e.datacenter, spec.expected_throughput);
+      if (!deployed.ok()) return deployed.error();
+      epc_time = deployed.value();
+      return {};
+    }
+    case EmbedStage::edge_stack: {
+      if (spec.edge_compute.vcpus <= 0.0) return {};
+      cloud::StackTemplate svc;
+      svc.name = "svc-slice-" + std::to_string(slice.value());
+      svc.resources.push_back(cloud::ResourceSpec{"svc", cloud::Flavor{"svc", spec.edge_compute}});
+      const Result<StackId> stack = cloud_->create_stack(e.datacenter, svc);
+      if (!stack.ok()) return stack.error();
+      e.edge_stack = stack.value();
+      return {};
+    }
+  }
+  return make_error(Errc::internal, "unknown embedding stage");
+}
+
+void Orchestrator::release_stages(SliceId slice, const Embedding& e, std::size_t installed) {
+  while (installed > 0) {
+    switch (static_cast<EmbedStage>(--installed)) {
+      case EmbedStage::plmn_install: (void)ran_->remove_plmn(e.plmn); break;
+      case EmbedStage::prb_allocation: ran_->release_allocation(e.plmn); break;
+      case EmbedStage::placement: break;
+      case EmbedStage::access_leg:
+        if (!e.paths.empty()) (void)transport_->release_path(e.paths[0]);
+        break;
+      case EmbedStage::breakout_leg:
+        if (e.paths.size() > 1) (void)transport_->release_path(e.paths[1]);
+        break;
+      case EmbedStage::epc_deploy: (void)epc_->remove(slice); break;
+      case EmbedStage::edge_stack:
+        if (e.edge_stack) (void)cloud_->delete_stack(*e.edge_stack);
+        break;
+    }
+  }
+}
+
+Result<Duration> Orchestrator::install_stages(SliceId slice, const SliceSpec& spec, DataRate rate,
+                                              Embedding& e, EmbedStage& failed) {
+  Duration epc_time;
+  for (std::size_t i = 0; i < kEmbedStageCount; ++i) {
+    const auto stage = static_cast<EmbedStage>(i);
+    if (Result<void> r = install_stage(stage, slice, spec, rate, e, epc_time); !r.ok()) {
+      release_stages(slice, e, i);
+      failed = stage;
+      return r.error();
+    }
+  }
+  return epc_time;
+}
+
+Result<InstallTimeline> Orchestrator::embed(SliceRecord& record, EmbedStage& failed) {
   TRACE_SCOPE("orch.admit.embed");
   const SliceSpec& spec = record.spec;
   Embedding embedding;
-
-  // 1. RAN: dynamic PLMN install (slice <-> PLMN mapping of the demo).
-  embedding.plmn = PlmnId{next_plmn_++};
-  if (Result<void> r = ran_->install_plmn(embedding.plmn); !r.ok()) return r.error();
-
-  // 2. RAN: PRB reservation sized for the contracted throughput.
-  if (Result<ran::RanAllocation> r = ran_->set_allocation(
-          embedding.plmn, spec.expected_throughput, config_.planning_cqi);
-      !r.ok()) {
-    (void)ran_->remove_plmn(embedding.plmn);
-    return r.error();
-  }
-
-  const auto rollback_ran = [&] {
-    ran_->release_allocation(embedding.plmn);
-    (void)ran_->remove_plmn(embedding.plmn);
-  };
-
-  // 3. Cloud: pick the datacenter for EPC + the vertical's edge service.
-  const ComputeCapacity footprint =
-      epc::epc_stack_template(record.id, spec.expected_throughput).footprint() +
-      spec.edge_compute;
-  const std::optional<DatacenterId> dc = cloud_->choose_datacenter(footprint, spec.needs_edge);
-  if (!dc) {
-    rollback_ran();
-    return make_error(Errc::insufficient_capacity,
-                      spec.needs_edge ? "no edge datacenter fits the slice"
-                                      : "no datacenter fits the slice");
-  }
-  embedding.datacenter = *dc;
-  const auto gw = dc_gateways_.find(*dc);
-  if (gw == dc_gateways_.end()) {
-    rollback_ran();
-    return make_error(Errc::internal, "datacenter has no transport gateway configured");
-  }
-
-  // 4. Transport: delay/capacity-constrained dedicated path.
-  Result<PathId> path = transport_->allocate_path(record.id, ran_gateway_, gw->second,
-                                                  spec.expected_throughput, spec.max_latency);
-  if (!path.ok()) {
-    rollback_ran();
-    return path.error();
-  }
-  embedding.paths.push_back(path.value());
-
-  const auto rollback_transport = [&] {
-    for (const PathId p : embedding.paths) (void)transport_->release_path(p);
-  };
-
-  // 4b. Edge placements also get a breakout leg toward the core cloud
-  // (centralized services / internet), at a fraction of the contract.
-  const cloud::Datacenter* placed = cloud_->find_datacenter(*dc);
-  if (config_.edge_breakout_fraction > 0.0 && placed != nullptr &&
-      placed->kind() == cloud::DatacenterKind::edge) {
-    const auto core_gw = [&]() -> std::optional<NodeId> {
-      for (const auto& [dc_id, node] : dc_gateways_) {
-        const cloud::Datacenter* candidate = cloud_->find_datacenter(dc_id);
-        if (candidate != nullptr && candidate->kind() == cloud::DatacenterKind::core) {
-          return node;
-        }
-      }
-      return std::nullopt;
-    }();
-    if (core_gw.has_value() && *core_gw != gw->second) {
-      Result<PathId> breakout = transport_->allocate_path(
-          record.id, gw->second, *core_gw, leg_rate(1, spec.expected_throughput),
-          config_.breakout_delay_bound);
-      if (!breakout.ok()) {
-        rollback_transport();
-        rollback_ran();
-        return breakout.error();
-      }
-      embedding.paths.push_back(breakout.value());
-    }
-  }
-
-  // 5. Cloud/EPC: deploy the slice's virtualized core as a Heat stack.
-  Result<Duration> epc_time =
-      epc_->deploy(record.id, *dc, spec.expected_throughput);
-  if (!epc_time.ok()) {
-    rollback_transport();
-    rollback_ran();
-    return epc_time.error();
-  }
-
-  // 6. Optional edge service stack for the vertical itself.
-  if (spec.edge_compute.vcpus > 0.0) {
-    cloud::StackTemplate svc;
-    svc.name = "svc-slice-" + std::to_string(record.id.value());
-    svc.resources.push_back(
-        cloud::ResourceSpec{"svc", cloud::Flavor{"svc", spec.edge_compute}});
-    Result<StackId> stack = cloud_->create_stack(*dc, svc);
-    if (!stack.ok()) {
-      (void)epc_->remove(record.id);
-      rollback_transport();
-      rollback_ran();
-      return stack.error();
-    }
-    embedding.edge_stack = stack.value();
-  }
-
-  record.embedding = embedding;
+  const Result<Duration> epc_time =
+      install_stages(record.id, spec, spec.expected_throughput, embedding, failed);
+  if (!epc_time.ok()) return epc_time.error();
+  record.embedding = std::move(embedding);
   record.reserved = spec.expected_throughput;
 
   const auto jitter = [this](Duration d) {
@@ -575,7 +601,8 @@ Result<InstallTimeline> Orchestrator::embed(SliceRecord& record) {
   InstallTimeline timeline;
   timeline.plmn_install = jitter(config_.plmn_install_time);
   timeline.ran_reservation = jitter(config_.ran_reserve_time);
-  const transport::PathReservation* reservation = transport_->find_path(path.value());
+  const transport::PathReservation* reservation =
+      transport_->find_path(record.embedding.paths.front());
   timeline.path_setup =
       jitter(config_.path_setup_time_per_rule *
              static_cast<double>(reservation == nullptr ? 1 : reservation->route.hops()));
@@ -585,20 +612,14 @@ Result<InstallTimeline> Orchestrator::embed(SliceRecord& record) {
 }
 
 void Orchestrator::tear_down(SliceRecord& record) {
-  for (const PathId path : record.embedding.paths) {
-    (void)transport_->release_path(path);
-  }
+  release_stages(record.id, record.embedding, kEmbedStageCount);
+  drop_embedding(record);
+}
+
+void Orchestrator::drop_embedding(SliceRecord& record) {
   record.embedding.paths.clear();
-  if (record.embedding.edge_stack) {
-    (void)cloud_->delete_stack(*record.embedding.edge_stack);
-    record.embedding.edge_stack.reset();
-  }
-  (void)epc_->remove(record.id);
-  if (record.embedding.plmn.valid()) {
-    ran_->release_allocation(record.embedding.plmn);
-    (void)ran_->remove_plmn(record.embedding.plmn);
-    record.embedding.plmn = PlmnId::invalid();
-  }
+  record.embedding.edge_stack.reset();
+  record.embedding.plmn = PlmnId::invalid();
   engine_.untrack(record.id);
   record.reserved = DataRate::zero();
   // Nothing reads an ended slice's instruments: its totals live on in
@@ -971,12 +992,6 @@ void Orchestrator::run_epoch(SimTime now) {
     apply_overbooking(now);
   }
 
-  // 6. Monitoring over REST (the paper's controller -> orchestrator feed).
-  {
-    TRACE_SCOPE("orch.epoch.poll_metrics");
-    poll_domain_metrics();
-  }
-
   {
     TRACE_SCOPE("orch.epoch.publish");
     publish_summary(now);
@@ -986,27 +1001,6 @@ void Orchestrator::run_epoch(SimTime now) {
   last_epoch_at_ = now;
   last_epoch_active_ = demand_of.size();
   last_epoch_wall_us_ = epoch_timer.stop();
-}
-
-void Orchestrator::poll_domain_metrics() {
-  if (bus_ == nullptr) return;
-  // The poll transfers each domain's serialized metrics document over
-  // the bus (the paper's monitoring feed); only the response status is
-  // inspected here — dashboards parse the body, the epoch loop must not
-  // pay for a JSON parse it would throw away.
-  net::Request request;
-  request.target = "/metrics";
-  for (const char* domain : {"ran", "transport", "cloud"}) {
-    if (!bus_->has_service(domain)) continue;
-    const Result<net::Response> response = bus_->call(domain, request);
-    if (!response.ok()) {
-      log_.warn(std::string("metrics poll failed for ") + domain + ": " +
-                response.error().message);
-    } else if (response.value().status != net::Status::ok) {
-      log_.warn(std::string("metrics poll failed for ") + domain + ": HTTP " +
-                std::to_string(static_cast<int>(response.value().status)));
-    }
-  }
 }
 
 OrchestratorSummary Orchestrator::summary() const {
@@ -1196,13 +1190,9 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
     record.reserved = DataRate::bps(field_num(op, "reserved_bps"));
     ++reconfigurations_;
   } else if (kind == "expire" || kind == "terminate") {
-    // Mirror what tear_down leaves in memory (the domain releases
-    // themselves have no meaning during replay — nothing is installed).
-    record.embedding.paths.clear();
-    record.embedding.edge_stack.reset();
-    record.embedding.plmn = PlmnId::invalid();
-    record.reserved = DataRate::zero();
-    engine_.untrack(slice);
+    // What tear_down leaves in memory, minus the domain releases: they
+    // have no meaning during replay, where nothing is installed.
+    drop_embedding(record);
     set_state(record, kind == "expire" ? SliceState::expired : SliceState::terminated);
   } else {
     log_.warn("replay skipped unknown journal op '" + kind + "'");
@@ -1210,69 +1200,46 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
 }
 
 void Orchestrator::reinstall_recovered(RecoveryStats& stats) {
-  const auto core_gateway = [this]() -> std::optional<NodeId> {
-    for (const auto& [dc_id, node] : dc_gateways_) {
-      const cloud::Datacenter* candidate = cloud_->find_datacenter(dc_id);
-      if (candidate != nullptr && candidate->kind() == cloud::DatacenterKind::core) return node;
-    }
-    return std::nullopt;
-  }();
-
   // A record the substrate cannot re-fit closes, which erases it from
   // open_: step past each one before reinstalling it.
   for (auto it = open_.begin(); it != open_.end();) {
     SliceRecord& record = *(it++)->second;
     if (!record.is_live()) continue;
     const SliceId id = record.id;
-    const bool ok = [&]() -> bool {
-      const Embedding& e = record.embedding;
-      if (!e.plmn.valid() || !e.datacenter.valid()) return false;
-      const auto gw = dc_gateways_.find(e.datacenter);
-      if (gw == dc_gateways_.end()) return false;
-      if (!ran_->install_plmn(e.plmn).ok()) return false;
-      if (!ran_->set_allocation(e.plmn, record.reserved, config_.planning_cqi).ok())
-        return false;
-      for (std::size_t i = 0; i < e.paths.size(); ++i) {
-        const NodeId src = i == 0 ? ran_gateway_ : gw->second;
-        if (i > 0 && !core_gateway.has_value()) return false;
-        const NodeId dst = i == 0 ? gw->second : *core_gateway;
-        const Duration bound = i == 0 ? record.spec.max_latency : config_.breakout_delay_bound;
-        if (!transport_
-                 ->restore_path(e.paths[i], id, src, dst, leg_rate(i, record.reserved), bound)
-                 .ok()) {
-          return false;
-        }
+    // The stages reuse every id the record holds (PLMN, datacenter,
+    // path ids) and reserve at its current, possibly overbooked, rate.
+    EmbedStage failed = EmbedStage::plmn_install;
+    Result<Duration> installed =
+        install_stages(id, record.spec, record.reserved, record.embedding, failed);
+    if (installed.ok() && record.state == SliceState::active) {
+      if (Result<void> r = epc_->activate(id); !r.ok()) {
+        release_stages(id, record.embedding, kEmbedStageCount);
+        failed = EmbedStage::epc_deploy;
+        installed = r.error();
       }
-      if (!epc_->deploy(id, e.datacenter, record.spec.expected_throughput).ok()) return false;
-      if (e.edge_stack.has_value()) {
-        cloud::StackTemplate svc;
-        svc.name = "svc-slice-" + std::to_string(id.value());
-        svc.resources.push_back(
-            cloud::ResourceSpec{"svc", cloud::Flavor{"svc", record.spec.edge_compute}});
-        const Result<StackId> stack = cloud_->create_stack(e.datacenter, svc);
-        if (!stack.ok()) return false;
-        record.embedding.edge_stack = stack.value();
-      }
+    }
+    if (installed.ok()) {
       if (record.state == SliceState::active) {
-        if (!epc_->activate(id).ok()) return false;
         engine_.track(id);
         simulator_->schedule_at(record.ends_at, [this, id] { expire(id); });
       } else {
         simulator_->schedule_at(record.activates_at, [this, id] { activate(id); });
       }
-      return true;
-    }();
-    if (ok) {
       ++stats.reinstalled;
       continue;
     }
     // Degrade, never crash: the substrate could not re-fit this slice
     // (capacity moved while we were down, or the record was damaged).
+    // The stage loop already released what this call installed; what
+    // the record names beyond that may belong to another live slice.
     ++stats.reinstall_failures;
-    tear_down(record);
+    drop_embedding(record);
     set_state(record, SliceState::terminated);
+    json::Object audit;
+    audit.emplace("reason", installed.error().message);
+    audit.emplace("stage", std::string(to_string(failed)));
     events_.record(simulator_->now(), EventKind::slice_terminated, id,
-                   "substrate could not re-fit the slice on recovery");
+                   "substrate could not re-fit the slice on recovery", std::move(audit));
     log_.warn("recovery could not reinstall slice " + std::to_string(id.value()));
     json::Object op;
     op.emplace("slice", static_cast<double>(id.value()));

@@ -4,19 +4,21 @@
 // Hierarchically placed on top of the three domain controllers (radio,
 // transport, cloud) plus the EPC manager, it:
 //   * admits slice requests under a revenue-maximization policy,
-//   * embeds admitted slices across all domains atomically (PLMN
-//     install, PRB allocation, delay/capacity-constrained path, EPC
-//     stack + optional edge service), with rollback on any failure,
+//   * embeds admitted slices across all domains atomically through one
+//     ordered stage list (PLMN install, PRB allocation, placement,
+//     delay/capacity-constrained paths, EPC stack, optional edge
+//     service), releasing the installed stages in reverse on failure,
 //   * runs the closed monitoring → forecasting → reconfiguration loop
 //     every monitoring period, overbooking idle reservations to make
 //     room for new slices,
 //   * tracks SLA violations and keeps the gains-vs-penalties ledger the
 //     demo dashboard displays.
 //
-// Monitoring flows through the REST bus when one is attached (the
-// paper's controllers feed the orchestrator over REST); resource
-// configuration uses the controllers' typed APIs so multi-domain
-// transactions can roll back precisely.
+// Every controller serves its /metrics over the REST bus for operators
+// and dashboards; the orchestrator reads serve reports in-process and
+// uses the bus only for /healthz reachability. Resource configuration
+// uses the controllers' typed APIs so multi-domain transactions can
+// roll back precisely.
 
 #include <functional>
 #include <map>
@@ -142,8 +144,8 @@ struct RecoveryStats {
 class Orchestrator {
  public:
   /// All collaborators are owned by the caller and must outlive the
-  /// orchestrator. `bus` and `registry` may be nullptr (no REST
-  /// monitoring / no telemetry).
+  /// orchestrator. `bus` and `registry` may be nullptr (no /healthz
+  /// reachability / no telemetry).
   Orchestrator(sim::Simulator* simulator, ran::RanController* ran,
                transport::TransportController* transport, cloud::CloudController* cloud,
                epc::EpcManager* epc, net::RestBus* bus,
@@ -322,13 +324,39 @@ class Orchestrator {
   /// their own audit event first.
   void reject(SliceRecord& record);
 
-  /// Embed across all domains; rolls back on failure.
-  [[nodiscard]] Result<InstallTimeline> embed(SliceRecord& record);
+  /// Embed a pending record across all domains (install_stages with
+  /// fresh ids at the contract rate) and draw its jittered install
+  /// timeline. On failure the record keeps an empty embedding and
+  /// `failed` names the stage that failed.
+  [[nodiscard]] Result<InstallTimeline> embed(SliceRecord& record, EmbedStage& failed);
 
-  /// Release every domain resource the record holds (best effort,
-  /// idempotent), untrack it from the overbooking engine and erase its
-  /// "slice.<id>.*" instruments.
+  /// Run every EmbedStage in order into `e`, reserving `rate` on the RAN
+  /// and the paths. Each stage reuses an id `e` already holds (PLMN,
+  /// datacenter, path ids: a recovered record) and picks a fresh one
+  /// otherwise. On failure, releases the stages this call installed, in
+  /// reverse, sets `failed` and returns the stage's error. Returns the
+  /// EPC deploy estimate.
+  [[nodiscard]] Result<Duration> install_stages(SliceId slice, const SliceSpec& spec,
+                                                DataRate rate, Embedding& e,
+                                                EmbedStage& failed);
+  [[nodiscard]] Result<void> install_stage(EmbedStage stage, SliceId slice,
+                                           const SliceSpec& spec, DataRate rate, Embedding& e,
+                                           Duration& epc_time);
+  /// Restore path `leg` of `e` under its recorded id, or allocate it.
+  [[nodiscard]] Result<void> install_leg(std::size_t leg, SliceId slice, NodeId src, NodeId dst,
+                                         DataRate rate, Duration bound, Embedding& e);
+  /// Release the first `installed` stages of `e`, last stage first.
+  void release_stages(SliceId slice, const Embedding& e, std::size_t installed);
+
+  /// The transport gateway of the first core datacenter, if any.
+  [[nodiscard]] std::optional<NodeId> core_gateway() const;
+
+  /// Release every stage of the record's embedding, then drop_embedding.
   void tear_down(SliceRecord& record);
+
+  /// Clear the record's domain handles and reservation, untrack it from
+  /// the overbooking engine and erase its "slice.<id>.*" instruments.
+  void drop_embedding(SliceRecord& record);
 
   /// Move `record` to `state` and keep open_ in step. A record that
   /// closes (rejected, expired, terminated) also drops its workload.
@@ -347,9 +375,6 @@ class Orchestrator {
   [[nodiscard]] DataRate leg_rate(std::size_t leg_index, DataRate base) const noexcept {
     return leg_index == 0 ? base : base * config_.edge_breakout_fraction;
   }
-
-  /// Pull /metrics of every domain over the REST bus (when attached).
-  void poll_domain_metrics();
 
   void publish_summary(SimTime now);
 
@@ -373,8 +398,9 @@ class Orchestrator {
   void load_state(const json::Value& state);
 
   /// Re-embed every installing/active record into the domain
-  /// controllers after a replay; slices the substrate can no longer fit
-  /// are torn down and marked terminated (degrade, never crash).
+  /// controllers after a replay (install_stages under its recorded
+  /// ids); slices the substrate can no longer fit keep nothing and are
+  /// marked terminated (degrade, never crash).
   void reinstall_recovered(RecoveryStats& stats);
 
   sim::Simulator* simulator_;

@@ -28,6 +28,19 @@ std::string_view to_string(SliceState s) noexcept {
   return "?";
 }
 
+std::string_view to_string(EmbedStage s) noexcept {
+  switch (s) {
+    case EmbedStage::plmn_install: return "plmn_install";
+    case EmbedStage::prb_allocation: return "prb_allocation";
+    case EmbedStage::placement: return "placement";
+    case EmbedStage::access_leg: return "access_leg";
+    case EmbedStage::breakout_leg: return "breakout_leg";
+    case EmbedStage::epc_deploy: return "epc_deploy";
+    case EmbedStage::edge_stack: return "edge_stack";
+  }
+  return "?";
+}
+
 bool can_transition(SliceState from, SliceState to) noexcept {
   switch (from) {
     case SliceState::pending:

@@ -65,6 +65,23 @@ struct Embedding {
   std::optional<StackId> edge_stack;   ///< the vertical's own edge service
 };
 
+/// The domain stages of an embedding, in install order. A slice's
+/// resources are released in the reverse order, and a failed embedding
+/// names the stage that failed (the `stage` of its slice_rejected audit).
+enum class EmbedStage {
+  plmn_install,    ///< RAN: dynamic PLMN install
+  prb_allocation,  ///< RAN: PRB reservation for the contract
+  placement,       ///< cloud: datacenter for the EPC + edge service
+  access_leg,      ///< transport: RAN gateway -> datacenter path
+  breakout_leg,    ///< transport: edge -> core path (edge placements only)
+  epc_deploy,      ///< the slice's virtualized core
+  edge_stack,      ///< the vertical's own edge service (when it has one)
+};
+inline constexpr std::size_t kEmbedStageCount = 7;
+static_assert(static_cast<std::size_t>(EmbedStage::edge_stack) + 1 == kEmbedStageCount);
+
+[[nodiscard]] std::string_view to_string(EmbedStage s) noexcept;
+
 /// An admitted (or pending/rejected) slice as the orchestrator sees it.
 struct SliceRecord {
   SliceId id;

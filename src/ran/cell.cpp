@@ -4,24 +4,12 @@
 #include <array>
 #include <cassert>
 
-#if defined(SLICES_ENABLE_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace slices::ran {
 
 namespace {
 
-/// Rows per wander block: one AVX2 register of CQI bytes.
+/// Rows per wander block: 32 CQI bytes.
 constexpr std::size_t kWanderBlock = 32;
-
-#if defined(SLICES_ENABLE_SIMD) && defined(__AVX2__)
-constexpr bool kWanderSimdCompiled = true;
-#else
-constexpr bool kWanderSimdCompiled = false;
-#endif
-
-bool g_wander_simd = kWanderSimdCompiled;
 
 // The fill and apply loops below carry no loop-carried dependence, but
 // GCC only proves that (and vectorizes both) when the column pointers
@@ -51,7 +39,7 @@ __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
     const std::size_t n = std::min(kWanderBlock, rows - base);
     // The RNG stream is inherently serial; unpack the block's words
     // into per-row ±1/0 steps so the apply pass below is pure column
-    // arithmetic (auto-vectorized, or explicitly SIMD when enabled).
+    // arithmetic (auto-vectorized).
     const std::size_t n_words = (n + 3) / 4;
     for (std::size_t k = 0; k < n_words; ++k) {
       // Unpacking rides along inside the (serial, unvectorizable) RNG
@@ -65,29 +53,6 @@ __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
         s[l] = static_cast<std::int8_t>(((c >> 1) < thresh ? 1 : 0) * ((c & 1U) != 0 ? 1 : -1));
       }
     }
-#if defined(SLICES_ENABLE_SIMD) && defined(__AVX2__)
-    if (g_wander_simd && n == kWanderBlock) {
-      // Vector apply: add the step lanes, clamp to [1,15], keep the old
-      // byte on dead rows. CQI values stay within [0,16] so signed
-      // 8-bit saturation is never in play; the lane arithmetic matches
-      // the scalar core bit for bit.
-      const __m256i vold = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cqi + base));
-      const __m256i vstep = _mm256_load_si256(reinterpret_cast<const __m256i*>(step.data()));
-      const __m256i vlive = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(live + base));
-      __m256i vnext = _mm256_add_epi8(vold, vstep);
-      vnext = _mm256_max_epi8(vnext, _mm256_set1_epi8(1));
-      vnext = _mm256_min_epi8(vnext, _mm256_set1_epi8(15));
-      const __m256i vdead = _mm256_cmpeq_epi8(vlive, _mm256_setzero_si256());
-      vnext = _mm256_blendv_epi8(vnext, vold, vdead);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(applied.data()),
-                         _mm256_sub_epi8(vnext, vold));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cqi + base), vnext);
-      for (std::size_t j = 0; j < kWanderBlock; ++j) {
-        delta[plmn[base + j]] += applied[j];
-      }
-      continue;
-    }
-#endif
     SLICES_WANDER_IVDEP
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t row = base + j;
@@ -105,14 +70,6 @@ __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
 }
 
 }  // namespace
-
-bool wander_simd_compiled() noexcept { return kWanderSimdCompiled; }
-
-void set_wander_simd_enabled(bool enabled) noexcept {
-  g_wander_simd = enabled && kWanderSimdCompiled;
-}
-
-bool wander_simd_enabled() noexcept { return g_wander_simd; }
 
 Cell::Cell(CellId id, std::string name, Bandwidth bandwidth, SharingPolicy policy)
     : id_(id), name_(std::move(name)), total_(prbs_for(bandwidth)), policy_(policy) {}

@@ -121,10 +121,8 @@ class Cell {
   /// the SoA byte columns: one RNG word is drawn per *four rows* (live
   /// or hole, in row order; each row consumes an independent 16-bit
   /// lane), so consumption depends only on the row count — never on the
-  /// data — and the optional SIMD apply path (see wander_simd_compiled)
-  /// is bit-identical to the scalar-blocked core. RNG consumption
-  /// differs from wander_cqis_legacy, so the two produce different (but
-  /// identically-distributed) walks.
+  /// data. RNG consumption differs from wander_cqis_legacy, so the two
+  /// produce different (but identically-distributed) walks.
   void wander_cqis(Rng& rng, double step_probability);
 
   /// Pre-vectorization reference walk: per live row, one bernoulli draw
@@ -185,16 +183,5 @@ class Cell {
   DenseIdMap<PlmnId, PrbCount> reservations_;
   UeSoa ues_;                                   // columnar attached-UE store
 };
-
-/// True when this binary carries the explicit SIMD wander apply path
-/// (built with SLICES_ENABLE_SIMD on an AVX2 target).
-[[nodiscard]] bool wander_simd_compiled() noexcept;
-
-/// Runtime toggle for the SIMD apply path (defaults to on when
-/// compiled in). The scalar-blocked core is the reference; the parity
-/// suite flips this to prove the two variants are bit-identical.
-/// No-op when the SIMD path is not compiled in.
-void set_wander_simd_enabled(bool enabled) noexcept;
-[[nodiscard]] bool wander_simd_enabled() noexcept;
 
 }  // namespace slices::ran

@@ -185,12 +185,9 @@ struct RanScorecardOptions {
   std::size_t threads = 1;
   bool legacy_serve = false;
   bool legacy_wander = false;   ///< pre-SoA per-row CQI walk
-  bool simd = false;            ///< explicit-SIMD wander apply (needs the build flag)
 };
 
 std::string ran_scorecard(std::size_t n_ues, const RanScorecardOptions& opt) {
-  const bool simd_before = ran::wander_simd_enabled();
-  ran::set_wander_simd_enabled(opt.simd);
   const std::size_t threads = opt.threads;
   telemetry::MonitorRegistry registry;
   ran::RanController ran(&registry);
@@ -262,7 +259,6 @@ std::string ran_scorecard(std::size_t n_ues, const RanScorecardOptions& opt) {
     card += "\n";
   }
   card += json::serialize(registry.snapshot());
-  ran::set_wander_simd_enabled(simd_before);
   return card;
 }
 
@@ -293,8 +289,7 @@ TEST(Determinism, RanParity100kUes) {
 //
 // The batched CQI walk consumes one RNG word per four rows and shards
 // across cells with pre-forked streams, so its output must not depend on
-// the pool size; the explicit-SIMD apply (when compiled in) must be
-// bit-identical to the portable scalar core.
+// the pool size.
 
 TEST(Determinism, WanderVectorizedPoolInvariance) {
   RanScorecardOptions opt;
@@ -303,19 +298,6 @@ TEST(Determinism, WanderVectorizedPoolInvariance) {
     opt.threads = threads;
     EXPECT_EQ(ran_scorecard(20'000, opt), serial) << "threads=" << threads;
   }
-}
-
-TEST(Determinism, WanderSimdMatchesScalar) {
-  if (!ran::wander_simd_compiled()) {
-    GTEST_SKIP() << "built without SLICES_ENABLE_SIMD/AVX2";
-  }
-  RanScorecardOptions scalar;
-  RanScorecardOptions simd;
-  simd.simd = true;
-  EXPECT_EQ(ran_scorecard(20'000, scalar), ran_scorecard(20'000, simd));
-  // And the SIMD apply must stay pool-invariant too.
-  simd.threads = 4;
-  EXPECT_EQ(ran_scorecard(20'000, scalar), ran_scorecard(20'000, simd));
 }
 
 TEST(Determinism, WanderLegacyWalkStillPoolInvariant) {

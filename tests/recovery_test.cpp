@@ -243,6 +243,155 @@ TEST(Recovery, TransportPathsKeepTheirIdsAndReservations) {
   for (const PathId old : paths) EXPECT_NE(fresh.value(), old);
 }
 
+/// The stage named by the audit of `slice`'s recovery termination.
+std::string terminated_stage(const core::Orchestrator& orch, SliceId slice) {
+  for (const core::Event& event : orch.events().for_slice(slice)) {
+    if (event.kind == core::EventKind::slice_terminated && event.fields.contains("stage")) {
+      return event.fields.at("stage").as_string();
+    }
+  }
+  return "";
+}
+
+// Regression: a recovered record that repeats a live slice's PLMN or
+// path id fails its reinstall with a conflict, and the failure must not
+// free that id from under the slice that holds it.
+class DuplicateIdReinstall : public ::testing::TestWithParam<bool /*duplicate the path*/> {};
+
+TEST_P(DuplicateIdReinstall, FailedReinstallFreesOnlyWhatItInstalled) {
+  const bool duplicate_path = GetParam();
+  const fs::path dir = fresh_dir(duplicate_path ? "dup_path" : "dup_plmn");
+  SliceId survivor_id;
+  SliceId duplicate_id;
+  core::Embedding survivor;
+  std::map<CellId, PrbCount> survivor_prbs;
+  json::Object tampered;
+  {
+    StoredTestbed live = make_stored_testbed(83, dir.string());
+    const RequestId r1 =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
+    const RequestId r2 =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 15.0));
+    live.tb->simulator.run_for(Duration::seconds(30.0));
+    const core::SliceRecord* first = live.tb->orchestrator->find_by_request(r1);
+    const core::SliceRecord* second = live.tb->orchestrator->find_by_request(r2);
+    ASSERT_EQ(first->state, core::SliceState::active);
+    ASSERT_EQ(second->state, core::SliceState::active);
+    survivor_id = first->id;
+    duplicate_id = second->id;
+    survivor = first->embedding;
+    survivor_prbs = live.tb->ran.find_allocation(survivor.plmn)->per_cell;
+
+    // A damaged journal re-admits the second slice under one of the
+    // first slice's ids.
+    json::Object embedding;
+    const PlmnId plmn = duplicate_path ? second->embedding.plmn : survivor.plmn;
+    const PathId path = duplicate_path ? survivor.paths.front() : second->embedding.paths.front();
+    embedding.emplace("plmn", static_cast<double>(plmn.value()));
+    embedding.emplace("datacenter", static_cast<double>(second->embedding.datacenter.value()));
+    embedding.emplace("paths", json::Array{json::Value(static_cast<double>(path.value()))});
+    embedding.emplace("edge_stack", second->embedding.edge_stack.has_value());
+    tampered.emplace("op", std::string("admit"));
+    tampered.emplace("slice", static_cast<double>(duplicate_id.value()));
+    tampered.emplace("reserved_bps", second->reserved.bits_per_second());
+    tampered.emplace("activates_at_us",
+                     static_cast<double>(live.tb->simulator.now().as_micros() + 1'000'000));
+    tampered.emplace("embedding", json::Value(std::move(embedding)));
+    tampered.emplace("t_us", static_cast<double>(live.tb->simulator.now().as_micros()));
+  }
+  {
+    store::StateStore raw(store::StoreConfig{.directory = dir.string()});
+    ASSERT_TRUE(raw.open().ok());
+    ASSERT_TRUE(raw.append(std::move(tampered)).ok());
+  }
+
+  StoredTestbed revived = make_stored_testbed(83, dir.string());
+  const Result<core::RecoveryStats> stats = revived.tb->orchestrator->recover_from_store();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().reinstall_failures, 1u);
+  EXPECT_EQ(stats.value().reinstalled, 1u);
+
+  // The survivor still holds its PLMN, PRBs and path.
+  const core::Testbed& tb = *revived.tb;
+  EXPECT_TRUE(tb.ran.plmn_installed(survivor.plmn));
+  const ran::RanAllocation* alloc = tb.ran.find_allocation(survivor.plmn);
+  ASSERT_NE(alloc, nullptr);
+  EXPECT_EQ(alloc->per_cell, survivor_prbs);
+  EXPECT_EQ(tb.transport->paths_of(survivor_id), survivor.paths);
+  ASSERT_NE(tb.transport->find_path(survivor.paths.front()), nullptr);
+  EXPECT_NE(tb.epc->find(survivor_id), nullptr);
+
+  // The duplicate is terminated and holds nothing.
+  const core::SliceRecord* duplicate = tb.orchestrator->find_slice(duplicate_id);
+  ASSERT_NE(duplicate, nullptr);
+  EXPECT_EQ(duplicate->state, core::SliceState::terminated);
+  EXPECT_TRUE(tb.transport->paths_of(duplicate_id).empty());
+  EXPECT_EQ(tb.epc->find(duplicate_id), nullptr);
+  EXPECT_EQ(tb.epc->instance_count(), 1u);
+  EXPECT_EQ(terminated_stage(*tb.orchestrator, duplicate_id),
+            duplicate_path ? "access_leg" : "plmn_install");
+}
+
+INSTANTIATE_TEST_SUITE_P(Recovery, DuplicateIdReinstall, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "DuplicatePath" : "DuplicatePlmn");
+                         });
+
+// The last stage fails only on recovery: a fresh admission places the
+// EPC and the edge service on one host that fits both, but a recovered
+// slice keeps its datacenter after the capacity there moved. Every
+// earlier stage is released again.
+TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
+  const fs::path dir = fresh_dir("edge_stack");
+  SliceId slice;
+  {
+    StoredTestbed live = make_stored_testbed(84, dir.string());
+    const RequestId r =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 12.0, 10.0));
+    live.tb->simulator.run_for(Duration::seconds(30.0));
+    const core::SliceRecord* record = live.tb->orchestrator->find_by_request(r);
+    ASSERT_EQ(record->state, core::SliceState::active);
+    ASSERT_EQ(record->embedding.paths.size(), 2u);
+    ASSERT_TRUE(record->embedding.edge_stack.has_value());
+    slice = record->id;
+  }
+
+  // While the orchestrator was down, other tenants took the edge hosts
+  // down to 6 free vCPUs each: the EPC (5 vCPUs) still fits, the
+  // 8-vCPU edge service no longer does.
+  StoredTestbed revived = make_stored_testbed(84, dir.string());
+  core::Testbed& tb = *revived.tb;
+  cloud::StackTemplate filler;
+  filler.name = "filler";
+  filler.resources = {{"a", cloud::Flavor{"f", ComputeCapacity{26.0, 1024.0, 10.0}}},
+                      {"b", cloud::Flavor{"f", ComputeCapacity{26.0, 1024.0, 10.0}}}};
+  ASSERT_TRUE(tb.cloud.create_stack(tb.edge_dc, filler).ok());
+  const std::size_t stacks_before = tb.cloud.engine().stack_count();
+  std::vector<double> residual_before;
+  for (const transport::Link& link : tb.transport->topology().links()) {
+    residual_before.push_back(tb.transport->residual(link).bits_per_second());
+  }
+
+  const Result<core::RecoveryStats> stats = tb.orchestrator->recover_from_store();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().reinstall_failures, 1u);
+  EXPECT_EQ(terminated_stage(*tb.orchestrator, slice), "edge_stack");
+  EXPECT_EQ(tb.orchestrator->find_slice(slice)->state, core::SliceState::terminated);
+
+  EXPECT_EQ(tb.cloud.engine().stack_count(), stacks_before);
+  EXPECT_EQ(tb.epc->instance_count(), 0u);
+  EXPECT_TRUE(tb.transport->paths_of(slice).empty());
+  std::vector<double> residual_after;
+  for (const transport::Link& link : tb.transport->topology().links()) {
+    residual_after.push_back(tb.transport->residual(link).bits_per_second());
+  }
+  EXPECT_EQ(residual_after, residual_before);
+  for (const CellId cell : {tb.cell_a, tb.cell_b}) {
+    EXPECT_TRUE(tb.ran.find_cell(cell)->broadcast_list().empty());
+    EXPECT_EQ(tb.ran.find_cell(cell)->reserved_prbs().value, 0);
+  }
+}
+
 TEST(Recovery, AutoSnapshotCadenceCutsSnapshotsDuringOperation) {
   const fs::path dir = fresh_dir("auto_snapshot");
   StoredTestbed live = make_stored_testbed(77, dir.string(), /*snapshot_every=*/4);
