@@ -15,6 +15,12 @@
 //                        one minute per iteration, so the handover mix
 //                        matches the scenario engine's cadence.
 //                        items/s = UE-steps per second.
+// Both apply benches build their batches the way the Field does: each
+// request carries the UE's slot in the controller's UE index and the
+// target's cell index, so they time the addressed apply — a slot-key
+// check, an active-flag read, the row move and the O(1) reservation
+// migration, with no UE or cell id lookup per request.
+//
 // BM_HandoverApply/<batch>
 //                      — apply_handovers alone: a prepared batch of
 //                        `batch` UEs ping-ponged between two cells
@@ -153,8 +159,9 @@ void BM_HandoverApply(benchmark::State& state) {
   for (std::size_t i = 0; i < batch; ++i) {
     Result<UeId> ue = ran.attach_ue_at(CellId{1}, plmn, ran::Cqi{10});
     if (!ue) std::abort();
-    to_b.push_back(ran::HandoverRequest{ue.value(), CellId{2}});
-    to_a.push_back(ran::HandoverRequest{ue.value(), CellId{1}});
+    const std::uint32_t slot = ran.ue_slot(ue.value());
+    to_b.push_back(ran::HandoverRequest{ue.value(), slot, 1});
+    to_a.push_back(ran::HandoverRequest{ue.value(), slot, 0});
   }
 
   std::int64_t now_us = 0;
@@ -211,12 +218,15 @@ void BM_HandoverApplyMetro(benchmark::State& state) {
     const PlmnId plmn{1 + i % kMetroPlmns};
     Result<UeId> ue = ran.attach_ue_at(CellId{start + 1}, plmn, ran::Cqi{10});
     if (!ue) std::abort();
+    const std::uint32_t slot = ran.ue_slot(ue.value());
     std::size_t at = start;
     for (std::size_t r = 0; r + 1 < kTourLength; ++r) {
       at = r + 2 == kTourLength ? draw_cell(at, start) : draw_cell(at, at);
-      batches[r].push_back(ran::HandoverRequest{ue.value(), CellId{at + 1}});
+      batches[r].push_back(
+          ran::HandoverRequest{ue.value(), slot, static_cast<std::uint32_t>(at)});
     }
-    batches[kTourLength - 1].push_back(ran::HandoverRequest{ue.value(), CellId{start + 1}});
+    batches[kTourLength - 1].push_back(
+        ran::HandoverRequest{ue.value(), slot, static_cast<std::uint32_t>(start)});
   }
 
   std::int64_t now_us = 0;

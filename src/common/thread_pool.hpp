@@ -1,23 +1,37 @@
 #pragma once
 // Small persistent worker pool for sharding epoch hot loops.
 //
-// The only primitive is parallel_for(n, fn): run fn(0..n-1) with the
-// calling thread participating, returning once every invocation has
-// finished. Work is handed out through an atomic index, so the mapping
-// of index -> thread is nondeterministic — callers preserve determinism
-// by writing into index-addressed slots and reducing sequentially in
-// index order afterwards (see RanController::serve_epoch).
+// The only primitive is the free range loop parallel_for(pool, n,
+// grain, fn): it runs fn(begin, end) over disjoint ranges that cover
+// [0, n) exactly once, with the calling thread participating, and
+// returns once every range has finished. Workers claim `grain` indices
+// per atomic fetch_add, so a call costs one claim per grain-sized range
+// and one call of the (templated, never type-erased) body per range.
+// Which thread runs which range is nondeterministic — callers preserve
+// determinism by writing into index-addressed slots and reducing
+// sequentially in index order afterwards (see RanController::serve_epoch).
+// With a null pool, a pool of width 1, or n <= grain it runs fn(0, n)
+// inline.
 
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace slices {
+
+class ThreadPool;
+
+/// Run fn(begin, end) over ranges of at most `grain` indices that
+/// partition [0, n). Blocks until all ranges have returned. fn must not
+/// throw and must not call parallel_for on the same pool reentrantly.
+template <typename Fn>
+void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain, Fn&& fn);
 
 class ThreadPool {
  public:
@@ -46,16 +60,18 @@ class ThreadPool {
   /// Calling thread + workers.
   [[nodiscard]] std::size_t concurrency() const noexcept { return threads_.size() + 1; }
 
-  /// Run fn(i) for every i in [0, n). Blocks until all invocations have
-  /// returned. fn must not throw and must not call parallel_for on the
-  /// same pool reentrantly.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    if (threads_.empty() || n == 1) {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    Job job(fn, n);
+ private:
+  template <typename Fn>
+  friend void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain, Fn&& fn);
+
+  /// The pooled half of parallel_for: at least one worker, n > grain.
+  template <typename Fn>
+  void run(std::size_t n, std::size_t grain, Fn& fn) {
+    using Body = std::remove_reference_t<Fn>;
+    Job job(n, grain, const_cast<void*>(static_cast<const void*>(&fn)),
+            [](void* body, std::size_t begin, std::size_t end) {
+              (*static_cast<Body*>(body))(begin, end);
+            });
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       assert(job_ == nullptr && "reentrant parallel_for");
@@ -64,26 +80,27 @@ class ThreadPool {
     }
     wake_cv_.notify_all();
     drain(job);
-    // Retire the job in the same critical section that sees it finished
-    // and unjoined, so no late worker can pick up a dead record.
+    // Every range is claimed once the caller's drain returns; a claimed
+    // range belongs to the caller or to a worker that joined the job.
+    // Retire the job in the same critical section that sees no worker
+    // left in it, so no late worker can pick up a dead record.
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&job] {
-      return job.pending.load(std::memory_order_acquire) == 0 && job.workers == 0;
-    });
+    done_cv_.wait(lock, [&job] { return job.workers == 0; });
     job_ = nullptr;
   }
 
- private:
   /// One parallel_for call. Lives on the caller's stack; published in
   /// job_ only while live, and workers join it (workers++) only under
   /// the lock while it is published.
   struct Job {
-    Job(const std::function<void(std::size_t)>& f, std::size_t count)
-        : fn(f), n(count), pending(count) {}
-    const std::function<void(std::size_t)>& fn;
+    using Call = void (*)(void*, std::size_t, std::size_t);
+    Job(std::size_t count, std::size_t step, void* b, Call c)
+        : n(count), grain(step), body(b), call(c) {}
     const std::size_t n;
+    const std::size_t grain;
+    void* const body;
+    const Call call;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> pending;
     std::size_t workers = 0;  ///< guarded by mutex_
   };
 
@@ -104,15 +121,12 @@ class ThreadPool {
     }
   }
 
-  void drain(Job& job) {
+  static void drain(Job& job) {
     while (true) {
-      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= job.n) return;
-      job.fn(i);
-      if (job.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        done_cv_.notify_all();
-      }
+      const std::size_t begin = job.next.fetch_add(job.grain, std::memory_order_relaxed);
+      if (begin >= job.n) return;
+      const std::size_t end = job.n - begin < job.grain ? job.n : begin + job.grain;
+      job.call(job.body, begin, end);
     }
   }
 
@@ -124,5 +138,15 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   Job* job_ = nullptr;  ///< the live job, or null between jobs
 };
+
+template <typename Fn>
+void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain, Fn&& fn) {
+  if (grain == 0) grain = 1;
+  if (pool == nullptr || pool->threads_.empty() || n <= grain) {
+    if (n > 0) fn(std::size_t{0}, n);
+    return;
+  }
+  pool->run(n, grain, fn);
+}
 
 }  // namespace slices

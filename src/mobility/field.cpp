@@ -22,6 +22,15 @@ constexpr double kCommuterSprint = 5.0;
 /// Stadium ingress participants stop once this close to the venue cell.
 constexpr double kArrivalRadiusM = 5.0;
 
+/// UE rows per parallel_for range of the move pass: a row moves in tens
+/// of nanoseconds, so a range is tens of microseconds of work.
+constexpr std::size_t kRowGrain = 1024;
+
+/// Move-pass verdicts in the next-cell column beyond any cell index: the
+/// UE left the region across its east or west border.
+constexpr std::uint32_t kExitEast = ~std::uint32_t{0};
+constexpr std::uint32_t kExitWest = kExitEast - 1;
+
 [[nodiscard]] double clamped(double v, double lo, double hi) noexcept {
   return v < lo ? lo : (v > hi ? hi : v);
 }
@@ -47,6 +56,7 @@ void Field::add_storm(StormKind kind, SimTime start, SimTime end, double fractio
   storm.salt = mix64(config_.seed ^ kStormSalt ^
                      (0x9e3779b97f4a7c15ull * (storms_.size() + 1)));
   storms_.push_back(storm);
+  active_storms_.reserve(storms_.size());  // step() stays allocation-free
 }
 
 std::size_t Field::allocate_row() {
@@ -66,6 +76,8 @@ std::size_t Field::allocate_row() {
     ty_.emplace_back();
     speed_.emplace_back();
     cell_.emplace_back();
+    next_.emplace_back();
+    slot_.emplace_back();
     live_.emplace_back();
   }
   live_[row] = 1;
@@ -103,6 +115,7 @@ void Field::spawn_population(PlmnId plmn, double speed) {
       continue;
     }
     ue_[row] = ue.value();
+    slot_[row] = ran_->ue_slot(ue.value());
     plmn_[row] = plmn;
     x_[row] = px;
     y_[row] = py;
@@ -143,7 +156,7 @@ void Field::sync_population(std::span<const PlmnId> live, const SpeedFn& speed_o
   }
 }
 
-void Field::move_row(std::size_t row, double dt_s, std::int64_t now_us) {
+std::uint32_t Field::move_row(std::size_t row, double dt_s) {
   double px = x_[row];
   double py = y_[row];
   const double step = speed_[row] * dt_s;
@@ -156,10 +169,9 @@ void Field::move_row(std::size_t row, double dt_s, std::int64_t now_us) {
   // pure hash of (UE key, storm salt), so it is stable for the storm's
   // whole window and costs no draw-counter state.
   const Storm* storm = nullptr;
-  for (const Storm& s : storms_) {
-    if (now_us < s.start_us || now_us >= s.end_us) continue;
-    if (unit_interval(mix64(key_[row] ^ s.salt)) >= s.fraction) continue;
-    storm = &s;
+  for (const Storm* s : active_storms_) {
+    if (unit_interval(mix64(key_[row] ^ s->salt)) >= s->fraction) continue;
+    storm = s;
     break;
   }
 
@@ -226,6 +238,9 @@ void Field::move_row(std::size_t row, double dt_s, std::int64_t now_us) {
 
   x_[row] = px;
   y_[row] = py;
+  if (px >= grid_.width() && east_ok) return kExitEast;
+  if (px < 0.0 && west_ok) return kExitWest;
+  return static_cast<std::uint32_t>(grid_.nearest_cell(px, py));
 }
 
 void Field::step(SimTime now) {
@@ -235,49 +250,42 @@ void Field::step(SimTime now) {
       last_step_us_ < 0 ? 0.0 : static_cast<double>(now_us - last_step_us_) / 1e6;
   last_step_us_ = now_us;
 
-  // Move phase: row-local state only, so it shards bit-identically.
-  struct MoveCtx {
-    Field* self;
-    double dt;
-    std::int64_t now;
-  } ctx{this, dt_s, now_us};
-  const auto move_one = [&ctx](std::size_t i) {
-    if (ctx.self->live_[i] != 0) ctx.self->move_row(i, ctx.dt, ctx.now);
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(ue_.size(), move_one);
-  } else {
-    for (std::size_t i = 0; i < ue_.size(); ++i) move_one(i);
+  // The storms active at `now`, resolved once for the whole step.
+  active_storms_.clear();
+  for (const Storm& storm : storms_) {
+    if (now_us >= storm.start_us && now_us < storm.end_us) active_storms_.push_back(&storm);
   }
 
-  // Transition scan: sequential, in row order — region exits first,
-  // then cell-boundary crossings into the pending handover batch.
-  const bool east_ok = config_.region_index + 1 < config_.region_count;
-  const bool west_ok = config_.region_index > 0;
+  // Move pass: row-local state only, so it shards bit-identically. Each
+  // row moves and writes its next cell index or exit side.
+  parallel_for(pool_, ue_.size(), kRowGrain, [this, dt_s](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (live_[i] != 0) next_[i] = move_row(i, dt_s);
+    }
+  });
+
+  // Transition scan: sequential, in row order — compare and gather.
+  // Region exits detach here, by UE id: something else (an operator's
+  // DELETE /ues/{id}) may have detached the UE already. Cell-boundary
+  // crossings join the pending handover batch, addressed by the UE's
+  // index slot and the cell index; apply_handovers drops a stale slot.
   for (std::size_t i = 0; i < ue_.size(); ++i) {
-    if (live_[i] == 0) continue;
-    const int side = x_[i] >= grid_.width() && east_ok ? 1
-                     : x_[i] < 0.0 && west_ok         ? -1
-                                                      : 0;
-    if (side != 0) {
+    if (live_[i] == 0 || next_[i] == cell_[i]) continue;
+    if (next_[i] >= kExitWest) {
       RoamingExit exit;
       exit.plmn = plmn_[i].value();
       const std::optional<ran::Cqi> cqi = ran_->ue_cqi(ue_[i]);
       exit.cqi = cqi.has_value() ? cqi->index() : 10;
       exit.y_mm = static_cast<std::int64_t>(std::llround(y_[i] * 1000.0));
-      exit.side = side;
+      exit.side = next_[i] == kExitEast ? 1 : -1;
       (void)ran_->detach_ue(ue_[i]);
       exits_.push_back(exit);
       ++exits_total_;
       free_row(i);
       continue;
     }
-    const std::size_t cell = grid_.nearest_cell(x_[i], y_[i]);
-    if (cell != cell_[i]) {
-      pending_requests_.push_back({ue_[i], ran_->cell_at(cell).id()});
-      pending_rows_.push_back(static_cast<std::uint32_t>(i));
-      pending_cells_.push_back(static_cast<std::uint32_t>(cell));
-    }
+    pending_requests_.push_back({ue_[i], slot_[i], next_[i]});
+    pending_rows_.push_back(static_cast<std::uint32_t>(i));
   }
 }
 
@@ -289,11 +297,10 @@ ran::HandoverStats Field::apply(SimTime now) {
   const std::span<std::uint8_t> outcomes(outcome_scratch_.data(), pending_requests_.size());
   const ran::HandoverStats stats = ran_->apply_handovers(pending_requests_, now, outcomes);
   for (std::size_t k = 0; k < pending_requests_.size(); ++k) {
-    if (outcomes[k] != 0) cell_[pending_rows_[k]] = pending_cells_[k];
+    if (outcomes[k] != 0) cell_[pending_rows_[k]] = pending_requests_[k].target;
   }
   pending_requests_.clear();
   pending_rows_.clear();
-  pending_cells_.clear();
   return stats;
 }
 
@@ -326,6 +333,7 @@ bool Field::admit_roamer(const RoamingExit& exit) {
   key_[row] = mix64(config_.seed ^ kRoamerSalt ^
                     (0x9e3779b97f4a7c15ull * (roamers_admitted_ + roamers_dropped_ + 1)));
   ue_[row] = ue.value();
+  slot_[row] = ran_->ue_slot(ue.value());
   plmn_[row] = plmn;
   x_[row] = px;
   y_[row] = py;

@@ -14,9 +14,17 @@
 //
 // Determinism: positions live in SoA columns, every random draw is a
 // counter-based hash of the UE's own key (see model.hpp), and the move
-// phase writes only row-local state — so it shards across the thread
-// pool bit-identically at any pool size, while the transition scan and
-// the handover batch stay in sequential row order.
+// pass writes only row-local state (the new position and the row's next
+// cell index or exit side) — so it shards across the thread pool
+// bit-identically at any pool size, while the transition scan, which
+// only compares and gathers, and the handover batch stay in sequential
+// row order.
+//
+// The Field records each UE's slot in the controller's UE index at
+// attach and addresses its handover requests by that slot and the
+// target's cell index, so the per-row work of step() and apply() makes
+// no id lookup. Region exits and slice drain detach by UE id, since
+// something else may have detached the UE first.
 
 #include <cstdint>
 #include <functional>
@@ -69,8 +77,9 @@ class Field {
   /// step(). `live` must be in deterministic order.
   void sync_population(std::span<const PlmnId> live, const SpeedFn& speed_of);
 
-  /// Advance every UE to `now` (move phase, pool-sharded) and scan for
-  /// cell transitions (sequential): fills the pending handover batch
+  /// Advance every UE to `now` and classify its next cell (one
+  /// pool-sharded range pass), then gather the transitions (sequential
+  /// scan in row order): fills the pending handover batch
   /// and, in a metro, the roaming-exit queue (exiting UEs are detached
   /// here).
   void step(SimTime now);
@@ -116,7 +125,9 @@ class Field {
     return mix64(key_[row] + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(++draw_[row]));
   }
 
-  void move_row(std::size_t row, double dt_s, std::int64_t now_us);
+  /// Move one live row by `dt_s` under the active storms; returns the
+  /// row's next cell index, or an exit-side marker (field.cpp).
+  std::uint32_t move_row(std::size_t row, double dt_s);
   std::size_t allocate_row();
   void free_row(std::size_t row);
   void spawn_population(PlmnId plmn, double speed);
@@ -136,11 +147,14 @@ class Field {
   std::vector<double> tx_, ty_;      // current waypoint
   std::vector<double> speed_;        // m/s
   std::vector<std::uint32_t> cell_;  // serving cell, grid index
+  std::vector<std::uint32_t> next_;  // move-pass verdict: next cell index or exit side
+  std::vector<std::uint32_t> slot_;  // the UE's slot in the controller's UE index
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> free_;
   std::size_t live_rows_ = 0;
 
   std::vector<Storm> storms_;
+  std::vector<const Storm*> active_storms_;  // storms active at the current step
   std::vector<PlmnId> populated_;    // PLMNs with a spawned population (sorted)
 
   std::int64_t last_step_us_ = -1;
@@ -148,7 +162,6 @@ class Field {
   // Per-epoch transition batch (capacity reused).
   std::vector<ran::HandoverRequest> pending_requests_;
   std::vector<std::uint32_t> pending_rows_;
-  std::vector<std::uint32_t> pending_cells_;
   std::vector<std::uint8_t> outcome_scratch_;
   std::vector<RoamingExit> exits_;
 

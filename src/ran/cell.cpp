@@ -74,12 +74,6 @@ __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
 Cell::Cell(CellId id, std::string name, Bandwidth bandwidth, SharingPolicy policy)
     : id_(id), name_(std::move(name)), total_(prbs_for(bandwidth)), policy_(policy) {}
 
-PrbCount Cell::reserved_prbs() const noexcept {
-  PrbCount sum{0};
-  for (const auto& [plmn, prbs] : reservations_) sum += prbs;
-  return sum;
-}
-
 std::size_t Cell::plmn_index(PlmnId plmn) const noexcept {
   for (std::size_t i = 0; i < broadcast_.size(); ++i) {
     if (broadcast_[i] == plmn) return i;
@@ -94,7 +88,7 @@ Result<void> Cell::broadcast_plmn(PlmnId plmn) {
     return make_error(Errc::insufficient_capacity,
                       "cell " + name_ + " SIB1 PLMN list is full");
   broadcast_.push_back(plmn);
-  plmn_stats_.push_back(PlmnUeStats{});
+  plmns_.push_back(PlmnState{});
   return {};
 }
 
@@ -102,12 +96,12 @@ Result<void> Cell::withdraw_plmn(PlmnId plmn) {
   const std::size_t i = plmn_index(plmn);
   if (i == broadcast_.size())
     return make_error(Errc::not_found, "PLMN not broadcast on cell " + name_);
-  if (reservations_.contains(plmn))
+  if (plmns_[i].reserved.value > 0)
     return make_error(Errc::conflict, "PLMN still holds a PRB reservation");
-  if (plmn_stats_[i].count > 0)
+  if (plmns_[i].count > 0)
     return make_error(Errc::conflict, "UEs still attached under this PLMN");
   broadcast_.erase(broadcast_.begin() + static_cast<std::ptrdiff_t>(i));
-  plmn_stats_.erase(plmn_stats_.begin() + static_cast<std::ptrdiff_t>(i));
+  plmns_.erase(plmns_.begin() + static_cast<std::ptrdiff_t>(i));
   // The UE columns store broadcast positions; every position above the
   // withdrawn one shifted down by one. Cold path (withdrawal requires
   // an empty PLMN), so the full-column sweep is acceptable.
@@ -127,27 +121,30 @@ bool Cell::broadcasts(PlmnId plmn) const noexcept {
 std::vector<PlmnId> Cell::broadcast_list() const { return broadcast_; }
 
 Result<void> Cell::set_reservation(PlmnId plmn, PrbCount prbs) {
-  if (!broadcasts(plmn))
+  const std::size_t i = plmn_index(plmn);
+  if (i == broadcast_.size())
     return make_error(Errc::not_found, "PLMN not broadcast on cell " + name_);
   if (prbs.value < 0) return make_error(Errc::invalid_argument, "negative PRB reservation");
-  const PrbCount others = reserved_prbs() - reservation_of(plmn);
+  const PrbCount others = reserved_ - plmns_[i].reserved;
   if (others.value + prbs.value > total_.value)
     return make_error(Errc::insufficient_capacity,
                       "cell " + name_ + " has only " +
                           std::to_string(total_.value - others.value) + " PRBs free");
-  if (prbs.value == 0) {
-    reservations_.erase(plmn);
-  } else {
-    reservations_.insert_or_assign(plmn, prbs);
-  }
+  reserved_ = others + prbs;
+  plmns_[i].reserved = prbs;
   return {};
 }
 
-void Cell::clear_reservation(PlmnId plmn) { reservations_.erase(plmn); }
+void Cell::clear_reservation(PlmnId plmn) {
+  const std::size_t i = plmn_index(plmn);
+  if (i == broadcast_.size()) return;
+  reserved_ -= plmns_[i].reserved;
+  plmns_[i].reserved = PrbCount{0};
+}
 
 PrbCount Cell::reservation_of(PlmnId plmn) const noexcept {
-  const PrbCount* prbs = reservations_.find(plmn);
-  return prbs == nullptr ? PrbCount{0} : *prbs;
+  const std::size_t i = plmn_index(plmn);
+  return i == broadcast_.size() ? PrbCount{0} : plmns_[i].reserved;
 }
 
 Result<std::uint32_t> Cell::attach(UeId ue, PlmnId plmn, Cqi cqi) {
@@ -155,13 +152,13 @@ Result<std::uint32_t> Cell::attach(UeId ue, PlmnId plmn, Cqi cqi) {
   if (i == broadcast_.size())
     return make_error(Errc::not_found,
                       "PLMN not on the air on cell " + name_ + "; UE cannot attach");
-  ++plmn_stats_[i].count;
-  plmn_stats_[i].cqi_sum += cqi.index();
+  ++plmns_[i].count;
+  plmns_[i].cqi_sum += cqi.index();
   return ues_.insert(ue, static_cast<std::uint8_t>(i), cqi);
 }
 
 void Cell::detach(std::uint32_t row) noexcept {
-  PlmnUeStats& stats = plmn_stats_[ues_.plmn_index_at(row)];
+  PlmnState& stats = plmns_[ues_.plmn_index_at(row)];
   assert(stats.count > 0);
   --stats.count;
   stats.cqi_sum -= ues_.cqi_at(row).index();
@@ -170,7 +167,7 @@ void Cell::detach(std::uint32_t row) noexcept {
 
 void Cell::update_cqi(std::uint32_t row, Cqi cqi) noexcept {
   assert(ues_.live(row));
-  PlmnUeStats& stats = plmn_stats_[ues_.plmn_index_at(row)];
+  PlmnState& stats = plmns_[ues_.plmn_index_at(row)];
   stats.cqi_sum += cqi.index() - ues_.cqi_at(row).index();
   ues_.set_cqi(row, cqi);
 }
@@ -185,7 +182,7 @@ void Cell::wander_cqis(Rng& rng, double step_probability) {
   std::array<std::int64_t, kMaxBroadcastPlmns> delta{};
   wander_kernel(ues_.cqi_column(), ues_.plmn_column(), ues_.live_column(), ues_.row_count(),
                 rng, thresh, delta.data());
-  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmn_stats_[i].cqi_sum += delta[i];
+  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[i];
 }
 
 void Cell::wander_cqis_legacy(Rng& rng, double step_probability) {
@@ -205,12 +202,12 @@ void Cell::wander_cqis_legacy(Rng& rng, double step_probability) {
     delta[plmn[row]] += clamped - static_cast<int>(cqi[row]);
     cqi[row] = static_cast<std::uint8_t>(clamped);
   }
-  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmn_stats_[i].cqi_sum += delta[i];
+  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[i];
 }
 
 std::size_t Cell::attached_count(PlmnId plmn) const noexcept {
   const std::size_t i = plmn_index(plmn);
-  return i == broadcast_.size() ? 0 : plmn_stats_[i].count;
+  return i == broadcast_.size() ? 0 : plmns_[i].count;
 }
 
 Cqi Cell::mean_cqi(PlmnId plmn, Cqi fallback) const noexcept {
@@ -220,9 +217,9 @@ Cqi Cell::mean_cqi(PlmnId plmn, Cqi fallback) const noexcept {
 }
 
 Cqi Cell::mean_cqi_at(std::size_t index, Cqi fallback) const noexcept {
-  if (plmn_stats_[index].count == 0) return fallback;
-  const int mean = static_cast<int>(plmn_stats_[index].cqi_sum /
-                                    static_cast<std::int64_t>(plmn_stats_[index].count));
+  if (plmns_[index].count == 0) return fallback;
+  const int mean = static_cast<int>(plmns_[index].cqi_sum /
+                                    static_cast<std::int64_t>(plmns_[index].count));
   return Cqi{mean < 1 ? 1 : (mean > 15 ? 15 : mean)};
 }
 
@@ -249,7 +246,7 @@ std::size_t Cell::serve_epoch_into(std::span<const DataRate> demand_by_index,
   std::array<PlmnLoad, kMaxBroadcastPlmns> loads;
   std::array<int, kMaxBroadcastPlmns> want;
   for (std::size_t i = 0; i < broadcast_.size(); ++i) {
-    loads[i] = PlmnLoad{broadcast_[i], reservation_of(broadcast_[i]), demand_by_index[i],
+    loads[i] = PlmnLoad{broadcast_[i], plmns_[i].reserved, demand_by_index[i],
                         mean_cqi_at(i, fallback_cqi)};
   }
   schedule_epoch_into(total_, std::span<const PlmnLoad>(loads.data(), broadcast_.size()),

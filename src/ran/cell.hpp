@@ -15,10 +15,12 @@
 // attach returns the UE's row and every later read, CQI update and
 // detach names that row. The cell keeps no UE-id index — RanController
 // owns the only one (UE id -> {plmn, cell, row}) and allocates every
-// id, so a handover costs one controller lookup plus row-addressed work
-// on the two cells. Each broadcast PLMN keeps a running (count,
-// cqi_sum) aggregate, so attached_count / mean_cqi — the per-epoch
-// scheduling inputs — stay O(1).
+// id; a handover request addresses that record by its slot, so the
+// move is row-addressed work on the two cells with no lookup. Each broadcast PLMN keeps a running (count,
+// cqi_sum) aggregate and its PRB reservation, and the cell keeps the
+// running sum of those reservations, so attached_count / mean_cqi — the
+// per-epoch scheduling inputs — and reserved_prbs / unreserved_prbs —
+// read on every handover — stay O(1).
 
 #include <cstdint>
 #include <span>
@@ -26,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/dense_map.hpp"
 #include "common/ids.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -50,8 +51,8 @@ class Cell {
   [[nodiscard]] PrbCount total_prbs() const noexcept { return total_; }
   [[nodiscard]] SharingPolicy sharing_policy() const noexcept { return policy_; }
 
-  /// Sum of all dedicated reservations.
-  [[nodiscard]] PrbCount reserved_prbs() const noexcept;
+  /// Sum of all dedicated reservations (a running total).
+  [[nodiscard]] PrbCount reserved_prbs() const noexcept { return reserved_; }
   /// PRBs not reserved by any PLMN.
   [[nodiscard]] PrbCount unreserved_prbs() const noexcept {
     return total_ - reserved_prbs();
@@ -134,7 +135,7 @@ class Cell {
   [[nodiscard]] std::size_t attached_count(PlmnId plmn) const noexcept;
   /// Same by broadcast position (no PLMN scan); `index` < broadcast_count().
   [[nodiscard]] std::size_t attached_count_at(std::size_t index) const noexcept {
-    return plmn_stats_[index].count;
+    return plmns_[index].count;
   }
   [[nodiscard]] std::size_t attached_total() const noexcept { return ues_.size(); }
 
@@ -164,12 +165,13 @@ class Cell {
                                Cqi fallback_cqi, std::span<PlmnGrant> grants) const noexcept;
 
  private:
-  /// Running UE aggregate of one broadcast PLMN; index-aligned with
-  /// `broadcast_`. Maintained on attach/detach/CQI updates so the
-  /// scheduler inputs never rescan the population.
-  struct PlmnUeStats {
+  /// Per-PLMN state of one broadcast PLMN; index-aligned with
+  /// `broadcast_`. The UE aggregate is maintained on attach/detach/CQI
+  /// updates so the scheduler inputs never rescan the population.
+  struct PlmnState {
     std::size_t count = 0;
     std::int64_t cqi_sum = 0;
+    PrbCount reserved{0};  ///< dedicated reservation (0 = none)
   };
 
   [[nodiscard]] std::size_t plmn_index(PlmnId plmn) const noexcept;
@@ -179,8 +181,8 @@ class Cell {
   PrbCount total_;
   SharingPolicy policy_;
   std::vector<PlmnId> broadcast_;               // ordered: deterministic scheduling
-  std::vector<PlmnUeStats> plmn_stats_;         // index-aligned with broadcast_
-  DenseIdMap<PlmnId, PrbCount> reservations_;
+  std::vector<PlmnState> plmns_;                // index-aligned with broadcast_
+  PrbCount reserved_{0};                        // sum of plmns_[i].reserved
   UeSoa ues_;                                   // columnar attached-UE store
 };
 

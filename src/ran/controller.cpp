@@ -10,7 +10,13 @@
 
 namespace slices::ran {
 
+static_assert(RanController::kNoUeSlot == DenseIdMap<UeId, int>::kNoSlot);
+
 namespace {
+
+/// Cells per parallel_for range: a cell's serve or CQI walk is the unit
+/// of work, and a RAN has tens of cells, so each range is one cell.
+constexpr std::size_t kCellGrain = 1;
 
 /// "ran.plmn.<id>." — the dot keeps PLMN 1's prefix off PLMN 10.
 std::string plmn_prefix(PlmnId plmn) { return "ran.plmn." + std::to_string(plmn.value()) + "."; }
@@ -27,6 +33,7 @@ void RanController::add_cell(Cell cell) {
   }
   cell_index_.insert_or_assign(cell.id(), static_cast<std::uint32_t>(cells_.size()));
   cells_.push_back(std::move(cell));
+  cell_active_.push_back(1);
 }
 
 const Cell* RanController::find_cell(CellId id) const noexcept {
@@ -88,8 +95,8 @@ Result<RanAllocation> RanController::set_allocation(PlmnId plmn, DataRate rate,
   // free PRBs (counting this PLMN's own current reservation as free).
   std::vector<Cell*> order;
   order.reserve(cells_.size());
-  for (Cell& cell : cells_) {
-    if (cell_active(cell.id())) order.push_back(&cell);  // plan on live cells only
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cell_active_[i] != 0) order.push_back(&cells_[i]);  // plan on live cells only
   }
   std::sort(order.begin(), order.end(), [&](const Cell* a, const Cell* b) {
     const int free_a = a->unreserved_prbs().value + a->reservation_of(plmn).value;
@@ -143,18 +150,18 @@ const RanAllocation* RanController::find_allocation(PlmnId plmn) const noexcept 
 
 DataRate RanController::available_capacity(Cqi planning_cqi) const noexcept {
   DataRate sum = DataRate::zero();
-  for (const Cell& cell : cells_) {
-    if (!cell_active(cell.id())) continue;
-    sum += throughput_of(cell.unreserved_prbs(), planning_cqi);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cell_active_[i] == 0) continue;
+    sum += throughput_of(cells_[i].unreserved_prbs(), planning_cqi);
   }
   return sum;
 }
 
 DataRate RanController::total_capacity(Cqi planning_cqi) const noexcept {
   DataRate sum = DataRate::zero();
-  for (const Cell& cell : cells_) {
-    if (!cell_active(cell.id())) continue;
-    sum += throughput_of(cell.total_prbs(), planning_cqi);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cell_active_[i] == 0) continue;
+    sum += throughput_of(cells_[i].total_prbs(), planning_cqi);
   }
   return sum;
 }
@@ -203,24 +210,16 @@ void RanController::wander_cqis(Rng& rng, double step_probability) {
   // tasks while staying deterministic at any pool size.
   wander_seeds_.resize(cells_.size());
   for (std::uint64_t& seed : wander_seeds_) seed = rng.next_u64();
-  struct WanderCtx {
-    RanController* self;
-    double p;
-    bool legacy;
-  } ctx{this, step_probability, legacy_wander_path_};
-  const auto wander_cell = [&ctx](std::size_t i) {
-    Rng local(ctx.self->wander_seeds_[i]);
-    if (ctx.legacy) {
-      ctx.self->cells_[i].wander_cqis_legacy(local, ctx.p);
-    } else {
-      ctx.self->cells_[i].wander_cqis(local, ctx.p);
+  parallel_for(pool_, cells_.size(), kCellGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      Rng local(wander_seeds_[i]);
+      if (legacy_wander_path_) {
+        cells_[i].wander_cqis_legacy(local, step_probability);
+      } else {
+        cells_[i].wander_cqis(local, step_probability);
+      }
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(cells_.size(), wander_cell);
-  } else {
-    for (std::size_t i = 0; i < cells_.size(); ++i) wander_cell(i);
-  }
+  });
 }
 
 Result<UeId> RanController::attach_ue_at(CellId cell, PlmnId plmn, Cqi cqi) {
@@ -228,7 +227,7 @@ Result<UeId> RanController::attach_ue_at(CellId cell, PlmnId plmn, Cqi cqi) {
     return make_error(Errc::not_found, "PLMN not on the air; UE cannot attach");
   const std::uint32_t* index = cell_index_.find(cell);
   if (index == nullptr) return make_error(Errc::not_found, "unknown cell");
-  if (!cell_active(cell)) return make_error(Errc::conflict, "cell is inactive");
+  if (cell_active_[*index] == 0) return make_error(Errc::conflict, "cell is inactive");
   return attach_at(*index, plmn, cqi);
 }
 
@@ -270,16 +269,19 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
     ++stats.attempts;
     bool ok = false;
 
-    // The controller's record is the only UE index: it names the
-    // source cell and row, so the move below is row-addressed on both
-    // cells and costs no further id lookup.
-    UeRecord* record = ues_.find(req.ue);
-    const std::uint32_t* dst_index =
-        record == nullptr ? nullptr : cell_index_.find(req.target);
-    if (record != nullptr && dst_index != nullptr && *dst_index != record->cell &&
-        cell_active(req.target)) {
-      Cell& source = cells_[record->cell];
-      Cell& destination = cells_[*dst_index];
+    // The request addresses the UE's index slot and the target's cells_
+    // index, so every check is an array read: a slot whose key is not
+    // the request's UE is stale. The record names the source cell and
+    // row, so the move below is row-addressed on both cells.
+    auto* entry = req.slot < ues_.slot_count() && req.target < n_cells &&
+                          cell_active_[req.target] != 0
+                      ? &ues_.slot_at(req.slot)
+                      : nullptr;
+    if (entry != nullptr && entry->key == req.ue && req.ue.valid() &&
+        entry->value.cell != req.target) {
+      UeRecord& record = entry->value;
+      Cell& source = cells_[record.cell];
+      Cell& destination = cells_[req.target];
 
       // PRB migration plan, decided before the row move so the counts
       // reflect the pre-handover population: the leaving UE takes its
@@ -287,7 +289,7 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
       // the target has free. Only live Cell reservations move — the
       // planned RanAllocation::per_cell layout stays as installed (and
       // this loop stays allocation-free).
-      const PlmnId plmn = record->plmn;
+      const PlmnId plmn = record.plmn;
       int moved = 0;
       const std::size_t src_attached = source.attached_count(plmn);
       if (src_attached > 0) {
@@ -298,9 +300,9 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
       }
       // Attach on the target first so a failure leaves the UE in place.
       const Result<std::uint32_t> row =
-          destination.attach(req.ue, plmn, source.cqi_at(record->row));
+          destination.attach(req.ue, plmn, source.cqi_at(record.row));
       if (row.ok()) {
-        source.detach(record->row);
+        source.detach(record.row);
         if (moved > 0) {
           const int src_after = source.reservation_of(plmn).value - moved;
           const int dst_after = destination.reservation_of(plmn).value + moved;
@@ -310,10 +312,10 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
           (void)shrink;
           (void)grow;
         }
-        ++handover_departures_[record->cell];
-        ++handover_arrivals_[*dst_index];
-        record->cell = *dst_index;
-        record->row = row.value();
+        ++handover_departures_[record.cell];
+        ++handover_arrivals_[req.target];
+        record.cell = req.target;
+        record.row = row.value();
         ok = true;
       }
     }
@@ -364,12 +366,9 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
 }
 
 Result<void> RanController::set_cell_active(CellId cell, bool active) {
-  if (find_cell(cell) == nullptr) return make_error(Errc::not_found, "unknown cell");
-  if (active) {
-    inactive_.erase(cell);
-  } else {
-    inactive_.insert(cell);
-  }
+  const std::uint32_t* index = cell_index_.find(cell);
+  if (index == nullptr) return make_error(Errc::not_found, "unknown cell");
+  cell_active_[*index] = active ? 1 : 0;
   return {};
 }
 
@@ -480,66 +479,47 @@ void RanController::serve_epoch_batched(
   // Phase 1 — per-cell tasks: every cell reads itself plus the shared
   // indices and writes only its own grant-slab row, so execution order
   // cannot affect the result.
-  struct ServeCtx {
-    RanController* self;
-    const std::pair<PlmnId, DataRate>* demands;
-    std::size_t n_demands;
-    const std::uint64_t* everywhere;
-    const std::uint64_t* broadcasting;
-    PlmnGrant* grants;
-    std::int32_t* grant_demand;
-    std::uint32_t* grant_count;
-    int* used;
-    std::uint8_t* active;
-  } ctx{this,          demands.data(),     n_demands,          everywhere.data(),
-        broadcasting.data(), grants.data(), grant_demand.data(), grant_count.data(),
-        used.data(),   active.data()};
-  // Captures one pointer so the std::function at the parallel_for call
-  // site stays within the small-buffer optimization (no allocation).
-  const auto serve_cell = [&ctx](std::size_t i) {
-    const Cell& cell = ctx.self->cells_[i];
-    ctx.grant_count[i] = 0;
-    ctx.used[i] = 0;
-    const bool is_active = ctx.self->cell_active(cell.id());
-    ctx.active[i] = is_active ? 1 : 0;
-    if (!is_active) return;
+  const auto serve_cell = [&](std::size_t i) {
+    const Cell& cell = cells_[i];
+    grant_count[i] = 0;
+    used[i] = 0;
+    active[i] = cell_active_[i];
+    if (active[i] == 0) return;
 
     const std::size_t b = cell.broadcast_count();
     std::array<DataRate, kMaxBroadcastPlmns> dem{};
-    std::int32_t* gd = ctx.grant_demand + i * kMaxBroadcastPlmns;
+    std::int32_t* gd = grant_demand.data() + i * kMaxBroadcastPlmns;
     for (std::size_t j = 0; j < b; ++j) gd[j] = -1;
     // Split each PLMN's demand across cells: weight by attached UEs,
     // equal split over broadcasting cells when the PLMN has none.
-    for (std::size_t d = 0; d < ctx.n_demands; ++d) {
-      const std::size_t idx = cell.broadcast_index(ctx.demands[d].first);
+    for (std::size_t d = 0; d < n_demands; ++d) {
+      const std::size_t idx = cell.broadcast_index(demands[d].first);
       if (idx == b) continue;
       double share = 0.0;
-      if (ctx.everywhere[d] > 0) {
+      if (everywhere[d] > 0) {
         share = static_cast<double>(cell.attached_count_at(idx)) /
-                static_cast<double>(ctx.everywhere[d]);
-      } else if (ctx.broadcasting[d] > 0) {
-        share = 1.0 / static_cast<double>(ctx.broadcasting[d]);
+                static_cast<double>(everywhere[d]);
+      } else if (broadcasting[d] > 0) {
+        share = 1.0 / static_cast<double>(broadcasting[d]);
       }
-      dem[idx] += ctx.demands[d].second * share;
+      dem[idx] += demands[d].second * share;
       if (gd[idx] < 0) gd[idx] = static_cast<std::int32_t>(d);
     }
 
-    PlmnGrant* g = ctx.grants + i * kMaxBroadcastPlmns;
+    PlmnGrant* g = grants.data() + i * kMaxBroadcastPlmns;
     const std::size_t count = cell.serve_epoch_into(
         std::span<const DataRate>(dem.data(), b), Cqi{10},
         std::span<PlmnGrant>(g, kMaxBroadcastPlmns));
-    ctx.grant_count[i] = static_cast<std::uint32_t>(count);
+    grant_count[i] = static_cast<std::uint32_t>(count);
     int prbs = 0;
     for (std::size_t j = 0; j < count; ++j) prbs += g[j].granted.value;
-    ctx.used[i] = prbs;
+    used[i] = prbs;
   };
   {
     TRACE_SCOPE("ran.epoch.cells");
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n_cells, serve_cell);
-    } else {
-      for (std::size_t i = 0; i < n_cells; ++i) serve_cell(i);
-    }
+    parallel_for(pool_, n_cells, kCellGrain, [&serve_cell](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) serve_cell(i);
+    });
   }
 
   // Phase 2 — sequential reduction in cell order on the calling thread;
@@ -639,7 +619,7 @@ void RanController::serve_epoch_legacy(
   const auto serve_cell = [&](std::size_t i) {
     const Cell& cell = cells_[i];
     CellOutcome& slot = outcomes[i];
-    slot.active = cell_active(cell.id());
+    slot.active = cell_active_[i] != 0;
 
     std::vector<std::pair<PlmnId, DataRate>> cell_demand;
     for (const auto& [plmn, demand] : demands) {
@@ -666,11 +646,10 @@ void RanController::serve_epoch_legacy(
   };
   {
     TRACE_SCOPE("ran.epoch.cells");
-    if (pool_ != nullptr) {
-      pool_->parallel_for(cells_.size(), serve_cell);
-    } else {
-      for (std::size_t i = 0; i < cells_.size(); ++i) serve_cell(i);
-    }
+    parallel_for(pool_, cells_.size(), kCellGrain,
+                 [&serve_cell](std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) serve_cell(i);
+                 });
   }
 
   // Phase 2 — sequential reduction in cell order on the calling thread;

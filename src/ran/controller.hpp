@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <memory>
 #include <span>
 #include <string>
@@ -53,10 +52,16 @@ struct RanServeReport {
 };
 
 /// One requested inter-cell handover (produced per epoch by the
-/// mobility Field's transition scan).
+/// mobility Field's transition scan). The request is addressed, not
+/// looked up: `slot` is the UE's slot in the controller's UE index
+/// (RanController::ue_slot, stable until the UE detaches) and `target`
+/// is the destination's dense cell index (cell_at order). `ue` names
+/// the UE the slot was taken for, so a stale slot — the UE detached and
+/// a later attach reused the slot — is detected and dropped.
 struct HandoverRequest {
   UeId ue;
-  CellId target;
+  std::uint32_t slot = 0;
+  std::uint32_t target = 0;
 };
 
 /// Aggregate outcome of one apply_handovers batch.
@@ -158,14 +163,15 @@ class RanController {
   /// batch order. Each success migrates the UE's share of its PLMN's
   /// source-cell PRB reservation to the target cell (clamped to the
   /// target's free PRBs) — the MOCN reservation follows the load.
-  /// Failures (unknown UE/cell, same-cell, inactive target, full
-  /// target) count as drops and leave the UE where it was. When
-  /// `outcomes` is non-empty it must be at least batch-sized and
-  /// receives 1/0 per request. Emits ran.handover.* telemetry (counters,
-  /// latency histogram, per-cell arrival/departure series) when a
-  /// registry is attached. Steady-state allocation-free: per-cell
-  /// scratch is controller-owned and reused (pinned by the zero-alloc
-  /// guard in mobility_test).
+  /// Every check is an array read: failures (a slot out of range or no
+  /// longer holding the request's UE, a target index out of range, the
+  /// same cell, an inactive target) count as drops and leave the UE
+  /// where it was. When `outcomes` is non-empty it must be at least
+  /// batch-sized and receives 1/0 per request. Emits ran.handover.*
+  /// telemetry (counters, latency histogram, per-cell arrival/departure
+  /// series) when a registry is attached. Steady-state allocation-free:
+  /// per-cell scratch is controller-owned and reused (pinned by the
+  /// zero-alloc guard in mobility_test).
   HandoverStats apply_handovers(std::span<const HandoverRequest> batch, SimTime now,
                                 std::span<std::uint8_t> outcomes = {});
 
@@ -175,7 +181,13 @@ class RanController {
 
   // --- Mobility introspection ---------------------------------------------
 
+  /// Sentinel of ue_slot for a UE that is not attached.
+  static constexpr std::uint32_t kNoUeSlot = ~std::uint32_t{0};
+
   [[nodiscard]] bool ue_attached(UeId ue) const noexcept { return ues_.contains(ue); }
+  /// Slot of `ue` in the UE index (kNoUeSlot when not attached). The
+  /// slot is stable until the UE detaches; a later attach may reuse it.
+  [[nodiscard]] std::uint32_t ue_slot(UeId ue) const noexcept { return ues_.slot_of(ue); }
   /// Serving cell of `ue` (invalid id when unknown).
   [[nodiscard]] CellId ue_cell(UeId ue) const noexcept {
     const UeRecord* record = ues_.find(ue);
@@ -199,7 +211,8 @@ class RanController {
   [[nodiscard]] Result<void> set_cell_active(CellId cell, bool active);
 
   [[nodiscard]] bool cell_active(CellId cell) const noexcept {
-    return !inactive_.contains(cell);
+    const std::uint32_t* index = cell_index_.find(cell);
+    return index == nullptr || cell_active_[*index] != 0;
   }
 
   // --- Serving + monitoring -------------------------------------------------
@@ -289,7 +302,7 @@ class RanController {
   // walks, and iteration is in deterministic slot order.
   std::vector<Cell> cells_;
   DenseIdMap<CellId, std::uint32_t> cell_index_;  ///< cell id -> cells_ index
-  std::set<CellId> inactive_;
+  std::vector<std::uint8_t> cell_active_;          ///< 1 = up; index-aligned with cells_
   DenseIdMap<PlmnId, std::monostate> installed_;
   DenseIdMap<PlmnId, RanAllocation> allocations_;
   DenseIdMap<UeId, UeRecord> ues_;

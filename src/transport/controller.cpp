@@ -12,6 +12,10 @@ namespace slices::transport {
 
 namespace {
 
+/// Paths per parallel_for range: a path serves in tens of nanoseconds,
+/// so ranges amortize the claim over a cache line's worth of reports.
+constexpr std::size_t kPathGrain = 64;
+
 /// "transport.path.<id>." — the dot keeps path 1's prefix off path 10.
 std::string path_prefix(PathId path) {
   return "transport.path." + std::to_string(path.value()) + ".";
@@ -463,17 +467,9 @@ void TransportController::serve_epoch_into(
   // reads the serve columns, the route CSR and the scale column and
   // writes only its own report slot, so execution order cannot affect
   // the result.
-  struct ServeCtx {
-    const TransportController* self;
-    const std::pair<PathId, DataRate>* demands;
-    const double* scale;
-    PathServeReport* reports;
-    std::uint8_t* valid;
-  } ctx{this, demands.data(), scale.data(), out.data(), valid.data()};
-
-  const auto serve_path = [&ctx](std::size_t i) {
-    const auto& [path_id, demand] = ctx.demands[i];
-    const TransportController& self = *ctx.self;
+  const auto serve_path = [&](std::size_t i) {
+    const auto& [path_id, demand] = demands[i];
+    const TransportController& self = *this;
     const std::uint32_t path_slot = self.path_slot_fast(path_id);
     if (path_slot == DenseIdMap<PathId, PathReservation>::kNoSlot) return;
 
@@ -484,13 +480,13 @@ void TransportController::serve_epoch_into(
       const std::uint32_t link_slot = self.route_links_[off + k];
       // A route link unknown to the current topology (verbatim-restored
       // pre-crash route) carries nothing: factor 0, served 0, degraded.
-      const double s = link_slot == Topology::kNoSlot ? 0.0 : ctx.scale[link_slot];
+      const double s = link_slot == Topology::kNoSlot ? 0.0 : scale[link_slot];
       if (s < factor) factor = s;
     }
     const Duration delay = self.route_delay_[path_slot];
     const DataRate reserved = self.path_reserved_[path_slot];
 
-    PathServeReport& report = ctx.reports[i];
+    PathServeReport& report = out[i];
     report.path = path_id;
     report.slice = self.path_slice_[path_slot];
     report.demand = demand;
@@ -513,13 +509,11 @@ void TransportController::serve_epoch_into(
     }
     report.experienced_delay = delay * (1.0 + queue_penalty);
     report.delay_violated = report.experienced_delay > self.path_sla_[path_slot];
-    ctx.valid[i] = 1;
+    valid[i] = 1;
   };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(n, serve_path);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) serve_path(i);
-  }
+  parallel_for(pool_, n, kPathGrain, [&serve_path](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) serve_path(i);
+  });
 
   // Phase 2 — sequential reduction in demand order: compact away
   // unknown-path slots (rare), publish telemetry, note degraded paths
@@ -605,11 +599,10 @@ void TransportController::serve_epoch_legacy(
     report.delay_violated = report.experienced_delay > reservation.max_delay;
     outcomes[i] = PathOutcome{true, report};
   };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(demands.size(), serve_path);
-  } else {
-    for (std::size_t i = 0; i < demands.size(); ++i) serve_path(i);
-  }
+  parallel_for(pool_, demands.size(), kPathGrain,
+               [&serve_path](std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) serve_path(i);
+               });
 
   out.clear();
   std::vector<PathId> to_repair;

@@ -10,6 +10,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -376,6 +377,49 @@ TEST(Result, MoveOnlyValue) {
   EXPECT_EQ(*extracted, 5);
 }
 
+// The range loop must cover [0, n) exactly once at every pool width,
+// including the inline cases (no pool, width 1, n <= grain: one call
+// fn(0, n) on the calling thread) and ranges that do not divide n.
+TEST(ThreadPool, RangeLoopVisitsEveryIndexExactlyOnce) {
+  constexpr std::size_t kGrain = 64;
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  const std::array<ThreadPool*, 4> pools{nullptr, &one, &two, &four};
+  for (ThreadPool* pool : pools) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kGrain - 1, kGrain,
+                                kGrain + 1, std::size_t{100003}}) {
+      const std::size_t width = pool == nullptr ? 0 : pool->concurrency();
+      SCOPED_TRACE("width " + std::to_string(width) + ", n " + std::to_string(n));
+      std::vector<std::atomic<std::uint32_t>> hits(n);
+      std::atomic<std::size_t> calls{0};
+      std::atomic<std::size_t> bad_ranges{0};
+      std::atomic<std::size_t> off_caller{0};
+      const std::thread::id caller = std::this_thread::get_id();
+      const bool inline_run = width <= 1 || n <= kGrain;
+      parallel_for(pool, n, kGrain, [&](std::size_t begin, std::size_t end) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        if (begin >= end || end > n || (!inline_run && end - begin > kGrain)) {
+          bad_ranges.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(bad_ranges.load(), 0u);
+      std::size_t wrong = 0;
+      for (const auto& h : hits) wrong += h.load() == 1 ? 0 : 1;
+      EXPECT_EQ(wrong, 0u);
+      if (inline_run) {
+        EXPECT_EQ(calls.load(), n == 0 ? 0u : 1u);
+        EXPECT_EQ(off_caller.load(), 0u);
+      } else {
+        EXPECT_EQ(calls.load(), (n + kGrain - 1) / kGrain);
+      }
+    }
+  }
+}
+
 // Back-to-back short jobs are where a worker that wakes late could join
 // a finished job: every index of every job must run exactly once, with
 // that job's own function, and no index past the job's size may run.
@@ -399,9 +443,11 @@ TEST(ThreadPool, BackToBackShortJobsRunEachIndexOnceWithTheirOwnFunction) {
     const std::size_t n = 2 + round % 4;
     std::array<std::atomic<std::uint32_t>, kMaxN> hits{};
     std::array<std::atomic<std::uint32_t>, kMaxN> owner{};
-    pool.parallel_for(n, [&hits, &owner, round](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-      owner[i].store(round, std::memory_order_relaxed);
+    parallel_for(&pool, n, 1, [&hits, &owner, round](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        owner[i].store(round, std::memory_order_relaxed);
+      }
     });
     for (std::size_t i = 0; i < kMaxN; ++i) {
       const bool in_job = i < n;

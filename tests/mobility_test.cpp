@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -83,6 +84,83 @@ TEST(MobilityField, SyncDrainsDeadPlmns) {
   EXPECT_EQ(fx.ran.attached_ues(PlmnId{2}), 0u);
 }
 
+// Something other than the Field (an operator's DELETE /ues/{id}) may
+// detach a Field UE, and a later attach may reuse its index slot. The
+// Field's drain, handovers and region exits for that UE must then leave
+// the slot's new owner alone and keep the per-PLMN counts exact.
+TEST(MobilityField, UesDetachedElsewhereDrainHandOverAndExitCleanly) {
+  ran::RanController ran;
+  for (std::size_t c = 0; c < 16; ++c) {
+    ran.add_cell(ran::Cell(CellId{c + 1}, "cell-" + std::to_string(c), ran::Bandwidth::mhz20,
+                           ran::SharingPolicy::pooled));
+  }
+  const std::vector<PlmnId> both{PlmnId{1}, PlmnId{2}};
+  for (const PlmnId plmn : both) ASSERT_TRUE(ran.install_plmn(plmn).ok());
+  mobility::FieldConfig config;
+  config.seed = 7;
+  config.ues_per_slice = 40;
+  config.region_index = 0;  // west end of a two-region metro: UEs exit east
+  config.region_count = 2;
+  mobility::Field field(config, &ran);
+  field.sync_population(both, [](PlmnId) { return 0.0; });
+  ASSERT_EQ(field.population(), 80u);
+
+  // Only the Field has attached so far, so every attached id is its UE.
+  std::vector<UeId> field_ues;
+  for (std::uint64_t id = 1; id < 1000 && field_ues.size() < 80; ++id) {
+    if (ran.ue_attached(UeId{id})) field_ues.push_back(UeId{id});
+  }
+  ASSERT_EQ(field_ues.size(), 80u);
+  // Detach every other Field UE behind its back; operator UEs on PLMN 1
+  // then reuse the freed slots.
+  std::vector<std::uint32_t> freed;
+  for (std::size_t k = 0; k < field_ues.size(); k += 2) {
+    freed.push_back(ran.ue_slot(field_ues[k]));
+    ASSERT_TRUE(ran.detach_ue(field_ues[k]).ok());
+  }
+  std::vector<UeId> operators;
+  std::vector<CellId> operator_cells;
+  std::vector<std::uint32_t> reused;
+  for (std::size_t k = 0; k < freed.size(); ++k) {
+    const Result<UeId> ue = ran.attach_ue(PlmnId{1}, ran::Cqi{12});
+    ASSERT_TRUE(ue.ok());
+    operators.push_back(ue.value());
+    operator_cells.push_back(ran.ue_cell(ue.value()));
+    reused.push_back(ran.ue_slot(ue.value()));
+  }
+  std::sort(freed.begin(), freed.end());
+  std::sort(reused.begin(), reused.end());
+  ASSERT_EQ(reused, freed) << "the operator UEs must reuse the freed slots for the test to bite";
+
+  // PLMN 2's slice tears down: the drain skips its UEs detached elsewhere.
+  field.sync_population(std::vector<PlmnId>{PlmnId{1}}, [](PlmnId) { return 0.0; });
+  EXPECT_EQ(field.population(), 40u);
+  EXPECT_EQ(ran.attached_ues(PlmnId{2}), 0u);
+  EXPECT_EQ(ran.attached_ues(PlmnId{1}), 20u + operators.size());
+
+  // A commuter wave walks every remaining Field row across cells and out
+  // east, including the rows whose UE is gone.
+  field.add_storm(mobility::StormKind::commuter_wave, SimTime::from_micros(0),
+                  SimTime::from_micros(3'600'000'000), /*fraction=*/1.0, /*cell_index=*/0);
+  for (int minute = 1; minute <= 30 && field.population() > 0; ++minute) {
+    const SimTime now = SimTime::from_micros(static_cast<std::int64_t>(minute) * 60'000'000);
+    field.step(now);
+    (void)field.apply(now);
+  }
+  EXPECT_EQ(field.population(), 0u);
+  EXPECT_EQ(field.exits_total(), 40u);
+  std::vector<mobility::RoamingExit> exits;
+  field.drain_exits(exits);
+  std::size_t fallback_cqi = 0;
+  for (const mobility::RoamingExit& exit : exits) fallback_cqi += exit.cqi == 10 ? 1 : 0;
+  EXPECT_GE(fallback_cqi, 20u) << "a UE detached elsewhere exits with the fallback CQI";
+  // The operator UEs never moved and are the only UEs left.
+  EXPECT_EQ(ran.attached_ues(PlmnId{1}), operators.size());
+  for (std::size_t k = 0; k < operators.size(); ++k) {
+    EXPECT_EQ(ran.ue_cell(operators[k]), operator_cells[k]);
+  }
+}
+
 TEST(MobilityField, WalkProducesHandoversDeterministically) {
   FieldFixture a(2, 60);
   FieldFixture b(2, 60);
@@ -125,13 +203,17 @@ TEST(RanHandover, BatchMovesUesAndCountsOutcomes) {
   ASSERT_TRUE(ran.install_plmn(plmn).ok());
   const Result<UeId> ue = ran.attach_ue_at(CellId{1}, plmn, ran::Cqi{10});
   ASSERT_TRUE(ue.ok());
+  const std::uint32_t slot = ran.ue_slot(ue.value());
+  ASSERT_NE(slot, ran::RanController::kNoUeSlot);
+  EXPECT_EQ(ran.ue_slot(UeId{999}), ran::RanController::kNoUeSlot);
 
+  // Targets are cell indices (add order): a = 0, b = 1, c = 2.
   const std::vector<ran::HandoverRequest> batch{
-      {ue.value(), CellId{2}},   // moves
-      {ue.value(), CellId{2}},   // already there after the first -> drop
-      {UeId{999}, CellId{2}},    // unknown UE -> drop
-      {ue.value(), CellId{77}},  // unknown cell -> drop
-      {ue.value(), CellId{3}},   // cell 3 is down -> drop
+      {ue.value(), slot, 1},                   // moves
+      {ue.value(), slot, 1},                   // already there -> drop
+      {UeId{999}, ran.ue_slot(UeId{999}), 1},  // unknown UE -> drop
+      {ue.value(), slot, 77},                  // unknown cell -> drop
+      {ue.value(), slot, 2},                   // cell c is down -> drop
   };
   std::vector<std::uint8_t> outcomes(batch.size(), 0xff);
   const ran::HandoverStats stats =
@@ -145,9 +227,46 @@ TEST(RanHandover, BatchMovesUesAndCountsOutcomes) {
   EXPECT_EQ(outcomes[3], 0u);
   EXPECT_EQ(outcomes[4], 0u);
   EXPECT_EQ(ran.ue_cell(ue.value()), CellId{2});
-  // The UE keeps its reported CQI across the move.
+  // The UE keeps its reported CQI across the move, and its slot.
   EXPECT_EQ(ran.ue_cqi(ue.value()), ran::Cqi{10});
+  EXPECT_EQ(ran.ue_slot(ue.value()), slot);
   EXPECT_EQ(ran.handover_totals().attempts, 5u);
+}
+
+TEST(RanHandover, StaleSlotIsDroppedAndLeavesTheNewOwnerInPlace) {
+  ran::RanController ran;
+  ran.add_cell(ran::Cell(CellId{1}, "a", ran::Bandwidth::mhz20, ran::SharingPolicy::pooled));
+  ran.add_cell(ran::Cell(CellId{2}, "b", ran::Bandwidth::mhz20, ran::SharingPolicy::pooled));
+  const PlmnId plmn{1};
+  ASSERT_TRUE(ran.install_plmn(plmn).ok());
+  ASSERT_TRUE(ran.set_allocation(plmn, DataRate::mbps(40.0)).ok());
+
+  // UE A takes a slot and detaches; UE B's attach reuses that slot.
+  const Result<UeId> a = ran.attach_ue_at(CellId{1}, plmn, ran::Cqi{9});
+  ASSERT_TRUE(a.ok());
+  const std::uint32_t slot = ran.ue_slot(a.value());
+  ASSERT_TRUE(ran.detach_ue(a.value()).ok());
+  EXPECT_FALSE(ran.ue_attached(a.value()));
+  const Result<UeId> b = ran.attach_ue_at(CellId{1}, plmn, ran::Cqi{12});
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(ran.ue_slot(b.value()), slot) << "the slot must be reused for the test to bite";
+
+  const int reserved_a = ran.cell_at(0).reservation_of(plmn).value;
+  const int reserved_b = ran.cell_at(1).reservation_of(plmn).value;
+  const std::vector<ran::HandoverRequest> stale{{a.value(), slot, 1}};
+  std::vector<std::uint8_t> outcomes(1, 0xff);
+  const ran::HandoverStats stats =
+      ran.apply_handovers(stale, SimTime::from_micros(1), outcomes);
+  EXPECT_EQ(stats.attempts, 1u);
+  EXPECT_EQ(stats.drops, 1u);
+  EXPECT_EQ(outcomes[0], 0u);
+  // B stays in its cell with its PRBs.
+  EXPECT_EQ(ran.ue_cell(b.value()), CellId{1});
+  EXPECT_EQ(ran.ue_cqi(b.value()), ran::Cqi{12});
+  EXPECT_EQ(ran.cell_at(0).attached_total(), 1u);
+  EXPECT_EQ(ran.cell_at(1).attached_total(), 0u);
+  EXPECT_EQ(ran.cell_at(0).reservation_of(plmn).value, reserved_a);
+  EXPECT_EQ(ran.cell_at(1).reservation_of(plmn).value, reserved_b);
 }
 
 // ------------------------------------------------ zero-alloc contract

@@ -517,8 +517,8 @@ TEST(RanController, UesBalanceAcrossCells) {
 // The controller is the only UE index ({plmn, cell, row} per UE), so
 // every UE operation must keep it, the cells' row stores and the
 // per-PLMN aggregates in step. A seeded mix of attaches, detaches,
-// handover batches (with unknown-UE, unknown-cell, same-cell and
-// inactive-target drops), outages and CQI walks runs against a shadow
+// handover batches (with unknown-UE, out-of-range-target, same-cell
+// and inactive-target drops), outages and CQI walks runs against a shadow
 // model; every step re-checks the whole observable UE state.
 TEST(RanController, RandomizedUeOpsMatchShadowModel) {
   const std::vector<CellId> cell_ids = {CellId{11}, CellId{12}, CellId{13}, CellId{14}};
@@ -666,13 +666,15 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
           const UeId ue = known ? live[static_cast<std::size_t>(rng.uniform_int(
                                       0, static_cast<std::int64_t>(live.size()) - 1))]
                                 : UeId{next_unknown};
+          // c == cell_ids.size() is a target index out of range; an
+          // unknown UE has no slot (kNoUeSlot).
           const auto c = static_cast<std::size_t>(rng.uniform_int(0, 4));
-          const CellId target = c == cell_ids.size() ? unknown_cell : cell_ids[c];
-          batch.push_back(HandoverRequest{ue, target});
+          batch.push_back(
+              HandoverRequest{ue, controller.ue_slot(ue), static_cast<std::uint32_t>(c)});
           // Requests apply in batch order, so a UE named twice moves from
           // wherever the earlier request left it.
           bool ok = false;
-          if (known && target != unknown_cell && active[c]) {
+          if (known && c < cell_ids.size() && active[c]) {
             ShadowUe& s = shadow.at(ue.value());
             ok = s.cell != c;
             if (ok) s.cell = c;
@@ -715,6 +717,141 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
   EXPECT_GT(handovers, 1000u);
   EXPECT_GT(drops, 500u);
   EXPECT_EQ(controller.handover_totals().successes, handovers);
+}
+
+// Cell::reserved_prbs() is a running total, so every path that changes
+// a reservation must keep it in step: set_reservation (grow, shrink,
+// zero), clear_reservation, withdraw_plmn, and the controller's
+// handover PRB migration and allocation resizes. A seeded mix of those
+// runs first on a bare cell against a shadow map, then through a
+// controller; after every op each cell's total must equal the sum of
+// reservation_of over its broadcast list.
+TEST(RanController, ReservedTotalStaysExactUnderRandomOps) {
+  const auto check_total = [](const Cell& cell) {
+    int sum = 0;
+    for (const PlmnId plmn : cell.broadcast_list()) sum += cell.reservation_of(plmn).value;
+    ASSERT_EQ(cell.reserved_prbs().value, sum) << cell.name();
+    ASSERT_EQ(cell.unreserved_prbs().value, cell.total_prbs().value - sum) << cell.name();
+  };
+
+  Rng rng(0xC0FFEEu);
+  Cell cell = make_cell();
+  std::map<std::uint64_t, int> shadow;  // broadcast PLMN -> reservation
+  std::size_t refusals = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const PlmnId plmn{static_cast<std::uint64_t>(rng.uniform_int(1, 8))};
+    const bool broadcast = shadow.contains(plmn.value());
+    switch (rng.uniform_int(0, 6)) {
+      case 0:
+      case 1:
+      case 2: {  // grow, shrink or zero
+        const int prbs = rng.bernoulli(0.2) ? 0 : static_cast<int>(rng.uniform_int(1, 70));
+        const Result<void> r = cell.set_reservation(plmn, PrbCount{prbs});
+        if (!broadcast) {
+          ASSERT_EQ(r.error().code, Errc::not_found);
+          break;
+        }
+        int others = 0;
+        for (const auto& [id, held] : shadow) others += id == plmn.value() ? 0 : held;
+        if (others + prbs > 100) {
+          ASSERT_EQ(r.error().code, Errc::insufficient_capacity);
+          ASSERT_EQ(r.error().message,
+                    "cell test-cell has only " + std::to_string(100 - others) + " PRBs free");
+          ++refusals;
+        } else {
+          ASSERT_TRUE(r.ok());
+          shadow[plmn.value()] = prbs;
+        }
+        break;
+      }
+      case 3: {
+        cell.clear_reservation(plmn);
+        if (broadcast) shadow[plmn.value()] = 0;
+        break;
+      }
+      case 4:
+      case 5: {
+        const Result<void> r = cell.withdraw_plmn(plmn);
+        if (!broadcast) {
+          ASSERT_EQ(r.error().code, Errc::not_found);
+        } else if (shadow[plmn.value()] > 0) {
+          ASSERT_EQ(r.error().code, Errc::conflict);
+        } else {
+          ASSERT_TRUE(r.ok());
+          shadow.erase(plmn.value());
+        }
+        break;
+      }
+      default: {
+        const Result<void> r = cell.broadcast_plmn(plmn);
+        if (broadcast || shadow.size() == kMaxBroadcastPlmns) {
+          ASSERT_FALSE(r.ok());
+        } else {
+          ASSERT_TRUE(r.ok());
+          shadow[plmn.value()] = 0;
+        }
+        break;
+      }
+    }
+    check_total(cell);
+    int sum = 0;
+    for (const auto& [id, held] : shadow) sum += held;
+    ASSERT_EQ(cell.reserved_prbs().value, sum) << "op " << op;
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(refusals, 50u) << "the mix must hit the capacity check";
+
+  // Through a controller: allocations resize and release every cell's
+  // reservations, and each handover moves the UE's PRB share.
+  RanController controller;
+  for (std::uint64_t c = 1; c <= 3; ++c) {
+    controller.add_cell(Cell(CellId{c}, "c" + std::to_string(c), Bandwidth::mhz10,
+                             SharingPolicy::pooled));
+  }
+  const std::vector<PlmnId> plmns = {PlmnId{1}, PlmnId{2}, PlmnId{3}};
+  for (const PlmnId plmn : plmns) ASSERT_TRUE(controller.install_plmn(plmn).ok());
+  std::vector<UeId> ues;
+  for (int k = 0; k < 90; ++k) {
+    const Result<UeId> ue = controller.attach_ue(plmns[static_cast<std::size_t>(k % 3)],
+                                                 Cqi{static_cast<int>(rng.uniform_int(5, 15))});
+    ASSERT_TRUE(ue.ok());
+    ues.push_back(ue.value());
+  }
+  const auto check_cells = [&] {
+    for (std::size_t c = 0; c < controller.cell_count(); ++c) check_total(controller.cell_at(c));
+  };
+  std::uint64_t migrated = 0;
+  for (int op = 0; op < 600; ++op) {
+    const PlmnId plmn = plmns[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        (void)controller.set_allocation(plmn, DataRate::mbps(rng.uniform(0.0, 30.0)));
+        break;
+      case 1:
+        controller.release_allocation(plmn);
+        break;
+      default: {
+        std::vector<HandoverRequest> batch;
+        for (int k = 0; k < 20; ++k) {
+          const UeId ue = ues[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(ues.size()) - 1))];
+          batch.push_back(HandoverRequest{ue, controller.ue_slot(ue),
+                                          static_cast<std::uint32_t>(rng.uniform_int(0, 2))});
+        }
+        migrated += controller.apply_handovers(batch, SimTime::from_micros(op + 1)).successes;
+        break;
+      }
+    }
+    check_cells();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(migrated, 1000u);
+
+  // withdraw_plmn through remove_plmn: PLMN 3 leaves every cell.
+  controller.release_allocation(PlmnId{3});
+  for (std::size_t k = 2; k < ues.size(); k += 3) ASSERT_TRUE(controller.detach_ue(ues[k]).ok());
+  ASSERT_TRUE(controller.remove_plmn(PlmnId{3}).ok());
+  check_cells();
 }
 
 TEST(RanController, ServeEpochAggregatesAndPublishesTelemetry) {
