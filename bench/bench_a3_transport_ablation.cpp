@@ -11,9 +11,6 @@
 //                          arena scratch; `threads`-wide pool, 1 =
 //                          serial). Fiber keeps fading and the repair
 //                          loop out of the measurement.
-// BM_TransportEpochServeLegacy/<paths>
-//                        — same epoch on the retained std::map reference
-//                          path, for the speedup column.
 
 #include <benchmark/benchmark.h>
 
@@ -162,23 +159,6 @@ BENCHMARK(BM_TransportEpochServe)
     ->Args({100000, 1})
     ->Args({100000, 4})
     ->Args({100000, 8})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_TransportEpochServeLegacy(benchmark::State& state) {
-  ServeSystem sys(static_cast<std::size_t>(state.range(0)));
-  sys.tc->set_legacy_epoch_path(true);
-  std::vector<transport::PathServeReport> reports;
-  int i = 0;
-  for (auto _ : state) {
-    sys.tc->serve_epoch_into(sys.demands, SimTime::from_seconds(++i * 900.0), reports);
-    benchmark::DoNotOptimize(reports.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["paths"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_TransportEpochServeLegacy)
-    ->Arg(10000)
-    ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ServeEpochWithFading(benchmark::State& state) {

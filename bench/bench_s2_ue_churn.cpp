@@ -18,16 +18,10 @@
 //                          per-cell task pipeline on a `threads`-wide
 //                          pool; 1 = serial). The 1M row is the
 //                          ROADMAP's million-UE control-loop target.
-// BM_EpochServeLegacy/<ues>
-//                        — same epoch on the pre-SoA reference path
-//                          (per-cell vectors, std::map reduction), for
-//                          the kernel-vs-legacy speedup column.
 // BM_Wander/<ues>        — the CQI wander alone, through the batched
 //                          branchless kernel (one RNG word per four
 //                          rows, a 16-bit lane each; mask-and-clamp
 //                          apply over the SoA byte columns).
-// BM_WanderLegacy/<ues>  — the retained per-row bernoulli walk, for the
-//                          wander speedup column.
 
 #include <benchmark/benchmark.h>
 
@@ -101,8 +95,7 @@ void print_experiment() {
   std::printf("see the google-benchmark tables: BM_UeChurn/<ues>, BM_EpochServe/<ues>/<threads>\n");
   std::printf("expected shape: churn cost is O(1) per attach/detach pair and flat in the\n"
               "population; epoch serving grows linearly in attached UEs (the CQI walk)\n"
-              "and shards across the pool per cell. BM_EpochServeLegacy is the pre-SoA\n"
-              "reference path for the speedup column.\n\n");
+              "and shards across the pool per cell.\n\n");
 }
 
 void BM_UeChurn(benchmark::State& state) {
@@ -160,27 +153,6 @@ BENCHMARK(BM_EpochServe)
     ->Args({1000000, 8})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_EpochServeLegacy(benchmark::State& state) {
-  ChurnSystem sys(static_cast<std::size_t>(state.range(0)));
-  sys.ran.set_legacy_epoch_path(true);
-  std::vector<std::pair<PlmnId, DataRate>> demands;
-  for (const PlmnId plmn : sys.plmns) demands.emplace_back(plmn, DataRate::mbps(150.0));
-  std::vector<ran::RanServeReport> reports;
-  SimTime now = SimTime::origin();
-  for (auto _ : state) {
-    now = now + Duration::minutes(15.0);
-    sys.ran.wander_cqis(sys.rng);
-    sys.ran.serve_epoch_into(demands, now, reports);
-    benchmark::DoNotOptimize(reports.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["active_ues"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_EpochServeLegacy)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_Wander(benchmark::State& state) {
   ChurnSystem sys(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -190,20 +162,6 @@ void BM_Wander(benchmark::State& state) {
   state.counters["active_ues"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_Wander)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_WanderLegacy(benchmark::State& state) {
-  ChurnSystem sys(static_cast<std::size_t>(state.range(0)));
-  sys.ran.set_legacy_wander_path(true);
-  for (auto _ : state) {
-    sys.ran.wander_cqis(sys.rng);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["active_ues"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_WanderLegacy)
     ->Arg(100000)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);

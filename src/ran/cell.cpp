@@ -185,26 +185,6 @@ void Cell::wander_cqis(Rng& rng, double step_probability) {
   for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[i];
 }
 
-void Cell::wander_cqis_legacy(Rng& rng, double step_probability) {
-  // Pre-vectorization reference: per live row, bernoulli(p) gates the
-  // step and a second bernoulli draws the sign. RNG consumption is
-  // data-dependent (live rows only, extra draw when stepping).
-  std::uint8_t* cqi = ues_.cqi_column();
-  const std::uint8_t* plmn = ues_.plmn_column();
-  std::array<std::int64_t, kMaxBroadcastPlmns> delta{};
-  const std::size_t rows = ues_.row_count();
-  for (std::uint32_t row = 0; row < rows; ++row) {
-    if (!ues_.live(row)) continue;
-    if (!rng.bernoulli(step_probability)) continue;
-    const int step = rng.bernoulli(0.5) ? 1 : -1;
-    const int next = static_cast<int>(cqi[row]) + step;
-    const int clamped = next < 1 ? 1 : (next > 15 ? 15 : next);
-    delta[plmn[row]] += clamped - static_cast<int>(cqi[row]);
-    cqi[row] = static_cast<std::uint8_t>(clamped);
-  }
-  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[i];
-}
-
 std::size_t Cell::attached_count(PlmnId plmn) const noexcept {
   const std::size_t i = plmn_index(plmn);
   return i == broadcast_.size() ? 0 : plmns_[i].count;

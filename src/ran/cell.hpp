@@ -122,15 +122,8 @@ class Cell {
   /// the SoA byte columns: one RNG word is drawn per *four rows* (live
   /// or hole, in row order; each row consumes an independent 16-bit
   /// lane), so consumption depends only on the row count — never on the
-  /// data. RNG consumption differs from wander_cqis_legacy, so the two
-  /// produce different (but identically-distributed) walks.
+  /// data.
   void wander_cqis(Rng& rng, double step_probability);
-
-  /// Pre-vectorization reference walk: per live row, one bernoulli draw
-  /// decides stepping and a second draws the sign. Kept as the oracle
-  /// for the distribution-parity suite (ran_test) and reachable via
-  /// RanController::set_legacy_wander_path.
-  void wander_cqis_legacy(Rng& rng, double step_probability);
 
   [[nodiscard]] std::size_t attached_count(PlmnId plmn) const noexcept;
   /// Same by broadcast position (no PLMN scan); `index` < broadcast_count().

@@ -213,11 +213,7 @@ void RanController::wander_cqis(Rng& rng, double step_probability) {
   parallel_for(pool_, cells_.size(), kCellGrain, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       Rng local(wander_seeds_[i]);
-      if (legacy_wander_path_) {
-        cells_[i].wander_cqis_legacy(local, step_probability);
-      } else {
-        cells_[i].wander_cqis(local, step_probability);
-      }
+      cells_[i].wander_cqis(local, step_probability);
     }
   });
 }
@@ -384,15 +380,6 @@ std::vector<RanServeReport> RanController::serve_epoch(
   return out;
 }
 
-void RanController::serve_epoch_into(std::span<const std::pair<PlmnId, DataRate>> demands,
-                                     SimTime now, std::vector<RanServeReport>& out) {
-  if (legacy_epoch_path_) {
-    serve_epoch_legacy(demands, now, out);
-  } else {
-    serve_epoch_batched(demands, now, out);
-  }
-}
-
 void RanController::observe_cell_telemetry(std::size_t cell_index, SimTime now,
                                            PrbCount used, bool active) {
   if (registry_ == nullptr) return;
@@ -427,9 +414,8 @@ void RanController::observe_cell_telemetry(std::size_t cell_index, SimTime now,
 // reduction. All scratch is arena storage rewound between epochs;
 // per-cell working sets are fixed-size stack arrays — the steady-state
 // loop performs no heap allocation at any pool size.
-void RanController::serve_epoch_batched(
-    std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
-    std::vector<RanServeReport>& out) {
+void RanController::serve_epoch_into(std::span<const std::pair<PlmnId, DataRate>> demands,
+                                     SimTime now, std::vector<RanServeReport>& out) {
   TRACE_SCOPE("ran.serve_epoch");
   const std::size_t n_demands = demands.size();
   const std::size_t n_cells = cells_.size();
@@ -469,8 +455,7 @@ void RanController::serve_epoch_batched(
       }
       broadcasting[d] = b;
     }
-    // Reports (and their telemetry) are published in ascending PLMN
-    // order — the same order the legacy std::map reduction produced.
+    // Reports (and their telemetry) are published in ascending PLMN order.
     std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
       return demands[a].first < demands[b].first;
     });
@@ -568,124 +553,6 @@ void RanController::serve_epoch_batched(
   out.reserve(n_demands);
   for (std::size_t k = 0; k < n_demands; ++k) {
     const RanServeReport& report = totals[order[k]];
-    if (registry_ != nullptr) publish_plmn_telemetry(report, now);
-    out.push_back(report);
-  }
-}
-
-// Pre-SoA reference implementation, kept verbatim as the byte-level
-// oracle for the parity suite in determinism_test.
-void RanController::serve_epoch_legacy(
-    std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
-    std::vector<RanServeReport>& out) {
-  TRACE_SCOPE("ran.serve_epoch");
-  // Split each PLMN's demand across cells: weight by attached UEs,
-  // equal split when the PLMN has none anywhere.
-  //
-  // Phase spans mirror the batched kernel's exactly (same labels, same
-  // boundaries) so the two paths export byte-identical traces.
-  std::map<PlmnId, RanServeReport> totals;
-  std::map<PlmnId, std::size_t> broadcasting_by_plmn;
-  {
-    TRACE_SCOPE("ran.epoch.prepare");
-    for (const auto& [plmn, demand] : demands) {
-      totals[plmn] = RanServeReport{plmn, demand, DataRate::zero(), DataRate::zero()};
-    }
-
-    // Per-PLMN broadcasting-cell counts, built once per epoch. Attached
-    // counts need no scan at all: attached_by_plmn_ is maintained
-    // incrementally on attach/detach, so the epoch cost is independent
-    // of the UE population size.
-    for (const auto& [plmn, demand] : demands) {
-      std::size_t broadcasting = 0;
-      for (const Cell& c : cells_) {
-        if (c.broadcasts(plmn)) ++broadcasting;
-      }
-      broadcasting_by_plmn.emplace(plmn, broadcasting);
-    }
-  }
-
-  // Phase 1 — per-cell serving, shardable across the pool: every cell
-  // only reads itself plus the shared read-only indices above and writes
-  // its own outcome slot, so execution order cannot affect the result.
-  struct CellOutcome {
-    bool active = false;
-    std::vector<std::pair<PlmnId, DataRate>> lost;  // outage: demand shares gone unserved
-    std::vector<PlmnGrant> grants;
-    PrbCount used{0};
-  };
-  std::vector<CellOutcome> outcomes(cells_.size());
-
-  const auto serve_cell = [&](std::size_t i) {
-    const Cell& cell = cells_[i];
-    CellOutcome& slot = outcomes[i];
-    slot.active = cell_active_[i] != 0;
-
-    std::vector<std::pair<PlmnId, DataRate>> cell_demand;
-    for (const auto& [plmn, demand] : demands) {
-      if (!cell.broadcasts(plmn)) continue;
-      const std::size_t here = cell.attached_count(plmn);
-      const std::size_t* everywhere = attached_by_plmn_.find(plmn);
-      double share = 0.0;
-      if (everywhere != nullptr && *everywhere > 0) {
-        share = static_cast<double>(here) / static_cast<double>(*everywhere);
-      } else {
-        // Equal split over the cells broadcasting this PLMN.
-        const std::size_t broadcasting = broadcasting_by_plmn.at(plmn);
-        share = broadcasting == 0 ? 0.0 : 1.0 / static_cast<double>(broadcasting);
-      }
-      cell_demand.emplace_back(plmn, demand * share);
-    }
-
-    if (!slot.active) {
-      slot.lost = std::move(cell_demand);
-      return;
-    }
-    slot.grants = cell.serve_epoch(cell_demand);
-    for (const PlmnGrant& g : slot.grants) slot.used += g.granted;
-  };
-  {
-    TRACE_SCOPE("ran.epoch.cells");
-    parallel_for(pool_, cells_.size(), kCellGrain,
-                 [&serve_cell](std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) serve_cell(i);
-                 });
-  }
-
-  // Phase 2 — sequential reduction in cell order on the calling thread;
-  // this fixed order is what keeps reports and telemetry bit-for-bit
-  // identical at any pool size.
-  {
-    TRACE_SCOPE("ran.epoch.reduce");
-    if (registry_ != nullptr && cell_handles_.size() < cells_.size()) {
-      cell_handles_.resize(cells_.size());
-    }
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      CellOutcome& outcome = outcomes[i];
-
-      if (!outcome.active) {
-        // Cell outage: its share of every PLMN's demand goes unserved.
-        for (const auto& [plmn, share_demand] : outcome.lost) {
-          const auto it = totals.find(plmn);
-          if (it != totals.end()) it->second.unserved += share_demand;
-        }
-        observe_cell_telemetry(i, now, PrbCount{0}, /*active=*/false);
-        continue;
-      }
-
-      for (const PlmnGrant& g : outcome.grants) {
-        auto it = totals.find(g.plmn);
-        if (it == totals.end()) continue;  // PLMN with zero offered demand
-        it->second.served += g.served;
-        it->second.unserved += g.unserved;
-      }
-      observe_cell_telemetry(i, now, outcome.used, /*active=*/true);
-    }
-  }
-
-  out.clear();
-  out.reserve(totals.size());
-  for (const auto& [plmn, report] : totals) {
     if (registry_ != nullptr) publish_plmn_telemetry(report, now);
     out.push_back(report);
   }

@@ -141,17 +141,9 @@ class RanController {
   /// Channel-quality dynamics: random-walk every attached UE's CQI by
   /// ±1 (clamped to [1,15]) with probability `step_probability` each —
   /// the periodic CQI feedback real eNBs receive. Call once per epoch.
-  /// Dispatches to the vectorized per-cell kernel (Cell::wander_cqis)
-  /// unless set_legacy_wander_path is on.
+  /// Runs the vectorized per-cell kernel (Cell::wander_cqis) as one
+  /// task per cell, each on its own stream seeded from `rng`.
   void wander_cqis(Rng& rng, double step_probability = 0.3);
-
-  /// Route CQI walks through the pre-vectorization per-row reference
-  /// (Cell::wander_cqis_legacy). The two paths consume the per-cell RNG
-  /// streams differently, so they produce different (identically
-  /// distributed) walks — this switch is separate from
-  /// set_legacy_epoch_path so serve-path parity runs wander identically
-  /// on both sides.
-  void set_legacy_wander_path(bool legacy) noexcept { legacy_wander_path_ = legacy; }
 
   /// Attach a new UE under `plmn` to a specific cell (mobility placement
   /// — the Field knows where the UE is, so least-loaded selection does
@@ -234,15 +226,10 @@ class RanController {
   /// first; capacity is reused). All per-epoch scratch comes from a
   /// per-controller arena that is rewound, not freed, between epochs —
   /// after a warm-up epoch the steady-state serve loop performs no heap
-  /// allocation (pinned by epoch_alloc_test).
+  /// allocation (pinned by epoch_alloc_test). determinism_test pins the
+  /// reports and telemetry to recorded digests.
   void serve_epoch_into(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
                         std::vector<RanServeReport>& out);
-
-  /// Route epochs through the pre-SoA reference implementation (per-cell
-  /// std::vector scratch, std::map reductions). Same results, byte for
-  /// byte — kept as the oracle for the SoA-vs-legacy parity suite in
-  /// determinism_test; the batched kernel is the default.
-  void set_legacy_epoch_path(bool legacy) noexcept { legacy_epoch_path_ = legacy; }
 
   /// Attach a worker pool (non-owning; may be nullptr to detach).
   void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
@@ -262,10 +249,6 @@ class RanController {
 
   /// Attach a new UE on cells_[index] and record it in the UE index.
   [[nodiscard]] Result<UeId> attach_at(std::uint32_t index, PlmnId plmn, Cqi cqi);
-  void serve_epoch_batched(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
-                           std::vector<RanServeReport>& out);
-  void serve_epoch_legacy(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
-                          std::vector<RanServeReport>& out);
   void observe_cell_telemetry(std::size_t cell_index, SimTime now, PrbCount used,
                               bool active);
   /// Observe one PLMN's serve report into its "ran.plmn.<id>.*" series,
@@ -312,8 +295,6 @@ class RanController {
   IdAllocator<UeTag> ue_ids_;
   telemetry::MonitorRegistry* registry_;
   ThreadPool* pool_ = nullptr;
-  bool legacy_epoch_path_ = false;
-  bool legacy_wander_path_ = false;
   /// Per-epoch scratch, reused so steady-state epochs never allocate:
   /// the arena carries all flat per-cell/per-demand arrays of the
   /// batched kernel; wander_seeds carries the per-cell RNG streams.

@@ -1,7 +1,6 @@
 #include "transport/controller.hpp"
 
 #include <cassert>
-#include <map>
 #include <string>
 
 #include "json/value.hpp"
@@ -423,10 +422,6 @@ void TransportController::publish_totals_telemetry(SimTime now) {
 void TransportController::serve_epoch_into(
     std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
     std::vector<PathServeReport>& out) {
-  if (legacy_epoch_path_) {
-    serve_epoch_legacy(demands, now, out);
-    return;
-  }
   TRACE_SCOPE("transport.serve_epoch");
   fading_.step();
 
@@ -532,90 +527,6 @@ void TransportController::serve_epoch_into(
 
   for (std::size_t i = 0; i < n_repair; ++i) {
     if (PathReservation* reservation = paths_.find(repair[i])) try_reroute(*reservation);
-  }
-
-  if (registry_ != nullptr) publish_totals_telemetry(now);
-}
-
-void TransportController::serve_epoch_legacy(
-    std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
-    std::vector<PathServeReport>& out) {
-  // Pre-SoA reference implementation, kept byte-compatible with the
-  // kernel: std::map scale, per-epoch vectors, per-link find_link
-  // walks. The parity suite in determinism_test compares the two paths;
-  // the allocation-counter vacuity guard in epoch_alloc_test depends on
-  // this path allocating every epoch.
-  TRACE_SCOPE("transport.serve_epoch");
-  fading_.step();
-
-  // Effective per-link scale: when fading pushes capacity below the
-  // total reservation, every traversing path is scaled by cap/reserved.
-  std::map<LinkId, double> scale;
-  for (const Link& link : topology_.links()) {
-    const DataRate reserved = reserved_on(link.id);
-    if (reserved <= DataRate::zero()) continue;
-    const DataRate capacity = current_capacity(link);
-    scale[link.id] = capacity >= reserved ? 1.0 : capacity / reserved;
-  }
-
-  struct PathOutcome {
-    bool valid = false;
-    PathServeReport report;
-  };
-  std::vector<PathOutcome> outcomes(demands.size());
-
-  const auto serve_path = [&](std::size_t i) {
-    const auto& [path_id, demand] = demands[i];
-    const PathReservation* found = paths_.find(path_id);
-    if (found == nullptr) return;
-    const PathReservation& reservation = *found;
-
-    double factor = 1.0;
-    Duration delay = Duration::zero();
-    for (const LinkId link_id : reservation.route.links) {
-      const Link* link = topology_.find_link(link_id);
-      if (link == nullptr) {
-        // Stale route link (verbatim-restored route): carries nothing.
-        factor = 0.0;
-        continue;
-      }
-      delay += link->delay;
-      const auto sc = scale.find(link_id);
-      if (sc != scale.end() && sc->second < factor) factor = sc->second;
-    }
-
-    PathServeReport report;
-    report.path = reservation.id;
-    report.slice = reservation.slice;
-    report.demand = demand;
-    report.served = min(demand, reservation.reserved * factor);
-    report.degraded = factor < 0.999;
-    const double utilization =
-        reservation.reserved <= DataRate::zero()
-            ? 0.0
-            : report.served / (reservation.reserved * factor + DataRate::mbps(1e-9));
-    const double queue_penalty = utilization > 0.9 ? (utilization - 0.9) * 10.0 : 0.0;
-    report.experienced_delay = delay * (1.0 + queue_penalty);
-    report.delay_violated = report.experienced_delay > reservation.max_delay;
-    outcomes[i] = PathOutcome{true, report};
-  };
-  parallel_for(pool_, demands.size(), kPathGrain,
-               [&serve_path](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) serve_path(i);
-               });
-
-  out.clear();
-  std::vector<PathId> to_repair;
-  for (const PathOutcome& outcome : outcomes) {
-    if (!outcome.valid) continue;
-    const PathServeReport& report = outcome.report;
-    out.push_back(report);
-    if (report.degraded) to_repair.push_back(report.path);
-    if (registry_ != nullptr) publish_path_telemetry(report, now);
-  }
-
-  for (const PathId id : to_repair) {
-    if (PathReservation* reservation = paths_.find(id)) try_reroute(*reservation);
   }
 
   if (registry_ != nullptr) publish_totals_telemetry(now);

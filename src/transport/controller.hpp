@@ -146,15 +146,10 @@ class TransportController {
   /// after a warm-up epoch the steady-state serve loop performs no heap
   /// allocation (pinned by epoch_alloc_test). Same parallel-for +
   /// sequential-reduction shape as the RAN kernel; output is
-  /// bit-identical at any pool size and to the legacy path.
+  /// bit-identical at any pool size and matches the digests recorded in
+  /// determinism_test.
   void serve_epoch_into(std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
                         std::vector<PathServeReport>& out);
-
-  /// Route epochs through the pre-SoA reference implementation
-  /// (std::map scale, per-epoch vectors, per-link find_link walks).
-  /// Same results, byte for byte — kept as the oracle for the
-  /// SoA-vs-legacy parity suite in determinism_test.
-  void set_legacy_epoch_path(bool legacy) noexcept { legacy_epoch_path_ = legacy; }
 
   /// Attach a worker pool (non-owning; may be nullptr to detach). The
   /// per-path serving computation shards across it; reduction, repair
@@ -185,8 +180,6 @@ class TransportController {
     return paths_.slot_of(id);
   }
   void compact_route_arena();
-  void serve_epoch_legacy(std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
-                          std::vector<PathServeReport>& out);
   void publish_path_telemetry(const PathServeReport& report, SimTime now);
   void publish_totals_telemetry(SimTime now);
 
@@ -235,7 +228,6 @@ class TransportController {
   telemetry::MonitorRegistry* registry_;
   std::uint64_t reroutes_ = 0;
   ThreadPool* pool_ = nullptr;
-  bool legacy_epoch_path_ = false;
   DenseIdMap<PathId, PathHandles> path_handles_;
   telemetry::SeriesHandle reserved_total_;
   telemetry::SeriesHandle capacity_total_;

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "json/value.hpp"
 #include "ran/cell.hpp"
 #include "ran/controller.hpp"
+#include "store/crc32.hpp"
 #include "store/store.hpp"
 #include "telemetry/trace.hpp"
 #include "traffic/verticals.hpp"
@@ -63,7 +65,7 @@ struct RunResult {
 /// monitoring epochs with overbooking adaptation, one early terminate
 /// and one natural expiry — enough to touch every journaled op and both
 /// active and inactive cell branches.
-RunResult run_scenario(std::size_t epoch_threads, bool legacy_ran_path = false) {
+RunResult run_scenario(std::size_t epoch_threads) {
   // Tracing stays *enabled* for the whole scenario: spans carry
   // sim-clock timestamps (wall clock off), so the exported trace must
   // be as bit-stable as the journal.
@@ -78,7 +80,6 @@ RunResult run_scenario(std::size_t epoch_threads, bool legacy_ran_path = false) 
   OrchestratorConfig config;
   config.epoch_threads = epoch_threads;
   auto tb = make_testbed(/*seed=*/77, config);
-  tb->ran.set_legacy_epoch_path(legacy_ran_path);
   tb->orchestrator->attach_store(&store);
 
   const auto submit = [&](traffic::Vertical v, double hours, std::uint64_t seed) {
@@ -158,37 +159,72 @@ TEST(Determinism, RepeatedRunIsBitStable) {
   expect_identical(a, b);
 }
 
-// --- SoA-vs-legacy parity ---------------------------------------------------
+// --- Recorded digests -------------------------------------------------------
 //
-// The batched epoch kernel (arena scratch, flat per-cell slabs) must be
-// byte-for-byte indistinguishable from the pre-SoA reference path — in
-// the full-testbed scorecard, telemetry, journal and trace.
+// The epoch kernels' output is pinned by digests recorded from the pre-SoA
+// reference paths (per-cell std::vector scratch and std::map reductions in
+// the RAN and transport controllers), which produced byte-identical output
+// to the kernels when the digests were taken. A digest is the CRC-32 of a
+// scorecard plus its byte length. A mismatch prints the actual digest:
+// re-recording one is a deliberate edit of the digest literals below, made
+// only by a change that means to alter what an epoch serves.
 
-TEST(Determinism, BatchedKernelMatchesLegacyPathSingleThread) {
-  const RunResult batched = run_scenario(1, /*legacy_ran_path=*/false);
-  const RunResult legacy = run_scenario(1, /*legacy_ran_path=*/true);
-  expect_identical(batched, legacy);
+/// CRC-32 and byte length.
+using Digest = std::pair<std::uint32_t, std::size_t>;
+
+/// EXPECT that `bytes` digest to `recorded`, printing the actual digest.
+void expect_digest(std::string_view bytes, const Digest& recorded, std::string_view what) {
+  const Digest actual{store::crc32(bytes), bytes.size()};
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "{0x%08x, %zu}", static_cast<unsigned>(actual.first),
+                actual.second);
+  EXPECT_EQ(actual, recorded) << "actual digest of " << what << ": " << buf;
 }
 
-TEST(Determinism, BatchedKernelMatchesLegacyPathPooled) {
-  const RunResult batched = run_scenario(4, /*legacy_ran_path=*/false);
-  const RunResult legacy = run_scenario(4, /*legacy_ran_path=*/true);
-  expect_identical(batched, legacy);
+/// The summary fields expect_identical compares, as text; doubles as hex
+/// bit patterns so the digest pins them exactly.
+std::string summary_card(const OrchestratorSummary& s) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "active=%zu installing=%zu admitted=%llu rejected=%llu contracted=%a "
+                "reserved=%a gain=%a earned=%lld penalties=%lld net=%lld violations=%llu "
+                "reconfigurations=%llu\n",
+                s.active_slices, s.installing_slices,
+                static_cast<unsigned long long>(s.admitted_total),
+                static_cast<unsigned long long>(s.rejected_total),
+                s.contracted_total.bits_per_second(), s.reserved_total.bits_per_second(),
+                s.multiplexing_gain, static_cast<long long>(s.earned.as_cents()),
+                static_cast<long long>(s.penalties.as_cents()),
+                static_cast<long long>(s.net.as_cents()),
+                static_cast<unsigned long long>(s.violation_epochs),
+                static_cast<unsigned long long>(s.reconfigurations));
+  return buf;
 }
 
-// RAN-level parity at population scale: a controller with tens of cells
+void expect_recorded(const RunResult& run) {
+  expect_digest(summary_card(run.summary), {0x77e88455, 196}, "summary");
+  expect_digest(run.state_json, {0xb0c32fcc, 1750}, "state");
+  expect_digest(run.telemetry_json, {0x84dbe580, 5267}, "telemetry");
+  expect_digest(run.journal_bytes, {0x9e337f4b, 7673}, "journal");
+  expect_digest(run.trace_json, {0x35d91423, 71749}, "trace");
+}
+
+TEST(Determinism, KernelMatchesRecordedDigestsSingleThread) {
+  expect_recorded(run_scenario(1));
+}
+
+TEST(Determinism, KernelMatchesRecordedDigestsPooled) {
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_recorded(run_scenario(threads));
+  }
+}
+
+// RAN scorecard at population scale: a controller with tens of cells
 // and 10k/100k attached UEs (with detach holes in the columns) must
-// produce bit-identical serve reports and telemetry on the batched and
-// legacy paths, at every pool size. This is the scorecard the 1M-UE
-// bench relies on.
-struct RanScorecardOptions {
-  std::size_t threads = 1;
-  bool legacy_serve = false;
-  bool legacy_wander = false;   ///< pre-SoA per-row CQI walk
-};
-
-std::string ran_scorecard(std::size_t n_ues, const RanScorecardOptions& opt) {
-  const std::size_t threads = opt.threads;
+// produce the recorded serve reports and telemetry at every pool size.
+// This is the scorecard the 1M-UE bench relies on.
+std::string ran_scorecard(std::size_t n_ues, std::size_t threads) {
   telemetry::MonitorRegistry registry;
   ran::RanController ran(&registry);
   constexpr std::size_t kCells = 24;
@@ -233,8 +269,6 @@ std::string ran_scorecard(std::size_t n_ues, const RanScorecardOptions& opt) {
     pool = std::make_unique<ThreadPool>(threads);
     ran.set_thread_pool(pool.get());
   }
-  ran.set_legacy_epoch_path(opt.legacy_serve);
-  ran.set_legacy_wander_path(opt.legacy_wander);
 
   std::string card;
   Rng wander_rng(7);
@@ -262,26 +296,18 @@ std::string ran_scorecard(std::size_t n_ues, const RanScorecardOptions& opt) {
   return card;
 }
 
-std::string ran_scorecard(std::size_t n_ues, std::size_t threads, bool legacy) {
-  RanScorecardOptions opt;
-  opt.threads = threads;
-  opt.legacy_serve = legacy;
-  return ran_scorecard(n_ues, opt);
-}
-
 TEST(Determinism, RanParity10kUes) {
-  const std::string legacy = ran_scorecard(10'000, 1, /*legacy=*/true);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
-    EXPECT_EQ(ran_scorecard(10'000, threads, /*legacy=*/false), legacy)
-        << "threads=" << threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_digest(ran_scorecard(10'000, threads), {0xa3fabc41, 12142}, "10k-UE RAN scorecard");
   }
 }
 
 TEST(Determinism, RanParity100kUes) {
-  const std::string legacy = ran_scorecard(100'000, 1, /*legacy=*/true);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    EXPECT_EQ(ran_scorecard(100'000, threads, /*legacy=*/false), legacy)
-        << "threads=" << threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_digest(ran_scorecard(100'000, threads), {0x466cf138, 12134},
+                  "100k-UE RAN scorecard");
   }
 }
 
@@ -292,49 +318,58 @@ TEST(Determinism, RanParity100kUes) {
 // the pool size.
 
 TEST(Determinism, WanderVectorizedPoolInvariance) {
-  RanScorecardOptions opt;
-  const std::string serial = ran_scorecard(20'000, opt);
+  const std::string serial = ran_scorecard(20'000, 1);
   for (const std::size_t threads : {std::size_t{3}, std::size_t{4}}) {
-    opt.threads = threads;
-    EXPECT_EQ(ran_scorecard(20'000, opt), serial) << "threads=" << threads;
+    EXPECT_EQ(ran_scorecard(20'000, threads), serial) << "threads=" << threads;
   }
 }
 
-TEST(Determinism, WanderLegacyWalkStillPoolInvariant) {
-  RanScorecardOptions opt;
-  opt.legacy_wander = true;
-  const std::string serial = ran_scorecard(10'000, opt);
-  opt.threads = 4;
-  EXPECT_EQ(ran_scorecard(10'000, opt), serial);
-}
-
-// --- Transport kernel parity ------------------------------------------------
+// --- Transport kernel scorecard ---------------------------------------------
 //
-// Same contract as the RAN scorecard: the SoA transport serve kernel must
-// be byte-identical to the legacy std::map path, at every pool size, over
-// a fading substrate that forces scaling and reroutes.
+// The SoA transport serve kernel must produce the recorded report stream
+// at every pool size, over a fading s-m-t / s-t substrate that forces
+// scaling and reroutes.
 
-std::string transport_scorecard(std::size_t threads, bool legacy) {
+struct TransportSubstrate {
+  double mmwave_mbps;  ///< s-m
+  double uwave_mbps;   ///< m-t
+  double fiber_mbps;   ///< s-t
+  std::uint64_t seed;
+  std::uint64_t paths;  ///< path i belongs to slice 1 + i % 9
+  double reserve_mbps;
+  double demand_mbps;
+  int epochs;
+  bool registry;  ///< publish telemetry and append its snapshot
+};
+
+/// 160 paths over a wide substrate, with telemetry.
+constexpr TransportSubstrate kWideSubstrate{10000.0, 8000.0, 6000.0, 55, 160, 25.0, 20.0, 60, true};
+/// 4 paths loading a narrow substrate for 500 epochs, no telemetry.
+constexpr TransportSubstrate kFadingSubstrate{1000.0, 800.0, 600.0, 77,   4,
+                                              120.0,  100.0, 500,   false};
+
+std::string transport_scorecard(const TransportSubstrate& sub, std::size_t threads) {
   telemetry::MonitorRegistry registry;
   transport::Topology topo;
   const NodeId s = topo.add_node("s", transport::NodeKind::enb_gateway);
   const NodeId m = topo.add_node("m", transport::NodeKind::openflow_switch);
   const NodeId t = topo.add_node("t", transport::NodeKind::core_gateway);
-  topo.add_link(s, m, transport::LinkTechnology::mmwave, DataRate::mbps(10000.0),
+  topo.add_link(s, m, transport::LinkTechnology::mmwave, DataRate::mbps(sub.mmwave_mbps),
                 Duration::millis(1.0));
-  topo.add_link(m, t, transport::LinkTechnology::uwave, DataRate::mbps(8000.0),
+  topo.add_link(m, t, transport::LinkTechnology::uwave, DataRate::mbps(sub.uwave_mbps),
                 Duration::millis(1.0));
-  topo.add_link(s, t, transport::LinkTechnology::fiber, DataRate::mbps(6000.0),
+  topo.add_link(s, t, transport::LinkTechnology::fiber, DataRate::mbps(sub.fiber_mbps),
                 Duration::millis(4.0));
-  transport::TransportController tc(std::move(topo), Rng(55), &registry);
-  tc.set_legacy_epoch_path(legacy);
+  transport::TransportController tc(std::move(topo), Rng(sub.seed),
+                                    sub.registry ? &registry : nullptr);
 
   std::vector<std::pair<PathId, DataRate>> demands;
-  for (std::uint64_t i = 0; i < 160; ++i) {
-    const Result<PathId> path = tc.allocate_path(SliceId{1 + i % 9}, s, t,
-                                                 DataRate::mbps(25.0), Duration::millis(20.0));
+  for (std::uint64_t i = 0; i < sub.paths; ++i) {
+    const Result<PathId> path =
+        tc.allocate_path(SliceId{1 + i % 9}, s, t, DataRate::mbps(sub.reserve_mbps),
+                         Duration::millis(20.0));
     EXPECT_TRUE(path.ok());
-    demands.emplace_back(path.value(), DataRate::mbps(20.0));
+    demands.emplace_back(path.value(), DataRate::mbps(sub.demand_mbps));
   }
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
@@ -343,12 +378,13 @@ std::string transport_scorecard(std::size_t threads, bool legacy) {
   }
 
   std::string card;
-  for (int epoch = 0; epoch < 60; ++epoch) {
+  for (int epoch = 0; epoch < sub.epochs; ++epoch) {
     const auto reports = tc.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0));
     for (const transport::PathServeReport& r : reports) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "%llu:%a/%lld/%d%d;",
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), "%llu/%llu:%a/%lld/%d%d;",
                     static_cast<unsigned long long>(r.path.value()),
+                    static_cast<unsigned long long>(r.slice.value()),
                     r.served.bits_per_second(),
                     static_cast<long long>(r.experienced_delay.as_micros()),
                     r.delay_violated ? 1 : 0, r.degraded ? 1 : 0);
@@ -357,16 +393,21 @@ std::string transport_scorecard(std::size_t threads, bool legacy) {
     card += "\n";
   }
   card += "reroutes=" + std::to_string(tc.reroutes()) + "\n";
-  card += json::serialize(registry.snapshot());
+  if (sub.registry) card += json::serialize(registry.snapshot());
   return card;
 }
 
 TEST(Determinism, TransportParityAcrossPoolSizes) {
-  const std::string legacy = transport_scorecard(1, /*legacy=*/true);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
-    EXPECT_EQ(transport_scorecard(threads, /*legacy=*/false), legacy)
-        << "threads=" << threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_digest(transport_scorecard(kWideSubstrate, threads), {0x81c05bd5, 292555},
+                  "transport scorecard");
   }
+}
+
+TEST(Determinism, TransportFadingSubstrateMatchesRecordedDigest) {
+  expect_digest(transport_scorecard(kFadingSubstrate, 1), {0x612b30f5, 52543},
+                "fading transport scorecard");
 }
 
 }  // namespace

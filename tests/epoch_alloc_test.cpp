@@ -107,15 +107,14 @@ TEST(EpochAllocations, ArenaRewindsInsteadOfFreeing) {
   EXPECT_LE(probe.high_water(), probe.capacity());
 }
 
-// The legacy path is expected to allocate — this guards against the
+// A fresh controller's first epoch reserves the arena, sizes the wander
+// seeds and grows `reports`, so it must allocate — this guards against the
 // counter itself going blind (a counter that never fires would make the
-// zero-allocation tests above vacuous).
-TEST(EpochAllocations, CounterSeesLegacyPathAllocations) {
+// zero-allocation tests above vacuous) on the same code they measure.
+TEST(EpochAllocations, CounterSeesFirstEpochAllocations) {
   Fixture fx(1, /*n_ues=*/1'000);
-  fx.ran.set_legacy_epoch_path(true);
-  fx.run_epoch(0);
   AllocationCounter counter;
-  fx.run_epoch(1);
+  fx.run_epoch(0);
   EXPECT_GT(counter.count(), 0u);
 }
 
@@ -176,15 +175,13 @@ TEST(EpochAllocations, TransportServeLoopIsAllocationFreePooled) {
   expect_zero_alloc_transport_epochs(4);
 }
 
-// Vacuity guard for the transport kernel: the retained legacy path
-// rebuilds its std::map scale and outcome vectors every epoch, so the
-// counter must see it allocate.
-TEST(EpochAllocations, CounterSeesLegacyTransportPathAllocations) {
+// Vacuity guard for the transport kernel: a fresh controller's first
+// epoch reserves the arena and grows `reports`, so the counter must see
+// it allocate.
+TEST(EpochAllocations, CounterSeesFirstTransportEpochAllocations) {
   TransportFixture fx(1, /*n_paths=*/64);
-  fx.tc->set_legacy_epoch_path(true);
-  fx.run_epoch(0);
   AllocationCounter counter;
-  fx.run_epoch(1);
+  fx.run_epoch(0);
   EXPECT_GT(counter.count(), 0u);
 }
 

@@ -429,16 +429,14 @@ TEST(TransportController, SoaStateMatchesMapModelUnderRandomOps) {
 
 // Satellite regression: a verbatim-restored pre-crash route can name links
 // the rebuilt topology does not have. Serving such a path must yield a
-// degraded zero-served report — never dereference a null find_link() — on
-// both the kernel and the legacy path, and the repair loop must eventually
-// move the path onto a live route.
-void expect_stale_route_served_degraded(bool legacy) {
+// degraded zero-served report — never dereference a null find_link() — and
+// the repair loop must eventually move the path onto a live route.
+TEST(TransportController, StaleRouteServesDegradedKernel) {
   Diamond d;
   const NodeId src = d.src;
   const NodeId dst = d.dst;
   const LinkId live_link = d.fast_a;
   TransportController tc(std::move(d.topo), Rng(3));
-  tc.set_legacy_epoch_path(legacy);
 
   PathReservation stale;
   stale.id = PathId{500};
@@ -470,14 +468,6 @@ void expect_stale_route_served_degraded(bool legacy) {
   EXPECT_FALSE(healed[0].degraded);
 }
 
-TEST(TransportController, StaleRouteServesDegradedKernel) {
-  expect_stale_route_served_degraded(/*legacy=*/false);
-}
-
-TEST(TransportController, StaleRouteServesDegradedLegacy) {
-  expect_stale_route_served_degraded(/*legacy=*/true);
-}
-
 TEST(TransportController, RestorePathExactRejectsConflictAndBadArgs) {
   Diamond d;
   TransportController tc(std::move(d.topo), Rng(3));
@@ -500,50 +490,6 @@ TEST(TransportController, RestorePathExactRejectsConflictAndBadArgs) {
                                                 DataRate::mbps(1.0), Duration::millis(50.0));
   ASSERT_TRUE(fresh.ok());
   EXPECT_GT(fresh.value().value(), 9u);
-}
-
-// The SoA kernel and the retained legacy path must produce byte-identical
-// report streams over a fading, rerouting substrate.
-TEST(TransportController, KernelMatchesLegacyOverFadingEpochs) {
-  const auto build = [] {
-    Topology topo;
-    const NodeId s = topo.add_node("s", NodeKind::enb_gateway);
-    const NodeId m = topo.add_node("m", NodeKind::openflow_switch);
-    const NodeId t = topo.add_node("t", NodeKind::core_gateway);
-    topo.add_link(s, m, LinkTechnology::mmwave, DataRate::mbps(1000.0), Duration::millis(1.0));
-    topo.add_link(m, t, LinkTechnology::uwave, DataRate::mbps(800.0), Duration::millis(1.0));
-    topo.add_link(s, t, LinkTechnology::fiber, DataRate::mbps(600.0), Duration::millis(4.0));
-    return topo;
-  };
-  TransportController kernel(build(), Rng(77));
-  TransportController legacy(build(), Rng(77));
-  legacy.set_legacy_epoch_path(true);
-
-  std::vector<std::pair<PathId, DataRate>> demands;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    const Result<PathId> a = kernel.allocate_path(SliceId{i + 1}, NodeId{1}, NodeId{3},
-                                                  DataRate::mbps(120.0), Duration::millis(20.0));
-    const Result<PathId> b = legacy.allocate_path(SliceId{i + 1}, NodeId{1}, NodeId{3},
-                                                  DataRate::mbps(120.0), Duration::millis(20.0));
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value(), b.value());
-    demands.emplace_back(a.value(), DataRate::mbps(100.0));
-  }
-  for (int epoch = 0; epoch < 500; ++epoch) {
-    const auto ra = kernel.serve_epoch(demands, SimTime::from_seconds(epoch));
-    const auto rb = legacy.serve_epoch(demands, SimTime::from_seconds(epoch));
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].path, rb[i].path);
-      EXPECT_EQ(ra[i].slice, rb[i].slice);
-      EXPECT_EQ(ra[i].served.as_mbps(), rb[i].served.as_mbps()) << "epoch " << epoch;
-      EXPECT_EQ(ra[i].experienced_delay, rb[i].experienced_delay) << "epoch " << epoch;
-      EXPECT_EQ(ra[i].delay_violated, rb[i].delay_violated);
-      EXPECT_EQ(ra[i].degraded, rb[i].degraded);
-    }
-  }
-  EXPECT_EQ(kernel.reroutes(), legacy.reroutes());
 }
 
 TEST(TransportController, RestApiTopologyAndPaths) {
