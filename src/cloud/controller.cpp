@@ -101,14 +101,19 @@ Result<void> CloudController::delete_stack(StackId stack) {
 void CloudController::record_epoch(SimTime now) {
   TRACE_SCOPE("cloud.record_epoch");
   if (registry_ == nullptr) return;
-  for (const auto& d : datacenters_) {
-    const std::string prefix = "cloud.dc." + std::to_string(d->id().value());
-    const ComputeCapacity total = d->total_capacity();
-    const ComputeCapacity used = d->used_capacity();
-    registry_->observe(prefix + ".vcpu_used", now, used.vcpus);
-    registry_->observe(prefix + ".vcpu_total", now, total.vcpus);
-    registry_->observe(prefix + ".utilization", now,
-                       total.vcpus <= 0.0 ? 0.0 : used.vcpus / total.vcpus);
+  for (std::size_t i = dc_handles_.size(); i < datacenters_.size(); ++i) {
+    const std::string prefix = "cloud.dc." + std::to_string(datacenters_[i]->id().value());
+    dc_handles_.push_back({registry_->handle(prefix + ".vcpu_used"),
+                           registry_->handle(prefix + ".vcpu_total"),
+                           registry_->handle(prefix + ".utilization")});
+  }
+  for (std::size_t i = 0; i < datacenters_.size(); ++i) {
+    const ComputeCapacity total = datacenters_[i]->total_capacity();
+    const ComputeCapacity used = datacenters_[i]->used_capacity();
+    DcHandles& h = dc_handles_[i];
+    h.vcpu_used.observe(now, used.vcpus);
+    h.vcpu_total.observe(now, total.vcpus);
+    h.utilization.observe(now, total.vcpus <= 0.0 ? 0.0 : used.vcpus / total.vcpus);
   }
 }
 

@@ -91,6 +91,14 @@ class CloudController {
   std::set<std::uint64_t> failed_dcs_;  ///< DatacenterId values currently failed
   IdAllocator<DatacenterTag> dc_ids_;
   telemetry::MonitorRegistry* registry_;
+  /// Per-datacenter series, by datacenters_ index, interned on the first
+  /// record_epoch that sees the datacenter.
+  struct DcHandles {
+    telemetry::SeriesHandle vcpu_used;
+    telemetry::SeriesHandle vcpu_total;
+    telemetry::SeriesHandle utilization;
+  };
+  std::vector<DcHandles> dc_handles_;
   std::string metrics_buffer_;  ///< reused /metrics serialization buffer
 };
 

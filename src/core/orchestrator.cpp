@@ -831,9 +831,10 @@ void Orchestrator::run_epoch(SimTime now) {
 
   // 1. Sample offered demand of every active slice. The demand and
   // report vectors are members reused across epochs (capacity sticks).
+  // Every loop below walks open_ in SliceId order with the same `active`
+  // filter, so the i-th active slice's demand is ran_demands[i].
   std::vector<std::pair<PlmnId, DataRate>>& ran_demands = epoch_ran_demands_;
   ran_demands.clear();
-  std::map<SliceId, DataRate> demand_of;
   {
     TRACE_SCOPE("orch.epoch.sample_demand");
     for (const auto& [slice, record] : open_) {
@@ -843,40 +844,45 @@ void Orchestrator::run_epoch(SimTime now) {
       if (wl != workloads_.end()) {
         demand = DataRate::mbps(std::max(0.0, wl->second.model->sample(now)));
       }
-      demand_of.emplace(slice, demand);
       ran_demands.emplace_back(record->embedding.plmn, demand);
     }
   }
 
   // 2. Radio serves (allocation-free epoch kernel; see ran/controller.hpp).
+  // Its reports carry one entry per demanded PLMN, in ascending PLMN order.
   std::vector<ran::RanServeReport>& radio_reports = epoch_radio_reports_;
   {
     TRACE_SCOPE("orch.epoch.ran_serve");
     WallPhaseTimer timer(hist_.ran_us);
     ran_->serve_epoch_into(ran_demands, now, radio_reports);
   }
-  std::map<PlmnId, DataRate> radio_served;
-  for (const ran::RanServeReport& r : radio_reports) radio_served.emplace(r.plmn, r.served);
 
   // 3. Transport carries what the radio delivered (allocation-free
   // epoch kernel over reused buffers; see transport/controller.hpp).
   std::vector<std::pair<PathId, DataRate>>& path_demands = epoch_path_demands_;
   path_demands.clear();
+  std::size_t active_index = 0;
   for (const auto& [slice, record] : open_) {
-    if (record->state != SliceState::active || record->embedding.paths.empty()) continue;
-    const auto served = radio_served.find(record->embedding.plmn);
-    const DataRate offered =
-        served == radio_served.end() ? DataRate::zero() : min(demand_of[slice], served->second);
+    if (record->state != SliceState::active) continue;
+    const DataRate demand = ran_demands[active_index++].second;
+    if (record->embedding.paths.empty()) continue;
+    const PlmnId plmn = record->embedding.plmn;
+    const auto served = std::lower_bound(
+        radio_reports.begin(), radio_reports.end(), plmn,
+        [](const ran::RanServeReport& r, PlmnId p) { return r.plmn < p; });
+    const DataRate offered = served == radio_reports.end() || served->plmn != plmn
+                                 ? DataRate::zero()
+                                 : min(demand, served->served);
     path_demands.emplace_back(record->embedding.paths.front(), offered);
   }
+  // Reports are the demanded paths in demand order, unknown paths
+  // compacted out: phase 4 pairs them with their slices by one cursor.
   std::vector<transport::PathServeReport>& path_reports = epoch_path_reports_;
   {
     TRACE_SCOPE("orch.epoch.transport_serve");
     WallPhaseTimer timer(hist_.transport_us);
     transport_->serve_epoch_into(path_demands, now, path_reports);
   }
-  std::map<SliceId, const transport::PathServeReport*> path_by_slice;
-  for (const transport::PathServeReport& r : path_reports) path_by_slice.emplace(r.slice, &r);
 
   {
     TRACE_SCOPE("orch.epoch.cloud_record");
@@ -895,14 +901,20 @@ void Orchestrator::run_epoch(SimTime now) {
   json::Array epoch_entries;
   double epoch_demand_mbps = 0.0;    // realized demand across active slices
   double epoch_reserved_mbps = 0.0;  // forecast-driven reservations held
+  active_index = 0;
+  std::size_t path_cursor = 0;
   for (const auto& [slice, open] : open_) {
     SliceRecord& record = *open;
     if (record.state != SliceState::active) continue;
-    const DataRate demand = demand_of[slice];
-    const auto pr = path_by_slice.find(slice);
-    const DataRate achieved =
-        pr == path_by_slice.end() ? DataRate::zero() : pr->second->served;
-    const bool delay_violated = pr != path_by_slice.end() && pr->second->delay_violated;
+    const DataRate demand = ran_demands[active_index++].second;
+    const transport::PathServeReport* pr = nullptr;
+    if (!record.embedding.paths.empty() && path_cursor < path_reports.size() &&
+        path_reports[path_cursor].path == record.embedding.paths.front()) {
+      pr = &path_reports[path_cursor++];
+      assert(pr->slice == slice);
+    }
+    const DataRate achieved = pr == nullptr ? DataRate::zero() : pr->served;
+    const bool delay_violated = pr != nullptr && pr->delay_violated;
 
     const DataRate entitled = min(demand, record.spec.expected_throughput);
     const bool throughput_violated =
@@ -999,7 +1011,7 @@ void Orchestrator::run_epoch(SimTime now) {
 
   epoch_ran_ = true;
   last_epoch_at_ = now;
-  last_epoch_active_ = demand_of.size();
+  last_epoch_active_ = ran_demands.size();
   last_epoch_wall_us_ = epoch_timer.stop();
 }
 

@@ -244,7 +244,6 @@ std::uint32_t Field::move_row(std::size_t row, double dt_s) {
 }
 
 void Field::step(SimTime now) {
-  TRACE_SCOPE("mobility.step");
   const std::int64_t now_us = now.as_micros();
   const double dt_s =
       last_step_us_ < 0 ? 0.0 : static_cast<double>(now_us - last_step_us_) / 1e6;

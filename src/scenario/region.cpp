@@ -111,6 +111,9 @@ void Region::restart(Duration duration, std::function<void()> on_resume) {
 }
 
 void Region::step_mobility(SimTime now) {
+  // One span per region epoch: population sync, move and handover apply
+  // (ran.handover.apply is its child span).
+  TRACE_SCOPE("mobility.step");
   std::vector<PlmnId> live;
   std::vector<traffic::Vertical> verticals;
   for (const core::SliceRecord* record : orchestrator().open_slices()) {

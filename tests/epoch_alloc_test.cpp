@@ -6,7 +6,8 @@
 // replacements in counting_new.hpp count every allocation on every
 // thread, in every form of new, so a single malloc
 // sneaking back into a hot path fails the test instead of quietly
-// costing a syscall per epoch at 1M UEs / 100k paths.
+// costing a syscall per epoch at 1M UEs / 100k paths. The orchestrator's
+// epoch around them is held to fewer allocations than active slices.
 //
 // The controllers are built WITHOUT a telemetry registry: series append
 // may grow telemetry buffers, which is monitored-state growth, not
@@ -20,8 +21,11 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/testbed.hpp"
 #include "ran/cell.hpp"
 #include "ran/controller.hpp"
+#include "traffic/model.hpp"
+#include "traffic/verticals.hpp"
 #include "transport/controller.hpp"
 #include "transport/topology.hpp"
 #include "counting_new.hpp"
@@ -187,3 +191,56 @@ TEST(EpochAllocations, CounterSeesFirstTransportEpochAllocations) {
 
 }  // namespace
 }  // namespace slices::ran
+
+namespace slices::core {
+namespace {
+
+// The orchestrator's epoch around the two kernels (demand sampling,
+// pairing serve reports with slices, the SLA reduction, overbooking)
+// must not cost an allocation per active slice. Steady state on the
+// Fig. 2 testbed: constant demand, so once overbooking has shrunk every
+// reservation to its target the hysteresis keeps it; no violations (no
+// audit events) and no store (no journal documents). The EWMA estimator
+// has no periodic model reselection, which allocates by design.
+TEST(EpochAllocations, OrchestratorEpochAllocatesLessThanOncePerSlice) {
+  OrchestratorConfig config;
+  config.overbooking.estimator = EstimatorKind::ewma;
+  auto tb = make_testbed(31, config);
+  constexpr std::size_t kSlices = 6;  // the eNBs broadcast at most six PLMNs
+  for (std::size_t i = 0; i < kSlices; ++i) {
+    SliceSpec spec = SliceSpec::from_profile(
+        traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(1000.0));
+    spec.expected_throughput = DataRate::mbps(4.0);
+    const RequestId request =
+        tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(2.0));
+    ASSERT_EQ(tb->orchestrator->find_by_request(request)->state, SliceState::installing);
+  }
+  // Warm-up: activation, estimator warm-up and the one shrink to target.
+  tb->simulator.run_for(config.monitoring_period * 40.0);
+  const OrchestratorSummary warm = tb->orchestrator->summary();
+  ASSERT_EQ(warm.active_slices, kSlices);
+  ASSERT_GE(warm.reconfigurations, kSlices);  // overbooking acted on every slice
+  ASSERT_LT(warm.reserved_total, warm.contracted_total);
+
+  constexpr int kEpochs = 32;
+  SimTime now = tb->simulator.now();
+  std::uint64_t allocations = 0;
+  {
+    AllocationCounter counter;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      now = now + config.monitoring_period;
+      tb->orchestrator->run_epoch(now);
+    }
+    allocations = counter.count();
+  }
+  const OrchestratorSummary after = tb->orchestrator->summary();
+  EXPECT_EQ(after.reconfigurations, warm.reconfigurations);  // hysteresis held
+  EXPECT_EQ(after.violation_epochs, 0u);
+  EXPECT_EQ(after.active_slices, kSlices);
+  EXPECT_LT(allocations, kSlices * kEpochs)
+      << "orchestrator epochs allocated " << allocations << " times over " << kEpochs
+      << " epochs of " << kSlices << " slices";
+}
+
+}  // namespace
+}  // namespace slices::core

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -296,6 +303,200 @@ TEST(ResidualTracker, MarginGrowsWithQuantile) {
   for (int i = 0; i < 500; ++i) tracker.record(rng.normal(0.0, 3.0));
   EXPECT_LE(tracker.safety_margin(0.5), tracker.safety_margin(0.9));
   EXPECT_LE(tracker.safety_margin(0.9), tracker.safety_margin(0.99));
+}
+
+// The copy-and-sort quantile that ResidualTracker's sorted window
+// replaced: keep the window in arrival order, copy and sort it per query.
+// `stable` sorts with the window's own order (`<`, NaN greatest, equal
+// values in arrival order); otherwise it is std::sort with `<`, which
+// leaves the order of equal values (-0.0 and +0.0) unspecified and gives
+// NaN no defined place at all.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(std::size_t window) : window_(window) {}
+
+  void record(double residual) {
+    values_.push_back(residual);
+    if (values_.size() > window_) values_.pop_front();
+  }
+
+  [[nodiscard]] double quantile(double q, bool stable) const {
+    std::vector<double> sorted(values_.begin(), values_.end());
+    if (stable) {
+      std::stable_sort(sorted.begin(), sorted.end(), [](double a, double b) {
+        return a < b || (std::isnan(b) && !std::isnan(a));
+      });
+    } else {
+      std::sort(sorted.begin(), sorted.end());
+    }
+    if (sorted.size() == 1) return sorted.front();
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = lo + 1 < sorted.size() ? lo + 1 : lo;
+    const double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  }
+
+  [[nodiscard]] double safety_margin(double q, bool stable) const {
+    if (values_.empty()) return 0.0;
+    const double m = quantile(q, stable);
+    return m > 0.0 ? m : 0.0;
+  }
+
+ private:
+  std::size_t window_;
+  std::deque<double> values_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+constexpr double kQuantiles[] = {0.0, 0.5, 0.9, 0.95, 1.0};
+
+// After every record, every quantile and margin of the sorted window
+// equals the reference's bit for bit. Against the parent's plain
+// std::sort, quantiles are equal as values (only a zero's sign may
+// differ) and margins, which clamp to +0, are equal bit for bit.
+void expect_matches_reference(std::size_t window, const std::vector<double>& stream) {
+  ResidualTracker tracker(window);
+  ReferenceWindow reference(window);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    tracker.record(stream[i]);
+    reference.record(stream[i]);
+    ASSERT_EQ(tracker.size(), std::min(i + 1, window));
+    for (const double q : kQuantiles) {
+      ASSERT_EQ(bits(tracker.quantile(q)), bits(reference.quantile(q, true)))
+          << "window " << window << " step " << i << " q " << q;
+      ASSERT_EQ(tracker.quantile(q), reference.quantile(q, false))
+          << "window " << window << " step " << i << " q " << q;
+      ASSERT_EQ(bits(tracker.safety_margin(q)), bits(reference.safety_margin(q, false)))
+          << "window " << window << " step " << i << " q " << q;
+    }
+  }
+}
+
+TEST(ResidualTracker, SortedWindowMatchesCopyAndSortOnRandomStreams) {
+  for (const std::size_t window : {1u, 2u, 64u, 256u}) {
+    Rng rng(window + 11);
+    std::vector<double> stream(4000);
+    for (double& v : stream) v = rng.normal(0.5, 4.0);
+    expect_matches_reference(window, stream);
+  }
+}
+
+TEST(ResidualTracker, SortedWindowMatchesCopyAndSortWithDuplicatesAndSignedZeros) {
+  // Few distinct values, so most evictions remove a value with equal
+  // copies still in the window, and zeros of both signs tie.
+  constexpr double kValues[] = {-0.0, 0.0, 1.0, -1.0, 2.5, -0.0, 0.0, 2.5};
+  for (const std::size_t window : {1u, 2u, 64u, 256u}) {
+    Rng rng(window + 29);
+    std::vector<double> stream(3000);
+    for (double& v : stream) v = kValues[rng.uniform_int(0, 7)];
+    expect_matches_reference(window, stream);
+  }
+}
+
+TEST(ResidualTracker, EvictsTheOldestOfEqualCopies) {
+  ResidualTracker tracker(3);
+  for (const double v : {2.0, 2.0, 1.0, 3.0}) tracker.record(v);  // window {2, 1, 3}
+  EXPECT_EQ(tracker.quantile(0.0), 1.0);
+  EXPECT_EQ(tracker.quantile(0.5), 2.0);
+  EXPECT_EQ(tracker.quantile(1.0), 3.0);
+
+  // +0.0 arrives first, so it leaves first and -0.0 stays: the window is
+  // {-0.0, -5.0}, whose top order statistic is -0.0 itself.
+  ResidualTracker zeros(2);
+  for (const double v : {0.0, -0.0, -5.0}) zeros.record(v);
+  EXPECT_EQ(zeros.quantile(0.0), -5.0);
+  EXPECT_EQ(bits(zeros.quantile(1.0)), bits(-0.0));
+  EXPECT_EQ(bits(zeros.safety_margin(1.0)), bits(0.0));
+}
+
+TEST(ResidualTracker, NonFiniteResidualsSortAboveEverythingAndLeaveOnTime) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ResidualTracker tracker(4);
+  for (const double v : {1.0, kNan, kInf, -2.0}) tracker.record(v);  // sorted {-2, 1, inf, NaN}
+  EXPECT_EQ(tracker.quantile(0.0), -2.0);
+  EXPECT_TRUE(std::isnan(tracker.quantile(1.0)));  // NaN is the top slot
+  EXPECT_EQ(tracker.safety_margin(1.0), 0.0);      // a NaN margin is no margin
+
+  // Once the NaN has left the window, the window is exact again.
+  for (const double v : {3.0, 4.0}) tracker.record(v);  // sorted {-2, 3, 4, inf}
+  EXPECT_EQ(tracker.quantile(0.0), -2.0);
+  EXPECT_EQ(tracker.quantile(0.5), 3.5);
+
+  std::vector<double> stream(2000);
+  Rng rng(41);
+  for (double& v : stream) {
+    const double u = rng.uniform();
+    v = u < 0.02 ? kNan : u < 0.04 ? kInf : u < 0.06 ? -kInf : rng.normal(0.0, 2.0);
+  }
+  ResidualTracker window(64);
+  ReferenceWindow reference(64);
+  for (const double v : stream) {
+    window.record(v);
+    reference.record(v);
+    for (const double q : kQuantiles) {
+      const double got = window.quantile(q);
+      const double want = reference.quantile(q, true);
+      ASSERT_TRUE(bits(got) == bits(want) || (std::isnan(got) && std::isnan(want)));
+      ASSERT_EQ(bits(window.safety_margin(q)), bits(reference.safety_margin(q, true)));
+    }
+  }
+}
+
+// backtest() with the parent's copy-and-sort margin, step for step.
+BacktestReport reference_backtest(const Forecaster& prototype, const std::vector<double>& series,
+                                  double safety_quantile, std::size_t residual_window) {
+  std::unique_ptr<Forecaster> model = prototype.make_empty();
+  ReferenceWindow residuals(residual_window);
+  BacktestReport report;
+  report.model = std::string(prototype.name());
+  double abs_sum = 0.0;
+  double sq_sum = 0.0;
+  double bias_sum = 0.0;
+  std::size_t violations = 0;
+  for (const double actual : series) {
+    if (model->ready()) {
+      const double predicted = model->predict(1);
+      const double upper = predicted + residuals.safety_margin(safety_quantile, false);
+      const double err = actual - predicted;
+      abs_sum += std::abs(err);
+      sq_sum += err * err;
+      bias_sum += err;
+      if (actual > upper) ++violations;
+      residuals.record(err);
+      ++report.evaluated;
+    }
+    model->observe(actual);
+  }
+  if (report.evaluated > 0) {
+    const auto n = static_cast<double>(report.evaluated);
+    report.mae = abs_sum / n;
+    report.rmse = std::sqrt(sq_sum / n);
+    report.bias = bias_sum / n;
+    report.upper_bound_violation_rate = static_cast<double>(violations) / n;
+  }
+  return report;
+}
+
+TEST(Backtest, SameReportAsCopyAndSortReference) {
+  const std::vector<double> series = seasonal_series(30.0, 12.0, 96, 2000, 3.0, 17);
+  for (const auto& candidate : default_candidates(96)) {
+    for (const std::size_t window : {16u, 256u}) {
+      for (const double q : {0.5, 0.95}) {
+        const BacktestReport got = backtest(*candidate, series, q, window);
+        const BacktestReport want = reference_backtest(*candidate, series, q, window);
+        EXPECT_EQ(got.model, want.model);
+        EXPECT_EQ(got.evaluated, want.evaluated);
+        EXPECT_EQ(bits(got.mae), bits(want.mae));
+        EXPECT_EQ(bits(got.rmse), bits(want.rmse));
+        EXPECT_EQ(bits(got.bias), bits(want.bias));
+        EXPECT_EQ(bits(got.upper_bound_violation_rate), bits(want.upper_bound_violation_rate))
+            << got.model << " window " << window << " q " << q;
+      }
+    }
+  }
 }
 
 // --- backtest -------------------------------------------------------------------
