@@ -1,16 +1,18 @@
 // Experiment S3 — mobility & handover scalability: how fast can the
 // mobility Field walk a city's UE population, and how fast does the
 // RAN controller absorb the resulting handover batches? The epoch loop
-// budget already pays for CQI wander + serving (S2); mobility adds a
-// move phase (pool-shardable, row-local) plus a sequential transition
-// scan and one allocation-free apply_handovers pass, and this bench
+// budget already pays for CQI wander + serving (S2); mobility adds one
+// fused move-and-gather pass (pool-sharded, each range writing its own
+// request and exit slices), a serial join of those slices in range
+// order, and one allocation-free apply_handovers pass, and this bench
 // keeps that addition honest at 10k..1M UEs.
 //
 // BM_MobilityStep/<ues>/<threads>
 //                      — one mobility epoch over `ues` UEs on a
-//                        128-cell grid: Field::step (waypoint move +
-//                        transition scan, `threads`-wide pool; 1 =
-//                        serial) followed by Field::apply (the handover
+//                        128-cell grid: Field::step (fused waypoint
+//                        move + gather, `threads`-wide pool; 1 =
+//                        serial; then the range-order join) followed by
+//                        Field::apply (the handover
 //                        batch through the controller). Time advances
 //                        one minute per iteration, so the handover mix
 //                        matches the scenario engine's cadence.
@@ -18,8 +20,9 @@
 // Both apply benches build their batches the way the Field does: each
 // request carries the UE's slot in the controller's UE index and the
 // target's cell index, so they time the addressed apply — a slot-key
-// check, an active-flag read, the row move and the O(1) reservation
-// migration, with no UE or cell id lookup per request.
+// check, an active-flag read, the two-byte row move and the O(1)
+// reservation migration through inline Cell calls, with no UE or cell
+// id lookup and no PLMN scan per request.
 //
 // BM_HandoverApply/<batch>
 //                      — apply_handovers alone: a prepared batch of
@@ -88,7 +91,7 @@ struct MobilitySystem {
     config.seed = 20206;
     config.ues_per_slice = std::max<std::size_t>(ues / kPlmns, 1);
     field = std::make_unique<mobility::Field>(config, &ran, pool.get());
-    field->sync_population(plmns, [](PlmnId) { return 0.0; });
+    field->sync_population(plmns);
   }
 
   /// One scenario-cadence mobility epoch: move everyone one minute and
@@ -106,9 +109,9 @@ void print_experiment() {
   std::printf("(128-cell grid, 6 PLMNs; waypoint walk at one-minute epochs)\n");
   std::printf("see the google-benchmark tables: BM_MobilityStep/<ues>/<threads>,\n"
               "BM_HandoverApply/<batch>, BM_HandoverApplyMetro/<batch>\n");
-  std::printf("expected shape: the move phase is linear in UEs and shards across the\n"
-              "pool; the transition scan and handover apply stay sequential but touch\n"
-              "only the crossing UEs, so step cost is dominated by the walk. The apply\n"
+  std::printf("expected shape: the fused move-and-gather pass is linear in UEs and\n"
+              "shards across the pool; the range join and handover apply stay sequential\n"
+              "but touch only the crossing UEs, so step cost is dominated by the walk. The apply\n"
               "path is allocation-free — BM_HandoverApply is pure per-request work\n"
               "(row moves + PRB reservation migration), the stadium-storm worst case.\n\n");
 }

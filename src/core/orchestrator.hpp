@@ -196,6 +196,12 @@ class Orchestrator {
   /// all_slices() holds minus the ended ones, at a cost that does not
   /// grow with the run's history.
   [[nodiscard]] std::vector<const SliceRecord*> open_slices() const;
+  /// Call fn(const SliceRecord&) for each open record, in SliceId order,
+  /// without building open_slices()'s vector.
+  template <typename Fn>
+  void for_each_open_slice(Fn&& fn) const {
+    for (const auto& [slice, record] : open_) fn(*record);
+  }
 
   [[nodiscard]] const RevenueLedger& ledger() const noexcept { return ledger_; }
   [[nodiscard]] const EventLog& events() const noexcept { return events_; }

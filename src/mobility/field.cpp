@@ -26,10 +26,9 @@ constexpr double kArrivalRadiusM = 5.0;
 /// of nanoseconds, so a range is tens of microseconds of work.
 constexpr std::size_t kRowGrain = 1024;
 
-/// Move-pass verdicts in the next-cell column beyond any cell index: the
-/// UE left the region across its east or west border.
-constexpr std::uint32_t kExitEast = ~std::uint32_t{0};
-constexpr std::uint32_t kExitWest = kExitEast - 1;
+/// move_row verdict beyond any cell index: the UE left the region
+/// across a border that has a neighbour (the row's x says which).
+constexpr std::uint32_t kExit = ~std::uint32_t{0};
 
 [[nodiscard]] double clamped(double v, double lo, double hi) noexcept {
   return v < lo ? lo : (v > hi ? hi : v);
@@ -76,7 +75,6 @@ std::size_t Field::allocate_row() {
     ty_.emplace_back();
     speed_.emplace_back();
     cell_.emplace_back();
-    next_.emplace_back();
     slot_.emplace_back();
     live_.emplace_back();
   }
@@ -126,7 +124,7 @@ void Field::spawn_population(PlmnId plmn, double speed) {
   }
 }
 
-void Field::sync_population(std::span<const PlmnId> live, const SpeedFn& speed_of) {
+void Field::sync_population(std::span<const PlmnId> live, std::span<const double> speeds) {
   // Drain populations whose slice is gone, then complete the PLMN
   // removal that slice teardown deferred while our UEs were attached.
   for (std::size_t p = 0; p < populated_.size();) {
@@ -139,19 +137,20 @@ void Field::sync_population(std::span<const PlmnId> live, const SpeedFn& speed_o
     }
     for (std::size_t i = 0; i < ue_.size(); ++i) {
       if (live_[i] == 0 || !(plmn_[i] == plmn)) continue;
-      if (ran_->ue_attached(ue_[i])) (void)ran_->detach_ue(ue_[i]);
+      // not_found when something else detached the UE first.
+      (void)ran_->detach_ue(ue_[i]);
       free_row(i);
     }
     if (ran_->plmn_installed(plmn)) (void)ran_->remove_plmn(plmn);
     populated_.erase(populated_.begin() + static_cast<std::ptrdiff_t>(p));
   }
 
-  for (const PlmnId plmn : live) {
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const PlmnId plmn = live[i];
     if (!plmn.valid() || !ran_->plmn_installed(plmn)) continue;
     if (std::find(populated_.begin(), populated_.end(), plmn) != populated_.end())
       continue;
-    const double speed = speed_of ? speed_of(plmn) : 0.0;
-    spawn_population(plmn, speed);
+    spawn_population(plmn, i < speeds.size() ? speeds[i] : 0.0);
     populated_.push_back(plmn);
   }
 }
@@ -238,8 +237,7 @@ std::uint32_t Field::move_row(std::size_t row, double dt_s) {
 
   x_[row] = px;
   y_[row] = py;
-  if (px >= grid_.width() && east_ok) return kExitEast;
-  if (px < 0.0 && west_ok) return kExitWest;
+  if ((px >= grid_.width() && east_ok) || (px < 0.0 && west_ok)) return kExit;
   return static_cast<std::uint32_t>(grid_.nearest_cell(px, py));
 }
 
@@ -255,51 +253,85 @@ void Field::step(SimTime now) {
     if (now_us >= storm.start_us && now_us < storm.end_us) active_storms_.push_back(&storm);
   }
 
-  // Move pass: row-local state only, so it shards bit-identically. Each
-  // row moves and writes its next cell index or exit side.
-  parallel_for(pool_, ue_.size(), kRowGrain, [this, dt_s](std::size_t begin, std::size_t end) {
+  const std::size_t rows = ue_.size();
+  if (pending_requests_.size() < rows) {
+    pending_requests_.resize(rows);
+    pending_rows_.resize(rows);
+    exit_rows_.resize(rows);
+  }
+  // A serial run is one range, so only its first count is written.
+  range_counts_.assign((rows + kRowGrain - 1) / kRowGrain, RangeCounts{});
+
+  // Fused move-and-gather pass. Each range writes only row-local state
+  // and its own buffer slices, so it shards bit-identically. A row's
+  // request is written unconditionally and kept (the count advances)
+  // only when its cell changed; a dead row "stays" in its cell.
+  parallel_for(pool_, rows, kRowGrain, [this, dt_s](std::size_t begin, std::size_t end) {
+    ran::HandoverRequest* requests = pending_requests_.data() + begin;
+    std::uint32_t* request_rows = pending_rows_.data() + begin;
+    std::uint32_t* exits = exit_rows_.data() + begin;
+    std::uint32_t n = 0;
+    std::uint32_t n_exits = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      if (live_[i] != 0) next_[i] = move_row(i, dt_s);
+      const std::uint32_t next = live_[i] != 0 ? move_row(i, dt_s) : cell_[i];
+      if (next == kExit) {
+        exits[n_exits++] = static_cast<std::uint32_t>(i);
+        continue;
+      }
+      requests[n] = ran::HandoverRequest{ue_[i], slot_[i], next};
+      request_rows[n] = static_cast<std::uint32_t>(i);
+      n += next != cell_[i] ? 1 : 0;
     }
+    range_counts_[begin / kRowGrain] = RangeCounts{n, n_exits};
   });
 
-  // Transition scan: sequential, in row order — compare and gather.
-  // Region exits detach here, by UE id: something else (an operator's
-  // DELETE /ues/{id}) may have detached the UE already. Cell-boundary
-  // crossings join the pending handover batch, addressed by the UE's
-  // index slot and the cell index; apply_handovers drops a stale slot.
-  for (std::size_t i = 0; i < ue_.size(); ++i) {
-    if (live_[i] == 0 || next_[i] == cell_[i]) continue;
-    if (next_[i] >= kExitWest) {
-      RoamingExit exit;
-      exit.plmn = plmn_[i].value();
-      const std::optional<ran::Cqi> cqi = ran_->ue_cqi(ue_[i]);
-      exit.cqi = cqi.has_value() ? cqi->index() : 10;
-      exit.y_mm = static_cast<std::int64_t>(std::llround(y_[i] * 1000.0));
-      exit.side = next_[i] == kExitEast ? 1 : -1;
-      (void)ran_->detach_ue(ue_[i]);
-      exits_.push_back(exit);
-      ++exits_total_;
-      free_row(i);
-      continue;
+  // Join in range order: slide each range's requests down to the end of
+  // the batch so far, then detach the exits in row order. Cell-boundary
+  // crossings are addressed by the UE's index slot and the cell index;
+  // apply_handovers drops a stale slot.
+  std::size_t count = 0;
+  for (std::size_t r = 0; r < range_counts_.size(); ++r) {
+    const std::size_t begin = r * kRowGrain;
+    const std::size_t n = range_counts_[r].requests;
+    if (begin != count && n > 0) {
+      std::copy_n(pending_requests_.begin() + static_cast<std::ptrdiff_t>(begin), n,
+                  pending_requests_.begin() + static_cast<std::ptrdiff_t>(count));
+      std::copy_n(pending_rows_.begin() + static_cast<std::ptrdiff_t>(begin), n,
+                  pending_rows_.begin() + static_cast<std::ptrdiff_t>(count));
     }
-    pending_requests_.push_back({ue_[i], slot_[i], next_[i]});
-    pending_rows_.push_back(static_cast<std::uint32_t>(i));
+    count += n;
+  }
+  pending_count_ = count;
+  for (std::size_t r = 0; r < range_counts_.size(); ++r) {
+    const std::uint32_t* exits = exit_rows_.data() + r * kRowGrain;
+    for (std::uint32_t e = 0; e < range_counts_[r].exits; ++e) exit_row(exits[e]);
   }
 }
 
+void Field::exit_row(std::size_t row) {
+  // By UE id: something else (an operator's DELETE /ues/{id}) may have
+  // detached the UE already.
+  RoamingExit exit;
+  exit.plmn = plmn_[row].value();
+  const std::optional<ran::Cqi> cqi = ran_->ue_cqi(ue_[row]);
+  exit.cqi = cqi.has_value() ? cqi->index() : 10;
+  exit.y_mm = static_cast<std::int64_t>(std::llround(y_[row] * 1000.0));
+  exit.side = x_[row] < 0.0 ? -1 : 1;  // west exits sit below x = 0
+  (void)ran_->detach_ue(ue_[row]);
+  exits_.push_back(exit);
+  ++exits_total_;
+  free_row(row);
+}
+
 ran::HandoverStats Field::apply(SimTime now) {
-  if (pending_requests_.empty()) return {};
-  if (outcome_scratch_.size() < pending_requests_.size()) {
-    outcome_scratch_.resize(pending_requests_.size());
-  }
-  const std::span<std::uint8_t> outcomes(outcome_scratch_.data(), pending_requests_.size());
-  const ran::HandoverStats stats = ran_->apply_handovers(pending_requests_, now, outcomes);
-  for (std::size_t k = 0; k < pending_requests_.size(); ++k) {
+  if (pending_count_ == 0) return {};
+  if (outcome_scratch_.size() < pending_count_) outcome_scratch_.resize(pending_count_);
+  const std::span<std::uint8_t> outcomes(outcome_scratch_.data(), pending_count_);
+  const ran::HandoverStats stats = ran_->apply_handovers(pending_handovers(), now, outcomes);
+  for (std::size_t k = 0; k < pending_count_; ++k) {
     if (outcomes[k] != 0) cell_[pending_rows_[k]] = pending_requests_[k].target;
   }
-  pending_requests_.clear();
-  pending_rows_.clear();
+  pending_count_ = 0;
   return stats;
 }
 

@@ -13,12 +13,14 @@
 // neighbour region.
 //
 // Determinism: positions live in SoA columns, every random draw is a
-// counter-based hash of the UE's own key (see model.hpp), and the move
-// pass writes only row-local state (the new position and the row's next
-// cell index or exit side) — so it shards across the thread pool
-// bit-identically at any pool size, while the transition scan, which
-// only compares and gathers, and the handover batch stay in sequential
-// row order.
+// counter-based hash of the UE's own key (see model.hpp), and step() is
+// one fused pass per parallel_for range: each range moves its rows,
+// classifies each row's next cell and writes its handover requests and
+// region-exit rows into its own row-indexed slices of two buffers sized
+// to the row count. A serial join then concatenates the ranges' slices
+// in range order and detaches the exits in row order — so the batch,
+// the exits and everything downstream are bit-identical at any pool
+// size.
 //
 // The Field records each UE's slot in the controller's UE index at
 // attach and addresses its handover requests by that slot and the
@@ -27,7 +29,6 @@
 // something else may have detached the UE first.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,10 +53,6 @@ struct RoamingExit {
 /// One region's mobility engine.
 class Field {
  public:
-  /// Resolves a PLMN's movement speed (m/s) from its slice's vertical
-  /// speed class; return <= 0 to take the configured default.
-  using SpeedFn = std::function<double(PlmnId)>;
-
   /// `ran` must outlive the Field; the grid covers its current cells
   /// (add cells before constructing). `pool` may be null (serial move).
   Field(FieldConfig config, ran::RanController* ran, ThreadPool* pool = nullptr);
@@ -74,18 +71,21 @@ class Field {
   /// drain (detach + free) the population of PLMNs no longer live —
   /// completing the deferred remove_plmn that slice teardown could not
   /// finish while our UEs were attached. Call once per epoch, before
-  /// step(). `live` must be in deterministic order.
-  void sync_population(std::span<const PlmnId> live, const SpeedFn& speed_of);
+  /// step(). `live` must be in deterministic order. `speeds[i]` is the
+  /// movement speed (m/s) of `live[i]`'s population, from its slice's
+  /// vertical speed class; a missing or non-positive entry takes the
+  /// configured default.
+  void sync_population(std::span<const PlmnId> live, std::span<const double> speeds = {});
 
-  /// Advance every UE to `now` and classify its next cell (one
-  /// pool-sharded range pass), then gather the transitions (sequential
-  /// scan in row order): fills the pending handover batch
-  /// and, in a metro, the roaming-exit queue (exiting UEs are detached
-  /// here).
+  /// Advance every UE to `now`, classify its next cell and gather the
+  /// transitions (one fused pool-sharded pass, joined in range order):
+  /// replaces the pending handover batch and, in a metro, appends to
+  /// the roaming-exit queue (exiting UEs are detached here, in row
+  /// order).
   void step(SimTime now);
 
   [[nodiscard]] std::span<const ran::HandoverRequest> pending_handovers() const noexcept {
-    return pending_requests_;
+    return {pending_requests_.data(), pending_count_};
   }
 
   /// Apply the pending handover batch through the controller and update
@@ -105,6 +105,21 @@ class Field {
   // --- Introspection -------------------------------------------------------
 
   [[nodiscard]] std::size_t population() const noexcept { return live_rows_; }
+  /// Total rows (live + freed); the bound for row().
+  [[nodiscard]] std::size_t row_count() const noexcept { return ue_.size(); }
+  /// One row of the UE columns. A freed row reads live = false and an
+  /// invalid UE, and keeps its last position until the row is reused.
+  struct RowView {
+    bool live = false;
+    UeId ue;
+    PlmnId plmn;
+    std::uint32_t cell = 0;  ///< serving cell, grid index
+    double x = 0.0;          ///< position, metres
+    double y = 0.0;
+  };
+  [[nodiscard]] RowView row(std::size_t r) const noexcept {
+    return RowView{live_[r] != 0, ue_[r], plmn_[r], cell_[r], x_[r], y_[r]};
+  }
   [[nodiscard]] std::uint64_t exits_total() const noexcept { return exits_total_; }
   [[nodiscard]] std::uint64_t roamers_admitted() const noexcept { return roamers_admitted_; }
   [[nodiscard]] std::uint64_t roamers_dropped() const noexcept { return roamers_dropped_; }
@@ -126,8 +141,10 @@ class Field {
   }
 
   /// Move one live row by `dt_s` under the active storms; returns the
-  /// row's next cell index, or an exit-side marker (field.cpp).
+  /// row's next cell index, or the region-exit marker (field.cpp).
   std::uint32_t move_row(std::size_t row, double dt_s);
+  /// Detach a row whose UE left the region and queue its RoamingExit.
+  void exit_row(std::size_t row);
   std::size_t allocate_row();
   void free_row(std::size_t row);
   void spawn_population(PlmnId plmn, double speed);
@@ -147,7 +164,6 @@ class Field {
   std::vector<double> tx_, ty_;      // current waypoint
   std::vector<double> speed_;        // m/s
   std::vector<std::uint32_t> cell_;  // serving cell, grid index
-  std::vector<std::uint32_t> next_;  // move-pass verdict: next cell index or exit side
   std::vector<std::uint32_t> slot_;  // the UE's slot in the controller's UE index
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> free_;
@@ -159,9 +175,21 @@ class Field {
 
   std::int64_t last_step_us_ = -1;
 
-  // Per-epoch transition batch (capacity reused).
+  // Per-epoch transition batch. The three row buffers are sized to the
+  // row count: a step() range [begin, end) writes its requests (with
+  // their rows) and its exit rows from offset `begin`, and its counts
+  // at range_counts_[begin / grain]; the join then compacts the
+  // requests to the front, so the batch is pending_requests_[0,
+  // pending_count_). Capacity is reused across epochs.
+  struct RangeCounts {
+    std::uint32_t requests = 0;
+    std::uint32_t exits = 0;
+  };
   std::vector<ran::HandoverRequest> pending_requests_;
   std::vector<std::uint32_t> pending_rows_;
+  std::vector<std::uint32_t> exit_rows_;
+  std::vector<RangeCounts> range_counts_;
+  std::size_t pending_count_ = 0;
   std::vector<std::uint8_t> outcome_scratch_;
   std::vector<RoamingExit> exits_;
 

@@ -26,11 +26,11 @@ constexpr std::size_t kWanderBlock = 32;
 /// lane `(word[j/4] >> ((j%4)*16)) & 0xFFFF`, the lane's low bit is the
 /// step sign and its upper 15 bits gate the step against p·2^15. Words
 /// are drawn for live rows and holes alike, so RNG consumption is a
-/// pure function of the row count. Per-PLMN CQI-sum deltas accumulate
-/// into `delta` (indexed by broadcast position).
+/// pure function of the row count. Holes (CQI byte 0) are masked and
+/// stay 0. Per-PLMN CQI-sum deltas accumulate into `delta` (indexed by
+/// broadcast position).
 __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
                                              const std::uint8_t* __restrict plmn,
-                                             const std::uint8_t* __restrict live,
                                              std::size_t rows, Rng& rng, std::uint32_t thresh,
                                              std::int64_t* __restrict delta) {
   alignas(32) std::array<std::int8_t, kWanderBlock> step;
@@ -59,7 +59,9 @@ __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
       const int old = static_cast<int>(cqi[row]);
       int next = old + step[j];
       next = next < 1 ? 1 : (next > 15 ? 15 : next);
-      const int d = live[row] != 0 ? next - old : 0;
+      // Holes (CQI 0) mask their step to 0. An AND with the mask, not a
+      // select: GCC 12 vectorizes the select ~10% slower.
+      const int d = (next - old) & -static_cast<int>(old != 0);
       applied[j] = static_cast<std::int8_t>(d);
       cqi[row] = static_cast<std::uint8_t>(old + d);
     }
@@ -104,7 +106,8 @@ Result<void> Cell::withdraw_plmn(PlmnId plmn) {
   plmns_.erase(plmns_.begin() + static_cast<std::ptrdiff_t>(i));
   // The UE columns store broadcast positions; every position above the
   // withdrawn one shifted down by one. Cold path (withdrawal requires
-  // an empty PLMN), so the full-column sweep is acceptable.
+  // an empty PLMN), so the full-column sweep is acceptable; holes (CQI
+  // byte 0) keep their stale position.
   for (std::uint32_t row = 0; row < ues_.row_count(); ++row) {
     if (!ues_.live(row)) continue;
     const std::uint8_t p = ues_.plmn_index_at(row);
@@ -147,22 +150,12 @@ PrbCount Cell::reservation_of(PlmnId plmn) const noexcept {
   return i == broadcast_.size() ? PrbCount{0} : plmns_[i].reserved;
 }
 
-Result<std::uint32_t> Cell::attach(UeId ue, PlmnId plmn, Cqi cqi) {
+Result<std::uint32_t> Cell::attach(PlmnId plmn, Cqi cqi) {
   const std::size_t i = plmn_index(plmn);
   if (i == broadcast_.size())
     return make_error(Errc::not_found,
                       "PLMN not on the air on cell " + name_ + "; UE cannot attach");
-  ++plmns_[i].count;
-  plmns_[i].cqi_sum += cqi.index();
-  return ues_.insert(ue, static_cast<std::uint8_t>(i), cqi);
-}
-
-void Cell::detach(std::uint32_t row) noexcept {
-  PlmnState& stats = plmns_[ues_.plmn_index_at(row)];
-  assert(stats.count > 0);
-  --stats.count;
-  stats.cqi_sum -= ues_.cqi_at(row).index();
-  ues_.erase(row);
+  return attach_at(i, cqi);
 }
 
 void Cell::update_cqi(std::uint32_t row, Cqi cqi) noexcept {
@@ -180,8 +173,8 @@ void Cell::wander_cqis(Rng& rng, double step_probability) {
   const double p = std::clamp(step_probability, 0.0, 1.0);
   const auto thresh = static_cast<std::uint32_t>(p * 32768.0);  // p * 2^15
   std::array<std::int64_t, kMaxBroadcastPlmns> delta{};
-  wander_kernel(ues_.cqi_column(), ues_.plmn_column(), ues_.live_column(), ues_.row_count(),
-                rng, thresh, delta.data());
+  wander_kernel(ues_.cqi_column(), ues_.plmn_column(), ues_.row_count(), rng, thresh,
+                delta.data());
   for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[i];
 }
 

@@ -8,20 +8,24 @@
 // dedicated PRB reservation per PLMN, the attached UE population, and
 // serves offered demand each monitoring epoch via the MOCN scheduler.
 //
-// UE state is a structure-of-arrays column store (ran/ue_soa.hpp): the
-// id / PLMN-index / CQI attributes live in parallel dense columns with
-// O(1) attach/detach and deterministic row-order iteration, so the
-// per-epoch CQI walk streams a byte column. The UE API is row-addressed:
-// attach returns the UE's row and every later read, CQI update and
-// detach names that row. The cell keeps no UE-id index — RanController
-// owns the only one (UE id -> {plmn, cell, row}) and allocates every
-// id; a handover request addresses that record by its slot, so the
-// move is row-addressed work on the two cells with no lookup. Each broadcast PLMN keeps a running (count,
-// cqi_sum) aggregate and its PRB reservation, and the cell keeps the
-// running sum of those reservations, so attached_count / mean_cqi — the
-// per-epoch scheduling inputs — and reserved_prbs / unreserved_prbs —
-// read on every handover — stay O(1).
+// UE state is a structure-of-arrays column store (ran/ue_soa.hpp): a UE
+// row is two bytes, its broadcast-PLMN position and its CQI, with CQI 0
+// marking a hole. Attach/detach are O(1) and iteration is in
+// deterministic row order, so the per-epoch CQI walk streams a byte
+// column. The UE API is row-addressed: attach returns the UE's row and
+// every later read, CQI update and detach names that row. The cell keeps
+// no UE identity at all — RanController owns the only UE index (UE id ->
+// {plmn, cell, row}) and allocates every id; a handover request
+// addresses that record by its slot, reads the source broadcast position
+// from the row's PLMN byte, and moves the UE and its share of the PRB
+// reservation through the position-addressed inline calls below, which
+// cannot fail. Each broadcast PLMN keeps a running (count, cqi_sum)
+// aggregate and its PRB reservation, and the cell keeps the running sum
+// of those reservations, so attached_count / mean_cqi — the per-epoch
+// scheduling inputs — and reserved_prbs / unreserved_prbs — read on
+// every handover — stay O(1).
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -101,21 +105,50 @@ class Cell {
 
   /// Attach a UE under `plmn` and return its row. Errors: not_found
   /// (PLMN not broadcast — the demo's gating: devices connect only once
-  /// their slice's PLMN is on the air). The caller owns id uniqueness.
-  [[nodiscard]] Result<std::uint32_t> attach(UeId ue, PlmnId plmn, Cqi cqi);
+  /// their slice's PLMN is on the air).
+  [[nodiscard]] Result<std::uint32_t> attach(PlmnId plmn, Cqi cqi);
 
   /// Detach the UE at live row `row`; the row is reused LIFO.
-  void detach(std::uint32_t row) noexcept;
+  void detach(std::uint32_t row) noexcept {
+    PlmnState& stats = plmns_[ues_.plmn_index_at(row)];
+    assert(stats.count > 0);
+    --stats.count;
+    stats.cqi_sum -= ues_.cqi_at(row).index();
+    ues_.erase(row);
+  }
 
   /// Reported CQI of the UE at live row `row`.
   [[nodiscard]] Cqi cqi_at(std::uint32_t row) const noexcept { return ues_.cqi_at(row); }
+  /// Broadcast position of the UE at live row `row`.
+  [[nodiscard]] std::size_t plmn_index_at(std::uint32_t row) const noexcept {
+    return ues_.plmn_index_at(row);
+  }
 
   /// Update the reported channel quality (CQI feedback) of the UE at
   /// live row `row`.
   void update_cqi(std::uint32_t row, Cqi cqi) noexcept;
 
-  /// UE at `row`; invalid() for a detached row.
-  [[nodiscard]] UeId ue_at(std::uint32_t row) const noexcept { return ues_.ue_at(row); }
+  // --- Handover primitives: position-addressed, cannot fail --------------
+
+  /// Attach a UE under broadcast position `index` (< broadcast_count())
+  /// and return its row.
+  std::uint32_t attach_at(std::size_t index, Cqi cqi) {
+    assert(index < broadcast_.size());
+    ++plmns_[index].count;
+    plmns_[index].cqi_sum += cqi.index();
+    return ues_.insert(static_cast<std::uint8_t>(index), cqi);
+  }
+  /// Reservation of broadcast position `index`.
+  [[nodiscard]] PrbCount reservation_at(std::size_t index) const noexcept {
+    return plmns_[index].reserved;
+  }
+  /// Grow (prbs > 0) or shrink (prbs < 0) the reservation of broadcast
+  /// position `index`. The caller keeps it within [0, free PRBs].
+  void add_reservation_at(std::size_t index, int prbs) noexcept {
+    plmns_[index].reserved.value += prbs;
+    reserved_.value += prbs;
+    assert(plmns_[index].reserved.value >= 0 && reserved_.value <= total_.value);
+  }
 
   /// Random-walk every attached UE's CQI by ±1 (clamped to [1,15]) with
   /// probability `step_probability` each. Batched branchless kernel over
@@ -131,6 +164,8 @@ class Cell {
     return plmns_[index].count;
   }
   [[nodiscard]] std::size_t attached_total() const noexcept { return ues_.size(); }
+  /// The UE column store, read-only: row liveness and the raw columns.
+  [[nodiscard]] const UeSoa& ues() const noexcept { return ues_; }
 
   /// Mean CQI of `plmn`'s attached UEs, or `fallback` when none.
   [[nodiscard]] Cqi mean_cqi(PlmnId plmn, Cqi fallback) const noexcept;

@@ -18,6 +18,14 @@ namespace {
 /// of work, and a RAN has tens of cells, so each range is one cell.
 constexpr std::size_t kCellGrain = 1;
 
+/// Modelled X2 interruption of one handover: ~50 ms baseline plus a
+/// per-UE jitter hashed from the UE id, so the latency histogram is
+/// deterministic yet spread like a real handover latency distribution.
+std::uint64_t handover_latency_us(UeId ue) noexcept {
+  const std::uint64_t h = (ue.value() * 0x9e3779b97f4a7c15ull) ^ (ue.value() >> 7);
+  return 50'000 + h % 30'000;
+}
+
 /// "ran.plmn.<id>." — the dot keeps PLMN 1's prefix off PLMN 10.
 std::string plmn_prefix(PlmnId plmn) { return "ran.plmn." + std::to_string(plmn.value()) + "."; }
 
@@ -180,7 +188,7 @@ Result<UeId> RanController::attach_ue(PlmnId plmn, Cqi cqi) {
 
 Result<UeId> RanController::attach_at(std::uint32_t index, PlmnId plmn, Cqi cqi) {
   const UeId ue = ue_ids_.next();
-  const Result<std::uint32_t> row = cells_[index].attach(ue, plmn, cqi);
+  const Result<std::uint32_t> row = cells_[index].attach(plmn, cqi);
   if (!row.ok()) return row.error();
   ues_.insert(ue, UeRecord{plmn, index, row.value()});
   if (std::size_t* count = attached_by_plmn_.find(plmn)) {
@@ -248,27 +256,30 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
   HandoverStats stats;
   if (batch.empty()) return stats;
   assert(outcomes.empty() || outcomes.size() >= batch.size());
-  std::span<std::uint8_t> outs = outcomes;
-  if (outs.empty()) {
-    // Track per-request outcomes internally so the latency histogram
-    // only sees successes; capacity is reused across batches.
-    if (outcome_scratch_.size() < batch.size()) outcome_scratch_.resize(batch.size());
-    outs = std::span<std::uint8_t>(outcome_scratch_.data(), batch.size());
-  }
 
   const std::size_t n_cells = cells_.size();
   handover_arrivals_.assign(n_cells, 0);
   handover_departures_.assign(n_cells, 0);
+  telemetry::Histogram* latency = nullptr;
+  if (registry_ != nullptr) {
+    if (handover_handles_.attempts == nullptr) {
+      handover_handles_.attempts = &registry_->counter("ran.handover.attempts");
+      handover_handles_.successes = &registry_->counter("ran.handover.success");
+      handover_handles_.drops = &registry_->counter("ran.handover.drops");
+      handover_handles_.latency = &registry_->histogram("ran.handover.latency_us");
+    }
+    latency = handover_handles_.latency;
+  }
 
   for (std::size_t k = 0; k < batch.size(); ++k) {
     const HandoverRequest& req = batch[k];
-    ++stats.attempts;
     bool ok = false;
 
     // The request addresses the UE's index slot and the target's cells_
     // index, so every check is an array read: a slot whose key is not
     // the request's UE is stale. The record names the source cell and
-    // row, so the move below is row-addressed on both cells.
+    // row, and the row's PLMN byte names the source broadcast position,
+    // so the move below is position- and row-addressed on both cells.
     auto* entry = req.slot < ues_.slot_count() && req.target < n_cells &&
                           cell_active_[req.target] != 0
                       ? &ues_.slot_at(req.slot)
@@ -278,73 +289,50 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
       UeRecord& record = entry->value;
       Cell& source = cells_[record.cell];
       Cell& destination = cells_[req.target];
-
-      // PRB migration plan, decided before the row move so the counts
-      // reflect the pre-handover population: the leaving UE takes its
-      // per-UE share of the source reservation along, clamped to what
-      // the target has free. Only live Cell reservations move — the
-      // planned RanAllocation::per_cell layout stays as installed (and
-      // this loop stays allocation-free).
-      const PlmnId plmn = record.plmn;
-      int moved = 0;
-      const std::size_t src_attached = source.attached_count(plmn);
-      if (src_attached > 0) {
-        const int src_reserved = source.reservation_of(plmn).value;
-        moved = src_reserved / static_cast<int>(src_attached);
-        const int target_free = destination.unreserved_prbs().value;
-        if (moved > target_free) moved = target_free;
+      const std::size_t src_index = source.plmn_index_at(record.row);
+      // Cells normally share one broadcast order. A cell added after a
+      // PLMN removal, or one that broadcast PLMNs of its own, may not;
+      // only then does the target position need a search.
+      std::size_t dst_index = src_index;
+      if (dst_index >= destination.broadcast_count() ||
+          destination.broadcast_at(dst_index) != record.plmn) {
+        dst_index = destination.broadcast_index(record.plmn);
       }
-      // Attach on the target first so a failure leaves the UE in place.
-      const Result<std::uint32_t> row =
-          destination.attach(req.ue, plmn, source.cqi_at(record.row));
-      if (row.ok()) {
-        source.detach(record.row);
+      if (dst_index < destination.broadcast_count()) {
+        // PRB migration, decided on the pre-handover population: the
+        // leaving UE takes its per-UE share of the source reservation
+        // along, clamped to what the target has free. Only live Cell
+        // reservations move — the planned RanAllocation::per_cell layout
+        // stays as installed (and this loop stays allocation-free).
+        const std::uint32_t src_row = record.row;
+        const int src_reserved = source.reservation_at(src_index).value;
+        const auto src_attached = static_cast<int>(source.attached_count_at(src_index));
+        const int share = src_reserved / src_attached;
+        const int moved = std::min(share, destination.unreserved_prbs().value);
+        record.row = destination.attach_at(dst_index, source.cqi_at(src_row));
+        source.detach(src_row);
         if (moved > 0) {
-          const int src_after = source.reservation_of(plmn).value - moved;
-          const int dst_after = destination.reservation_of(plmn).value + moved;
-          const Result<void> shrink = source.set_reservation(plmn, PrbCount{src_after});
-          const Result<void> grow = destination.set_reservation(plmn, PrbCount{dst_after});
-          assert(shrink.ok() && grow.ok());
-          (void)shrink;
-          (void)grow;
+          source.add_reservation_at(src_index, -moved);
+          destination.add_reservation_at(dst_index, moved);
         }
         ++handover_departures_[record.cell];
         ++handover_arrivals_[req.target];
         record.cell = req.target;
-        record.row = row.value();
+        if (latency != nullptr) latency->record(handover_latency_us(req.ue));
         ok = true;
       }
     }
-
-    if (ok) {
-      ++stats.successes;
-    } else {
-      ++stats.drops;
-    }
-    outs[k] = ok ? 1 : 0;
+    stats.successes += ok ? 1 : 0;
+    if (!outcomes.empty()) outcomes[k] = ok ? 1 : 0;
   }
-
+  stats.attempts = batch.size();
+  stats.drops = stats.attempts - stats.successes;
   handover_totals_ += stats;
 
   if (registry_ != nullptr) {
-    if (handover_handles_.attempts == nullptr) {
-      handover_handles_.attempts = &registry_->counter("ran.handover.attempts");
-      handover_handles_.successes = &registry_->counter("ran.handover.success");
-      handover_handles_.drops = &registry_->counter("ran.handover.drops");
-      handover_handles_.latency = &registry_->histogram("ran.handover.latency_us");
-    }
     handover_handles_.attempts->increment(stats.attempts);
     handover_handles_.successes->increment(stats.successes);
     handover_handles_.drops->increment(stats.drops);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      if (outs[k] == 0) continue;
-      // Modelled X2 interruption: ~50 ms baseline plus a per-UE jitter
-      // hashed from the UE id, so the histogram is deterministic yet
-      // spread like a real handover latency distribution.
-      const std::uint64_t h =
-          (batch[k].ue.value() * 0x9e3779b97f4a7c15ull) ^ (batch[k].ue.value() >> 7);
-      handover_handles_.latency->record(50'000 + h % 30'000);
-    }
     if (cell_flow_handles_.size() < n_cells) cell_flow_handles_.resize(n_cells);
     for (std::size_t i = 0; i < n_cells; ++i) {
       if (handover_arrivals_[i] == 0 && handover_departures_[i] == 0) continue;

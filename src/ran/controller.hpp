@@ -52,8 +52,8 @@ struct RanServeReport {
 };
 
 /// One requested inter-cell handover (produced per epoch by the
-/// mobility Field's transition scan). The request is addressed, not
-/// looked up: `slot` is the UE's slot in the controller's UE index
+/// mobility Field's fused move-and-gather pass). The request is
+/// addressed, not looked up: `slot` is the UE's slot in the UE index
 /// (RanController::ue_slot, stable until the UE detaches) and `target`
 /// is the destination's dense cell index (cell_at order). `ue` names
 /// the UE the slot was taken for, so a stale slot — the UE detached and
@@ -158,12 +158,14 @@ class RanController {
   /// Every check is an array read: failures (a slot out of range or no
   /// longer holding the request's UE, a target index out of range, the
   /// same cell, an inactive target) count as drops and leave the UE
-  /// where it was. When `outcomes` is non-empty it must be at least
-  /// batch-sized and receives 1/0 per request. Emits ran.handover.*
-  /// telemetry (counters, latency histogram, per-cell arrival/departure
-  /// series) when a registry is attached. Steady-state allocation-free:
-  /// per-cell scratch is controller-owned and reused (pinned by the
-  /// zero-alloc guard in mobility_test).
+  /// where it was. A success is one pass of inline, position-addressed
+  /// Cell calls (attach, detach, reservation shift) that cannot fail,
+  /// plus its latency-histogram sample. When `outcomes` is non-empty it
+  /// must be at least batch-sized and receives 1/0 per request. Emits
+  /// ran.handover.* telemetry (counters, latency histogram, per-cell
+  /// arrival/departure series) when a registry is attached.
+  /// Steady-state allocation-free: per-cell scratch is controller-owned
+  /// and reused (pinned by the zero-alloc guard in mobility_test).
   HandoverStats apply_handovers(std::span<const HandoverRequest> batch, SimTime now,
                                 std::span<std::uint8_t> outcomes = {});
 
@@ -309,7 +311,6 @@ class RanController {
   std::vector<CellFlowHandles> cell_flow_handles_;   // index-aligned with cells_
   std::vector<std::uint32_t> handover_arrivals_;     // per-cell, reused per batch
   std::vector<std::uint32_t> handover_departures_;   // per-cell, reused per batch
-  std::vector<std::uint8_t> outcome_scratch_;        // when the caller passes none
 };
 
 }  // namespace slices::ran

@@ -114,24 +114,21 @@ void Region::step_mobility(SimTime now) {
   // One span per region epoch: population sync, move and handover apply
   // (ran.handover.apply is its child span).
   TRACE_SCOPE("mobility.step");
-  std::vector<PlmnId> live;
-  std::vector<traffic::Vertical> verticals;
-  for (const core::SliceRecord* record : orchestrator().open_slices()) {
-    if (record->state != core::SliceState::active) continue;
-    live.push_back(record->embedding.plmn);
-    verticals.push_back(record->spec.vertical);
-  }
-  const auto speed_of = [&](PlmnId plmn) -> double {
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (live[i] != plmn) continue;
-      for (const auto& [vertical, speed] : speed_classes_) {
-        if (vertical == verticals[i]) return speed;
+  live_plmns_.clear();
+  live_speeds_.clear();
+  orchestrator().for_each_open_slice([this](const core::SliceRecord& record) {
+    if (record.state != core::SliceState::active) return;
+    double speed = 0.0;  // take the configured default
+    for (const auto& [vertical, mps] : speed_classes_) {
+      if (vertical == record.spec.vertical) {
+        speed = mps;
+        break;
       }
-      break;
     }
-    return 0.0;  // take the configured default
-  };
-  field_->sync_population(live, speed_of);
+    live_plmns_.push_back(record.embedding.plmn);
+    live_speeds_.push_back(speed);
+  });
+  field_->sync_population(live_plmns_, live_speeds_);
   field_->step(now);
   (void)field_->apply(now);
 }

@@ -87,6 +87,9 @@ class Region {
   std::string name_;
   std::shared_ptr<const traffic::PiecewiseEnvelope> envelope_;
   std::vector<std::pair<traffic::Vertical, double>> speed_classes_;
+  /// step_mobility's per-epoch live set and speeds (capacity reused).
+  std::vector<PlmnId> live_plmns_;
+  std::vector<double> live_speeds_;
   /// Declared after testbed_ so it is destroyed first (it holds &ran).
   std::unique_ptr<mobility::Field> field_;
 };

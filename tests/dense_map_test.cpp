@@ -266,8 +266,9 @@ TEST(DenseIdMap, ClearResetsEverything) {
 // same iteration order as an AoS layout (one record per DenseIdMap
 // slot) under any attach/detach/CQI-wander history — iteration order is
 // what fixes RNG consumption in the CQI walk, so an order divergence
-// would silently fork every downstream scorecard. The store keeps no id
-// index; like RanController, the tests own the id -> row map.
+// would silently fork every downstream scorecard. The store keeps no UE
+// identity at all (a row is its PLMN and CQI bytes, CQI 0 marking a
+// hole); like RanController, the tests own the id -> row map.
 
 TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
   struct LegacyUe {
@@ -291,7 +292,7 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
             nullptr;
         ASSERT_EQ(!rows.contains(ue), legacy_inserted);
         if (!legacy_inserted) break;  // the owner never re-inserts a live id
-        const std::uint32_t row = soa.insert(ue, plmn, ran::Cqi{cqi_value});
+        const std::uint32_t row = soa.insert(plmn, ran::Cqi{cqi_value});
         // Row assignment is DenseIdMap slot assignment.
         ASSERT_EQ(row, legacy.slot_of(ue));
         rows.insert(ue, row);
@@ -309,7 +310,7 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
         LegacyUe* ref = legacy.find(ue);
         ASSERT_EQ(row != nullptr, ref != nullptr);
         if (ref == nullptr) break;
-        ASSERT_EQ(soa.ue_at(*row), ue);
+        ASSERT_TRUE(soa.live(*row));
         const int next = std::min(15, std::max(1, static_cast<int>(ref->cqi) +
                                                       (rng.bernoulli(0.5) ? 1 : -1)));
         soa.set_cqi(*row, ran::Cqi{next});
@@ -321,11 +322,19 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
 
     if (op % 500 == 499) {
       // The live-row walk must visit the same UEs, with the same
-      // attributes, in the same order as DenseIdMap slot iteration.
+      // attributes, in the same order as DenseIdMap slot iteration. The
+      // owner's map names each row's UE; every other row is a hole and
+      // reads CQI 0.
+      std::vector<UeId> owner(soa.row_count(), UeId::invalid());
+      for (const auto& [ue_id, row] : rows) owner[row] = ue_id;
       std::vector<UeId> soa_order;
       for (std::uint32_t row = 0; row < soa.row_count(); ++row) {
-        if (!soa.live(row)) continue;
-        const UeId seen = soa.ue_at(row);
+        ASSERT_EQ(soa.live(row), owner[row].valid()) << "row " << row;
+        if (!soa.live(row)) {
+          ASSERT_EQ(soa.cqi_column()[row], 0) << "row " << row;
+          continue;
+        }
+        const UeId seen = owner[row];
         soa_order.push_back(seen);
         ASSERT_EQ(row, legacy.slot_of(seen));
         const LegacyUe* ref = legacy.find(seen);
@@ -342,30 +351,31 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
 
 TEST(UeSoa, RowsReusedLifoAndColumnsStayAligned) {
   ran::UeSoa soa;
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    EXPECT_EQ(soa.insert(UeId{i}, 0, ran::Cqi{7}), i - 1);
-  }
-  soa.erase(1);  // UE 2
-  soa.erase(4);  // UE 5
+  for (std::uint32_t i = 0; i < 6; ++i) EXPECT_EQ(soa.insert(0, ran::Cqi{7}), i);
+  soa.erase(1);
+  soa.erase(4);
   EXPECT_FALSE(soa.live(1));
   EXPECT_FALSE(soa.live(4));
-  EXPECT_FALSE(soa.ue_at(4).valid());
+  // A hole reads CQI 0, which no live row can hold.
+  EXPECT_EQ(soa.cqi_column()[1], 0);
+  EXPECT_EQ(soa.cqi_column()[4], 0);
   // LIFO: the most recently freed row (4) is handed out first.
-  EXPECT_EQ(soa.insert(UeId{7}, 3, ran::Cqi{12}), 4u);
-  EXPECT_EQ(soa.insert(UeId{8}, 1, ran::Cqi{3}), 1u);
-  EXPECT_EQ(soa.insert(UeId{9}, 2, ran::Cqi{9}), 6u);  // free list empty: append
-  EXPECT_EQ(soa.ue_at(4), UeId{7});
+  EXPECT_EQ(soa.insert(3, ran::Cqi{12}), 4u);
+  EXPECT_EQ(soa.insert(1, ran::Cqi{3}), 1u);
+  EXPECT_EQ(soa.insert(2, ran::Cqi{9}), 6u);  // free list empty: append
   EXPECT_EQ(soa.plmn_index_at(4), 3);
+  EXPECT_EQ(soa.cqi_at(4).index(), 12);
   EXPECT_EQ(soa.cqi_at(1).index(), 3);
   EXPECT_EQ(soa.size(), 7u);
   EXPECT_EQ(soa.row_count(), 7u);
   // A reused row takes the new UE's attributes in every column.
   soa.erase(4);
-  EXPECT_EQ(soa.insert(UeId{10}, 5, ran::Cqi{2}), 4u);
-  EXPECT_EQ(soa.ue_at(4), UeId{10});
+  EXPECT_EQ(soa.cqi_column()[4], 0);
+  EXPECT_EQ(soa.insert(5, ran::Cqi{2}), 4u);
+  EXPECT_TRUE(soa.live(4));
   EXPECT_EQ(soa.plmn_index_at(4), 5);
   EXPECT_EQ(soa.cqi_at(4).index(), 2);
-  EXPECT_EQ(soa.live_column()[4], 1);
+  EXPECT_EQ(soa.cqi_column()[4], 2);
 }
 
 }  // namespace

@@ -244,7 +244,7 @@ TEST(Cell, WithdrawBlockedByReservationAndUes) {
   ASSERT_TRUE(cell.set_reservation(PlmnId{1}, PrbCount{10}).ok());
   EXPECT_EQ(cell.withdraw_plmn(PlmnId{1}).error().code, Errc::conflict);
   cell.clear_reservation(PlmnId{1});
-  const Result<std::uint32_t> row = cell.attach(UeId{5}, PlmnId{1}, Cqi{9});
+  const Result<std::uint32_t> row = cell.attach(PlmnId{1}, Cqi{9});
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(cell.withdraw_plmn(PlmnId{1}).error().code, Errc::conflict);
   cell.detach(row.value());
@@ -253,12 +253,13 @@ TEST(Cell, WithdrawBlockedByReservationAndUes) {
 
 TEST(Cell, UeAttachRequiresBroadcast) {
   Cell cell = make_cell();
-  EXPECT_EQ(cell.attach(UeId{1}, PlmnId{7}, Cqi{10}).error().code, Errc::not_found);
+  EXPECT_EQ(cell.attach(PlmnId{7}, Cqi{10}).error().code, Errc::not_found);
   EXPECT_EQ(cell.attached_total(), 0u);
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{7}).ok());
-  const Result<std::uint32_t> row = cell.attach(UeId{1}, PlmnId{7}, Cqi{10});
+  const Result<std::uint32_t> row = cell.attach(PlmnId{7}, Cqi{10});
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(cell.ue_at(row.value()), UeId{1});
+  EXPECT_TRUE(cell.ues().live(row.value()));
+  EXPECT_EQ(cell.cqi_at(row.value()), Cqi{10});
   EXPECT_EQ(cell.attached_count(PlmnId{7}), 1u);
 }
 
@@ -266,39 +267,41 @@ TEST(Cell, MeanCqiAveragesAttachedUes) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{9}), Cqi{9});  // fallback
-  ASSERT_TRUE(cell.attach(UeId{1}, PlmnId{1}, Cqi{6}).ok());
-  ASSERT_TRUE(cell.attach(UeId{2}, PlmnId{1}, Cqi{12}).ok());
+  ASSERT_TRUE(cell.attach(PlmnId{1}, Cqi{6}).ok());
+  ASSERT_TRUE(cell.attach(PlmnId{1}, Cqi{12}).ok());
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{9}), Cqi{9});  // (6+12)/2
 }
 
 TEST(Cell, UeCqiUpdateAndQuery) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  const std::uint32_t row = cell.attach(UeId{1}, PlmnId{1}, Cqi{7}).value();
-  const std::uint32_t other = cell.attach(UeId{2}, PlmnId{1}, Cqi{9}).value();
+  const std::uint32_t row = cell.attach(PlmnId{1}, Cqi{7}).value();
+  const std::uint32_t other = cell.attach(PlmnId{1}, Cqi{9}).value();
   EXPECT_EQ(cell.cqi_at(row), Cqi{7});
   cell.update_cqi(row, Cqi{12});
   EXPECT_EQ(cell.cqi_at(row), Cqi{12});
   // The update touches its own row only and feeds the PLMN aggregate.
   EXPECT_EQ(cell.cqi_at(other), Cqi{9});
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{1}), Cqi{10});  // (12+9)/2
-  // A detached row no longer names a UE.
+  // A detached row is a hole: its CQI byte reads 0.
   cell.detach(other);
-  EXPECT_FALSE(cell.ue_at(other).valid());
-  EXPECT_EQ(cell.ue_at(row), UeId{1});
+  EXPECT_FALSE(cell.ues().live(other));
+  EXPECT_EQ(cell.ues().cqi_column()[other], 0);
+  EXPECT_TRUE(cell.ues().live(row));
+  EXPECT_EQ(cell.cqi_at(row), Cqi{12});
 }
 
 TEST(Cell, CqiWanderStaysInRange) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  const std::uint32_t low = cell.attach(UeId{1}, PlmnId{1}, Cqi{1}).value();
-  const std::uint32_t high = cell.attach(UeId{2}, PlmnId{1}, Cqi{15}).value();
+  const std::uint32_t low = cell.attach(PlmnId{1}, Cqi{1}).value();
+  const std::uint32_t high = cell.attach(PlmnId{1}, Cqi{15}).value();
   Rng rng(3);
   bool moved = false;
   for (int i = 0; i < 500; ++i) {
     cell.wander_cqis(rng, 0.5);
     for (const std::uint32_t row : {low, high}) {
-      ASSERT_TRUE(cell.ue_at(row).valid());
+      ASSERT_TRUE(cell.ues().live(row));
       const Cqi cqi = cell.cqi_at(row);
       EXPECT_GE(cqi.index(), 1);
       EXPECT_LE(cqi.index(), 15);
@@ -318,7 +321,7 @@ TEST(Cell, WanderStepRateAndSignMatchAnalyticRates) {
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   std::vector<std::uint32_t> rows;
   for (std::size_t i = 0; i < kUes; ++i) {
-    const Result<std::uint32_t> row = cell.attach(UeId{i + 1}, PlmnId{1}, Cqi{8});
+    const Result<std::uint32_t> row = cell.attach(PlmnId{1}, Cqi{8});
     ASSERT_TRUE(row.ok());
     rows.push_back(row.value());
   }
@@ -345,38 +348,44 @@ TEST(Cell, WanderStepRateAndSignMatchAnalyticRates) {
   EXPECT_NEAR(static_cast<double>(down) / steps, 0.5, 0.02);
 }
 
-// The batched kernel masks detached rows with the live column and folds
-// per-PLMN CQI deltas once per block: after wandering across holes, the
-// cached mean must equal a recomputation from the surviving UEs.
+// The batched kernel masks holes (CQI byte 0) and folds per-PLMN CQI
+// deltas once per block: after wandering across holes, the holes still
+// read 0 and the cached mean equals a recomputation from the surviving
+// UEs. Like RanController, the test owns the UE id -> row map.
 TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{2}).ok());
-  // Row of UE i + 1 (attached in order, so row i).
-  std::vector<std::uint32_t> live;
+  // UE i + 1 is attached in order, so it lands on row i.
+  std::map<UeId, std::uint32_t> row_of;
   for (std::size_t i = 0; i < 64; ++i) {
     const PlmnId plmn{1 + i % 2};
-    const Result<std::uint32_t> row =
-        cell.attach(UeId{i + 1}, plmn, Cqi{static_cast<int>(1 + i % 15)});
+    const Result<std::uint32_t> row = cell.attach(plmn, Cqi{static_cast<int>(1 + i % 15)});
     ASSERT_TRUE(row.ok());
     ASSERT_EQ(row.value(), i);
-    live.push_back(row.value());
+    row_of.emplace(UeId{i + 1}, row.value());
   }
   // Punch holes in the middle of the columns.
+  std::vector<std::uint32_t> holes;
   for (std::uint32_t row = 0; row < 64; row += 3) {
     cell.detach(row);
-    live.erase(std::find(live.begin(), live.end(), row));
+    row_of.erase(UeId{row + 1u});
+    holes.push_back(row);
   }
   Rng rng(23);
   for (int round = 0; round < 50; ++round) cell.wander_cqis(rng, 0.5);
 
+  for (const std::uint32_t row : holes) {
+    EXPECT_FALSE(cell.ues().live(row)) << "row " << row;
+    EXPECT_EQ(cell.ues().cqi_column()[row], 0) << "a hole must stay 0 across the walk";
+  }
   for (const PlmnId plmn : {PlmnId{1}, PlmnId{2}}) {
     std::int64_t sum = 0;
     std::int64_t count = 0;
-    for (const std::uint32_t row : live) {
+    for (const auto& [ue, row] : row_of) {
       // Only UEs of this PLMN contribute.
-      if (row % 2 != plmn.value() - 1) continue;
-      ASSERT_EQ(cell.ue_at(row), UeId{row + 1u});
+      if ((ue.value() - 1) % 2 != plmn.value() - 1) continue;
+      ASSERT_TRUE(cell.ues().live(row));
       sum += cell.cqi_at(row).index();
       ++count;
     }
@@ -385,8 +394,16 @@ TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
         std::clamp(static_cast<int>(sum / count), 1, 15);  // mirror of mean_cqi_at
     EXPECT_EQ(cell.mean_cqi(plmn, Cqi{7}).index(), expected_mean) << "plmn " << plmn.value();
   }
-  // Detached rows stay detached.
-  EXPECT_FALSE(cell.ue_at(0).valid());
+
+  // The running cqi_sum is exact: detaching every survivor (each takes
+  // its current CQI off the sum) must bring it back to 0, so one fresh
+  // UE at CQI 8 then reads a mean of exactly 8 on each PLMN.
+  for (const auto& [ue, row] : row_of) cell.detach(row);
+  for (const PlmnId plmn : {PlmnId{1}, PlmnId{2}}) {
+    ASSERT_EQ(cell.attached_count(plmn), 0u);
+    ASSERT_TRUE(cell.attach(plmn, Cqi{8}).ok());
+    EXPECT_EQ(cell.mean_cqi(plmn, Cqi{1}), Cqi{8}) << "plmn " << plmn.value();
+  }
 }
 
 TEST(Cell, ServeEpochUsesReservations) {
