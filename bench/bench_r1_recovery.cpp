@@ -12,6 +12,7 @@
 #include <map>
 #include <string>
 
+#include "common.hpp"
 #include "store/store.hpp"
 
 namespace {

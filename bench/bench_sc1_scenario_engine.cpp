@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "common/thread_pool.hpp"
 #include "core/request_generator.hpp"
 #include "core/testbed.hpp"
@@ -17,6 +19,12 @@
 #include "transport/generators.hpp"
 
 namespace slices::bench {
+
+/// Records the CMake build type as "slices_build_type" in the context of
+/// every benchmark report, once per binary, at static initialization.
+/// tools/check_bench_regression.py rejects a run that is not Release.
+inline const bool kBuildTypeRecorded =
+    (benchmark::AddCustomContext("slices_build_type", SLICES_BUILD_TYPE), true);
 
 /// Aggregate outcome of one driven scenario.
 struct ScenarioOutcome {

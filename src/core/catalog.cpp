@@ -1,18 +1,6 @@
 #include "core/catalog.hpp"
 
-#include "json/value.hpp"
-
 namespace slices::core {
-namespace {
-
-Result<traffic::Vertical> vertical_by_name(std::string_view name) {
-  for (const traffic::Vertical v : traffic::all_verticals()) {
-    if (traffic::to_string(v) == name) return v;
-  }
-  return make_error(Errc::invalid_argument, "unknown vertical '" + std::string(name) + "'");
-}
-
-}  // namespace
 
 SliceCatalog SliceCatalog::builtin() {
   SliceCatalog catalog;
@@ -20,48 +8,6 @@ SliceCatalog SliceCatalog::builtin() {
     SliceTemplate entry;
     entry.name = std::string(traffic::to_string(v));
     entry.vertical = v;
-    catalog.put(std::move(entry));
-  }
-  return catalog;
-}
-
-Result<SliceCatalog> SliceCatalog::from_json(std::string_view text) {
-  Result<json::Value> doc = json::parse(text);
-  if (!doc.ok()) return doc.error();
-  const json::Value* templates = doc.value().find("templates");
-  if (templates == nullptr || !templates->is_array())
-    return make_error(Errc::protocol_error, "catalog needs a 'templates' array");
-
-  SliceCatalog catalog;
-  for (const json::Value& item : templates->as_array()) {
-    Result<std::string> name = item.get_string("name");
-    if (!name.ok()) return name.error();
-    Result<std::string> vertical_name = item.get_string("vertical");
-    if (!vertical_name.ok()) return vertical_name.error();
-    Result<traffic::Vertical> vertical = vertical_by_name(vertical_name.value());
-    if (!vertical.ok()) return vertical.error();
-    if (catalog.find(name.value()) != nullptr)
-      return make_error(Errc::invalid_argument,
-                        "duplicate template '" + name.value() + "'");
-
-    SliceTemplate entry;
-    entry.name = name.value();
-    entry.vertical = vertical.value();
-    const auto number_or = [&item](const char* key, double fallback) {
-      const json::Value* v = item.find(key);
-      return v != nullptr && v->is_number() ? v->as_number() : fallback;
-    };
-    entry.default_duration = Duration::hours(number_or("duration_hours", 24.0));
-    entry.throughput_mbps = number_or("throughput_mbps", -1.0);
-    entry.max_latency_ms = number_or("max_latency_ms", -1.0);
-    entry.price_per_hour = number_or("price_per_hour", -1.0);
-    entry.penalty_per_violation = number_or("penalty_per_violation", -1.0);
-    if (const json::Value* v = item.find("needs_edge"); v != nullptr && v->is_bool()) {
-      entry.needs_edge = v->as_bool() ? 1 : 0;
-    }
-    if (entry.default_duration <= Duration::zero())
-      return make_error(Errc::invalid_argument,
-                        "template '" + entry.name + "' has non-positive duration");
     catalog.put(std::move(entry));
   }
   return catalog;

@@ -2,10 +2,10 @@
 // Slice-template catalog.
 //
 // The demo dashboard offers preset slice types to request from; real
-// brokers keep such templates (GSMA GST-style) in a catalog, typically
-// provisioned as JSON. A SliceCatalog holds named templates, each
-// derived from a vertical profile with per-template overrides, and
-// instantiates SliceSpecs from them.
+// brokers keep such templates (GSMA GST-style) in a catalog. A
+// SliceCatalog holds named templates, each derived from a vertical
+// profile with per-template overrides, and instantiates SliceSpecs
+// from them.
 
 #include <map>
 #include <string>
@@ -35,13 +35,6 @@ class SliceCatalog {
  public:
   /// The built-in catalog: one template per vertical, profile defaults.
   [[nodiscard]] static SliceCatalog builtin();
-
-  /// Parse a catalog document:
-  ///   {"templates": [{"name": "...", "vertical": "...",
-  ///     "duration_hours": 24, "throughput_mbps": 30, ...}, ...]}
-  /// Unknown verticals and duplicate names are errors; every override
-  /// field is optional. Errors: protocol_error / invalid_argument.
-  [[nodiscard]] static Result<SliceCatalog> from_json(std::string_view text);
 
   /// Add (or replace) a template.
   void put(SliceTemplate entry);

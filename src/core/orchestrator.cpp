@@ -293,11 +293,9 @@ RequestId Orchestrator::submit(const SliceSpec& spec,
   }
   if (config_.admission_window > Duration::zero()) {
     // Batched mode: decided at the next auction.
-    if (submit_observer_) submit_observer_(it->second);
     return request;
   }
   decide(it->second);
-  if (submit_observer_) submit_observer_(it->second);
   return request;
 }
 

@@ -20,7 +20,6 @@
 // uses the controllers' typed APIs so multi-domain transactions can
 // roll back precisely.
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -206,9 +205,8 @@ class Orchestrator {
   [[nodiscard]] const RevenueLedger& ledger() const noexcept { return ledger_; }
   [[nodiscard]] const EventLog& events() const noexcept { return events_; }
 
-  /// Replace the slice-template catalog used by the REST dashboard API
-  /// (defaults to SliceCatalog::builtin()).
-  void set_catalog(SliceCatalog catalog) { catalog_ = std::move(catalog); }
+  /// The slice-template catalog the REST dashboard API serves
+  /// (SliceCatalog::builtin()).
   [[nodiscard]] const SliceCatalog& catalog() const noexcept { return catalog_; }
   [[nodiscard]] const OverbookingEngine& overbooking() const noexcept { return engine_; }
   [[nodiscard]] OverbookingEngine& overbooking() noexcept { return engine_; }
@@ -279,12 +277,6 @@ class Orchestrator {
   [[nodiscard]] const std::map<std::string, std::string>& active_faults() const noexcept {
     return active_faults_;
   }
-
-  /// Observer called after every accepted submit() with the new record
-  /// (state pending or already decided). Used by the scenario recorder
-  /// to capture a live run's request stream. Pass nullptr to detach.
-  using SubmitObserver = std::function<void(const SliceRecord&)>;
-  void set_submit_observer(SubmitObserver observer) { submit_observer_ = std::move(observer); }
 
   /// Liveness/health document served at GET /healthz: component
   /// reachability over the bus, journal lag, last-epoch freshness,
@@ -509,7 +501,6 @@ class Orchestrator {
   bool started_ = false;
   bool suspended_ = false;
   std::map<std::string, std::string> active_faults_;  ///< component -> detail
-  SubmitObserver submit_observer_;
   store::StateStore* store_ = nullptr;
   std::optional<RecoveryStats> last_recovery_;
 };

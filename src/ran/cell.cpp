@@ -158,13 +158,6 @@ Result<std::uint32_t> Cell::attach(PlmnId plmn, Cqi cqi) {
   return attach_at(i, cqi);
 }
 
-void Cell::update_cqi(std::uint32_t row, Cqi cqi) noexcept {
-  assert(ues_.live(row));
-  PlmnState& stats = plmns_[ues_.plmn_index_at(row)];
-  stats.cqi_sum += cqi.index() - ues_.cqi_at(row).index();
-  ues_.set_cqi(row, cqi);
-}
-
 void Cell::wander_cqis(Rng& rng, double step_probability) {
   // Batched branchless kernel over the SoA byte columns; see
   // wander_kernel above for the lane scheme and RNG-stream contract.

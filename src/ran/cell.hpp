@@ -124,10 +124,6 @@ class Cell {
     return ues_.plmn_index_at(row);
   }
 
-  /// Update the reported channel quality (CQI feedback) of the UE at
-  /// live row `row`.
-  void update_cqi(std::uint32_t row, Cqi cqi) noexcept;
-
   // --- Handover primitives: position-addressed, cannot fail --------------
 
   /// Attach a UE under broadcast position `index` (< broadcast_count())

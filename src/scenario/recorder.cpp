@@ -71,13 +71,6 @@ Result<void> ScenarioRecorder::finish(SimTime end) {
   return r;
 }
 
-void ScenarioRecorder::attach(core::Orchestrator* orchestrator) {
-  orchestrator->set_submit_observer([this](const core::SliceRecord& record) {
-    // Best effort: a full disk must not take down the control plane.
-    (void)record_request(record.submitted_at, record.spec, 0);
-  });
-}
-
 Result<Scenario> load_recording(const std::string& path) {
   Result<store::JournalScan> scan = store::scan_journal(path);
   if (!scan.ok()) return scan.error();

@@ -15,7 +15,6 @@
 
 #include "common/result.hpp"
 #include "common/units.hpp"
-#include "core/orchestrator.hpp"
 #include "core/slice.hpp"
 #include "scenario/scenario.hpp"
 #include "store/journal.hpp"
@@ -51,12 +50,6 @@ class ScenarioRecorder {
 
   /// Write the end-of-run marker and close the journal.
   [[nodiscard]] Result<void> finish(SimTime end);
-
-  /// Live-capture convenience: record every accepted submit() of a
-  /// running orchestrator (dashboard/REST-driven runs). Workload seeds
-  /// are unknown on this path and recorded as 0 — replay reattaches
-  /// the default demand model of each vertical.
-  void attach(core::Orchestrator* orchestrator);
 
   void close() { journal_.close(); }
 

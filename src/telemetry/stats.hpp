@@ -1,7 +1,7 @@
 #pragma once
 // Small statistics toolkit: Welford online accumulator and quantile
-// estimation over sample vectors. Used by SLA accounting (violation
-// rates, latency percentiles) and by the forecast residual model.
+// estimation over sample vectors. Only the benches (run summaries,
+// latency percentiles) and telemetry_test use it.
 
 #include <algorithm>
 #include <cassert>

@@ -56,39 +56,7 @@ DataRate TransportController::current_capacity(const Link& link) const noexcept 
 Result<PathId> TransportController::allocate_path(SliceId slice, NodeId src, NodeId dst,
                                                   DataRate rate, Duration max_delay,
                                                   PathObjective objective) {
-  if (rate <= DataRate::zero()) return make_error(Errc::invalid_argument, "rate must be > 0");
-
-  const ResidualFn residual_fn = [this](const Link& link) { return residual(link); };
-  const std::optional<Route> route =
-      find_route(topology_, src, dst, rate, residual_fn, objective);
-  if (!route) {
-    return make_error(Errc::insufficient_capacity,
-                      "no route with " + std::to_string(rate.as_mbps()) + " Mb/s residual");
-  }
-  if (route->total_delay > max_delay) {
-    return make_error(Errc::sla_unsatisfiable,
-                      "best route delay " + std::to_string(route->total_delay.as_millis()) +
-                          " ms exceeds bound " + std::to_string(max_delay.as_millis()) + " ms");
-  }
-
-  PathReservation reservation;
-  reservation.id = path_ids_.next();
-  reservation.slice = slice;
-  reservation.src = src;
-  reservation.dst = dst;
-  reservation.reserved = rate;
-  reservation.max_delay = max_delay;
-  reservation.route = *route;
-
-  reserve_bandwidth(reservation.route, rate);
-  install_rules(reservation);
-  const PathId id = reservation.id;
-  const PathReservation* stored = paths_.insert(id, std::move(reservation));
-  assert(stored != nullptr);
-  const std::uint32_t slot = paths_.slot_of(id);
-  install_route_columns(slot, stored->route);
-  install_serve_columns(slot, *stored);
-  return id;
+  return install_path(PathId::invalid(), slice, src, dst, rate, max_delay, objective);
 }
 
 Result<void> TransportController::restore_path(PathId id, SliceId slice, NodeId src,
@@ -99,6 +67,15 @@ Result<void> TransportController::restore_path(PathId id, SliceId slice, NodeId 
     return make_error(Errc::conflict,
                       "path " + std::to_string(id.value()) + " already installed");
   }
+  const Result<PathId> installed = install_path(id, slice, src, dst, rate, max_delay, objective);
+  if (!installed.ok()) return installed.error();
+  path_ids_.advance_past(id);
+  return {};
+}
+
+Result<PathId> TransportController::install_path(PathId id, SliceId slice, NodeId src,
+                                                 NodeId dst, DataRate rate, Duration max_delay,
+                                                 PathObjective objective) {
   if (rate <= DataRate::zero()) return make_error(Errc::invalid_argument, "rate must be > 0");
 
   const ResidualFn residual_fn = [this](const Link& link) { return residual(link); };
@@ -115,7 +92,7 @@ Result<void> TransportController::restore_path(PathId id, SliceId slice, NodeId 
   }
 
   PathReservation reservation;
-  reservation.id = id;
+  reservation.id = id.valid() ? id : path_ids_.next();
   reservation.slice = slice;
   reservation.src = src;
   reservation.dst = dst;
@@ -125,42 +102,18 @@ Result<void> TransportController::restore_path(PathId id, SliceId slice, NodeId 
 
   reserve_bandwidth(reservation.route, rate);
   install_rules(reservation);
-  const PathReservation* stored = paths_.insert(id, std::move(reservation));
+  const PathId installed = reservation.id;
+  const PathReservation* stored = paths_.insert(installed, std::move(reservation));
   assert(stored != nullptr);
-  const std::uint32_t slot = paths_.slot_of(id);
+  const std::uint32_t slot = paths_.slot_of(installed);
   install_route_columns(slot, stored->route);
   install_serve_columns(slot, *stored);
-  path_ids_.advance_past(id);
-  return {};
-}
-
-Result<void> TransportController::restore_path_exact(PathReservation reservation) {
-  if (!reservation.id.valid()) return make_error(Errc::invalid_argument, "invalid path id");
-  if (reservation.reserved <= DataRate::zero()) {
-    return make_error(Errc::invalid_argument, "rate must be > 0");
-  }
-  if (paths_.contains(reservation.id)) {
-    return make_error(Errc::conflict, "path " + std::to_string(reservation.id.value()) +
-                                          " already installed");
-  }
-  const PathId id = reservation.id;
-  reserve_bandwidth(reservation.route, reservation.reserved);
-  install_rules(reservation);
-  const PathReservation* stored = paths_.insert(id, std::move(reservation));
-  assert(stored != nullptr);
-  const std::uint32_t slot = paths_.slot_of(id);
-  install_route_columns(slot, stored->route);
-  install_serve_columns(slot, *stored);
-  path_ids_.advance_past(id);
-  return {};
+  return installed;
 }
 
 void TransportController::install_rules(PathReservation& reservation) {
   for (const LinkId link_id : reservation.route.links) {
     const Link* link = topology_.find_link(link_id);
-    // A verbatim-restored route may reference links unknown to the
-    // current topology; they carry nothing and get no rule.
-    if (link == nullptr) continue;
     // One rule per traversed node. A slice can hold several paths (e.g.
     // RAN->edge and edge->core legs) whose node sets overlap; reuse the
     // existing rule in that case.
@@ -174,17 +127,14 @@ void TransportController::install_rules(PathReservation& reservation) {
 
 void TransportController::reserve_bandwidth(const Route& route, DataRate rate) {
   for (const LinkId link : route.links) {
-    const std::uint32_t slot = topology_.link_slot(link);
-    if (slot == Topology::kNoSlot) continue;  // unknown link reserves nothing
-    reserved_by_slot_[slot] += rate;
+    reserved_by_slot_[topology_.link_slot(link)] += rate;
   }
 }
 
 void TransportController::release_bandwidth(const Route& route, DataRate rate) {
   for (const LinkId link : route.links) {
-    const std::uint32_t slot = topology_.link_slot(link);
-    if (slot == Topology::kNoSlot) continue;
-    reserved_by_slot_[slot] = clamp_non_negative(reserved_by_slot_[slot] - rate);
+    DataRate& reserved = reserved_by_slot_[topology_.link_slot(link)];
+    reserved = clamp_non_negative(reserved - rate);
   }
 }
 
@@ -198,11 +148,12 @@ void TransportController::install_route_columns(std::uint32_t path_slot, const R
   route_len_[path_slot] = static_cast<std::uint32_t>(route.links.size());
   Duration delay = Duration::zero();
   for (const LinkId link_id : route.links) {
+    // Every route comes from CSPF over this topology, which never
+    // removes a link.
     const std::uint32_t slot = topology_.link_slot(link_id);
+    assert(slot != Topology::kNoSlot);
     route_links_.push_back(slot);
-    // Unknown links (verbatim-restored routes) contribute no delay —
-    // they zero the serve factor instead.
-    if (slot != Topology::kNoSlot) delay += topology_.links()[slot].delay;
+    delay += topology_.links()[slot].delay;
   }
   route_delay_[path_slot] = delay;
   route_live_words_ += route.links.size();
@@ -268,10 +219,7 @@ Result<void> TransportController::resize_path(PathId path, DataRate new_rate) {
   const DataRate delta = new_rate - reservation.reserved;
   if (delta > DataRate::zero()) {
     for (const LinkId link_id : reservation.route.links) {
-      const Link* link = topology_.find_link(link_id);
-      // An unknown (verbatim-restored) link carries nothing, so it can
-      // never absorb a grow.
-      if (link == nullptr || residual(*link) < delta) {
+      if (residual(*topology_.find_link(link_id)) < delta) {
         return make_error(Errc::insufficient_capacity,
                           "link " + std::to_string(link_id.value()) +
                               " cannot absorb the increase");
@@ -304,13 +252,11 @@ Result<void> TransportController::release_path(PathId path) {
   paths_.erase(path);
   for (const LinkId link_id : removed.route.links) {
     const Link* link = topology_.find_link(link_id);
-    if (link == nullptr) continue;  // unknown link: no rule was installed
     bool still_used = false;
     for (const auto& [other_id, other] : paths_) {
       if (other.slice != slice) continue;
       for (const LinkId other_link : other.route.links) {
-        const Link* ol = topology_.find_link(other_link);
-        if (ol != nullptr && ol->from == link->from) {
+        if (topology_.find_link(other_link)->from == link->from) {
           still_used = true;
           break;
         }
@@ -472,10 +418,7 @@ void TransportController::serve_epoch_into(
     const std::uint32_t off = self.route_offset_[path_slot];
     const std::uint32_t len = self.route_len_[path_slot];
     for (std::uint32_t k = 0; k < len; ++k) {
-      const std::uint32_t link_slot = self.route_links_[off + k];
-      // A route link unknown to the current topology (verbatim-restored
-      // pre-crash route) carries nothing: factor 0, served 0, degraded.
-      const double s = link_slot == Topology::kNoSlot ? 0.0 : scale[link_slot];
+      const double s = scale[self.route_links_[off + k]];
       if (s < factor) factor = s;
     }
     const Duration delay = self.route_delay_[path_slot];

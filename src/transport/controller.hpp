@@ -79,19 +79,11 @@ class TransportController {
   /// freshly allocated one, and keep the id allocator ahead of it. The
   /// route is recomputed over the *current* substrate — it may differ
   /// from the pre-crash route, but src/dst/rate/delay are preserved.
-  /// Errors: conflict (id already installed) plus allocate_path's.
+  /// Errors: invalid_argument (invalid id), conflict (id already
+  /// installed), plus allocate_path's.
   [[nodiscard]] Result<void> restore_path(PathId id, SliceId slice, NodeId src, NodeId dst,
                                           DataRate rate, Duration max_delay,
                                           PathObjective objective = PathObjective::min_delay);
-
-  /// Verbatim crash-recovery: install `reservation` exactly as given —
-  /// original id *and* original route, no CSPF. Tolerates route links
-  /// unknown to the current topology (a pre-crash route restored onto a
-  /// rebuilt substrate): unknown links reserve nothing, carry nothing
-  /// (the path serves degraded at factor 0 until the repair loop finds
-  /// a live route) and install no flow rules. Errors: invalid_argument
-  /// (invalid id, non-positive rate), conflict (id already installed).
-  [[nodiscard]] Result<void> restore_path_exact(PathReservation reservation);
 
   /// Resize an existing path reservation (grow re-validates capacity on
   /// the current route; it does not reroute). Shrink always succeeds.
@@ -164,6 +156,12 @@ class TransportController {
   [[nodiscard]] std::shared_ptr<net::Router> make_router();
 
  private:
+  /// allocate_path and restore_path's shared body: checks, CSPF and
+  /// install. An invalid `id` draws a fresh one, and only once every
+  /// check has passed, so a failed allocation consumes no id.
+  [[nodiscard]] Result<PathId> install_path(PathId id, SliceId slice, NodeId src, NodeId dst,
+                                            DataRate rate, Duration max_delay,
+                                            PathObjective objective);
   void install_rules(PathReservation& reservation);
   void reserve_bandwidth(const Route& route, DataRate rate);
   void release_bandwidth(const Route& route, DataRate rate);
@@ -198,12 +196,10 @@ class TransportController {
   /// aligned with the path slots / link slots below.
   DenseIdMap<PathId, PathReservation> paths_;
   // Route CSR: path slot -> (offset, len) into route_links_, a flat
-  // arena of *link slots* (Topology::kNoSlot marks a route link unknown
-  // to the current topology — a verbatim-restored pre-crash route).
-  // route_delay_ is the static propagation delay, summed in route order
-  // at install time so serving never walks Link structs. Reroutes
-  // append a fresh span and abandon the old one; compact_route_arena()
-  // repacks once dead words outnumber live ones.
+  // arena of *link slots*. route_delay_ is the static propagation
+  // delay, summed in route order at install time so serving never walks
+  // Link structs. Reroutes append a fresh span and abandon the old one;
+  // compact_route_arena() repacks once dead words outnumber live ones.
   std::vector<std::uint32_t> route_offset_;
   std::vector<std::uint32_t> route_len_;
   std::vector<Duration> route_delay_;
@@ -219,7 +215,7 @@ class TransportController {
   std::vector<SliceId> path_slice_;
   // Flat id -> path slot for ids below kMaxFlatPathId (the IdAllocator
   // hands them out sequentially from 1, so this stays dense); larger
-  // verbatim-restored ids fall back to the DenseIdMap probe.
+  // restored ids fall back to the DenseIdMap probe.
   static constexpr std::uint64_t kMaxFlatPathId = std::uint64_t{1} << 22;
   std::vector<std::uint32_t> path_slot_by_id_;
   std::vector<DataRate> reserved_by_slot_;  ///< by link slot

@@ -36,51 +36,6 @@ TEST(SliceCatalog, UnknownTemplateIsNotFound) {
   EXPECT_EQ(catalog.instantiate("nope").error().code, Errc::not_found);
 }
 
-TEST(SliceCatalog, FromJsonAppliesOverrides) {
-  const char* doc = R"({
-    "templates": [
-      {"name": "gold-video", "vertical": "embb_video",
-       "duration_hours": 48, "throughput_mbps": 100,
-       "price_per_hour": 80, "penalty_per_violation": 10,
-       "max_latency_ms": 30, "needs_edge": true},
-      {"name": "bronze-iot", "vertical": "iot_metering"}
-    ]})";
-  const Result<SliceCatalog> catalog = SliceCatalog::from_json(doc);
-  ASSERT_TRUE(catalog.ok()) << catalog.error().message;
-  EXPECT_EQ(catalog.value().size(), 2u);
-
-  const Result<SliceSpec> gold = catalog.value().instantiate("gold-video");
-  ASSERT_TRUE(gold.ok());
-  EXPECT_DOUBLE_EQ(gold.value().expected_throughput.as_mbps(), 100.0);
-  EXPECT_EQ(gold.value().duration, Duration::hours(48.0));
-  EXPECT_EQ(gold.value().price_per_hour, Money::units(80.0));
-  EXPECT_EQ(gold.value().max_latency, Duration::millis(30.0));
-  EXPECT_TRUE(gold.value().needs_edge);
-
-  // The minimal entry falls back to profile values entirely.
-  const Result<SliceSpec> bronze = catalog.value().instantiate("bronze-iot");
-  ASSERT_TRUE(bronze.ok());
-  EXPECT_DOUBLE_EQ(
-      bronze.value().expected_throughput.as_mbps(),
-      traffic::profile_for(traffic::Vertical::iot_metering).expected_throughput_mbps);
-}
-
-TEST(SliceCatalog, FromJsonRejectsBadDocuments) {
-  EXPECT_FALSE(SliceCatalog::from_json("not json").ok());
-  EXPECT_FALSE(SliceCatalog::from_json("{}").ok());
-  EXPECT_FALSE(SliceCatalog::from_json(
-                   R"({"templates":[{"name":"x","vertical":"warp-drive"}]})")
-                   .ok());
-  EXPECT_FALSE(SliceCatalog::from_json(R"({"templates":[{"vertical":"ehealth"}]})").ok());
-  EXPECT_FALSE(SliceCatalog::from_json(
-                   R"({"templates":[{"name":"a","vertical":"ehealth"},
-                                    {"name":"a","vertical":"ehealth"}]})")
-                   .ok());
-  EXPECT_FALSE(SliceCatalog::from_json(
-                   R"({"templates":[{"name":"a","vertical":"ehealth","duration_hours":0}]})")
-                   .ok());
-}
-
 TEST(SliceCatalog, NamesSortedAndPutReplaces) {
   SliceCatalog catalog;
   catalog.put(SliceTemplate{.name = "b"});
@@ -97,24 +52,17 @@ TEST(SliceCatalog, NamesSortedAndPutReplaces) {
 
 TEST(SliceCatalog, TemplateSubmissionOverRest) {
   auto tb = make_testbed(81);
-  SliceCatalog catalog = SliceCatalog::builtin();
-  SliceTemplate gold;
-  gold.name = "gold-iot";
-  gold.vertical = traffic::Vertical::iot_metering;
-  gold.default_duration = Duration::hours(8.0);
-  gold.throughput_mbps = 3.0;
-  catalog.put(gold);
-  tb->orchestrator->set_catalog(std::move(catalog));
 
-  // The catalog is browsable.
+  // The built-in catalog is browsable.
   const Result<json::Value> listed = tb->bus.get_json("orchestrator", "/templates");
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed.value().find("templates")->as_array().size(),
-            traffic::all_verticals().size() + 1);
+            traffic::all_verticals().size());
 
-  // Request by template name.
+  // Request by template name, with an explicit duration.
   json::Value request;
-  request["template"] = "gold-iot";
+  request["template"] = "iot_metering";
+  request["duration_hours"] = 8.0;
   const Result<json::Value> created =
       tb->bus.call_json("orchestrator", net::Method::post, "/slices", request);
   ASSERT_TRUE(created.ok()) << created.error().message;
@@ -122,7 +70,9 @@ TEST(SliceCatalog, TemplateSubmissionOverRest) {
       SliceId{static_cast<std::uint64_t>(created.value().find("slice")->as_number())};
   const SliceRecord* record = tb->orchestrator->find_slice(slice);
   ASSERT_NE(record, nullptr);
-  EXPECT_DOUBLE_EQ(record->spec.expected_throughput.as_mbps(), 3.0);
+  EXPECT_DOUBLE_EQ(
+      record->spec.expected_throughput.as_mbps(),
+      traffic::profile_for(traffic::Vertical::iot_metering).expected_throughput_mbps);
   EXPECT_EQ(record->spec.duration, Duration::hours(8.0));
 
   // Unknown template -> 404 semantics.

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "forecast/ar.hpp"
 #include "forecast/backtest.hpp"
 #include "forecast/demand_estimator.hpp"
 #include "forecast/forecaster.hpp"
@@ -223,62 +222,6 @@ INSTANTIATE_TEST_SUITE_P(
                         new HoltWintersForecaster(0.4, 0.05, 0.3, 24));
                   }}),
     [](const ::testing::TestParamInfo<ModelCase>& info) { return info.param.label; });
-
-// --- ArForecaster -----------------------------------------------------------------
-
-TEST(ArForecaster, RecoversAr1Coefficient) {
-  // x_t = 5 + 0.7 x_{t-1} + noise: RLS must find ~[5, 0.7].
-  ArForecaster model(1, 1.0);
-  Rng rng(3);
-  double x = 20.0;
-  for (int i = 0; i < 3000; ++i) {
-    model.observe(x);
-    x = 5.0 + 0.7 * x + rng.normal(0.0, 0.3);
-  }
-  ASSERT_TRUE(model.ready());
-  EXPECT_NEAR(model.coefficients()[1], 0.7, 0.05);
-  EXPECT_NEAR(model.coefficients()[0], 5.0, 1.0);
-  // Long-horizon forecast approaches the process mean 5/(1-0.7).
-  EXPECT_NEAR(model.predict(200), 5.0 / 0.3, 1.5);
-}
-
-TEST(ArForecaster, ConstantSeriesConverges) {
-  ArForecaster model(2);
-  for (int i = 0; i < 100; ++i) model.observe(12.0);
-  ASSERT_TRUE(model.ready());
-  EXPECT_NEAR(model.predict(1), 12.0, 0.2);
-  EXPECT_NEAR(model.predict(8), 12.0, 0.5);
-}
-
-TEST(ArForecaster, NotReadyUntilWarm) {
-  ArForecaster model(3);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(model.ready());
-    model.observe(static_cast<double>(i));
-  }
-}
-
-TEST(ArForecaster, MakeEmptyResets) {
-  ArForecaster model(2);
-  for (int i = 0; i < 50; ++i) model.observe(3.0);
-  const auto fresh = model.make_empty();
-  EXPECT_FALSE(fresh->ready());
-  EXPECT_EQ(fresh->name(), "ar_rls");
-}
-
-TEST(ArForecaster, BeatsNaiveOnAutocorrelatedTraffic) {
-  // A strongly mean-reverting AR(1) process: exploit the correlation.
-  Rng rng(8);
-  std::vector<double> series;
-  double x = 50.0;
-  for (int i = 0; i < 2000; ++i) {
-    series.push_back(x);
-    x = 25.0 + 0.5 * x + rng.normal(0.0, 2.0);
-  }
-  const BacktestReport ar = backtest(ArForecaster(1, 1.0), series);
-  const BacktestReport naive = backtest(NaiveForecaster{}, series);
-  EXPECT_LT(ar.rmse, naive.rmse);
-}
 
 // --- ResidualTracker -----------------------------------------------------------
 

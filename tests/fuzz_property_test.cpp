@@ -1,7 +1,8 @@
 // Robustness property tests: the wire-facing parsers (JSON, HTTP
-// request/response and the socket framer, URL targets, trace CSV) must
-// never crash and must return a typed error — not garbage — for
-// arbitrary byte soup and for truncated/mutated valid documents. The federation bodies an edge or
+// request/response and the socket framer, URL targets, the trace
+// context header) and the journal decoder must never crash and must
+// return a typed error — not garbage — for arbitrary byte soup and for
+// truncated/mutated valid documents. The federation bodies an edge or
 // broker decodes from another process (fault, roamer ingress, advance,
 // metrics merge, region summary) must reject or skip numbers outside
 // their integer range instead of casting them.
@@ -11,6 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -31,9 +35,10 @@
 #include "net/rest_bus.hpp"
 #include "net/url.hpp"
 #include "scenario/scenario.hpp"
+#include "store/journal.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
-#include "traffic/trace.hpp"
+#include "telemetry/trace.hpp"
 
 namespace slices {
 namespace {
@@ -253,8 +258,71 @@ TEST_P(ParserFuzz, UrlAndTraceNeverCrash) {
   for (int i = 0; i < 2000; ++i) {
     (void)net::parse_target("/" + random_printable(rng, 32));
     (void)net::percent_decode(random_printable(rng, 32));
-    (void)traffic::parse_trace_csv(random_printable(rng, 48));
+    (void)telemetry::trace::parse_context(random_printable(rng, 48));
+    (void)telemetry::trace::parse_context(random_bytes(rng, 48));
   }
+}
+
+TEST_P(ParserFuzz, MutatedJournalScansToAPrefix) {
+  namespace fs = std::filesystem;
+  Rng rng(GetParam() * 193 + 11);
+  const fs::path dir =
+      fs::temp_directory_path() / ("slices_fuzz_journal_" + std::to_string(GetParam()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "journal.wal").string();
+
+  std::vector<std::string> written;
+  {
+    store::Journal journal;
+    ASSERT_TRUE(journal.open(path, 0).ok());
+    for (int i = 0; i < 8; ++i) {
+      json::Object record;
+      record.emplace("seq", static_cast<double>(i));
+      record.emplace("op", std::string(static_cast<std::size_t>(3 * i), 'x'));
+      written.push_back(json::serialize(json::Value(std::move(record))));
+      ASSERT_TRUE(journal.append(written.back(), false).ok());
+    }
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string valid{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  ASSERT_FALSE(valid.empty());
+
+  for (int round = 0; round < 300; ++round) {
+    std::string bytes = valid;
+    if (rng.bernoulli(0.5)) {
+      bytes.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(valid.size()))));
+    } else {
+      const auto flips = rng.uniform_int(1, 4);
+      for (std::int64_t f = 0; f < flips; ++f) {
+        const auto pos = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(bytes.size() - 1)));
+        bytes[pos] = static_cast<char>(bytes[pos] ^ static_cast<char>(rng.uniform_int(1, 255)));
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    // Corruption is data, never an error or a crash: the scan keeps the
+    // records before the first damaged one, byte for byte.
+    const Result<store::JournalScan> scan = store::scan_journal(path);
+    ASSERT_TRUE(scan.ok()) << scan.error().message;
+    const store::JournalScan& s = scan.value();
+    ASSERT_LE(s.records.size(), written.size());
+    std::uint64_t prefix_bytes = 0;
+    for (std::size_t i = 0; i < s.records.size(); ++i) {
+      EXPECT_EQ(json::serialize(s.records[i]), written[i]) << "round " << round;
+      prefix_bytes += 8 + written[i].size();  // u32 length + u32 CRC + payload
+    }
+    EXPECT_EQ(s.valid_bytes, prefix_bytes);
+    EXPECT_EQ(s.file_bytes, bytes.size());
+    EXPECT_EQ(s.truncated_tail, s.valid_bytes < s.file_bytes);
+    if (bytes == valid) EXPECT_EQ(s.records.size(), written.size());
+  }
+  fs::remove_all(dir);
 }
 
 TEST_P(ParserFuzz, ScenarioParserNeverCrashes) {

@@ -272,23 +272,22 @@ TEST(Cell, MeanCqiAveragesAttachedUes) {
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{9}), Cqi{9});  // (6+12)/2
 }
 
-TEST(Cell, UeCqiUpdateAndQuery) {
+TEST(Cell, UeCqiQueryAndDetachedHole) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   const std::uint32_t row = cell.attach(PlmnId{1}, Cqi{7}).value();
   const std::uint32_t other = cell.attach(PlmnId{1}, Cqi{9}).value();
   EXPECT_EQ(cell.cqi_at(row), Cqi{7});
-  cell.update_cqi(row, Cqi{12});
-  EXPECT_EQ(cell.cqi_at(row), Cqi{12});
-  // The update touches its own row only and feeds the PLMN aggregate.
   EXPECT_EQ(cell.cqi_at(other), Cqi{9});
-  EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{1}), Cqi{10});  // (12+9)/2
-  // A detached row is a hole: its CQI byte reads 0.
+  EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{1}), Cqi{8});  // (7+9)/2
+  // A detached row is a hole: its CQI byte reads 0, and it leaves the
+  // PLMN aggregate.
   cell.detach(other);
   EXPECT_FALSE(cell.ues().live(other));
   EXPECT_EQ(cell.ues().cqi_column()[other], 0);
   EXPECT_TRUE(cell.ues().live(row));
-  EXPECT_EQ(cell.cqi_at(row), Cqi{12});
+  EXPECT_EQ(cell.cqi_at(row), Cqi{7});
+  EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{1}), Cqi{7});
 }
 
 TEST(Cell, CqiWanderStaysInRange) {

@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "json/value.hpp"
-#include "telemetry/csv.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/stats.hpp"
@@ -470,54 +469,6 @@ TEST(MonitorRegistry, SeriesWindowReturnsRecentPoints) {
   EXPECT_DOUBLE_EQ(window.as_array()[0].find("v")->as_number(), 7.0);
   EXPECT_DOUBLE_EQ(window.as_array()[2].find("v")->as_number(), 9.0);
   EXPECT_TRUE(reg.series_window("ghost", 5).as_array().empty());
-}
-
-// --- CSV export -------------------------------------------------------------------
-
-TEST(CsvExport, EscapeQuotesAndSeparators) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvExport, LongFormatOneRowPerSample) {
-  MonitorRegistry reg;
-  reg.observe("a", at(1.0), 10.0);
-  reg.observe("a", at(2.0), 20.0);
-  reg.observe("b", at(1.0), 0.5);
-  const std::string csv = export_long_csv(reg, {"a", "b"});
-  EXPECT_EQ(csv,
-            "series,t_seconds,value\n"
-            "a,1,10\n"
-            "a,2,20\n"
-            "b,1,0.5\n");
-}
-
-TEST(CsvExport, LongFormatSkipsUnknownSeries) {
-  MonitorRegistry reg;
-  reg.observe("a", at(1.0), 1.0);
-  const std::string csv = export_long_csv(reg, {"ghost", "a"});
-  EXPECT_EQ(csv, "series,t_seconds,value\na,1,1\n");
-}
-
-TEST(CsvExport, WideFormatAlignsByTimestamp) {
-  MonitorRegistry reg;
-  reg.observe("x", at(1.0), 1.0);
-  reg.observe("x", at(2.0), 2.0);
-  reg.observe("y", at(2.0), 20.0);
-  reg.observe("y", at(3.0), 30.0);
-  const std::string csv = export_wide_csv(reg, {"x", "y"});
-  EXPECT_EQ(csv,
-            "t_seconds,x,y\n"
-            "1,1,\n"
-            "2,2,20\n"
-            "3,,30\n");
-}
-
-TEST(CsvExport, WideFormatEmptyRegistry) {
-  MonitorRegistry reg;
-  EXPECT_EQ(export_wide_csv(reg, {"none"}), "t_seconds,none\n");
 }
 
 // --- Trace ------------------------------------------------------------------------

@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "traffic/model.hpp"
-#include "traffic/trace.hpp"
 #include "traffic/verticals.hpp"
 
 namespace slices::traffic {
@@ -100,60 +99,6 @@ TEST(TrafficDeterminism, SameSeedSameTrace) {
     EXPECT_DOUBLE_EQ(a.sample(t), b.sample(t));
     t = t + Duration::minutes(15.0);
   }
-}
-
-// --- trace replay -----------------------------------------------------------
-
-TEST(TraceTraffic, ReplaysAndLoops) {
-  TraceTraffic trace({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(0.0)), 1.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(1.0)), 2.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(2.0)), 3.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(3.0)), 1.0);  // wrapped
-  EXPECT_EQ(trace.position(), 4u);
-  EXPECT_DOUBLE_EQ(trace.mean_rate(), 2.0);
-  EXPECT_DOUBLE_EQ(trace.peak_rate(), 3.0);
-}
-
-TEST(TraceTraffic, HoldsLastWhenNotLooping) {
-  TraceTraffic trace({5.0, 7.0}, /*loop=*/false);
-  (void)trace.sample(at_hours(0.0));
-  (void)trace.sample(at_hours(1.0));
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(2.0)), 7.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(3.0)), 7.0);
-}
-
-TEST(TraceCsv, ParsesValueAndTimeValueRows) {
-  const Result<std::vector<double>> trace = parse_trace_csv(
-      "# demand trace\n"
-      "t_seconds,mbps\n"
-      "0,10.5\n"
-      "900,12\n"
-      "\n"
-      "25.25\n");
-  ASSERT_TRUE(trace.ok()) << trace.error().message;
-  EXPECT_EQ(trace.value(), (std::vector<double>{10.5, 12.0, 25.25}));
-}
-
-TEST(TraceCsv, HandlesCrlfAndComments) {
-  const Result<std::vector<double>> trace = parse_trace_csv("1\r\n# note\r\n2\r\n");
-  ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(trace.value().size(), 2u);
-}
-
-TEST(TraceCsv, RejectsBadRows) {
-  EXPECT_FALSE(parse_trace_csv("").ok());
-  EXPECT_FALSE(parse_trace_csv("# only comments\n").ok());
-  EXPECT_FALSE(parse_trace_csv("1\nbroken\n2\n").ok());  // non-header bad row
-  EXPECT_FALSE(parse_trace_csv("1\n-4\n").ok());         // negative demand
-}
-
-TEST(TraceCsv, RoundTripsIntoModel) {
-  const Result<std::vector<double>> parsed = parse_trace_csv("3\n1\n2\n");
-  ASSERT_TRUE(parsed.ok());
-  TraceTraffic trace(parsed.value());
-  EXPECT_DOUBLE_EQ(trace.sample(at_hours(0.0)), 3.0);
-  EXPECT_DOUBLE_EQ(trace.peak_rate(), 3.0);
 }
 
 // --- vertical profiles: parameterized over all verticals --------------------

@@ -427,64 +427,47 @@ TEST(TransportController, SoaStateMatchesMapModelUnderRandomOps) {
   EXPECT_FALSE(model_paths.empty());  // the walk actually built state
 }
 
-// Satellite regression: a verbatim-restored pre-crash route can name links
-// the rebuilt topology does not have. Serving such a path must yield a
-// degraded zero-served report — never dereference a null find_link() — and
-// the repair loop must eventually move the path onto a live route.
-TEST(TransportController, StaleRouteServesDegradedKernel) {
+TEST(TransportController, FailedAllocationDrawsNoPathId) {
   Diamond d;
-  const NodeId src = d.src;
-  const NodeId dst = d.dst;
-  const LinkId live_link = d.fast_a;
   TransportController tc(std::move(d.topo), Rng(3));
-
-  PathReservation stale;
-  stale.id = PathId{500};
-  stale.slice = SliceId{7};
-  stale.src = src;
-  stale.dst = dst;
-  stale.reserved = DataRate::mbps(10.0);
-  stale.max_delay = Duration::millis(50.0);
-  stale.route.links = {live_link, LinkId{987654}};  // second hop no longer exists
-  stale.route.total_delay = Duration::millis(2.0);
-  stale.route.bottleneck = DataRate::mbps(10.0);
-  ASSERT_TRUE(tc.restore_path_exact(stale).ok());
-  // Known links of the stale route still hold their reservation.
-  EXPECT_DOUBLE_EQ(tc.reserved_on(live_link).as_mbps(), 10.0);
-
-  const std::vector<std::pair<PathId, DataRate>> demands = {
-      {PathId{500}, DataRate::mbps(8.0)}};
-  const auto reports = tc.serve_epoch(demands, SimTime::from_seconds(1.0));
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_DOUBLE_EQ(reports[0].served.as_mbps(), 0.0);
-  EXPECT_TRUE(reports[0].degraded);
-
-  // The repair loop reroutes onto the all-fiber substrate; the next epoch
-  // serves the demand in full.
-  EXPECT_GT(tc.reroutes(), 0u);
-  const auto healed = tc.serve_epoch(demands, SimTime::from_seconds(2.0));
-  ASSERT_EQ(healed.size(), 1u);
-  EXPECT_DOUBLE_EQ(healed[0].served.as_mbps(), 8.0);
-  EXPECT_FALSE(healed[0].degraded);
+  const Result<PathId> first = tc.allocate_path(SliceId{1}, d.src, d.dst,
+                                                DataRate::mbps(10.0), Duration::millis(20.0));
+  ASSERT_TRUE(first.ok());
+  // Each check rejects before an id is drawn: rate, capacity, delay.
+  EXPECT_EQ(tc.allocate_path(SliceId{2}, d.src, d.dst, DataRate::mbps(0.0),
+                             Duration::millis(20.0)).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(tc.allocate_path(SliceId{2}, d.src, d.dst, DataRate::mbps(5000.0),
+                             Duration::millis(20.0)).error().code,
+            Errc::insufficient_capacity);
+  EXPECT_EQ(tc.allocate_path(SliceId{2}, d.src, d.dst, DataRate::mbps(10.0),
+                             Duration::millis(0.5)).error().code,
+            Errc::sla_unsatisfiable);
+  const Result<PathId> second = tc.allocate_path(SliceId{2}, d.src, d.dst,
+                                                 DataRate::mbps(10.0), Duration::millis(20.0));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value().value(), first.value().value() + 1);
 }
 
-TEST(TransportController, RestorePathExactRejectsConflictAndBadArgs) {
+TEST(TransportController, RestorePathKeepsIdAndRejectsConflictAndBadArgs) {
   Diamond d;
   TransportController tc(std::move(d.topo), Rng(3));
-  PathReservation r;
-  r.id = PathId{9};
-  r.slice = SliceId{1};
-  r.src = d.src;
-  r.dst = d.dst;
-  r.reserved = DataRate::mbps(5.0);
-  r.max_delay = Duration::millis(50.0);
-  r.route.links = {d.fast_a, d.fast_b};
-  ASSERT_TRUE(tc.restore_path_exact(r).ok());
-  EXPECT_EQ(tc.restore_path_exact(r).error().code, Errc::conflict);
-  PathReservation bad = r;
-  bad.id = PathId{10};
-  bad.reserved = DataRate::mbps(0.0);
-  EXPECT_EQ(tc.restore_path_exact(bad).error().code, Errc::invalid_argument);
+  ASSERT_TRUE(tc.restore_path(PathId{9}, SliceId{1}, d.src, d.dst, DataRate::mbps(5.0),
+                              Duration::millis(50.0)).ok());
+  const PathReservation* restored = tc.find_path(PathId{9});
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->slice, SliceId{1});
+  EXPECT_DOUBLE_EQ(tc.reserved_on(restored->route.links[0]).as_mbps(), 5.0);
+  EXPECT_EQ(tc.restore_path(PathId{9}, SliceId{1}, d.src, d.dst, DataRate::mbps(5.0),
+                            Duration::millis(50.0)).error().code,
+            Errc::conflict);
+  EXPECT_EQ(tc.restore_path(PathId::invalid(), SliceId{1}, d.src, d.dst, DataRate::mbps(5.0),
+                            Duration::millis(50.0)).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(tc.restore_path(PathId{10}, SliceId{1}, d.src, d.dst, DataRate::mbps(0.0),
+                            Duration::millis(50.0)).error().code,
+            Errc::invalid_argument);
+  EXPECT_EQ(tc.find_path(PathId{10}), nullptr);
   // The id allocator skipped past the restored id.
   const Result<PathId> fresh = tc.allocate_path(SliceId{2}, d.src, d.dst,
                                                 DataRate::mbps(1.0), Duration::millis(50.0));

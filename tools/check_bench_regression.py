@@ -13,6 +13,11 @@ baseline) and fails — exit 1 — when
 
     current_median > baseline_median * (1 + tolerance)
 
+It also fails — exit 2 — when the current run's context does not record
+"slices_build_type": "Release" (bench/common.hpp writes it), so numbers
+from a Debug or RelWithDebInfo build cannot pass. Baselines are not
+checked.
+
 Medians rather than means keep one noisy-neighbour iteration on a shared
 CI runner from tripping the gate; the default tolerance of 25% is wide
 for the same reason. Refresh the baseline (commit the new CURRENT.json
@@ -67,6 +72,13 @@ def main() -> int:
 
     current = _load(args.current)
     baseline = _load(args.baseline)
+
+    build_type = current.get("context", {}).get("slices_build_type")
+    if build_type != "Release":
+        print(f"benchmark regression gate FAILED: {args.current} was built as "
+              f"{build_type!r}, not 'Release'; only Release numbers are comparable",
+              file=sys.stderr)
+        return 2
 
     failures = []
     for bench in args.bench:
