@@ -30,16 +30,16 @@ void print_experiment() {
   for (int i = 0; i < 100; ++i) {
     // Install, measure, tear down — like an operator cycling demo slices.
     core::GeneratedRequest request = generator.next_request();
-    const RequestId id = tb->orchestrator->submit(request.spec, std::move(request.workload));
-    const core::SliceRecord* record = tb->orchestrator->find_by_request(id);
-    if (record->state != core::SliceState::installing) continue;
+    const core::SubmitVerdict verdict =
+        tb->orchestrator->submit(request.spec, std::move(request.workload));
+    if (verdict.state != core::SliceState::installing) continue;
     const core::InstallTimeline timeline = tb->orchestrator->last_install_timeline();
     plmn.push_back(timeline.plmn_install.as_seconds());
     ran.push_back(timeline.ran_reservation.as_seconds());
     path.push_back(timeline.path_setup.as_seconds());
     epc.push_back(timeline.epc_deploy.as_seconds());
     total.push_back(timeline.total().as_seconds());
-    (void)tb->orchestrator->terminate(record->id);
+    (void)tb->orchestrator->terminate(verdict.slice);
   }
 
   rule(72);

@@ -33,12 +33,12 @@ void print_experiment() {
     core::SliceSpec spec =
         core::SliceSpec::from_profile(traffic::profile_for(v), Duration::hours(48.0));
     spec.expected_throughput = DataRate::mbps(mbps);
-    const RequestId request =
+    const core::SubmitVerdict verdict =
         tb->orchestrator->submit(spec, traffic::make_traffic(v, Rng(23)));
-    const core::SliceRecord* record = tb->orchestrator->find_by_request(request);
     std::printf("  %-14s -> %-11s", std::string(traffic::to_string(v)).c_str(),
-                std::string(core::to_string(record->state)).c_str());
-    if (record->state == core::SliceState::installing) {
+                std::string(core::to_string(verdict.state)).c_str());
+    if (verdict.state == core::SliceState::installing) {
+      const core::SliceRecord* record = tb->orchestrator->find_slice(verdict.slice);
       const cloud::Datacenter* dc = tb->cloud.find_datacenter(record->embedding.datacenter);
       const transport::PathReservation* path =
           tb->transport->find_path(record->embedding.paths.front());

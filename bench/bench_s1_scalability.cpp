@@ -58,11 +58,10 @@ void BM_AdmissionAtScale(benchmark::State& state) {
       traffic::profile_for(traffic::Vertical::iot_metering), Duration::hours(1.0));
   spec.expected_throughput = DataRate::mbps(2.0);
   for (auto _ : state) {
-    const RequestId request = sys->orchestrator->submit(spec);
+    const core::SubmitVerdict verdict = sys->orchestrator->submit(spec);
     state.PauseTiming();
-    const core::SliceRecord* record = sys->orchestrator->find_by_request(request);
-    if (record != nullptr && record->is_live()) {
-      (void)sys->orchestrator->terminate(record->id);
+    if (verdict.state == core::SliceState::installing) {
+      (void)sys->orchestrator->terminate(verdict.slice);
     }
     state.ResumeTiming();
   }
@@ -154,8 +153,8 @@ std::unique_ptr<FederatedCity> make_city(std::size_t regions, std::size_t cells_
   Rng cqi_rng(7);
   for (auto& edge : city->edges) {
     std::vector<PlmnId> plmns;
-    for (const core::SliceRecord* record : edge->orchestrator().all_slices()) {
-      if (record->is_live()) plmns.push_back(record->embedding.plmn);
+    for (const auto& [slice, record] : edge->orchestrator().slices()) {
+      if (record.is_live()) plmns.push_back(record.embedding.plmn);
     }
     if (plmns.empty()) continue;
     const std::size_t target = edge->plan().cells * kUesPerCell;

@@ -26,10 +26,10 @@ int main() {
   std::cout << "requesting automotive slice: " << spec.expected_throughput.as_mbps()
             << " Mb/s, max latency " << spec.max_latency.as_millis() << " ms, edge required\n";
 
-  const RequestId request = tb->orchestrator->submit(
+  const core::SubmitVerdict verdict = tb->orchestrator->submit(
       spec, traffic::make_traffic(traffic::Vertical::automotive, Rng(5)));
-  const core::SliceRecord* record = tb->orchestrator->find_by_request(request);
-  std::cout << "verdict: " << core::to_string(record->state) << "\n";
+  std::cout << "verdict: " << core::to_string(verdict.state) << "\n";
+  const core::SliceRecord* record = tb->orchestrator->find_slice(verdict.slice);
 
   // Where did it land?
   const cloud::Datacenter* dc = tb->cloud.find_datacenter(record->embedding.datacenter);
@@ -74,9 +74,9 @@ int main() {
   std::cout << "\nfilling the edge with other workloads: "
             << (soaked.ok() ? "done" : soaked.error().message) << "\n";
 
-  const RequestId second = tb->orchestrator->submit(
-      core::SliceSpec::from_profile(profile, Duration::hours(4.0)));
-  std::cout << "\nsecond automotive tenant (edge now full): "
-            << core::to_string(tb->orchestrator->find_by_request(second)->state) << "\n";
+  const core::SubmitVerdict second =
+      tb->orchestrator->submit(core::SliceSpec::from_profile(profile, Duration::hours(4.0)));
+  std::cout << "\nsecond automotive tenant (edge now full): " << core::to_string(second.state)
+            << "\n";
   return 0;
 }

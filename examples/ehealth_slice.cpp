@@ -34,11 +34,12 @@ Outcome run_with_risk(double risk_quantile) {
 
   const traffic::VerticalProfile profile = traffic::profile_for(traffic::Vertical::ehealth);
   core::SliceSpec spec = core::SliceSpec::from_profile(profile, Duration::hours(48.0));
-  const RequestId request = tb->orchestrator->submit(
-      spec, traffic::make_traffic(traffic::Vertical::ehealth, Rng(99)));
+  const SliceId slice =
+      tb->orchestrator->submit(spec, traffic::make_traffic(traffic::Vertical::ehealth, Rng(99)))
+          .slice;
   tb->simulator.run_for(Duration::hours(47.0));
 
-  const core::SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const core::SliceRecord* record = tb->orchestrator->find_slice(slice);
   const core::SliceLedgerEntry* ledger = tb->orchestrator->ledger().find(record->id);
   const core::OrchestratorSummary summary = tb->orchestrator->summary();
   return Outcome{record->reserved.as_mbps(),

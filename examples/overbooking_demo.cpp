@@ -22,7 +22,7 @@ namespace {
 
 /// Submit a slice the way the dashboard form does: a JSON POST to the
 /// orchestrator's REST API.
-RequestId submit_via_rest(core::Testbed& tb, const char* vertical, double hours,
+SliceId submit_via_rest(core::Testbed& tb, const char* vertical, double hours,
                           double throughput_mbps, double price, double penalty) {
   json::Value body;
   body["vertical"] = vertical;
@@ -34,21 +34,21 @@ RequestId submit_via_rest(core::Testbed& tb, const char* vertical, double hours,
       tb.bus.call_json("orchestrator", net::Method::post, "/slices", body);
   if (!resp.ok()) {
     std::cout << "  -> REJECTED: " << resp.error().message << "\n";
-    return RequestId::invalid();
+    return SliceId::invalid();
   }
-  const auto request = static_cast<std::uint64_t>(resp.value().find("request")->as_number());
-  std::cout << "  -> " << resp.value().find("state")->as_string() << " (slice "
-            << resp.value().find("slice")->as_int() << ")\n";
-  return RequestId{request};
+  const auto slice = static_cast<std::uint64_t>(resp.value().find("slice")->as_number());
+  std::cout << "  -> " << resp.value().find("state")->as_string() << " (slice " << slice
+            << ")\n";
+  return SliceId{slice};
 }
 
-std::unique_ptr<core::UePopulation> bring_users_online(core::Testbed& tb, RequestId request,
+std::unique_ptr<core::UePopulation> bring_users_online(core::Testbed& tb, SliceId slice,
                                                        traffic::Vertical v,
                                                        std::uint64_t seed) {
   // REST submissions carry SLA terms only; the tenant's user population
   // (session churn of UEs on the slice PLMN) and its demand process
   // come online here.
-  const core::SliceRecord* record = tb.orchestrator->find_by_request(request);
+  const core::SliceRecord* record = tb.orchestrator->find_slice(slice);
   if (record == nullptr || !record->is_live()) return nullptr;
   (void)tb.orchestrator->attach_workload(record->id, traffic::make_traffic(v, Rng(seed)));
 
@@ -74,9 +74,9 @@ int main() {
 
   act("Act 1 — the operator requests three slices through the dashboard");
   std::cout << "video CDN, 48 h, 30 Mb/s, 30/h, penalty 2:\n";
-  const RequestId video = submit_via_rest(*tb, "embb_video", 48.0, 30.0, 30.0, 2.0);
+  const SliceId video = submit_via_rest(*tb, "embb_video", 48.0, 30.0, 30.0, 2.0);
   std::cout << "automotive V2X, 48 h, 15 Mb/s, 45/h, penalty 8:\n";
-  const RequestId v2x = submit_via_rest(*tb, "automotive", 48.0, 15.0, 45.0, 8.0);
+  const SliceId v2x = submit_via_rest(*tb, "automotive", 48.0, 15.0, 45.0, 8.0);
   std::cout << "e-health, 48 h, 8 Mb/s, 25/h, penalty 15:\n";
   (void)submit_via_rest(*tb, "ehealth", 48.0, 8.0, 25.0, 15.0);
 

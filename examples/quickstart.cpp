@@ -25,12 +25,10 @@ int main() {
 
   // 3. Submit it together with a demand workload (what the tenant's
   //    users will actually offer once the slice is live).
-  const RequestId request = tb->orchestrator->submit(
+  const core::SubmitVerdict verdict = tb->orchestrator->submit(
       spec, traffic::make_traffic(traffic::Vertical::embb_video, Rng(7)));
-
-  const core::SliceRecord* record = tb->orchestrator->find_by_request(request);
-  std::cout << "request " << request.value() << " -> slice " << record->id.value()
-            << " state=" << core::to_string(record->state) << "\n";
+  std::cout << "request " << verdict.request.value() << " -> slice " << verdict.slice.value()
+            << " state=" << core::to_string(verdict.state) << "\n";
   std::cout << "install timeline: "
             << tb->orchestrator->last_install_timeline().total().as_seconds()
             << " s (EPC deploy "

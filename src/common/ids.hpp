@@ -46,6 +46,9 @@ class IdAllocator {
  public:
   [[nodiscard]] Id<Tag> next() noexcept { return Id<Tag>{next_++}; }
 
+  /// The value the next next() returns, for durable-state dumps.
+  [[nodiscard]] std::uint64_t peek() const noexcept { return next_; }
+
   /// Ensure future next() calls return ids strictly above `id` —
   /// crash-recovery replay restores entities under their original ids
   /// and must keep the allocator ahead of everything restored.

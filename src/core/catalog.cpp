@@ -44,13 +44,6 @@ Result<SliceSpec> SliceCatalog::instantiate(std::string_view name, Duration dura
   SliceSpec spec =
       SliceSpec::from_profile(traffic::profile_for(entry->vertical), duration);
   spec.tenant_name = entry->name;
-  if (entry->throughput_mbps >= 0.0)
-    spec.expected_throughput = DataRate::mbps(entry->throughput_mbps);
-  if (entry->max_latency_ms >= 0.0) spec.max_latency = Duration::millis(entry->max_latency_ms);
-  if (entry->price_per_hour >= 0.0) spec.price_per_hour = Money::units(entry->price_per_hour);
-  if (entry->penalty_per_violation >= 0.0)
-    spec.penalty_per_violation = Money::units(entry->penalty_per_violation);
-  if (entry->needs_edge >= 0) spec.needs_edge = entry->needs_edge == 1;
   return spec;
 }
 

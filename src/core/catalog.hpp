@@ -3,9 +3,8 @@
 //
 // The demo dashboard offers preset slice types to request from; real
 // brokers keep such templates (GSMA GST-style) in a catalog. A
-// SliceCatalog holds named templates, each derived from a vertical
-// profile with per-template overrides, and instantiates SliceSpecs
-// from them.
+// SliceCatalog holds named templates, each a vertical profile with a
+// default duration, and instantiates SliceSpecs from them.
 
 #include <map>
 #include <string>
@@ -17,17 +16,12 @@
 
 namespace slices::core {
 
-/// One catalog entry: a vertical plus optional overrides.
+/// One catalog entry: a vertical and its default duration; the SLA
+/// terms are the vertical profile's.
 struct SliceTemplate {
   std::string name;
   traffic::Vertical vertical = traffic::Vertical::embb_video;
   Duration default_duration = Duration::hours(24.0);
-  // Overrides; negative/unset values fall back to the vertical profile.
-  double throughput_mbps = -1.0;
-  double max_latency_ms = -1.0;
-  double price_per_hour = -1.0;
-  double penalty_per_violation = -1.0;
-  int needs_edge = -1;  ///< -1 profile default, else 0/1
 };
 
 /// A named set of slice templates.

@@ -257,10 +257,8 @@ void Orchestrator::start() {
   }
 }
 
-RequestId Orchestrator::submit(const SliceSpec& spec) { return submit(spec, nullptr); }
-
-RequestId Orchestrator::submit(const SliceSpec& spec,
-                               std::unique_ptr<traffic::TrafficModel> workload) {
+SubmitVerdict Orchestrator::submit(const SliceSpec& spec,
+                                   std::unique_ptr<traffic::TrafficModel> workload) {
   // Keep the trace sim-clock current for admission spans that fire
   // between epochs (run_epoch refreshes it on its own cadence).
   telemetry::trace::set_sim_now(simulator_->now().as_micros());
@@ -273,13 +271,11 @@ RequestId Orchestrator::submit(const SliceSpec& spec,
   record.spec = spec;
   record.submitted_at = simulator_->now();
 
-  by_request_.emplace(request, slice);
   if (workload != nullptr) {
     workloads_.emplace(slice, Workload{std::move(workload)});
   }
   auto [it, inserted] = records_.emplace(slice, std::move(record));
   assert(inserted);
-  set_state(it->second, SliceState::pending);
   events_.record(simulator_->now(), EventKind::request_submitted, slice,
                  spec.tenant_name + " requests " +
                      std::to_string(spec.expected_throughput.as_mbps()) + " Mb/s for " +
@@ -291,12 +287,9 @@ RequestId Orchestrator::submit(const SliceSpec& spec,
     op.emplace("spec", spec_to_json(spec));
     journal_op("submit", std::move(op));
   }
-  if (config_.admission_window > Duration::zero()) {
-    // Batched mode: decided at the next auction.
-    return request;
-  }
-  decide(it->second);
-  return request;
+  // Batched mode decides at the next auction.
+  if (config_.admission_window > Duration::zero()) return {request, slice, SliceState::pending};
+  return {request, slice, decide(it->second) ? SliceState::installing : SliceState::rejected};
 }
 
 void Orchestrator::set_suspended(bool suspended) {
@@ -322,9 +315,9 @@ void Orchestrator::note_fault(const std::string& component, bool active, std::st
 
 DataRate Orchestrator::sellable_capacity() const {
   DataRate capacity = ran_->available_capacity(config_.planning_cqi);
-  for (const auto& [slice, other] : open_) {
-    if (other->state == SliceState::active) {
-      capacity += engine_.reclaimable(slice, other->spec.expected_throughput);
+  for (const auto& [slice, other] : records_) {
+    if (other.state == SliceState::active) {
+      capacity += engine_.reclaimable(slice, other.spec.expected_throughput);
     }
   }
   return capacity;
@@ -337,7 +330,7 @@ bool Orchestrator::try_admit(SliceRecord& record) {
   EmbedStage failed = EmbedStage::plmn_install;
   Result<InstallTimeline> timeline = embed(record, failed);
   if (timeline.ok()) {
-    set_state(record, SliceState::installing);
+    record.state = SliceState::installing;
     last_timeline_ = timeline.value();
     ++admitted_total_;
     const SliceId slice = record.id;
@@ -378,12 +371,33 @@ bool Orchestrator::try_admit(SliceRecord& record) {
 }
 
 void Orchestrator::reject(SliceRecord& record) {
-  set_state(record, SliceState::rejected);
-  ++rejected_total_;
   json::Object op;
   op.emplace("slice", static_cast<double>(record.id.value()));
   op.emplace("next_plmn", static_cast<double>(next_plmn_));
+  close(record, SliceState::rejected);
   journal_op("reject", std::move(op));
+}
+
+void Orchestrator::close(SliceRecord& record, SliceState state) {
+  switch (state) {
+    case SliceState::rejected: ++rejected_total_; break;
+    case SliceState::expired: ++expired_total_; break;
+    case SliceState::terminated: ++terminated_total_; break;
+    case SliceState::pending:
+    case SliceState::installing:
+    case SliceState::active: assert(false && "close() takes a closed state"); return;
+  }
+  const SliceId slice = record.id;
+  if (state != SliceState::rejected) {
+    // Nothing reads an ended slice's instruments: its totals live on in
+    // the orchestrator.slo.* counters and the orchestrator.* series.
+    engine_.untrack(slice);
+    slice_handles_.erase(slice);
+    if (registry_ != nullptr) registry_->erase_prefix(slice_prefix(slice));
+  }
+  workloads_.erase(slice);
+  ledger_.erase(slice);
+  records_.erase(slice);
 }
 
 void Orchestrator::record_admission_headroom(DataRate sellable) {
@@ -393,7 +407,7 @@ void Orchestrator::record_admission_headroom(DataRate sellable) {
   slo_.headroom_mbps.observe(simulator_->now(), mbps);
 }
 
-void Orchestrator::decide(SliceRecord& record) {
+bool Orchestrator::decide(SliceRecord& record) {
   assert(record.state == SliceState::pending);
   TRACE_SCOPE("orch.admit.decide");
   WallPhaseTimer timer(hist_.admission_us);
@@ -401,10 +415,7 @@ void Orchestrator::decide(SliceRecord& record) {
   record_admission_headroom(sellable);
   const CandidateRequest candidate{record.request, record.spec};
   const std::vector<RequestId> selected = policy_->select({&candidate, 1}, sellable);
-  if (!selected.empty() && selected.front() == record.request) {
-    try_admit(record);
-    return;
-  }
+  if (!selected.empty() && selected.front() == record.request) return try_admit(record);
   json::Object audit;
   audit.emplace("reason", std::string("declined"));
   audit.emplace("stage", std::string("policy"));
@@ -413,15 +424,16 @@ void Orchestrator::decide(SliceRecord& record) {
                  "declined by " + std::string(policy_->name()) + " policy",
                  std::move(audit));
   reject(record);
+  return false;
 }
 
 void Orchestrator::decide_pending_batch() {
   TRACE_SCOPE("orch.admit.batch");
   WallPhaseTimer timer(hist_.admission_us);
   std::vector<CandidateRequest> candidates;
-  for (const auto& [slice, record] : open_) {
-    if (record->state == SliceState::pending) {
-      candidates.push_back(CandidateRequest{record->request, record->spec});
+  for (const auto& [slice, record] : records_) {
+    if (record.state == SliceState::pending) {
+      candidates.push_back(CandidateRequest{record.request, record.spec});
     }
   }
   if (candidates.empty()) return;
@@ -431,10 +443,10 @@ void Orchestrator::decide_pending_batch() {
   const std::vector<RequestId> selected = policy_->select(candidates, sellable);
   const std::set<RequestId> chosen(selected.begin(), selected.end());
 
-  // Deciding closes rejected records, which erases them from open_:
-  // step past each one before deciding it.
-  for (auto it = open_.begin(); it != open_.end();) {
-    SliceRecord& record = *(it++)->second;
+  // Deciding erases rejected records: step past each one before
+  // deciding it.
+  for (auto it = records_.begin(); it != records_.end();) {
+    SliceRecord& record = (it++)->second;
     if (record.state != SliceState::pending) continue;
     if (chosen.contains(record.request)) {
       try_admit(record);
@@ -609,33 +621,6 @@ Result<InstallTimeline> Orchestrator::embed(SliceRecord& record, EmbedStage& fai
   return timeline;
 }
 
-void Orchestrator::tear_down(SliceRecord& record) {
-  release_stages(record.id, record.embedding, kEmbedStageCount);
-  drop_embedding(record);
-}
-
-void Orchestrator::drop_embedding(SliceRecord& record) {
-  record.embedding.paths.clear();
-  record.embedding.edge_stack.reset();
-  record.embedding.plmn = PlmnId::invalid();
-  engine_.untrack(record.id);
-  record.reserved = DataRate::zero();
-  // Nothing reads an ended slice's instruments: its totals live on in
-  // the orchestrator.slo.* counters and the orchestrator.* series.
-  slice_handles_.erase(record.id);
-  if (registry_ != nullptr) registry_->erase_prefix(slice_prefix(record.id));
-}
-
-void Orchestrator::set_state(SliceRecord& record, SliceState state) {
-  record.state = state;
-  if (state == SliceState::pending || record.is_live()) {
-    open_.insert_or_assign(record.id, &record);
-  } else {
-    open_.erase(record.id);
-    workloads_.erase(record.id);
-  }
-}
-
 void Orchestrator::activate(SliceId slice) {
   const auto it = records_.find(slice);
   if (it == records_.end()) return;
@@ -645,7 +630,7 @@ void Orchestrator::activate(SliceId slice) {
   const Result<void> r = epc_->activate(slice);
   assert(r.ok());
   (void)r;
-  set_state(record, SliceState::active);
+  record.state = SliceState::active;
   record.active_at = simulator_->now();
   record.ends_at = record.active_at + record.spec.duration;
   engine_.track(slice);
@@ -665,10 +650,10 @@ void Orchestrator::expire(SliceId slice) {
   if (it == records_.end()) return;
   SliceRecord& record = it->second;
   if (record.state != SliceState::active) return;
-  tear_down(record);
-  set_state(record, SliceState::expired);
+  release_stages(slice, record.embedding, kEmbedStageCount);
   events_.record(simulator_->now(), EventKind::slice_expired, slice,
                  std::to_string(record.violation_epochs) + " violation epochs over its life");
+  close(record, SliceState::expired);
   log_.info("slice " + std::to_string(slice.value()) + " expired");
   json::Object op;
   op.emplace("slice", static_cast<double>(slice.value()));
@@ -726,8 +711,7 @@ Result<void> Orchestrator::resize_slice(SliceId slice, DataRate new_contract) {
 Result<void> Orchestrator::attach_workload(SliceId slice,
                                            std::unique_ptr<traffic::TrafficModel> workload) {
   if (!records_.contains(slice)) return make_error(Errc::not_found, "unknown slice");
-  // An ended slice is never sampled again, so its workload is not kept.
-  if (open_.contains(slice)) workloads_.insert_or_assign(slice, Workload{std::move(workload)});
+  workloads_.insert_or_assign(slice, Workload{std::move(workload)});
   return {};
 }
 
@@ -736,8 +720,8 @@ Result<void> Orchestrator::terminate(SliceId slice) {
   if (it == records_.end()) return make_error(Errc::not_found, "unknown slice");
   SliceRecord& record = it->second;
   if (!record.is_live()) return make_error(Errc::conflict, "slice is not live");
-  tear_down(record);
-  set_state(record, SliceState::terminated);
+  release_stages(slice, record.embedding, kEmbedStageCount);
+  close(record, SliceState::terminated);
   events_.record(simulator_->now(), EventKind::slice_terminated, slice,
                  "operator-initiated teardown");
   json::Object op;
@@ -746,29 +730,9 @@ Result<void> Orchestrator::terminate(SliceId slice) {
   return {};
 }
 
-const SliceRecord* Orchestrator::find_by_request(RequestId request) const noexcept {
-  const auto it = by_request_.find(request);
-  if (it == by_request_.end()) return nullptr;
-  return find_slice(it->second);
-}
-
 const SliceRecord* Orchestrator::find_slice(SliceId slice) const noexcept {
   const auto it = records_.find(slice);
   return it == records_.end() ? nullptr : &it->second;
-}
-
-std::vector<const SliceRecord*> Orchestrator::all_slices() const {
-  std::vector<const SliceRecord*> out;
-  out.reserve(records_.size());
-  for (const auto& [slice, record] : records_) out.push_back(&record);
-  return out;
-}
-
-std::vector<const SliceRecord*> Orchestrator::open_slices() const {
-  std::vector<const SliceRecord*> out;
-  out.reserve(open_.size());
-  for (const auto& [slice, record] : open_) out.push_back(record);
-  return out;
 }
 
 DataRate Orchestrator::apply_overbooking(SimTime now) {
@@ -776,8 +740,7 @@ DataRate Orchestrator::apply_overbooking(SimTime now) {
   DataRate reclaimed = DataRate::zero();
   if (!config_.overbooking.enabled) return reclaimed;
 
-  for (const auto& [slice, open] : open_) {
-    SliceRecord& record = *open;
+  for (auto& [slice, record] : records_) {
     if (record.state != SliceState::active) continue;
     const DataRate contracted = record.spec.expected_throughput;
     const DataRate target = engine_.target_reservation(slice, contracted);
@@ -829,20 +792,20 @@ void Orchestrator::run_epoch(SimTime now) {
 
   // 1. Sample offered demand of every active slice. The demand and
   // report vectors are members reused across epochs (capacity sticks).
-  // Every loop below walks open_ in SliceId order with the same `active`
+  // Every loop below walks records_ in SliceId order with the same `active`
   // filter, so the i-th active slice's demand is ran_demands[i].
   std::vector<std::pair<PlmnId, DataRate>>& ran_demands = epoch_ran_demands_;
   ran_demands.clear();
   {
     TRACE_SCOPE("orch.epoch.sample_demand");
-    for (const auto& [slice, record] : open_) {
-      if (record->state != SliceState::active) continue;
+    for (const auto& [slice, record] : records_) {
+      if (record.state != SliceState::active) continue;
       DataRate demand = DataRate::zero();
       const auto wl = workloads_.find(slice);
       if (wl != workloads_.end()) {
         demand = DataRate::mbps(std::max(0.0, wl->second.model->sample(now)));
       }
-      ran_demands.emplace_back(record->embedding.plmn, demand);
+      ran_demands.emplace_back(record.embedding.plmn, demand);
     }
   }
 
@@ -860,18 +823,18 @@ void Orchestrator::run_epoch(SimTime now) {
   std::vector<std::pair<PathId, DataRate>>& path_demands = epoch_path_demands_;
   path_demands.clear();
   std::size_t active_index = 0;
-  for (const auto& [slice, record] : open_) {
-    if (record->state != SliceState::active) continue;
+  for (const auto& [slice, record] : records_) {
+    if (record.state != SliceState::active) continue;
     const DataRate demand = ran_demands[active_index++].second;
-    if (record->embedding.paths.empty()) continue;
-    const PlmnId plmn = record->embedding.plmn;
+    if (record.embedding.paths.empty()) continue;
+    const PlmnId plmn = record.embedding.plmn;
     const auto served = std::lower_bound(
         radio_reports.begin(), radio_reports.end(), plmn,
         [](const ran::RanServeReport& r, PlmnId p) { return r.plmn < p; });
     const DataRate offered = served == radio_reports.end() || served->plmn != plmn
                                  ? DataRate::zero()
                                  : min(demand, served->served);
-    path_demands.emplace_back(record->embedding.paths.front(), offered);
+    path_demands.emplace_back(record.embedding.paths.front(), offered);
   }
   // Reports are the demanded paths in demand order, unknown paths
   // compacted out: phase 4 pairs them with their slices by one cursor.
@@ -901,8 +864,7 @@ void Orchestrator::run_epoch(SimTime now) {
   double epoch_reserved_mbps = 0.0;  // forecast-driven reservations held
   active_index = 0;
   std::size_t path_cursor = 0;
-  for (const auto& [slice, open] : open_) {
-    SliceRecord& record = *open;
+  for (auto& [slice, record] : records_) {
     if (record.state != SliceState::active) continue;
     const DataRate demand = ran_demands[active_index++].second;
     const transport::PathServeReport* pr = nullptr;
@@ -938,6 +900,7 @@ void Orchestrator::run_epoch(SimTime now) {
 
     ledger_.accrue(slice, record.spec.price_per_hour, config_.monitoring_period);
     ++record.served_epochs;
+    ++served_epochs_;
     if (throughput_violated || delay_violated) {
       ledger_.charge_violation(slice, record.spec.penalty_per_violation);
       ++record.violation_epochs;
@@ -1015,12 +978,12 @@ void Orchestrator::run_epoch(SimTime now) {
 
 OrchestratorSummary Orchestrator::summary() const {
   OrchestratorSummary s;
-  for (const auto& [slice, record] : open_) {
-    if (record->state == SliceState::active) {
+  for (const auto& [slice, record] : records_) {
+    if (record.state == SliceState::active) {
       ++s.active_slices;
-      s.contracted_total += record->spec.expected_throughput;
-      s.reserved_total += record->reserved;
-    } else if (record->state == SliceState::installing) {
+      s.contracted_total += record.spec.expected_throughput;
+      s.reserved_total += record.reserved;
+    } else if (record.state == SliceState::installing) {
       ++s.installing_slices;
     }
   }
@@ -1034,6 +997,9 @@ OrchestratorSummary Orchestrator::summary() const {
   s.net = ledger_.net_revenue();
   s.violation_epochs = ledger_.total_violation_epochs();
   s.reconfigurations = reconfigurations_;
+  s.expired_total = expired_total_;
+  s.terminated_total = terminated_total_;
+  s.served_epochs = served_epochs_;
   return s;
 }
 
@@ -1075,23 +1041,34 @@ void Orchestrator::journal_op(const char* op, json::Object fields) {
 }
 
 json::Value Orchestrator::state_json() const {
+  const auto ledger_json = [](const SliceLedgerEntry& entry) {
+    json::Object e;
+    e.emplace("earned_cents", static_cast<double>(entry.earned.as_cents()));
+    e.emplace("penalty_cents", static_cast<double>(entry.penalties.as_cents()));
+    e.emplace("violation_epochs", static_cast<double>(entry.violation_epochs));
+    return json::Value{std::move(e)};
+  };
   json::Object out;
   json::Array records;
   for (const auto& [slice, record] : records_) records.push_back(record_to_json(record));
   out.emplace("records", std::move(records));
   json::Object ledger;
   for (const auto& [slice, entry] : ledger_.entries()) {
-    json::Object e;
-    e.emplace("earned_cents", static_cast<double>(entry.earned.as_cents()));
-    e.emplace("penalty_cents", static_cast<double>(entry.penalties.as_cents()));
-    e.emplace("violation_epochs", static_cast<double>(entry.violation_epochs));
-    ledger.emplace(std::to_string(slice.value()), std::move(e));
+    ledger.emplace(std::to_string(slice.value()), ledger_json(entry));
   }
   out.emplace("ledger", std::move(ledger));
+  out.emplace("ledger_totals",
+              ledger_json({ledger_.total_earned(), ledger_.total_penalties(),
+                           ledger_.total_violation_epochs()}));
   out.emplace("admitted_total", static_cast<double>(admitted_total_));
   out.emplace("rejected_total", static_cast<double>(rejected_total_));
+  out.emplace("expired_total", static_cast<double>(expired_total_));
+  out.emplace("terminated_total", static_cast<double>(terminated_total_));
+  out.emplace("served_epochs", static_cast<double>(served_epochs_));
   out.emplace("reconfigurations", static_cast<double>(reconfigurations_));
   out.emplace("next_plmn", static_cast<double>(next_plmn_));
+  out.emplace("next_slice", static_cast<double>(slice_ids_.peek()));
+  out.emplace("next_request", static_cast<double>(request_ids_.peek()));
   return json::Value{std::move(out)};
 }
 
@@ -1104,33 +1081,50 @@ Result<std::uint64_t> Orchestrator::snapshot_now() {
   return store_->write_snapshot(json::Value{std::move(wrapped)});
 }
 
-void Orchestrator::load_state(const json::Value& state) {
+Result<void> Orchestrator::load_state(const json::Value& state) {
+  if (state.find("next_slice") == nullptr || state.find("next_request") == nullptr) {
+    return make_error(Errc::invalid_argument,
+                      "snapshot has no id allocators: its layout keeps closed records");
+  }
   if (const json::Value* records = state.find("records");
       records != nullptr && records->is_array()) {
     for (const json::Value& v : records->as_array()) {
       SliceRecord record = record_from_json(v);
-      if (!record.id.valid()) continue;
+      // Only open records are dumped; anything else is damage.
+      const bool open = record.state == SliceState::pending || record.is_live();
+      if (!record.id.valid() || !open) continue;
       if (record.state == SliceState::active) engine_.track(record.id);
-      by_request_.insert_or_assign(record.request, record.id);
-      const SliceState loaded = record.state;
       const SliceId id = record.id;
-      set_state(records_.insert_or_assign(id, std::move(record)).first->second, loaded);
+      records_.insert_or_assign(id, std::move(record));
     }
   }
+  const auto ledger_entry = [](const json::Value& v) {
+    return SliceLedgerEntry{Money::cents(field_i64(v, "earned_cents")),
+                            Money::cents(field_i64(v, "penalty_cents")),
+                            field_u64(v, "violation_epochs")};
+  };
+  std::map<SliceId, SliceLedgerEntry> entries;
   if (const json::Value* ledger = state.find("ledger");
       ledger != nullptr && ledger->is_object()) {
     for (const auto& [key, entry] : ledger->as_object()) {
-      SliceLedgerEntry e;
-      e.earned = Money::cents(field_i64(entry, "earned_cents"));
-      e.penalties = Money::cents(field_i64(entry, "penalty_cents"));
-      e.violation_epochs = field_u64(entry, "violation_epochs");
-      ledger_.restore(SliceId{std::strtoull(key.c_str(), nullptr, 10)}, e);
+      entries.insert_or_assign(SliceId{std::strtoull(key.c_str(), nullptr, 10)},
+                               ledger_entry(entry));
     }
   }
+  const json::Value* totals = state.find("ledger_totals");
+  ledger_.restore(std::move(entries),
+                  totals != nullptr ? ledger_entry(*totals) : SliceLedgerEntry{});
   admitted_total_ = field_u64(state, "admitted_total");
   rejected_total_ = field_u64(state, "rejected_total");
+  expired_total_ = field_u64(state, "expired_total");
+  terminated_total_ = field_u64(state, "terminated_total");
+  served_epochs_ = field_u64(state, "served_epochs");
   reconfigurations_ = field_u64(state, "reconfigurations");
   next_plmn_ = std::max(next_plmn_, field_u64(state, "next_plmn"));
+  // The allocators resume past every id drawn, closed slices' too.
+  slice_ids_.advance_past(SliceId{field_u64(state, "next_slice", 1.0) - 1});
+  request_ids_.advance_past(RequestId{field_u64(state, "next_request", 1.0) - 1});
+  return {};
 }
 
 void Orchestrator::apply_journal_op(const json::Value& op) {
@@ -1145,6 +1139,7 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
       if (it == records_.end()) continue;
       ledger_.add_earned(s, Money::cents(field_i64(entry, "accrued_cents")));
       ++it->second.served_epochs;
+      ++served_epochs_;
       if (field_bool(entry, "violation")) {
         ledger_.charge_violation(s, Money::cents(field_i64(entry, "penalty_cents")));
         ++it->second.violation_epochs;
@@ -1166,9 +1161,11 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
     record.request = field_id<RequestTag>(op, "request");
     if (const json::Value* spec = op.find("spec")) record.spec = spec_from_json(*spec);
     record.submitted_at = SimTime::from_micros(field_i64(op, "t_us"));
-    by_request_.insert_or_assign(record.request, slice);
-    set_state(records_.insert_or_assign(slice, std::move(record)).first->second,
-              SliceState::pending);
+    // Both allocators pass the ids this submit drew, even when the
+    // slice closes later in the tail and its record goes.
+    slice_ids_.advance_past(slice);
+    request_ids_.advance_past(record.request);
+    records_.emplace(slice, std::move(record));
     return;
   }
 
@@ -1177,18 +1174,17 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
   SliceRecord& record = it->second;
 
   if (kind == "admit") {
-    set_state(record, SliceState::installing);
+    record.state = SliceState::installing;
     record.reserved = DataRate::bps(field_num(op, "reserved_bps"));
     record.activates_at = SimTime::from_micros(field_i64(op, "activates_at_us"));
     if (const json::Value* e = op.find("embedding")) record.embedding = embedding_from_json(*e);
     ++admitted_total_;
     next_plmn_ = std::max(next_plmn_, field_u64(op, "next_plmn"));
   } else if (kind == "reject") {
-    set_state(record, SliceState::rejected);
-    ++rejected_total_;
     next_plmn_ = std::max(next_plmn_, field_u64(op, "next_plmn"));
+    close(record, SliceState::rejected);
   } else if (kind == "activate") {
-    set_state(record, SliceState::active);
+    record.state = SliceState::active;
     record.active_at = SimTime::from_micros(field_i64(op, "at_us"));
     record.ends_at = SimTime::from_micros(field_i64(op, "ends_at_us"));
     engine_.track(slice);
@@ -1200,20 +1196,18 @@ void Orchestrator::apply_journal_op(const json::Value& op) {
     record.reserved = DataRate::bps(field_num(op, "reserved_bps"));
     ++reconfigurations_;
   } else if (kind == "expire" || kind == "terminate") {
-    // What tear_down leaves in memory, minus the domain releases: they
-    // have no meaning during replay, where nothing is installed.
-    drop_embedding(record);
-    set_state(record, kind == "expire" ? SliceState::expired : SliceState::terminated);
+    // Nothing is installed during replay, so there is nothing to release.
+    close(record, kind == "expire" ? SliceState::expired : SliceState::terminated);
   } else {
     log_.warn("replay skipped unknown journal op '" + kind + "'");
   }
 }
 
 void Orchestrator::reinstall_recovered(RecoveryStats& stats) {
-  // A record the substrate cannot re-fit closes, which erases it from
-  // open_: step past each one before reinstalling it.
-  for (auto it = open_.begin(); it != open_.end();) {
-    SliceRecord& record = *(it++)->second;
+  // A record the substrate cannot re-fit closes, which erases it: step
+  // past each one before reinstalling it.
+  for (auto it = records_.begin(); it != records_.end();) {
+    SliceRecord& record = (it++)->second;
     if (!record.is_live()) continue;
     const SliceId id = record.id;
     // The stages reuse every id the record holds (PLMN, datacenter,
@@ -1243,8 +1237,7 @@ void Orchestrator::reinstall_recovered(RecoveryStats& stats) {
     // The stage loop already released what this call installed; what
     // the record names beyond that may belong to another live slice.
     ++stats.reinstall_failures;
-    drop_embedding(record);
-    set_state(record, SliceState::terminated);
+    close(record, SliceState::terminated);
     json::Object audit;
     audit.emplace("reason", installed.error().message);
     audit.emplace("stage", std::string(to_string(failed)));
@@ -1285,19 +1278,15 @@ Result<RecoveryStats> Orchestrator::recover_from_store() {
   }
 
   if (in.has_snapshot) {
-    if (const json::Value* data = in.snapshot_state.find("data")) load_state(*data);
+    if (const json::Value* data = in.snapshot_state.find("data")) {
+      if (Result<void> loaded = load_state(*data); !loaded.ok()) return loaded.error();
+    }
   }
   for (const json::Value& op : in.events) {
     apply_journal_op(op);
     ++stats.events_replayed;
   }
   stats.records_recovered = records_.size();
-
-  // Keep every allocator ahead of the ids we restored.
-  for (const auto& [slice, record] : records_) {
-    slice_ids_.advance_past(slice);
-    request_ids_.advance_past(record.request);
-  }
 
   reinstall_recovered(stats);
 
@@ -1441,14 +1430,12 @@ std::shared_ptr<net::Router> Orchestrator::make_router() {
     if (const json::Value* f = v.find("tenant"); f != nullptr && f->is_string())
       spec.tenant_name = f->as_string();
 
-    const RequestId request = submit(spec);
-    const SliceRecord* record = find_by_request(request);
-    assert(record != nullptr);
+    const SubmitVerdict verdict = submit(spec);
     json::Object body;
-    body.emplace("request", static_cast<double>(request.value()));
-    body.emplace("slice", static_cast<double>(record->id.value()));
-    body.emplace("state", std::string(to_string(record->state)));
-    const net::Status status = record->state == SliceState::rejected
+    body.emplace("request", static_cast<double>(verdict.request.value()));
+    body.emplace("slice", static_cast<double>(verdict.slice.value()));
+    body.emplace("state", std::string(to_string(verdict.state)));
+    const net::Status status = verdict.state == SliceState::rejected
                                    ? net::Status::conflict
                                    : net::Status::created;
     return net::Response::json(status, json::serialize(json::Value(std::move(body))));
@@ -1546,14 +1533,19 @@ std::shared_ptr<net::Router> Orchestrator::make_router() {
   router->add(net::Method::get, "/slices/{id}/audit", [this](const net::RouteContext& ctx) {
     const Result<std::uint64_t> id = ctx.id_param("id");
     if (!id.ok()) return net::Response::from_error(id.error());
-    const SliceRecord* record = find_slice(SliceId{id.value()});
-    if (record == nullptr)
+    const SliceId slice{id.value()};
+    const SliceRecord* record = find_slice(slice);
+    // A closed slice is answered from the event ring while it holds any
+    // of its events.
+    const std::vector<Event> trail = events_.for_slice(slice);
+    if (record == nullptr && trail.empty())
       return net::Response::from_error(make_error(Errc::not_found, "unknown slice"));
     json::Array out;
-    for (const Event& event : events_.for_slice(record->id)) out.push_back(event.to_json());
+    for (const Event& event : trail) out.push_back(event.to_json());
     json::Object body;
-    body.emplace("slice", static_cast<double>(record->id.value()));
-    body.emplace("state", std::string(to_string(record->state)));
+    body.emplace("slice", static_cast<double>(slice.value()));
+    body.emplace("state", record == nullptr ? std::string("closed")
+                                            : std::string(to_string(record->state)));
     body.emplace("events", std::move(out));
     return net::Response::json(net::Status::ok, json::serialize(json::Value(std::move(body))));
   });

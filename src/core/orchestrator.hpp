@@ -14,6 +14,13 @@
 //   * tracks SLA violations and keeps the gains-vs-penalties ledger the
 //     demo dashboard displays.
 //
+// It holds the open slices only (pending, installing, active). A slice
+// that closes — rejected, expired or terminated — leaves: its record,
+// workload and ledger entry are erased, and what it counted lives on in
+// the running totals (summary(), the ledger's totals), the bounded
+// event log and the journal. Memory and snapshots follow the open
+// slices, not the run's history.
+//
 // Every controller serves its /metrics over the REST bus for operators
 // and dashboards; the orchestrator reads serve reports in-process and
 // uses the bus only for /healthz reachability. Resource configuration
@@ -125,6 +132,18 @@ struct OrchestratorSummary {
   Money net;
   std::uint64_t violation_epochs = 0;
   std::uint64_t reconfigurations = 0;
+  std::uint64_t expired_total = 0;     ///< slices that ran to their end
+  std::uint64_t terminated_total = 0;  ///< slices torn down early
+  std::uint64_t served_epochs = 0;     ///< slice-epochs served, over every slice
+};
+
+/// What submit() decided for one request.
+struct SubmitVerdict {
+  RequestId request;
+  SliceId slice;
+  /// installing or rejected; pending in batched mode (admission_window),
+  /// where the next auction decides.
+  SliceState state = SliceState::pending;
 };
 
 /// What a crash-recovery replay did (docs/persistence.md).
@@ -132,7 +151,7 @@ struct RecoveryStats {
   bool had_snapshot = false;
   std::uint64_t snapshot_seq = 0;
   std::uint64_t events_replayed = 0;
-  std::size_t records_recovered = 0;     ///< slice records reconstructed
+  std::size_t records_recovered = 0;     ///< open slice records reconstructed
   std::size_t reinstalled = 0;           ///< live slices re-embedded into the domains
   std::size_t reinstall_failures = 0;    ///< live slices the substrate could no longer fit
   bool journal_truncated = false;        ///< a torn tail was dropped
@@ -161,17 +180,15 @@ class Orchestrator {
 
   // --- Dashboard-facing API -------------------------------------------------
 
-  /// Submit a slice request; decided immediately (admission + embedding).
-  /// Returns the request id; inspect find_by_request() for the verdict.
-  RequestId submit(const SliceSpec& spec);
+  /// Submit a slice request, with an optional demand workload (sampled
+  /// every epoch while the slice is active). Decided immediately
+  /// (admission + embedding) unless admission is batched.
+  SubmitVerdict submit(const SliceSpec& spec,
+                       std::unique_ptr<traffic::TrafficModel> workload = nullptr);
 
-  /// Submit with an attached demand workload (sampled every epoch while
-  /// the slice is active).
-  RequestId submit(const SliceSpec& spec, std::unique_ptr<traffic::TrafficModel> workload);
-
-  /// Attach (or replace) the demand workload of an existing slice —
-  /// e.g. one submitted over REST, where the form carries SLA terms
-  /// only. Errors: not_found.
+  /// Attach (or replace) the demand workload of an open slice — e.g.
+  /// one submitted over REST, where the form carries SLA terms only.
+  /// Errors: not_found (unknown or closed).
   [[nodiscard]] Result<void> attach_workload(SliceId slice,
                                              std::unique_ptr<traffic::TrafficModel> workload);
 
@@ -188,18 +205,12 @@ class Orchestrator {
   /// (slice not live).
   [[nodiscard]] Result<void> terminate(SliceId slice);
 
-  [[nodiscard]] const SliceRecord* find_by_request(RequestId request) const noexcept;
+  /// An open slice's record; nullptr once it closed (or never existed).
   [[nodiscard]] const SliceRecord* find_slice(SliceId slice) const noexcept;
-  [[nodiscard]] std::vector<const SliceRecord*> all_slices() const;
-  /// The pending, installing and active records, in SliceId order: what
-  /// all_slices() holds minus the ended ones, at a cost that does not
-  /// grow with the run's history.
-  [[nodiscard]] std::vector<const SliceRecord*> open_slices() const;
-  /// Call fn(const SliceRecord&) for each open record, in SliceId order,
-  /// without building open_slices()'s vector.
-  template <typename Fn>
-  void for_each_open_slice(Fn&& fn) const {
-    for (const auto& [slice, record] : open_) fn(*record);
+  /// The open records (pending, installing, active), in SliceId order.
+  /// Closing a slice erases its entry.
+  [[nodiscard]] const std::map<SliceId, SliceRecord>& slices() const noexcept {
+    return records_;
   }
 
   [[nodiscard]] const RevenueLedger& ledger() const noexcept { return ledger_; }
@@ -244,9 +255,11 @@ class Orchestrator {
   [[nodiscard]] Result<RecoveryStats> recover_from_store();
 
   /// Durable-state dump: everything recovery needs to reconstruct this
-  /// orchestrator, deterministically serialized (used for snapshots and
-  /// for state-equality checks in tests). Soft state — forecaster
-  /// internals, the event ring, install-jitter RNG — is excluded.
+  /// orchestrator — the open records and their ledger entries, the
+  /// running totals and the id allocators — deterministically serialized
+  /// (used for snapshots and for state-equality checks in tests). Its
+  /// size follows the open slices. Soft state — forecaster internals,
+  /// the event ring, install-jitter RNG — is excluded.
   [[nodiscard]] json::Value state_json() const;
 
   /// Cut a snapshot now (also truncates the journal). Errors:
@@ -303,8 +316,9 @@ class Orchestrator {
   };
 
   /// Try to admit + embed `record` (in pending state). On success the
-  /// record moves to installing and activation is scheduled.
-  void decide(SliceRecord& record);
+  /// record moves to installing and activation is scheduled; on a
+  /// rejection it is closed. Returns whether it was admitted.
+  bool decide(SliceRecord& record);
 
   /// Batch auction of all pending requests (admission_window mode).
   void decide_pending_batch();
@@ -321,6 +335,13 @@ class Orchestrator {
   /// Close a pending `record` as rejected and journal it. Callers record
   /// their own audit event first.
   void reject(SliceRecord& record);
+
+  /// Close `record` as rejected, expired or terminated: count it in that
+  /// state's total, untrack a slice that ran from the overbooking engine
+  /// and erase its "slice.<id>.*" instruments, then erase its record,
+  /// workload and ledger entry (`record` dangles afterwards). The caller
+  /// released its domain stages.
+  void close(SliceRecord& record, SliceState state);
 
   /// Embed a pending record across all domains (install_stages with
   /// fresh ids at the contract rate) and draw its jittered install
@@ -348,17 +369,6 @@ class Orchestrator {
 
   /// The transport gateway of the first core datacenter, if any.
   [[nodiscard]] std::optional<NodeId> core_gateway() const;
-
-  /// Release every stage of the record's embedding, then drop_embedding.
-  void tear_down(SliceRecord& record);
-
-  /// Clear the record's domain handles and reservation, untrack it from
-  /// the overbooking engine and erase its "slice.<id>.*" instruments.
-  void drop_embedding(SliceRecord& record);
-
-  /// Move `record` to `state` and keep open_ in step. A record that
-  /// closes (rejected, expired, terminated) also drops its workload.
-  void set_state(SliceRecord& record, SliceState state);
 
   void activate(SliceId slice);
   void expire(SliceId slice);
@@ -392,13 +402,15 @@ class Orchestrator {
   /// side effects — reinstall happens once, after replay).
   void apply_journal_op(const json::Value& op);
 
-  /// Install a snapshot's durable-state dump wholesale.
-  void load_state(const json::Value& state);
+  /// Install a snapshot's durable-state dump wholesale. Errors:
+  /// invalid_argument for a dump without the id allocators (the layout
+  /// that kept closed records), which is not read.
+  [[nodiscard]] Result<void> load_state(const json::Value& state);
 
   /// Re-embed every installing/active record into the domain
   /// controllers after a replay (install_stages under its recorded
   /// ids); slices the substrate can no longer fit keep nothing and are
-  /// marked terminated (degrade, never crash).
+  /// closed as terminated (degrade, never crash).
   void reinstall_recovered(RecoveryStats& stats);
 
   sim::Simulator* simulator_;
@@ -483,19 +495,18 @@ class Orchestrator {
   std::int64_t last_epoch_wall_us_ = -1;
   bool epoch_ran_ = false;
 
+  // The open records only: close() erases a slice's record, workload
+  // and ledger entry and counts it in the totals below.
   std::map<SliceId, SliceRecord> records_;
-  // The pending, installing and active records, in SliceId order like
-  // records_, whose nodes never move. Every per-epoch and per-decision
-  // loop walks this index, so its cost follows the open slices, not
-  // every slice the run has seen. Only set_state() changes it.
-  std::map<SliceId, SliceRecord*> open_;
-  std::map<RequestId, SliceId> by_request_;
   std::map<SliceId, Workload> workloads_;
   IdAllocator<SliceTag> slice_ids_;
   IdAllocator<RequestTag> request_ids_;
   std::uint64_t next_plmn_ = 100001;  // PLMN code pool for dynamic installs
   std::uint64_t admitted_total_ = 0;
   std::uint64_t rejected_total_ = 0;
+  std::uint64_t expired_total_ = 0;
+  std::uint64_t terminated_total_ = 0;
+  std::uint64_t served_epochs_ = 0;
   std::uint64_t reconfigurations_ = 0;
   InstallTimeline last_timeline_;
   bool started_ = false;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
@@ -22,9 +23,9 @@ struct SliceLedgerEntry {
   [[nodiscard]] Money net() const noexcept { return earned - penalties; }
 };
 
-/// The operator's books. The totals are kept as the entries change, so
-/// reading them does not walk every slice the books have ever held
-/// (cents add exactly, in any order).
+/// The operator's books: one entry per open slice, and totals over
+/// every slice ever booked, kept as the entries change (cents add
+/// exactly, in any order).
 class RevenueLedger {
  public:
   /// Accrue income for `active_time` of slice runtime at `price_per_hour`.
@@ -49,13 +50,15 @@ class RevenueLedger {
     totals_.earned += amount;
   }
 
-  /// Crash-recovery snapshot load: install a slice's books wholesale.
-  void restore(SliceId slice, SliceLedgerEntry entry) {
-    SliceLedgerEntry& stored = entries_[slice];
-    totals_.earned += entry.earned - stored.earned;
-    totals_.penalties += entry.penalties - stored.penalties;
-    totals_.violation_epochs += entry.violation_epochs - stored.violation_epochs;
-    stored = entry;
+  /// A slice closed: drop its entry. The totals keep what it earned
+  /// and paid.
+  void erase(SliceId slice) { entries_.erase(slice); }
+
+  /// Crash-recovery snapshot load: install the books wholesale — the
+  /// open slices' entries and the totals over every slice ever booked.
+  void restore(std::map<SliceId, SliceLedgerEntry> entries, SliceLedgerEntry totals) {
+    entries_ = std::move(entries);
+    totals_ = totals;
   }
 
   [[nodiscard]] const SliceLedgerEntry* find(SliceId slice) const noexcept {

@@ -7,16 +7,15 @@ namespace slices::dashboard {
 std::string Dashboard::render_slices() const {
   TextTable table({"slice", "tenant", "vertical", "state", "contracted Mb/s",
                    "reserved Mb/s", "violations", "earned", "penalties"});
-  for (const core::SliceRecord* record : testbed_->orchestrator->all_slices()) {
-    const core::SliceLedgerEntry* ledger =
-        testbed_->orchestrator->ledger().find(record->id);
-    table.add_row({std::to_string(record->id.value()),
-                   record->spec.tenant_name,
-                   std::string(traffic::to_string(record->spec.vertical)),
-                   std::string(core::to_string(record->state)),
-                   TextTable::num(record->spec.expected_throughput.as_mbps()),
-                   TextTable::num(record->reserved.as_mbps()),
-                   std::to_string(record->violation_epochs),
+  for (const auto& [slice, record] : testbed_->orchestrator->slices()) {
+    const core::SliceLedgerEntry* ledger = testbed_->orchestrator->ledger().find(slice);
+    table.add_row({std::to_string(slice.value()),
+                   record.spec.tenant_name,
+                   std::string(traffic::to_string(record.spec.vertical)),
+                   std::string(core::to_string(record.state)),
+                   TextTable::num(record.spec.expected_throughput.as_mbps()),
+                   TextTable::num(record.reserved.as_mbps()),
+                   std::to_string(record.violation_epochs),
                    ledger == nullptr ? "0.00" : TextTable::num(ledger->earned.as_units(), 2),
                    ledger == nullptr ? "0.00"
                                      : TextTable::num(ledger->penalties.as_units(), 2)});
@@ -262,15 +261,15 @@ json::Value Dashboard::snapshot() const {
   headline.emplace("violation_epochs", static_cast<double>(s.violation_epochs));
 
   json::Array slice_rows;
-  for (const core::SliceRecord* record : testbed_->orchestrator->all_slices()) {
+  for (const auto& [slice, record] : testbed_->orchestrator->slices()) {
     json::Object row;
-    row.emplace("slice", static_cast<double>(record->id.value()));
-    row.emplace("tenant", record->spec.tenant_name);
-    row.emplace("vertical", std::string(traffic::to_string(record->spec.vertical)));
-    row.emplace("state", std::string(core::to_string(record->state)));
-    row.emplace("contracted_mbps", record->spec.expected_throughput.as_mbps());
-    row.emplace("reserved_mbps", record->reserved.as_mbps());
-    row.emplace("violation_epochs", static_cast<double>(record->violation_epochs));
+    row.emplace("slice", static_cast<double>(slice.value()));
+    row.emplace("tenant", record.spec.tenant_name);
+    row.emplace("vertical", std::string(traffic::to_string(record.spec.vertical)));
+    row.emplace("state", std::string(core::to_string(record.state)));
+    row.emplace("contracted_mbps", record.spec.expected_throughput.as_mbps());
+    row.emplace("reserved_mbps", record.reserved.as_mbps());
+    row.emplace("violation_epochs", static_cast<double>(record.violation_epochs));
     slice_rows.push_back(std::move(row));
   }
 

@@ -20,7 +20,8 @@ class Dashboard {
  public:
   explicit Dashboard(const core::Testbed* testbed) : testbed_(testbed) {}
 
-  /// The slice table: one row per request ever submitted.
+  /// The slice table: one row per open slice (pending, installing,
+  /// active).
   [[nodiscard]] std::string render_slices() const;
 
   /// Per-domain utilization: cells (PRBs), links (reserved/effective),

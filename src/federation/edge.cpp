@@ -217,16 +217,14 @@ Result<json::Value> EdgeNode::submit(const json::Value& body) {
   if (!request.ok()) return request.error();
 
   const scenario::ScenarioRequest& req = request.value();
-  const RequestId id =
+  const core::SubmitVerdict verdict =
       orch.submit(req.spec, region_->make_workload(req.spec.vertical, req.workload_seed));
-  const core::SliceRecord* record = orch.find_by_request(id);
 
   Object out;
   out.emplace("region", plan_.name);
-  out.emplace("request", static_cast<double>(id.value()));
-  out.emplace("slice", record == nullptr ? 0.0 : static_cast<double>(record->id.value()));
-  out.emplace("state",
-              record == nullptr ? "pending" : std::string(core::to_string(record->state)));
+  out.emplace("request", static_cast<double>(verdict.request.value()));
+  out.emplace("slice", static_cast<double>(verdict.slice.value()));
+  out.emplace("state", std::string(core::to_string(verdict.state)));
   return Value(std::move(out));
 }
 

@@ -87,9 +87,6 @@ class UeSoa {
   /// CQI of live row `row`.
   [[nodiscard]] Cqi cqi_at(std::uint32_t row) const noexcept { return Cqi{cqi_[row]}; }
 
-  void set_cqi(std::uint32_t row, Cqi cqi) noexcept {
-    cqi_[row] = static_cast<std::uint8_t>(cqi.index());
-  }
   /// Re-point a row at another broadcast-list position (PLMN withdrawal
   /// compaction).
   void set_plmn_index(std::uint32_t row, std::uint8_t plmn_index) noexcept {

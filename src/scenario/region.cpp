@@ -1,6 +1,7 @@
 #include "scenario/region.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "traffic/verticals.hpp"
@@ -90,11 +91,12 @@ Result<void> Region::set_dc_up(const std::string& name, bool up) {
   const DatacenterId dc = testbed_->dc_names[*i].second;
   (void)testbed_->cloud.set_datacenter_available(dc, up);
   if (!up) {
-    for (const core::SliceRecord* record : orchestrator().open_slices()) {
-      if (record->is_live() && record->embedding.datacenter == dc) {
-        (void)orchestrator().terminate(record->id);
-      }
+    // terminate() erases the record: collect the ids first.
+    std::vector<SliceId> placed;
+    for (const auto& [slice, record] : orchestrator().slices()) {
+      if (record.is_live() && record.embedding.datacenter == dc) placed.push_back(slice);
     }
+    for (const SliceId slice : placed) (void)orchestrator().terminate(slice);
   }
   note_fault("dc." + name, !up, up ? "datacenter recovered" : "datacenter failed", "dc", name);
   return {};
@@ -116,8 +118,8 @@ void Region::step_mobility(SimTime now) {
   TRACE_SCOPE("mobility.step");
   live_plmns_.clear();
   live_speeds_.clear();
-  orchestrator().for_each_open_slice([this](const core::SliceRecord& record) {
-    if (record.state != core::SliceState::active) return;
+  for (const auto& [slice, record] : orchestrator().slices()) {
+    if (record.state != core::SliceState::active) continue;
     double speed = 0.0;  // take the configured default
     for (const auto& [vertical, mps] : speed_classes_) {
       if (vertical == record.spec.vertical) {
@@ -127,7 +129,7 @@ void Region::step_mobility(SimTime now) {
     }
     live_plmns_.push_back(record.embedding.plmn);
     live_speeds_.push_back(speed);
-  });
+  }
   field_->sync_population(live_plmns_, live_speeds_);
   field_->step(now);
   (void)field_->apply(now);
@@ -138,18 +140,11 @@ RegionTally Region::tally() const {
   RegionTally tally;
   tally.admitted = summary.admitted_total;
   tally.rejected = summary.rejected_total;
-  for (const core::SliceRecord* record : orchestrator().all_slices()) {
-    tally.served_epochs += record->served_epochs;
-    tally.violation_epochs += record->violation_epochs;
-    switch (record->state) {
-      case core::SliceState::installing:
-      case core::SliceState::active: ++tally.active_at_end; break;
-      case core::SliceState::expired: ++tally.expired; break;
-      case core::SliceState::terminated: ++tally.terminated; break;
-      case core::SliceState::pending:
-      case core::SliceState::rejected: break;
-    }
-  }
+  tally.active_at_end = summary.active_slices + summary.installing_slices;
+  tally.expired = summary.expired_total;
+  tally.terminated = summary.terminated_total;
+  tally.served_epochs = summary.served_epochs;
+  tally.violation_epochs = summary.violation_epochs;
   tally.earned_cents = summary.earned.as_cents();
   tally.penalty_cents = summary.penalties.as_cents();
   tally.net_cents = summary.net.as_cents();

@@ -195,13 +195,13 @@ void ScenarioRunner::start_storm(const ScenarioEvent& event) {
   config.arrivals_per_hour = event.storm_ues_per_hour;
   config.mean_holding = event.storm_mean_holding;
   ++storm_seq_;
-  for (const core::SliceRecord* record : testbed.orchestrator->open_slices()) {
-    if (record->state != core::SliceState::active) continue;
+  for (const auto& [slice, record] : testbed.orchestrator->slices()) {
+    if (record.state != core::SliceState::active) continue;
     const std::uint64_t seed =
-        scenario_.seed ^ (kWorkloadSalt * storm_seq_) ^ (kStormSalt * record->id.value());
+        scenario_.seed ^ (kWorkloadSalt * storm_seq_) ^ (kStormSalt * slice.value());
     auto population = std::make_unique<core::UePopulation>(
-        &testbed.simulator, &testbed.ran, testbed.epc.get(), record->id,
-        record->embedding.plmn, config, Rng(seed));
+        &testbed.simulator, &testbed.ran, testbed.epc.get(), slice, record.embedding.plmn,
+        config, Rng(seed));
     population->start();
     storm_populations_.push_back(std::move(population));
   }

@@ -57,8 +57,8 @@ struct GainAccumulator {
   }
 };
 
-/// One region's end-of-run numbers: its OrchestratorSummary plus a
-/// census over every slice it ever held.
+/// One region's end-of-run numbers, all read from its
+/// OrchestratorSummary (the closed slices' counts are running totals).
 struct RegionTally {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;

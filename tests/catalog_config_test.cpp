@@ -40,11 +40,12 @@ TEST(SliceCatalog, NamesSortedAndPutReplaces) {
   SliceCatalog catalog;
   catalog.put(SliceTemplate{.name = "b"});
   catalog.put(SliceTemplate{.name = "a"});
-  SliceTemplate replacement{.name = "b"};
-  replacement.throughput_mbps = 5.0;
-  catalog.put(replacement);
+  catalog.put(SliceTemplate{.name = "b",
+                            .vertical = traffic::Vertical::ehealth,
+                            .default_duration = Duration::hours(3.0)});
   EXPECT_EQ(catalog.names(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_DOUBLE_EQ(catalog.find("b")->throughput_mbps, 5.0);
+  EXPECT_EQ(catalog.find("b")->vertical, traffic::Vertical::ehealth);
+  EXPECT_EQ(catalog.find("b")->default_duration, Duration::hours(3.0));
   EXPECT_EQ(catalog.size(), 2u);
 }
 

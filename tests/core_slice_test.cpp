@@ -81,6 +81,12 @@ TEST(RevenueLedger, PenaltiesReduceNet) {
   EXPECT_EQ(ledger.total_penalties(), Money::units(30.0));
   EXPECT_EQ(ledger.net_revenue(), Money::units(70.0));
   EXPECT_EQ(ledger.total_violation_epochs(), 2u);
+
+  // A closed slice's entry goes; the totals keep it.
+  ledger.erase(SliceId{1});
+  EXPECT_EQ(ledger.find(SliceId{1}), nullptr);
+  EXPECT_EQ(ledger.net_revenue(), Money::units(70.0));
+  EXPECT_EQ(ledger.total_violation_epochs(), 2u);
 }
 
 TEST(SliceRecord, IsLiveOnlyWhileInstallingOrActive) {

@@ -87,19 +87,19 @@ RunResult run_scenario(std::size_t epoch_threads) {
         SliceSpec::from_profile(traffic::profile_for(v), Duration::hours(hours)),
         traffic::make_traffic(v, Rng(seed)));
   };
-  const RequestId video = submit(traffic::Vertical::embb_video, 12.0, 7);
+  const SliceId video = submit(traffic::Vertical::embb_video, 12.0, 7).slice;
   (void)submit(traffic::Vertical::iot_metering, 2.0, 11);  // expires mid-run
   tb->simulator.run_for(Duration::hours(1.0));
-  const RequestId gaming = submit(traffic::Vertical::cloud_gaming, 12.0, 13);
+  const SliceId gaming = submit(traffic::Vertical::cloud_gaming, 12.0, 13).slice;
   tb->simulator.run_for(Duration::hours(3.0));
 
   // Early terminate one slice so the terminate/release path is covered.
-  if (const SliceRecord* record = tb->orchestrator->find_by_request(gaming);
+  if (const SliceRecord* record = tb->orchestrator->find_slice(gaming);
       record != nullptr && record->is_live()) {
-    EXPECT_TRUE(tb->orchestrator->terminate(record->id).ok());
+    EXPECT_TRUE(tb->orchestrator->terminate(gaming).ok());
   }
   tb->simulator.run_for(Duration::hours(2.0));
-  EXPECT_NE(tb->orchestrator->find_by_request(video), nullptr);
+  EXPECT_NE(tb->orchestrator->find_slice(video), nullptr);
 
   RunResult out;
   out.summary = tb->orchestrator->summary();
@@ -167,7 +167,8 @@ TEST(Determinism, RepeatedRunIsBitStable) {
 // to the kernels when the digests were taken. A digest is the CRC-32 of a
 // scorecard plus its byte length. A mismatch prints the actual digest:
 // re-recording one is a deliberate edit of the digest literals below, made
-// only by a change that means to alter what an epoch serves.
+// only by a change that means to alter what an epoch serves (or, for the
+// state digest alone, the layout of the durable-state document).
 
 /// CRC-32 and byte length.
 using Digest = std::pair<std::uint32_t, std::size_t>;
@@ -203,7 +204,7 @@ std::string summary_card(const OrchestratorSummary& s) {
 
 void expect_recorded(const RunResult& run) {
   expect_digest(summary_card(run.summary), {0x77e88455, 196}, "summary");
-  expect_digest(run.state_json, {0xb0c32fcc, 1750}, "state");
+  expect_digest(run.state_json, {0x577b5bf8, 862}, "state");
   expect_digest(run.telemetry_json, {0x84dbe580, 5267}, "telemetry");
   expect_digest(run.journal_bytes, {0x9e337f4b, 7673}, "journal");
   expect_digest(run.trace_json, {0x35d91423, 71749}, "trace");

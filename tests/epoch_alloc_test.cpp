@@ -211,9 +211,8 @@ TEST(EpochAllocations, OrchestratorEpochAllocatesLessThanOncePerSlice) {
     SliceSpec spec = SliceSpec::from_profile(
         traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(1000.0));
     spec.expected_throughput = DataRate::mbps(4.0);
-    const RequestId request =
-        tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(2.0));
-    ASSERT_EQ(tb->orchestrator->find_by_request(request)->state, SliceState::installing);
+    ASSERT_EQ(tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(2.0)).state,
+              SliceState::installing);
   }
   // Warm-up: activation, estimator warm-up and the one shrink to target.
   tb->simulator.run_for(config.monitoring_period * 40.0);

@@ -57,15 +57,17 @@ TEST(EventLog, EventJsonShape) {
 
 TEST(OrchestratorEvents, FullLifecycleLeavesAuditTrail) {
   auto tb = make_testbed(61);
-  const RequestId request = tb->orchestrator->submit(
-      SliceSpec::from_profile(traffic::profile_for(traffic::Vertical::iot_metering),
-                              Duration::hours(2.0)),
-      traffic::make_traffic(traffic::Vertical::iot_metering, Rng(1)));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceId slice =
+      tb->orchestrator
+          ->submit(SliceSpec::from_profile(traffic::profile_for(traffic::Vertical::iot_metering),
+                                           Duration::hours(2.0)),
+                   traffic::make_traffic(traffic::Vertical::iot_metering, Rng(1)))
+          .slice;
   tb->simulator.run_for(Duration::hours(3.0));
-  ASSERT_EQ(record->state, SliceState::expired);
+  ASSERT_EQ(tb->orchestrator->summary().expired_total, 1u);
 
-  const std::vector<Event> trail = tb->orchestrator->events().for_slice(record->id);
+  // The record is gone; its history lives on in the event log.
+  const std::vector<Event> trail = tb->orchestrator->events().for_slice(slice);
   ASSERT_GE(trail.size(), 4u);
   EXPECT_EQ(trail[0].kind, EventKind::request_submitted);
   EXPECT_EQ(trail[1].kind, EventKind::slice_admitted);
@@ -85,9 +87,9 @@ TEST(OrchestratorEvents, RejectionIsLogged) {
   SliceSpec spec = SliceSpec::from_profile(traffic::profile_for(traffic::Vertical::embb_video),
                                            Duration::hours(1.0));
   spec.expected_throughput = DataRate::mbps(100000.0);
-  const RequestId request = tb->orchestrator->submit(spec);
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
-  const std::vector<Event> trail = tb->orchestrator->events().for_slice(record->id);
+  const SubmitVerdict verdict = tb->orchestrator->submit(spec);
+  ASSERT_EQ(verdict.state, SliceState::rejected);
+  const std::vector<Event> trail = tb->orchestrator->events().for_slice(verdict.slice);
   ASSERT_EQ(trail.size(), 2u);
   EXPECT_EQ(trail[1].kind, EventKind::slice_rejected);
 }

@@ -744,5 +744,37 @@ TEST(FederationObservability, EdgeMetricsRouteExposesRegistryAndDropCounters) {
       << "SLO instruments must be interned eagerly, not only after traffic";
 }
 
+// The edge answers a submission with the orchestrator's verdict, not a
+// record lookup: a rejected slice's record is gone by the time the
+// answer is built.
+TEST(EdgeNodeSubmit, RejectedRequestAnswersRejected) {
+  scenario::Scenario scenario = metro_scenario();
+  const Result<MetroFabric> fabric = make_metro_fabric(scenario.federation, scenario.seed);
+  ASSERT_TRUE(fabric.ok());
+  federation::EdgeNode node(fabric.value().regions[0], scenario, 1);
+  net::RestBus bus;
+  bus.register_service("edge.r0", node.make_router());
+
+  const auto post = [&](double mbps) {
+    scenario::ScenarioRequest request;
+    request.spec = core::SliceSpec::from_profile(
+        traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(2.0));
+    request.spec.expected_throughput = DataRate::mbps(mbps);
+    return bus.call_json("edge.r0", net::Method::post, "/federation/slices",
+                         scenario::request_to_json(request));
+  };
+  const Result<json::Value> admitted = post(5.0);
+  ASSERT_TRUE(admitted.ok()) << admitted.error().message;
+  EXPECT_EQ(admitted.value().find("state")->as_string(), "installing");
+
+  const Result<json::Value> rejected = post(99999.0);  // no region can carry it
+  ASSERT_TRUE(rejected.ok()) << rejected.error().message;
+  EXPECT_EQ(rejected.value().find("state")->as_string(), "rejected");
+  const SliceId slice{static_cast<std::uint64_t>(rejected.value().find("slice")->as_number())};
+  EXPECT_EQ(slice.value(), 2u);
+  EXPECT_EQ(node.orchestrator().find_slice(slice), nullptr);
+  EXPECT_EQ(node.orchestrator().summary().rejected_total, 1u);
+}
+
 }  // namespace
 }  // namespace slices

@@ -870,19 +870,8 @@ TEST(WireIntegers, HonestRemoteSummaryDecodesToTheEdgeTally) {
 
   // The oracle: the edge's own orchestrator, read in this process.
   const core::OrchestratorSummary summary = node.orchestrator().summary();
-  std::uint64_t served = 0;
-  std::uint64_t violations = 0;
   std::uint64_t live = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t terminated = 0;
-  for (const core::SliceRecord* record : node.orchestrator().all_slices()) {
-    served += record->served_epochs;
-    violations += record->violation_epochs;
-    live += record->state == core::SliceState::installing ||
-            record->state == core::SliceState::active;
-    expired += record->state == core::SliceState::expired;
-    terminated += record->state == core::SliceState::terminated;
-  }
+  for (const auto& [slice, record] : node.orchestrator().slices()) live += record.is_live();
   const federation::RegionScore& r1 = card.value().regions.at(1);
   EXPECT_EQ(r1.name, "r1");
   EXPECT_GT(r1.admitted, 0u);
@@ -890,10 +879,10 @@ TEST(WireIntegers, HonestRemoteSummaryDecodesToTheEdgeTally) {
   EXPECT_EQ(r1.admitted, summary.admitted_total);
   EXPECT_EQ(r1.rejected, summary.rejected_total);
   EXPECT_EQ(r1.active_at_end, live);
-  EXPECT_EQ(r1.expired, expired);
-  EXPECT_EQ(r1.terminated, terminated);
-  EXPECT_EQ(r1.served_epochs, served);
-  EXPECT_EQ(r1.violation_epochs, violations);
+  EXPECT_EQ(r1.expired, summary.expired_total);
+  EXPECT_EQ(r1.terminated, summary.terminated_total);
+  EXPECT_EQ(r1.served_epochs, summary.served_epochs);
+  EXPECT_EQ(r1.violation_epochs, summary.violation_epochs);
   EXPECT_EQ(r1.earned_cents, summary.earned.as_cents());
   EXPECT_EQ(r1.penalty_cents, summary.penalties.as_cents());
   EXPECT_EQ(r1.net_cents, summary.net.as_cents());

@@ -55,25 +55,27 @@ void check_invariants(const Testbed& tb) {
     }
   }
 
-  // Slices: state/bookkeeping consistency.
-  for (const SliceRecord* record : tb.orchestrator->all_slices()) {
-    if (record->state == SliceState::active) {
-      EXPECT_LE(record->reserved, record->spec.expected_throughput);
-      EXPECT_TRUE(tb.ran.plmn_installed(record->embedding.plmn));
-      EXPECT_NE(tb.epc->find(record->id), nullptr);
+  // Slices: state/bookkeeping consistency. The orchestrator holds open
+  // records only, and only the live ones hold an EPC: a closed slice
+  // left nothing behind.
+  std::size_t live = 0;
+  for (const auto& [slice, record] : tb.orchestrator->slices()) {
+    EXPECT_TRUE(record.state == SliceState::pending || record.is_live())
+        << to_string(record.state);
+    if (record.is_live()) ++live;
+    if (record.state == SliceState::active) {
+      EXPECT_LE(record.reserved, record.spec.expected_throughput);
+      EXPECT_TRUE(tb.ran.plmn_installed(record.embedding.plmn));
+      EXPECT_NE(tb.epc->find(slice), nullptr);
       // Transport reservation mirrors the slice's current reservation.
-      ASSERT_FALSE(record->embedding.paths.empty());
+      ASSERT_FALSE(record.embedding.paths.empty());
       const transport::PathReservation* path =
-          tb.transport->find_path(record->embedding.paths.front());
+          tb.transport->find_path(record.embedding.paths.front());
       ASSERT_NE(path, nullptr);
-      EXPECT_NEAR(path->reserved.as_mbps(), record->reserved.as_mbps(), 1e-6);
-    }
-    if (record->state == SliceState::expired || record->state == SliceState::terminated ||
-        record->state == SliceState::rejected) {
-      EXPECT_EQ(tb.epc->find(record->id), nullptr);
-      EXPECT_TRUE(tb.transport->flow_table().rules_for(record->id).empty());
+      EXPECT_NEAR(path->reserved.as_mbps(), record.reserved.as_mbps(), 1e-6);
     }
   }
+  EXPECT_EQ(tb.epc->instance_count(), live);
 }
 
 TEST(Integration, InvariantsHoldThroughFortyEightHours) {

@@ -25,13 +25,15 @@ std::unique_ptr<traffic::TrafficModel> workload_for(traffic::Vertical v, std::ui
 
 TEST(Orchestrator, AdmitInstallActivateExpireLifecycle) {
   auto tb = make_testbed(1);
-  const RequestId request = tb->orchestrator->submit(
+  const SubmitVerdict verdict = tb->orchestrator->submit(
       spec_for(traffic::Vertical::embb_video, 2.0),
       workload_for(traffic::Vertical::embb_video, 7));
+  EXPECT_EQ(verdict.state, SliceState::installing);
 
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(verdict.slice);
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->state, SliceState::installing);
+  const Embedding embedding = record->embedding;  // the record goes when it expires
 
   // Domains are configured immediately; the slice is serving only after
   // the install timeline elapses.
@@ -45,13 +47,15 @@ TEST(Orchestrator, AdmitInstallActivateExpireLifecycle) {
   EXPECT_EQ(record->state, SliceState::active);
   EXPECT_EQ(tb->epc->find(record->id)->state, epc::EpcState::active);
 
-  // Runs to expiry; everything is released.
+  // Runs to expiry; everything is released and the record leaves.
   tb->simulator.run_for(Duration::hours(3.0));
-  EXPECT_EQ(record->state, SliceState::expired);
-  EXPECT_FALSE(tb->ran.plmn_installed(record->embedding.plmn));
-  EXPECT_EQ(tb->epc->find(record->id), nullptr);
+  EXPECT_EQ(tb->orchestrator->find_slice(verdict.slice), nullptr);
+  EXPECT_TRUE(tb->orchestrator->slices().empty());
+  EXPECT_EQ(tb->orchestrator->summary().expired_total, 1u);
+  EXPECT_FALSE(tb->ran.plmn_installed(embedding.plmn));
+  EXPECT_EQ(tb->epc->find(verdict.slice), nullptr);
   EXPECT_EQ(tb->ran.find_cell(tb->cell_a)->reserved_prbs().value, 0);
-  EXPECT_TRUE(tb->transport->flow_table().rules_for(record->id).empty());
+  EXPECT_TRUE(tb->transport->flow_table().rules_for(verdict.slice).empty());
 }
 
 TEST(Orchestrator, InstallTimelineMatchesDemoScale) {
@@ -74,8 +78,7 @@ TEST(Orchestrator, RejectsWhenRadioExhaustedAndRollsBackCleanly) {
   const double total = tb->ran.total_capacity().as_mbps();
   SliceSpec big = spec_for(traffic::Vertical::embb_video, 4.0);
   big.expected_throughput = DataRate::mbps(total * 0.7);
-  ASSERT_EQ(tb->orchestrator->find_by_request(tb->orchestrator->submit(big))->state,
-            SliceState::installing);
+  ASSERT_EQ(tb->orchestrator->submit(big).state, SliceState::installing);
 
   const std::size_t stacks_before = tb->cloud.engine().stack_count();
   const int prbs_before = tb->ran.find_cell(tb->cell_a)->reserved_prbs().value +
@@ -83,8 +86,9 @@ TEST(Orchestrator, RejectsWhenRadioExhaustedAndRollsBackCleanly) {
 
   SliceSpec second = spec_for(traffic::Vertical::embb_video, 4.0);
   second.expected_throughput = DataRate::mbps(total * 0.7);
-  const RequestId rejected = tb->orchestrator->submit(second);
-  EXPECT_EQ(tb->orchestrator->find_by_request(rejected)->state, SliceState::rejected);
+  const SubmitVerdict rejected = tb->orchestrator->submit(second);
+  EXPECT_EQ(rejected.state, SliceState::rejected);
+  EXPECT_EQ(tb->orchestrator->find_slice(rejected.slice), nullptr);
 
   // Rollback: no partial state left anywhere.
   EXPECT_EQ(tb->cloud.engine().stack_count(), stacks_before);
@@ -157,8 +161,8 @@ TEST_P(StageRollback, FailureLeavesSubstrateUntouched) {
   // A mostly idle background slice that overbooking has shrunk.
   SliceSpec idle = spec_for(traffic::Vertical::embb_video, 24.0);
   idle.expected_throughput = DataRate::mbps(30.0);
-  const SliceRecord* background = tb->orchestrator->find_by_request(
-      tb->orchestrator->submit(idle, std::make_unique<traffic::ConstantTraffic>(2.0)));
+  const SliceRecord* background = tb->orchestrator->find_slice(
+      tb->orchestrator->submit(idle, std::make_unique<traffic::ConstantTraffic>(2.0)).slice);
   tb->simulator.run_for(Duration::hours(6.0));
   ASSERT_EQ(background->state, SliceState::active);
   ASSERT_LT(background->reserved, background->spec.expected_throughput);
@@ -171,13 +175,11 @@ TEST_P(StageRollback, FailureLeavesSubstrateUntouched) {
   fault.inject(*tb, failing, request_slice);
   const Substrate before = substrate_of(*tb, background->id, request_slice);
 
-  const SliceRecord* rejected =
-      tb->orchestrator->find_by_request(tb->orchestrator->submit(failing));
-  ASSERT_EQ(rejected->id, request_slice);
-  EXPECT_EQ(rejected->state, SliceState::rejected);
-  EXPECT_FALSE(rejected->embedding.plmn.valid());
-  EXPECT_TRUE(rejected->embedding.paths.empty());
-  EXPECT_EQ(rejected->reserved, DataRate::zero());
+  const SubmitVerdict rejected = tb->orchestrator->submit(failing);
+  ASSERT_EQ(rejected.slice, request_slice);
+  EXPECT_EQ(rejected.state, SliceState::rejected);
+  EXPECT_EQ(tb->orchestrator->find_slice(request_slice), nullptr);
+  EXPECT_EQ(tb->orchestrator->summary().rejected_total, 1u);
   EXPECT_EQ(substrate_of(*tb, background->id, request_slice), before);
 
   const std::vector<Event> trail = tb->orchestrator->events().for_slice(request_slice);
@@ -190,9 +192,10 @@ TEST_P(StageRollback, FailureLeavesSubstrateUntouched) {
 
   // The rejected request consumed its PLMN code.
   if (fault.clear != nullptr) fault.clear(*tb);
-  const SliceRecord* next = tb->orchestrator->find_by_request(tb->orchestrator->submit(small));
-  ASSERT_EQ(next->state, SliceState::installing);
-  EXPECT_EQ(next->embedding.plmn.value(), background->embedding.plmn.value() + 2);
+  const SubmitVerdict next = tb->orchestrator->submit(small);
+  ASSERT_EQ(next.state, SliceState::installing);
+  EXPECT_EQ(tb->orchestrator->find_slice(next.slice)->embedding.plmn.value(),
+            background->embedding.plmn.value() + 2);
 }
 
 void set_dcs_available(Testbed& tb, bool available) {
@@ -247,20 +250,18 @@ TEST(Orchestrator, EdgeRequirementRejectsWhenEdgeFull) {
   ASSERT_TRUE(tb->cloud.create_stack(tb->edge_dc, filler).ok());
 
   // Automotive requires the edge; it must be rejected now.
-  const RequestId request =
-      tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 2.0));
-  EXPECT_EQ(tb->orchestrator->find_by_request(request)->state, SliceState::rejected);
+  EXPECT_EQ(tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 2.0)).state,
+            SliceState::rejected);
 
   // A core-eligible vertical still gets in.
-  const RequestId ok = tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 2.0));
-  EXPECT_EQ(tb->orchestrator->find_by_request(ok)->state, SliceState::installing);
+  EXPECT_EQ(tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 2.0)).state,
+            SliceState::installing);
 }
 
 TEST(Orchestrator, LatencyBoundSelectsDatacenterAndPath) {
   auto tb = make_testbed(5);
-  const RequestId request =
-      tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 2.0));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(
+      tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 2.0)).slice);
   ASSERT_EQ(record->state, SliceState::installing);
   EXPECT_EQ(record->embedding.datacenter, tb->edge_dc);
   const transport::PathReservation* path =
@@ -273,9 +274,8 @@ TEST(Orchestrator, EdgePlacementGetsBreakoutLeg) {
   auto tb = make_testbed(17);
   // Automotive requires the edge -> two transport legs: access at the
   // contract rate, breakout to the core at the configured fraction.
-  const RequestId request =
-      tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 2.0));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(
+      tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 2.0)).slice);
   ASSERT_EQ(record->state, SliceState::installing);
   ASSERT_EQ(record->embedding.paths.size(), 2u);
 
@@ -295,29 +295,32 @@ TEST(Orchestrator, EdgePlacementGetsBreakoutLeg) {
           tb->orchestrator->config().edge_breakout_fraction);
 
   // Core placements keep a single leg.
-  const RequestId core_req =
-      tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 2.0));
-  EXPECT_EQ(tb->orchestrator->find_by_request(core_req)->embedding.paths.size(), 1u);
+  const SliceId core_slice =
+      tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 2.0)).slice;
+  EXPECT_EQ(tb->orchestrator->find_slice(core_slice)->embedding.paths.size(), 1u);
 
   // Teardown releases both legs.
-  ASSERT_TRUE(tb->orchestrator->terminate(record->id).ok());
-  EXPECT_TRUE(tb->transport->paths_of(record->id).empty());
+  const SliceId edge_slice = record->id;
+  ASSERT_TRUE(tb->orchestrator->terminate(edge_slice).ok());
+  EXPECT_TRUE(tb->transport->paths_of(edge_slice).empty());
 }
 
 TEST(Orchestrator, TerminateReleasesEarly) {
   auto tb = make_testbed(6);
-  const RequestId request = tb->orchestrator->submit(
-      spec_for(traffic::Vertical::embb_video, 10.0),
-      workload_for(traffic::Vertical::embb_video, 3));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceId slice = tb->orchestrator
+                            ->submit(spec_for(traffic::Vertical::embb_video, 10.0),
+                                     workload_for(traffic::Vertical::embb_video, 3))
+                            .slice;
   tb->simulator.run_for(Duration::minutes(60.0));
-  ASSERT_EQ(record->state, SliceState::active);
+  ASSERT_EQ(tb->orchestrator->find_slice(slice)->state, SliceState::active);
 
-  ASSERT_TRUE(tb->orchestrator->terminate(record->id).ok());
-  EXPECT_EQ(record->state, SliceState::terminated);
-  EXPECT_EQ(tb->epc->find(record->id), nullptr);
+  ASSERT_TRUE(tb->orchestrator->terminate(slice).ok());
+  EXPECT_EQ(tb->orchestrator->find_slice(slice), nullptr);
+  EXPECT_EQ(tb->orchestrator->summary().terminated_total, 1u);
+  EXPECT_EQ(tb->epc->find(slice), nullptr);
   EXPECT_EQ(tb->ran.find_cell(tb->cell_a)->reserved_prbs().value, 0);
-  EXPECT_FALSE(tb->orchestrator->terminate(record->id).ok());
+  // A closed slice is gone: a second teardown finds nothing.
+  EXPECT_EQ(tb->orchestrator->terminate(slice).error().code, Errc::not_found);
   EXPECT_EQ(tb->orchestrator->terminate(SliceId{999}).error().code, Errc::not_found);
 }
 
@@ -328,9 +331,8 @@ TEST(Orchestrator, OverbookingShrinksReservationsOfIdleSlices) {
 
   // A slice that contracts 60 Mb/s but offers ~6.
   SliceSpec spec = spec_for(traffic::Vertical::embb_video, 48.0);
-  const RequestId request = tb->orchestrator->submit(
-      spec, std::make_unique<traffic::ConstantTraffic>(6.0));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(
+      tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(6.0)).slice);
   ASSERT_EQ(record->state, SliceState::installing);
 
   tb->simulator.run_for(Duration::hours(8.0));
@@ -383,9 +385,8 @@ TEST(Orchestrator, OverbookingAdmitsMoreSlicesThanPeakReservation) {
     for (int i = 0; i < 8; ++i) {
       SliceSpec spec = spec_for(traffic::Vertical::embb_video, 72.0);
       spec.expected_throughput = DataRate::mbps(20.0);
-      const RequestId request = tb->orchestrator->submit(
-          spec, std::make_unique<traffic::ConstantTraffic>(2.0));
-      if (tb->orchestrator->find_by_request(request)->state != SliceState::rejected) {
+      if (tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(2.0))
+              .state != SliceState::rejected) {
         ++admitted;
       }
       // Give the broker time to learn before the next request arrives.
@@ -414,10 +415,11 @@ TEST(Orchestrator, SlaViolationsAreChargedWhenDemandExceedsService) {
   auto tb = make_testbed(9, config);
 
   // Bursty e-health traffic is unforecastable: quiet then spiking.
-  const RequestId request = tb->orchestrator->submit(
-      spec_for(traffic::Vertical::ehealth, 48.0),
-      workload_for(traffic::Vertical::ehealth, 17));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record =
+      tb->orchestrator->find_slice(tb->orchestrator
+                                       ->submit(spec_for(traffic::Vertical::ehealth, 48.0),
+                                                workload_for(traffic::Vertical::ehealth, 17))
+                                       .slice);
   ASSERT_EQ(record->state, SliceState::installing);
 
   tb->simulator.run_for(Duration::hours(47.0));
@@ -433,16 +435,16 @@ TEST(Orchestrator, SlaViolationsAreChargedWhenDemandExceedsService) {
 TEST(Orchestrator, RevenueAccruesPerActiveHour) {
   auto tb = make_testbed(10);
   SliceSpec spec = spec_for(traffic::Vertical::iot_metering, 4.0);
-  const RequestId request =
-      tb->orchestrator->submit(spec, workload_for(traffic::Vertical::iot_metering, 5));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceId slice =
+      tb->orchestrator->submit(spec, workload_for(traffic::Vertical::iot_metering, 5)).slice;
   tb->simulator.run_for(Duration::hours(6.0));
-  ASSERT_EQ(record->state, SliceState::expired);
-  const SliceLedgerEntry* entry = tb->orchestrator->ledger().find(record->id);
-  ASSERT_NE(entry, nullptr);
+  const OrchestratorSummary summary = tb->orchestrator->summary();
+  ASSERT_EQ(summary.expired_total, 1u);
+  // The expired slice's ledger entry is gone; the totals keep its books.
+  EXPECT_EQ(tb->orchestrator->ledger().find(slice), nullptr);
   // ~4 h at the profile price, +- one epoch of accrual skew.
   const double expected = traffic::profile_for(traffic::Vertical::iot_metering).price_per_hour * 4.0;
-  EXPECT_NEAR(entry->earned.as_units(), expected, expected * 0.10);
+  EXPECT_NEAR(summary.earned.as_units(), expected, expected * 0.10);
 }
 
 TEST(Orchestrator, RestDashboardApi) {
@@ -474,15 +476,14 @@ TEST(Orchestrator, RestDashboardApi) {
   ASSERT_TRUE(report.ok());
   EXPECT_DOUBLE_EQ(report.value().find("admitted_total")->as_number(), 1.0);
 
-  // Terminate over REST.
+  // Terminate over REST; the closed slice is no longer listed.
   ASSERT_TRUE(tb->bus.call_json("orchestrator", net::Method::del,
                                 "/slices/" + std::to_string(slice_id),
                                 json::Value(nullptr)).ok());
   EXPECT_EQ(tb->bus.get_json("orchestrator", "/slices/" + std::to_string(slice_id))
-                .value()
-                .find("state")
-                ->as_string(),
-            "terminated");
+                .error()
+                .code,
+            Errc::not_found);
 
   // Unknown vertical and unknown slice produce proper errors.
   json::Value bad;
@@ -501,10 +502,72 @@ TEST(Orchestrator, RejectedSubmissionReturns409OverRest) {
   request["vertical"] = "embb_video";
   request["duration_hours"] = 2.0;
   request["throughput_mbps"] = 100000.0;  // impossible
-  const Result<json::Value> resp =
-      tb->bus.call_json("orchestrator", net::Method::post, "/slices", request);
-  ASSERT_FALSE(resp.ok());
-  EXPECT_EQ(resp.error().code, Errc::conflict);
+  const Result<net::Response> resp = tb->bus.call(
+      "orchestrator", net::Request{net::Method::post, "/slices", {}, json::serialize(request)});
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp.value().status, net::Status::conflict);
+  // The verdict names the rejected request, whose record is already gone.
+  const Result<json::Value> body = json::parse(resp.value().body);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body.value().find("state")->as_string(), "rejected");
+  const auto slice = static_cast<std::uint64_t>(body.value().find("slice")->as_number());
+  EXPECT_EQ(tb->orchestrator->find_slice(SliceId{slice}), nullptr);
+  EXPECT_EQ(tb->orchestrator->summary().rejected_total, 1u);
+}
+
+TEST(Orchestrator, RestSliceRoutesAnswerForOpenSlices) {
+  auto tb = make_testbed(23);
+  const SliceId open = tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 8.0)).slice;
+  const SliceId ended =
+      tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 8.0)).slice;
+  SliceSpec impossible = spec_for(traffic::Vertical::embb_video, 8.0);
+  impossible.expected_throughput = DataRate::mbps(100000.0);
+  const SliceId rejected = tb->orchestrator->submit(impossible).slice;
+  tb->simulator.run_for(Duration::minutes(30.0));
+  ASSERT_TRUE(tb->orchestrator->terminate(ended).ok());
+  const auto path = [](SliceId slice, const char* suffix = "") {
+    return "/slices/" + std::to_string(slice.value()) + suffix;
+  };
+
+  // GET /slices lists the open records only.
+  const Result<json::Value> listed = tb->bus.get_json("orchestrator", "/slices");
+  ASSERT_TRUE(listed.ok());
+  const json::Array& rows = listed.value().find("slices")->as_array();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(rows.front().find("slice")->as_number(), static_cast<double>(open.value()));
+  EXPECT_EQ(rows.front().find("state")->as_string(), "active");
+
+  // GET /slices/{id} answers 404 once a slice closed.
+  EXPECT_TRUE(tb->bus.get_json("orchestrator", path(open)).ok());
+  for (const SliceId closed : {ended, rejected}) {
+    const Result<json::Value> one = tb->bus.get_json("orchestrator", path(closed));
+    ASSERT_FALSE(one.ok());
+    EXPECT_EQ(one.error().code, Errc::not_found);
+  }
+
+  // The audit of an open slice carries its state and history.
+  const Result<json::Value> live = tb->bus.get_json("orchestrator", path(open, "/audit"));
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live.value().find("state")->as_string(), "active");
+  const json::Array& live_events = live.value().find("events")->as_array();
+  ASSERT_FALSE(live_events.empty());
+  EXPECT_EQ(live_events.back().find("kind")->as_string(), "slice_active");
+
+  // A closed slice's audit is answered from the event ring.
+  const Result<json::Value> gone = tb->bus.get_json("orchestrator", path(ended, "/audit"));
+  ASSERT_TRUE(gone.ok());
+  EXPECT_EQ(gone.value().find("state")->as_string(), "closed");
+  const json::Array& trail = gone.value().find("events")->as_array();
+  ASSERT_GE(trail.size(), 4u);  // submitted, admitted, active, ..., terminated
+  EXPECT_EQ(trail.front().find("kind")->as_string(), "request_submitted");
+  EXPECT_EQ(trail.back().find("kind")->as_string(), "slice_terminated");
+
+  // An id no slice ever had: 404 (as for a closed slice whose events
+  // left the ring).
+  const Result<json::Value> unknown =
+      tb->bus.get_json("orchestrator", path(SliceId{424242}, "/audit"));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code, Errc::not_found);
 }
 
 /// Every instrument name in a domain's /metrics document.
@@ -531,11 +594,12 @@ bool has_key_with_prefix(const telemetry::MonitorRegistry& registry, const std::
 
 TEST(Orchestrator, MonitoringPollsDomainsOverRest) {
   auto tb = make_testbed(13);
-  const RequestId request = tb->orchestrator->submit(
-      spec_for(traffic::Vertical::embb_video, 4.0),
-      workload_for(traffic::Vertical::embb_video, 1));
+  const SliceId slice = tb->orchestrator
+                            ->submit(spec_for(traffic::Vertical::embb_video, 4.0),
+                                     workload_for(traffic::Vertical::embb_video, 1))
+                            .slice;
   tb->simulator.run_for(Duration::hours(1.0));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(slice);
   ASSERT_EQ(record->state, SliceState::active);
   // The epochs read the serve reports in-process: nothing polled the
   // domains over the bus.
@@ -567,7 +631,7 @@ TEST(Orchestrator, EndedSlicesLeaveNoInstrumentsBehind) {
   const std::set<std::string> transport_before = metric_keys(*tb, "transport");
 
   struct Admitted {
-    const SliceRecord* record;
+    SliceId slice;
     std::string slice_prefix;
     std::string plmn_prefix;
     std::vector<std::string> path_prefixes;
@@ -576,11 +640,11 @@ TEST(Orchestrator, EndedSlicesLeaveNoInstrumentsBehind) {
   for (std::uint64_t i = 0; i < 4; ++i) {
     SliceSpec spec = spec_for(traffic::Vertical::embb_video, 1.0);
     spec.expected_throughput = DataRate::mbps(10.0);
-    const RequestId request = tb->orchestrator->submit(
-        spec, workload_for(traffic::Vertical::embb_video, 40 + i));
-    const SliceRecord* record = tb->orchestrator->find_by_request(request);
-    ASSERT_EQ(record->state, SliceState::installing);
-    Admitted a{record, "slice." + std::to_string(record->id.value()) + ".",
+    const SubmitVerdict verdict =
+        tb->orchestrator->submit(spec, workload_for(traffic::Vertical::embb_video, 40 + i));
+    ASSERT_EQ(verdict.state, SliceState::installing);
+    const SliceRecord* record = tb->orchestrator->find_slice(verdict.slice);
+    Admitted a{verdict.slice, "slice." + std::to_string(record->id.value()) + ".",
                "ran.plmn." + std::to_string(record->embedding.plmn.value()) + ".", {}};
     for (const PathId path : record->embedding.paths) {
       a.path_prefixes.push_back("transport.path." + std::to_string(path.value()) + ".");
@@ -591,7 +655,7 @@ TEST(Orchestrator, EndedSlicesLeaveNoInstrumentsBehind) {
   // While the slices serve, every one of them is instrumented.
   tb->simulator.run_for(Duration::minutes(40.0));
   for (const Admitted& a : admitted) {
-    ASSERT_EQ(a.record->state, SliceState::active);
+    ASSERT_EQ(tb->orchestrator->find_slice(a.slice)->state, SliceState::active);
     EXPECT_TRUE(has_key_with_prefix(tb->registry, a.slice_prefix)) << a.slice_prefix;
     EXPECT_TRUE(has_key_with_prefix(tb->registry, a.plmn_prefix)) << a.plmn_prefix;
     for (const std::string& p : a.path_prefixes) {
@@ -601,7 +665,7 @@ TEST(Orchestrator, EndedSlicesLeaveNoInstrumentsBehind) {
 
   tb->simulator.run_for(Duration::hours(2.0));
   for (const Admitted& a : admitted) {
-    ASSERT_EQ(a.record->state, SliceState::expired);
+    ASSERT_EQ(tb->orchestrator->find_slice(a.slice), nullptr);
     EXPECT_FALSE(has_key_with_prefix(tb->registry, a.slice_prefix)) << a.slice_prefix;
     EXPECT_FALSE(has_key_with_prefix(tb->registry, a.plmn_prefix)) << a.plmn_prefix;
     for (const std::string& p : a.path_prefixes) {
@@ -611,6 +675,7 @@ TEST(Orchestrator, EndedSlicesLeaveNoInstrumentsBehind) {
   EXPECT_EQ(metric_keys(*tb, "ran"), ran_before);
   EXPECT_EQ(metric_keys(*tb, "transport"), transport_before);
   // The totals outlive the slices.
+  EXPECT_EQ(tb->orchestrator->summary().expired_total, admitted.size());
   EXPECT_GT(tb->orchestrator->summary().earned, Money{});
 }
 
@@ -627,36 +692,39 @@ TEST(Orchestrator, BatchedAdmissionAuctionsPendingRequests) {
   SliceSpec cheap_fat = spec_for(traffic::Vertical::embb_video, 10.0);
   cheap_fat.expected_throughput = DataRate::mbps(60.0);
   cheap_fat.price_per_hour = Money::units(1.0);
-  const RequestId fat = tb->orchestrator->submit(cheap_fat);
+  const SubmitVerdict fat = tb->orchestrator->submit(cheap_fat);
 
   SliceSpec valuable_a = spec_for(traffic::Vertical::cloud_gaming, 10.0);
   valuable_a.expected_throughput = DataRate::mbps(30.0);
-  const RequestId a = tb->orchestrator->submit(valuable_a);
+  const SubmitVerdict a = tb->orchestrator->submit(valuable_a);
 
   SliceSpec valuable_b = spec_for(traffic::Vertical::automotive, 10.0);
   valuable_b.expected_throughput = DataRate::mbps(20.0);
-  const RequestId b = tb->orchestrator->submit(valuable_b);
+  const SliceId b = tb->orchestrator->submit(valuable_b).slice;
 
   // Nothing is decided before the auction fires.
-  EXPECT_EQ(tb->orchestrator->find_by_request(fat)->state, SliceState::pending);
-  EXPECT_EQ(tb->orchestrator->find_by_request(a)->state, SliceState::pending);
+  EXPECT_EQ(fat.state, SliceState::pending);
+  EXPECT_EQ(a.state, SliceState::pending);
+  EXPECT_EQ(tb->orchestrator->find_slice(fat.slice)->state, SliceState::pending);
 
   tb->simulator.run_for(Duration::hours(1.5));
-  EXPECT_EQ(tb->orchestrator->find_by_request(fat)->state, SliceState::rejected);
-  EXPECT_EQ(tb->orchestrator->find_by_request(a)->state, SliceState::active);
-  EXPECT_EQ(tb->orchestrator->find_by_request(b)->state, SliceState::active);
+  EXPECT_EQ(tb->orchestrator->find_slice(fat.slice), nullptr);  // lost the auction
+  EXPECT_EQ(tb->orchestrator->summary().rejected_total, 1u);
+  EXPECT_EQ(tb->orchestrator->find_slice(a.slice)->state, SliceState::active);
+  EXPECT_EQ(tb->orchestrator->find_slice(b)->state, SliceState::active);
 
   // An FCFS broker on the same sequence admits the fat request first
   // and starves the valuable pair.
   OrchestratorConfig fcfs_config = config;
   fcfs_config.admission_policy = "fcfs";
   auto tb2 = make_testbed(15, fcfs_config);
-  const RequestId fat2 = tb2->orchestrator->submit(cheap_fat);
-  const RequestId a2 = tb2->orchestrator->submit(valuable_a);
+  const SliceId fat2 = tb2->orchestrator->submit(cheap_fat).slice;
+  const SliceId a2 = tb2->orchestrator->submit(valuable_a).slice;
   (void)tb2->orchestrator->submit(valuable_b);
   tb2->simulator.run_for(Duration::hours(1.5));
-  EXPECT_EQ(tb2->orchestrator->find_by_request(fat2)->state, SliceState::active);
-  EXPECT_EQ(tb2->orchestrator->find_by_request(a2)->state, SliceState::rejected);
+  EXPECT_EQ(tb2->orchestrator->find_slice(fat2)->state, SliceState::active);
+  EXPECT_EQ(tb2->orchestrator->find_slice(a2), nullptr);
+  EXPECT_EQ(tb2->orchestrator->summary().rejected_total, 2u);
 }
 
 TEST(Orchestrator, PatientRequestsWaitForCapacity) {
@@ -676,23 +744,24 @@ TEST(Orchestrator, PatientRequestsWaitForCapacity) {
 
   SliceSpec waiting = spec_for(traffic::Vertical::cloud_gaming, 4.0);
   waiting.expected_throughput = DataRate::mbps(40.0);
-  const RequestId patient = tb->orchestrator->submit(waiting);
+  const SliceId patient = tb->orchestrator->submit(waiting).slice;
 
   tb->simulator.run_for(Duration::hours(1.5));
   // First auction happened: the big slice is in, the patient one queued.
-  EXPECT_EQ(tb->orchestrator->find_by_request(patient)->state, SliceState::pending);
+  EXPECT_EQ(tb->orchestrator->find_slice(patient)->state, SliceState::pending);
 
   tb->simulator.run_for(Duration::hours(3.0));  // big slice expired at ~2 h
-  EXPECT_EQ(tb->orchestrator->find_by_request(patient)->state, SliceState::active);
+  EXPECT_EQ(tb->orchestrator->find_slice(patient)->state, SliceState::active);
 
   // Without patience the same sequence rejects immediately.
   OrchestratorConfig impatient = config;
   impatient.admission_patience = Duration::zero();
   auto tb2 = make_testbed(18, impatient);
   (void)tb2->orchestrator->submit(big);
-  const RequestId bounced = tb2->orchestrator->submit(waiting);
+  const SliceId bounced = tb2->orchestrator->submit(waiting).slice;
   tb2->simulator.run_for(Duration::hours(1.5));
-  EXPECT_EQ(tb2->orchestrator->find_by_request(bounced)->state, SliceState::rejected);
+  EXPECT_EQ(tb2->orchestrator->find_slice(bounced), nullptr);
+  EXPECT_EQ(tb2->orchestrator->summary().rejected_total, 1u);
 }
 
 TEST(Orchestrator, PatienceDeadlineEventuallyRejects) {
@@ -707,24 +776,24 @@ TEST(Orchestrator, PatienceDeadlineEventuallyRejects) {
   (void)tb->orchestrator->submit(big);
   SliceSpec waiting = spec_for(traffic::Vertical::cloud_gaming, 4.0);
   waiting.expected_throughput = DataRate::mbps(40.0);
-  const RequestId doomed = tb->orchestrator->submit(waiting);
+  const SliceId doomed = tb->orchestrator->submit(waiting).slice;
 
   tb->simulator.run_for(Duration::hours(2.5));
-  EXPECT_EQ(tb->orchestrator->find_by_request(doomed)->state, SliceState::pending);
+  EXPECT_EQ(tb->orchestrator->find_slice(doomed)->state, SliceState::pending);
   tb->simulator.run_for(Duration::hours(2.0));  // patience exceeded
-  EXPECT_EQ(tb->orchestrator->find_by_request(doomed)->state, SliceState::rejected);
+  EXPECT_EQ(tb->orchestrator->find_slice(doomed), nullptr);
+  EXPECT_EQ(tb->orchestrator->summary().rejected_total, 1u);
 }
 
 TEST(Orchestrator, InstallJitterVariesTimelines) {
   auto tb = make_testbed(16);
   std::set<std::int64_t> totals;
   for (int i = 0; i < 5; ++i) {
-    const RequestId request =
+    const SubmitVerdict verdict =
         tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 1.0));
-    const SliceRecord* record = tb->orchestrator->find_by_request(request);
-    ASSERT_EQ(record->state, SliceState::installing);
+    ASSERT_EQ(verdict.state, SliceState::installing);
     totals.insert(tb->orchestrator->last_install_timeline().total().as_micros());
-    ASSERT_TRUE(tb->orchestrator->terminate(record->id).ok());
+    ASSERT_TRUE(tb->orchestrator->terminate(verdict.slice).ok());
   }
   EXPECT_GT(totals.size(), 1u);  // jitter produces distinct timelines
 }
@@ -736,9 +805,8 @@ TEST(Orchestrator, OverbookingShrinksBothTransportLegsProportionally) {
 
   // Edge-placed slice (two legs) with near-idle demand.
   SliceSpec spec = spec_for(traffic::Vertical::automotive, 48.0);
-  const RequestId request =
-      tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(2.0));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(
+      tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(2.0)).slice);
   ASSERT_EQ(record->embedding.paths.size(), 2u);
 
   tb->simulator.run_for(Duration::hours(6.0));

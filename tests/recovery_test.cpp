@@ -38,24 +38,24 @@ core::SliceSpec spec_for(traffic::Vertical vertical, double hours, double mbps) 
 /// workloads), epochs with accrual + overbooking, a resize, a rejection
 /// and an operator teardown. Returns after ~2h of simulated time.
 void exercise(core::Testbed& tb) {
-  tb.orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0),
-                          std::make_unique<traffic::ConstantTraffic>(12.0));
+  const SliceId first =
+      tb.orchestrator
+          ->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0),
+                   std::make_unique<traffic::ConstantTraffic>(12.0))
+          .slice;
   tb.orchestrator->submit(spec_for(traffic::Vertical::automotive, 12.0, 15.0),
                           std::make_unique<traffic::ConstantTraffic>(6.0));
-  const RequestId doomed =
-      tb.orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 6.0, 5.0));
+  const SliceId doomed =
+      tb.orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 6.0, 5.0)).slice;
   tb.simulator.run_for(Duration::minutes(40.0));  // install + two epochs
 
-  const core::SliceRecord* second = tb.orchestrator->find_by_request(doomed);
-  ASSERT_NE(second, nullptr);
-  ASSERT_TRUE(tb.orchestrator->terminate(second->id).ok());
+  ASSERT_TRUE(tb.orchestrator->terminate(doomed).ok());
 
   // A request the substrate cannot possibly fit -> journaled reject.
-  tb.orchestrator->submit(spec_for(traffic::Vertical::embb_video, 1.0, 1e6));
+  ASSERT_EQ(tb.orchestrator->submit(spec_for(traffic::Vertical::embb_video, 1.0, 1e6)).state,
+            core::SliceState::rejected);
 
-  const core::SliceRecord* first = tb.orchestrator->find_by_request(RequestId{1});
-  ASSERT_NE(first, nullptr);
-  ASSERT_TRUE(tb.orchestrator->resize_slice(first->id, DataRate::mbps(25.0)).ok());
+  ASSERT_TRUE(tb.orchestrator->resize_slice(first, DataRate::mbps(25.0)).ok());
   tb.simulator.run_for(Duration::minutes(80.0));
 }
 
@@ -150,14 +150,14 @@ TEST(Recovery, InstallingSliceActivatesAndActiveSliceExpiresAfterRecovery) {
   SliceId active_id;
   {
     StoredTestbed live = make_stored_testbed(74, dir.string());
-    const RequestId r1 =
-        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 2.0, 20.0));
+    const SliceId s1 =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 2.0, 20.0)).slice;
     live.tb->simulator.run_for(Duration::seconds(30.0));
-    const RequestId r2 =
-        live.tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 3.0, 10.0));
-    // r2 is still installing when the process dies.
-    const core::SliceRecord* active = live.tb->orchestrator->find_by_request(r1);
-    const core::SliceRecord* installing = live.tb->orchestrator->find_by_request(r2);
+    const SliceId s2 =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 3.0, 10.0)).slice;
+    // s2 is still installing when the process dies.
+    const core::SliceRecord* active = live.tb->orchestrator->find_slice(s1);
+    const core::SliceRecord* installing = live.tb->orchestrator->find_slice(s2);
     ASSERT_EQ(active->state, core::SliceState::active);
     ASSERT_EQ(installing->state, core::SliceState::installing);
     active_id = active->id;
@@ -179,8 +179,8 @@ TEST(Recovery, InstallingSliceActivatesAndActiveSliceExpiresAfterRecovery) {
 
   // And the active slice still expires exactly on schedule.
   revived.tb->simulator.run_until(ends_at);
-  EXPECT_EQ(revived.tb->orchestrator->find_slice(active_id)->state,
-            core::SliceState::expired);
+  EXPECT_EQ(revived.tb->orchestrator->find_slice(active_id), nullptr);
+  EXPECT_EQ(revived.tb->orchestrator->summary().expired_total, 1u);
 }
 
 // Regression for the RAN controller's promise that "existing
@@ -196,12 +196,11 @@ TEST(Recovery, ReinstalledPrbMapsMatchPreFailureReservations) {
     live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
     live.tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 12.0, 15.0));
     live.tb->simulator.run_for(Duration::seconds(30.0));
-    for (const core::SliceRecord* record : live.tb->orchestrator->all_slices()) {
-      ASSERT_EQ(record->state, core::SliceState::active);
-      const ran::RanAllocation* alloc =
-          live.tb->ran.find_allocation(record->embedding.plmn);
+    for (const auto& [slice, record] : live.tb->orchestrator->slices()) {
+      ASSERT_EQ(record.state, core::SliceState::active);
+      const ran::RanAllocation* alloc = live.tb->ran.find_allocation(record.embedding.plmn);
       ASSERT_NE(alloc, nullptr);
-      before.emplace(record->embedding.plmn, alloc->per_cell);
+      before.emplace(record.embedding.plmn, alloc->per_cell);
     }
     ASSERT_EQ(before.size(), 2u);
   }
@@ -221,10 +220,10 @@ TEST(Recovery, TransportPathsKeepTheirIdsAndReservations) {
   DataRate reserved;
   {
     StoredTestbed live = make_stored_testbed(76, dir.string());
-    const RequestId r =
-        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
+    const SliceId slice =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0)).slice;
     live.tb->simulator.run_for(Duration::seconds(30.0));
-    const core::SliceRecord* record = live.tb->orchestrator->find_by_request(r);
+    const core::SliceRecord* record = live.tb->orchestrator->find_slice(slice);
     paths = record->embedding.paths;
     reserved = record->reserved;
     ASSERT_FALSE(paths.empty());
@@ -268,13 +267,13 @@ TEST_P(DuplicateIdReinstall, FailedReinstallFreesOnlyWhatItInstalled) {
   json::Object tampered;
   {
     StoredTestbed live = make_stored_testbed(83, dir.string());
-    const RequestId r1 =
-        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
-    const RequestId r2 =
-        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 15.0));
+    const SliceId s1 =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0)).slice;
+    const SliceId s2 =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 15.0)).slice;
     live.tb->simulator.run_for(Duration::seconds(30.0));
-    const core::SliceRecord* first = live.tb->orchestrator->find_by_request(r1);
-    const core::SliceRecord* second = live.tb->orchestrator->find_by_request(r2);
+    const core::SliceRecord* first = live.tb->orchestrator->find_slice(s1);
+    const core::SliceRecord* second = live.tb->orchestrator->find_slice(s2);
     ASSERT_EQ(first->state, core::SliceState::active);
     ASSERT_EQ(second->state, core::SliceState::active);
     survivor_id = first->id;
@@ -322,9 +321,8 @@ TEST_P(DuplicateIdReinstall, FailedReinstallFreesOnlyWhatItInstalled) {
   EXPECT_NE(tb.epc->find(survivor_id), nullptr);
 
   // The duplicate is terminated and holds nothing.
-  const core::SliceRecord* duplicate = tb.orchestrator->find_slice(duplicate_id);
-  ASSERT_NE(duplicate, nullptr);
-  EXPECT_EQ(duplicate->state, core::SliceState::terminated);
+  EXPECT_EQ(tb.orchestrator->find_slice(duplicate_id), nullptr);
+  EXPECT_EQ(tb.orchestrator->summary().terminated_total, 1u);
   EXPECT_TRUE(tb.transport->paths_of(duplicate_id).empty());
   EXPECT_EQ(tb.epc->find(duplicate_id), nullptr);
   EXPECT_EQ(tb.epc->instance_count(), 1u);
@@ -346,14 +344,13 @@ TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
   SliceId slice;
   {
     StoredTestbed live = make_stored_testbed(84, dir.string());
-    const RequestId r =
-        live.tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 12.0, 10.0));
+    slice =
+        live.tb->orchestrator->submit(spec_for(traffic::Vertical::automotive, 12.0, 10.0)).slice;
     live.tb->simulator.run_for(Duration::seconds(30.0));
-    const core::SliceRecord* record = live.tb->orchestrator->find_by_request(r);
+    const core::SliceRecord* record = live.tb->orchestrator->find_slice(slice);
     ASSERT_EQ(record->state, core::SliceState::active);
     ASSERT_EQ(record->embedding.paths.size(), 2u);
     ASSERT_TRUE(record->embedding.edge_stack.has_value());
-    slice = record->id;
   }
 
   // While the orchestrator was down, other tenants took the edge hosts
@@ -376,7 +373,8 @@ TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().reinstall_failures, 1u);
   EXPECT_EQ(terminated_stage(*tb.orchestrator, slice), "edge_stack");
-  EXPECT_EQ(tb.orchestrator->find_slice(slice)->state, core::SliceState::terminated);
+  EXPECT_EQ(tb.orchestrator->find_slice(slice), nullptr);
+  EXPECT_EQ(tb.orchestrator->summary().terminated_total, 1u);
 
   EXPECT_EQ(tb.cloud.engine().stack_count(), stacks_before);
   EXPECT_EQ(tb.epc->instance_count(), 0u);
@@ -478,31 +476,42 @@ TEST(Recovery, EveryLifecycleStateRecoversToTheLiveSummaryAndCapacity) {
   {
     StoredTestbed live = make_stored_testbed(82, dir.string(), 0, config);
     core::Orchestrator& orch = *live.tb->orchestrator;
-    const RequestId active = orch.submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0),
-                                         std::make_unique<traffic::ConstantTraffic>(12.0));
-    const RequestId expired = orch.submit(spec_for(traffic::Vertical::automotive, 1.0, 10.0),
-                                          std::make_unique<traffic::ConstantTraffic>(9.0));
-    const RequestId terminated = orch.submit(spec_for(traffic::Vertical::iot_metering, 6.0, 5.0),
-                                             std::make_unique<traffic::ConstantTraffic>(2.0));
-    const RequestId rejected = orch.submit(spec_for(traffic::Vertical::embb_video, 1.0, 1e6));
+    const SliceId active = orch.submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0),
+                                       std::make_unique<traffic::ConstantTraffic>(12.0))
+                               .slice;
+    (void)orch.submit(spec_for(traffic::Vertical::automotive, 1.0, 10.0),
+                      std::make_unique<traffic::ConstantTraffic>(9.0));
+    const SliceId terminated = orch.submit(spec_for(traffic::Vertical::iot_metering, 6.0, 5.0),
+                                           std::make_unique<traffic::ConstantTraffic>(2.0))
+                                   .slice;
+    // Batched: every verdict is pending until the auction.
+    ASSERT_EQ(orch.submit(spec_for(traffic::Vertical::embb_video, 1.0, 1e6)).state,
+              core::SliceState::pending);
     live.tb->simulator.run_for(Duration::minutes(40.0));  // one auction
-    ASSERT_TRUE(orch.terminate(orch.find_by_request(terminated)->id).ok());
+    ASSERT_TRUE(orch.terminate(terminated).ok());
     live.tb->simulator.run_for(Duration::hours(3.0));  // 3h40: between auctions
-    const RequestId pending = orch.submit(spec_for(traffic::Vertical::automotive, 2.0, 10.0));
+    const core::SubmitVerdict pending =
+        orch.submit(spec_for(traffic::Vertical::automotive, 2.0, 10.0));
+    ASSERT_EQ(pending.state, core::SliceState::pending);
 
-    ASSERT_EQ(orch.find_by_request(active)->state, core::SliceState::active);
-    ASSERT_EQ(orch.find_by_request(expired)->state, core::SliceState::expired);
-    ASSERT_EQ(orch.find_by_request(terminated)->state, core::SliceState::terminated);
-    ASSERT_EQ(orch.find_by_request(rejected)->state, core::SliceState::rejected);
-    ASSERT_EQ(orch.find_by_request(pending)->state, core::SliceState::pending);
+    // Two open records; the expired, terminated and rejected slices
+    // left their counts in the totals.
+    ASSERT_EQ(orch.slices().size(), 2u);
+    ASSERT_EQ(orch.find_slice(active)->state, core::SliceState::active);
+    ASSERT_EQ(orch.find_slice(pending.slice)->state, core::SliceState::pending);
     live_summary = orch.summary();
+    ASSERT_EQ(live_summary.expired_total, 1u);
+    ASSERT_EQ(live_summary.terminated_total, 1u);
+    ASSERT_EQ(live_summary.rejected_total, 1u);
     live_capacity = orch.sellable_capacity();
   }
 
   StoredTestbed revived = make_stored_testbed(82, dir.string(), 0, config);
   const Result<core::RecoveryStats> stats = revived.tb->orchestrator->recover_from_store();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().records_recovered, 5u);
+  // The five requests: two open records recovered, three closed ones
+  // counted in the totals below.
+  EXPECT_EQ(stats.value().records_recovered, 2u);
   EXPECT_EQ(stats.value().reinstall_failures, 0u);
   const core::OrchestratorSummary s = revived.tb->orchestrator->summary();
   EXPECT_EQ(s.active_slices, live_summary.active_slices);
@@ -517,7 +526,78 @@ TEST(Recovery, EveryLifecycleStateRecoversToTheLiveSummaryAndCapacity) {
   EXPECT_EQ(s.net, live_summary.net);
   EXPECT_EQ(s.violation_epochs, live_summary.violation_epochs);
   EXPECT_EQ(s.reconfigurations, live_summary.reconfigurations);
+  EXPECT_EQ(s.expired_total, live_summary.expired_total);
+  EXPECT_EQ(s.terminated_total, live_summary.terminated_total);
+  EXPECT_EQ(s.served_epochs, live_summary.served_epochs);
   EXPECT_EQ(revived.tb->orchestrator->sellable_capacity(), live_capacity);
+}
+
+// The highest ids belong to closed slices — one closed before the
+// snapshot, one rejected in the journal tail after it — so no open
+// record names them. Recovery must still never hand them out again.
+TEST(Recovery, ClosedSlicesIdsAreNotReusedAfterRecovery) {
+  const fs::path dir = fresh_dir("id_reuse");
+  core::SubmitVerdict rejected;
+  {
+    StoredTestbed live = make_stored_testbed(85, dir.string());
+    core::Orchestrator& orch = *live.tb->orchestrator;
+    (void)orch.submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
+    const SliceId ended = orch.submit(spec_for(traffic::Vertical::iot_metering, 6.0, 5.0)).slice;
+    live.tb->simulator.run_for(Duration::seconds(30.0));
+    ASSERT_TRUE(orch.terminate(ended).ok());
+    ASSERT_TRUE(orch.snapshot_now().ok());
+    rejected = orch.submit(spec_for(traffic::Vertical::embb_video, 1.0, 1e6));
+    ASSERT_EQ(rejected.state, core::SliceState::rejected);
+    ASSERT_EQ(orch.slices().size(), 1u);
+    ASSERT_LT(orch.slices().begin()->first, ended);
+  }
+
+  core::SubmitVerdict fresh;
+  {
+    StoredTestbed revived = make_stored_testbed(85, dir.string());
+    core::Orchestrator& orch = *revived.tb->orchestrator;
+    const Result<core::RecoveryStats> stats = orch.recover_from_store();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_TRUE(stats.value().had_snapshot);
+    EXPECT_EQ(stats.value().records_recovered, 1u);
+    fresh = orch.submit(spec_for(traffic::Vertical::iot_metering, 2.0, 5.0));
+    EXPECT_EQ(fresh.slice, SliceId{rejected.slice.value() + 1});
+    EXPECT_EQ(fresh.request, RequestId{rejected.request.value() + 1});
+    // Close it too and cut a snapshot with an empty tail: now only the
+    // snapshot's allocators know the highest ids.
+    ASSERT_TRUE(orch.terminate(fresh.slice).ok());
+    ASSERT_TRUE(orch.snapshot_now().ok());
+  }
+
+  StoredTestbed again = make_stored_testbed(85, dir.string());
+  ASSERT_TRUE(again.tb->orchestrator->recover_from_store().ok());
+  const core::SubmitVerdict next =
+      again.tb->orchestrator->submit(spec_for(traffic::Vertical::iot_metering, 2.0, 5.0));
+  EXPECT_EQ(next.slice, SliceId{fresh.slice.value() + 1});
+  EXPECT_EQ(next.request, RequestId{fresh.request.value() + 1});
+}
+
+// A snapshot in the layout that kept closed records has no id
+// allocators: recovery refuses it instead of loading closed records as
+// open ones.
+TEST(Recovery, SnapshotWithoutIdAllocatorsIsNotRead) {
+  const fs::path dir = fresh_dir("old_layout");
+  {
+    StoredTestbed live = make_stored_testbed(86, dir.string());
+    (void)live.tb->orchestrator->submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
+    json::Value state = live.tb->orchestrator->state_json();
+    state.as_object().erase("next_slice");
+    state.as_object().erase("next_request");
+    json::Object wrapped;
+    wrapped.emplace("t_us", 0.0);
+    wrapped.emplace("data", std::move(state));
+    ASSERT_TRUE(live.store->write_snapshot(json::Value{std::move(wrapped)}).ok());
+  }
+  StoredTestbed revived = make_stored_testbed(86, dir.string());
+  const Result<core::RecoveryStats> stats = revived.tb->orchestrator->recover_from_store();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.error().code, Errc::invalid_argument);
+  EXPECT_TRUE(revived.tb->orchestrator->slices().empty());
 }
 
 TEST(Recovery, WithoutStoreAttachedRecoveryIsUnavailable) {

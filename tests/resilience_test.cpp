@@ -179,8 +179,8 @@ TEST(ResizeSlice, GrowShrinkAndAtomicFailure) {
   core::SliceSpec spec = core::SliceSpec::from_profile(
       traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(24.0));
   spec.expected_throughput = DataRate::mbps(20.0);
-  const RequestId request = tb->orchestrator->submit(spec);
-  const core::SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const core::SliceRecord* record =
+      tb->orchestrator->find_slice(tb->orchestrator->submit(spec).slice);
   tb->simulator.run_for(Duration::seconds(30.0));
   ASSERT_EQ(record->state, core::SliceState::active);
 
@@ -306,13 +306,12 @@ TEST(KillAndRecover, ServiceResumesFromJournalAfterOrchestratorLoss) {
     core::SliceSpec spec = core::SliceSpec::from_profile(
         traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(2.0));
     spec.expected_throughput = DataRate::mbps(25.0);
-    const RequestId request = tb->orchestrator->submit(
-        spec, std::make_unique<traffic::ConstantTraffic>(10.0));
+    slice =
+        tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(10.0)).slice;
     tb->simulator.run_for(Duration::minutes(30.0));
 
-    const core::SliceRecord* record = tb->orchestrator->find_by_request(request);
+    const core::SliceRecord* record = tb->orchestrator->find_slice(slice);
     ASSERT_EQ(record->state, core::SliceState::active);
-    slice = record->id;
     ends_at = record->ends_at;
     earned_before = tb->orchestrator->ledger().total_earned();
     EXPECT_GT(earned_before.as_cents(), 0);
@@ -339,7 +338,8 @@ TEST(KillAndRecover, ServiceResumesFromJournalAfterOrchestratorLoss) {
 
   // And it still expires exactly when the original contract said.
   tb->simulator.run_until(ends_at);
-  EXPECT_EQ(record->state, core::SliceState::expired);
+  EXPECT_EQ(tb->orchestrator->find_slice(slice), nullptr);
+  EXPECT_EQ(tb->orchestrator->summary().expired_total, 1u);
 }
 
 }  // namespace

@@ -391,9 +391,9 @@ TEST(ScenarioEventsTest, DcOutageTerminatesEmbeddedSlices) {
   auto runner = run_with_events(R"([{"kind": "dc_down", "at_hours": 1, "dc": "edge"}])");
   EXPECT_EQ(fault_counts(*runner, "dc.edge"), (std::pair<int, int>{1, 0}));
   EXPECT_TRUE(health_lists_fault(*runner, "dc.edge"));
-  for (const core::SliceRecord* record : runner->testbed()->orchestrator->all_slices()) {
-    if (record->is_live()) {
-      EXPECT_NE(record->embedding.datacenter, runner->testbed()->edge_dc)
+  for (const auto& [slice, record] : runner->testbed()->orchestrator->slices()) {
+    if (record.is_live()) {
+      EXPECT_NE(record.embedding.datacenter, runner->testbed()->edge_dc)
           << "live slice still embedded at the failed DC";
     }
   }
@@ -419,6 +419,51 @@ TEST(ScenarioEventsTest, ChurnStormDrivesUeTraffic) {
   ASSERT_TRUE(card.ok());
   EXPECT_EQ(fault_counts(runner, "churn"), (std::pair<int, int>{1, 1}));
   EXPECT_GT(card.value().ue_arrivals, 0u);
+}
+
+// --- Bounded history -----------------------------------------------------------
+//
+// The orchestrator keeps its open slices only: after weeks of arrivals,
+// what it holds and what a snapshot writes follow the open slices, not
+// every request the run has seen.
+
+/// The shape of perfbench/workloads/fig2_overbooking_week.json for
+/// `weeks` sim-weeks.
+std::string fig2_weeks(int weeks) {
+  return R"({"name": "fig2_overbooking_week", "seed": 31337, "duration_hours": )" +
+         std::to_string(168 * weeks) + R"(, "topology": "fig2",
+    "orchestrator": {"monitoring_period_minutes": 5, "sla_tolerance": 0.05,
+                     "overbooking": {"enabled": true, "risk_quantile": 0.9, "headroom": 1.1}},
+    "workload": {"arrivals_per_hour": 8.0, "diurnal_depth": 0.4,
+                 "min_duration_hours": 2, "max_duration_hours": 10}})";
+}
+
+TEST(BoundedHistory, StateFollowsTheOpenSlicesOverWeeks) {
+  std::size_t state_bytes[2] = {0, 0};
+  for (const int weeks : {1, 4}) {
+    SCOPED_TRACE("weeks=" + std::to_string(weeks));
+    ScenarioRunner runner(parse_ok(fig2_weeks(weeks)));
+    const Result<Scorecard> card = runner.run();
+    ASSERT_TRUE(card.ok()) << card.error().message;
+    const core::Orchestrator& orch = *runner.testbed()->orchestrator;
+    const core::OrchestratorSummary summary = orch.summary();
+    std::size_t pending = 0;
+    for (const auto& [slice, record] : orch.slices()) {
+      pending += record.state == core::SliceState::pending;
+    }
+    EXPECT_EQ(orch.slices().size(),
+              pending + summary.installing_slices + summary.active_slices);
+    // Every request of the run is open or counted in a closed total.
+    EXPECT_EQ(card.value().submitted, orch.slices().size() + summary.rejected_total +
+                                          summary.expired_total + summary.terminated_total);
+
+    const json::Value state = orch.state_json();
+    EXPECT_EQ(state.find("records")->as_array().size(), orch.slices().size());
+    state_bytes[weeks == 1 ? 0 : 1] = json::serialize(state).size();
+  }
+  // Four times the history, about the same state.
+  EXPECT_LE(static_cast<double>(state_bytes[1]), 1.1 * static_cast<double>(state_bytes[0]));
+  EXPECT_GE(static_cast<double>(state_bytes[1]), 0.9 * static_cast<double>(state_bytes[0]));
 }
 
 }  // namespace

@@ -13,9 +13,11 @@ struct Fixture {
   const SliceRecord* record = nullptr;
 
   Fixture() {
-    const RequestId request = tb->orchestrator->submit(SliceSpec::from_profile(
-        traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(48.0)));
-    record = tb->orchestrator->find_by_request(request);
+    record = tb->orchestrator->find_slice(
+        tb->orchestrator
+            ->submit(SliceSpec::from_profile(traffic::profile_for(traffic::Vertical::embb_video),
+                                             Duration::hours(48.0)))
+            .slice);
     tb->simulator.run_for(Duration::seconds(30.0));  // activate
   }
 
@@ -43,9 +45,11 @@ TEST(UePopulation, ReachesOfferedLoadEquilibrium) {
 
 TEST(UePopulation, BlockedWhileEpcDeploying) {
   auto tb = make_testbed(72);
-  const RequestId request = tb->orchestrator->submit(SliceSpec::from_profile(
-      traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(48.0)));
-  const SliceRecord* record = tb->orchestrator->find_by_request(request);
+  const SliceRecord* record = tb->orchestrator->find_slice(
+      tb->orchestrator
+          ->submit(SliceSpec::from_profile(traffic::profile_for(traffic::Vertical::embb_video),
+                                           Duration::hours(48.0)))
+          .slice);
   ASSERT_EQ(record->state, SliceState::installing);
 
   // A very eager population that starts during the install window.
