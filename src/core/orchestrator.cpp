@@ -1095,6 +1095,10 @@ Result<void> Orchestrator::load_state(const json::Value& state) {
       if (!record.id.valid() || !open) continue;
       if (record.state == SliceState::active) engine_.track(record.id);
       const SliceId id = record.id;
+      // Stay ahead of every restored record even if the snapshot's
+      // allocators lag behind one of them.
+      slice_ids_.advance_past(id);
+      request_ids_.advance_past(record.request);
       records_.insert_or_assign(id, std::move(record));
     }
   }

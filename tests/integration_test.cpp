@@ -56,13 +56,15 @@ void check_invariants(const Testbed& tb) {
   }
 
   // Slices: state/bookkeeping consistency. The orchestrator holds open
-  // records only, and only the live ones hold an EPC: a closed slice
-  // left nothing behind.
+  // records only, and only they hold an EPC or flow rules: a closed
+  // slice left nothing behind.
   std::size_t live = 0;
+  std::size_t open_rules = 0;
   for (const auto& [slice, record] : tb.orchestrator->slices()) {
     EXPECT_TRUE(record.state == SliceState::pending || record.is_live())
         << to_string(record.state);
     if (record.is_live()) ++live;
+    open_rules += tb.transport->flow_table().rules_for(slice).size();
     if (record.state == SliceState::active) {
       EXPECT_LE(record.reserved, record.spec.expected_throughput);
       EXPECT_TRUE(tb.ran.plmn_installed(record.embedding.plmn));
@@ -76,6 +78,7 @@ void check_invariants(const Testbed& tb) {
     }
   }
   EXPECT_EQ(tb.epc->instance_count(), live);
+  EXPECT_EQ(tb.transport->flow_table().size(), open_rules);
 }
 
 TEST(Integration, InvariantsHoldThroughFortyEightHours) {

@@ -600,6 +600,36 @@ TEST(Recovery, SnapshotWithoutIdAllocatorsIsNotRead) {
   EXPECT_TRUE(revived.tb->orchestrator->slices().empty());
 }
 
+// A damaged snapshot whose allocators lag behind its own open records:
+// recovery still keeps the allocators past every restored id, so the
+// next submit never draws a live slice's id.
+TEST(Recovery, LaggingSnapshotAllocatorsStayPastRestoredRecords) {
+  const fs::path dir = fresh_dir("lagging_ids");
+  core::SubmitVerdict second;
+  {
+    StoredTestbed live = make_stored_testbed(87, dir.string());
+    core::Orchestrator& orch = *live.tb->orchestrator;
+    (void)orch.submit(spec_for(traffic::Vertical::embb_video, 24.0, 30.0));
+    second = orch.submit(spec_for(traffic::Vertical::iot_metering, 24.0, 5.0));
+    ASSERT_EQ(orch.slices().size(), 2u);
+    json::Value state = orch.state_json();
+    state.as_object().insert_or_assign("next_slice", 1.0);
+    state.as_object().insert_or_assign("next_request", 1.0);
+    json::Object wrapped;
+    wrapped.emplace("t_us", 0.0);
+    wrapped.emplace("data", std::move(state));
+    ASSERT_TRUE(live.store->write_snapshot(json::Value{std::move(wrapped)}).ok());
+  }
+  StoredTestbed revived = make_stored_testbed(87, dir.string());
+  core::Orchestrator& orch = *revived.tb->orchestrator;
+  ASSERT_TRUE(orch.recover_from_store().ok());
+  ASSERT_EQ(orch.slices().size(), 2u);
+  const core::SubmitVerdict next = orch.submit(spec_for(traffic::Vertical::iot_metering, 2.0, 5.0));
+  EXPECT_EQ(next.slice, SliceId{second.slice.value() + 1});
+  EXPECT_EQ(next.request, RequestId{second.request.value() + 1});
+  EXPECT_EQ(orch.slices().size(), 3u);
+}
+
 TEST(Recovery, WithoutStoreAttachedRecoveryIsUnavailable) {
   auto tb = core::make_testbed(81);
   const Result<core::RecoveryStats> stats = tb->orchestrator->recover_from_store();

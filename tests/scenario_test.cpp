@@ -427,22 +427,22 @@ TEST(ScenarioEventsTest, ChurnStormDrivesUeTraffic) {
 // what it holds and what a snapshot writes follow the open slices, not
 // every request the run has seen.
 
-/// The shape of perfbench/workloads/fig2_overbooking_week.json for
-/// `weeks` sim-weeks.
-std::string fig2_weeks(int weeks) {
-  return R"({"name": "fig2_overbooking_week", "seed": 31337, "duration_hours": )" +
-         std::to_string(168 * weeks) + R"(, "topology": "fig2",
-    "orchestrator": {"monitoring_period_minutes": 5, "sla_tolerance": 0.05,
-                     "overbooking": {"enabled": true, "risk_quantile": 0.9, "headroom": 1.1}},
-    "workload": {"arrivals_per_hour": 8.0, "diurnal_depth": 0.4,
-                 "min_duration_hours": 2, "max_duration_hours": 10}})";
+/// perfbench/workloads/fig2_overbooking_week.json, run for `weeks`
+/// sim-weeks.
+Scenario fig2_weeks(int weeks) {
+  Result<Scenario> loaded = load_scenario_file(
+      std::string(SLICES_SOURCE_DIR) + "/perfbench/workloads/fig2_overbooking_week.json");
+  EXPECT_TRUE(loaded.ok()) << (loaded.ok() ? std::string{} : loaded.error().message);
+  if (!loaded.ok()) return Scenario{};
+  loaded.value().duration = Duration::hours(168.0 * weeks);
+  return std::move(loaded.value());
 }
 
 TEST(BoundedHistory, StateFollowsTheOpenSlicesOverWeeks) {
   std::size_t state_bytes[2] = {0, 0};
   for (const int weeks : {1, 4}) {
     SCOPED_TRACE("weeks=" + std::to_string(weeks));
-    ScenarioRunner runner(parse_ok(fig2_weeks(weeks)));
+    ScenarioRunner runner(fig2_weeks(weeks));
     const Result<Scorecard> card = runner.run();
     ASSERT_TRUE(card.ok()) << card.error().message;
     const core::Orchestrator& orch = *runner.testbed()->orchestrator;
