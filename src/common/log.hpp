@@ -93,6 +93,10 @@ class Logger {
   void warn(std::string_view msg) const { log_line(LogLevel::warn, tag_, msg); }
   void error(std::string_view msg) const { log_line(LogLevel::error, tag_, msg); }
 
+  /// Whether a line at `level` would be written. Test it before building
+  /// a message that costs formatting, so a dropped line costs nothing.
+  [[nodiscard]] bool enabled(LogLevel level) const noexcept { return level >= LogConfig::level(); }
+
   [[nodiscard]] const std::string& tag() const noexcept { return tag_; }
 
  private:

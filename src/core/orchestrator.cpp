@@ -277,10 +277,9 @@ SubmitVerdict Orchestrator::submit(const SliceSpec& spec,
   auto [it, inserted] = records_.emplace(slice, std::move(record));
   assert(inserted);
   events_.record(simulator_->now(), EventKind::request_submitted, slice,
-                 spec.tenant_name + " requests " +
-                     std::to_string(spec.expected_throughput.as_mbps()) + " Mb/s for " +
-                     std::to_string(spec.duration.as_hours()) + " h");
-  {
+                 EventSubmitted{spec.tenant_name, spec.expected_throughput.as_mbps(),
+                                spec.duration.as_hours()});
+  if (journaling()) {
     json::Object op;
     op.emplace("slice", static_cast<double>(slice.value()));
     op.emplace("request", static_cast<double>(request.value()));
@@ -310,7 +309,7 @@ void Orchestrator::note_fault(const std::string& component, bool active, std::st
   fields.emplace("component", component);
   events_.record(simulator_->now(),
                  active ? EventKind::fault_injected : EventKind::fault_cleared, SliceId{},
-                 component + ": " + detail, std::move(fields));
+                 EventText{component + ": " + detail, std::move(fields)});
 }
 
 DataRate Orchestrator::sellable_capacity() const {
@@ -336,46 +335,45 @@ bool Orchestrator::try_admit(SliceRecord& record) {
     const SliceId slice = record.id;
     record.activates_at = simulator_->now() + timeline.value().total();
     simulator_->schedule_at(record.activates_at, [this, slice] { activate(slice); });
-    json::Object audit;
-    audit.emplace("reserved_mbps", record.reserved.as_mbps());
-    audit.emplace("price_per_hour", record.spec.price_per_hour.as_units());
-    audit.emplace("expected_revenue",
-                  (record.spec.price_per_hour * record.spec.duration.as_hours()).as_units());
-    audit.emplace("penalty_per_violation", record.spec.penalty_per_violation.as_units());
-    audit.emplace("install_s", timeline.value().total().as_seconds());
-    events_.record(simulator_->now(), EventKind::slice_admitted, slice,
-                   "installing; ready in " +
-                       std::to_string(timeline.value().total().as_seconds()) + " s",
-                   std::move(audit));
-    log_.info("admitted slice " + std::to_string(slice.value()) + " (" +
-              record.spec.tenant_name + ")");
-    json::Object op;
-    op.emplace("slice", static_cast<double>(slice.value()));
-    op.emplace("reserved_bps", record.reserved.bits_per_second());
-    op.emplace("activates_at_us", static_cast<double>(record.activates_at.as_micros()));
-    op.emplace("embedding", embedding_to_json(record.embedding));
-    // embed() consumes a PLMN code even on failure, so admits and
-    // rejects both carry the watermark for replay.
-    op.emplace("next_plmn", static_cast<double>(next_plmn_));
-    journal_op("admit", std::move(op));
+    events_.record(
+        simulator_->now(), EventKind::slice_admitted, slice,
+        EventAdmitted{record.reserved.as_mbps(), record.spec.price_per_hour.as_units(),
+                      (record.spec.price_per_hour * record.spec.duration.as_hours()).as_units(),
+                      record.spec.penalty_per_violation.as_units(),
+                      timeline.value().total().as_seconds()});
+    if (log_.enabled(LogLevel::info)) {
+      log_.info("admitted slice " + std::to_string(slice.value()) + " (" +
+                record.spec.tenant_name + ")");
+    }
+    if (journaling()) {
+      json::Object op;
+      op.emplace("slice", static_cast<double>(slice.value()));
+      op.emplace("reserved_bps", record.reserved.bits_per_second());
+      op.emplace("activates_at_us", static_cast<double>(record.activates_at.as_micros()));
+      op.emplace("embedding", embedding_to_json(record.embedding));
+      // embed() consumes a PLMN code even on failure, so admits and
+      // rejects both carry the watermark for replay.
+      op.emplace("next_plmn", static_cast<double>(next_plmn_));
+      journal_op("admit", std::move(op));
+    }
     return true;
   }
-  json::Object audit;
-  audit.emplace("reason", timeline.error().message);
-  audit.emplace("stage", std::string(to_string(failed)));
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
-                 timeline.error().message, std::move(audit));
-  log_.info("embedding failed: " + timeline.error().message);
+                 EventEmbedFailed{timeline.error().message, to_string(failed)});
+  if (log_.enabled(LogLevel::info)) log_.info("embedding failed: " + timeline.error().message);
   reject(record);
   return false;
 }
 
 void Orchestrator::reject(SliceRecord& record) {
-  json::Object op;
-  op.emplace("slice", static_cast<double>(record.id.value()));
-  op.emplace("next_plmn", static_cast<double>(next_plmn_));
+  const SliceId slice = record.id;
   close(record, SliceState::rejected);
-  journal_op("reject", std::move(op));
+  if (journaling()) {
+    json::Object op;
+    op.emplace("slice", static_cast<double>(slice.value()));
+    op.emplace("next_plmn", static_cast<double>(next_plmn_));
+    journal_op("reject", std::move(op));
+  }
 }
 
 void Orchestrator::close(SliceRecord& record, SliceState state) {
@@ -416,13 +414,8 @@ bool Orchestrator::decide(SliceRecord& record) {
   const CandidateRequest candidate{record.request, record.spec};
   const std::vector<RequestId> selected = policy_->select({&candidate, 1}, sellable);
   if (!selected.empty() && selected.front() == record.request) return try_admit(record);
-  json::Object audit;
-  audit.emplace("reason", std::string("declined"));
-  audit.emplace("stage", std::string("policy"));
-  audit.emplace("policy", std::string(policy_->name()));
   events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
-                 "declined by " + std::string(policy_->name()) + " policy",
-                 std::move(audit));
+                 EventDeclined{policy_->name(), false});
   reject(record);
   return false;
 }
@@ -457,13 +450,8 @@ void Orchestrator::decide_pending_batch() {
           config_.admission_patience > Duration::zero() &&
           simulator_->now() - record.submitted_at < config_.admission_patience;
       if (patient) continue;
-      json::Object audit;
-      audit.emplace("reason", std::string("lost_auction"));
-      audit.emplace("stage", std::string("policy"));
-      audit.emplace("policy", std::string(policy_->name()));
       events_.record(simulator_->now(), EventKind::slice_rejected, record.id,
-                     "lost the " + std::string(policy_->name()) + " batch auction",
-                     std::move(audit));
+                     EventDeclined{policy_->name(), true});
       reject(record);
     }
   }
@@ -636,13 +624,17 @@ void Orchestrator::activate(SliceId slice) {
   engine_.track(slice);
   simulator_->schedule_at(record.ends_at, [this, slice] { expire(slice); });
   events_.record(simulator_->now(), EventKind::slice_active, slice,
-                 "serving; expires at " + std::to_string(record.ends_at.as_hours()) + " h");
-  log_.info("slice " + std::to_string(slice.value()) + " active");
-  json::Object op;
-  op.emplace("slice", static_cast<double>(slice.value()));
-  op.emplace("at_us", static_cast<double>(record.active_at.as_micros()));
-  op.emplace("ends_at_us", static_cast<double>(record.ends_at.as_micros()));
-  journal_op("activate", std::move(op));
+                 EventActive{record.ends_at.as_hours()});
+  if (log_.enabled(LogLevel::info)) {
+    log_.info("slice " + std::to_string(slice.value()) + " active");
+  }
+  if (journaling()) {
+    json::Object op;
+    op.emplace("slice", static_cast<double>(slice.value()));
+    op.emplace("at_us", static_cast<double>(record.active_at.as_micros()));
+    op.emplace("ends_at_us", static_cast<double>(record.ends_at.as_micros()));
+    journal_op("activate", std::move(op));
+  }
 }
 
 void Orchestrator::expire(SliceId slice) {
@@ -652,12 +644,16 @@ void Orchestrator::expire(SliceId slice) {
   if (record.state != SliceState::active) return;
   release_stages(slice, record.embedding, kEmbedStageCount);
   events_.record(simulator_->now(), EventKind::slice_expired, slice,
-                 std::to_string(record.violation_epochs) + " violation epochs over its life");
+                 EventExpired{record.violation_epochs});
   close(record, SliceState::expired);
-  log_.info("slice " + std::to_string(slice.value()) + " expired");
-  json::Object op;
-  op.emplace("slice", static_cast<double>(slice.value()));
-  journal_op("expire", std::move(op));
+  if (log_.enabled(LogLevel::info)) {
+    log_.info("slice " + std::to_string(slice.value()) + " expired");
+  }
+  if (journaling()) {
+    json::Object op;
+    op.emplace("slice", static_cast<double>(slice.value()));
+    journal_op("expire", std::move(op));
+  }
 }
 
 Result<void> Orchestrator::resize_slice(SliceId slice, DataRate new_contract) {
@@ -695,16 +691,20 @@ Result<void> Orchestrator::resize_slice(SliceId slice, DataRate new_contract) {
   record.spec.expected_throughput = new_contract;
   record.reserved = new_contract;  // overbooking re-targets next epoch
   events_.record(simulator_->now(), EventKind::slice_resized, slice,
-                 "contract now " + std::to_string(new_contract.as_mbps()) + " Mb/s",
-                 std::move(audit));
+                 EventText{"contract now " + std::to_string(new_contract.as_mbps()) + " Mb/s",
+                           std::move(audit)});
   ++reconfigurations_;
-  json::Object op;
-  op.emplace("slice", static_cast<double>(slice.value()));
-  op.emplace("contract_bps", new_contract.bits_per_second());
-  op.emplace("reserved_bps", record.reserved.bits_per_second());
-  journal_op("resize", std::move(op));
-  log_.info("slice " + std::to_string(slice.value()) + " resized to " +
-            std::to_string(new_contract.as_mbps()) + " Mb/s");
+  if (journaling()) {
+    json::Object op;
+    op.emplace("slice", static_cast<double>(slice.value()));
+    op.emplace("contract_bps", new_contract.bits_per_second());
+    op.emplace("reserved_bps", record.reserved.bits_per_second());
+    journal_op("resize", std::move(op));
+  }
+  if (log_.enabled(LogLevel::info)) {
+    log_.info("slice " + std::to_string(slice.value()) + " resized to " +
+              std::to_string(new_contract.as_mbps()) + " Mb/s");
+  }
   return {};
 }
 
@@ -723,10 +723,12 @@ Result<void> Orchestrator::terminate(SliceId slice) {
   release_stages(slice, record.embedding, kEmbedStageCount);
   close(record, SliceState::terminated);
   events_.record(simulator_->now(), EventKind::slice_terminated, slice,
-                 "operator-initiated teardown");
-  json::Object op;
-  op.emplace("slice", static_cast<double>(slice.value()));
-  journal_op("terminate", std::move(op));
+                 EventText{"operator-initiated teardown", {}});
+  if (journaling()) {
+    json::Object op;
+    op.emplace("slice", static_cast<double>(slice.value()));
+    journal_op("terminate", std::move(op));
+  }
   return {};
 }
 
@@ -756,30 +758,28 @@ DataRate Orchestrator::apply_overbooking(SimTime now) {
     Result<ran::RanAllocation> radio =
         ran_->set_allocation(record.embedding.plmn, target, config_.planning_cqi);
     if (!radio.ok()) {
-      log_.debug("grow-back failed for slice " + std::to_string(slice.value()) + ": " +
-                 radio.error().message);
+      if (log_.enabled(LogLevel::debug)) {
+        log_.debug("grow-back failed for slice " + std::to_string(slice.value()) + ": " +
+                   radio.error().message);
+      }
       continue;
     }
     for (std::size_t leg = 0; leg < record.embedding.paths.size(); ++leg) {
       (void)transport_->resize_path(record.embedding.paths[leg], leg_rate(leg, target));
     }
-    reclaimed += clamp_non_negative(record.reserved - target);
-    json::Object audit;
-    audit.emplace("from_mbps", record.reserved.as_mbps());
-    audit.emplace("to_mbps", target.as_mbps());
-    audit.emplace("reclaimed_mbps",
-                  clamp_non_negative(record.reserved - target).as_mbps());
-    audit.emplace("contracted_mbps", contracted.as_mbps());
+    const DataRate freed = clamp_non_negative(record.reserved - target);
+    reclaimed += freed;
     events_.record(simulator_->now(), EventKind::slice_reconfigured, slice,
-                   "reservation " + std::to_string(record.reserved.as_mbps()) + " -> " +
-                       std::to_string(target.as_mbps()) + " Mb/s",
-                   std::move(audit));
+                   EventReconfigured{record.reserved.as_mbps(), target.as_mbps(),
+                                     freed.as_mbps(), contracted.as_mbps()});
     record.reserved = target;
     ++reconfigurations_;
-    json::Object op;
-    op.emplace("slice", static_cast<double>(slice.value()));
-    op.emplace("reserved_bps", target.bits_per_second());
-    journal_op("reconfigure", std::move(op));
+    if (journaling()) {
+      json::Object op;
+      op.emplace("slice", static_cast<double>(slice.value()));
+      op.emplace("reserved_bps", target.bits_per_second());
+      journal_op("reconfigure", std::move(op));
+    }
   }
   return reclaimed;
 }
@@ -904,17 +904,9 @@ void Orchestrator::run_epoch(SimTime now) {
     if (throughput_violated || delay_violated) {
       ledger_.charge_violation(slice, record.spec.penalty_per_violation);
       ++record.violation_epochs;
-      json::Object audit;
-      audit.emplace("achieved_mbps", achieved.as_mbps());
-      audit.emplace("entitled_mbps", entitled.as_mbps());
-      audit.emplace("delay_violated", delay_violated);
-      audit.emplace("penalty", record.spec.penalty_per_violation.as_units());
       events_.record(now, EventKind::sla_violation, slice,
-                     delay_violated ? "delay bound breached"
-                                    : "served " + std::to_string(achieved.as_mbps()) +
-                                          " of entitled " +
-                                          std::to_string(entitled.as_mbps()) + " Mb/s",
-                     std::move(audit));
+                     EventViolation{achieved.as_mbps(), entitled.as_mbps(), delay_violated,
+                                    record.spec.penalty_per_violation.as_units()});
     }
 
     engine_.observe(slice, demand.as_mbps());
@@ -1246,11 +1238,13 @@ void Orchestrator::reinstall_recovered(RecoveryStats& stats) {
     audit.emplace("reason", installed.error().message);
     audit.emplace("stage", std::string(to_string(failed)));
     events_.record(simulator_->now(), EventKind::slice_terminated, id,
-                   "substrate could not re-fit the slice on recovery", std::move(audit));
+                   EventText{"substrate could not re-fit the slice on recovery", std::move(audit)});
     log_.warn("recovery could not reinstall slice " + std::to_string(id.value()));
-    json::Object op;
-    op.emplace("slice", static_cast<double>(id.value()));
-    journal_op("terminate", op);
+    if (journaling()) {
+      json::Object op;
+      op.emplace("slice", static_cast<double>(id.value()));
+      journal_op("terminate", std::move(op));
+    }
   }
 }
 
@@ -1305,11 +1299,14 @@ Result<RecoveryStats> Orchestrator::recover_from_store() {
                        static_cast<double>(stats.records_recovered));
   }
   events_.record(simulator_->now(), EventKind::state_recovered, SliceId{0},
-                 "replayed " + std::to_string(stats.events_replayed) + " events, " +
-                     std::to_string(stats.reinstalled) + " slices reinstalled, " +
-                     std::to_string(stats.reinstall_failures) + " lost");
-  log_.info("state recovered: " + std::to_string(stats.records_recovered) + " records, " +
-            std::to_string(stats.events_replayed) + " events replayed");
+                 EventText{"replayed " + std::to_string(stats.events_replayed) + " events, " +
+                               std::to_string(stats.reinstalled) + " slices reinstalled, " +
+                               std::to_string(stats.reinstall_failures) + " lost",
+                           {}});
+  if (log_.enabled(LogLevel::info)) {
+    log_.info("state recovered: " + std::to_string(stats.records_recovered) + " records, " +
+              std::to_string(stats.events_replayed) + " events replayed");
+  }
   return stats;
 }
 
@@ -1501,13 +1498,11 @@ std::shared_ptr<net::Router> Orchestrator::make_router() {
   });
 
   router->add(net::Method::get, "/events", [this](const net::RouteContext& ctx) {
-    std::vector<Event> events;
     const auto after = ctx.query.find("after");
-    if (after != ctx.query.end()) {
-      events = events_.since(std::strtoull(after->second.c_str(), nullptr, 10));
-    } else {
-      events = events_.recent(100);
-    }
+    const EventLog::Range events =
+        after != ctx.query.end()
+            ? events_.after(std::strtoull(after->second.c_str(), nullptr, 10))
+            : events_.recent(100);
     json::Array out;
     for (const Event& event : events) out.push_back(event.to_json());
     json::Object body;
@@ -1539,13 +1534,14 @@ std::shared_ptr<net::Router> Orchestrator::make_router() {
     if (!id.ok()) return net::Response::from_error(id.error());
     const SliceId slice{id.value()};
     const SliceRecord* record = find_slice(slice);
+    json::Array out;
+    for (const Event& event : events_.after(0)) {
+      if (event.slice == slice) out.push_back(event.to_json());
+    }
     // A closed slice is answered from the event ring while it holds any
     // of its events.
-    const std::vector<Event> trail = events_.for_slice(slice);
-    if (record == nullptr && trail.empty())
+    if (record == nullptr && out.empty())
       return net::Response::from_error(make_error(Errc::not_found, "unknown slice"));
-    json::Array out;
-    for (const Event& event : trail) out.push_back(event.to_json());
     json::Object body;
     body.emplace("slice", static_cast<double>(slice.value()));
     body.emplace("state", record == nullptr ? std::string("closed")

@@ -394,6 +394,7 @@ class Orchestrator {
   void journal_op(const char* op, json::Object fields);
 
   /// Whether journal_op() would write: a store is attached and open.
+  /// Callers build an operation's JSON only when it is.
   [[nodiscard]] bool journaling() const noexcept {
     return store_ != nullptr && store_->is_open();
   }

@@ -143,7 +143,7 @@ std::string Dashboard::render_events(std::size_t count) const {
   for (const core::Event& event : testbed_->orchestrator->events().recent(count)) {
     table.add_row({TextTable::num(event.time.as_hours(), 2),
                    std::to_string(event.slice.value()),
-                   std::string(core::to_string(event.kind)), event.detail});
+                   std::string(core::to_string(event.kind)), event.detail()});
   }
   return "== Recent events ==\n" + table.render();
 }

@@ -95,10 +95,6 @@ Result<RanAllocation> RanController::set_allocation(PlmnId plmn, DataRate rate,
   if (rate < DataRate::zero())
     return make_error(Errc::invalid_argument, "negative rate");
 
-  // Snapshot current reservations of this PLMN for atomic rollback.
-  std::map<CellId, PrbCount> previous;
-  for (const Cell& cell : cells_) previous[cell.id()] = cell.reservation_of(plmn);
-
   // Plan: most-free-first over cells, each cell contributing up to its
   // free PRBs (counting this PLMN's own current reservation as free).
   std::vector<Cell*> order;

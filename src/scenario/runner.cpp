@@ -229,14 +229,10 @@ void ScenarioRunner::sample(SimTime now) {
   // orchestration loop is restarting — mobility precedes the early-out.
   if (region_->field() != nullptr) region_->step_mobility(now);
   const core::Orchestrator& orchestrator = region_->orchestrator();
-  for (const core::Event& event : orchestrator.events().since(last_event_seq_)) {
+  for (const core::Event& event : orchestrator.events().after(last_event_seq_)) {
     last_event_seq_ = event.sequence;
-    if (event.kind == core::EventKind::slice_admitted) {
-      const auto it = event.fields.find("install_s");
-      if (it != event.fields.end() && it->second.is_number()) {
-        install_hist_.record(
-            static_cast<std::uint64_t>(std::llround(it->second.as_number() * 1e6)));
-      }
+    if (const auto* admitted = std::get_if<core::EventAdmitted>(&event.values)) {
+      install_hist_.record(static_cast<std::uint64_t>(std::llround(admitted->install_s * 1e6)));
     }
   }
   if (orchestrator.suspended()) return;  // no epoch ran at this tick

@@ -241,5 +241,47 @@ TEST(EpochAllocations, OrchestratorEpochAllocatesLessThanOncePerSlice) {
       << " epochs of " << kSlices << " slices";
 }
 
+// An epoch that records SLA violations allocates nothing either: each
+// violation goes into the event ring as a typed record, formatted only
+// when someone reads the log. Overbooking off keeps every reservation at
+// its contract; demand above it saturates each slice's path, and the
+// queueing delay breaches the 8 ms bound every epoch. Warm-up fills the
+// event ring, which grows to its capacity on first use.
+TEST(EpochAllocations, OrchestratorEpochRecordingViolationsAllocatesNothing) {
+  OrchestratorConfig config;
+  config.overbooking.enabled = false;
+  auto tb = make_testbed(32, config);
+  constexpr std::size_t kSlices = 6;
+  for (std::size_t i = 0; i < kSlices; ++i) {
+    SliceSpec spec = SliceSpec::from_profile(
+        traffic::profile_for(traffic::Vertical::embb_video), Duration::hours(1000.0));
+    spec.expected_throughput = DataRate::mbps(4.0);
+    spec.max_latency = Duration::millis(8.0);
+    const SubmitVerdict verdict =
+        tb->orchestrator->submit(spec, std::make_unique<traffic::ConstantTraffic>(12.0));
+    ASSERT_EQ(verdict.state, SliceState::installing);
+  }
+  tb->simulator.run_for(config.monitoring_period * 400.0);
+  const OrchestratorSummary warm = tb->orchestrator->summary();
+  ASSERT_EQ(warm.active_slices, kSlices);
+  ASSERT_EQ(tb->orchestrator->events().size(), 1024u);
+
+  constexpr int kEpochs = 32;
+  SimTime now = tb->simulator.now();
+  std::uint64_t allocations = 0;
+  {
+    AllocationCounter counter;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      now = now + config.monitoring_period;
+      tb->orchestrator->run_epoch(now);
+    }
+    allocations = counter.count();
+  }
+  const OrchestratorSummary after = tb->orchestrator->summary();
+  EXPECT_EQ(after.violation_epochs - warm.violation_epochs, kSlices * kEpochs);
+  EXPECT_EQ(allocations, 0u) << "orchestrator epochs recording violations allocated "
+                             << allocations << " times over " << kEpochs << " epochs";
+}
+
 }  // namespace
 }  // namespace slices::core

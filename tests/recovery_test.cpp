@@ -244,10 +244,10 @@ TEST(Recovery, TransportPathsKeepTheirIdsAndReservations) {
 
 /// The stage named by the audit of `slice`'s recovery termination.
 std::string terminated_stage(const core::Orchestrator& orch, SliceId slice) {
-  for (const core::Event& event : orch.events().for_slice(slice)) {
-    if (event.kind == core::EventKind::slice_terminated && event.fields.contains("stage")) {
-      return event.fields.at("stage").as_string();
-    }
+  for (const core::Event& event : orch.events().after(0)) {
+    if (event.slice != slice || event.kind != core::EventKind::slice_terminated) continue;
+    const json::Object fields = event.fields();
+    if (fields.contains("stage")) return fields.at("stage").as_string();
   }
   return "";
 }

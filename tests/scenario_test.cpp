@@ -353,9 +353,10 @@ std::unique_ptr<ScenarioRunner> run_with_events(const std::string& events_json) 
 std::pair<int, int> fault_counts(const ScenarioRunner& runner, const std::string& component) {
   int injected = 0;
   int cleared = 0;
-  for (const core::Event& event : runner.testbed()->orchestrator->events().since(0)) {
-    const auto it = event.fields.find("component");
-    if (it == event.fields.end() || !it->second.is_string() ||
+  for (const core::Event& event : runner.testbed()->orchestrator->events().after(0)) {
+    const json::Object fields = event.fields();
+    const auto it = fields.find("component");
+    if (it == fields.end() || !it->second.is_string() ||
         it->second.as_string() != component) {
       continue;
     }
