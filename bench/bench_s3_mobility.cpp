@@ -40,6 +40,15 @@
 //                        UE moves every iteration along a precomputed
 //                        closed tour, so every request succeeds.
 //                        items/s = handovers per second.
+// BM_PlmnWithdrawPopulated/<ues>
+//                      — a slice's PLMN going on and off the air in a
+//                        populated region: 4 cells with `ues` UEs
+//                        attached under 3 PLMNs, and each iteration
+//                        runs install_plmn then remove_plmn of a fourth,
+//                        empty PLMN (an admission's rollback, or a
+//                        drained slice's teardown). UE rows hold their
+//                        PLMN's stable slot, so a withdrawal touches no
+//                        UE row and the time should be flat in `ues`.
 
 #include <benchmark/benchmark.h>
 
@@ -108,7 +117,8 @@ void print_experiment() {
   std::printf("\nS3: mobility & handover scalability — moving-UE data plane\n");
   std::printf("(128-cell grid, 6 PLMNs; waypoint walk at one-minute epochs)\n");
   std::printf("see the google-benchmark tables: BM_MobilityStep/<ues>/<threads>,\n"
-              "BM_HandoverApply/<batch>, BM_HandoverApplyMetro/<batch>\n");
+              "BM_HandoverApply/<batch>, BM_HandoverApplyMetro/<batch>,\n"
+              "BM_PlmnWithdrawPopulated/<ues>\n");
   std::printf("expected shape: the fused move-and-gather pass is linear in UEs and\n"
               "shards across the pool; the range join and handover apply stay sequential\n"
               "but touch only the crossing UEs, so step cost is dominated by the walk. The apply\n"
@@ -248,6 +258,31 @@ void BM_HandoverApplyMetro(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_HandoverApplyMetro)->Arg(1'000)->Arg(10'000)->Arg(100'000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_PlmnWithdrawPopulated(benchmark::State& state) {
+  constexpr std::size_t kRegionCells = 4;
+  constexpr std::size_t kAttachedPlmns = 3;
+  const std::size_t ues = static_cast<std::size_t>(state.range(0));
+  ran::RanController ran;
+  for (std::size_t c = 0; c < kRegionCells; ++c) {
+    ran.add_cell(ran::Cell(CellId{c + 1}, "c" + std::to_string(c), ran::Bandwidth::mhz20,
+                           ran::SharingPolicy::pooled));
+  }
+  for (std::size_t p = 0; p < kAttachedPlmns; ++p) {
+    if (!ran.install_plmn(PlmnId{p + 1})) std::abort();
+  }
+  for (std::size_t i = 0; i < ues; ++i) {
+    if (!ran.attach_ue(PlmnId{1 + i % kAttachedPlmns}, ran::Cqi{10})) std::abort();
+  }
+  const PlmnId transient{kAttachedPlmns + 1};
+  for (auto _ : state) {
+    if (!ran.install_plmn(transient)) std::abort();
+    if (!ran.remove_plmn(transient)) std::abort();
+  }
+  state.counters["ues"] = static_cast<double>(ues);
+}
+BENCHMARK(BM_PlmnWithdrawPopulated)->Arg(1'000)->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

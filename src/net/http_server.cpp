@@ -38,7 +38,7 @@ Result<std::unique_ptr<HttpServer>> HttpServer::bind(std::shared_ptr<Router> rou
 
 void HttpServer::stop() noexcept {
   const int saved_errno = errno;  // a signal handler must leave errno alone
-  stopping_.store(true, std::memory_order_relaxed);
+  stopping_.store(true, std::memory_order_release);
   // shutdown(2) of the listener wakes run()'s poll (POLLHUP on the
   // listener) and refuses new connects.
   listener_.close();
@@ -49,15 +49,17 @@ std::uint64_t HttpServer::run() {
   std::vector<Client> clients;
   std::vector<pollfd> fds;
   std::uint64_t accepted = 0;
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (true) {
+    // Once stopping, one last pass that does not block serves what the
+    // clients sent before stop(), an EOF included, and then run returns.
+    const bool last = stopping_.load(std::memory_order_acquire);
     fds.clear();
     fds.push_back({listener_.fd(), POLLIN, 0});
     for (const Client& client : clients) fds.push_back({client.conn.fd(), POLLIN, 0});
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
+    if (::poll(fds.data(), fds.size(), last ? 0 : -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (stopping_.load(std::memory_order_relaxed)) break;
 
     // Ready connections in accept order; closed ones drop out.
     std::size_t kept = 0;
@@ -67,10 +69,17 @@ std::uint64_t HttpServer::run() {
       ++kept;
     }
     clients.resize(kept);
+    if (last) break;
 
-    if (fds[0].revents != 0) {
+    // No connection is accepted once stopping.
+    if (fds[0].revents != 0 && !stopping_.load(std::memory_order_acquire)) {
       Result<TcpConnection> conn = listener_.accept_one();
-      if (!conn.ok()) break;  // listener shut down (stop) or failed
+      if (!conn.ok()) {
+        // A stop() since the check above shut the listener down; the
+        // last pass still serves the open connections.
+        if (stopping_.load(std::memory_order_acquire)) continue;
+        break;  // the listener failed
+      }
       clients.push_back({std::move(conn).value(), HttpFramer{}});
       ++accepted;
       served_.fetch_add(1, std::memory_order_relaxed);

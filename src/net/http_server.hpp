@@ -39,8 +39,10 @@ class HttpServer {
   /// The bound port.
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
-  /// Serve until stop(), then close every open connection; returns the
-  /// number of connections accepted.
+  /// Serve until stop(). What open connections sent before stop(), a
+  /// whole request followed by EOF included, is still answered; then
+  /// every open connection closes. Returns the number of connections
+  /// accepted.
   std::uint64_t run();
 
   /// Make run() return and refuse new connections. Thread-safe and

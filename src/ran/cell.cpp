@@ -28,7 +28,7 @@ constexpr std::size_t kWanderBlock = 32;
 /// are drawn for live rows and holes alike, so RNG consumption is a
 /// pure function of the row count. Holes (CQI byte 0) are masked and
 /// stay 0. Per-PLMN CQI-sum deltas accumulate into `delta` (indexed by
-/// broadcast position).
+/// the rows' PLMN slot).
 __attribute__((noinline)) void wander_kernel(std::uint8_t* __restrict cqi,
                                              const std::uint8_t* __restrict plmn,
                                              std::size_t rows, Rng& rng, std::uint32_t thresh,
@@ -89,6 +89,13 @@ Result<void> Cell::broadcast_plmn(PlmnId plmn) {
   if (broadcast_.size() >= kMaxBroadcastPlmns)
     return make_error(Errc::insufficient_capacity,
                       "cell " + name_ + " SIB1 PLMN list is full");
+  // The lowest slot no broadcast PLMN holds.
+  unsigned used = 0;
+  for (std::size_t i = 0; i < broadcast_.size(); ++i) used |= 1U << slot_of_[i];
+  std::uint8_t slot = 0;
+  while ((used & (1U << slot)) != 0) ++slot;
+  slot_of_[broadcast_.size()] = slot;
+  position_of_[slot] = static_cast<std::uint8_t>(broadcast_.size());
   broadcast_.push_back(plmn);
   plmns_.push_back(PlmnState{});
   return {};
@@ -104,15 +111,11 @@ Result<void> Cell::withdraw_plmn(PlmnId plmn) {
     return make_error(Errc::conflict, "UEs still attached under this PLMN");
   broadcast_.erase(broadcast_.begin() + static_cast<std::ptrdiff_t>(i));
   plmns_.erase(plmns_.begin() + static_cast<std::ptrdiff_t>(i));
-  // The UE columns store broadcast positions; every position above the
-  // withdrawn one shifted down by one. Cold path (withdrawal requires
-  // an empty PLMN), so the full-column sweep is acceptable; holes (CQI
-  // byte 0) keep their stale position.
-  for (std::uint32_t row = 0; row < ues_.row_count(); ++row) {
-    if (!ues_.live(row)) continue;
-    const std::uint8_t p = ues_.plmn_index_at(row);
-    assert(p != i);
-    if (p > i) ues_.set_plmn_index(row, static_cast<std::uint8_t>(p - 1));
+  // Every position above the withdrawn one shifts down by one; the UE
+  // rows hold slots, which stay, so only the two tables change.
+  for (std::size_t p = i; p < broadcast_.size(); ++p) {
+    slot_of_[p] = slot_of_[p + 1];
+    position_of_[slot_of_[p]] = static_cast<std::uint8_t>(p);
   }
   return {};
 }
@@ -120,8 +123,6 @@ Result<void> Cell::withdraw_plmn(PlmnId plmn) {
 bool Cell::broadcasts(PlmnId plmn) const noexcept {
   return plmn_index(plmn) != broadcast_.size();
 }
-
-std::vector<PlmnId> Cell::broadcast_list() const { return broadcast_; }
 
 Result<void> Cell::set_reservation(PlmnId plmn, PrbCount prbs) {
   const std::size_t i = plmn_index(plmn);
@@ -166,9 +167,9 @@ void Cell::wander_cqis(Rng& rng, double step_probability) {
   const double p = std::clamp(step_probability, 0.0, 1.0);
   const auto thresh = static_cast<std::uint32_t>(p * 32768.0);  // p * 2^15
   std::array<std::int64_t, kMaxBroadcastPlmns> delta{};
-  wander_kernel(ues_.cqi_column(), ues_.plmn_column(), ues_.row_count(), rng, thresh,
-                delta.data());
-  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[i];
+  const std::span<std::uint8_t> cqi = ues_.cqi_column();
+  wander_kernel(cqi.data(), ues_.plmn_column().data(), cqi.size(), rng, thresh, delta.data());
+  for (std::size_t i = 0; i < broadcast_.size(); ++i) plmns_[i].cqi_sum += delta[slot_of_[i]];
 }
 
 std::size_t Cell::attached_count(PlmnId plmn) const noexcept {

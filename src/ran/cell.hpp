@@ -9,22 +9,27 @@
 // serves offered demand each monitoring epoch via the MOCN scheduler.
 //
 // UE state is a structure-of-arrays column store (ran/ue_soa.hpp): a UE
-// row is two bytes, its broadcast-PLMN position and its CQI, with CQI 0
-// marking a hole. Attach/detach are O(1) and iteration is in
-// deterministic row order, so the per-epoch CQI walk streams a byte
-// column. The UE API is row-addressed: attach returns the UE's row and
-// every later read, CQI update and detach names that row. The cell keeps
-// no UE identity at all — RanController owns the only UE index (UE id ->
-// {plmn, cell, row}) and allocates every id; a handover request
-// addresses that record by its slot, reads the source broadcast position
-// from the row's PLMN byte, and moves the UE and its share of the PRB
-// reservation through the position-addressed inline calls below, which
-// cannot fail. Each broadcast PLMN keeps a running (count, cqi_sum)
-// aggregate and its PRB reservation, and the cell keeps the running sum
-// of those reservations, so attached_count / mean_cqi — the per-epoch
-// scheduling inputs — and reserved_prbs / unreserved_prbs — read on
-// every handover — stay O(1).
+// row is two bytes, its PLMN's slot and its CQI, with CQI 0 marking a
+// hole. A PLMN takes the lowest free slot when it starts broadcasting
+// and keeps it until it is withdrawn; the cell maps slot <-> broadcast
+// position in two kMaxBroadcastPlmns-entry tables. Everything else here
+// is position-addressed, and a withdrawal only shifts the positions in
+// those tables: it reads and writes no UE row. Attach/detach are O(1)
+// and iteration is in deterministic row order, so the per-epoch CQI walk
+// streams a byte column. The UE API is row-addressed: attach returns the
+// UE's row and every later read, CQI update and detach names that row.
+// The cell keeps no UE identity at all — RanController owns the only UE
+// index (UE id -> {plmn, cell, row}) and allocates every id; a handover
+// request addresses that record by its slot, reads the source broadcast
+// position through the row's PLMN slot, and moves the UE and its share
+// of the PRB reservation through the position-addressed inline calls
+// below, which cannot fail. Each broadcast PLMN keeps a running (count,
+// cqi_sum) aggregate and its PRB reservation, and the cell keeps the
+// running sum of those reservations, so attached_count / mean_cqi —
+// the per-epoch scheduling inputs — and reserved_prbs / unreserved_prbs
+// — read on every handover — stay O(1).
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -68,12 +73,12 @@ class Cell {
   /// insufficient_capacity (SIB1 list full).
   [[nodiscard]] Result<void> broadcast_plmn(PlmnId plmn);
 
-  /// Stop broadcasting. Errors: not_found; conflict if a reservation or
-  /// attached UEs still exist (release/detach first).
+  /// Stop broadcasting and free the PLMN's slot; touches no UE row.
+  /// Errors: not_found; conflict if a reservation or attached UEs still
+  /// exist (release/detach first).
   [[nodiscard]] Result<void> withdraw_plmn(PlmnId plmn);
 
   [[nodiscard]] bool broadcasts(PlmnId plmn) const noexcept;
-  [[nodiscard]] std::vector<PlmnId> broadcast_list() const;
 
   /// Number of PLMNs currently broadcast (<= kMaxBroadcastPlmns).
   [[nodiscard]] std::size_t broadcast_count() const noexcept { return broadcast_.size(); }
@@ -109,19 +114,13 @@ class Cell {
   [[nodiscard]] Result<std::uint32_t> attach(PlmnId plmn, Cqi cqi);
 
   /// Detach the UE at live row `row`; the row is reused LIFO.
-  void detach(std::uint32_t row) noexcept {
-    PlmnState& stats = plmns_[ues_.plmn_index_at(row)];
-    assert(stats.count > 0);
-    --stats.count;
-    stats.cqi_sum -= ues_.cqi_at(row).index();
-    ues_.erase(row);
-  }
+  void detach(std::uint32_t row) noexcept { detach_at(plmn_index_at(row), row); }
 
   /// Reported CQI of the UE at live row `row`.
   [[nodiscard]] Cqi cqi_at(std::uint32_t row) const noexcept { return ues_.cqi_at(row); }
   /// Broadcast position of the UE at live row `row`.
   [[nodiscard]] std::size_t plmn_index_at(std::uint32_t row) const noexcept {
-    return ues_.plmn_index_at(row);
+    return position_of_[ues_.plmn_slot_at(row)];
   }
 
   // --- Handover primitives: position-addressed, cannot fail --------------
@@ -132,7 +131,17 @@ class Cell {
     assert(index < broadcast_.size());
     ++plmns_[index].count;
     plmns_[index].cqi_sum += cqi.index();
-    return ues_.insert(static_cast<std::uint8_t>(index), cqi);
+    return ues_.insert(slot_of_[index], cqi);
+  }
+  /// Detach the UE at live row `row`, whose broadcast position the
+  /// caller already read as `index` (== plmn_index_at(row)).
+  void detach_at(std::size_t index, std::uint32_t row) noexcept {
+    assert(index == plmn_index_at(row));
+    PlmnState& stats = plmns_[index];
+    assert(stats.count > 0);
+    --stats.count;
+    stats.cqi_sum -= ues_.cqi_at(row).index();
+    ues_.erase(row);
   }
   /// Reservation of broadcast position `index`.
   [[nodiscard]] PrbCount reservation_at(std::size_t index) const noexcept {
@@ -206,6 +215,10 @@ class Cell {
   SharingPolicy policy_;
   std::vector<PlmnId> broadcast_;               // ordered: deterministic scheduling
   std::vector<PlmnState> plmns_;                // index-aligned with broadcast_
+  // Broadcast position -> the PLMN's slot (the byte its UE rows hold),
+  // and slot -> position; a free slot's position entry is stale.
+  std::array<std::uint8_t, kMaxBroadcastPlmns> slot_of_{};
+  std::array<std::uint8_t, kMaxBroadcastPlmns> position_of_{};
   PrbCount reserved_{0};                        // sum of plmns_[i].reserved
   UeSoa ues_;                                   // columnar attached-UE store
 };

@@ -56,7 +56,7 @@ Result<void> RanController::install_plmn(PlmnId plmn) {
   for (const Cell& cell : cells_) {
     if (cell.broadcasts(plmn))
       return make_error(Errc::conflict, "PLMN already broadcast on " + cell.name());
-    if (cell.broadcast_list().size() >= kMaxBroadcastPlmns)
+    if (cell.broadcast_count() >= kMaxBroadcastPlmns)
       return make_error(Errc::insufficient_capacity,
                         "broadcast list full on " + cell.name());
   }
@@ -274,8 +274,9 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
     // The request addresses the UE's index slot and the target's cells_
     // index, so every check is an array read: a slot whose key is not
     // the request's UE is stale. The record names the source cell and
-    // row, and the row's PLMN byte names the source broadcast position,
-    // so the move below is position- and row-addressed on both cells.
+    // row, and the source cell maps the row's PLMN slot to its broadcast
+    // position, so the move below is position- and row-addressed on both
+    // cells.
     auto* entry = req.slot < ues_.slot_count() && req.target < n_cells &&
                           cell_active_[req.target] != 0
                       ? &ues_.slot_at(req.slot)
@@ -306,7 +307,7 @@ HandoverStats RanController::apply_handovers(std::span<const HandoverRequest> ba
         const int share = src_reserved / src_attached;
         const int moved = std::min(share, destination.unreserved_prbs().value);
         record.row = destination.attach_at(dst_index, source.cqi_at(src_row));
-        source.detach(src_row);
+        source.detach_at(src_index, src_row);
         if (moved > 0) {
           source.add_reservation_at(src_index, -moved);
           destination.add_reservation_at(dst_index, moved);

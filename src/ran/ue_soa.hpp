@@ -6,7 +6,9 @@
 // UE, every epoch (the CQI random walk). Each attribute lives in its own
 // contiguous byte column, so a UE row is two bytes: the wander loop
 // streams the CQI column and a handover's row move writes two bytes per
-// cell.
+// cell. The PLMN byte is the PLMN's slot in the owning cell, which the
+// cell keeps fixed for as long as it broadcasts that PLMN (ran/cell.hpp),
+// so no row is rewritten when another PLMN is withdrawn.
 //
 // The store keeps no UE identity and no liveness column. A hole — an
 // erased row — is marked by CQI byte 0: Cqi asserts 1..15, so 0 is
@@ -23,6 +25,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ran/phy.hpp"
@@ -33,13 +36,11 @@ class UeSoa {
  public:
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// Total rows (live + holes); the bound for row iteration.
-  [[nodiscard]] std::size_t row_count() const noexcept { return cqi_.size(); }
 
-  /// Insert a row and return it. `plmn_index` is the position of the
-  /// UE's PLMN in the cell's broadcast list (kept index-coded so serve
-  /// loops never hash).
-  std::uint32_t insert(std::uint8_t plmn_index, Cqi cqi) {
+  /// Insert a row and return it. `plmn_slot` is the cell's stable slot
+  /// of the UE's PLMN (< kMaxBroadcastPlmns; kept index-coded so the
+  /// wander kernel never hashes).
+  std::uint32_t insert(std::uint8_t plmn_slot, Cqi cqi) {
     std::uint32_t row;
     if (!free_.empty()) {
       row = free_.back();
@@ -49,7 +50,7 @@ class UeSoa {
       plmn_.push_back(0);
       cqi_.push_back(0);
     }
-    plmn_[row] = plmn_index;
+    plmn_[row] = plmn_slot;
     cqi_[row] = static_cast<std::uint8_t>(cqi.index());
     ++size_;
     return row;
@@ -81,26 +82,22 @@ class UeSoa {
 
   /// A row is live while its CQI byte is non-zero.
   [[nodiscard]] bool live(std::uint32_t row) const noexcept { return cqi_[row] != 0; }
-  [[nodiscard]] std::uint8_t plmn_index_at(std::uint32_t row) const noexcept {
+  [[nodiscard]] std::uint8_t plmn_slot_at(std::uint32_t row) const noexcept {
     return plmn_[row];
   }
   /// CQI of live row `row`.
   [[nodiscard]] Cqi cqi_at(std::uint32_t row) const noexcept { return Cqi{cqi_[row]}; }
 
-  /// Re-point a row at another broadcast-list position (PLMN withdrawal
-  /// compaction).
-  void set_plmn_index(std::uint32_t row, std::uint8_t plmn_index) noexcept {
-    plmn_[row] = plmn_index;
-  }
-
-  /// Raw columns for the batched kernels. cqi values are the CQI index
-  /// (1..15) on live rows and 0 on holes; a hole's plmn byte is stale.
-  [[nodiscard]] const std::uint8_t* cqi_column() const noexcept { return cqi_.data(); }
-  [[nodiscard]] std::uint8_t* cqi_column() noexcept { return cqi_.data(); }
-  [[nodiscard]] const std::uint8_t* plmn_column() const noexcept { return plmn_.data(); }
+  /// Raw columns for the batched kernels, one byte per row (live rows
+  /// and holes), so their size bounds row iteration. cqi values are the
+  /// CQI index (1..15) on live rows and 0 on holes; a hole's plmn byte
+  /// is stale.
+  [[nodiscard]] std::span<const std::uint8_t> cqi_column() const noexcept { return cqi_; }
+  [[nodiscard]] std::span<std::uint8_t> cqi_column() noexcept { return cqi_; }
+  [[nodiscard]] std::span<const std::uint8_t> plmn_column() const noexcept { return plmn_; }
 
  private:
-  std::vector<std::uint8_t> plmn_;  ///< row -> index into the broadcast list
+  std::vector<std::uint8_t> plmn_;  ///< row -> the cell's slot of the UE's PLMN
   std::vector<std::uint8_t> cqi_;   ///< row -> CQI index 1..15; 0 marks a hole
   std::vector<std::uint32_t> free_; ///< LIFO reusable rows
   std::size_t size_ = 0;

@@ -313,10 +313,10 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
       // attributes, in the same order as DenseIdMap slot iteration. The
       // owner's map names each row's UE; every other row is a hole and
       // reads CQI 0.
-      std::vector<UeId> owner(soa.row_count(), UeId::invalid());
+      std::vector<UeId> owner(soa.cqi_column().size(), UeId::invalid());
       for (const auto& [ue_id, row] : rows) owner[row] = ue_id;
       std::vector<UeId> soa_order;
-      for (std::uint32_t row = 0; row < soa.row_count(); ++row) {
+      for (std::uint32_t row = 0; row < soa.cqi_column().size(); ++row) {
         ASSERT_EQ(soa.live(row), owner[row].valid()) << "row " << row;
         if (!soa.live(row)) {
           ASSERT_EQ(soa.cqi_column()[row], 0) << "row " << row;
@@ -327,7 +327,7 @@ TEST(UeSoa, RandomizedDiffAgainstDenseIdMap) {
         ASSERT_EQ(row, legacy.slot_of(seen));
         const LegacyUe* ref = legacy.find(seen);
         ASSERT_NE(ref, nullptr);
-        ASSERT_EQ(soa.plmn_index_at(row), ref->plmn_index);
+        ASSERT_EQ(soa.plmn_slot_at(row), ref->plmn_index);
         ASSERT_EQ(soa.cqi_at(row).index(), static_cast<int>(ref->cqi));
       }
       std::vector<UeId> legacy_order;
@@ -351,17 +351,17 @@ TEST(UeSoa, RowsReusedLifoAndColumnsStayAligned) {
   EXPECT_EQ(soa.insert(3, ran::Cqi{12}), 4u);
   EXPECT_EQ(soa.insert(1, ran::Cqi{3}), 1u);
   EXPECT_EQ(soa.insert(2, ran::Cqi{9}), 6u);  // free list empty: append
-  EXPECT_EQ(soa.plmn_index_at(4), 3);
+  EXPECT_EQ(soa.plmn_slot_at(4), 3);
   EXPECT_EQ(soa.cqi_at(4).index(), 12);
   EXPECT_EQ(soa.cqi_at(1).index(), 3);
   EXPECT_EQ(soa.size(), 7u);
-  EXPECT_EQ(soa.row_count(), 7u);
+  EXPECT_EQ(soa.cqi_column().size(), 7u);
   // A reused row takes the new UE's attributes in every column.
   soa.erase(4);
   EXPECT_EQ(soa.cqi_column()[4], 0);
   EXPECT_EQ(soa.insert(5, ran::Cqi{2}), 4u);
   EXPECT_TRUE(soa.live(4));
-  EXPECT_EQ(soa.plmn_index_at(4), 5);
+  EXPECT_EQ(soa.plmn_slot_at(4), 5);
   EXPECT_EQ(soa.cqi_at(4).index(), 2);
   EXPECT_EQ(soa.cqi_column()[4], 2);
 }

@@ -37,7 +37,7 @@ void check_invariants(const Testbed& tb) {
     ASSERT_NE(cell, nullptr);
     EXPECT_LE(cell->reserved_prbs().value, cell->total_prbs().value);
     EXPECT_GE(cell->reserved_prbs().value, 0);
-    EXPECT_LE(cell->broadcast_list().size(), ran::kMaxBroadcastPlmns);
+    EXPECT_LE(cell->broadcast_count(), ran::kMaxBroadcastPlmns);
   }
 
   // Transport: per-link reservations never exceed nominal capacity, and

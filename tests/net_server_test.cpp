@@ -293,6 +293,33 @@ TEST(HttpServerKeepAlive, StopFromASignalHandlerEndsRun) {
   g_signalled_server = nullptr;
 }
 
+TEST(HttpServerKeepAlive, RequestAndEofSentBeforeStopAreAnsweredBeforeRunReturns) {
+  // A peer that sends a whole request and half-closes just before
+  // stop() (a federation bus closing its connections on shutdown) is
+  // answered whichever of the two events run()'s poll sees first.
+  // Rounds repeat the race.
+  for (int round = 0; round < 50; ++round) {
+    Result<std::unique_ptr<HttpServer>> bound = HttpServer::bind(demo_router(), 0);
+    ASSERT_TRUE(bound.ok());
+    HttpServer& server = *bound.value();
+    std::thread serving([&server] { server.run(); });
+    RawClient client(server.port());
+    // One answered exchange first, so the connection is accepted.
+    ASSERT_TRUE(client.conn.send_all(get("/ping").encode()).ok());
+    ASSERT_TRUE(client.read().ok());
+
+    ASSERT_TRUE(client.conn.send_all(get("/things/" + std::to_string(round)).encode()).ok());
+    client.conn.shutdown_write();
+    server.stop();
+    serving.join();
+    // run() has returned and closed the connection: the answer is
+    // readable only if it was sent before.
+    const Result<Response> resp = client.read();
+    ASSERT_TRUE(resp.ok()) << "round " << round << ": " << resp.error().message;
+    EXPECT_EQ(resp.value().body, "\"thing-" + std::to_string(round) + "\"");
+  }
+}
+
 // --- the RestBus over kept-alive connections --------------------------------------
 
 TEST(RestBusKeepAlive, ManyCallsCostOneConnection) {

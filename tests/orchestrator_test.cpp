@@ -125,7 +125,9 @@ struct Substrate {
 Substrate substrate_of(const Testbed& tb, SliceId background, SliceId request) {
   Substrate out;
   for (const CellId cell : {tb.cell_a, tb.cell_b}) {
-    out.broadcast.push_back(tb.ran.find_cell(cell)->broadcast_list());
+    const ran::Cell& on_air = *tb.ran.find_cell(cell);
+    std::vector<PlmnId>& list = out.broadcast.emplace_back();
+    for (std::size_t i = 0; i < on_air.broadcast_count(); ++i) list.push_back(on_air.broadcast_at(i));
     out.reserved_prbs.push_back(tb.ran.find_cell(cell)->reserved_prbs().value);
   }
   out.background_paths = tb.transport->paths_of(background);

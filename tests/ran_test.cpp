@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -405,6 +407,63 @@ TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
   }
 }
 
+// A UE row holds its PLMN's slot, which the cell keeps while it
+// broadcasts that PLMN, so withdrawing a PLMN from the middle of the
+// broadcast list leaves every UE row as it was; only the slot <->
+// position tables shift, and reads, detaches and the CQI walk of the
+// rows above it still find their PLMN.
+TEST(Cell, WithdrawTouchesNoUeRow) {
+  Cell cell = make_cell();
+  const std::vector<PlmnId> plmns = {PlmnId{1}, PlmnId{2}, PlmnId{3}, PlmnId{4}};
+  for (const PlmnId plmn : plmns) ASSERT_TRUE(cell.broadcast_plmn(plmn).ok());
+  // UEs under positions 0, 2 and 3; PLMN 2 at position 1 stays empty.
+  std::vector<std::pair<PlmnId, std::uint32_t>> rows;
+  for (int i = 0; i < 48; ++i) {
+    const PlmnId plmn = plmns[i % 3 == 0 ? 0 : (i % 3 == 1 ? 2 : 3)];
+    const Result<std::uint32_t> row = cell.attach(plmn, Cqi{1 + i % 15});
+    ASSERT_TRUE(row.ok());
+    rows.emplace_back(plmn, row.value());
+  }
+  for (std::size_t k = 0; k < rows.size(); k += 5) cell.detach(rows[k].second);  // holes
+  const auto column = [](std::span<const std::uint8_t> bytes) {
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+  };
+  const std::vector<std::uint8_t> plmn_before = column(cell.ues().plmn_column());
+  const std::vector<std::uint8_t> cqi_before = column(cell.ues().cqi_column());
+  std::vector<std::pair<std::size_t, Cqi>> stats_before;
+  for (const PlmnId plmn : {plmns[0], plmns[2], plmns[3]}) {
+    stats_before.emplace_back(cell.attached_count(plmn), cell.mean_cqi(plmn, Cqi{1}));
+  }
+
+  ASSERT_TRUE(cell.withdraw_plmn(PlmnId{2}).ok());
+  EXPECT_EQ(column(cell.ues().plmn_column()), plmn_before);
+  EXPECT_EQ(column(cell.ues().cqi_column()), cqi_before);
+  std::vector<std::pair<std::size_t, Cqi>> stats_after;
+  for (const PlmnId plmn : {plmns[0], plmns[2], plmns[3]}) {
+    stats_after.emplace_back(cell.attached_count(plmn), cell.mean_cqi(plmn, Cqi{1}));
+  }
+  EXPECT_EQ(stats_after, stats_before);
+
+  // Every live row still reads its PLMN's (now shifted) position.
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (k % 5 == 0) continue;
+    const auto& [plmn, row] = rows[k];
+    ASSERT_EQ(cell.plmn_index_at(row), cell.broadcast_index(plmn)) << "row " << row;
+  }
+  // The CQI walk and detaches land on the right PLMN: detaching every
+  // survivor empties each PLMN's count and CQI sum exactly.
+  Rng rng(29);
+  for (int round = 0; round < 20; ++round) cell.wander_cqis(rng, 0.5);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (k % 5 != 0) cell.detach(rows[k].second);
+  }
+  for (const PlmnId plmn : {plmns[0], plmns[2], plmns[3]}) {
+    EXPECT_EQ(cell.attached_count(plmn), 0u) << "plmn " << plmn.value();
+    ASSERT_TRUE(cell.attach(plmn, Cqi{8}).ok());
+    EXPECT_EQ(cell.mean_cqi(plmn, Cqi{1}), Cqi{8}) << "plmn " << plmn.value();
+  }
+}
+
 TEST(Cell, ServeEpochUsesReservations) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
@@ -529,6 +588,13 @@ TEST(RanController, UesBalanceAcrossCells) {
 TEST(RanController, RandomizedUeOpsMatchShadowModel) {
   const std::vector<CellId> cell_ids = {CellId{11}, CellId{12}, CellId{13}, CellId{14}};
   const std::vector<PlmnId> plmns = {PlmnId{10}, PlmnId{20}, PlmnId{30}};
+  // Two PLMNs without a radio allocation, first broadcast between the
+  // allocated ones, go off and on the air between handover batches:
+  // each withdrawal detaches the PLMN's UEs first and leaves it empty,
+  // and a re-install reuses a freed slot, so the rows of the PLMNs
+  // broadcast above it keep their slot while their positions shift.
+  const std::vector<PlmnId> transient = {PlmnId{50}, PlmnId{60}};
+  std::vector<bool> on_air(transient.size(), true);
   const PlmnId not_installed{40};
   const CellId unknown_cell{99};
   RanController controller;
@@ -536,10 +602,22 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
     controller.add_cell(Cell(id, "c" + std::to_string(id.value()), Bandwidth::mhz20,
                              SharingPolicy::pooled));
   }
-  for (const PlmnId plmn : plmns) {
-    ASSERT_TRUE(controller.install_plmn(plmn).ok());
-    ASSERT_TRUE(controller.set_allocation(plmn, DataRate::mbps(40.0)).ok());
+  for (std::size_t k = 0; k < plmns.size(); ++k) {
+    ASSERT_TRUE(controller.install_plmn(plmns[k]).ok());
+    ASSERT_TRUE(controller.set_allocation(plmns[k], DataRate::mbps(40.0)).ok());
+    if (k < transient.size()) {
+      ASSERT_TRUE(controller.install_plmn(transient[k]).ok());
+    }
   }
+  std::vector<PlmnId> every_plmn = plmns;
+  every_plmn.insert(every_plmn.end(), transient.begin(), transient.end());
+  const auto attachable = [&](PlmnId plmn) {
+    if (plmn == not_installed) return false;
+    for (std::size_t t = 0; t < transient.size(); ++t) {
+      if (plmn == transient[t]) return static_cast<bool>(on_air[t]);
+    }
+    return true;
+  };
 
   struct ShadowUe {
     std::size_t cell;
@@ -581,7 +659,7 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
     for (std::size_t c = 0; c < cell_ids.size(); ++c) {
       const Cell& cell = *controller.find_cell(cell_ids[c]);
       std::size_t total = 0;
-      for (const PlmnId plmn : plmns) {
+      for (const PlmnId plmn : every_plmn) {
         std::size_t count = 0;
         std::int64_t cqi_sum = 0;
         for (const auto& [id, ue] : shadow) {
@@ -599,7 +677,7 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
       }
       ASSERT_EQ(cell.attached_total(), total) << "cell " << c;
     }
-    for (const PlmnId plmn : plmns) {
+    for (const PlmnId plmn : every_plmn) {
       std::size_t count = 0;
       for (const auto& [id, ue] : shadow) count += ue.plmn == plmn ? 1 : 0;
       ASSERT_EQ(controller.attached_ues(plmn), count);
@@ -609,10 +687,11 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
   Rng rng(0x5EEDu);
   std::uint64_t handovers = 0;
   std::uint64_t drops = 0;
+  std::uint64_t withdrawals = 0;
   for (int op = 0; op < 3000; ++op) {
     const auto pick_plmn = [&] {
-      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 3));
-      return k == plmns.size() ? not_installed : plmns[k];
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 5));
+      return k == every_plmn.size() ? not_installed : every_plmn[k];
     };
     const int cqi = static_cast<int>(rng.uniform_int(1, 15));
     switch (rng.uniform_int(0, 9)) {
@@ -620,7 +699,7 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
       case 1: {  // least-loaded attach
         const PlmnId plmn = pick_plmn();
         const Result<UeId> ue = controller.attach_ue(plmn, Cqi{cqi});
-        if (plmn == not_installed) {
+        if (!attachable(plmn)) {
           ASSERT_EQ(ue.error().code, Errc::not_found);
           break;
         }
@@ -639,7 +718,7 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
         const auto c = static_cast<std::size_t>(rng.uniform_int(0, 4));
         const CellId target = c == cell_ids.size() ? unknown_cell : cell_ids[c];
         const Result<UeId> ue = controller.attach_ue_at(target, plmn, Cqi{cqi});
-        if (plmn == not_installed || target == unknown_cell) {
+        if (!attachable(plmn) || target == unknown_cell) {
           ASSERT_EQ(ue.error().code, Errc::not_found);
         } else if (!active[c]) {
           ASSERT_EQ(ue.error().code, Errc::conflict);
@@ -663,7 +742,25 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
       }
       case 5:
       case 6:
-      case 7: {  // handover batch
+      case 7: {  // handover batch, sometimes after a transient PLMN goes off or on the air
+        if (rng.bernoulli(0.25)) {
+          const auto t = static_cast<std::size_t>(rng.uniform_int(0, 1));
+          if (on_air[t]) {
+            std::vector<UeId> leaving;
+            for (const auto& [id, ue] : shadow) {
+              if (ue.plmn == transient[t]) leaving.push_back(UeId{id});
+            }
+            for (const UeId ue : leaving) {
+              ASSERT_TRUE(controller.detach_ue(ue).ok());
+              forget(ue);
+            }
+            ASSERT_TRUE(controller.remove_plmn(transient[t]).ok());
+            ++withdrawals;
+          } else {
+            ASSERT_TRUE(controller.install_plmn(transient[t]).ok());
+          }
+          on_air[t] = !on_air[t];
+        }
         const auto n = static_cast<std::size_t>(rng.uniform_int(1, 40));
         std::vector<HandoverRequest> batch;
         std::vector<std::uint8_t> expected;
@@ -722,6 +819,147 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
   EXPECT_GT(shadow.size(), 50u) << "the mix must build a real population";
   EXPECT_GT(handovers, 1000u);
   EXPECT_GT(drops, 500u);
+  EXPECT_GT(withdrawals, 50u);
+  EXPECT_EQ(controller.handover_totals().successes, handovers);
+}
+
+// Slots are reused across withdrawals and re-broadcasts, and cells added
+// at different times broadcast the same PLMNs in different orders under
+// different slots. Attaches, detaches, CQI walks and handovers between
+// such cells keep every per-PLMN count and mean CQI exact.
+TEST(RanController, ReusedPlmnSlotsKeepAggregatesExactUnderChurn) {
+  const std::vector<PlmnId> pool = {PlmnId{1}, PlmnId{2}, PlmnId{3}, PlmnId{4},
+                                    PlmnId{5}, PlmnId{6}, PlmnId{7}};
+  RanController controller;
+  controller.add_cell(Cell(CellId{1}, "a", Bandwidth::mhz20, SharingPolicy::pooled));
+  for (std::size_t k = 0; k < 5; ++k) ASSERT_TRUE(controller.install_plmn(pool[k]).ok());
+  ASSERT_TRUE(controller.remove_plmn(pool[1]).ok());
+  ASSERT_TRUE(controller.remove_plmn(pool[3]).ok());
+  ASSERT_TRUE(controller.install_plmn(pool[5]).ok());  // takes PLMN 2's freed slot
+  ASSERT_TRUE(controller.install_plmn(pool[6]).ok());  // takes PLMN 4's
+  std::vector<bool> installed = {true, false, true, false, true, true, true};
+  controller.add_cell(Cell(CellId{2}, "b", Bandwidth::mhz20, SharingPolicy::pooled));
+  controller.add_cell(Cell(CellId{3}, "c", Bandwidth::mhz20, SharingPolicy::pooled));
+  const std::vector<CellId> cell_ids = {CellId{1}, CellId{2}, CellId{3}};
+  bool orders_differ = false;
+  for (const PlmnId plmn : pool) {
+    orders_differ |= controller.find_cell(cell_ids[0])->broadcast_index(plmn) !=
+                     controller.find_cell(cell_ids[1])->broadcast_index(plmn);
+  }
+  ASSERT_TRUE(orders_differ) << "the cells must not share one broadcast order";
+
+  struct ShadowUe {
+    std::size_t cell;
+    PlmnId plmn;
+    int cqi;
+  };
+  std::map<std::uint64_t, ShadowUe> shadow;
+  const auto pick_live = [&](Rng& rng) {
+    auto it = shadow.begin();
+    std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(shadow.size()) - 1));
+    return UeId{it->first};
+  };
+  const auto check = [&](int op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    for (const auto& [id, ue] : shadow) {
+      ASSERT_EQ(controller.ue_cell(UeId{id}), cell_ids[ue.cell]) << "ue " << id;
+      ASSERT_EQ(controller.ue_cqi(UeId{id}), Cqi{ue.cqi}) << "ue " << id;
+    }
+    for (std::size_t c = 0; c < cell_ids.size(); ++c) {
+      const Cell& cell = *controller.find_cell(cell_ids[c]);
+      for (const PlmnId plmn : pool) {
+        std::size_t count = 0;
+        std::int64_t cqi_sum = 0;
+        for (const auto& [id, ue] : shadow) {
+          if (ue.cell != c || ue.plmn != plmn) continue;
+          ++count;
+          cqi_sum += ue.cqi;
+        }
+        ASSERT_EQ(cell.attached_count(plmn), count) << "cell " << c << " plmn " << plmn.value();
+        const Cqi mean =
+            count == 0 ? Cqi{3}
+                       : Cqi{std::clamp(static_cast<int>(cqi_sum / static_cast<std::int64_t>(count)),
+                                        1, 15)};
+        ASSERT_EQ(cell.mean_cqi(plmn, Cqi{3}), mean) << "cell " << c << " plmn " << plmn.value();
+      }
+    }
+  };
+
+  Rng rng(0xC4u);
+  std::uint64_t handovers = 0;
+  std::uint64_t withdrawals = 0;
+  for (int op = 0; op < 6000; ++op) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+    const std::int64_t kind = rng.uniform_int(0, 39);
+    switch (kind < 16 ? 0 : kind < 18 ? 1 : kind < 28 ? 2 : kind < 39 ? 3 : 4) {
+      case 0: {  // attach
+        const auto c = static_cast<std::size_t>(rng.uniform_int(0, 2));
+        const int cqi = static_cast<int>(rng.uniform_int(1, 15));
+        const Result<UeId> ue = controller.attach_ue_at(cell_ids[c], pool[k], Cqi{cqi});
+        if (!installed[k]) {
+          ASSERT_EQ(ue.error().code, Errc::not_found);
+          break;
+        }
+        ASSERT_TRUE(ue.ok());
+        shadow.emplace(ue.value().value(), ShadowUe{c, pool[k], cqi});
+        break;
+      }
+      case 1: {  // detach
+        if (shadow.empty()) break;
+        const UeId ue = pick_live(rng);
+        ASSERT_TRUE(controller.detach_ue(ue).ok());
+        shadow.erase(ue.value());
+        break;
+      }
+      case 2: {  // handover batch
+        if (shadow.empty()) break;
+        std::vector<HandoverRequest> batch;
+        for (int n = 0; n < 10; ++n) {
+          const UeId ue = pick_live(rng);
+          const auto c = static_cast<std::size_t>(rng.uniform_int(0, 2));
+          batch.push_back(
+              HandoverRequest{ue, controller.ue_slot(ue), static_cast<std::uint32_t>(c)});
+          ShadowUe& s = shadow.at(ue.value());
+          if (s.cell != c) ++handovers;
+          s.cell = c;
+        }
+        controller.apply_handovers(batch, SimTime::from_micros(op + 1), {});
+        break;
+      }
+      case 3: {  // CQI walk
+        controller.wander_cqis(rng, 0.5);
+        for (auto& [id, ue] : shadow) ue.cqi = controller.ue_cqi(UeId{id})->index();
+        break;
+      }
+      default: {  // withdraw (after detaching its UEs) or re-broadcast
+        if (installed[k]) {
+          std::vector<UeId> leaving;
+          for (const auto& [id, ue] : shadow) {
+            if (ue.plmn == pool[k]) leaving.push_back(UeId{id});
+          }
+          for (const UeId ue : leaving) {
+            ASSERT_TRUE(controller.detach_ue(ue).ok());
+            shadow.erase(ue.value());
+          }
+          ASSERT_TRUE(controller.remove_plmn(pool[k]).ok());
+          ++withdrawals;
+        } else if (std::count(installed.begin(), installed.end(), true) <
+                   static_cast<std::ptrdiff_t>(kMaxBroadcastPlmns)) {
+          ASSERT_TRUE(controller.install_plmn(pool[k]).ok());
+        } else {
+          break;
+        }
+        installed[k] = !installed[k];
+        break;
+      }
+    }
+    check(op);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(shadow.size(), 20u);
+  EXPECT_GT(handovers, 1000u);
+  EXPECT_GT(withdrawals, 50u);
   EXPECT_EQ(controller.handover_totals().successes, handovers);
 }
 
@@ -735,7 +973,9 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
 TEST(RanController, ReservedTotalStaysExactUnderRandomOps) {
   const auto check_total = [](const Cell& cell) {
     int sum = 0;
-    for (const PlmnId plmn : cell.broadcast_list()) sum += cell.reservation_of(plmn).value;
+    for (std::size_t i = 0; i < cell.broadcast_count(); ++i) {
+      sum += cell.reservation_of(cell.broadcast_at(i)).value;
+    }
     ASSERT_EQ(cell.reserved_prbs().value, sum) << cell.name();
     ASSERT_EQ(cell.unreserved_prbs().value, cell.total_prbs().value - sum) << cell.name();
   };

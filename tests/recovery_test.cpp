@@ -385,7 +385,7 @@ TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
   }
   EXPECT_EQ(residual_after, residual_before);
   for (const CellId cell : {tb.cell_a, tb.cell_b}) {
-    EXPECT_TRUE(tb.ran.find_cell(cell)->broadcast_list().empty());
+    EXPECT_EQ(tb.ran.find_cell(cell)->broadcast_count(), 0u);
     EXPECT_EQ(tb.ran.find_cell(cell)->reserved_prbs().value, 0);
   }
 }

@@ -17,7 +17,7 @@ TEST(Testbed, TwoTwentyMhzMocnCells) {
     ASSERT_NE(cell, nullptr);
     EXPECT_EQ(cell->total_prbs().value, 100);  // 20 MHz
     EXPECT_EQ(cell->sharing_policy(), ran::SharingPolicy::pooled);
-    EXPECT_TRUE(cell->broadcast_list().empty());  // no slices yet
+    EXPECT_EQ(cell->broadcast_count(), 0u);  // no slices yet
   }
 }
 
