@@ -8,8 +8,8 @@
 // timing loop, then runs google-benchmark timings of the kernels:
 // epoch serve (tracing off / on / on+wall), span record, histogram
 // record, the Chrome-trace export, the /metrics body, and one REST bus
-// call over a kept-alive loopback connection (the socket transport's
-// per-call cost).
+// call over a kept-alive loopback connection and served in-process
+// (both cross the codec, so their gap is the socket transport's cost).
 //
 // With SLICES_TRACE_OUT=<path> the measured run's trace is exported as
 // Chrome trace-event JSON (Perfetto-loadable); CI uploads it as an
@@ -232,24 +232,32 @@ void BM_MetricsBody(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsBody)->Unit(benchmark::kMicrosecond);
 
-void BM_BusCallLoopback(benchmark::State& state) {
-  // One broker -> edge REST exchange over sockets: a RestBus GET on its
-  // kept-alive loopback connection to an HttpServer thread, with a
-  // body the size of a /federation/headroom answer.
+/// One broker -> edge REST exchange: a RestBus GET with a body the size
+/// of a /federation/headroom answer, served in-process or over the bus's
+/// kept-alive loopback connection to an HttpServer thread. Both cross
+/// the same codec, so the gap between the two rows is the transport.
+void bus_call(benchmark::State& state, bool over_socket) {
   auto router = std::make_shared<net::Router>();
   router->add(net::Method::get, "/federation/headroom", [](const net::RouteContext&) {
     return net::Response::json(net::Status::ok,
                                R"({"region":"r0","headroom_mbps":1234.5,"suspended":false})");
   });
-  telemetry::trace::set_enabled(false);  // the transport alone
-  Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(router);
-  if (!server.ok()) {
-    state.SkipWithError(server.error().message.c_str());
-    return;
-  }
-  std::thread serving([raw = server.value().get()] { raw->run(); });
+  telemetry::trace::set_enabled(false);  // the bus alone
   net::RestBus bus;
-  bus.register_remote("r0", server.value()->port());
+  std::unique_ptr<net::HttpServer> server;
+  std::thread serving;
+  if (over_socket) {
+    Result<std::unique_ptr<net::HttpServer>> bound = net::HttpServer::bind(router);
+    if (!bound.ok()) {
+      state.SkipWithError(bound.error().message.c_str());
+      return;
+    }
+    server = std::move(bound).value();
+    serving = std::thread([raw = server.get()] { raw->run(); });
+    bus.register_remote("r0", server->port());
+  } else {
+    bus.register_service("r0", router);
+  }
   for (auto _ : state) {
     Result<json::Value> doc = bus.get_json("r0", "/federation/headroom");
     if (!doc.ok()) {
@@ -258,12 +266,19 @@ void BM_BusCallLoopback(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(doc.value());
   }
-  bus.close_connections();
-  server.value()->stop();
-  serving.join();
-  state.counters["connections"] = static_cast<double>(server.value()->connections_served());
+  if (server != nullptr) {
+    bus.close_connections();
+    server->stop();
+    serving.join();
+    state.counters["connections"] = static_cast<double>(server->connections_served());
+  }
 }
+
+void BM_BusCallLoopback(benchmark::State& state) { bus_call(state, /*over_socket=*/true); }
 BENCHMARK(BM_BusCallLoopback)->Unit(benchmark::kMicrosecond);
+
+void BM_BusCallInProcess(benchmark::State& state) { bus_call(state, /*over_socket=*/false); }
+BENCHMARK(BM_BusCallInProcess)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

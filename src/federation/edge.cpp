@@ -112,6 +112,7 @@ json::Value EdgeNode::mobility_json() const {
 }
 
 Result<json::Value> EdgeNode::admit_roamers(const json::Value& body) {
+  TRACE_SCOPE("mobility.ingress");
   mobility::Field* field = region_->field();
   if (field == nullptr) {
     return make_error(Errc::unavailable, "region " + plan_.name + " has no mobility field");

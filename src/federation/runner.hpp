@@ -47,7 +47,8 @@ struct FederatedRunOptions {
   /// Epoch-serving worker threads inside every edge orchestrator.
   std::size_t epoch_threads = 1;
   /// Serve every in-process edge over a real loopback socket (one
-  /// HttpServer thread per region) instead of direct dispatch.
+  /// HttpServer thread per region) instead of the bus's in-process
+  /// transport.
   bool socket_transport = false;
   /// Regions served by other OS processes (`scenario_runner edge`):
   /// region name -> loopback port. These regions get no in-process

@@ -88,29 +88,6 @@ void encode_head(std::string& out, const Headers& headers, std::size_t body_size
   out += kCrlf;
 }
 
-std::size_t decimal_digits(std::size_t v) noexcept {
-  std::size_t digits = 1;
-  while (v >= 10) {
-    v /= 10;
-    ++digits;
-  }
-  return digits;
-}
-
-/// Byte count encode_head() would append. Must mirror it exactly.
-std::size_t encoded_head_size(const Headers& headers, std::size_t body_size) noexcept {
-  std::size_t n = 0;
-  for (const auto& [name, value] : headers) {
-    if (headers.key_comp()(name, "Content-Length") == false &&
-        headers.key_comp()("Content-Length", name) == false) {
-      continue;
-    }
-    n += name.size() + 2 + value.size() + 2;
-  }
-  n += 16 + decimal_digits(body_size) + 2 + 2;  // "Content-Length: " N CRLF CRLF
-  return n;
-}
-
 }  // namespace
 
 Result<std::size_t> content_length(std::string_view head) {
@@ -203,11 +180,6 @@ std::string Request::encode() const {
   return out;
 }
 
-std::size_t Request::encoded_size() const noexcept {
-  return to_string(method).size() + 1 + target.size() + 11  // " HTTP/1.1\r\n"
-         + encoded_head_size(headers, body.size()) + body.size();
-}
-
 std::string Response::encode() const {
   std::string out;
   out += "HTTP/1.1 ";
@@ -218,13 +190,6 @@ std::string Response::encode() const {
   encode_head(out, headers, body.size());
   out += body;
   return out;
-}
-
-std::size_t Response::encoded_size() const noexcept {
-  return 9  // "HTTP/1.1 "
-         + decimal_digits(static_cast<std::size_t>(static_cast<int>(status))) + 1 +
-         reason_phrase(status).size() + 2 + encoded_head_size(headers, body.size()) +
-         body.size();
 }
 
 Response Response::json(Status status, std::string body_json) {

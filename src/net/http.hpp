@@ -1,11 +1,13 @@
 #pragma once
 // HTTP/1.1 message model and wire codec.
 //
-// The paper's controllers feed monitoring data to the orchestrator
-// "through REST APIs". We reproduce that interface layer faithfully: all
-// controller <-> orchestrator traffic is encoded to real HTTP/1.1 bytes
-// and parsed back (see RestBus), so the message path exercised here is
-// the same one an out-of-process deployment would use.
+// The paper's controllers expose REST APIs. Every RestBus call (the
+// federation broker's calls to its edges, a controller's /metrics read
+// by a dashboard or bench) is encoded to real HTTP/1.1 bytes and parsed
+// back, in-process or across a socket alike, and HttpServer reads the
+// same bytes from outside the process. The orchestrator itself uses the
+// bus only to see which domains are registered for /healthz; it
+// configures and reads the domain controllers through their typed APIs.
 
 #include <cstddef>
 #include <map>
@@ -71,10 +73,6 @@ struct Request {
 
   /// Serialize to HTTP/1.1 wire format (adds Content-Length).
   [[nodiscard]] std::string encode() const;
-
-  /// Exact byte count encode() would produce, without building the
-  /// string (used by the bus fast path to keep traffic counters exact).
-  [[nodiscard]] std::size_t encoded_size() const noexcept;
 };
 
 /// An HTTP response.
@@ -84,9 +82,6 @@ struct Response {
   std::string body;
 
   [[nodiscard]] std::string encode() const;
-
-  /// Exact byte count encode() would produce (see Request::encoded_size).
-  [[nodiscard]] std::size_t encoded_size() const noexcept;
 
   /// Build a JSON response with Content-Type set.
   [[nodiscard]] static Response json(Status status, std::string body_json);

@@ -6,8 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/trace.hpp"
-
 namespace slices::net {
 namespace {
 
@@ -108,32 +106,16 @@ bool HttpServer::serve_ready(Client& client) {
 }
 
 bool HttpServer::answer(TcpConnection& conn, const Result<Request>& request) {
-  Response response;
-  bool close = true;
-  if (!request.ok()) {
-    response = Response::from_error(request.error());
-  } else {
-    close = wants_close(request.value(), wire_);
-    // Adopt a carried trace context (if any) so spans opened by the
-    // handler parent the caller's span exactly like a direct dispatch
-    // would. Invalid/absent headers make this a no-op.
-    telemetry::trace::Context ctx;
-    const auto trace_header = request.value().headers.find(telemetry::trace::kContextHeader);
-    if (trace_header != request.value().headers.end()) {
-      ctx = telemetry::trace::parse_context(trace_header->second);
-    }
-    telemetry::trace::ContextScope trace_scope(ctx);
-    response = router_->dispatch(request.value());
-  }
+  Response response = serve(*router_, request);
+  const bool close = !request.ok() || wants_close(request.value(), wire_);
   if (close) response.headers.insert_or_assign("Connection", "close");
   return conn.send_all(response.encode()).ok() && !close;
 }
 
-Result<Response> exchange(TcpConnection& conn, HttpFramer& framer, const Request& request) {
-  if (Result<void> sent = conn.send_all(request.encode()); !sent.ok()) return sent.error();
-  std::string wire;
-  if (Result<void> read = framer.read(conn, wire); !read.ok()) return read.error();
-  return parse_response(wire);
+Result<void> exchange(TcpConnection& conn, HttpFramer& framer, std::string_view request_wire,
+                      std::string& response_wire) {
+  if (Result<void> sent = conn.send_all(request_wire); !sent.ok()) return sent.error();
+  return framer.read(conn, response_wire);
 }
 
 Result<Response> http_request(std::uint16_t port, const Request& request) {
@@ -142,7 +124,10 @@ Result<Response> http_request(std::uint16_t port, const Request& request) {
   Request closing = request;
   closing.headers.insert_or_assign("Connection", "close");
   HttpFramer framer;
-  return exchange(connected.value(), framer, closing);
+  std::string wire;
+  if (Result<void> done = exchange(connected.value(), framer, closing.encode(), wire); !done.ok())
+    return done.error();
+  return parse_response(wire);
 }
 
 }  // namespace slices::net

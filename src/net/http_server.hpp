@@ -5,9 +5,10 @@
 // Exposes any Router (the same ones the RestBus serves in-process) on a
 // loopback TCP port. run() is one poll(2) loop on one thread over the
 // listener and every open connection. A readable connection's bytes go
-// through its HttpFramer; each whole request is parsed, dispatched and
-// answered before the next one, so handlers run in arrival order and
-// never concurrently. A connection stays open across requests (HTTP/1.1
+// through its HttpFramer; each whole request is parsed, served (serve(),
+// as the RestBus serves an in-process call) and answered before the
+// next one, so handlers run in arrival order and never concurrently. A
+// connection stays open across requests (HTTP/1.1
 // keep-alive) until the peer closes it, or until a request says
 // `Connection: close`, is HTTP/1.0, or fails to frame or parse; a
 // request that fails gets a 400 first. Only a closing response carries
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/framer.hpp"
 #include "net/http.hpp"
@@ -63,8 +65,8 @@ class HttpServer {
   /// Read what `client` sent and answer every whole request in it.
   /// False once the connection is to be closed.
   bool serve_ready(Client& client);
-  /// Answer the request framed in wire_ (or the framing error). False
-  /// when the connection must close.
+  /// Answer the request framed in wire_ (or the framing error) through
+  /// serve(). False when the connection must close.
   bool answer(TcpConnection& conn, const Result<Request>& request);
 
   std::shared_ptr<Router> router_;
@@ -74,11 +76,12 @@ class HttpServer {
   std::string wire_;  ///< the request being answered (reused)
 };
 
-/// Send `request` on `conn` and read the response through `framer`.
+/// Send the encoded request `request_wire` on `conn` and append the
+/// response's wire bytes, framed by `framer`, to `response_wire`.
 /// Errors: unavailable (send/receive failure, peer closed), or
-/// protocol_error (framing/parse). After an error `conn` is unusable.
-[[nodiscard]] Result<Response> exchange(TcpConnection& conn, HttpFramer& framer,
-                                        const Request& request);
+/// protocol_error (framing). After an error `conn` is unusable.
+[[nodiscard]] Result<void> exchange(TcpConnection& conn, HttpFramer& framer,
+                                    std::string_view request_wire, std::string& response_wire);
 
 /// One-shot blocking client for tools and tests: one request with
 /// `Connection: close` over a fresh loopback connection.

@@ -32,16 +32,17 @@ void RestBus::close_connections() noexcept {
   for (auto& [name, entry] : services_) entry.disconnect();
 }
 
-Result<Response> RestBus::call_remote(ServiceEntry& entry, const Request& request) {
+Result<std::string> RestBus::call_remote(ServiceEntry& entry, std::string_view request_wire) {
   if (!entry.conn.valid()) {
     Result<TcpConnection> connected = connect_loopback(entry.remote_port);
     if (!connected.ok()) return connected.error();
     entry.conn = std::move(connected).value();
   }
-  Result<Response> resp = exchange(entry.conn, entry.framer, request);
-  // HttpServer names the Connection only when it is about to close it.
-  if (!resp.ok() || resp.value().headers.contains("Connection")) entry.disconnect();
-  return resp;
+  std::string response_wire;
+  if (Result<void> done = exchange(entry.conn, entry.framer, request_wire, response_wire);
+      !done.ok())
+    return done.error();
+  return response_wire;
 }
 
 bool RestBus::has_service(const std::string& name) const noexcept {
@@ -56,13 +57,13 @@ Result<Response> RestBus::call(const std::string& name, const Request& request) 
   if (it == services_.end() ||
       (it->second.router == nullptr && it->second.remote_port == 0))
     return make_error(Errc::unavailable, "no service registered as '" + name + "'");
-  BusStats& stats = it->second.stats;
+  ServiceEntry& entry = it->second;
+  BusStats& stats = entry.stats;
   ++stats.requests;
 
-  // Stamp the live trace context onto the request so callee spans parent
-  // this bus.call span: in-struct on the direct-dispatch path, as an
-  // X-Slices-Trace header across the socket backend. All three paths use
-  // the same stamped copy, so byte counters and wire-check bytes stay
+  // Stamp the live trace context as an X-Slices-Trace header, so the
+  // serving side's spans parent this bus.call span. Both transports
+  // carry the same stamped bytes, so byte counters stay
   // transport-invariant whether tracing is on or off.
   const Request* req = &request;
   Request stamped;
@@ -78,67 +79,30 @@ Result<Response> RestBus::call(const std::string& name, const Request& request) 
     }
   }
 
-  // Remote backend: the exchange crosses a real loopback socket (the
-  // server encodes/parses on its side), so every call pays the full
-  // wire codec by construction.
-  if (it->second.router == nullptr) {
-    stats.bytes_tx += req->encoded_size();
-    Result<Response> resp = call_remote(it->second, *req);
-    if (!resp.ok()) {
-      ++stats.responses_error;
-      return resp;
-    }
-    stats.bytes_rx += resp.value().encoded_size();
-    const int code = static_cast<int>(resp.value().status);
-    if (code >= 200 && code < 300) {
-      ++stats.responses_ok;
-    } else {
-      ++stats.responses_error;
-    }
-    return resp;
+  const std::string request_wire = req->encode();
+  stats.bytes_tx += request_wire.size();
+  Result<std::string> response_wire =
+      entry.router != nullptr ? serve(*entry.router, parse_request(request_wire)).encode()
+                              : call_remote(entry, request_wire);
+  // A failed exchange leaves the connection unusable, and HttpServer
+  // names the Connection only when it is about to close it. An
+  // in-process entry holds no connection, so disconnect() is a no-op
+  // there.
+  if (!response_wire.ok()) {
+    entry.disconnect();
+    ++stats.responses_error;
+    return response_wire.error();
   }
-
-  // Sampled wire check (and the first call of every service): the
-  // request crosses the codec exactly as it would cross a TCP
-  // connection, keeping the wire format continuously verified.
-  if (wire_check_interval_ <= 1 || stats.requests % wire_check_interval_ == 1) {
-    const std::string request_wire = req->encode();
-    stats.bytes_tx += request_wire.size();
-    Result<Request> decoded = parse_request(request_wire);
-    if (!decoded.ok()) return decoded.error();
-
-    const Response served = it->second.router->dispatch(decoded.value());
-
-    const std::string response_wire = served.encode();
-    stats.bytes_rx += response_wire.size();
-    Result<Response> redecoded = parse_response(response_wire);
-    if (!redecoded.ok()) return redecoded.error();
-
-    const int code = static_cast<int>(redecoded.value().status);
-    if (code >= 200 && code < 300) {
-      ++stats.responses_ok;
-    } else {
-      ++stats.responses_error;
-    }
-    return redecoded;
-  }
-
-  // Fast path: dispatch directly, skipping the codec. Counters account
-  // the exact bytes the wire would have carried, and the response gets
-  // the canonical Content-Length header a codec round trip would add,
-  // so callers cannot tell the two paths apart.
-  stats.bytes_tx += req->encoded_size();
-  Response served = it->second.router->dispatch(*req);
-  stats.bytes_rx += served.encoded_size();
-  served.headers.insert_or_assign("Content-Length", std::to_string(served.body.size()));
-
-  const int code = static_cast<int>(served.status);
+  stats.bytes_rx += response_wire.value().size();
+  Result<Response> resp = parse_response(response_wire.value());
+  if (!resp.ok() || resp.value().headers.contains("Connection")) entry.disconnect();
+  const int code = resp.ok() ? static_cast<int>(resp.value().status) : 0;
   if (code >= 200 && code < 300) {
     ++stats.responses_ok;
   } else {
     ++stats.responses_error;
   }
-  return served;
+  return resp;
 }
 
 Result<json::Value> RestBus::call_json(const std::string& name, Method method,

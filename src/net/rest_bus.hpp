@@ -1,23 +1,23 @@
 #pragma once
-// In-process REST bus.
+// REST bus: services by name, served in-process or over loopback.
 //
 // The testbed in the paper connects three domain controllers to the
 // end-to-end orchestrator via REST over an IP network. Here services
-// (routers) register under a name ("ran", "transport", "cloud") and
-// clients issue requests by service name.
+// (routers) register under a name ("ran", "transport", "cloud", a
+// federation edge) and clients issue requests by service name.
 //
-// Hot-path exchanges dispatch straight into the service router; every
-// wire_check_interval-th call per service instead round-trips through
-// the real HTTP/1.1 codec — encode -> parse -> dispatch -> encode ->
-// parse — so the wire format stays continuously verified without paying
-// codec cost on every monitoring exchange. Traffic counters are exact
-// on both paths (the fast path accounts the bytes encode() would have
-// produced), and both paths return byte-identical responses.
+// Every call crosses the HTTP/1.1 codec the same way on either
+// transport: the request is encoded once, and its wire bytes are either
+// parsed and served in-process (serve(), the step HttpServer runs) or
+// sent to an HttpServer over a kept-alive loopback connection. The
+// response's wire bytes are parsed back with parse_response. Traffic
+// counters count those wire bytes, so they match across transports.
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "json/value.hpp"
 #include "net/framer.hpp"
@@ -39,10 +39,6 @@ struct BusStats {
 /// Name-addressed registry of REST services with a synchronous client.
 class RestBus {
  public:
-  /// Default sampling: one call in 64 per service crosses the full
-  /// HTTP/1.1 codec; the rest take the direct-dispatch fast path.
-  static constexpr std::uint64_t kDefaultWireCheckInterval = 64;
-
   /// Register a service; replaces any previous router under `name`.
   /// Traffic counters of a previously registered `name` are kept.
   void register_service(std::string name, std::shared_ptr<Router> router);
@@ -56,7 +52,7 @@ class RestBus {
   /// call connects afresh. Byte counters stay exact and equal to an
   /// in-process run's. Replaces any in-process router under `name`
   /// (and vice versa — register_service switches the entry back to
-  /// direct dispatch); either way the entry's connection is closed.
+  /// in-process serving); either way the entry's connection is closed.
   void register_remote(std::string name, std::uint16_t port);
 
   /// Remove a service (subsequent calls see Errc::unavailable) and
@@ -71,21 +67,12 @@ class RestBus {
 
   [[nodiscard]] bool has_service(const std::string& name) const noexcept;
 
-  /// Issue `request` to service `name`. Every wire_check_interval-th
-  /// call per service crosses the full wire codec; others dispatch
-  /// directly. Errors: unavailable (unknown service) or protocol_error
-  /// (codec, on sampled calls).
+  /// Issue `request` to service `name` through the wire codec. Errors:
+  /// unavailable (unknown service, or a failed connection), or
+  /// protocol_error (a response that does not parse, or a framing
+  /// error). A request that does not parse is answered 400 by the
+  /// serving side, as over a socket.
   [[nodiscard]] Result<Response> call(const std::string& name, const Request& request);
-
-  /// How often the wire codec is exercised: every `interval`-th call
-  /// per service (1 = every call, restoring the always-encode
-  /// behaviour). Must be >= 1.
-  void set_wire_check_interval(std::uint64_t interval) noexcept {
-    wire_check_interval_ = interval == 0 ? 1 : interval;
-  }
-  [[nodiscard]] std::uint64_t wire_check_interval() const noexcept {
-    return wire_check_interval_;
-  }
 
   /// Convenience: JSON request/response round trip. Non-2xx responses
   /// come back as errors carrying the response body as message.
@@ -116,11 +103,13 @@ class RestBus {
     }
   };
 
-  /// One exchange with a remote entry over its kept-alive connection.
-  [[nodiscard]] static Result<Response> call_remote(ServiceEntry& entry, const Request& request);
+  /// Send `request_wire` to a remote entry over its kept-alive
+  /// connection, opening it if closed; returns the response's wire
+  /// bytes. After an error the caller must disconnect the entry.
+  [[nodiscard]] static Result<std::string> call_remote(ServiceEntry& entry,
+                                                       std::string_view request_wire);
 
   std::map<std::string, ServiceEntry> services_;
-  std::uint64_t wire_check_interval_ = kDefaultWireCheckInterval;
   std::string json_buffer_;  ///< reused request-body serialization buffer
 };
 

@@ -2,6 +2,8 @@
 
 #include <charconv>
 
+#include "telemetry/trace.hpp"
+
 namespace slices::net {
 
 Result<std::string> RouteContext::param(std::string_view name) const {
@@ -66,6 +68,20 @@ Response Router::dispatch(const Request& request) const {
     return Response::from_error(make_error(Errc::not_found, "method not allowed on this resource"));
   return Response::from_error(
       make_error(Errc::not_found, "no route for " + target.value().path()));
+}
+
+Response serve(const Router& router, const Result<Request>& request) {
+  if (!request.ok()) return Response::from_error(request.error());
+  // In-process the adopted context is the caller's own, so adopting it
+  // is a no-op; across a socket it restores the caller's parent span and
+  // sim clock. An absent or invalid header adopts nothing.
+  telemetry::trace::Context ctx;
+  const auto trace_header = request.value().headers.find(telemetry::trace::kContextHeader);
+  if (trace_header != request.value().headers.end()) {
+    ctx = telemetry::trace::parse_context(trace_header->second);
+  }
+  const telemetry::trace::ContextScope trace_scope(ctx);
+  return router.dispatch(request.value());
 }
 
 }  // namespace slices::net

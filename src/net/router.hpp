@@ -54,4 +54,11 @@ class Router {
   std::vector<Route> routes_;
 };
 
+/// The server side of one exchange, shared by HttpServer and the
+/// RestBus's in-process transport: adopt the request's X-Slices-Trace
+/// context (if any) so handler spans parent the caller's span, and
+/// dispatch it. A request that failed to parse is answered from its
+/// error (400 for a protocol_error).
+[[nodiscard]] Response serve(const Router& router, const Result<Request>& request);
+
 }  // namespace slices::net

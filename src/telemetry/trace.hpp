@@ -24,9 +24,9 @@
 //    recorded in the broker's process (in-process edges) or in a remote
 //    edge process, the ids come out identical.
 //  - Trace ids are allocated only when a *root* span (no live enclosing
-//    span, no adopted context) opens. Handlers always run nested — under
-//    the caller's scope in-process, under a ContextScope adopted from the
-//    X-Slices-Trace header across sockets — so only the driving process
+//    span, no adopted context) opens. Handlers always run nested, under
+//    a ContextScope adopted from the X-Slices-Trace header (in-process
+//    that is the caller's own live context), so only the driving process
 //    allocates, and the sequence matches the in-process run.
 //  - Span ids exceed 2^53, so JSON exports serialize trace/span/parent
 //    ids as decimal strings, never as numbers.
@@ -271,9 +271,9 @@ class Scope {
   EntryToken token_;
 };
 
-/// RAII adoption of a carried Context (HTTP server side). Spans opened
-/// inside parent the caller's span exactly as if the call were a direct
-/// in-process dispatch. No-op for invalid contexts or disabled tracing.
+/// RAII adoption of a carried Context (the serving side of a RestBus or
+/// HttpServer exchange). Spans opened inside parent the caller's span on
+/// either transport. No-op for invalid contexts or disabled tracing.
 class ContextScope {
  public:
   explicit ContextScope(const Context& ctx) noexcept {

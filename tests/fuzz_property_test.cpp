@@ -32,6 +32,7 @@
 #include "net/framer.hpp"
 #include "net/http.hpp"
 #include "net/http_server.hpp"
+#include "net/router.hpp"
 #include "net/rest_bus.hpp"
 #include "net/url.hpp"
 #include "scenario/scenario.hpp"
@@ -100,6 +101,61 @@ TEST_P(ParserFuzz, TruncatedValidRequestsAlwaysError) {
     EXPECT_FALSE(r.ok()) << "accepted a " << len << "-byte prefix";
   }
   EXPECT_TRUE(net::parse_request(wire).ok());
+}
+
+TEST_P(ParserFuzz, ServeStepAnswersAnyBytesWithAParsableResponse) {
+  // serve() sits behind every RestBus call and every HttpServer request:
+  // whatever bytes arrive, parsed or not, it must answer with a response
+  // that encodes to bytes parse_response accepts. Tracing is on so the
+  // X-Slices-Trace adoption runs on hostile header values too.
+  net::Router router;
+  router.add(net::Method::get, "/things/{id}", [](const net::RouteContext& ctx) {
+    TRACE_SCOPE("fuzz.handler");
+    return net::Response::json(net::Status::ok, "\"" + ctx.param("id").value() + "\"");
+  });
+  router.add(net::Method::post, "/echo", [](const net::RouteContext& ctx) {
+    TRACE_SCOPE("fuzz.handler");
+    return net::Response::json(net::Status::ok, ctx.request->body);
+  });
+  telemetry::trace::set_enabled(true);
+  telemetry::trace::clear();
+
+  net::Request valid;
+  valid.method = net::Method::post;
+  valid.target = "/echo";
+  valid.headers.insert_or_assign(telemetry::trace::kContextHeader, "3-77-2-900");
+  valid.body = R"({"vertical":"ehealth","duration_hours":4})";
+  const std::string wire = valid.encode();
+
+  Rng rng(GetParam() * 41 + 5);
+  const auto check = [&router](const std::string& bytes) {
+    const net::Response served = net::serve(router, net::parse_request(bytes));
+    const Result<net::Response> reparsed = net::parse_response(served.encode());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
+    EXPECT_EQ(reparsed.value().status, served.status);
+    EXPECT_EQ(reparsed.value().body, served.body);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    check(random_bytes(rng, 96));
+    check(wire.substr(0, static_cast<std::size_t>(
+                             rng.uniform_int(0, static_cast<std::int64_t>(wire.size())))));
+    std::string mutated = wire;
+    for (std::int64_t n = rng.uniform_int(1, 4); n > 0; --n) {
+      const std::size_t pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(wire.size() - 1)));
+      mutated[pos] = static_cast<char>(rng.uniform_int(0, 255));
+    }
+    check(mutated);
+    check("GET /things/" + random_printable(rng, 16) + " HTTP/1.1\r\n" +
+          telemetry::trace::kContextHeader + ": " + random_printable(rng, 24) + "\r\n\r\n");
+    if (HasFatalFailure()) break;
+  }
+  // Adopted contexts were restored: no span is left open on this thread.
+  EXPECT_FALSE(telemetry::trace::Tracer::instance().current_context().valid());
+
+  telemetry::trace::set_enabled(false);
+  telemetry::trace::clear();
+  telemetry::trace::Tracer::instance().set_sim_now(0);
 }
 
 /// Two connected stream sockets, as TcpConnections.

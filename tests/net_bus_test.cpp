@@ -1,4 +1,4 @@
-// Unit tests for the in-process REST bus.
+// Unit tests for the REST bus with in-process services.
 
 #include <gtest/gtest.h>
 
@@ -110,93 +110,6 @@ TEST(RestBus, StatsCountTrafficPerService) {
   EXPECT_EQ(stats.responses_error, 1u);
   EXPECT_GT(stats.bytes_tx, 0u);
   EXPECT_GT(stats.bytes_rx, 0u);
-}
-
-TEST(RestBus, FastPathMatchesWirePath) {
-  // Same call sequence through an always-encode bus and a mostly-fast-
-  // path bus: responses and traffic counters must be indistinguishable.
-  RestBus wire_bus;
-  wire_bus.set_wire_check_interval(1);  // every call crosses the codec
-  RestBus fast_bus;
-  fast_bus.set_wire_check_interval(1000);  // only the first call does
-  wire_bus.register_service("svc", echo_service());
-  fast_bus.register_service("svc", echo_service());
-
-  Request req;
-  req.method = Method::post;
-  req.target = "/echo";
-  req.body = R"({"k":123})";
-  for (int i = 0; i < 5; ++i) {
-    const Result<Response> from_wire = wire_bus.call("svc", req);
-    const Result<Response> from_fast = fast_bus.call("svc", req);
-    ASSERT_TRUE(from_wire.ok());
-    ASSERT_TRUE(from_fast.ok());
-    EXPECT_EQ(from_wire.value().status, from_fast.value().status);
-    EXPECT_EQ(from_wire.value().body, from_fast.value().body);
-    EXPECT_EQ(from_wire.value().headers.at("Content-Length"),
-              from_fast.value().headers.at("Content-Length"));
-    EXPECT_EQ(from_wire.value().headers.size(), from_fast.value().headers.size());
-  }
-
-  const BusStats wire_stats = wire_bus.stats().at("svc");
-  const BusStats fast_stats = fast_bus.stats().at("svc");
-  EXPECT_EQ(wire_stats.requests, fast_stats.requests);
-  EXPECT_EQ(wire_stats.responses_ok, fast_stats.responses_ok);
-  EXPECT_EQ(wire_stats.bytes_tx, fast_stats.bytes_tx);  // exact, not sampled
-  EXPECT_EQ(wire_stats.bytes_rx, fast_stats.bytes_rx);
-}
-
-TEST(RestBus, WireCheckSamplingExercisesCodec) {
-  // A response whose header embeds CRLF survives the fast path but
-  // cannot cross the wire — so codec failures surface exactly on the
-  // sampled calls, proving those calls really round-trip the codec.
-  RestBus bus;
-  bus.set_wire_check_interval(2);
-  auto router = std::make_shared<Router>();
-  router->add(Method::get, "/poison", [](const RouteContext&) {
-    Response resp = Response::json(Status::ok, "{}");
-    resp.headers.insert_or_assign("X-Poison", "a\r\nb");
-    return resp;
-  });
-  bus.register_service("svc", router);
-
-  Request req;
-  req.target = "/poison";
-  const Result<Response> first = bus.call("svc", req);   // 1 % 2 == 1 -> wire
-  const Result<Response> second = bus.call("svc", req);  // 2 % 2 == 0 -> fast
-  const Result<Response> third = bus.call("svc", req);   // 3 % 2 == 1 -> wire
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.error().code, Errc::protocol_error);
-  EXPECT_TRUE(second.ok());
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.error().code, Errc::protocol_error);
-}
-
-TEST(RestBus, EncodedSizeMatchesEncode) {
-  Request req;
-  req.method = Method::post;
-  req.target = "/slices/42";
-  req.headers.insert_or_assign("Content-Type", "application/json");
-  req.headers.insert_or_assign("X-Custom", "value");
-  req.body = R"({"rate_mbps":12.5})";
-  EXPECT_EQ(req.encoded_size(), req.encode().size());
-
-  Request bare;
-  EXPECT_EQ(bare.encoded_size(), bare.encode().size());
-
-  Response resp = Response::json(Status::created, R"({"id":7})");
-  EXPECT_EQ(resp.encoded_size(), resp.encode().size());
-
-  Response empty;
-  empty.status = Status::no_content;
-  EXPECT_EQ(empty.encoded_size(), empty.encode().size());
-
-  // Body sizes around digit-count boundaries (9 -> 10 -> 100 bytes).
-  for (const std::size_t n : {0u, 9u, 10u, 99u, 100u, 101u}) {
-    Response sized;
-    sized.body.assign(n, 'x');
-    EXPECT_EQ(sized.encoded_size(), sized.encode().size()) << n;
-  }
 }
 
 TEST(RestBus, EmptyResponseBodyBecomesJsonNull) {

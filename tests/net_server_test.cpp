@@ -442,6 +442,78 @@ TEST(RestBusKeepAlive, UnregisterServiceClosesTheConnection) {
   EXPECT_EQ(n.value(), 0u);  // EOF: the bus closed its end
 }
 
+// --- one request path for both transports ----------------------------------------
+
+TEST(RestBusTransports, InProcessAndSocketGiveTheSameAnswers) {
+  auto router = demo_router();
+  router->add(Method::get, "/poison", [](const RouteContext&) {
+    Response resp = Response::json(Status::ok, "{}");
+    resp.headers.insert_or_assign("X-Poison", "a\r\nb");  // cannot cross the wire
+    return resp;
+  });
+  ServerFixture fixture(router);
+  RestBus local;
+  local.register_service("svc", router);
+  RestBus remote;
+  remote.register_remote("svc", fixture.port);
+
+  // Well-formed calls: same answers, same counters.
+  Request echo;
+  echo.method = Method::post;
+  echo.target = "/echo";
+  echo.body = R"({"k":123})";
+  for (const Request& req : {echo, get("/nope"), echo}) {
+    const Result<Response> in_process = local.call("svc", req);
+    const Result<Response> over_socket = remote.call("svc", req);
+    ASSERT_TRUE(in_process.ok()) << in_process.error().message;
+    ASSERT_TRUE(over_socket.ok()) << over_socket.error().message;
+    EXPECT_EQ(in_process.value().status, over_socket.value().status) << req.target;
+    EXPECT_EQ(in_process.value().body, over_socket.value().body) << req.target;
+    EXPECT_EQ(in_process.value().headers, over_socket.value().headers) << req.target;
+  }
+  const BusStats local_stats = local.stats().at("svc");
+  const BusStats remote_stats = remote.stats().at("svc");
+  EXPECT_EQ(local_stats.requests, 3u);
+  EXPECT_EQ(local_stats.responses_ok, 2u);
+  EXPECT_EQ(local_stats.responses_error, 1u);
+  EXPECT_EQ(local_stats.requests, remote_stats.requests);
+  EXPECT_EQ(local_stats.responses_ok, remote_stats.responses_ok);
+  EXPECT_EQ(local_stats.responses_error, remote_stats.responses_error);
+  EXPECT_EQ(local_stats.bytes_tx, remote_stats.bytes_tx);
+  EXPECT_EQ(local_stats.bytes_rx, remote_stats.bytes_rx);
+
+  // A response header holding CRLF fails to parse on every call, on
+  // both transports.
+  for (int i = 0; i < 3; ++i) {
+    const Result<Response> in_process = local.call("svc", get("/poison"));
+    const Result<Response> over_socket = remote.call("svc", get("/poison"));
+    ASSERT_FALSE(in_process.ok()) << "in-process call " << i;
+    ASSERT_FALSE(over_socket.ok()) << "socket call " << i;
+    EXPECT_EQ(in_process.error().code, Errc::protocol_error) << i;
+    EXPECT_EQ(over_socket.error().code, Errc::protocol_error) << i;
+  }
+
+  // A request header holding CRLF does not parse on the serving side:
+  // both transports answer it 400 with the same problem body.
+  Request bad = get("/ping");
+  bad.headers.insert_or_assign("X-Bad", "a\r\nb");
+  const Result<Response> in_process = local.call("svc", bad);
+  const Result<Response> over_socket = remote.call("svc", bad);
+  ASSERT_TRUE(in_process.ok()) << in_process.error().message;
+  ASSERT_TRUE(over_socket.ok()) << over_socket.error().message;
+  EXPECT_EQ(in_process.value().status, Status::bad_request);
+  EXPECT_EQ(in_process.value().status, over_socket.value().status);
+  EXPECT_EQ(in_process.value().body, over_socket.value().body);
+
+  // The socket transport reconnects after the server closed on the bad
+  // request, and both still agree.
+  const Result<Response> local_ping = local.call("svc", get("/ping"));
+  const Result<Response> remote_ping = remote.call("svc", get("/ping"));
+  ASSERT_TRUE(local_ping.ok());
+  ASSERT_TRUE(remote_ping.ok()) << remote_ping.error().message;
+  EXPECT_EQ(local_ping.value().body, remote_ping.value().body);
+}
+
 // --- orchestrator observability endpoints over real sockets ----------------------
 
 /// Orchestrator testbed served over loopback.
