@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 
 #include "common.hpp"
@@ -26,11 +27,11 @@ struct SharingResult {
 SharingResult run_cell(ran::SharingPolicy policy, int reserved_per_slice,
                        std::uint64_t seed) {
   ran::Cell cell(CellId{1}, "cell", ran::Bandwidth::mhz20, policy);
-  constexpr int kSlices = 4;
+  constexpr std::size_t kSlices = 4;
   std::vector<std::unique_ptr<traffic::TrafficModel>> demand;
   Rng rng(seed);
-  for (int s = 0; s < kSlices; ++s) {
-    const PlmnId plmn{static_cast<std::uint64_t>(s + 1)};
+  for (std::size_t s = 0; s < kSlices; ++s) {
+    const PlmnId plmn{s + 1};
     (void)cell.broadcast_plmn(plmn);
     (void)cell.set_reservation(plmn, PrbCount{reserved_per_slice});
     // Bursty on/off demand: high peak, low duty — the overbooking-era
@@ -42,14 +43,14 @@ SharingResult run_cell(ran::SharingPolicy policy, int reserved_per_slice,
   SharingResult result;
   const int epochs = 96 * 7;
   double prb_sum = 0.0;
+  // Slice s is broadcast position s: the cell broadcasts in slice order.
+  std::array<DataRate, kSlices> offered;
+  std::array<ran::PlmnGrant, kSlices> grants;
   for (int epoch = 0; epoch < epochs; ++epoch) {
-    std::vector<std::pair<PlmnId, DataRate>> offered;
-    for (int s = 0; s < kSlices; ++s) {
-      offered.emplace_back(PlmnId{static_cast<std::uint64_t>(s + 1)},
-                           DataRate::mbps(demand[static_cast<std::size_t>(s)]->sample(
-                               SimTime::from_seconds(epoch * 900.0))));
+    for (std::size_t s = 0; s < kSlices; ++s) {
+      offered[s] = DataRate::mbps(demand[s]->sample(SimTime::from_seconds(epoch * 900.0)));
     }
-    const auto grants = cell.serve_epoch(offered);
+    cell.serve_epoch(offered, ran::Cqi{10}, grants);
     for (const ran::PlmnGrant& g : grants) {
       result.served_mb += g.served.as_mbps() * 900.0 / 8.0 / 1e3;
       result.unserved_mb += g.unserved.as_mbps() * 900.0 / 8.0 / 1e3;
@@ -98,8 +99,11 @@ void BM_ScheduleEpochFourSlices(benchmark::State& state) {
     loads.push_back(ran::PlmnLoad{PlmnId{static_cast<std::uint64_t>(s + 1)}, PrbCount{20},
                                   DataRate::mbps(15.0), ran::Cqi{10}});
   }
+  std::vector<ran::PlmnGrant> grants(loads.size());
+  std::vector<int> want(loads.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ran::schedule_epoch(PrbCount{100}, loads, policy));
+    ran::schedule_epoch(PrbCount{100}, loads, policy, grants, want);
+    benchmark::DoNotOptimize(grants.data());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -137,7 +137,7 @@ void BM_EpochServe(benchmark::State& state) {
   for (auto _ : state) {
     now = now + Duration::minutes(15.0);
     sys.ran.wander_cqis(sys.rng);
-    sys.ran.serve_epoch_into(demands, now, reports);
+    sys.ran.serve_epoch(demands, now, reports);
     benchmark::DoNotOptimize(reports.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -41,13 +41,6 @@ const Datacenter* CloudController::find_datacenter(DatacenterId id) const noexce
   return nullptr;
 }
 
-const Datacenter* CloudController::find_datacenter_by_name(std::string_view name) const noexcept {
-  for (const auto& d : datacenters_) {
-    if (d->name() == name) return d.get();
-  }
-  return nullptr;
-}
-
 std::vector<const Datacenter*> CloudController::datacenters() const {
   std::vector<const Datacenter*> out;
   out.reserve(datacenters_.size());

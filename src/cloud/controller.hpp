@@ -42,7 +42,6 @@ class CloudController {
   [[nodiscard]] const StackEngine& engine() const noexcept { return *engine_; }
 
   [[nodiscard]] const Datacenter* find_datacenter(DatacenterId id) const noexcept;
-  [[nodiscard]] const Datacenter* find_datacenter_by_name(std::string_view name) const noexcept;
   [[nodiscard]] std::vector<const Datacenter*> datacenters() const;
 
   /// Pick a datacenter able to host `footprint`. When `require_edge` is

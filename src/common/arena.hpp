@@ -1,7 +1,7 @@
 #pragma once
 // Monotonic per-epoch arena for hot-loop scratch.
 //
-// The epoch kernel (RanController::serve_epoch_into and friends) needs
+// The epoch kernel (RanController::serve_epoch and friends) needs
 // a handful of flat scratch arrays whose sizes depend on the current
 // cell/PLMN counts. Allocating them per epoch would put malloc on the
 // hottest path in the system; keeping one named member per array makes

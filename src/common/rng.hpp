@@ -102,14 +102,6 @@ class Rng {
     return count;
   }
 
-  /// Pareto with given shape and minimum (heavy-tailed bursts).
-  double pareto(double shape, double minimum) noexcept {
-    assert(shape > 0.0 && minimum > 0.0);
-    double u = uniform();
-    if (u <= 0.0) u = 0x1.0p-53;
-    return minimum / std::pow(u, 1.0 / shape);
-  }
-
   /// Derive an independent child stream (for per-component determinism).
   [[nodiscard]] Rng fork() noexcept { return Rng{next_u64()}; }
 

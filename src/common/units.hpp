@@ -31,7 +31,6 @@ class DataRate {
 
   [[nodiscard]] constexpr double bits_per_second() const noexcept { return bps_; }
   [[nodiscard]] constexpr double as_mbps() const noexcept { return bps_ / 1e6; }
-  [[nodiscard]] constexpr bool is_zero() const noexcept { return bps_ == 0.0; }
 
   friend constexpr auto operator<=>(DataRate, DataRate) noexcept = default;
   friend constexpr DataRate operator+(DataRate a, DataRate b) noexcept { return DataRate{a.bps_ + b.bps_}; }

@@ -815,7 +815,7 @@ void Orchestrator::run_epoch(SimTime now) {
   {
     TRACE_SCOPE("orch.epoch.ran_serve");
     WallPhaseTimer timer(hist_.ran_us);
-    ran_->serve_epoch_into(ran_demands, now, radio_reports);
+    ran_->serve_epoch(ran_demands, now, radio_reports);
   }
 
   // 3. Transport carries what the radio delivered (allocation-free
@@ -842,7 +842,7 @@ void Orchestrator::run_epoch(SimTime now) {
   {
     TRACE_SCOPE("orch.epoch.transport_serve");
     WallPhaseTimer timer(hist_.transport_us);
-    transport_->serve_epoch_into(path_demands, now, path_reports);
+    transport_->serve_epoch(path_demands, now, path_reports);
   }
 
   {

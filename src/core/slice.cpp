@@ -41,20 +41,4 @@ std::string_view to_string(EmbedStage s) noexcept {
   return "?";
 }
 
-bool can_transition(SliceState from, SliceState to) noexcept {
-  switch (from) {
-    case SliceState::pending:
-      return to == SliceState::rejected || to == SliceState::installing;
-    case SliceState::installing:
-      return to == SliceState::active || to == SliceState::terminated;
-    case SliceState::active:
-      return to == SliceState::expired || to == SliceState::terminated;
-    case SliceState::rejected:
-    case SliceState::expired:
-    case SliceState::terminated:
-      return false;
-  }
-  return false;
-}
-
 }  // namespace slices::core

@@ -54,9 +54,6 @@ enum class SliceState {
 
 [[nodiscard]] std::string_view to_string(SliceState s) noexcept;
 
-/// Legal state transitions (everything else is a programming error).
-[[nodiscard]] bool can_transition(SliceState from, SliceState to) noexcept;
-
 /// Handles into each domain for an embedded slice.
 struct Embedding {
   PlmnId plmn;                         ///< RAN slice identity (MOCN mapping)

@@ -162,47 +162,6 @@ class HoltForecaster final : public Forecaster {
   std::size_t count_ = 0;
 };
 
-/// Seasonal-naive: predicts the value observed exactly one season ago.
-/// The standard sanity baseline for seasonal series — any seasonal
-/// model worth running must beat it.
-class SeasonalNaiveForecaster final : public Forecaster {
- public:
-  explicit SeasonalNaiveForecaster(std::size_t season_length)
-      : season_length_(season_length) {
-    assert(season_length >= 1);
-    history_.reserve(season_length);
-  }
-
-  void observe(double value) override {
-    if (history_.size() < season_length_) {
-      history_.push_back(value);
-    } else {
-      history_[cursor_] = value;
-      cursor_ = (cursor_ + 1) % season_length_;
-    }
-  }
-
-  [[nodiscard]] double predict(std::size_t steps_ahead) const override {
-    assert(ready());
-    // The value at the same phase `steps_ahead` periods from now.
-    const std::size_t idx = (cursor_ + (steps_ahead - 1)) % season_length_;
-    return history_[idx];
-  }
-
-  [[nodiscard]] bool ready() const noexcept override {
-    return history_.size() == season_length_;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return "seasonal_naive"; }
-  [[nodiscard]] std::unique_ptr<Forecaster> make_empty() const override {
-    return std::make_unique<SeasonalNaiveForecaster>(season_length_);
-  }
-
- private:
-  std::size_t season_length_;
-  std::vector<double> history_;  // ring buffer once full
-  std::size_t cursor_ = 0;       // index of the sample one season old
-};
-
 /// Additive Holt–Winters triple exponential smoothing — the model class
 /// behind the paper's forecasting reference. Captures the diurnal
 /// seasonality of vertical traffic that makes overbooking profitable.

@@ -31,18 +31,6 @@ using Object = std::map<std::string, Value, std::less<>>;
 
 enum class Type { null, boolean, number, string, array, object };
 
-[[nodiscard]] constexpr std::string_view to_string(Type t) noexcept {
-  switch (t) {
-    case Type::null: return "null";
-    case Type::boolean: return "boolean";
-    case Type::number: return "number";
-    case Type::string: return "string";
-    case Type::array: return "array";
-    case Type::object: return "object";
-  }
-  return "?";
-}
-
 /// A JSON value (null / bool / double / string / array / object).
 class Value {
  public:
@@ -99,12 +87,6 @@ class Value {
     if (v == nullptr || !v->is_string())
       return make_error(Errc::protocol_error, "missing/invalid string field '" + std::string(key) + "'");
     return v->as_string();
-  }
-  [[nodiscard]] Result<bool> get_bool(std::string_view key) const {
-    const Value* v = find(key);
-    if (v == nullptr || !v->is_bool())
-      return make_error(Errc::protocol_error, "missing/invalid bool field '" + std::string(key) + "'");
-    return v->as_bool();
   }
 
   /// Mutating object index (creates the member, like std::map).

@@ -190,24 +190,8 @@ Cqi Cell::mean_cqi_at(std::size_t index, Cqi fallback) const noexcept {
   return Cqi{mean < 1 ? 1 : (mean > 15 ? 15 : mean)};
 }
 
-std::vector<PlmnGrant> Cell::serve_epoch(
-    std::span<const std::pair<PlmnId, DataRate>> demands, Cqi fallback_cqi) const {
-  // Aggregate the (plmn, rate) pairs into broadcast order and reuse the
-  // batched core; outputs pre-sized from the broadcast count.
-  std::array<DataRate, kMaxBroadcastPlmns> demand_by_index{};
-  for (const auto& [p, d] : demands) {
-    const std::size_t i = plmn_index(p);
-    if (i < broadcast_.size()) demand_by_index[i] += d;
-  }
-  std::vector<PlmnGrant> grants(broadcast_.size());
-  serve_epoch_into(std::span<const DataRate>(demand_by_index.data(), broadcast_.size()),
-                   fallback_cqi, grants);
-  return grants;
-}
-
-std::size_t Cell::serve_epoch_into(std::span<const DataRate> demand_by_index,
-                                   Cqi fallback_cqi,
-                                   std::span<PlmnGrant> grants) const noexcept {
+std::size_t Cell::serve_epoch(std::span<const DataRate> demand_by_index, Cqi fallback_cqi,
+                              std::span<PlmnGrant> grants) const noexcept {
   assert(demand_by_index.size() >= broadcast_.size());
   assert(grants.size() >= broadcast_.size());
   std::array<PlmnLoad, kMaxBroadcastPlmns> loads;
@@ -216,8 +200,8 @@ std::size_t Cell::serve_epoch_into(std::span<const DataRate> demand_by_index,
     loads[i] = PlmnLoad{broadcast_[i], plmns_[i].reserved, demand_by_index[i],
                         mean_cqi_at(i, fallback_cqi)};
   }
-  schedule_epoch_into(total_, std::span<const PlmnLoad>(loads.data(), broadcast_.size()),
-                      policy_, grants, want);
+  schedule_epoch(total_, std::span<const PlmnLoad>(loads.data(), broadcast_.size()), policy_,
+                 grants, want);
   return broadcast_.size();
 }
 

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -177,25 +176,15 @@ class Cell {
   /// Same by broadcast position (no PLMN scan); `index` < broadcast_count().
   [[nodiscard]] Cqi mean_cqi_at(std::size_t index, Cqi fallback) const noexcept;
 
-  /// Pre-size the UE columns for an expected population.
-  void reserve_ues(std::size_t n) { ues_.reserve(n); }
-
   // --- Serving -----------------------------------------------------------
 
-  /// Serve one epoch of per-PLMN offered demand. PLMNs without an entry
-  /// offer zero. Returns one grant per *broadcast* PLMN, in broadcast
-  /// order. CQI used is the PLMN's mean UE CQI (fallback when no UEs).
-  [[nodiscard]] std::vector<PlmnGrant> serve_epoch(
-      std::span<const std::pair<PlmnId, DataRate>> demands,
-      Cqi fallback_cqi = Cqi{10}) const;
-
-  /// Batched allocation-free serve used by the epoch kernel:
-  /// `demand_by_index[i]` is the offered demand of broadcast PLMN i
-  /// (size >= broadcast_count(), caller-aggregated), `grants` receives
-  /// broadcast_count() grants in broadcast order. Identical outcomes to
-  /// serve_epoch for the same per-PLMN demand totals.
-  std::size_t serve_epoch_into(std::span<const DataRate> demand_by_index,
-                               Cqi fallback_cqi, std::span<PlmnGrant> grants) const noexcept;
+  /// Serve one epoch, allocation-free: `demand_by_index[i]` is the
+  /// offered demand of broadcast PLMN i (size >= broadcast_count(),
+  /// caller-aggregated), `grants` receives broadcast_count() grants in
+  /// broadcast order. CQI used is the PLMN's mean UE CQI (fallback when
+  /// no UEs). Returns broadcast_count().
+  std::size_t serve_epoch(std::span<const DataRate> demand_by_index, Cqi fallback_cqi,
+                          std::span<PlmnGrant> grants) const noexcept;
 
  private:
   /// Per-PLMN state of one broadcast PLMN; index-aligned with

@@ -358,13 +358,6 @@ std::size_t RanController::attached_ues(PlmnId plmn) const noexcept {
   return count == nullptr ? 0 : *count;
 }
 
-std::vector<RanServeReport> RanController::serve_epoch(
-    std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now) {
-  std::vector<RanServeReport> out;
-  serve_epoch_into(demands, now, out);
-  return out;
-}
-
 void RanController::observe_cell_telemetry(std::size_t cell_index, SimTime now,
                                            PrbCount used, bool active) {
   if (registry_ == nullptr) return;
@@ -399,8 +392,8 @@ void RanController::observe_cell_telemetry(std::size_t cell_index, SimTime now,
 // reduction. All scratch is arena storage rewound between epochs;
 // per-cell working sets are fixed-size stack arrays — the steady-state
 // loop performs no heap allocation at any pool size.
-void RanController::serve_epoch_into(std::span<const std::pair<PlmnId, DataRate>> demands,
-                                     SimTime now, std::vector<RanServeReport>& out) {
+void RanController::serve_epoch(std::span<const std::pair<PlmnId, DataRate>> demands,
+                                SimTime now, std::vector<RanServeReport>& out) {
   TRACE_SCOPE("ran.serve_epoch");
   const std::size_t n_demands = demands.size();
   const std::size_t n_cells = cells_.size();
@@ -477,9 +470,9 @@ void RanController::serve_epoch_into(std::span<const std::pair<PlmnId, DataRate>
     }
 
     PlmnGrant* g = grants.data() + i * kMaxBroadcastPlmns;
-    const std::size_t count = cell.serve_epoch_into(
-        std::span<const DataRate>(dem.data(), b), Cqi{10},
-        std::span<PlmnGrant>(g, kMaxBroadcastPlmns));
+    const std::size_t count =
+        cell.serve_epoch(std::span<const DataRate>(dem.data(), b), Cqi{10},
+                         std::span<PlmnGrant>(g, kMaxBroadcastPlmns));
     grant_count[i] = static_cast<std::uint32_t>(count);
     int prbs = 0;
     for (std::size_t j = 0; j < count; ++j) prbs += g[j].granted.value;

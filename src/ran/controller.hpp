@@ -214,24 +214,20 @@ class RanController {
   /// Serve one epoch of offered demand (Mb/s per PLMN). Demand of a
   /// PLMN is split across cells proportionally to its attached UEs
   /// (equally when none). Publishes telemetry when a registry is set.
-  /// Reports are returned in ascending PLMN order, one per demanded
-  /// PLMN. Precondition: PLMN ids in `demands` are unique.
+  /// Writes the reports into `out` (cleared first; capacity is reused)
+  /// in ascending PLMN order, one per demanded PLMN. Precondition: PLMN
+  /// ids in `demands` are unique.
   ///
   /// When a thread pool is attached, per-cell serving is sharded across
   /// it as one task per cell. Results are written to per-cell slots and
   /// reduced on the calling thread in cell order, so the reports and
-  /// telemetry are bit-for-bit identical at any pool size.
-  std::vector<RanServeReport> serve_epoch(
-      std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now);
-
-  /// Allocation-free variant: writes the reports into `out` (cleared
-  /// first; capacity is reused). All per-epoch scratch comes from a
-  /// per-controller arena that is rewound, not freed, between epochs —
-  /// after a warm-up epoch the steady-state serve loop performs no heap
-  /// allocation (pinned by epoch_alloc_test). determinism_test pins the
-  /// reports and telemetry to recorded digests.
-  void serve_epoch_into(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
-                        std::vector<RanServeReport>& out);
+  /// telemetry are bit-for-bit identical at any pool size. All per-epoch
+  /// scratch comes from a per-controller arena that is rewound, not
+  /// freed, between epochs — after a warm-up epoch the steady-state
+  /// serve loop performs no heap allocation (pinned by epoch_alloc_test).
+  /// determinism_test pins the reports and telemetry to recorded digests.
+  void serve_epoch(std::span<const std::pair<PlmnId, DataRate>> demands, SimTime now,
+                   std::vector<RanServeReport>& out);
 
   /// Attach a worker pool (non-owning; may be nullptr to detach).
   void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }

@@ -9,7 +9,6 @@
 // RAN sharing provides.
 
 #include <span>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
@@ -51,9 +50,9 @@ struct PlmnGrant {
 /// reservations and demands non-negative. Deterministic: pool
 /// distribution iterates PLMNs in input order, one PRB at a time
 /// (round-robin water-filling), so equal claims split fairly.
-inline void schedule_epoch_into(PrbCount total, std::span<const PlmnLoad> loads,
-                                SharingPolicy policy, std::span<PlmnGrant> grants,
-                                std::span<int> want) noexcept {
+inline void schedule_epoch(PrbCount total, std::span<const PlmnLoad> loads,
+                           SharingPolicy policy, std::span<PlmnGrant> grants,
+                           std::span<int> want) noexcept {
   int reserved_sum = 0;
   for (const PlmnLoad& load : loads) reserved_sum += load.reserved.value;
 
@@ -95,16 +94,6 @@ inline void schedule_epoch_into(PrbCount total, std::span<const PlmnLoad> loads,
     grants[i].served = min(loads[i].demand, capacity);
     grants[i].unserved = clamp_non_negative(loads[i].demand - grants[i].served);
   }
-}
-
-/// Vector-returning convenience wrapper over schedule_epoch_into.
-[[nodiscard]] inline std::vector<PlmnGrant> schedule_epoch(PrbCount total,
-                                                           std::span<const PlmnLoad> loads,
-                                                           SharingPolicy policy) {
-  std::vector<PlmnGrant> grants(loads.size());
-  std::vector<int> want(loads.size());
-  schedule_epoch_into(total, loads, policy, grants, want);
-  return grants;
 }
 
 }  // namespace slices::ran

@@ -65,19 +65,6 @@ class UeSoa {
     --size_;
   }
 
-  void clear() noexcept {
-    plmn_.clear();
-    cqi_.clear();
-    free_.clear();
-    size_ = 0;
-  }
-
-  /// Pre-size the columns for `n` UEs.
-  void reserve(std::size_t n) {
-    plmn_.reserve(n);
-    cqi_.reserve(n);
-  }
-
   // --- Column access ------------------------------------------------------
 
   /// A row is live while its CQI byte is non-zero.

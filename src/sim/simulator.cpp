@@ -38,25 +38,21 @@ void Simulator::maybe_compact() {
   std::make_heap(heap_.begin(), heap_.end(), heap_after);
 }
 
-PeriodicId Simulator::add_periodic(Duration period, PeriodicCallback cb, Duration offset) {
+void Simulator::add_periodic(Duration period, PeriodicCallback cb, Duration offset) {
   assert(period > Duration::zero());
-  const std::uint64_t key = next_periodic_++;
-  periodics_.emplace(key, PeriodicTask{period, std::move(cb)});
-  schedule_periodic_firing(key, now_ + offset);
-  return PeriodicId{key};
+  periodics_.push_back(PeriodicTask{period, std::move(cb)});
+  schedule_periodic_firing(periodics_.size() - 1, now_ + offset);
 }
 
-void Simulator::schedule_periodic_firing(std::uint64_t periodic_key, SimTime at) {
-  schedule_at(at, [this, periodic_key, at] {
-    const auto it = periodics_.find(periodic_key);
-    if (it == periodics_.end()) return;  // stopped meanwhile
-    // Reschedule before running so the callback can remove_periodic(self).
-    schedule_periodic_firing(periodic_key, at + it->second.period);
-    it->second.callback(at);
+void Simulator::schedule_periodic_firing(std::size_t periodic_index, SimTime at) {
+  schedule_at(at, [this, periodic_index, at] {
+    PeriodicTask& task = periodics_[periodic_index];
+    // The next firing is queued before the callback runs, so it keeps
+    // its place ahead of whatever the callback schedules at that time.
+    schedule_periodic_firing(periodic_index, at + task.period);
+    task.callback(at);
   });
 }
-
-bool Simulator::remove_periodic(PeriodicId id) { return periodics_.erase(id.value) > 0; }
 
 bool Simulator::step() {
   prune_cancelled();

@@ -10,8 +10,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -24,12 +24,6 @@ namespace slices::sim {
 struct EventId {
   std::uint64_t value = 0;
   friend constexpr auto operator<=>(EventId, EventId) noexcept = default;
-};
-
-/// Handle to a periodic task; usable to stop future firings.
-struct PeriodicId {
-  std::uint64_t value = 0;
-  friend constexpr auto operator<=>(PeriodicId, PeriodicId) noexcept = default;
 };
 
 /// Single-threaded discrete-event simulator.
@@ -62,13 +56,10 @@ class Simulator {
   /// cancelled.
   bool cancel(EventId id);
 
-  /// Register a task firing every `period` (> 0), first at now+offset.
-  /// The callback receives the firing time.
-  PeriodicId add_periodic(Duration period, PeriodicCallback cb,
-                          Duration offset = Duration::zero());
-
-  /// Stop a periodic task; returns false when unknown/already stopped.
-  bool remove_periodic(PeriodicId id);
+  /// Register a task firing every `period` (> 0), first at now+offset,
+  /// for the life of the simulator. The callback receives the firing
+  /// time.
+  void add_periodic(Duration period, PeriodicCallback cb, Duration offset = Duration::zero());
 
   /// Execute the next pending event; false when the queue is empty.
   bool step();
@@ -108,7 +99,7 @@ class Simulator {
   /// Rebuild the heap when cancelled entries dominate it.
   void maybe_compact();
 
-  void schedule_periodic_firing(std::uint64_t periodic_key, SimTime at);
+  void schedule_periodic_firing(std::size_t periodic_index, SimTime at);
 
   struct PeriodicTask {
     Duration period;
@@ -120,8 +111,7 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::vector<HeapEntry> heap_;
   std::unordered_set<std::uint64_t> live_;  // seqs scheduled, not yet fired/cancelled
-  std::map<std::uint64_t, PeriodicTask> periodics_;
-  std::uint64_t next_periodic_ = 1;
+  std::deque<PeriodicTask> periodics_;  // deque: growth never moves a task
 };
 
 }  // namespace slices::sim

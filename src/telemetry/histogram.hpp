@@ -47,18 +47,6 @@ class Histogram {
     max_ = count_ == 1 ? value : (value > max_ ? value : max_);
   }
 
-  /// Elementwise-add `other` into this histogram.
-  void merge(const Histogram& other) {
-    if (other.buckets_.size() > buckets_.size()) buckets_.resize(other.buckets_.size(), 0);
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-    if (other.count_ > 0) {
-      min_ = count_ == 0 ? other.min_ : (other.min_ < min_ ? other.min_ : min_);
-      max_ = count_ == 0 ? other.max_ : (other.max_ > max_ ? other.max_ : max_);
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-  }
-
   /// Full-fidelity export for cross-process merging: the scalar state
   /// plus the non-zero buckets as [index, count] pairs. Unlike the
   /// quantile summary in MonitorRegistry snapshots, this loses nothing:
@@ -82,8 +70,8 @@ class Histogram {
     return out;
   }
 
-  /// Elementwise-add a to_json() document into this histogram, exactly
-  /// like merge(). The document comes off the wire (a remote edge's
+  /// Elementwise-add a to_json() document into this histogram. The
+  /// document comes off the wire (a remote edge's
   /// /federation/metrics), so every number is range-checked: malformed
   /// documents are ignored, and malformed bucket pairs (including an
   /// index past the last bucket a uint64 can reach) are skipped.
@@ -116,14 +104,6 @@ class Histogram {
     max_ = count_ == 0 ? *other_max : (*other_max > max_ ? *other_max : max_);
     count_ += *other_count;
     sum_ += *other_sum;
-  }
-
-  void reset() noexcept {
-    buckets_.clear();
-    count_ = 0;
-    sum_ = 0;
-    min_ = 0;
-    max_ = 0;
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }

@@ -62,15 +62,6 @@ class TimeSeries {
     return empty() ? fallback : back().value;
   }
 
-  /// Copy out all samples with time >= since (oldest first).
-  [[nodiscard]] std::vector<Sample> since(SimTime since_time) const {
-    std::vector<Sample> out;
-    for (std::size_t i = 0; i < size(); ++i) {
-      if (at(i).time >= since_time) out.push_back(at(i));
-    }
-    return out;
-  }
-
   /// Mean of the most recent `n` values (summed oldest first); nullopt
   /// when empty. Walks the ring in place: /metrics calls this for every
   /// series on every poll.

@@ -331,13 +331,6 @@ void TransportController::try_reroute(PathReservation& reservation) {
   ++reroutes_;
 }
 
-std::vector<PathServeReport> TransportController::serve_epoch(
-    std::span<const std::pair<PathId, DataRate>> demands, SimTime now) {
-  std::vector<PathServeReport> reports;
-  serve_epoch_into(demands, now, reports);
-  return reports;
-}
-
 void TransportController::publish_path_telemetry(const PathServeReport& report, SimTime now) {
   PathHandles* handles = path_handles_.find(report.path);
   if (handles == nullptr) {
@@ -365,9 +358,8 @@ void TransportController::publish_totals_telemetry(SimTime now) {
   capacity_total_.observe(now, capacity_total);
 }
 
-void TransportController::serve_epoch_into(
-    std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
-    std::vector<PathServeReport>& out) {
+void TransportController::serve_epoch(std::span<const std::pair<PathId, DataRate>> demands,
+                                      SimTime now, std::vector<PathServeReport>& out) {
   TRACE_SCOPE("transport.serve_epoch");
   fading_.step();
 

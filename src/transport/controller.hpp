@@ -128,20 +128,17 @@ class TransportController {
   /// Afterwards, paths that were degraded are rerouted when a better
   /// feasible route exists (the "network reconfiguration" arc of
   /// Fig. 1). Publishes telemetry when a registry is set.
-  std::vector<PathServeReport> serve_epoch(
-      std::span<const std::pair<PathId, DataRate>> demands, SimTime now);
-
-  /// Allocation-free variant: writes the reports into `out` (cleared
-  /// first; capacity is reused). Per-epoch scratch — the per-link scale
-  /// column, outcome slots and the repair list — is carved from a
-  /// per-controller arena that is rewound, not freed, between epochs:
-  /// after a warm-up epoch the steady-state serve loop performs no heap
-  /// allocation (pinned by epoch_alloc_test). Same parallel-for +
-  /// sequential-reduction shape as the RAN kernel; output is
-  /// bit-identical at any pool size and matches the digests recorded in
-  /// determinism_test.
-  void serve_epoch_into(std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
-                        std::vector<PathServeReport>& out);
+  ///
+  /// Writes the reports into `out` (cleared first; capacity is reused).
+  /// Per-epoch scratch — the per-link scale column, outcome slots and
+  /// the repair list — is carved from a per-controller arena that is
+  /// rewound, not freed, between epochs: after a warm-up epoch the
+  /// steady-state serve loop performs no heap allocation (pinned by
+  /// epoch_alloc_test). Same parallel-for + sequential-reduction shape
+  /// as the RAN kernel; output is bit-identical at any pool size and
+  /// matches the digests recorded in determinism_test.
+  void serve_epoch(std::span<const std::pair<PathId, DataRate>> demands, SimTime now,
+                   std::vector<PathServeReport>& out);
 
   /// Attach a worker pool (non-owning; may be nullptr to detach). The
   /// per-path serving computation shards across it; reduction, repair

@@ -39,12 +39,4 @@ const FlowRule* FlowTable::lookup(NodeId node, SliceId slice) const noexcept {
   return id == nullptr ? nullptr : rules_.find(*id);
 }
 
-std::vector<FlowRule> FlowTable::rules_for(SliceId slice) const {
-  std::vector<FlowRule> out;
-  for (const auto& [id, rule] : rules_) {
-    if (rule.slice == slice) out.push_back(rule);
-  }
-  return out;
-}
-
 }  // namespace slices::transport

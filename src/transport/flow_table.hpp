@@ -44,7 +44,6 @@ class FlowTable {
   [[nodiscard]] const FlowRule* lookup(NodeId node, SliceId slice) const noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return rules_.size(); }
-  [[nodiscard]] std::vector<FlowRule> rules_for(SliceId slice) const;
 
  private:
   /// Secondary index key: the (node, slice) pair the uniqueness rule is

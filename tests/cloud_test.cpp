@@ -188,8 +188,10 @@ TEST(CloudController, RequireEdgeRestrictsChoice) {
 
 TEST(CloudController, FallsBackToEdgeWhenCoreFull) {
   CloudController controller = make_controller();
-  const Datacenter* core = controller.find_datacenter_by_name("core");
-  ASSERT_NE(core, nullptr);
+  // With room everywhere, placement prefers the core.
+  const Datacenter* core = controller.find_datacenter(
+      controller.choose_datacenter(ComputeCapacity{1.0, 1024.0, 1.0}, false).value());
+  ASSERT_EQ(core->kind(), DatacenterKind::core);
   // Exhaust the core (128 schedulable vCPUs via ratio 2.0).
   StackTemplate filler;
   filler.name = "filler";
@@ -205,7 +207,8 @@ TEST(CloudController, RecordEpochPublishesUtilization) {
   telemetry::MonitorRegistry registry;
   CloudController controller = make_controller(&registry);
   controller.record_epoch(SimTime::from_seconds(10.0));
-  const Datacenter* edge = controller.find_datacenter_by_name("edge");
+  const Datacenter* edge = controller.find_datacenter(
+      controller.choose_datacenter(ComputeCapacity{1.0, 1024.0, 1.0}, true).value());
   const std::string key = "cloud.dc." + std::to_string(edge->id().value()) + ".utilization";
   ASSERT_NE(registry.find_series(key), nullptr);
   EXPECT_DOUBLE_EQ(registry.find_gauge(key)->value(), 0.0);

@@ -264,11 +264,6 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(Rng, ParetoRespectsMinimum) {
-  Rng rng(37);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 1.5);
-}
-
 // --- Logger ----------------------------------------------------------------------
 
 /// Restores the global log level and sink after each test.

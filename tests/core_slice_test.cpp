@@ -33,33 +33,6 @@ TEST(SliceState, NamesAreStable) {
   EXPECT_EQ(to_string(SliceState::expired), "expired");
 }
 
-TEST(SliceFsm, LegalTransitions) {
-  EXPECT_TRUE(can_transition(SliceState::pending, SliceState::rejected));
-  EXPECT_TRUE(can_transition(SliceState::pending, SliceState::installing));
-  EXPECT_TRUE(can_transition(SliceState::installing, SliceState::active));
-  EXPECT_TRUE(can_transition(SliceState::installing, SliceState::terminated));
-  EXPECT_TRUE(can_transition(SliceState::active, SliceState::expired));
-  EXPECT_TRUE(can_transition(SliceState::active, SliceState::terminated));
-}
-
-TEST(SliceFsm, TerminalStatesHaveNoExits) {
-  for (const SliceState terminal :
-       {SliceState::rejected, SliceState::expired, SliceState::terminated}) {
-    for (const SliceState to :
-         {SliceState::pending, SliceState::rejected, SliceState::installing,
-          SliceState::active, SliceState::expired, SliceState::terminated}) {
-      EXPECT_FALSE(can_transition(terminal, to));
-    }
-  }
-}
-
-TEST(SliceFsm, NoSkippingInstall) {
-  EXPECT_FALSE(can_transition(SliceState::pending, SliceState::active));
-  EXPECT_FALSE(can_transition(SliceState::pending, SliceState::expired));
-  EXPECT_FALSE(can_transition(SliceState::installing, SliceState::expired));
-  EXPECT_FALSE(can_transition(SliceState::active, SliceState::installing));
-}
-
 TEST(RevenueLedger, AccruesPerSlice) {
   RevenueLedger ledger;
   ledger.accrue(SliceId{1}, Money::units(40.0), Duration::minutes(30.0));

@@ -274,6 +274,7 @@ std::string ran_scorecard(std::size_t n_ues, std::size_t threads) {
   std::string card;
   Rng wander_rng(7);
   std::vector<std::pair<PlmnId, DataRate>> demands;
+  std::vector<ran::RanServeReport> reports;
   for (int epoch = 0; epoch < 4; ++epoch) {
     ran.wander_cqis(wander_rng, 0.3);
     demands.clear();
@@ -281,8 +282,7 @@ std::string ran_scorecard(std::size_t n_ues, std::size_t threads) {
       demands.emplace_back(plmns[p], DataRate::mbps(20.0 + 13.0 * static_cast<double>(p) +
                                                     5.0 * epoch));
     }
-    const auto reports =
-        ran.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0));
+    ran.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0), reports);
     for (const ran::RanServeReport& r : reports) {
       card += std::to_string(r.plmn.value()) + ":";
       // Hex bit patterns — EQ on these is bit-exactness, not almost-equality.
@@ -379,8 +379,9 @@ std::string transport_scorecard(const TransportSubstrate& sub, std::size_t threa
   }
 
   std::string card;
+  std::vector<transport::PathServeReport> reports;
   for (int epoch = 0; epoch < sub.epochs; ++epoch) {
-    const auto reports = tc.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0));
+    tc.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0), reports);
     for (const transport::PathServeReport& r : reports) {
       char buf[128];
       std::snprintf(buf, sizeof(buf), "%llu/%llu:%a/%lld/%d%d;",

@@ -1,7 +1,7 @@
 // Allocation accounting for the epoch kernels: after a warm-up epoch
 // has grown a controller's arena and scratch vectors to their
 // high-water marks, the steady-state serve loop — RAN wander_cqis +
-// serve_epoch_into, and transport serve_epoch_into — must perform ZERO
+// serve_epoch, and transport serve_epoch — must perform ZERO
 // heap allocations, at any pool size. The global operator new/delete
 // replacements in counting_new.hpp count every allocation on every
 // thread, in every form of new, so a single malloc
@@ -68,7 +68,7 @@ struct Fixture {
 
   void run_epoch(int epoch) {
     ran.wander_cqis(wander_rng, 0.3);
-    ran.serve_epoch_into(demands, SimTime::from_seconds(epoch * 1.0), reports);
+    ran.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0), reports);
     EXPECT_EQ(reports.size(), demands.size());
   }
 };
@@ -155,7 +155,7 @@ struct TransportFixture {
   }
 
   void run_epoch(int epoch) {
-    tc->serve_epoch_into(demands, SimTime::from_seconds(epoch * 1.0), reports);
+    tc->serve_epoch(demands, SimTime::from_seconds(epoch * 1.0), reports);
     EXPECT_EQ(reports.size(), demands.size());
   }
 };

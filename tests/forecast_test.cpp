@@ -104,43 +104,6 @@ TEST(HoltForecaster, ReadyAfterTwoObservations) {
   EXPECT_TRUE(model.ready());
 }
 
-TEST(SeasonalNaive, RepeatsLastSeasonExactly) {
-  const std::size_t period = 6;
-  SeasonalNaiveForecaster model(period);
-  const std::vector<double> season{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  feed(model, season);
-  ASSERT_TRUE(model.ready());
-  for (std::size_t h = 1; h <= period; ++h) {
-    EXPECT_DOUBLE_EQ(model.predict(h), season[h - 1]) << "h=" << h;
-  }
-}
-
-TEST(SeasonalNaive, TracksRollingSeasonAfterWrap) {
-  SeasonalNaiveForecaster model(3);
-  feed(model, {1.0, 2.0, 3.0});   // first season
-  feed(model, {10.0, 20.0});      // overwrite two oldest
-  // One period ahead should be the sample one season old: 3.0 came 3
-  // periods before the next step? Next expected phase repeats 3.0,
-  // then 10.0, then 20.0.
-  EXPECT_DOUBLE_EQ(model.predict(1), 3.0);
-  EXPECT_DOUBLE_EQ(model.predict(2), 10.0);
-  EXPECT_DOUBLE_EQ(model.predict(3), 20.0);
-}
-
-TEST(SeasonalNaive, PerfectOnPureSeasonalBacktest) {
-  const std::vector<double> series = seasonal_series(50.0, 20.0, 12, 12 * 20);
-  const BacktestReport report = backtest(SeasonalNaiveForecaster(12), series);
-  EXPECT_NEAR(report.rmse, 0.0, 1e-9);
-}
-
-TEST(SeasonalNaive, NotReadyBeforeFullSeason) {
-  SeasonalNaiveForecaster model(4);
-  feed(model, {1.0, 2.0, 3.0});
-  EXPECT_FALSE(model.ready());
-  model.observe(4.0);
-  EXPECT_TRUE(model.ready());
-}
-
 TEST(HoltWinters, ReadyAfterOneSeason) {
   HoltWintersForecaster model(0.4, 0.05, 0.3, 8);
   for (int i = 0; i < 7; ++i) {

@@ -64,7 +64,10 @@ void check_invariants(const Testbed& tb) {
     EXPECT_TRUE(record.state == SliceState::pending || record.is_live())
         << to_string(record.state);
     if (record.is_live()) ++live;
-    open_rules += tb.transport->flow_table().rules_for(slice).size();
+    // At most one rule per (node, slice): count the nodes that hold one.
+    for (const transport::Node& node : tb.transport->topology().nodes()) {
+      if (tb.transport->flow_table().lookup(node.id, slice) != nullptr) ++open_rules;
+    }
     if (record.state == SliceState::active) {
       EXPECT_LE(record.reserved, record.spec.expected_throughput);
       EXPECT_TRUE(tb.ran.plmn_installed(record.embedding.plmn));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <map>
 #include <span>
@@ -90,12 +91,21 @@ TEST(Phy, PhyTablesMatchScalarPath) {
 
 // --- scheduler --------------------------------------------------------------
 
+// The scheduling kernel over vectors sized to `loads`.
+std::vector<PlmnGrant> schedule(PrbCount total, const std::vector<PlmnLoad>& loads,
+                                SharingPolicy policy) {
+  std::vector<PlmnGrant> grants(loads.size());
+  std::vector<int> want(loads.size());
+  schedule_epoch(total, loads, policy, grants, want);
+  return grants;
+}
+
 TEST(Scheduler, ReservationsServeFirst) {
   const std::vector<PlmnLoad> loads = {
       {PlmnId{1}, PrbCount{50}, DataRate::mbps(10.0), Cqi{10}},
       {PlmnId{2}, PrbCount{50}, DataRate::mbps(10.0), Cqi{10}},
   };
-  const auto grants = schedule_epoch(PrbCount{100}, loads, SharingPolicy::strict);
+  const auto grants = schedule(PrbCount{100}, loads, SharingPolicy::strict);
   ASSERT_EQ(grants.size(), 2u);
   for (const PlmnGrant& g : grants) {
     EXPECT_DOUBLE_EQ(g.served.as_mbps(), 10.0);
@@ -110,12 +120,12 @@ TEST(Scheduler, StrictIsolationWastesIdleReservedPrbs) {
       {PlmnId{1}, PrbCount{80}, DataRate::zero(), Cqi{10}},
       {PlmnId{2}, PrbCount{20}, DataRate::mbps(60.0), Cqi{10}},
   };
-  const auto strict = schedule_epoch(PrbCount{100}, loads, SharingPolicy::strict);
+  const auto strict = schedule(PrbCount{100}, loads, SharingPolicy::strict);
   // No common pool (all reserved): PLMN 2 capped at its 20 PRBs.
   EXPECT_EQ(strict[1].granted.value, 20);
   EXPECT_GT(strict[1].unserved.as_mbps(), 0.0);
 
-  const auto pooled = schedule_epoch(PrbCount{100}, loads, SharingPolicy::pooled);
+  const auto pooled = schedule(PrbCount{100}, loads, SharingPolicy::pooled);
   EXPECT_GT(pooled[1].granted.value, 20);
   EXPECT_GT(pooled[1].served, strict[1].served);
 }
@@ -125,7 +135,7 @@ TEST(Scheduler, PoolSplitsFairlyAmongEqualClaims) {
       {PlmnId{1}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}},
       {PlmnId{2}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}},
   };
-  const auto grants = schedule_epoch(PrbCount{60}, loads, SharingPolicy::strict);
+  const auto grants = schedule(PrbCount{60}, loads, SharingPolicy::strict);
   EXPECT_EQ(grants[0].granted.value, 30);
   EXPECT_EQ(grants[1].granted.value, 30);
 }
@@ -136,7 +146,7 @@ TEST(Scheduler, PoolWeightsBiasContendedSharing) {
       {PlmnId{1}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}, 3},
       {PlmnId{2}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}, 1},
   };
-  const auto grants = schedule_epoch(PrbCount{80}, loads, SharingPolicy::strict);
+  const auto grants = schedule(PrbCount{80}, loads, SharingPolicy::strict);
   EXPECT_EQ(grants[0].granted.value, 60);
   EXPECT_EQ(grants[1].granted.value, 20);
 }
@@ -147,7 +157,7 @@ TEST(Scheduler, PoolWeightsDoNotTouchReservations) {
       {PlmnId{1}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}, 1},
       {PlmnId{2}, PrbCount{40}, DataRate::mbps(10.0), Cqi{10}, 5},
   };
-  const auto grants = schedule_epoch(PrbCount{100}, loads, SharingPolicy::strict);
+  const auto grants = schedule(PrbCount{100}, loads, SharingPolicy::strict);
   // PLMN 2 needs ~30 PRBs, covered by its 40 reserved; the 60-PRB pool
   // goes entirely to PLMN 1 regardless of weights.
   EXPECT_NEAR(grants[1].served.as_mbps(), 10.0, 1e-9);
@@ -159,7 +169,7 @@ TEST(Scheduler, ZeroWeightTreatedAsOne) {
       {PlmnId{1}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}, 0},
       {PlmnId{2}, PrbCount{0}, DataRate::mbps(50.0), Cqi{10}, 1},
   };
-  const auto grants = schedule_epoch(PrbCount{40}, loads, SharingPolicy::strict);
+  const auto grants = schedule(PrbCount{40}, loads, SharingPolicy::strict);
   EXPECT_EQ(grants[0].granted.value, 20);
   EXPECT_EQ(grants[1].granted.value, 20);
 }
@@ -171,7 +181,7 @@ TEST(Scheduler, NeverGrantsMoreThanTotal) {
       {PlmnId{3}, PrbCount{0}, DataRate::mbps(100.0), Cqi{12}},
   };
   for (const SharingPolicy policy : {SharingPolicy::strict, SharingPolicy::pooled}) {
-    const auto grants = schedule_epoch(PrbCount{100}, loads, policy);
+    const auto grants = schedule(PrbCount{100}, loads, policy);
     int total = 0;
     for (const PlmnGrant& g : grants) total += g.granted.value;
     EXPECT_LE(total, 100);
@@ -182,7 +192,7 @@ TEST(Scheduler, ServedNeverExceedsDemand) {
   const std::vector<PlmnLoad> loads = {
       {PlmnId{1}, PrbCount{90}, DataRate::mbps(1.0), Cqi{15}},
   };
-  const auto grants = schedule_epoch(PrbCount{100}, loads, SharingPolicy::pooled);
+  const auto grants = schedule(PrbCount{100}, loads, SharingPolicy::pooled);
   EXPECT_DOUBLE_EQ(grants[0].served.as_mbps(), 1.0);
 }
 
@@ -468,9 +478,10 @@ TEST(Cell, ServeEpochUsesReservations) {
   Cell cell = make_cell();
   ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
   ASSERT_TRUE(cell.set_reservation(PlmnId{1}, PrbCount{50}).ok());
-  const std::vector<std::pair<PlmnId, DataRate>> demands = {{PlmnId{1}, DataRate::mbps(5.0)}};
-  const auto grants = cell.serve_epoch(demands);
-  ASSERT_EQ(grants.size(), 1u);
+  const std::array<DataRate, 1> demand_by_index = {DataRate::mbps(5.0)};
+  std::array<PlmnGrant, kMaxBroadcastPlmns> grants;
+  ASSERT_EQ(cell.serve_epoch(demand_by_index, Cqi{10}, grants), 1u);
+  EXPECT_EQ(grants[0].plmn, PlmnId{1});
   EXPECT_DOUBLE_EQ(grants[0].served.as_mbps(), 5.0);
 }
 
@@ -1106,7 +1117,8 @@ TEST(RanController, ServeEpochAggregatesAndPublishesTelemetry) {
   ASSERT_TRUE(controller.install_plmn(PlmnId{7}).ok());
   ASSERT_TRUE(controller.set_allocation(PlmnId{7}, DataRate::mbps(20.0)).ok());
   const std::vector<std::pair<PlmnId, DataRate>> demands = {{PlmnId{7}, DataRate::mbps(10.0)}};
-  const auto reports = controller.serve_epoch(demands, SimTime::from_seconds(60.0));
+  std::vector<RanServeReport> reports;
+  controller.serve_epoch(demands, SimTime::from_seconds(60.0), reports);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_NEAR(reports[0].served.as_mbps(), 10.0, 0.3);
   EXPECT_NE(registry.find_series("ran.plmn.7.served_mbps"), nullptr);

@@ -87,7 +87,8 @@ TEST(LinkOutage, DownLinkCarriesNothingAndRepairRoutesAround) {
   // First epoch after the outage: nothing served, then repaired.
   const std::vector<std::pair<PathId, DataRate>> demands = {
       {path.value(), DataRate::mbps(80.0)}};
-  const auto reports = tc.serve_epoch(demands, SimTime::from_seconds(1.0));
+  std::vector<transport::PathServeReport> reports;
+  tc.serve_epoch(demands, SimTime::from_seconds(1.0), reports);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_DOUBLE_EQ(reports[0].served.as_mbps(), 0.0);
   EXPECT_TRUE(reports[0].degraded);
@@ -95,8 +96,8 @@ TEST(LinkOutage, DownLinkCarriesNothingAndRepairRoutesAround) {
   EXPECT_NE(tc.find_path(path.value())->route.links.front(), primary);
 
   // Next epoch flows over the detour.
-  const auto after = tc.serve_epoch(demands, SimTime::from_seconds(2.0));
-  EXPECT_NEAR(after[0].served.as_mbps(), 80.0, 1e-6);
+  tc.serve_epoch(demands, SimTime::from_seconds(2.0), reports);
+  EXPECT_NEAR(reports[0].served.as_mbps(), 80.0, 1e-6);
 
   // Recovery brings the link back into planning.
   ASSERT_TRUE(tc.set_link_up(primary, true).ok());
@@ -137,15 +138,16 @@ TEST(CellOutage, InactiveCellServesNothingAndCapacityDrops) {
   // Demand splits equally over both cells (no UEs); the dead cell's
   // half goes unserved.
   const std::vector<std::pair<PlmnId, DataRate>> demands = {{PlmnId{1}, DataRate::mbps(20.0)}};
-  const auto reports = controller.serve_epoch(demands, SimTime::from_seconds(1.0));
+  std::vector<ran::RanServeReport> reports;
+  controller.serve_epoch(demands, SimTime::from_seconds(1.0), reports);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_NEAR(reports[0].served.as_mbps() + reports[0].unserved.as_mbps(), 20.0, 1e-6);
   EXPECT_NEAR(reports[0].unserved.as_mbps(), 10.0, 1.0);
 
   // Recovery restores everything.
   ASSERT_TRUE(controller.set_cell_active(CellId{1}, true).ok());
-  const auto healed = controller.serve_epoch(demands, SimTime::from_seconds(2.0));
-  EXPECT_NEAR(healed[0].served.as_mbps(), 20.0, 0.5);
+  controller.serve_epoch(demands, SimTime::from_seconds(2.0), reports);
+  EXPECT_NEAR(reports[0].served.as_mbps(), 20.0, 0.5);
   EXPECT_EQ(controller.set_cell_active(CellId{9}, false).error().code, Errc::not_found);
 }
 

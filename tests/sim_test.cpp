@@ -128,29 +128,6 @@ TEST(Simulator, PeriodicWithOffset) {
   EXPECT_EQ(times, (std::vector<double>{5.0, 15.0, 25.0}));
 }
 
-TEST(Simulator, RemovePeriodicStopsFirings) {
-  Simulator s;
-  int fired = 0;
-  const PeriodicId id = s.add_periodic(Duration::seconds(1.0), [&](SimTime) { ++fired; });
-  s.run_until(SimTime::from_seconds(2.5));
-  EXPECT_EQ(fired, 3);  // t=0,1,2
-  EXPECT_TRUE(s.remove_periodic(id));
-  EXPECT_FALSE(s.remove_periodic(id));
-  s.run_until(SimTime::from_seconds(10.0));
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(Simulator, PeriodicCanRemoveItself) {
-  Simulator s;
-  int fired = 0;
-  PeriodicId id{};
-  id = s.add_periodic(Duration::seconds(1.0), [&](SimTime) {
-    if (++fired == 3) s.remove_periodic(id);
-  });
-  s.run_until(SimTime::from_seconds(10.0));
-  EXPECT_EQ(fired, 3);
-}
-
 TEST(Simulator, CancelInsideCallbackOfSameTimestamp) {
   Simulator s;
   bool second_fired = false;

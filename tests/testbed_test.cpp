@@ -91,9 +91,10 @@ TEST(Testbed, SeedsProduceIndependentFading) {
   // Advance both transports and compare mmWave factors: different seeds
   // must diverge.
   bool diverged = false;
+  std::vector<transport::PathServeReport> reports;
   for (int i = 0; i < 50 && !diverged; ++i) {
-    (void)a->transport->serve_epoch({}, SimTime::from_seconds(i * 900.0));
-    (void)b->transport->serve_epoch({}, SimTime::from_seconds(i * 900.0));
+    a->transport->serve_epoch({}, SimTime::from_seconds(i * 900.0), reports);
+    b->transport->serve_epoch({}, SimTime::from_seconds(i * 900.0), reports);
     const transport::Link* link_a = a->transport->topology().find_link(a->mmwave_uplink);
     const transport::Link* link_b = b->transport->topology().find_link(b->mmwave_uplink);
     if (a->transport->fading().factor(link_a->id) !=

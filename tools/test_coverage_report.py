@@ -74,6 +74,24 @@ class CoverageGate(unittest.TestCase):
         failures = gate([TU, header_cold], MATCHING)
         self.assertEqual(failures, ["unreached and not allowlisted: src/a/h.hpp:a::inl()"])
 
+    def test_glob_over_template_arguments_matches_only_the_unreached_instantiation(self):
+        header = gcov_doc(("/repo/src/a/map.hpp", {"a::Map<int>::size() const": 4,
+                                                    "a::Map<long>::size() const": 0}))
+        allowlist = MATCHING + "reason: accessors\nsrc/a/map.hpp:a::Map<*>::size() const\n"
+        allow = coverage_report.parse_allowlist(allowlist)
+        functions = {}
+        for doc in (TU, header):
+            coverage_report.merge(functions,
+                                  coverage_report.functions_from_gcov_json(doc, ROOT))
+        self.assertEqual(coverage_report.check(functions, allow), [])
+        self.assertEqual(allow.entries[-1].matched, 1)
+        # Once the second instantiation is reached too, the entry is stale.
+        reached = gcov_doc(("/repo/src/a/map.hpp", {"a::Map<long>::size() const": 1}))
+        failures = gate([TU, header, reached], allowlist)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("stale allowlist entry (line 8): src/a/map.hpp:a::Map<*>::size() const",
+                      failures[0])
+
     def test_relative_paths_resolve_against_the_gcov_working_directory(self):
         doc = gcov_doc(("../../../src/a/a.cpp", {"a::unused()": 0}))
         functions = coverage_report.functions_from_gcov_json(doc, ROOT)
