@@ -1,7 +1,7 @@
 // Experiment S3 — mobility & handover scalability: how fast can the
 // mobility Field walk a city's UE population, and how fast does the
 // RAN controller absorb the resulting handover batches? The epoch loop
-// budget already pays for CQI wander + serving (S2); mobility adds one
+// budget already pays for serving (S2); mobility adds one
 // fused move-and-gather pass (pool-sharded, each range writing its own
 // request and exit slices), a serial join of those slices in range
 // order, and one allocation-free apply_handovers pass, and this bench

@@ -73,9 +73,9 @@ inline ScenarioOutcome run_scenario(const ScenarioConfig& config) {
   std::function<void()> arrive = [&] {
     core::GeneratedRequest request = generator.next_request();
     (void)tb->orchestrator->submit(request.spec, std::move(request.workload));
-    tb->simulator.schedule_after(generator.next_interarrival(), arrive);
+    tb->simulator.schedule_after(generator.next_interarrival(tb->simulator.now()), arrive);
   };
-  tb->simulator.schedule_after(generator.next_interarrival(), arrive);
+  tb->simulator.schedule_after(generator.next_interarrival(tb->simulator.now()), arrive);
 
   tb->simulator.run_for(Duration::hours(24.0 * config.days));
 

@@ -65,12 +65,6 @@ double RequestGenerator::rate_at(SimTime t) const noexcept {
   return rate < 0.0 ? 0.0 : rate;
 }
 
-Duration RequestGenerator::next_interarrival() {
-  assert(config_.rate_schedule.empty() && config_.diurnal_depth == 0.0 &&
-         "time-varying stream: use next_interarrival(SimTime)");
-  return Duration::hours(rng_.exponential(config_.arrivals_per_hour));
-}
-
 Duration RequestGenerator::next_interarrival(SimTime from) {
   const Duration elapsed = Duration::micros(from.as_micros());
 

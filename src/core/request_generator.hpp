@@ -68,15 +68,10 @@ class RequestGenerator {
  public:
   RequestGenerator(RequestGeneratorConfig config, Rng rng);
 
-  /// Exponential gap to the next arrival. Only valid for a constant-rate
-  /// configuration (no schedule, no diurnal modulation) — time-varying
-  /// streams need to know the current time; use the overload below.
-  [[nodiscard]] Duration next_interarrival();
-
   /// Gap from `from` to the next arrival of the (possibly
-  /// non-homogeneous) Poisson process. For a constant-rate configuration
-  /// this draws exactly what next_interarrival() draws. A zero-rate
-  /// stretch with no later positive-rate step yields a sentinel gap far
+  /// non-homogeneous) Poisson process. A constant-rate configuration (no
+  /// schedule, no diurnal modulation) draws one exponential gap. A
+  /// zero-rate stretch with no later positive-rate step yields a sentinel gap far
   /// past any practical scenario horizon (~10k years).
   [[nodiscard]] Duration next_interarrival(SimTime from);
 

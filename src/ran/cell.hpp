@@ -15,19 +15,18 @@
 // position in two kMaxBroadcastPlmns-entry tables. Everything else here
 // is position-addressed, and a withdrawal only shifts the positions in
 // those tables: it reads and writes no UE row. Attach/detach are O(1)
-// and iteration is in deterministic row order, so the per-epoch CQI walk
-// streams a byte column. The UE API is row-addressed: attach returns the
-// UE's row and every later read, CQI update and detach names that row.
-// The cell keeps no UE identity at all — RanController owns the only UE
-// index (UE id -> {plmn, cell, row}) and allocates every id; a handover
-// request addresses that record by its slot, reads the source broadcast
-// position through the row's PLMN slot, and moves the UE and its share
-// of the PRB reservation through the position-addressed inline calls
-// below, which cannot fail. Each broadcast PLMN keeps a running (count,
-// cqi_sum) aggregate and its PRB reservation, and the cell keeps the
-// running sum of those reservations, so attached_count / mean_cqi —
-// the per-epoch scheduling inputs — and reserved_prbs / unreserved_prbs
-// — read on every handover — stay O(1).
+// and iteration is in deterministic row order. The UE API is
+// row-addressed: attach returns the UE's row and every later read and
+// detach names that row. The cell keeps no UE identity at all —
+// RanController owns the only UE index (UE id -> {plmn, cell, row}) and
+// allocates every id; a handover request addresses that record by its
+// slot, reads the source broadcast position through the row's PLMN slot,
+// and moves the UE and its share of the PRB reservation through the
+// position-addressed inline calls below, which cannot fail. Each
+// broadcast PLMN keeps a running (count, cqi_sum) aggregate and its PRB
+// reservation, and the cell keeps the running sum of those reservations,
+// so attached_count / mean_cqi — the per-epoch scheduling inputs — and
+// reserved_prbs / unreserved_prbs — read on every handover — stay O(1).
 
 #include <array>
 #include <cassert>
@@ -38,7 +37,6 @@
 
 #include "common/ids.hpp"
 #include "common/result.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "ran/phy.hpp"
 #include "ran/scheduler.hpp"
@@ -153,14 +151,6 @@ class Cell {
     reserved_.value += prbs;
     assert(plmns_[index].reserved.value >= 0 && reserved_.value <= total_.value);
   }
-
-  /// Random-walk every attached UE's CQI by ±1 (clamped to [1,15]) with
-  /// probability `step_probability` each. Batched branchless kernel over
-  /// the SoA byte columns: one RNG word is drawn per *four rows* (live
-  /// or hole, in row order; each row consumes an independent 16-bit
-  /// lane), so consumption depends only on the row count — never on the
-  /// data.
-  void wander_cqis(Rng& rng, double step_probability);
 
   [[nodiscard]] std::size_t attached_count(PlmnId plmn) const noexcept;
   /// Same by broadcast position (no PLMN scan); `index` < broadcast_count().

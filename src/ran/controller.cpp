@@ -14,8 +14,8 @@ static_assert(RanController::kNoUeSlot == DenseIdMap<UeId, int>::kNoSlot);
 
 namespace {
 
-/// Cells per parallel_for range: a cell's serve or CQI walk is the unit
-/// of work, and a RAN has tens of cells, so each range is one cell.
+/// Cells per parallel_for range: a cell's serve is the unit of work,
+/// and a RAN has tens of cells, so each range is one cell.
 constexpr std::size_t kCellGrain = 1;
 
 /// Modelled X2 interruption of one handover: ~50 ms baseline plus a
@@ -204,22 +204,6 @@ Result<void> RanController::detach_ue(UeId ue) {
     --*count;
   }
   return {};
-}
-
-void RanController::wander_cqis(Rng& rng, double step_probability) {
-  TRACE_SCOPE("ran.epoch.wander");
-  // One independent stream per cell, seeds drawn from the caller's RNG
-  // on the calling thread: the per-UE CQI walks — the dominant per-UE
-  // epoch cost at city scale — shard across the worker pool as per-cell
-  // tasks while staying deterministic at any pool size.
-  wander_seeds_.resize(cells_.size());
-  for (std::uint64_t& seed : wander_seeds_) seed = rng.next_u64();
-  parallel_for(pool_, cells_.size(), kCellGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      Rng local(wander_seeds_[i]);
-      cells_[i].wander_cqis(local, step_probability);
-    }
-  });
 }
 
 Result<UeId> RanController::attach_ue_at(CellId cell, PlmnId plmn, Cqi cqi) {
@@ -439,6 +423,18 @@ void RanController::serve_epoch(std::span<const std::pair<PlmnId, DataRate>> dem
     });
   }
 
+  // The share of demand `d` that falls on broadcast position `idx` of
+  // `cell`: weighted by attached UEs, or an equal split over the
+  // broadcasting cells while the PLMN has none. A live cell serves this
+  // share and a dead one leaves it unserved.
+  const auto share_of = [&](const Cell& cell, std::size_t idx, std::size_t d) {
+    if (everywhere[d] > 0) {
+      return static_cast<double>(cell.attached_count_at(idx)) /
+             static_cast<double>(everywhere[d]);
+    }
+    return broadcasting[d] > 0 ? 1.0 / static_cast<double>(broadcasting[d]) : 0.0;
+  };
+
   // Phase 1 — per-cell tasks: every cell reads itself plus the shared
   // indices and writes only its own grant-slab row, so execution order
   // cannot affect the result.
@@ -453,19 +449,10 @@ void RanController::serve_epoch(std::span<const std::pair<PlmnId, DataRate>> dem
     std::array<DataRate, kMaxBroadcastPlmns> dem{};
     std::int32_t* gd = grant_demand.data() + i * kMaxBroadcastPlmns;
     for (std::size_t j = 0; j < b; ++j) gd[j] = -1;
-    // Split each PLMN's demand across cells: weight by attached UEs,
-    // equal split over broadcasting cells when the PLMN has none.
     for (std::size_t d = 0; d < n_demands; ++d) {
       const std::size_t idx = cell.broadcast_index(demands[d].first);
       if (idx == b) continue;
-      double share = 0.0;
-      if (everywhere[d] > 0) {
-        share = static_cast<double>(cell.attached_count_at(idx)) /
-                static_cast<double>(everywhere[d]);
-      } else if (broadcasting[d] > 0) {
-        share = 1.0 / static_cast<double>(broadcasting[d]);
-      }
-      dem[idx] += demands[d].second * share;
+      dem[idx] += demands[d].second * share_of(cell, idx, d);
       if (gd[idx] < 0) gd[idx] = static_cast<std::int32_t>(d);
     }
 
@@ -496,21 +483,12 @@ void RanController::serve_epoch(std::span<const std::pair<PlmnId, DataRate>> dem
     for (std::size_t i = 0; i < n_cells; ++i) {
       if (active[i] == 0) {
         // Cell outage: its share of every PLMN's demand goes unserved.
-        // Shares are recomputed here with the exact expression the live
-        // path uses, in the same demand order.
         const Cell& cell = cells_[i];
         const std::size_t b = cell.broadcast_count();
         for (std::size_t d = 0; d < n_demands; ++d) {
           const std::size_t idx = cell.broadcast_index(demands[d].first);
           if (idx == b) continue;
-          double share = 0.0;
-          if (everywhere[d] > 0) {
-            share = static_cast<double>(cell.attached_count_at(idx)) /
-                    static_cast<double>(everywhere[d]);
-          } else if (broadcasting[d] > 0) {
-            share = 1.0 / static_cast<double>(broadcasting[d]);
-          }
-          totals[d].unserved += demands[d].second * share;
+          totals[d].unserved += demands[d].second * share_of(cell, idx, d);
         }
         observe_cell_telemetry(i, now, PrbCount{0}, /*active=*/false);
         continue;

@@ -21,7 +21,6 @@
 #include "common/dense_map.hpp"
 #include "common/ids.hpp"
 #include "common/result.hpp"
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "net/router.hpp"
@@ -137,13 +136,6 @@ class RanController {
   [[nodiscard]] Result<void> detach_ue(UeId ue);
 
   [[nodiscard]] std::size_t attached_ues(PlmnId plmn) const noexcept;
-
-  /// Channel-quality dynamics: random-walk every attached UE's CQI by
-  /// ±1 (clamped to [1,15]) with probability `step_probability` each —
-  /// the periodic CQI feedback real eNBs receive. Call once per epoch.
-  /// Runs the vectorized per-cell kernel (Cell::wander_cqis) as one
-  /// task per cell, each on its own stream seeded from `rng`.
-  void wander_cqis(Rng& rng, double step_probability = 0.3);
 
   /// Attach a new UE under `plmn` to a specific cell (mobility placement
   /// — the Field knows where the UE is, so least-loaded selection does
@@ -295,9 +287,8 @@ class RanController {
   ThreadPool* pool_ = nullptr;
   /// Per-epoch scratch, reused so steady-state epochs never allocate:
   /// the arena carries all flat per-cell/per-demand arrays of the
-  /// batched kernel; wander_seeds carries the per-cell RNG streams.
+  /// batched kernel.
   Arena epoch_arena_;
-  std::vector<std::uint64_t> wander_seeds_;
   std::vector<CellHandles> cell_handles_;  // index-aligned with cells_
   DenseIdMap<PlmnId, PlmnHandles> plmn_handles_;
   std::string metrics_buffer_;  ///< reused /metrics serialization buffer

@@ -1,27 +1,23 @@
 #pragma once
 // Structure-of-arrays store for the per-cell attached-UE population.
 //
-// The epoch hot loops touch exactly two UE attributes — broadcast-PLMN
-// membership and reported CQI — and they touch them for every attached
-// UE, every epoch (the CQI random walk). Each attribute lives in its own
-// contiguous byte column, so a UE row is two bytes: the wander loop
-// streams the CQI column and a handover's row move writes two bytes per
-// cell. The PLMN byte is the PLMN's slot in the owning cell, which the
-// cell keeps fixed for as long as it broadcasts that PLMN (ran/cell.hpp),
-// so no row is rewritten when another PLMN is withdrawn.
+// A UE row is two bytes, each in its own contiguous byte column: the
+// PLMN's slot in the owning cell and the reported CQI. A handover's row
+// move writes two bytes per cell. The PLMN byte is the slot the cell
+// keeps fixed for as long as it broadcasts that PLMN (ran/cell.hpp), so
+// no row is rewritten when another PLMN is withdrawn.
 //
 // The store keeps no UE identity and no liveness column. A hole — an
 // erased row — is marked by CQI byte 0: Cqi asserts 1..15, so 0 is
-// never a real CQI, and the batched kernels mask on `cqi != 0`. The
+// never a real CQI, and a column reader masks on `cqi != 0`. The
 // store is row-addressed: insert hands back the row, and the owner
 // (RanController, whose UE record holds {plmn, cell, row}) addresses
-// every later read, update and erase by that row. Row discipline is
+// every later read and erase by that row. Row discipline is
 // bit-compatible with DenseIdMap's slot discipline: rows are assigned in
 // insertion order with erased rows reused LIFO, and iteration is
 // ascending row order skipping holes. A given attach/detach history
-// therefore yields the same visit order — and so the same wander RNG
-// consumption — as an AoS DenseIdMap would (pinned by the randomized
-// diff test in dense_map_test).
+// therefore yields the same rows and visit order as an AoS DenseIdMap
+// would (pinned by the randomized diff test in dense_map_test).
 
 #include <cassert>
 #include <cstdint>
@@ -38,8 +34,7 @@ class UeSoa {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// Insert a row and return it. `plmn_slot` is the cell's stable slot
-  /// of the UE's PLMN (< kMaxBroadcastPlmns; kept index-coded so the
-  /// wander kernel never hashes).
+  /// of the UE's PLMN (< kMaxBroadcastPlmns).
   std::uint32_t insert(std::uint8_t plmn_slot, Cqi cqi) {
     std::uint32_t row;
     if (!free_.empty()) {
@@ -75,12 +70,10 @@ class UeSoa {
   /// CQI of live row `row`.
   [[nodiscard]] Cqi cqi_at(std::uint32_t row) const noexcept { return Cqi{cqi_[row]}; }
 
-  /// Raw columns for the batched kernels, one byte per row (live rows
-  /// and holes), so their size bounds row iteration. cqi values are the
-  /// CQI index (1..15) on live rows and 0 on holes; a hole's plmn byte
-  /// is stale.
+  /// Raw columns, one byte per row (live rows and holes), so their size
+  /// bounds row iteration. cqi values are the CQI index (1..15) on live
+  /// rows and 0 on holes; a hole's plmn byte is stale.
   [[nodiscard]] std::span<const std::uint8_t> cqi_column() const noexcept { return cqi_; }
-  [[nodiscard]] std::span<std::uint8_t> cqi_column() noexcept { return cqi_; }
   [[nodiscard]] std::span<const std::uint8_t> plmn_column() const noexcept { return plmn_; }
 
  private:

@@ -282,14 +282,6 @@ const PathReservation* TransportController::find_path(PathId path) const noexcep
   return paths_.find(path);
 }
 
-std::vector<PathId> TransportController::paths_of(SliceId slice) const {
-  std::vector<PathId> out;
-  for (const auto& [id, reservation] : paths_) {
-    if (reservation.slice == slice) out.push_back(reservation.id);
-  }
-  return out;
-}
-
 void TransportController::try_reroute(PathReservation& reservation) {
   // Residual as seen when this path's own reservation is lifted:
   // effective (faded) capacity minus what *other* paths reserve. The

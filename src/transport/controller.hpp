@@ -94,7 +94,6 @@ class TransportController {
   [[nodiscard]] Result<void> release_path(PathId path);
 
   [[nodiscard]] const PathReservation* find_path(PathId path) const noexcept;
-  [[nodiscard]] std::vector<PathId> paths_of(SliceId slice) const;
 
   /// Residual (nominal − reserved) capacity of a link; zero while the
   /// link is administratively down.

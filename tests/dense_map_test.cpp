@@ -264,9 +264,8 @@ TEST(DenseIdMap, ClearResetsEverything) {
 //
 // The epoch kernel's column store must keep the same contents AND the
 // same iteration order as an AoS layout (one record per DenseIdMap
-// slot) under any attach/detach history — iteration order is
-// what fixes RNG consumption in the CQI walk, so an order divergence
-// would silently fork every downstream scorecard. The store keeps no UE
+// slot) under any attach/detach history, so that a given history fills
+// the same rows as it did before the SoA rewrite. The store keeps no UE
 // identity at all (a row is its PLMN and CQI bytes, CQI 0 marking a
 // hole); like RanController, the tests own the id -> row map.
 

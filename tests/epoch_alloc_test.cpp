@@ -1,7 +1,7 @@
 // Allocation accounting for the epoch kernels: after a warm-up epoch
 // has grown a controller's arena and scratch vectors to their
-// high-water marks, the steady-state serve loop — RAN wander_cqis +
-// serve_epoch, and transport serve_epoch — must perform ZERO
+// high-water marks, the steady-state serve loop — RAN serve_epoch and
+// transport serve_epoch — must perform ZERO
 // heap allocations, at any pool size. The global operator new/delete
 // replacements in counting_new.hpp count every allocation on every
 // thread, in every form of new, so a single malloc
@@ -39,7 +39,6 @@ struct Fixture {
   std::vector<PlmnId> plmns;
   std::vector<std::pair<PlmnId, DataRate>> demands;
   std::vector<RanServeReport> reports;
-  Rng wander_rng{99};
 
   explicit Fixture(std::size_t threads, std::size_t n_ues) {
     constexpr std::size_t kCells = 16;
@@ -67,7 +66,6 @@ struct Fixture {
   }
 
   void run_epoch(int epoch) {
-    ran.wander_cqis(wander_rng, 0.3);
     ran.serve_epoch(demands, SimTime::from_seconds(epoch * 1.0), reports);
     EXPECT_EQ(reports.size(), demands.size());
   }
@@ -75,8 +73,8 @@ struct Fixture {
 
 void expect_zero_alloc_epochs(std::size_t threads) {
   Fixture fx(threads, /*n_ues=*/20'000);
-  // Warm-up: grows the arena to its high-water mark, sizes the wander
-  // seed vector and the report vector's capacity.
+  // Warm-up: grows the arena to its high-water mark and the report
+  // vector's capacity.
   fx.run_epoch(0);
   fx.run_epoch(1);
 
@@ -111,8 +109,8 @@ TEST(EpochAllocations, ArenaRewindsInsteadOfFreeing) {
   EXPECT_LE(probe.high_water(), probe.capacity());
 }
 
-// A fresh controller's first epoch reserves the arena, sizes the wander
-// seeds and grows `reports`, so it must allocate — this guards against the
+// A fresh controller's first epoch reserves the arena and grows
+// `reports`, so it must allocate — this guards against the
 // counter itself going blind (a counter that never fires would make the
 // zero-allocation tests above vacuous) on the same code they measure.
 TEST(EpochAllocations, CounterSeesFirstEpochAllocations) {

@@ -113,16 +113,15 @@ TEST(Orchestrator, RejectsWhenRadioExhaustedAndRollsBackCleanly) {
 struct Substrate {
   std::vector<std::vector<PlmnId>> broadcast;  ///< installed PLMNs, per cell
   std::vector<int> reserved_prbs;              ///< per cell
-  std::vector<PathId> background_paths;        ///< paths_of(background slice)
-  std::vector<PathId> request_paths;           ///< paths_of(failing request)
   std::vector<double> residual_bps;            ///< per link
+  std::size_t flows = 0;                       ///< installed flow rules
   std::size_t stacks = 0;
   std::size_t epcs = 0;
 
   bool operator==(const Substrate&) const = default;
 };
 
-Substrate substrate_of(const Testbed& tb, SliceId background, SliceId request) {
+Substrate substrate_of(const Testbed& tb) {
   Substrate out;
   for (const CellId cell : {tb.cell_a, tb.cell_b}) {
     const ran::Cell& on_air = *tb.ran.find_cell(cell);
@@ -130,11 +129,10 @@ Substrate substrate_of(const Testbed& tb, SliceId background, SliceId request) {
     for (std::size_t i = 0; i < on_air.broadcast_count(); ++i) list.push_back(on_air.broadcast_at(i));
     out.reserved_prbs.push_back(tb.ran.find_cell(cell)->reserved_prbs().value);
   }
-  out.background_paths = tb.transport->paths_of(background);
-  out.request_paths = tb.transport->paths_of(request);
   for (const transport::Link& link : tb.transport->topology().links()) {
     out.residual_bps.push_back(tb.transport->residual(link).bits_per_second());
   }
+  out.flows = tb.transport->flow_table().size();
   out.stacks = tb.cloud.engine().stack_count();
   out.epcs = tb.epc->instance_count();
   return out;
@@ -175,14 +173,14 @@ TEST_P(StageRollback, FailureLeavesSubstrateUntouched) {
 
   SliceSpec failing = small;
   fault.inject(*tb, failing, request_slice);
-  const Substrate before = substrate_of(*tb, background->id, request_slice);
+  const Substrate before = substrate_of(*tb);
 
   const SubmitVerdict rejected = tb->orchestrator->submit(failing);
   ASSERT_EQ(rejected.slice, request_slice);
   EXPECT_EQ(rejected.state, SliceState::rejected);
   EXPECT_EQ(tb->orchestrator->find_slice(request_slice), nullptr);
   EXPECT_EQ(tb->orchestrator->summary().rejected_total, 1u);
-  EXPECT_EQ(substrate_of(*tb, background->id, request_slice), before);
+  EXPECT_EQ(substrate_of(*tb), before);
 
   const Event* verdict = nullptr;
   for (const Event& event : tb->orchestrator->events().after(0)) {
@@ -305,9 +303,9 @@ TEST(Orchestrator, EdgePlacementGetsBreakoutLeg) {
   EXPECT_EQ(tb->orchestrator->find_slice(core_slice)->embedding.paths.size(), 1u);
 
   // Teardown releases both legs.
-  const SliceId edge_slice = record->id;
-  ASSERT_TRUE(tb->orchestrator->terminate(edge_slice).ok());
-  EXPECT_TRUE(tb->transport->paths_of(edge_slice).empty());
+  const std::vector<PathId> edge_paths = record->embedding.paths;
+  ASSERT_TRUE(tb->orchestrator->terminate(record->id).ok());
+  for (const PathId path : edge_paths) EXPECT_EQ(tb->transport->find_path(path), nullptr);
 }
 
 TEST(Orchestrator, TerminateReleasesEarly) {

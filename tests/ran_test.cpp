@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/rest_bus.hpp"
 #include "ran/cell.hpp"
 #include "ran/controller.hpp"
@@ -302,126 +303,11 @@ TEST(Cell, UeCqiQueryAndDetachedHole) {
   EXPECT_EQ(cell.mean_cqi(PlmnId{1}, Cqi{1}), Cqi{7});
 }
 
-TEST(Cell, CqiWanderStaysInRange) {
-  Cell cell = make_cell();
-  ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  const std::uint32_t low = cell.attach(PlmnId{1}, Cqi{1}).value();
-  const std::uint32_t high = cell.attach(PlmnId{1}, Cqi{15}).value();
-  Rng rng(3);
-  bool moved = false;
-  for (int i = 0; i < 500; ++i) {
-    cell.wander_cqis(rng, 0.5);
-    for (const std::uint32_t row : {low, high}) {
-      ASSERT_TRUE(cell.ues().live(row));
-      const Cqi cqi = cell.cqi_at(row);
-      EXPECT_GE(cqi.index(), 1);
-      EXPECT_LE(cqi.index(), 15);
-      if (cqi != Cqi{1} && cqi != Cqi{15}) moved = true;
-    }
-  }
-  EXPECT_TRUE(moved);
-}
-
-// The batched wander kernel against the analytic walk: each UE steps with
-// probability p, and a step is up or down with probability 1/2 each.
-TEST(Cell, WanderStepRateAndSignMatchAnalyticRates) {
-  constexpr std::size_t kUes = 2048;
-  constexpr int kRounds = 20;
-  constexpr double kP = 0.3;
-  Cell cell = make_cell();
-  ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  std::vector<std::uint32_t> rows;
-  for (std::size_t i = 0; i < kUes; ++i) {
-    const Result<std::uint32_t> row = cell.attach(PlmnId{1}, Cqi{8});
-    ASSERT_TRUE(row.ok());
-    rows.push_back(row.value());
-  }
-  Rng rng(19);
-  std::vector<int> before(kUes);
-  std::int64_t up = 0;
-  std::int64_t down = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t i = 0; i < kUes; ++i) before[i] = cell.cqi_at(rows[i]).index();
-    cell.wander_cqis(rng, kP);
-    for (std::size_t i = 0; i < kUes; ++i) {
-      const int after = cell.cqi_at(rows[i]).index();
-      EXPECT_GE(after, 1);
-      EXPECT_LE(after, 15);
-      if (after > before[i]) ++up;
-      if (after < before[i]) ++down;
-    }
-  }
-  const auto steps = static_cast<double>(up + down);
-  // Clamping at the band edges hides the odd step, so the observed rate
-  // sits a hair below p; a walk starting mid-band clamps both signs alike.
-  EXPECT_NEAR(steps / static_cast<double>(kUes * kRounds), kP, 0.02);
-  EXPECT_NEAR(static_cast<double>(up) / steps, 0.5, 0.02);
-  EXPECT_NEAR(static_cast<double>(down) / steps, 0.5, 0.02);
-}
-
-// The batched kernel masks holes (CQI byte 0) and folds per-PLMN CQI
-// deltas once per block: after wandering across holes, the holes still
-// read 0 and the cached mean equals a recomputation from the surviving
-// UEs. Like RanController, the test owns the UE id -> row map.
-TEST(Cell, WanderSkipsHolesAndKeepsCqiSumsConsistent) {
-  Cell cell = make_cell();
-  ASSERT_TRUE(cell.broadcast_plmn(PlmnId{1}).ok());
-  ASSERT_TRUE(cell.broadcast_plmn(PlmnId{2}).ok());
-  // UE i + 1 is attached in order, so it lands on row i.
-  std::map<UeId, std::uint32_t> row_of;
-  for (std::size_t i = 0; i < 64; ++i) {
-    const PlmnId plmn{1 + i % 2};
-    const Result<std::uint32_t> row = cell.attach(plmn, Cqi{static_cast<int>(1 + i % 15)});
-    ASSERT_TRUE(row.ok());
-    ASSERT_EQ(row.value(), i);
-    row_of.emplace(UeId{i + 1}, row.value());
-  }
-  // Punch holes in the middle of the columns.
-  std::vector<std::uint32_t> holes;
-  for (std::uint32_t row = 0; row < 64; row += 3) {
-    cell.detach(row);
-    row_of.erase(UeId{row + 1u});
-    holes.push_back(row);
-  }
-  Rng rng(23);
-  for (int round = 0; round < 50; ++round) cell.wander_cqis(rng, 0.5);
-
-  for (const std::uint32_t row : holes) {
-    EXPECT_FALSE(cell.ues().live(row)) << "row " << row;
-    EXPECT_EQ(cell.ues().cqi_column()[row], 0) << "a hole must stay 0 across the walk";
-  }
-  for (const PlmnId plmn : {PlmnId{1}, PlmnId{2}}) {
-    std::int64_t sum = 0;
-    std::int64_t count = 0;
-    for (const auto& [ue, row] : row_of) {
-      // Only UEs of this PLMN contribute.
-      if ((ue.value() - 1) % 2 != plmn.value() - 1) continue;
-      ASSERT_TRUE(cell.ues().live(row));
-      sum += cell.cqi_at(row).index();
-      ++count;
-    }
-    ASSERT_GT(count, 0);
-    const int expected_mean =
-        std::clamp(static_cast<int>(sum / count), 1, 15);  // mirror of mean_cqi_at
-    EXPECT_EQ(cell.mean_cqi(plmn, Cqi{7}).index(), expected_mean) << "plmn " << plmn.value();
-  }
-
-  // The running cqi_sum is exact: detaching every survivor (each takes
-  // its current CQI off the sum) must bring it back to 0, so one fresh
-  // UE at CQI 8 then reads a mean of exactly 8 on each PLMN.
-  for (const auto& [ue, row] : row_of) cell.detach(row);
-  for (const PlmnId plmn : {PlmnId{1}, PlmnId{2}}) {
-    ASSERT_EQ(cell.attached_count(plmn), 0u);
-    ASSERT_TRUE(cell.attach(plmn, Cqi{8}).ok());
-    EXPECT_EQ(cell.mean_cqi(plmn, Cqi{1}), Cqi{8}) << "plmn " << plmn.value();
-  }
-}
-
 // A UE row holds its PLMN's slot, which the cell keeps while it
 // broadcasts that PLMN, so withdrawing a PLMN from the middle of the
 // broadcast list leaves every UE row as it was; only the slot <->
-// position tables shift, and reads, detaches and the CQI walk of the
-// rows above it still find their PLMN.
+// position tables shift, and reads and detaches of the rows above it
+// still find their PLMN.
 TEST(Cell, WithdrawTouchesNoUeRow) {
   Cell cell = make_cell();
   const std::vector<PlmnId> plmns = {PlmnId{1}, PlmnId{2}, PlmnId{3}, PlmnId{4}};
@@ -460,10 +346,8 @@ TEST(Cell, WithdrawTouchesNoUeRow) {
     const auto& [plmn, row] = rows[k];
     ASSERT_EQ(cell.plmn_index_at(row), cell.broadcast_index(plmn)) << "row " << row;
   }
-  // The CQI walk and detaches land on the right PLMN: detaching every
-  // survivor empties each PLMN's count and CQI sum exactly.
-  Rng rng(29);
-  for (int round = 0; round < 20; ++round) cell.wander_cqis(rng, 0.5);
+  // Detaches land on the right PLMN: detaching every survivor empties
+  // each PLMN's count and CQI sum exactly.
   for (std::size_t k = 0; k < rows.size(); ++k) {
     if (k % 5 != 0) cell.detach(rows[k].second);
   }
@@ -594,8 +478,8 @@ TEST(RanController, UesBalanceAcrossCells) {
 // every UE operation must keep it, the cells' row stores and the
 // per-PLMN aggregates in step. A seeded mix of attaches, detaches,
 // handover batches (with unknown-UE, out-of-range-target, same-cell
-// and inactive-target drops), outages and CQI walks runs against a shadow
-// model; every step re-checks the whole observable UE state.
+// and inactive-target drops) and outages runs against a shadow model;
+// every step re-checks the whole observable UE state.
 TEST(RanController, RandomizedUeOpsMatchShadowModel) {
   const std::vector<CellId> cell_ids = {CellId{11}, CellId{12}, CellId{13}, CellId{14}};
   const std::vector<PlmnId> plmns = {PlmnId{10}, PlmnId{20}, PlmnId{30}};
@@ -753,7 +637,8 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
       }
       case 5:
       case 6:
-      case 7: {  // handover batch, sometimes after a transient PLMN goes off or on the air
+      case 7:
+      case 9: {  // handover batch, sometimes after a transient PLMN goes off or on the air
         if (rng.bernoulli(0.25)) {
           const auto t = static_cast<std::size_t>(rng.uniform_int(0, 1));
           if (on_air[t]) {
@@ -811,15 +696,10 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
         drops += n - successes;
         break;
       }
-      case 8: {  // eNB outage / recovery
+      default: {  // eNB outage / recovery
         const auto c = static_cast<std::size_t>(rng.uniform_int(0, 3));
         active[c] = !active[c];
         ASSERT_TRUE(controller.set_cell_active(cell_ids[c], active[c]).ok());
-        break;
-      }
-      default: {  // CQI walk over rows reshuffled by handovers
-        controller.wander_cqis(rng, 0.5);
-        for (auto& [id, ue] : shadow) ue.cqi = controller.ue_cqi(UeId{id})->index();
         break;
       }
     }
@@ -836,7 +716,7 @@ TEST(RanController, RandomizedUeOpsMatchShadowModel) {
 
 // Slots are reused across withdrawals and re-broadcasts, and cells added
 // at different times broadcast the same PLMNs in different orders under
-// different slots. Attaches, detaches, CQI walks and handovers between
+// different slots. Attaches, detaches and handovers between
 // such cells keep every per-PLMN count and mean CQI exact.
 TEST(RanController, ReusedPlmnSlotsKeepAggregatesExactUnderChurn) {
   const std::vector<PlmnId> pool = {PlmnId{1}, PlmnId{2}, PlmnId{3}, PlmnId{4},
@@ -903,7 +783,7 @@ TEST(RanController, ReusedPlmnSlotsKeepAggregatesExactUnderChurn) {
     const auto k = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
     const std::int64_t kind = rng.uniform_int(0, 39);
-    switch (kind < 16 ? 0 : kind < 18 ? 1 : kind < 28 ? 2 : kind < 39 ? 3 : 4) {
+    switch (kind < 16 ? 0 : kind < 18 ? 1 : kind < 39 ? 2 : 3) {
       case 0: {  // attach
         const auto c = static_cast<std::size_t>(rng.uniform_int(0, 2));
         const int cqi = static_cast<int>(rng.uniform_int(1, 15));
@@ -936,11 +816,6 @@ TEST(RanController, ReusedPlmnSlotsKeepAggregatesExactUnderChurn) {
           s.cell = c;
         }
         controller.apply_handovers(batch, SimTime::from_micros(op + 1), {});
-        break;
-      }
-      case 3: {  // CQI walk
-        controller.wander_cqis(rng, 0.5);
-        for (auto& [id, ue] : shadow) ue.cqi = controller.ue_cqi(UeId{id})->index();
         break;
       }
       default: {  // withdraw (after detaching its UEs) or re-broadcast

@@ -263,6 +263,7 @@ TEST_P(DuplicateIdReinstall, FailedReinstallFreesOnlyWhatItInstalled) {
   SliceId survivor_id;
   SliceId duplicate_id;
   core::Embedding survivor;
+  std::vector<PathId> duplicate_paths;  ///< the second slice's own paths
   std::map<CellId, PrbCount> survivor_prbs;
   json::Object tampered;
   {
@@ -279,6 +280,7 @@ TEST_P(DuplicateIdReinstall, FailedReinstallFreesOnlyWhatItInstalled) {
     survivor_id = first->id;
     duplicate_id = second->id;
     survivor = first->embedding;
+    duplicate_paths = second->embedding.paths;
     survivor_prbs = live.tb->ran.find_allocation(survivor.plmn)->per_cell;
 
     // A damaged journal re-admits the second slice under one of the
@@ -316,14 +318,17 @@ TEST_P(DuplicateIdReinstall, FailedReinstallFreesOnlyWhatItInstalled) {
   const ran::RanAllocation* alloc = tb.ran.find_allocation(survivor.plmn);
   ASSERT_NE(alloc, nullptr);
   EXPECT_EQ(alloc->per_cell, survivor_prbs);
-  EXPECT_EQ(tb.transport->paths_of(survivor_id), survivor.paths);
-  ASSERT_NE(tb.transport->find_path(survivor.paths.front()), nullptr);
+  for (const PathId path : survivor.paths) {
+    const transport::PathReservation* reservation = tb.transport->find_path(path);
+    ASSERT_NE(reservation, nullptr);
+    EXPECT_EQ(reservation->slice, survivor_id);
+  }
   EXPECT_NE(tb.epc->find(survivor_id), nullptr);
 
   // The duplicate is terminated and holds nothing.
   EXPECT_EQ(tb.orchestrator->find_slice(duplicate_id), nullptr);
   EXPECT_EQ(tb.orchestrator->summary().terminated_total, 1u);
-  EXPECT_TRUE(tb.transport->paths_of(duplicate_id).empty());
+  for (const PathId path : duplicate_paths) EXPECT_EQ(tb.transport->find_path(path), nullptr);
   EXPECT_EQ(tb.epc->find(duplicate_id), nullptr);
   EXPECT_EQ(tb.epc->instance_count(), 1u);
   EXPECT_EQ(terminated_stage(*tb.orchestrator, duplicate_id),
@@ -342,6 +347,7 @@ INSTANTIATE_TEST_SUITE_P(Recovery, DuplicateIdReinstall, ::testing::Bool(),
 TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
   const fs::path dir = fresh_dir("edge_stack");
   SliceId slice;
+  std::vector<PathId> paths;
   {
     StoredTestbed live = make_stored_testbed(84, dir.string());
     slice =
@@ -351,6 +357,7 @@ TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
     ASSERT_EQ(record->state, core::SliceState::active);
     ASSERT_EQ(record->embedding.paths.size(), 2u);
     ASSERT_TRUE(record->embedding.edge_stack.has_value());
+    paths = record->embedding.paths;
   }
 
   // While the orchestrator was down, other tenants took the edge hosts
@@ -378,7 +385,7 @@ TEST(Recovery, ReinstallFailingAtEdgeStackReleasesEveryEarlierStage) {
 
   EXPECT_EQ(tb.cloud.engine().stack_count(), stacks_before);
   EXPECT_EQ(tb.epc->instance_count(), 0u);
-  EXPECT_TRUE(tb.transport->paths_of(slice).empty());
+  for (const PathId path : paths) EXPECT_EQ(tb.transport->find_path(path), nullptr);
   std::vector<double> residual_after;
   for (const transport::Link& link : tb.transport->topology().links()) {
     residual_after.push_back(tb.transport->residual(link).bits_per_second());

@@ -149,6 +149,19 @@ TEST(CellOutage, InactiveCellServesNothingAndCapacityDrops) {
   controller.serve_epoch(demands, SimTime::from_seconds(2.0), reports);
   EXPECT_NEAR(reports[0].served.as_mbps(), 20.0, 0.5);
   EXPECT_EQ(controller.set_cell_active(CellId{9}, false).error().code, Errc::not_found);
+
+  // With UEs attached 3:1 over the two cells, demand splits by UE count:
+  // the dead cell leaves exactly its three quarters unserved, and the
+  // live cell serves its quarter in full.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(controller.attach_ue_at(CellId{1}, PlmnId{1}, ran::Cqi{10}).ok());
+  }
+  ASSERT_TRUE(controller.attach_ue_at(CellId{2}, PlmnId{1}, ran::Cqi{10}).ok());
+  ASSERT_TRUE(controller.set_cell_active(CellId{1}, false).ok());
+  controller.serve_epoch(demands, SimTime::from_seconds(3.0), reports);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].unserved.bits_per_second(), DataRate::mbps(15.0).bits_per_second());
+  EXPECT_EQ(reports[0].served.bits_per_second(), DataRate::mbps(5.0).bits_per_second());
 }
 
 TEST(CellOutage, AllocationPlanningSkipsInactiveCells) {

@@ -145,20 +145,6 @@ TEST(ScenarioDsl, ErrorsNameTheField) {
 
 // --- Satellite: time-varying arrival rates stay bit-compatible -------
 
-TEST(RequestGeneratorSchedule, ConstantConfigSameStreamViaBothOverloads) {
-  core::RequestGeneratorConfig config;
-  config.arrivals_per_hour = 1.5;
-  core::RequestGenerator a(config, Rng(7));
-  core::RequestGenerator b(config, Rng(7));
-  SimTime t = SimTime::origin();
-  for (int i = 0; i < 200; ++i) {
-    const Duration legacy = a.next_interarrival();
-    const Duration timed = b.next_interarrival(t);
-    ASSERT_EQ(legacy.as_micros(), timed.as_micros()) << "draw " << i;
-    t = t + timed;
-  }
-}
-
 TEST(RequestGeneratorSchedule, FlatScheduleMatchesConstantRate) {
   core::RequestGeneratorConfig constant;
   constant.arrivals_per_hour = 2.0;

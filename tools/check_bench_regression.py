@@ -3,7 +3,7 @@
 
 Usage:
     check_bench_regression.py CURRENT.json BASELINE.json \
-        --bench 'BM_EpochServe/500000/1' [--tolerance 0.25]
+        --bench 'BM_EpochServe/1000000/1' [--tolerance 0.25]
 
 Both files are google-benchmark JSON exports. The run should be made
 with --benchmark_repetitions so it contains aggregate rows; the gate
@@ -60,7 +60,7 @@ def main() -> int:
         "--bench",
         action="append",
         required=True,
-        help="benchmark name to guard (repeatable), e.g. BM_EpochServe/500000/1",
+        help="benchmark name to guard (repeatable), e.g. BM_EpochServe/1000000/1",
     )
     parser.add_argument(
         "--tolerance",
