@@ -14,9 +14,11 @@
 // BM_EpochServe/<ues>/<threads>
 //                        — one epoch of demand serving over `ues`
 //                          attached UEs across 128 cells, through the
-//                          SoA epoch kernel (arena scratch, per-cell
-//                          task pipeline on a `threads`-wide pool;
-//                          1 = serial). Serving reads each cell's
+//                          SoA epoch kernel (arena scratch, cells in
+//                          ranges of 128 on a `threads`-wide pool;
+//                          1 = serial). 128 cells are one range, so
+//                          every thread count serves on the calling
+//                          thread. Serving reads each cell's
 //                          running per-PLMN UE counts, never a UE row,
 //                          so its cost is O(cells x PLMNs) and only the
 //                          1M population is swept.
@@ -93,7 +95,7 @@ void print_experiment() {
   std::printf("see the google-benchmark tables: BM_UeChurn/<ues>, BM_EpochServe/<ues>/<threads>\n");
   std::printf("expected shape: churn cost is O(1) per attach/detach pair and flat in the\n"
               "population; epoch serving is O(cells x PLMNs), flat in attached UEs,\n"
-              "and shards across the pool per cell.\n\n");
+              "and serial at any pool width: 128 cells are one pool range.\n\n");
 }
 
 void BM_UeChurn(benchmark::State& state) {

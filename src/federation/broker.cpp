@@ -1,6 +1,7 @@
 #include "federation/broker.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "telemetry/trace.hpp"
@@ -26,6 +27,21 @@ bool bool_or(const json::Value& body, std::string_view key, bool fallback) {
 std::string string_or(const json::Value& body, std::string_view key, std::string fallback) {
   const json::Value* v = body.find(key);
   return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
+}
+
+/// A whole number of µs in [0, 2^53] (a tick reply's next_event_us);
+/// nullopt for anything else, a fraction included.
+std::optional<std::int64_t> whole_us(const json::Value* v) {
+  if (v == nullptr || !v->is_number() || v->as_number() != std::trunc(v->as_number())) {
+    return std::nullopt;
+  }
+  return json::to_integer<std::int64_t>(v, 0, json::kMaxExactInteger);
+}
+
+/// `path` with the broker's time as its `t_us` query parameter: the
+/// edge advances to it before it acts.
+std::string at_time(const char* path, std::int64_t t_us) {
+  return std::string(path) + "?t_us=" + std::to_string(t_us);
 }
 
 /// Chrome "thread_name" metadata event, naming one lane of the merged
@@ -122,28 +138,45 @@ void Broker::tick_all(std::int64_t t_us) {
       ++it;
     }
   }
-  json::Object body;
-  body.emplace("t_us", static_cast<double>(t_us));
-  const json::Value doc{std::move(body)};
-  for (RegionLink& link : links_) {
-    // In-process edges advance on the *shared* tracer clock and leave it
-    // wherever their epoch loop last published; re-pin it to t before
-    // each call so broker-side spans timestamp identically when edges
-    // are remote processes with clocks of their own.
-    telemetry::trace::set_sim_now(t_us);
-    link.headroom = nullptr;
-    // A dead edge is the edge process's problem: its headroom stays
-    // stale (readers re-poll it) and admission-level calls surface
-    // errors.
-    Result<json::Value> reply = bus_->call_json(link.service, net::Method::post,
-                                                "/federation/tick", doc);
-    if (!reply.ok() || !reply.value().is_object()) continue;
-    json::Object& fields = reply.value().as_object();
-    if (auto it = fields.find("headroom"); it != fields.end()) {
-      link.headroom = std::move(it->second);
+  // A region with a fresh headroom and nothing due by t is skipped: its
+  // state at t is its state at its last tick, so the cached headroom is
+  // what a tick would return, and its next mutating call advances it.
+  std::vector<std::size_t> due;
+  std::vector<std::string> services;
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const RegionLink& link = links_[i];
+    if (!link.headroom.is_null() && link.next_event_us.has_value() && *link.next_event_us > t_us) {
+      continue;
     }
-    if (auto it = fields.find("roamers"); it != fields.end() && it->second.is_object()) {
-      link.roamers.push_back(std::move(it->second));
+    due.push_back(i);
+    services.push_back(link.service);
+  }
+  // One round for every due region. Each request carries t as its trace
+  // context's sim clock, so an in-process edge's spans timestamp as a
+  // remote edge process's do, whichever edge ran before it.
+  telemetry::trace::set_sim_now(t_us);
+  if (!due.empty()) {
+    json::Object body;
+    body.emplace("t_us", static_cast<double>(t_us));
+    std::vector<Result<json::Value>> replies = bus_->call_json_each(
+        services, net::Method::post, "/federation/tick", json::Value(std::move(body)));
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      RegionLink& link = links_[due[k]];
+      // A dead edge is the edge process's problem: its headroom stays
+      // stale (readers re-poll it), it stays due, and admission-level
+      // calls surface errors.
+      mark_stale(link);
+      if (!replies[k].ok() || !replies[k].value().is_object()) continue;
+      json::Object& fields = replies[k].value().as_object();
+      if (auto it = fields.find("headroom"); it != fields.end()) {
+        link.headroom = std::move(it->second);
+      }
+      if (auto it = fields.find("next_event_us"); it != fields.end()) {
+        link.next_event_us = whole_us(&it->second);
+      }
+      if (auto it = fields.find("roamers"); it != fields.end() && it->second.is_object()) {
+        link.roamers.push_back(std::move(it->second));
+      }
     }
   }
   telemetry::trace::set_sim_now(t_us);
@@ -165,14 +198,16 @@ const json::Value* Broker::cached_headroom(const std::string& region) const {
   return &links_[it->second].headroom;
 }
 
-Result<json::Value> Broker::inject_fault(const std::string& region, const json::Value& body) {
+Result<json::Value> Broker::inject_fault(const std::string& region, const json::Value& body,
+                                         std::int64_t t_us) {
   const auto it = region_index_.find(region);
   if (it == region_index_.end()) {
     return make_error(Errc::not_found, "no region '" + region + "'");
   }
   RegionLink& link = links_[it->second];
-  link.headroom = nullptr;
-  return bus_->call_json(link.service, net::Method::post, "/federation/fault", body);
+  mark_stale(link);
+  return bus_->call_json(link.service, net::Method::post, at_time("/federation/fault", t_us),
+                         body);
 }
 
 std::vector<Broker::Candidate> Broker::collect_candidates(double throughput_mbps,
@@ -266,9 +301,9 @@ PlacementDecision Broker::submit(const json::Value& body, const std::string& hom
       }
     }
     RegionLink& link = links_[c.index];
-    link.headroom = nullptr;  // an admission attempt mutates the region
-    Result<json::Value> placed =
-        bus_->call_json(link.service, net::Method::post, "/federation/slices", edge_body);
+    mark_stale(link);  // an admission attempt mutates the region
+    Result<json::Value> placed = bus_->call_json(
+        link.service, net::Method::post, at_time("/federation/slices", now_us), edge_body);
     const bool accepted =
         placed.ok() && string_or(placed.value(), "state", "rejected") != "rejected";
     if (accepted) {
@@ -364,9 +399,10 @@ std::size_t Broker::route_roamers(std::int64_t now_us) {
                                DataRate::mbps(0.1 * static_cast<double>(count)),
                                now_us + 3'600'000'000);
         RegionLink& dst = links_[dst_index];
-        dst.headroom = nullptr;  // attaching roamers mutates the region
-        Result<json::Value> outcome = bus_->call_json(dst.service, net::Method::post,
-                                                      "/federation/mobility/ingress", *batch);
+        mark_stale(dst);  // attaching roamers mutates the region
+        Result<json::Value> outcome =
+            bus_->call_json(dst.service, net::Method::post,
+                            at_time("/federation/mobility/ingress", now_us), *batch);
         if (!outcome.ok()) {
           counters_.roam_dropped += count;
           continue;

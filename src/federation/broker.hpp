@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,10 +80,15 @@ class Broker {
     return "edge." + region;
   }
 
-  /// One POST /federation/tick per region (sorted region order): drive
-  /// every region's clock to `t_us`, cache each reply's headroom and
-  /// keep its roaming exits for route_roamers(). Releases backbone
-  /// reservations whose slices have expired first.
+  /// Drive the metro's clock to `t_us`: one POST /federation/tick to
+  /// every due region, sent as one bus round (RestBus::call_json_each,
+  /// sorted region order). Caches each reply's headroom and
+  /// next_event_us and keeps its roaming exits for route_roamers(). A
+  /// region is due unless its cached headroom is fresh and its last
+  /// tick reply said its next event lies after `t_us`; a skipped
+  /// region's state at `t_us` is its state at its last tick, and the
+  /// mutating calls advance it to the broker's time themselves.
+  /// Releases backbone reservations whose slices have expired first.
   void tick_all(std::int64_t t_us);
 
   /// Place one request. `body` is the scenario request JSON (the
@@ -103,10 +109,11 @@ class Broker {
   /// tick_all().
   std::size_t route_roamers(std::int64_t now_us);
 
-  /// Region-scoped fault (POST /federation/fault with `body`). Clears
-  /// the region's cached headroom. Errors: not_found (unknown region),
-  /// or the edge's.
-  Result<json::Value> inject_fault(const std::string& region, const json::Value& body);
+  /// Region-scoped fault (POST /federation/fault with `body`) at the
+  /// broker's time `t_us`. Clears the region's cached headroom. Errors:
+  /// not_found (unknown region), or the edge's.
+  Result<json::Value> inject_fault(const std::string& region, const json::Value& body,
+                                   std::int64_t t_us);
 
   /// Live per-region roll-up from the cached headroom documents.
   /// Single-threaded with the run loop (a stale region is re-read over
@@ -201,10 +208,20 @@ class Broker {
     /// makes it stale. A region's headroom is a pure function of its
     /// state, so a cached document equals a fresh GET.
     json::Value headroom{nullptr};
+    /// The region's earliest pending event as of its latest tick reply;
+    /// nullopt (due at every timestamp) until a reply carries a valid
+    /// one, and again once the region is mutated.
+    std::optional<std::int64_t> next_event_us;
     /// Exit batches ({"east"|"west": batch}) handed over by ticks and
     /// not yet routed. A tick hands its exits over once.
     std::vector<json::Value> roamers;
   };
+  /// Forget what the broker knows of a region's state before a call
+  /// that mutates it: the headroom goes stale and the region is due.
+  static void mark_stale(RegionLink& link) {
+    link.headroom = nullptr;
+    link.next_event_us.reset();
+  }
   std::vector<RegionLink> links_;
   std::map<std::string, std::size_t> region_index_;
   std::map<std::string, double> region_price_;

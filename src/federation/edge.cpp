@@ -1,6 +1,7 @@
 #include "federation/edge.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <optional>
 #include <type_traits>
@@ -15,6 +16,17 @@ using json::Object;
 using json::Value;
 
 Error bad(std::string why) { return make_error(Errc::invalid_argument, std::move(why)); }
+
+/// A mutating route's `t_us` query value: a whole decimal in
+/// [0, 2^53]; nullopt for anything else (a sign, a fraction, junk).
+std::optional<std::int64_t> parse_t_us(std::string_view text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  if (text.empty() || text.front() < '0' || text.front() > '9') return std::nullopt;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > json::kMaxExactInteger) return std::nullopt;
+  return value;
+}
 
 /// A metro region's layout at the plan's scale: pooled 20 MHz cells
 /// "c<k>" behind an aggregation tree, one core DC "core" and
@@ -167,6 +179,10 @@ std::string EdgeNode::tick(std::int64_t t_us) {
   // order, so no json::Value is built per roamer.
   std::string body = "{\"headroom\":";
   body += json::serialize(headroom_json());
+  if (const std::optional<SimTime> next = simulator().next_event_at(); next.has_value()) {
+    body += ",\"next_event_us\":";
+    json::append_number(body, static_cast<double>(next->as_micros()));
+  }
   body += ",\"region\":";
   json::append_escaped(body, plan_.name);
   std::vector<mobility::RoamingExit> exits;
@@ -355,8 +371,10 @@ std::shared_ptr<net::Router> EdgeNode::make_router() {
   // spans it triggers — orchestrator admission, epoch phases, domain
   // installs — are id-keyed by region regardless of the hosting process.
   // `reply` routes answer with body_of() and ignore the request body;
-  // `post` routes parse it and answer with handle(body)'s document;
-  // /federation/tick writes its reply body itself (EdgeNode::tick).
+  // `post` routes parse it, advance the region to the broker's time
+  // (the optional `t_us` query parameter) and answer with handle(body)'s
+  // document; /federation/tick writes its reply body itself
+  // (EdgeNode::tick).
   const auto reply = [&](net::Method method, const char* path, auto body_of) {
     router->add(method, path, [this, body_of](const net::RouteContext&) {
       telemetry::trace::ComponentScope trace_component(component_);
@@ -366,8 +384,14 @@ std::shared_ptr<net::Router> EdgeNode::make_router() {
   const auto post = [&](const char* path, auto handle) {
     router->add(net::Method::post, path, [this, handle](const net::RouteContext& ctx) {
       telemetry::trace::ComponentScope trace_component(component_);
+      std::optional<std::int64_t> t_us;
+      if (const auto it = ctx.query.find("t_us"); it != ctx.query.end()) {
+        t_us = parse_t_us(it->second);
+        if (!t_us) return net::Response::from_error(bad("t_us must be an integer in [0, 2^53]"));
+      }
       Result<json::Value> body = json::parse(ctx.request->body);
       if (!body.ok()) return net::Response::from_error(body.error());
+      if (t_us) advance_to(*t_us);
       Result<json::Value> outcome = handle(body.value());
       if (!outcome.ok()) return net::Response::from_error(outcome.error());
       return net::Response::json(net::Status::ok, json::serialize(outcome.value()));

@@ -15,10 +15,16 @@
 //   GET  /federation/mobility  population + handover/roaming counters
 //   GET  /metrics              registry snapshot + tracer drop counters
 //   POST /federation/tick      lock-step clock: run_until(t_us), reply
-//                              with headroom + drained roaming exits
+//                              with headroom, the next pending event's
+//                              time + drained roaming exits
 //   POST /federation/slices    delegated admission (503 while suspended)
 //   POST /federation/fault     region-scoped fault injection
 //   POST /federation/mobility/ingress  admit a neighbour's roamers
+//
+// The three mutating POSTs take the broker's time as `?t_us=<µs>` and
+// advance the region to it before acting, so a region the broker did
+// not tick at that time (it had nothing due) acts at the same simulated
+// time as a ticked one.
 //
 // Because every interaction crosses this router, an EdgeNode behaves
 // identically whether the router is dispatched in-process, over a
@@ -69,10 +75,12 @@ class EdgeNode {
 
   /// POST /federation/tick: advance_to(t_us), then drain the roaming
   /// exits. Returns the reply body {"region", "t_us", "headroom":
-  /// headroom_json(), "roamers": {"east"|"west": batch}}, where a batch
-  /// is one side's exits as columns, {"side", "plmn": [...], "cqi":
-  /// [...], "y_mm": [...]} — the neighbour's ingress body as is.
-  /// "roamers" and empty sides are omitted.
+  /// headroom_json(), "next_event_us", "roamers": {"east"|"west":
+  /// batch}}, where "next_event_us" is the region simulator's earliest
+  /// pending event (omitted when none is pending) and a batch is one
+  /// side's exits as columns, {"side", "plmn": [...], "cqi": [...],
+  /// "y_mm": [...]} — the neighbour's ingress body as is. "roamers" and
+  /// empty sides are omitted.
   [[nodiscard]] std::string tick(std::int64_t t_us);
 
   /// Delegated admission. Body: the scenario request JSON shape

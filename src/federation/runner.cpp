@@ -104,21 +104,29 @@ EdgeNode* FederatedRunner::edge(const std::string& region) noexcept {
 }
 
 Result<void> FederatedRunner::build_edges() {
+  std::vector<std::shared_ptr<net::Router>> routers;
   for (const RegionPlan& plan : fabric_.regions) {
     if (auto it = options_.remote_edges.find(plan.name); it != options_.remote_edges.end()) {
       bus_.register_remote(Broker::service_name(plan.name), it->second);
       continue;
     }
     auto node = std::make_unique<EdgeNode>(plan, scenario_, options_.epoch_threads);
-    if (options_.socket_transport) {
-      Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind(node->make_router());
-      if (!server.ok()) return server.error();
-      bus_.register_remote(Broker::service_name(plan.name), server.value()->port());
-      serve(std::move(server.value()));
-    } else {
-      bus_.register_service(Broker::service_name(plan.name), node->make_router());
+    routers.push_back(node->make_router());
+    if (!options_.socket_transport) {
+      bus_.register_service(Broker::service_name(plan.name), routers.back());
     }
     edges_.push_back(std::move(node));
+  }
+  if (options_.socket_transport && !routers.empty()) {
+    // One server loop for every local edge, one port each: a tick round
+    // wakes it once, and edge handlers never run concurrently, so the
+    // process-wide tracer clock needs no per-edge lane.
+    Result<std::unique_ptr<net::HttpServer>> server = net::HttpServer::bind_each(routers);
+    if (!server.ok()) return server.error();
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      bus_.register_remote(Broker::service_name(edges_[i]->name()), server.value()->port(i));
+    }
+    serve(std::move(server.value()));
   }
   for (const auto& [region, port] : options_.remote_edges) {
     if (edge(region) == nullptr && !bus_.has_service(Broker::service_name(region))) {
@@ -129,13 +137,13 @@ Result<void> FederatedRunner::build_edges() {
   return {};
 }
 
-void FederatedRunner::inject_event(const scenario::ScenarioEvent& event) {
+void FederatedRunner::inject_event(const scenario::ScenarioEvent& event, std::int64_t t_us) {
   (void)recorder_.record_event(event);
   json::Object body;
   body.emplace("kind", std::string(scenario::to_string(event.kind)));
   body.emplace("target", event.target);
   body.emplace("duration_us", static_cast<double>(event.duration.as_micros()));
-  if (broker_->inject_fault(event.region, json::Value(std::move(body))).ok()) {
+  if (broker_->inject_fault(event.region, json::Value(std::move(body)), t_us).ok()) {
     ++events_injected_;
   }
 }
@@ -176,8 +184,9 @@ Result<FederatedScorecard> FederatedRunner::run() {
   }
 
   // --- The lock-step timeline -------------------------------------
-  // At every timestamp t, in this order: tick every region to t (one
-  // call each, which also hands over its headroom and roaming exits),
+  // At every timestamp t, in this order: tick every region with
+  // something due to t (one round of calls, whose replies hand over
+  // headroom and roaming exits; the rest catch up on their next call),
   // epoch-tick bookkeeping (deferred retries, roaming, the snapshot and
   // the gain sample read from it), failure events, explicit requests,
   // generated arrivals. Regions in sorted-name order throughout. This
@@ -243,7 +252,7 @@ Result<FederatedScorecard> FederatedRunner::run() {
       ++epochs_;
       next_tick_us += period_us;
     }
-    while (event_at() == t) inject_event(events[next_event++]);
+    while (event_at() == t) inject_event(events[next_event++], t);
     while (request_at() == t) {
       scenario::ScenarioRequest& request = requests[next_request++];
       if (request.region.empty()) request.region = draw_home();

@@ -4,8 +4,8 @@
 // Drives one "metro" scenario across the whole hierarchy: generates
 // the fabric, instantiates (or connects to) one EdgeNode per region,
 // and runs the broker's lock-step timeline — at every timestamp the
-// order is fixed (tick every region, epoch-tick bookkeeping, failure
-// events, explicit requests, generated arrivals), so the same scenario
+// order is fixed (tick every due region, epoch-tick bookkeeping,
+// failure events, explicit requests, generated arrivals), so the same scenario
 // + seed yields a byte-identical FederatedScorecard at any
 // epoch_threads setting and over any transport (in-process dispatch,
 // loopback sockets in this process, or edges in other OS processes).
@@ -46,9 +46,9 @@ namespace slices::federation {
 struct FederatedRunOptions {
   /// Epoch-serving worker threads inside every edge orchestrator.
   std::size_t epoch_threads = 1;
-  /// Serve every in-process edge over a real loopback socket (one
-  /// HttpServer thread per region) instead of the bus's in-process
-  /// transport.
+  /// Serve every in-process edge over a real loopback socket (one port
+  /// per region, all served by one HttpServer loop on one thread)
+  /// instead of the bus's in-process transport.
   bool socket_transport = false;
   /// Regions served by other OS processes (`scenario_runner edge`):
   /// region name -> loopback port. These regions get no in-process
@@ -128,7 +128,7 @@ class FederatedRunner {
   [[nodiscard]] Result<void> build_edges();
   /// Run `server` on its own thread until the runner is destroyed.
   void serve(std::unique_ptr<net::HttpServer> server);
-  void inject_event(const scenario::ScenarioEvent& event);
+  void inject_event(const scenario::ScenarioEvent& event, std::int64_t t_us);
   void submit_scenario_request(const scenario::ScenarioRequest& request, std::int64_t t_us);
   [[nodiscard]] FederatedScorecard finalize();
 
@@ -137,8 +137,8 @@ class FederatedRunner {
   MetroFabric fabric_;
   net::RestBus bus_;  ///< broker <-> edges (direct, socket or remote)
   std::vector<std::unique_ptr<EdgeNode>> edges_;  ///< local regions only
-  /// Socket-served edges and the broker facade; stopped and joined by
-  /// the destructor, whichever way run() returns.
+  /// The socket-served edges' server and the broker facade; stopped
+  /// and joined by the destructor, whichever way run() returns.
   std::vector<std::unique_ptr<net::HttpServer>> servers_;
   std::vector<std::thread> server_threads_;
   std::unique_ptr<Broker> broker_;

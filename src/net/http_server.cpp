@@ -24,22 +24,36 @@ bool wants_close(const Request& request, std::string_view wire) {
 struct HttpServer::Client {
   TcpConnection conn;
   HttpFramer framer;
+  const Router* router = nullptr;  ///< the accepting listener's
 };
 
 Result<std::unique_ptr<HttpServer>> HttpServer::bind(std::shared_ptr<Router> router,
                                                      std::uint16_t port) {
-  Result<TcpListener> listener = TcpListener::bind_loopback(port);
-  if (!listener.ok()) return listener.error();
-  return std::unique_ptr<HttpServer>(
-      new HttpServer(std::move(router), std::move(listener).value()));
+  Result<TcpListener> socket = TcpListener::bind_loopback(port);
+  if (!socket.ok()) return socket.error();
+  std::vector<Listener> listeners;
+  listeners.push_back({std::move(router), std::move(socket).value()});
+  return std::unique_ptr<HttpServer>(new HttpServer(std::move(listeners)));
+}
+
+Result<std::unique_ptr<HttpServer>> HttpServer::bind_each(
+    std::vector<std::shared_ptr<Router>> routers) {
+  if (routers.empty()) return make_error(Errc::invalid_argument, "http: no router to serve");
+  std::vector<Listener> listeners;
+  for (std::shared_ptr<Router>& router : routers) {
+    Result<TcpListener> socket = TcpListener::bind_loopback(0);
+    if (!socket.ok()) return socket.error();
+    listeners.push_back({std::move(router), std::move(socket).value()});
+  }
+  return std::unique_ptr<HttpServer>(new HttpServer(std::move(listeners)));
 }
 
 void HttpServer::stop() noexcept {
   const int saved_errno = errno;  // a signal handler must leave errno alone
   stopping_.store(true, std::memory_order_release);
-  // shutdown(2) of the listener wakes run()'s poll (POLLHUP on the
+  // shutdown(2) of a listener wakes run()'s poll (POLLHUP on the
   // listener) and refuses new connects.
-  listener_.close();
+  for (Listener& listener : listeners_) listener.socket.close();
   errno = saved_errno;
 }
 
@@ -47,12 +61,13 @@ std::uint64_t HttpServer::run() {
   std::vector<Client> clients;
   std::vector<pollfd> fds;
   std::uint64_t accepted = 0;
+  const std::size_t n_listeners = listeners_.size();
   while (true) {
     // Once stopping, one last pass that does not block serves what the
     // clients sent before stop(), an EOF included, and then run returns.
     const bool last = stopping_.load(std::memory_order_acquire);
     fds.clear();
-    fds.push_back({listener_.fd(), POLLIN, 0});
+    for (const Listener& listener : listeners_) fds.push_back({listener.socket.fd(), POLLIN, 0});
     for (const Client& client : clients) fds.push_back({client.conn.fd(), POLLIN, 0});
     if (::poll(fds.data(), fds.size(), last ? 0 : -1) < 0) {
       if (errno == EINTR) continue;
@@ -62,7 +77,7 @@ std::uint64_t HttpServer::run() {
     // Ready connections in accept order; closed ones drop out.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < clients.size(); ++i) {
-      if (fds[i + 1].revents != 0 && !serve_ready(clients[i])) continue;
+      if (fds[n_listeners + i].revents != 0 && !serve_ready(clients[i])) continue;
       if (kept != i) clients[kept] = std::move(clients[i]);
       ++kept;
     }
@@ -70,18 +85,21 @@ std::uint64_t HttpServer::run() {
     if (last) break;
 
     // No connection is accepted once stopping.
-    if (fds[0].revents != 0 && !stopping_.load(std::memory_order_acquire)) {
-      Result<TcpConnection> conn = listener_.accept_one();
+    bool failed = false;
+    for (std::size_t l = 0; l < n_listeners && !failed; ++l) {
+      if (fds[l].revents == 0 || stopping_.load(std::memory_order_acquire)) continue;
+      Result<TcpConnection> conn = listeners_[l].socket.accept_one();
       if (!conn.ok()) {
-        // A stop() since the check above shut the listener down; the
-        // last pass still serves the open connections.
-        if (stopping_.load(std::memory_order_acquire)) continue;
-        break;  // the listener failed
+        // After a stop() since the check above, the last pass still
+        // serves the open connections; otherwise the listener failed.
+        failed = !stopping_.load(std::memory_order_acquire);
+        continue;
       }
-      clients.push_back({std::move(conn).value(), HttpFramer{}});
+      clients.push_back({std::move(conn).value(), HttpFramer{}, listeners_[l].router.get()});
       ++accepted;
       served_.fetch_add(1, std::memory_order_relaxed);
     }
+    if (failed) break;
   }
   return accepted;
 }
@@ -92,30 +110,25 @@ bool HttpServer::serve_ready(Client& client) {
   while (true) {
     wire_.clear();
     const Result<bool> framed = client.framer.next(wire_);
-    if (!framed.ok()) return answer(client.conn, framed.error());
+    if (!framed.ok()) return answer(*client.router, client.conn, framed.error());
     if (!framed.value()) break;
-    if (!answer(client.conn, parse_request(wire_))) return false;
+    if (!answer(*client.router, client.conn, parse_request(wire_))) return false;
   }
   if (filled.value()) return true;
   // EOF. A peer that closed inside a request still learns why.
   if (!client.framer.empty()) {
-    (void)answer(client.conn,
+    (void)answer(*client.router, client.conn,
                  make_error(Errc::protocol_error, "http: connection closed mid-message"));
   }
   return false;
 }
 
-bool HttpServer::answer(TcpConnection& conn, const Result<Request>& request) {
-  Response response = serve(*router_, request);
+bool HttpServer::answer(const Router& router, TcpConnection& conn,
+                        const Result<Request>& request) {
+  Response response = serve(router, request);
   const bool close = !request.ok() || wants_close(request.value(), wire_);
   if (close) response.headers.insert_or_assign("Connection", "close");
   return conn.send_all(response.encode()).ok() && !close;
-}
-
-Result<void> exchange(TcpConnection& conn, HttpFramer& framer, std::string_view request_wire,
-                      std::string& response_wire) {
-  if (Result<void> sent = conn.send_all(request_wire); !sent.ok()) return sent.error();
-  return framer.read(conn, response_wire);
 }
 
 Result<Response> http_request(std::uint16_t port, const Request& request) {
@@ -123,10 +136,11 @@ Result<Response> http_request(std::uint16_t port, const Request& request) {
   if (!connected.ok()) return connected.error();
   Request closing = request;
   closing.headers.insert_or_assign("Connection", "close");
+  if (Result<void> sent = connected.value().send_all(closing.encode()); !sent.ok())
+    return sent.error();
   HttpFramer framer;
   std::string wire;
-  if (Result<void> done = exchange(connected.value(), framer, closing.encode(), wire); !done.ok())
-    return done.error();
+  if (Result<void> read = framer.read(connected.value(), wire); !read.ok()) return read.error();
   return parse_response(wire);
 }
 

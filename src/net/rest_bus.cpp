@@ -32,58 +32,68 @@ void RestBus::close_connections() noexcept {
   for (auto& [name, entry] : services_) entry.disconnect();
 }
 
-Result<std::string> RestBus::call_remote(ServiceEntry& entry, std::string_view request_wire) {
-  if (!entry.conn.valid()) {
-    Result<TcpConnection> connected = connect_loopback(entry.remote_port);
-    if (!connected.ok()) return connected.error();
-    entry.conn = std::move(connected).value();
-  }
-  std::string response_wire;
-  if (Result<void> done = exchange(entry.conn, entry.framer, request_wire, response_wire);
-      !done.ok())
-    return done.error();
-  return response_wire;
-}
-
 bool RestBus::has_service(const std::string& name) const noexcept {
   const auto it = services_.find(name);
   return it != services_.end() &&
          (it->second.router != nullptr || it->second.remote_port != 0);
 }
 
-Result<Response> RestBus::call(const std::string& name, const Request& request) {
-  TRACE_SCOPE("bus.call");
+RestBus::ServiceEntry* RestBus::find_entry(const std::string& name) {
   const auto it = services_.find(name);
-  if (it == services_.end() ||
-      (it->second.router == nullptr && it->second.remote_port == 0))
-    return make_error(Errc::unavailable, "no service registered as '" + name + "'");
-  ServiceEntry& entry = it->second;
-  BusStats& stats = entry.stats;
-  ++stats.requests;
+  if (it == services_.end() || (it->second.router == nullptr && it->second.remote_port == 0))
+    return nullptr;
+  return &it->second;
+}
 
+std::string RestBus::stamped_wire(const Request& request) {
   // Stamp the live trace context as an X-Slices-Trace header, so the
   // serving side's spans parent this bus.call span. Both transports
   // carry the same stamped bytes, so byte counters stay
   // transport-invariant whether tracing is on or off.
-  const Request* req = &request;
-  Request stamped;
   if (telemetry::trace::enabled()) {
     const telemetry::trace::Context ctx =
         telemetry::trace::Tracer::instance().current_context();
     if (ctx.valid()) {
-      stamped = request;
+      Request stamped = request;
       std::string encoded;
       telemetry::trace::encode_context(ctx, encoded);
       stamped.headers.insert_or_assign(telemetry::trace::kContextHeader, std::move(encoded));
-      req = &stamped;
+      return stamped.encode();
     }
   }
+  return request.encode();
+}
 
-  const std::string request_wire = req->encode();
-  stats.bytes_tx += request_wire.size();
-  Result<std::string> response_wire =
-      entry.router != nullptr ? serve(*entry.router, parse_request(request_wire)).encode()
-                              : call_remote(entry, request_wire);
+Result<void> RestBus::send(ServiceEntry& entry, std::string_view request_wire) {
+  ++entry.stats.requests;
+  entry.stats.bytes_tx += request_wire.size();
+  if (entry.router != nullptr) return {};
+  Result<void> sent;
+  if (!entry.conn.valid()) {
+    Result<TcpConnection> connected = connect_loopback(entry.remote_port);
+    if (connected.ok()) {
+      entry.conn = std::move(connected).value();
+    } else {
+      sent = connected.error();
+    }
+  }
+  if (sent.ok()) sent = entry.conn.send_all(request_wire);
+  if (!sent.ok()) {
+    entry.disconnect();
+    ++entry.stats.responses_error;
+  }
+  return sent;
+}
+
+Result<Response> RestBus::receive(ServiceEntry& entry, std::string_view request_wire) {
+  BusStats& stats = entry.stats;
+  Result<std::string> response_wire = std::string();
+  if (entry.router != nullptr) {
+    response_wire = serve(*entry.router, parse_request(request_wire)).encode();
+  } else if (Result<void> read = entry.framer.read(entry.conn, response_wire.value());
+             !read.ok()) {
+    response_wire = read.error();
+  }
   // A failed exchange leaves the connection unusable, and HttpServer
   // names the Connection only when it is about to close it. An
   // in-process entry holds no connection, so disconnect() is a no-op
@@ -105,8 +115,40 @@ Result<Response> RestBus::call(const std::string& name, const Request& request) 
   return resp;
 }
 
-Result<json::Value> RestBus::call_json(const std::string& name, Method method,
-                                       const std::string& target, const json::Value& body) {
+Result<Response> RestBus::call(const std::string& name, const Request& request) {
+  return std::move(call_each(std::span<const std::string>(&name, 1), request).front());
+}
+
+std::vector<Result<Response>> RestBus::call_each(std::span<const std::string> names,
+                                                 const Request& request) {
+  TRACE_SCOPE("bus.call");
+  const std::string request_wire = stamped_wire(request);
+  // Write every request before reading any reply. A service that is
+  // unknown or fails to send keeps its error in place of the reply.
+  std::vector<Result<Response>> out;
+  out.reserve(names.size());
+  std::vector<ServiceEntry*> sent(names.size(), nullptr);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ServiceEntry* entry = find_entry(names[i]);
+    const Result<void> written =
+        entry == nullptr
+            ? make_error(Errc::unavailable, "no service registered as '" + names[i] + "'")
+            : send(*entry, request_wire);
+    if (!written.ok()) {
+      out.emplace_back(written.error());
+      continue;
+    }
+    out.emplace_back(Response{});
+    sent[i] = entry;
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (sent[i] != nullptr) out[i] = receive(*sent[i], request_wire);
+  }
+  return out;
+}
+
+Request RestBus::json_request(Method method, const std::string& target,
+                              const json::Value& body) {
   Request req;
   req.method = method;
   req.target = target;
@@ -115,9 +157,12 @@ Result<json::Value> RestBus::call_json(const std::string& name, Method method,
     json::serialize(body, json_buffer_);  // reuses the buffer's capacity
     req.body = json_buffer_;
   }
-  Result<Response> resp = call(name, req);
-  if (!resp.ok()) return resp.error();
+  return req;
+}
 
+Result<json::Value> RestBus::json_reply(const std::string& name, const std::string& target,
+                                        Result<Response> resp) {
+  if (!resp.ok()) return resp.error();
   const Response& r = resp.value();
   const int code = static_cast<int>(r.status);
   if (code < 200 || code >= 300) {
@@ -127,6 +172,24 @@ Result<json::Value> RestBus::call_json(const std::string& name, Method method,
   }
   if (r.body.empty()) return json::Value(nullptr);
   return json::parse(r.body);
+}
+
+Result<json::Value> RestBus::call_json(const std::string& name, Method method,
+                                       const std::string& target, const json::Value& body) {
+  return json_reply(name, target, call(name, json_request(method, target, body)));
+}
+
+std::vector<Result<json::Value>> RestBus::call_json_each(std::span<const std::string> names,
+                                                         Method method,
+                                                         const std::string& target,
+                                                         const json::Value& body) {
+  std::vector<Result<Response>> replies = call_each(names, json_request(method, target, body));
+  std::vector<Result<json::Value>> out;
+  out.reserve(replies.size());
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    out.push_back(json_reply(names[i], target, std::move(replies[i])));
+  }
+  return out;
 }
 
 Result<json::Value> RestBus::get_json(const std::string& name, const std::string& target) {

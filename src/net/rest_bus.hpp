@@ -16,8 +16,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "json/value.hpp"
 #include "net/framer.hpp"
@@ -67,18 +69,31 @@ class RestBus {
 
   [[nodiscard]] bool has_service(const std::string& name) const noexcept;
 
-  /// Issue `request` to service `name` through the wire codec. Errors:
-  /// unavailable (unknown service, or a failed connection), or
-  /// protocol_error (a response that does not parse, or a framing
-  /// error). A request that does not parse is answered 400 by the
-  /// serving side, as over a socket.
+  /// Issue `request` to service `name` through the wire codec: a round
+  /// of one (call_each). Errors: unavailable (unknown service, or a
+  /// failed connection), or protocol_error (a response that does not
+  /// parse, or a framing error). A request that does not parse is
+  /// answered 400 by the serving side, as over a socket.
   [[nodiscard]] Result<Response> call(const std::string& name, const Request& request);
+
+  /// Issue `request` to every service in `names` as one round under
+  /// one bus.call span: every remote request is written before any
+  /// reply is read, then the replies are read, and in-process services
+  /// served, in `names` order. Each request carries the same trace
+  /// context. Returns one result per name, as call() would; a service
+  /// that fails does not stop the round.
+  [[nodiscard]] std::vector<Result<Response>> call_each(std::span<const std::string> names,
+                                                        const Request& request);
 
   /// Convenience: JSON request/response round trip. Non-2xx responses
   /// come back as errors carrying the response body as message.
   [[nodiscard]] Result<json::Value> call_json(const std::string& name, Method method,
                                               const std::string& target,
                                               const json::Value& body);
+  /// call_each() with call_json()'s request and reply handling.
+  [[nodiscard]] std::vector<Result<json::Value>> call_json_each(
+      std::span<const std::string> names, Method method, const std::string& target,
+      const json::Value& body);
   /// GET returning parsed JSON.
   [[nodiscard]] Result<json::Value> get_json(const std::string& name, const std::string& target);
 
@@ -103,11 +118,25 @@ class RestBus {
     }
   };
 
-  /// Send `request_wire` to a remote entry over its kept-alive
-  /// connection, opening it if closed; returns the response's wire
-  /// bytes. After an error the caller must disconnect the entry.
-  [[nodiscard]] static Result<std::string> call_remote(ServiceEntry& entry,
-                                                       std::string_view request_wire);
+  /// The entry registered as `name`, or nullptr when none serves it.
+  [[nodiscard]] ServiceEntry* find_entry(const std::string& name);
+  /// The request's wire bytes, stamped with the live trace context as
+  /// an X-Slices-Trace header when tracing is on.
+  [[nodiscard]] static std::string stamped_wire(const Request& request);
+  /// First half of an exchange: count the request and, for a remote
+  /// entry, write it on the kept-alive connection (opened if closed).
+  [[nodiscard]] static Result<void> send(ServiceEntry& entry, std::string_view request_wire);
+  /// Second half: serve the request in-process, or read a remote
+  /// entry's response, then parse and count the response.
+  [[nodiscard]] static Result<Response> receive(ServiceEntry& entry,
+                                                std::string_view request_wire);
+  /// Build the request of a JSON call (reusing json_buffer_).
+  [[nodiscard]] Request json_request(Method method, const std::string& target,
+                                     const json::Value& body);
+  /// Map a response onto call_json()'s result.
+  [[nodiscard]] static Result<json::Value> json_reply(const std::string& name,
+                                                      const std::string& target,
+                                                      Result<Response> resp);
 
   std::map<std::string, ServiceEntry> services_;
   std::string json_buffer_;  ///< reused request-body serialization buffer

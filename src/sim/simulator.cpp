@@ -54,6 +54,12 @@ void Simulator::schedule_periodic_firing(std::size_t periodic_index, SimTime at)
   });
 }
 
+std::optional<SimTime> Simulator::next_event_at() {
+  prune_cancelled();
+  if (heap_.empty()) return std::nullopt;
+  return heap_.front().key.time;
+}
+
 bool Simulator::step() {
   prune_cancelled();
   if (heap_.empty()) return false;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -70,6 +71,10 @@ class Simulator {
 
   /// Run for a duration from the current time.
   std::size_t run_for(Duration d) { return run_until(now_ + d); }
+
+  /// Time of the earliest pending event, nullopt when none is pending.
+  /// Drops cancelled entries off the heap top, so it is not const.
+  [[nodiscard]] std::optional<SimTime> next_event_at();
 
   /// Number of scheduled-and-not-yet-fired events (cancelled events do
   /// not count, even while their heap entry lingers).

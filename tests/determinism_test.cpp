@@ -225,11 +225,10 @@ TEST(Determinism, KernelMatchesRecordedDigestsPooled) {
 // and 10k/100k attached UEs (with detach holes in the columns) must
 // produce the recorded serve reports and telemetry at every pool size.
 // This is the scorecard the 1M-UE bench relies on.
-std::string ran_scorecard(std::size_t n_ues, std::size_t threads) {
+std::string ran_scorecard(std::size_t n_ues, std::size_t threads, std::size_t n_cells = 24) {
   telemetry::MonitorRegistry registry;
   ran::RanController ran(&registry);
-  constexpr std::size_t kCells = 24;
-  for (std::size_t i = 0; i < kCells; ++i) {
+  for (std::size_t i = 0; i < n_cells; ++i) {
     ran.add_cell(ran::Cell(CellId{i + 1}, "cell-" + std::to_string(i),
                            ran::Bandwidth::mhz20, ran::SharingPolicy::pooled));
   }
@@ -299,6 +298,16 @@ TEST(Determinism, RanParity10kUes) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_digest(ran_scorecard(10'000, threads), {0xed31f1a3, 12103}, "10k-UE RAN scorecard");
+  }
+}
+
+TEST(Determinism, RanParityAcrossSeveralCellRanges) {
+  // 24 cells serve in one pool range; 300 span three, so the pool
+  // really splits the cells phase and must still match the serial run.
+  const std::string serial = ran_scorecard(10'000, 1, 300);
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(ran_scorecard(10'000, threads, 300), serial);
   }
 }
 

@@ -9,8 +9,11 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -346,17 +349,41 @@ TEST(BrokerFailover, RestartingLoneRegionDefersAdmissionUntilResume) {
 
 /// One region's EdgeNode served over a loopback socket behind a proxy
 /// router that counts every call by route before dispatching it to the
-/// node's own router.
+/// node's own router, and logs the ticks and mutating calls it served.
 class CountedEdge {
  public:
+  /// A tick (with the node's next pending event once it was served) or
+  /// a mutating call, at the broker time the request carried.
+  struct Served {
+    bool tick = false;
+    std::int64_t t_us = 0;
+    std::optional<SimTime> next_event;  ///< ticks only
+  };
+
   CountedEdge(const federation::RegionPlan& plan, const scenario::Scenario& scenario)
       : node_(plan, scenario, 1), inner_(node_.make_router()) {
     auto proxy = std::make_shared<net::Router>();
     for (const auto& [method, path] : kRoutes) {
       std::atomic<std::uint64_t>& count = counts_[path];
-      proxy->add(method, path, [this, &count](const net::RouteContext& ctx) {
+      const bool tick = std::string_view(path) == "/federation/tick";
+      const bool mutating = method == net::Method::post && !tick;
+      proxy->add(method, path, [this, &count, tick, mutating](const net::RouteContext& ctx) {
         count.fetch_add(1, std::memory_order_relaxed);
-        return inner_->dispatch(*ctx.request);
+        net::Response response = inner_->dispatch(*ctx.request);
+        if (tick || mutating) {
+          Served served;
+          served.tick = tick;
+          if (tick) {
+            served.t_us = static_cast<std::int64_t>(
+                json::parse(ctx.request->body).value().find("t_us")->as_number());
+            served.next_event = node_.simulator().next_event_at();
+          } else {
+            served.t_us = std::stoll(ctx.query.at("t_us"));
+          }
+          const std::lock_guard<std::mutex> lock(log_mutex_);
+          log_.push_back(served);
+        }
+        return response;
       });
     }
     Result<std::unique_ptr<net::HttpServer>> bound = net::HttpServer::bind(proxy);
@@ -380,6 +407,10 @@ class CountedEdge {
     for (const auto& [path, count] : counts_) total += count.load(std::memory_order_relaxed);
     return total;
   }
+  [[nodiscard]] std::vector<Served> served() const {
+    const std::lock_guard<std::mutex> lock(log_mutex_);
+    return log_;
+  }
 
  private:
   static constexpr std::pair<net::Method, const char*> kRoutes[] = {
@@ -398,6 +429,8 @@ class CountedEdge {
   federation::EdgeNode node_;
   std::shared_ptr<net::Router> inner_;
   std::map<std::string, std::atomic<std::uint64_t>> counts_;
+  mutable std::mutex log_mutex_;
+  std::vector<Served> log_;
   std::unique_ptr<net::HttpServer> server_;
   std::thread serving_;
 };
@@ -422,7 +455,7 @@ constexpr const char* kOutageDoc = R"({
   "requests": [{"at_hours": 4, "vertical": "automotive", "duration_hours": 1, "region": "r1"}]
 })";
 
-TEST(BrokerProtocol, OneTickPerRegionPerTimestampPlusMutationsAndFallbacks) {
+TEST(BrokerProtocol, TicksOnlyDueRegionsPlusMutationsAndFallbacks) {
   const scenario::Scenario s = scenario::parse_scenario(kOutageDoc).value();
   const MetroFabric fabric = make_metro_fabric(s.federation, s.seed).value();
   std::vector<std::unique_ptr<CountedEdge>> edges;
@@ -452,6 +485,8 @@ TEST(BrokerProtocol, OneTickPerRegionPerTimestampPlusMutationsAndFallbacks) {
   for (const json::Value& p : placements.find("placements")->as_array()) {
     timestamps.insert(static_cast<std::int64_t>(p.find("t_us")->as_number()));
   }
+  std::vector<std::int64_t> ticks_at(timestamps.begin(), timestamps.end());
+  ticks_at.push_back(end);  // the closing tick_all at the horizon
 
   const std::map<std::string, net::BusStats> stats = runner.bus().stats();
   std::uint64_t fallbacks = 0;
@@ -459,8 +494,33 @@ TEST(BrokerProtocol, OneTickPerRegionPerTimestampPlusMutationsAndFallbacks) {
     const std::string& region = fabric.regions[i].name;
     const CountedEdge& edge = *edges[i];
     SCOPED_TRACE(region);
-    // One tick per timestamp, plus the closing tick at the horizon.
-    EXPECT_EQ(edge.calls("/federation/tick"), timestamps.size() + 1);
+    // Replay the region's log against every timestamp of the run. A
+    // region is due at t when a mutating call (or no tick yet) left its
+    // cached headroom stale, or when its simulator had an event due by
+    // t after its last tick. It gets exactly one tick at each timestamp
+    // where it is due and none where it is not; its mutating calls
+    // carry the time they are made at, after that time's tick.
+    const std::vector<CountedEdge::Served> log = edge.served();
+    std::size_t next = 0;
+    bool stale = true;
+    std::optional<SimTime> pending;
+    std::uint64_t skipped = 0;
+    for (const std::int64_t t : ticks_at) {
+      SCOPED_TRACE(t);
+      const bool due = stale || !pending.has_value() || pending->as_micros() <= t;
+      const bool ticked = next < log.size() && log[next].tick && log[next].t_us == t;
+      EXPECT_EQ(ticked, due);
+      if (ticked) {
+        stale = false;
+        pending = log[next++].next_event;
+      } else {
+        ++skipped;
+      }
+      for (; next < log.size() && !log[next].tick && log[next].t_us == t; ++next) stale = true;
+    }
+    EXPECT_EQ(next, log.size()) << "a call at a time that is not a timestamp of the run";
+    EXPECT_GT(skipped, 0u) << "no arrival found the region idle";
+    EXPECT_EQ(edge.calls("/federation/tick") + skipped, ticks_at.size());
     EXPECT_EQ(edge.calls("/federation/fault"), faults[region]);
     // Each mutating call stales the cached headroom at most once; the
     // fallback GET re-fills it.
@@ -541,7 +601,7 @@ struct BrokerHarness {
     body.emplace("kind", kind);
     body.emplace("target", target);
     body.emplace("duration_us", static_cast<double>(duration.as_micros()));
-    ASSERT_TRUE(broker->inject_fault(region, json::Value(std::move(body))).ok());
+    ASSERT_TRUE(broker->inject_fault(region, json::Value(std::move(body)), now_us).ok());
   }
 
   /// Every cached headroom document equals a direct GET on its edge's
@@ -594,6 +654,84 @@ TEST(BrokerProtocol, CachedHeadroomEqualsAFreshGet) {
   EXPECT_GT(compared, 0u);
 }
 
+TEST(BrokerProtocol, ArrivalTickSkipsIdleRegionsAndMutationsLandAtBrokerTime) {
+  BrokerHarness city(kRoamingDoc);
+  const auto requests = [&city](std::size_t region) {
+    return city.bus.stats().at(federation::Broker::service_name(city.edges[region]->name()))
+        .requests;
+  };
+  const auto region_now = [&city](std::size_t region) {
+    return city.edges[region]->simulator().now().as_micros();
+  };
+  city.tick();  // nothing cached yet: every region is due
+  const std::int64_t epoch_us = city.now_us;
+  EXPECT_EQ(region_now(0), epoch_us);
+  EXPECT_EQ(region_now(1), epoch_us);
+  EXPECT_EQ(city.expect_cache_coherent("epoch tick"), 2u);
+
+  // An arrival between epochs: both caches are fresh and neither region
+  // has an event due, so no tick is sent and no clock moves.
+  const std::uint64_t before[] = {requests(0), requests(1)};
+  city.now_us += Duration::minutes(1.0).as_micros();
+  city.broker->tick_all(city.now_us);
+  EXPECT_EQ(requests(0), before[0]);
+  EXPECT_EQ(requests(1), before[1]);
+  EXPECT_EQ(region_now(0), epoch_us);
+  EXPECT_EQ(region_now(1), epoch_us);
+  EXPECT_EQ(city.expect_cache_coherent("skipped arrival tick"), 2u);
+
+  // The placement still lands at the broker's time, on the region the
+  // broker picked from the cached headroom.
+  const federation::PlacementDecision placed = city.submit("r0");
+  ASSERT_TRUE(placed.outcome == "local" || placed.outcome == "remote") << placed.outcome;
+  const std::size_t target = placed.placed_region == city.edges[0]->name() ? 0 : 1;
+  EXPECT_EQ(region_now(target), city.now_us);
+  EXPECT_EQ(region_now(1 - target), epoch_us);
+  EXPECT_EQ(city.expect_cache_coherent("submit"), 1u) << "the placed region's cache is stale";
+
+  // So does a fault, on the region that has not moved yet.
+  city.fault(city.edges[1 - target]->name(), "cell_down", "c0", Duration::minutes(2.0));
+  EXPECT_EQ(region_now(1 - target), city.now_us);
+  EXPECT_EQ(city.expect_cache_coherent("fault"), 0u);
+
+  // Both regions were mutated, so the next arrival ticks both.
+  const std::uint64_t mutated[] = {requests(0), requests(1)};
+  city.now_us += Duration::minutes(1.0).as_micros();
+  city.broker->tick_all(city.now_us);
+  EXPECT_EQ(requests(0), mutated[0] + 1);
+  EXPECT_EQ(requests(1), mutated[1] + 1);
+  EXPECT_EQ(city.expect_cache_coherent("tick after mutations"), 2u);
+}
+
+TEST(BrokerProtocol, TickReplyWithoutNextEventKeepsTheRegionDue) {
+  BrokerHarness city(kRoamingDoc);
+  // r1 answers its ticks without next_event_us, as an older edge would.
+  auto stripped = std::make_shared<net::Router>();
+  stripped->add(net::Method::post, "/federation/tick",
+                [inner = city.routers[1]](const net::RouteContext& ctx) {
+                  net::Response response = inner->dispatch(*ctx.request);
+                  json::Value doc = json::parse(response.body).value();
+                  EXPECT_EQ(doc.as_object().erase("next_event_us"), 1u);
+                  response.body = json::serialize(doc);
+                  return response;
+                });
+  city.bus.register_service(federation::Broker::service_name("r1"), stripped);
+  const auto requests = [&city](const std::string& region) {
+    return city.bus.stats().at(federation::Broker::service_name(region)).requests;
+  };
+  city.tick();
+  for (int k = 1; k <= 3; ++k) {
+    const std::uint64_t r0 = requests("r0");
+    const std::uint64_t r1 = requests("r1");
+    city.now_us += Duration::minutes(1.0).as_micros();
+    city.broker->tick_all(city.now_us);
+    EXPECT_EQ(requests("r0"), r0) << "r0 has nothing due";
+    EXPECT_EQ(requests("r1"), r1 + 1) << "r1 never said when its next event is";
+    EXPECT_EQ(city.edges[1]->simulator().now().as_micros(), city.now_us);
+    EXPECT_EQ(city.expect_cache_coherent("arrival tick"), 2u);
+  }
+}
+
 TEST(BrokerProtocol, InjectedFaultShowsInTheNextRegionsJsonWithoutATick) {
   BrokerHarness city(kRoamingDoc);
   city.tick();
@@ -607,7 +745,7 @@ TEST(BrokerProtocol, InjectedFaultShowsInTheNextRegionsJsonWithoutATick) {
   EXPECT_EQ(city.broker->cached_headroom("r0"), nullptr);
   EXPECT_EQ(edge_dcs_up(0), 0.0);
   EXPECT_EQ(edge_dcs_up(1), 1.0);
-  EXPECT_FALSE(city.broker->inject_fault("r9", json::Value(json::Object{})).ok());
+  EXPECT_FALSE(city.broker->inject_fault("r9", json::Value(json::Object{}), city.now_us).ok());
 }
 
 // ------------------------------------------------------- observability

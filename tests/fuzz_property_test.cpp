@@ -4,8 +4,9 @@
 // return a typed error — not garbage — for arbitrary byte soup and for
 // truncated/mutated valid documents. The federation bodies an edge or
 // broker decodes from another process (fault, roamer ingress, advance,
-// metrics merge, region summary) must reject or skip numbers outside
-// their integer range instead of casting them.
+// the mutating routes' t_us, a tick reply's next_event_us, metrics
+// merge, region summary) must reject or skip numbers outside their
+// integer range instead of casting them.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "federation/broker.hpp"
 #include "federation/edge.hpp"
 #include "federation/fabric.hpp"
 #include "federation/runner.hpp"
@@ -798,6 +800,88 @@ TEST(WireIntegers, RoamerIngressRejectsOutOfRangeFieldsAtomically) {
   }
   // Rejected bodies admitted nobody, not even their valid first entry.
   EXPECT_EQ(edge.node.field()->roamers_admitted(), admitted);
+}
+
+TEST(WireIntegers, MutatingRoutesRangeCheckTheBrokerTime) {
+  WireEdge edge;
+  const std::int64_t start_us = Duration::minutes(20.0).as_micros();
+  ASSERT_EQ(edge.node.simulator().now().as_micros(), start_us);
+  scenario::ScenarioRequest request;
+  request.spec = core::SliceSpec::from_profile(
+      traffic::profile_for(traffic::Vertical::automotive), Duration::hours(1.0));
+  const std::pair<const char*, std::string> routes[] = {
+      {"/federation/slices", json::serialize(scenario::request_to_json(request))},
+      {"/federation/fault", R"({"kind":"cell_down","target":"c1","duration_us":60000000})"},
+      {"/federation/mobility/ingress", R"({"side":1,"plmn":[1],"cqi":[9],"y_mm":[0]})"},
+  };
+  const auto state = [&edge] {
+    const core::OrchestratorSummary summary = edge.node.orchestrator().summary();
+    return json::serialize(edge.node.headroom_json()) + json::serialize(edge.node.summary_json()) +
+           std::to_string(summary.admitted_total + summary.rejected_total) + "/" +
+           std::to_string(edge.node.field()->roamers_admitted()) + "/" +
+           std::to_string(edge.node.simulator().pending_events());
+  };
+  // Negative, fractional, exponent, hex, signed, padded, junk, empty,
+  // 2^53 + 1 and past int64: each is a 400 that changes nothing.
+  const char* hostile[] = {"-1",   "1.5",  "1e3", "0x10", "%2B5", "%205", "5%20",
+                           "abc",  "",     "-0",  "9007199254740993",
+                           "99999999999999999999"};
+  const std::string before = state();
+  for (const auto& [path, body] : routes) {
+    for (const char* bad : hostile) {
+      const std::string target = std::string(path) + "?t_us=" + bad;
+      const Result<json::Value> rejected = edge.post(target, body);
+      ASSERT_FALSE(rejected.ok()) << target;
+      EXPECT_NE(rejected.error().message.find(" -> 400"), std::string::npos)
+          << target << ": " << rejected.error().message;
+    }
+  }
+  EXPECT_EQ(edge.node.simulator().now().as_micros(), start_us);
+  EXPECT_EQ(state(), before);
+
+  // An earlier time is a no-op advance: each route acts at the region's
+  // own clock. A later one advances the region before it acts.
+  for (const auto& [path, body] : routes) {
+    const Result<json::Value> earlier = edge.post(std::string(path) + "?t_us=0", body);
+    EXPECT_TRUE(earlier.ok()) << path << ": " << earlier.error().message;
+    EXPECT_EQ(edge.node.simulator().now().as_micros(), start_us) << path;
+  }
+  EXPECT_NE(state(), before);
+  const std::int64_t later_us = start_us + Duration::minutes(3.0).as_micros();
+  const Result<json::Value> later =
+      edge.post("/federation/fault?t_us=" + std::to_string(later_us), routes[1].second);
+  ASSERT_TRUE(later.ok()) << later.error().message;
+  EXPECT_EQ(edge.node.simulator().now().as_micros(), later_us);
+}
+
+TEST(WireIntegers, TickReplyNextEventSkipsOnlyOnAWholeNumber) {
+  const scenario::Scenario s = scenario::parse_scenario(kMobileMetro).value();
+  const federation::MetroFabric fabric =
+      federation::make_metro_fabric(s.federation, s.seed).value();
+  const std::string far = "4000000000000";  // past every tick below
+  // A string, a fraction, out of range, the wrong type, or missing: the
+  // region stays due and is ticked at every timestamp.
+  for (const std::string& next :
+       std::vector<std::string>{far, "\"4000000000000\"", "4000000000000.5", "-1", "1e300",
+                                "9007199254740994", "null", "true", "[1]", ""}) {
+    std::uint64_t ticks = 0;
+    const std::string reply = R"({"headroom":{"headroom_mbps":0})" +
+                              (next.empty() ? "" : R"(,"next_event_us":)" + next) + "}";
+    auto router = std::make_shared<net::Router>();
+    router->add(net::Method::post, "/federation/tick", [&ticks, reply](const net::RouteContext&) {
+      ++ticks;
+      return net::Response::json(net::Status::ok, reply);
+    });
+    net::RestBus bus;
+    for (const federation::RegionPlan& plan : fabric.regions) {
+      bus.register_service(federation::Broker::service_name(plan.name), router);
+    }
+    federation::Broker broker(&bus, fabric);
+    constexpr int kTicks = 4;
+    for (int k = 1; k <= kTicks; ++k) broker.tick_all(k * Duration::minutes(1.0).as_micros());
+    const std::uint64_t per_region = next == far ? 1 : kTicks;
+    EXPECT_EQ(ticks, per_region * fabric.regions.size()) << next;
+  }
 }
 
 /// A remote "edge" on a loopback socket that answers the broker with

@@ -6,7 +6,9 @@
 #include <pthread.h>
 
 #include <csignal>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/testbed.hpp"
 #include "json/value.hpp"
@@ -172,6 +174,55 @@ struct RawClient {
   TcpConnection conn;
   HttpFramer framer;
 };
+
+// --- one loop, several listeners ---------------------------------------------------
+
+/// A router whose /who names it.
+std::shared_ptr<Router> named_router(const std::string& name) {
+  auto router = std::make_shared<Router>();
+  router->add(Method::get, "/who", [name](const RouteContext&) {
+    return Response::json(Status::ok, "\"" + name + "\"");
+  });
+  return router;
+}
+
+TEST(HttpServer, OneLoopServesEachRouterOnItsOwnPort) {
+  EXPECT_FALSE(HttpServer::bind_each({}).ok());
+  Result<std::unique_ptr<HttpServer>> bound =
+      HttpServer::bind_each({named_router("a"), named_router("b")});
+  ASSERT_TRUE(bound.ok()) << bound.error().message;
+  HttpServer& server = *bound.value();
+  const std::uint16_t ports[] = {server.port(0), server.port(1)};
+  EXPECT_EQ(server.port(), ports[0]);
+  EXPECT_NE(ports[0], ports[1]);
+  std::thread serving([&server] { server.run(); });
+
+  // Write to both ports before reading either: the one loop answers
+  // each connection from its own listener's router.
+  RawClient a(ports[0]);
+  RawClient b(ports[1]);
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(b.conn.send_all(get("/who").encode()).ok());
+    ASSERT_TRUE(a.conn.send_all(get("/who").encode()).ok());
+    const Result<Response> from_a = a.read();
+    const Result<Response> from_b = b.read();
+    ASSERT_TRUE(from_a.ok()) << from_a.error().message;
+    ASSERT_TRUE(from_b.ok()) << from_b.error().message;
+    EXPECT_EQ(from_a.value().body, "\"a\"");
+    EXPECT_EQ(from_b.value().body, "\"b\"");
+  }
+  EXPECT_EQ(server.connections_served(), 2u);
+
+  // stop() wakes the loop although both clients sit idle, and both
+  // ports refuse new connections.
+  server.stop();
+  serving.join();
+  for (const std::uint16_t port : ports) {
+    EXPECT_FALSE(connect_loopback(port).ok()) << port;
+  }
+  EXPECT_FALSE(a.read().ok());
+  EXPECT_FALSE(b.read().ok());
+}
 
 TEST(HttpServerKeepAlive, OddCaseContentLengthFramesOnAnOpenConnection) {
   ServerFixture fixture;
@@ -512,6 +563,84 @@ TEST(RestBusTransports, InProcessAndSocketGiveTheSameAnswers) {
   ASSERT_TRUE(local_ping.ok());
   ASSERT_TRUE(remote_ping.ok()) << remote_ping.error().message;
   EXPECT_EQ(local_ping.value().body, remote_ping.value().body);
+}
+
+// --- one round over several services ---------------------------------------------
+
+TEST(RestBusRound, CallEachAnswersInOrderOverBothTransports) {
+  Result<std::unique_ptr<HttpServer>> bound =
+      HttpServer::bind_each({named_router("a"), named_router("b")});
+  ASSERT_TRUE(bound.ok());
+  HttpServer& server = *bound.value();
+  std::thread serving([&server] { server.run(); });
+
+  RestBus bus;
+  bus.register_remote("a", server.port(0));
+  bus.register_service("local", named_router("local"));
+  bus.register_remote("b", server.port(1));
+  const std::vector<std::string> names = {"b", "local", "missing", "a"};
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<Result<json::Value>> replies =
+        bus.call_json_each(names, Method::get, "/who", json::Value(nullptr));
+    ASSERT_EQ(replies.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (names[i] == "missing") {
+        ASSERT_FALSE(replies[i].ok());
+        EXPECT_EQ(replies[i].error().code, Errc::unavailable);
+        continue;
+      }
+      ASSERT_TRUE(replies[i].ok()) << names[i] << ": " << replies[i].error().message;
+      EXPECT_EQ(replies[i].value().as_string(), names[i]);
+    }
+  }
+  for (const char* name : {"a", "b", "local"}) {
+    const BusStats stats = bus.stats().at(name);
+    EXPECT_EQ(stats.requests, 2u) << name;
+    EXPECT_EQ(stats.responses_ok, 2u) << name;
+  }
+  EXPECT_EQ(bus.stats().at("a").bytes_rx, bus.stats().at("b").bytes_rx);
+  EXPECT_EQ(server.connections_served(), 2u);
+
+  bus.close_connections();
+  server.stop();
+  serving.join();
+}
+
+TEST(RestBusRound, CallEachWritesEveryRequestBeforeReadingAnyReply) {
+  // A hand-driven server that answers neither connection until it holds
+  // both requests: a bus that read a reply before writing the second
+  // request would wait here for the five-second poll.
+  Result<TcpListener> first = TcpListener::bind_loopback(0);
+  Result<TcpListener> second = TcpListener::bind_loopback(0);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  std::thread answer([&] {
+    Result<TcpConnection> a = first.value().accept_one();
+    Result<TcpConnection> b = second.value().accept_one();
+    if (!a.ok() || !b.ok()) return;
+    HttpFramer framer_a;
+    HttpFramer framer_b;
+    std::string wire;
+    if (!framer_a.read(a.value(), wire).ok()) return;
+    pollfd watch{b.value().fd(), POLLIN, 0};
+    const bool both = ::poll(&watch, 1, 5000) == 1 && framer_b.read(b.value(), wire).ok();
+    const std::string body = both ? "\"both\"" : "\"one\"";
+    (void)a.value().send_all(Response::json(Status::ok, body).encode());
+    if (both) (void)b.value().send_all(Response::json(Status::ok, body).encode());
+  });
+
+  RestBus bus;
+  bus.register_remote("first", first.value().port());
+  bus.register_remote("second", second.value().port());
+  const std::vector<std::string> names = {"first", "second"};
+  const std::vector<Result<json::Value>> replies =
+      bus.call_json_each(names, Method::get, "/ping", json::Value(nullptr));
+  answer.join();
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_TRUE(replies[0].ok()) << replies[0].error().message;
+  EXPECT_EQ(replies[0].value().as_string(), "both");
+  ASSERT_TRUE(replies[1].ok()) << replies[1].error().message;
+  EXPECT_EQ(replies[1].value().as_string(), "both");
 }
 
 // --- orchestrator observability endpoints over real sockets ----------------------

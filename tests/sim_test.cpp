@@ -166,6 +166,21 @@ TEST(Simulator, PendingCountIgnoresCancelledEntries) {
   EXPECT_EQ(s.executed_events(), 1u);
 }
 
+TEST(Simulator, NextEventAtSkipsCancelledEntries) {
+  Simulator s;
+  EXPECT_FALSE(s.next_event_at().has_value());
+  const EventId first = s.schedule_at(SimTime::from_seconds(1.0), [] {});
+  s.schedule_at(SimTime::from_seconds(3.0), [] {});
+  EXPECT_EQ(s.next_event_at(), SimTime::from_seconds(1.0));
+  EXPECT_TRUE(s.cancel(first));
+  EXPECT_EQ(s.next_event_at(), SimTime::from_seconds(3.0));
+  // Advancing short of the event runs nothing and leaves it next.
+  EXPECT_EQ(s.run_until(SimTime::from_seconds(2.0)), 0u);
+  EXPECT_EQ(s.next_event_at(), SimTime::from_seconds(3.0));
+  EXPECT_EQ(s.run_until(SimTime::from_seconds(3.0)), 1u);
+  EXPECT_FALSE(s.next_event_at().has_value());
+}
+
 TEST(Simulator, StepSkipsCancelledFront) {
   Simulator s;
   int fired = 0;
